@@ -34,6 +34,7 @@ from .errors import (
     HypothesisFailure,
     IntegerDifference,
     IntegralityViolation,
+    InvariantViolation,
     NonMonomialDeterminant,
     NonPositiveAlpha,
     PrecisionInsufficient,

@@ -8,10 +8,13 @@ used anywhere in the computation paths.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+
+from .errors import InvariantViolation
 
 __all__ = [
     "Fraction",
@@ -37,7 +40,7 @@ __all__ = [
     "integer_nth_root",
     "digits10",
     "floor_log10",
-    "fmt_real",
+    "poly_eval",
 ]
 
 
@@ -114,6 +117,14 @@ def pochhammer(x: Fraction, n: int) -> Fraction:
     acc = Fraction(1)
     for k in range(n):
         acc *= x + k
+    return acc
+
+
+def poly_eval(coeffs: tuple[Fraction, ...], t: Fraction) -> Fraction:
+    """The polynomial with coefficients coeffs[0], coeffs[1], ... at t (Horner)."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
     return acc
 
 
@@ -216,7 +227,11 @@ class FactoredInteger:
         return cls(1, ())
 
     @classmethod
-    def from_exponents(cls, exps: dict[int, int]) -> "FactoredInteger":
+    def from_exponents(cls, pairs: Iterable[tuple[int, int]]) -> "FactoredInteger":
+        """The product of p^e over (p, e) pairs; a repeated prime's exponents add."""
+        exps: dict[int, int] = {}
+        for p, e in pairs:
+            exps[p] = exps.get(p, 0) + e
         items = tuple(sorted((p, e) for p, e in exps.items() if e > 0))
         val = 1
         for p, e in items:
@@ -228,15 +243,12 @@ class FactoredInteger:
         return cls(n, factorize(n)) if n > 1 else cls.one()
 
     def __mul__(self, other: "FactoredInteger") -> "FactoredInteger":
-        exps: dict[int, int] = dict(self.factors)
-        for p, e in other.factors:
-            exps[p] = exps.get(p, 0) + e
-        return FactoredInteger.from_exponents(exps)
+        return FactoredInteger.from_exponents(self.factors + other.factors)
 
     def __pow__(self, n: int) -> "FactoredInteger":
         if n < 0:
             raise ValueError("negative power of a FactoredInteger")
-        return FactoredInteger.from_exponents({p: e * n for p, e in self.factors})
+        return FactoredInteger.from_exponents((p, e * n) for p, e in self.factors)
 
     def format_factors(self) -> str:
         if not self.factors:
@@ -271,28 +283,6 @@ def floor_log10(q: Fraction) -> int:
     while Fraction(10) ** (e + 1) <= q:
         e += 1
     return e
-
-
-def fmt_real(q: Fraction, sig: int = 18) -> str:
-    """Deterministic decimal rendering of a rational, exact-arithmetic only.
-
-    Mid-range values print in fixed point (truncated); very large or very
-    small ones print as a truncated mantissa with a power of ten.  Safe for
-    integers of any size (never stringifies a huge int directly).
-    """
-    q = Fraction(q)
-    if q == 0:
-        return "0"
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    e = floor_log10(q)
-    if -6 <= e <= 24:
-        scaled = int(q * 10**sig)
-        whole, frac = divmod(scaled, 10**sig)
-        return f"{sign}{whole}.{str(frac).zfill(sig)}"
-    mant = int(q / Fraction(10) ** e * 10 ** (sig - 1))
-    ms = str(mant)[:sig]
-    return f"{sign}{ms[0]}.{ms[1:]}e{e:+d}"
 
 
 def dyadic_up(x: Fraction, bits: int) -> Fraction:
@@ -415,7 +405,8 @@ class LogUpperBound:
 
 def _atanh_series(t: Fraction, prec: int) -> Interval:
     # 2*atanh(t) for 0 <= t < 1/2, with an explicit geometric tail bound.
-    assert 0 <= t < Fraction(1, 2)
+    if not 0 <= t < Fraction(1, 2):
+        raise InvariantViolation(f"atanh series needs 0 <= t < 1/2, got {t}")
     if t == 0:
         return Interval.point(0)
     total = Fraction(0)
@@ -457,7 +448,8 @@ def log_interval(x: Fraction, prec: int = 128) -> Interval:
     if m >= 2:
         e += 1
         m /= 2
-    assert 1 <= m < 2
+    if not 1 <= m < 2:
+        raise InvariantViolation(f"log reduction left mantissa {m} outside [1, 2)")
     wp = prec + max(16, e.bit_length() + 8)
     t = (m - 1) / (m + 1)  # in [0, 1/3)
     body = _atanh_series(t, wp)
@@ -471,7 +463,8 @@ def log_iv(iv: Interval, prec: int = 128) -> Interval:
 
 def _exp_core(x: Fraction, prec: int) -> Interval:
     # exp for 0 <= x <= 1/2 by Taylor series with a tail bound.
-    assert 0 <= x <= Fraction(1, 2)
+    if not 0 <= x <= Fraction(1, 2):
+        raise InvariantViolation(f"exp series needs 0 <= x <= 1/2, got {x}")
     total = Fraction(1)
     term = Fraction(1)
     k = 0

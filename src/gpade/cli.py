@@ -18,15 +18,12 @@ byte-identical reports (sorted keys, exact rationals, tagged bounds).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .arith import Interval, LogUpperBound, digits10
 from .denom import (
     ThetaMode,
-    _dec,
+    bound_constants,
     cert_tsv,
     check_size_bounds,
     make_cert,
@@ -37,6 +34,7 @@ from .errors import (
     CertificationError,
     HypothesisFailure,
     IntegralityViolation,
+    InvariantViolation,
     NonMonomialDeterminant,
     SingularSystem,
 )
@@ -56,86 +54,10 @@ from .realapprox import (
     restricted_constants,
     restricted_threshold,
 )
+from .report import emit_report, fmt_real, full_digits
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-
-# ---------------------------------------------------------------------------
-# Report rendering
-# ---------------------------------------------------------------------------
-
-
-def _abbrev(s: str, exact: bool) -> str:
-    if exact or len(s) <= 40 or not s.lstrip("-").isdigit():
-        return s
-    body = s.lstrip("-")
-    sign = "-" if s.startswith("-") else ""
-    return f"{sign}{body[:12]}...{body[-12:]}({len(body)}digits)"
-
-
-def _int_str(n: int, exact: bool) -> str:
-    d = digits10(n)
-    if exact:
-        if d > 4000:
-            sys.set_int_max_str_digits(d + 100)  # full printing was requested
-        return str(n)
-    if d <= 40:
-        return str(n)
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    lead = n // 10 ** (d - 12)
-    tail = n % 10**12
-    return f"{sign}{lead}...{str(tail).zfill(12)}({d}digits)"
-
-
-def canonical(obj, exact: bool = False):
-    """Convert a result object into deterministic JSON-ready primitives."""
-    if isinstance(obj, LogUpperBound):
-        return {"value": _dec(obj.value), "direction": "upper", "precision_bits": obj.precision}
-    if isinstance(obj, Interval):
-        return {"lo": _dec(obj.lo), "hi": _dec(obj.hi), "direction": "outward"}
-    if isinstance(obj, Fraction):
-        if obj.denominator == 1:
-            return _int_str(obj.numerator, exact) if abs(obj.numerator) >= 10**40 else str(obj.numerator)
-        if digits10(obj.numerator) > 40 or digits10(obj.denominator) > 40:
-            return f"{_int_str(obj.numerator, exact)}/{_int_str(obj.denominator, exact)}"
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return _int_str(obj, exact) if abs(obj) >= 10**40 else obj
-    if isinstance(obj, str):
-        return _abbrev(obj, exact)
-    if isinstance(obj, dict):
-        return {str(k): canonical(v, exact) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [canonical(v, exact) for v in obj]
-    return str(obj)
-
-
-def _flatten(obj, prefix="") -> list[tuple[str, str]]:
-    rows = []
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            rows.extend(_flatten(obj[k], f"{prefix}{k}."))
-    elif isinstance(obj, list):
-        for idx, v in enumerate(obj):
-            rows.extend(_flatten(v, f"{prefix}{idx}."))
-    else:
-        rows.append((prefix.rstrip("."), "" if obj is None else str(obj)))
-    return rows
-
-
-def emit_report(result: dict, fmt: str, exact: bool = False) -> str:
-    """Deterministic, byte-stable rendering of a result tree."""
-    canon = canonical(result, exact)
-    if fmt == "json":
-        return json.dumps(canon, sort_keys=True, indent=2) + "\n"
-    lines = ["key\tvalue"]
-    for key, val in _flatten(canon):
-        lines.append(f"{key}\t{val}")
-    return "\n".join(lines) + "\n"
 
 
 def _checks_failed(checks: list[dict]) -> bool:
@@ -167,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("tsv", "json"), default="tsv")
     common.add_argument("--precision", type=int, default=128, metavar="BITS")
     common.add_argument("--exact", action="store_true", help="print big integers in full")
-    common.add_argument("--jobs", type=int, default=1, metavar="K")
     common.add_argument("--theta-mode", default="paper", metavar="{paper|sharp|custom:T,C}")
 
     ap = argparse.ArgumentParser(prog="gpade", description=__doc__.split("\n", 1)[0])
@@ -227,7 +148,7 @@ def _cmd_construct(args, gp):
     if args.scaled:
         cert = make_cert(gp, shape, ThetaMode.parse(args.theta_mode, args.precision), args.precision)
         scale = cert.d.value
-        note = {"scaled_by_D": str(scale)}
+        note = {"scaled_by_D": full_digits(scale)}
     if args.format == "tsv":
         header = "".join(f"# {k} = {v}\n" for k, v in note.items())
         return 0, header + family_tsv(family, scale)
@@ -292,8 +213,6 @@ def _cmd_denominators(args, gp):
 
 def _cmd_constants(args, gp):
     mode = ThetaMode.parse(args.theta_mode, args.precision)
-    from .denom import bound_constants
-
     cns = bound_constants(gp, mode, args.precision)
     gr = global_relation_constant(gp, mode, args.precision)
     result = {
@@ -302,7 +221,7 @@ def _cmd_constants(args, gp):
         "global_relation": {
             "c9": gr["c9"],
             "log_C": gr["log_C"],
-            "crosscheck_abs_diff_upper": _dec(gr["crosscheck_abs_diff_upper"]),
+            "crosscheck_abs_diff_upper": fmt_real(gr["crosscheck_abs_diff_upper"], 24),
         },
     }
     if gp.m == 1 and args.vartheta is not None:
@@ -319,20 +238,6 @@ def _cmd_constants(args, gp):
             m0, _ = restricted_threshold(gp, rc, a, b, args.B, args.t)
             result["restricted"]["M0"] = m0
     return 0, emit_report(result, args.format, args.exact)
-
-
-def _audit_one_form(work):
-    gp, beta, p, ell, tau, delta, mode_text, prec = work
-    mode = ThetaMode.parse(mode_text, prec)
-    inst = LinearFormInstance(ell=ell, tau=tau, delta=delta)
-    return audit_linear_form(gp, beta, p, inst, mode, prec)
-
-
-def _fan(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(w) for w in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _cmd_padic(args, gp):
@@ -365,11 +270,11 @@ def _cmd_padic(args, gp):
         result["linear_forms"] = forms
         if args.tau is not None:
             delta = args.delta if args.delta is not None else Fraction(0)
-            work = [
-                (gp, args.beta, args.p, ell, args.tau, delta, args.theta_mode, args.precision)
+            mode = ThetaMode.parse(args.theta_mode, args.precision)
+            audits = [
+                audit_linear_form(gp, args.beta, args.p, LinearFormInstance(ell, args.tau, delta), mode, args.precision)
                 for ell in args.ell
             ]
-            audits = _fan(_audit_one_form, work, args.jobs)
             result["audits"] = audits
             if any(a["dominance_holds"] is False for a in audits):
                 code = CHECK_FAILED
@@ -378,14 +283,18 @@ def _cmd_padic(args, gp):
 
 def _cmd_global(args, gp):
     mode = ThetaMode.parse(args.theta_mode, args.precision)
+    # the probe validates --a, so it runs before the costly constant
+    probe = None
+    if args.ell is not None:
+        probe = probe_global_relation(gp, args.a, args.ell, k=max(8, args.precision // 2))
     gr = global_relation_constant(gp, mode, args.precision)
     result = {
         "c9": gr["c9"],
         "log_C": gr["log_C"],
-        "crosscheck_abs_diff_upper": _dec(gr["crosscheck_abs_diff_upper"]),
+        "crosscheck_abs_diff_upper": fmt_real(gr["crosscheck_abs_diff_upper"], 24),
     }
-    if args.ell is not None:
-        result["probe"] = probe_global_relation(gp, args.a, args.ell, k=max(8, args.precision // 2))
+    if probe is not None:
+        result["probe"] = probe
     return 0, emit_report(result, args.format, args.exact)
 
 
@@ -433,7 +342,13 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     try:
         code, text = _COMMANDS[args.command](args, gp)
-    except (SingularSystem, NonMonomialDeterminant, IntegralityViolation, BoundViolation) as exc:
+    except (
+        SingularSystem,
+        NonMonomialDeterminant,
+        IntegralityViolation,
+        BoundViolation,
+        InvariantViolation,
+    ) as exc:
         # a certified mathematical check failed: distinct from bad usage
         print(f"check failed: {exc}", file=sys.stderr)
         return CHECK_FAILED

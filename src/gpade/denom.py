@@ -25,17 +25,18 @@ from .arith import (
     epsilon_interval,
     exp_iv,
     floor_log,
-    fmt_real,
     legendre_nu,
     log_interval,
     log_iv,
     p_valuation,
+    poly_eval,
     prime_divisors,
     primes_upto,
 )
 from .errors import BoundViolation, DomainViolation, IntegralityViolation
-from .pade import ApproxShape, PadeFamily, _det_exact, _poly_eval
+from .pade import ApproxShape, PadeFamily, bareiss_eliminate
 from .params import GParams, padic_domain_check
+from .report import entry, fmt_real, full_digits, rational
 
 __all__ = [
     "ThetaMode",
@@ -118,45 +119,25 @@ def compute_d1(gp: GParams, shape: ApproxShape) -> FactoredInteger:
     """First clearing integer: multiplies every denominator-polynomial
     coefficient of the family into an integer."""
     N, n0 = shape.N, shape.n0
-    exps: dict[int, int] = {}
-
-    def add(p: int, e: int):
-        if e:
-            exps[p] = exps.get(p, 0) + e
-
-    for p, e in FactoredInteger.of(gp.s0).factors:
-        add(p, e * (2 * N - 1))
-    for p in prime_divisors(gp.s0):
-        add(p, legendre_nu(p, N - 1))  # value 0 when N = 1
+    pairs = [(p, e * (2 * N - 1)) for p, e in FactoredInteger.of(gp.s0).factors]
+    pairs += [(p, legendre_nu(p, N - 1)) for p in prime_divisors(gp.s0)]  # 0 when N = 1
     for j in range(1, gp.m + 1):
-        for p in prime_divisors(gp.v[j - 1]):
-            add(p, legendre_nu(p, shape.n[j - 1]))
+        pairs += [(p, legendre_nu(p, shape.n[j - 1])) for p in prime_divisors(gp.v[j - 1])]
         x = gp.r[j] + (n0 + 1) * gp.s[j]
-        for p in primes_upto(x):
-            if gp.s[j] % p != 0:
-                add(p, floor_log(p, Fraction(x)))
-    return FactoredInteger.from_exponents(exps)
+        pairs += [(p, floor_log(p, Fraction(x))) for p in primes_upto(x) if gp.s[j] % p != 0]
+    return FactoredInteger.from_exponents(pairs)
 
 
 def compute_d2(gp: GParams, shape: ApproxShape) -> FactoredInteger:
     """Second clearing integer: together with D1 it clears the numerator
     polynomials (all product-series coefficients up to their degrees)."""
     Nt = shape.Ntilde
-    exps: dict[int, int] = {}
-
-    def add(p: int, e: int):
-        if e:
-            exps[p] = exps.get(p, 0) + e
-
     base = gp.d_lcm // gcd(gp.d_lcm, gp.s0)
-    for p, e in FactoredInteger.of(base).factors:
-        add(p, e * Nt)
-    for p in prime_divisors(gp.s_lcm):
-        add(p, legendre_nu(p, Nt))
+    pairs = [(p, e * Nt) for p, e in FactoredInteger.of(base).factors]
+    pairs += [(p, legendre_nu(p, Nt)) for p in prime_divisors(gp.s_lcm)]
     x = gp.U + gp.V * Nt
-    for p in primes_upto(x):
-        add(p, floor_log(p, Fraction(x)))
-    return FactoredInteger.from_exponents(exps)
+    pairs += [(p, floor_log(p, Fraction(x))) for p in primes_upto(x)]
+    return FactoredInteger.from_exponents(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +232,12 @@ def verify_integrality(family: PadeFamily, cert: DenominatorCert, strict: bool =
     for i in range(gp.m + 1):
         for k, a in enumerate(family.q[i]):
             if (a * d1).denominator != 1:
-                violations.append(("q", i, k, str(a)))
+                violations.append(("q", i, k, rational(a)))
     for i in range(gp.m + 1):
         for j in range(1, gp.m + 1):
             for mu, cf in enumerate(family.p_coeffs(i, j)):
                 if (cf * d).denominator != 1:
-                    violations.append(("p", i, j, mu, str(cf)))
+                    violations.append(("p", i, j, mu, rational(cf)))
     if strict and violations:
         raise IntegralityViolation(f"first violation: {violations[0]}")
     return {"passed": not violations, "violations": violations}
@@ -265,26 +246,6 @@ def verify_integrality(family: PadeFamily, cert: DenominatorCert, strict: bool =
 # ---------------------------------------------------------------------------
 # Magnitude bound checks (exact LHS vs upper-rounded RHS)
 # ---------------------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return fmt_real(value)
-    if isinstance(value, int):
-        return fmt_real(Fraction(value)) if abs(value) >= 10**24 else str(value)
-    return str(value)
-
-
-def _entry(name, applicable, passed, lhs="", rhs=""):
-    # `passed` is the numeric outcome either way; `applicable` records whether
-    # the bound's stated size threshold is met (only then is a FAIL a finding)
-    return {
-        "name": name,
-        "applicable": applicable,
-        "passed": passed,
-        "lhs": _fmt(lhs),
-        "rhs": _fmt(rhs),
-    }
 
 
 def check_size_bounds(
@@ -310,12 +271,12 @@ def check_size_bounds(
 
     app_d = min(n0, N) >= c
     rhs_d = exp_iv(cns.exponent_13(shape), prec).hi
-    out.append(_entry("log_size_D", app_d, Fraction(cert.d.value) <= rhs_d, cert.d.value, rhs_d))
+    out.append(entry("log_size_D", app_d, Fraction(cert.d.value) <= rhs_d, cert.d.value, rhs_d))
 
     app_a = N >= c
     amax = max(abs(a) for row in family.q for a in row)
     rhs_a = (N * exp_iv(cns.exponent_14(shape), prec)).hi
-    out.append(_entry("coeff_magnitude", app_a, amax <= rhs_a, amax, rhs_a))
+    out.append(entry("coeff_magnitude", app_a, amax <= rhs_a, amax, rhs_a))
 
     growth = exp_iv(cns.exponent_14(shape), prec)
     for z in zs:
@@ -324,20 +285,20 @@ def check_size_bounds(
         qmax_ok = True
         pmax_ok = True
         rhs_q = (2 * N * growth * Interval.point(abs(z)).pow_int(N)).hi
-        lhs_q = max(abs(_poly_eval(family.q[i], z)) for i in range(gp.m + 1))
+        lhs_q = max(abs(poly_eval(family.q[i], z)) for i in range(gp.m + 1))
         qmax_ok = lhs_q <= rhs_q
-        out.append(_entry(f"denom_poly_at_{z}", app_z, qmax_ok, lhs_q, rhs_q))
+        out.append(entry(f"denom_poly_at_{z}", app_z, qmax_ok, lhs_q, rhs_q))
         worst = None
         for i in range(gp.m + 1):
             for j in range(1, gp.m + 1):
-                lhs_p = abs(_poly_eval(family.p_coeffs(i, j), z))
+                lhs_p = abs(poly_eval(family.p_coeffs(i, j), z))
                 rhs_p = (
                     2 * N * (N + 1) * growth * Interval.point(abs(z)).pow_int(Nt - shape.n[j - 1] + 1)
                 ).hi
                 if lhs_p > rhs_p:
                     pmax_ok = False
                     worst = (i, j, lhs_p, rhs_p)
-        out.append(_entry(f"numer_poly_at_{z}", app_z, pmax_ok, "" if pmax_ok else worst, ""))
+        out.append(entry(f"numer_poly_at_{z}", app_z, pmax_ok, "" if pmax_ok else worst, ""))
     if strict:
         bad = next((e for e in out if e["applicable"] and not e["passed"]), None)
         if bad is not None:
@@ -382,23 +343,21 @@ def scaled_integers(
     qi = []
     pij = []
     for i in range(gp.m + 1):
-        qv = _poly_eval(family.q[i], beta) * scale
+        qv = poly_eval(family.q[i], beta) * scale
         if qv.denominator != 1:
             raise IntegralityViolation(f"scaled Q_{i}({beta}) is not an integer")
         qi.append(qv.numerator)
         row = []
         for j in range(1, gp.m + 1):
-            pv = _poly_eval(family.p_coeffs(i, j), beta) * scale
+            pv = poly_eval(family.p_coeffs(i, j), beta) * scale
             if pv.denominator != 1:
                 raise IntegralityViolation(f"scaled P_{i}{j}({beta}) is not an integer")
             row.append(pv.numerator)
         pij.append(tuple(row))
-    mat = [[Fraction(qi[i])] + [Fraction(x) for x in pij[i]] for i in range(gp.m + 1)]
-    det = _det_exact(mat)
-    assert det.denominator == 1
+    det = bareiss_eliminate([[qi[i], *pij[i]] for i in range(gp.m + 1)])[1]
     if det == 0:
         raise IntegralityViolation("scaled system matrix is singular")
-    return ScaledSystem(beta=beta, qi=tuple(qi), pij=tuple(pij), det=det.numerator)
+    return ScaledSystem(beta=beta, qi=tuple(qi), pij=tuple(pij), det=det)
 
 
 def ntilde1_interval(gp: GParams, cns: SizeConstants, beta: Fraction, p: int) -> Interval:
@@ -477,10 +436,10 @@ def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fract
             vtot = Fraction(1, p**p_valuation(total, p)) if total != 0 else Fraction(0)
             ok_terms = all(v <= rb.a14 for v in vals)
             ok_total = vtot <= rb.a14
-            out.append(_entry(f"remainder_first_bound_{i}_{j}", True, ok_terms and ok_total, vtot, rb.a14))
+            out.append(entry(f"remainder_first_bound_{i}_{j}", True, ok_terms and ok_total, vtot, rb.a14))
             ok6 = vtot <= rb.lemma6_upper and all(v <= rb.lemma6_upper for v in vals)
             out.append(
-                _entry(f"remainder_clean_bound_{i}_{j}", rb.lemma6_applicable, ok6, vtot, rb.lemma6_upper)
+                entry(f"remainder_clean_bound_{i}_{j}", rb.lemma6_applicable, ok6, vtot, rb.lemma6_upper)
             )
     return out
 
@@ -502,7 +461,7 @@ def check_scaled_bounds(
     out = []
     rhs_q = (env * Fraction(b) ** shape.n0 * Fraction(abs(a)) ** (shape.Ntilde - shape.n0)).hi
     ok_q = all(abs(q) <= rhs_q for q in scaled.qi)
-    out.append(_entry("scaled_denom_magnitude", applicable, ok_q, max(abs(q) for q in scaled.qi), rhs_q))
+    out.append(entry("scaled_denom_magnitude", applicable, ok_q, max(abs(q) for q in scaled.qi), rhs_q))
     ok_p = True
     worst = ""
     for i in range(gp.m + 1):
@@ -512,7 +471,7 @@ def check_scaled_bounds(
             if abs(scaled.pij[i][j - 1]) > rhs_p:
                 ok_p = False
                 worst = f"(i={i}, j={j})"
-    out.append(_entry("scaled_numer_magnitude", applicable, ok_p, worst, ""))
+    out.append(entry("scaled_numer_magnitude", applicable, ok_p, worst, ""))
     return out
 
 
@@ -523,19 +482,13 @@ def check_scaled_bounds(
 
 def cert_tsv(cert: DenominatorCert, checks: list[dict] | None = None) -> str:
     lines = ["quantity\tvalue\tdetail\tstatus"]
-    lines.append(f"D1\t{cert.d1.value}\t{cert.d1.format_factors()}\t-")
-    lines.append(f"D2\t{cert.d2.value}\t{cert.d2.format_factors()}\t-")
-    lines.append(f"D\t{cert.d.value}\t{cert.d.format_factors()}\t-")
+    for label, fi in (("D1", cert.d1), ("D2", cert.d2), ("D", cert.d)):
+        lines.append(f"{label}\t{full_digits(fi.value)}\t{fi.format_factors()}\t-")
     cns = cert.constants
     for k in range(1, 9):
         ub = cns.upper(k)
-        lines.append(f"c{k}\t{_dec(ub.value)}\tupper@{ub.precision}b\t-")
+        lines.append(f"c{k}\t{fmt_real(ub.value, 24)}\tupper@{ub.precision}b\t-")
     for e in checks or []:
         status = "SKIP" if not e["applicable"] else ("PASS" if e["passed"] else "FAIL")
         lines.append(f"{e['name']}\t{e['lhs']}\t{e['rhs']}\t{status}")
     return "\n".join(lines) + "\n"
-
-
-def _dec(q: Fraction, digits: int = 24) -> str:
-    """Deterministic decimal rendering; see arith.fmt_real."""
-    return fmt_real(q, sig=digits)

@@ -23,6 +23,10 @@ class SingularSystem(CertificationError):
     """The exact linear solve hit a singular matrix (invariant violation)."""
 
 
+class InvariantViolation(CertificationError):
+    """A condition that holds by construction failed (a defect, not bad input)."""
+
+
 class NonMonomialDeterminant(CertificationError):
     """The family determinant is not a monomial (invariant violation)."""
 

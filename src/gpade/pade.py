@@ -18,15 +18,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .arith import pochhammer
+from .arith import pochhammer, poly_eval
 from .errors import NonMonomialDeterminant, SingularSystem
 from .params import GParams
+from .report import full_digits
 
 __all__ = [
     "ApproxShape",
     "PadeFamily",
     "phi_coeff",
     "phi_coeffs",
+    "phi_partial_sum",
     "build_q",
     "build_q_generic",
     "build_p",
@@ -35,6 +37,7 @@ __all__ = [
     "verify_order",
     "oracle_solve",
     "oracle_solve_generic",
+    "bareiss_eliminate",
     "family_det",
     "family_tsv",
 ]
@@ -110,6 +113,16 @@ def phi_coeffs(gp: GParams, j: int, upto: int) -> list[Fraction]:
         n = len(seq) - 1
         seq.append(seq[-1] * (aj + n) / (a0j + n))
     return seq[: upto + 1]
+
+
+def phi_partial_sum(gp: GParams, j: int, z: Fraction, T: int) -> Fraction:
+    """Exact sum of the terms 0..T of phi_j at z, accumulated forward."""
+    acc = Fraction(0)
+    power = Fraction(1)
+    for cf in phi_coeffs(gp, j, T):
+        acc += cf * power
+        power *= z
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -238,32 +251,32 @@ def verify_order(family: PadeFamily) -> dict[tuple[int, int], bool]:
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_solve(rows: list[list[int]]) -> list[Fraction]:
-    """Solve the square integer system [A | b] by fraction-free elimination.
+def bareiss_eliminate(rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Fraction-free (Bareiss) forward elimination of an integer matrix with
+    n rows and at least n columns; columns past the n-th (a right-hand side)
+    are carried along.
 
-    Raises SingularSystem when no nonzero pivot exists in a column.
+    Returns the upper-triangular rows and the determinant of the leading
+    n x n block, which is 0 (with the rows only partly eliminated) when some
+    column has no nonzero pivot.  Every division is exact.
     """
     n = len(rows)
     M = [row[:] for row in rows]
+    sign = 1
     prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if M[r][k] != 0), None)
         if piv is None:
-            raise SingularSystem(f"no pivot in column {k}")
+            return M, 0
         if piv != k:
             M[k], M[piv] = M[piv], M[k]
+            sign = -sign
         for r in range(k + 1, n):
-            for cidx in range(k + 1, n + 1):
+            for cidx in range(k + 1, len(M[r])):
                 M[r][cidx] = (M[k][k] * M[r][cidx] - M[r][k] * M[k][cidx]) // prev
             M[r][k] = 0
         prev = M[k][k]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = Fraction(M[r][n])
-        for cidx in range(r + 1, n):
-            acc -= M[r][cidx] * x[cidx]
-        x[r] = acc / M[r][r]
-    return x
+    return M, sign * prev
 
 
 def oracle_solve_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -280,8 +293,17 @@ def oracle_solve_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int
             rhs = -ratios[mu - N]
             den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
             rows.append([int(c * den) for c in coeffs] + [int(rhs * den)])
-    sol = _bareiss_solve(rows)
-    return tuple(sol) + (Fraction(1),)
+    M, det = bareiss_eliminate(rows)
+    if det == 0:
+        raise SingularSystem("the order conditions do not determine the denominator")
+    n = len(M)
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = Fraction(M[r][n])
+        for cidx in range(r + 1, n):
+            acc -= M[r][cidx] * x[cidx]
+        x[r] = acc / M[r][r]
+    return tuple(x) + (Fraction(1),)
 
 
 def oracle_solve(gp: GParams, shape: ApproxShape, i: int) -> tuple[Fraction, ...]:
@@ -291,36 +313,6 @@ def oracle_solve(gp: GParams, shape: ApproxShape, i: int) -> tuple[Fraction, ...
 # ---------------------------------------------------------------------------
 # The stacked determinant
 # ---------------------------------------------------------------------------
-
-
-def _det_exact(mat: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination with column pivoting."""
-    n = len(mat)
-    M = [row[:] for row in mat]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if M[r][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            det = -det
-        det *= M[k][k]
-        inv = 1 / M[k][k]
-        for r in range(k + 1, n):
-            if M[r][k] == 0:
-                continue
-            f = M[r][k] * inv
-            for cidx in range(k, n):
-                M[r][cidx] -= f * M[k][cidx]
-    return det
-
-
-def _poly_eval(coeffs: tuple[Fraction, ...], t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 def family_det(family: PadeFamily) -> tuple[int, Fraction]:
@@ -341,13 +333,16 @@ def family_det(family: PadeFamily) -> tuple[int, Fraction]:
         raise NonMonomialDeterminant("vanishing leading coefficient")
     for t in range(1, exponent + 2):
         tq = Fraction(t)
+        # clear each row by the lcm of its denominators: det scales by their product
         mat = []
+        scale = 1
         for i in range(gp.m + 1):
-            row = [_poly_eval(family.q[i], tq)]
-            for j in range(1, gp.m + 1):
-                row.append(_poly_eval(family.p_coeffs(i, j), tq))
-            mat.append(row)
-        if _det_exact(mat) != omega * tq**exponent:
+            row = [poly_eval(family.q[i], tq)]
+            row += [poly_eval(family.p_coeffs(i, j), tq) for j in range(1, gp.m + 1)]
+            den = lcm(*(x.denominator for x in row))
+            mat.append([x.numerator * (den // x.denominator) for x in row])
+            scale *= den
+        if bareiss_eliminate(mat)[1] != omega * tq**exponent * scale:
             raise NonMonomialDeterminant(f"determinant deviates from monomial at t={t}")
     return exponent, omega
 
@@ -371,7 +366,7 @@ def family_tsv(family: PadeFamily, scale: int | None = None) -> str:
             val = cf * scale if scale is not None else cf
             if scale is not None and val.denominator != 1:
                 raise ValueError(f"scale {scale} does not clear coefficient {cf}")
-            lines.append(f"{i}\t{label}\t{deg}\t{val.numerator}\t{val.denominator}")
+            lines.append(f"{i}\t{label}\t{deg}\t{full_digits(val.numerator)}\t{full_digits(val.denominator)}")
 
     for i in range(family.gp.m + 1):
         emit(i, "Q", family.q[i])

@@ -22,10 +22,11 @@ from .arith import (
     p_valuation,
     prime_divisors,
 )
-from .denom import DenominatorCert, ThetaMode, _dec, bound_constants, make_cert, ntilde1_interval, scaled_integers
-from .errors import DomainViolation
-from .pade import ApproxShape, PadeFamily, build_family, phi_coeffs, series_product_coeffs
+from .denom import DenominatorCert, ThetaMode, bound_constants, make_cert, ntilde1_interval, scaled_integers
+from .errors import DomainViolation, InvariantViolation
+from .pade import ApproxShape, PadeFamily, build_family, phi_partial_sum, series_product_coeffs
 from .params import GParams, padic_domain_check
+from .report import dec_iv, full_digits, rational
 
 __all__ = [
     "PAdicEnclosure",
@@ -82,15 +83,6 @@ def _series_tail_start(gp: GParams, p: int, q: Fraction, target: int) -> int:
         T += 1
 
 
-def _phi_partial(gp: GParams, j: int, beta: Fraction, T: int) -> Fraction:
-    acc = Fraction(0)
-    power = Fraction(1)
-    for cf in phi_coeffs(gp, j, T):
-        acc += cf * power
-        power *= beta
-    return acc
-
-
 def _enclose(p: int, value: Fraction, tail_exponent: int) -> PAdicEnclosure:
     if value == 0:
         return PAdicEnclosure(p, tail_exponent, 0, 0)
@@ -124,7 +116,7 @@ def eval_phi_padic(gp: GParams, j: int, beta: Fraction, p: int, k: int) -> PAdic
     target = k
     for _ in range(2):
         T = _series_tail_start(gp, p, q, target)
-        enc = _enclose(p, _phi_partial(gp, j, beta, T), target)
+        enc = _enclose(p, phi_partial_sum(gp, j, beta, T), target)
         if enc.below_precision or enc.k >= k:
             return enc
         target = k + enc.valuation_offset  # positive leading valuation: retry deeper
@@ -256,10 +248,6 @@ def select_block_degrees(inst: LinearFormInstance, a: int) -> BlockDegreeSelecti
 # ---------------------------------------------------------------------------
 
 
-def _dec_iv(iv: Interval, digits: int = 12) -> str:
-    return f"[{_dec(iv.lo, digits)}, {_dec(iv.hi, digits)}]"
-
-
 def _scaled_remainder_partial(
     family: PadeFamily, cert: DenominatorCert, beta: Fraction, i: int, j: int, T: int
 ) -> Fraction:
@@ -303,10 +291,10 @@ def audit_linear_form(
         raise ValueError("form length does not match the parameter count")
     report: dict = {
         "p": p,
-        "beta": str(beta),
+        "beta": rational(beta),
         "ell": list(inst.ell),
-        "tau": str(inst.tau),
-        "delta": str(inst.delta),
+        "tau": rational(inst.tau),
+        "delta": rational(inst.delta),
         "theta_mode": mode.label,
     }
 
@@ -337,7 +325,7 @@ def audit_linear_form(
         "point_padic_small": bool(small_nonstrict and small_power),
         "point_padic_small_strict_domain": bool(chk.ok),
         "point_archimedean_large": bool(large_arch),
-        "log_rhs_large": _dec_iv(rhs_large),
+        "log_rhs_large": dec_iv(rhs_large),
         "all_met": bool(hyp_ratio and small_nonstrict and small_power and large_arch),
     }
 
@@ -347,8 +335,8 @@ def audit_linear_form(
     log_ht = log_interval(Fraction(inst.htilde), prec) if inst.htilde > 1 else Interval.point(0)
     ht_reaches = log_ht.lo >= log_h0.hi
     report["height_threshold"] = {
-        "log_h0_upper": _dec_iv(log_h0),
-        "log_htilde": _dec_iv(log_ht),
+        "log_h0_upper": dec_iv(log_h0),
+        "log_htilde": dec_iv(log_ht),
         "htilde_reaches_threshold": bool(ht_reaches),
     }
 
@@ -366,9 +354,9 @@ def audit_linear_form(
     scaled = scaled_integers(family, cert, beta, p=p)
 
     report["constants"] = {
-        "c2_upper": str(cns.upper(2).value),
-        "c8_upper": str(cns.upper(8).value),
-        "ntilde1_upper": str(nt1.hi),
+        "c2_upper": rational(cns.upper(2).value),
+        "c8_upper": rational(cns.upper(8).value),
+        "ntilde1_upper": rational(nt1.hi),
         "c_theta": mode.c_theta,
     }
 
@@ -378,13 +366,14 @@ def audit_linear_form(
             scaled.pij[i][j - 1] * inst.ell[j] for j in range(1, m + 1)
         )
         lambdas.append(lam)
-    report["lambda_values"] = [str(x) for x in lambdas]
+    report["lambda_values"] = [full_digits(x) for x in lambdas]
     witnesses = [i for i, lam in enumerate(lambdas) if lam != 0]
-    assert witnesses, "nonsingular scaled system must yield a nonzero combination"
+    if not witnesses:
+        raise InvariantViolation("nonsingular scaled system must yield a nonzero combination")
     wi = min(witnesses, key=lambda i: p_valuation(Fraction(lambdas[i]), p))
     v_lambda = p_valuation(Fraction(lambdas[wi]), p)
     report["witness_index"] = wi
-    report["witness"] = {"index": wi, "lambda": str(lambdas[wi]), "lambda_valuation": v_lambda}
+    report["witness"] = {"index": wi, "lambda": full_digits(lambdas[wi]), "lambda_valuation": v_lambda}
 
     # remainder side: grow the truncation until the comparison is decided
     w = p_valuation(beta, p) - p_valuation(Fraction(gp.dtilde), p)
@@ -409,7 +398,7 @@ def audit_linear_form(
             break
         if Fraction(v_lambda) < tail_exp:
             dominance = True
-            rem_desc = {"kind": "below", "exponent_at_least": str(tail_exp)}
+            rem_desc = {"kind": "below", "exponent_at_least": rational(tail_exp)}
             break
         T += max(8, shape.Ntilde)
     report["remainder_part"] = rem_desc or {"kind": "undecided"}
@@ -424,8 +413,8 @@ def audit_linear_form(
     )
     lhs_log = -v_lambda * log_p_iv
     report["lambda_lower_bound"] = {
-        "log_lambda_abs_p": _dec_iv(lhs_log),
-        "log_predicted_lower": _dec_iv(pred),
+        "log_lambda_abs_p": dec_iv(lhs_log),
+        "log_predicted_lower": dec_iv(pred),
         "holds": bool(lhs_log.lo > pred.hi),
     }
 
@@ -458,10 +447,10 @@ def audit_linear_form(
     log_ctilde = 2 * cns.iv[2] * (m + 1 + eps) + 2 * (cns.iv[8] + 2) * (m + 1) * (1 + eps)
     spec_hyp = (eps * log_a).lo > (log_ctilde + 2 * (m + 1 + eps) * log_b).hi
     report["specialization"] = {
-        "epsilon": str(eps),
-        "delta_required": str(eps / (8 * (m + 1))),
+        "epsilon": rational(eps),
+        "delta_required": rational(eps / (8 * (m + 1))),
         "delta_matches": inst.delta == eps / (8 * (m + 1)),
-        "log_ctilde_upper": _dec_iv(log_ctilde),
+        "log_ctilde_upper": dec_iv(log_ctilde),
         "power_hypothesis_met": bool(spec_hyp),
     }
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .errors import IntegerDifference, NonPositiveAlpha
+from .errors import IntegerDifference, InvariantViolation, NonPositiveAlpha
 from .arith import p_valuation
 
 __all__ = ["GParams", "derive_params", "padic_domain_check", "parse_params", "load_params", "DomainCheck"]
@@ -86,7 +86,8 @@ def derive_params(alphas: Sequence[Fraction]) -> GParams:
     d = []
     for j in range(1, m + 1):
         prod = s[0] * s[j]
-        assert prod % v[j - 1] == 0  # v_j divides s0*s_j by construction
+        if prod % v[j - 1]:
+            raise InvariantViolation(f"v_{j} does not divide s0*s_{j}")
         d.append(prod // v[j - 1])
     d = tuple(d)
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .arith import (
     FactoredInteger,
     Interval,
+    digits10,
     epsilon_interval,
     exp_iv,
     floor_log,
@@ -21,13 +22,15 @@ from .arith import (
     log_interval,
     log_iv,
     nth_root_iv,
+    poly_eval,
     prime_divisors,
     primes_upto,
 )
-from .denom import ThetaMode, _dec, _entry
+from .denom import ThetaMode, compute_d1
 from .errors import DomainViolation, HypothesisFailure, PrecisionInsufficient
-from .pade import ApproxShape, _poly_eval, build_family, phi_coeffs
+from .pade import ApproxShape, build_family, phi_partial_sum
 from .params import GParams
+from .report import entry, fmt_real, full_digits, rational
 
 __all__ = [
     "RealEnclosure",
@@ -73,12 +76,7 @@ def eval_phi_real(gp: GParams, z: Fraction, T: int) -> RealEnclosure:
         raise DomainViolation("real evaluation needs |z| < 1")
     if z == 0:
         return RealEnclosure(Fraction(1), Fraction(1))
-    coeffs = phi_coeffs(gp, 1, T)
-    acc = Fraction(0)
-    power = Fraction(1)
-    for cf in coeffs:
-        acc += cf * power
-        power *= z
+    acc = phi_partial_sum(gp, 1, z, T)
     tail = abs(z) ** (T + 1) / (1 - abs(z))
     if z > 0 or (T + 1) % 2 == 0:
         return RealEnclosure(acc, acc + tail)
@@ -196,7 +194,7 @@ def epsilon_corollary(
     hyp = Fraction(b) ** en > envelope**ed
     implied = Fraction(b) ** (en * M) >= envelope ** (ed * M) if hyp else None
     return {
-        "epsilon": str(epsilon),
+        "epsilon": rational(epsilon),
         "power_hypothesis": bool(hyp),
         "bound_transfers": implied,
         "implied_rhs": f"1/(B * b^(M*(1+{epsilon})))",
@@ -300,41 +298,16 @@ def make_restricted_instance(
 
 
 def restricted_d1(gp: GParams, n1: int, n0: int) -> FactoredInteger:
-    exps: dict[int, int] = {}
-
-    def add(p, e):
-        if e:
-            exps[p] = exps.get(p, 0) + e
-
-    for p, e in FactoredInteger.of(gp.s0).factors:
-        add(p, e * (2 * n1 - 1))
-    for p in prime_divisors(gp.s0):
-        add(p, legendre_nu(p, n1 - 1))
-    for p in prime_divisors(gp.v[0]):
-        add(p, legendre_nu(p, n1))
-    xval = gp.r[1] + gp.s[1] * (n0 + 1)
-    for p in primes_upto(xval):
-        if gp.s[1] % p != 0:
-            add(p, floor_log(p, Fraction(xval)))
-    return FactoredInteger.from_exponents(exps)
+    """D1 of the restricted audit's family, whose shape is ((n1,), n0)."""
+    return compute_d1(gp, ApproxShape(n=(n1,), n0=n0))
 
 
 def restricted_d2(gp: GParams, n0: int) -> FactoredInteger:
-    exps: dict[int, int] = {}
-
-    def add(p, e):
-        if e:
-            exps[p] = exps.get(p, 0) + e
-
-    for p, e in FactoredInteger.of(gp.dtilde).factors:
-        add(p, e * (n0 + 1))
-    for p in prime_divisors(gp.s_lcm):
-        add(p, legendre_nu(p, n0 + 1))
+    pairs = [(p, e * (n0 + 1)) for p, e in FactoredInteger.of(gp.dtilde).factors]
+    pairs += [(p, legendre_nu(p, n0 + 1)) for p in prime_divisors(gp.s_lcm)]
     xval = gp.u[0] + gp.v[0] * n0
-    for p in primes_upto(xval):
-        if gp.v[0] % p != 0:
-            add(p, floor_log(p, Fraction(xval)))
-    return FactoredInteger.from_exponents(exps)
+    pairs += [(p, floor_log(p, Fraction(xval))) for p in primes_upto(xval) if gp.v[0] % p != 0]
+    return FactoredInteger.from_exponents(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -403,27 +376,27 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     if not (hyp_b and hyp_B):
         raise HypothesisFailure("size hypotheses on (b, B) fail")
     if Fraction(M) < inst.m0.hi:
-        raise HypothesisFailure(f"M = {M} is below the certified threshold {_dec(inst.m0.hi, 6)}")
-    checks.append(_entry("b_at_least_sixth_power", True, True, b, str((rc.a1 * abs(a)).pow_int(6).hi)))
-    checks.append(_entry("M_at_least_threshold", True, True, M, _dec(inst.m0.hi, 6)))
+        raise HypothesisFailure(f"M = {M} is below the certified threshold {fmt_real(inst.m0.hi, 6)}")
+    checks.append(entry("b_at_least_sixth_power", True, True, b, rational((rc.a1 * abs(a)).pow_int(6).hi)))
+    checks.append(entry("M_at_least_threshold", True, True, M, fmt_real(inst.m0.hi, 6)))
 
     n1, n0 = inst.n1, inst.n0
     Nt = n0 + n1
-    checks.append(_entry("x_at_least_3", True, inst.x.lo >= 3, _dec(inst.x.lo, 10), "3"))
-    checks.append(_entry("exponent_gap", True, n0 - n1 + 1 >= M, n0 - n1 + 1, M))
+    checks.append(entry("x_at_least_3", True, inst.x.lo >= 3, fmt_real(inst.x.lo, 10), "3"))
+    checks.append(entry("exponent_gap", True, n0 - n1 + 1 >= M, n0 - n1 + 1, M))
 
     # the block-size constraints behind the choice of h
     log_b = log_interval(Fraction(b), prec)
     log_a2a = log_iv(rc.a2 * abs(a), prec)
     h_req = 12 * log_a2a / log_b
-    checks.append(_entry("h_vs_12log", True, Fraction(inst.h) >= h_req.hi, inst.h, _dec(h_req.hi, 6)))
+    checks.append(entry("h_vs_12log", True, Fraction(inst.h) >= h_req.hi, inst.h, fmt_real(h_req.hi, 6)))
     checks.append(
-        _entry("h_vs_4t", True, inst.h * inst.t.denominator >= 4 * inst.t.numerator, inst.h, str(4 * inst.t))
+        entry("h_vs_4t", True, inst.h * inst.t.denominator >= 4 * inst.t.numerator, inst.h, rational(4 * inst.t))
     )
     m_over = Fraction(M) / (inst.x.lo - 1)
-    checks.append(_entry("h_vs_M_over_xm1", True, Fraction(inst.h) >= m_over, inst.h, _dec(m_over, 6)))
+    checks.append(entry("h_vs_M_over_xm1", True, Fraction(inst.h) >= m_over, inst.h, fmt_real(m_over, 6)))
     checks.append(
-        _entry(
+        entry(
             "h_vs_thresholds",
             True,
             inst.h >= max(rc.c_theta, rc.c_vartheta, 4),
@@ -440,14 +413,14 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     ui = []
     vi = []
     for i in (0, 1):
-        uval = Fraction(d1.value) * Fraction(b) ** n1 * _poly_eval(family.q[i], beta)
-        vval = Fraction(d1.value * d2.value) * Fraction(b) ** (n0 + 1) * _poly_eval(
+        uval = Fraction(d1.value) * Fraction(b) ** n1 * poly_eval(family.q[i], beta)
+        vval = Fraction(d1.value * d2.value) * Fraction(b) ** (n0 + 1) * poly_eval(
             family.p_coeffs(i, 1), beta
         )
         ok_u = uval.denominator == 1
         ok_v = vval.denominator == 1
-        checks.append(_entry(f"integrality_scaled_q_{i}", True, ok_u, str(uval) if not ok_u else "", ""))
-        checks.append(_entry(f"integrality_scaled_p_{i}", True, ok_v, str(vval) if not ok_v else "", ""))
+        checks.append(entry(f"integrality_scaled_q_{i}", True, ok_u, rational(uval) if not ok_u else "", ""))
+        checks.append(entry(f"integrality_scaled_p_{i}", True, ok_v, rational(vval) if not ok_v else "", ""))
         ui.append(uval)
         vi.append(vval)
 
@@ -460,26 +433,26 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     )
     gate_n1 = n1 >= rc.c_theta
     amax = max(abs(cf) for i in (0, 1) for cf in family.q[i])
-    checks.append(_entry("coeff_envelope", gate_n1, amax <= e1.hi, str(amax), _dec(e1.hi, 6)))
+    checks.append(entry("coeff_envelope", gate_n1, amax <= e1.hi, rational(amax), fmt_real(e1.hi, 6)))
     qbound = (e1 / (1 - abs(beta))).hi
-    qmax = max(abs(_poly_eval(family.q[i], beta)) for i in (0, 1))
-    checks.append(_entry("denom_poly_envelope", gate_n1, qmax <= qbound, str(qmax), _dec(qbound, 6)))
+    qmax = max(abs(poly_eval(family.q[i], beta)) for i in (0, 1))
+    checks.append(entry("denom_poly_envelope", gate_n1, qmax <= qbound, rational(qmax), fmt_real(qbound, 6)))
 
     # (working precision for the series value) target: a tenth of the final RHS
     rhs_iv = (Fraction(B) * Fraction(b) ** M * (rc.a1.pow_int(18) * abs(a) ** 17).pow_int(M)).inv()
     enc, terms_used = _phi_enclosure_for_target(gp, beta, rhs_iv.lo / 10)
-    checks.append(_entry("enclosure_width", True, enc.width <= rhs_iv.lo / 10, _dec(enc.width, 40), _dec(rhs_iv.lo / 10, 40)))
+    checks.append(entry("enclosure_width", True, enc.width <= rhs_iv.lo / 10, fmt_real(enc.width, 40), fmt_real(rhs_iv.lo / 10, 40)))
 
     # remainder envelope at the evaluation point
     rbound = ((n1 + 1) * e1 * Interval.point(abs(beta)).pow_int(Nt + 1) / (1 - abs(beta))).hi
     rem_vals = []
     for i in (0, 1):
-        qv = _poly_eval(family.q[i], beta)
-        pv = _poly_eval(family.p_coeffs(i, 1), beta)
+        qv = poly_eval(family.q[i], beta)
+        pv = poly_eval(family.p_coeffs(i, 1), beta)
         lo = min(qv * enc.lower, qv * enc.upper) - pv
         hi = max(qv * enc.lower, qv * enc.upper) - pv
         rem_vals.append(max(abs(lo), abs(hi)))
-        checks.append(_entry(f"remainder_envelope_{i}", gate_n1, rem_vals[i] <= rbound, _dec(rem_vals[i], 30), _dec(rbound, 30)))
+        checks.append(entry(f"remainder_envelope_{i}", gate_n1, rem_vals[i] <= rbound, fmt_real(rem_vals[i], 30), fmt_real(rbound, 30)))
 
     # the scaled product inequality driving the lower bound
     lhs25 = (
@@ -493,13 +466,13 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
         * B
         / Fraction(b) ** n1
     )
-    checks.append(_entry("scaled_product_le_1", True, lhs25.hi <= 1, _dec(lhs25.hi, 12), "1"))
+    checks.append(entry("scaled_product_le_1", True, lhs25.hi <= 1, fmt_real(lhs25.hi, 12), "1"))
 
     # smallness of B*|R_i| against 1/(2 D1 D2 b^(n0+1))
     half_clear = Fraction(1, 2 * d1.value * d2.value * b ** (n0 + 1))
     for i in (0, 1):
         checks.append(
-            _entry(f"remainder_small_{i}", True, B * rem_vals[i] <= half_clear, _dec(B * rem_vals[i], 40), _dec(half_clear, 40))
+            entry(f"remainder_small_{i}", True, B * rem_vals[i] <= half_clear, fmt_real(B * rem_vals[i], 40), fmt_real(half_clear, 40))
         )
 
     # candidate numerator: nearest integer to B*b^M*phi unless overridden
@@ -520,20 +493,20 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
         w_vals.append(w)
         if w != 0 and witness is None:
             witness = i
-    checks.append(_entry("cleared_combination_nonzero", True, witness is not None, str(w_vals[0]), str(w_vals[1])))
+    checks.append(entry("cleared_combination_nonzero", True, witness is not None, full_digits(w_vals[0]), full_digits(w_vals[1])))
     if witness is not None and n0 - n1 + 1 >= M:
         checks.append(
-            _entry("cleared_combination_divisible", True, w_vals[witness] % b**M == 0, f"i={witness}", f"b^{M}")
+            entry("cleared_combination_divisible", True, w_vals[witness] % b**M == 0, f"i={witness}", f"b^{M}")
         )
 
     # scaled distance bound at the witness row:
     # |Q_i(beta)| * |n - B b^M phi| >= b^M / (2 D1 D2 b^(n0+1))
     if witness is not None:
-        qv = abs(_poly_eval(family.q[witness], beta))
+        qv = abs(poly_eval(family.q[witness], beta))
         dist_abs_lo = max(Fraction(0), n_used - hi_s, lo_s - n_used)
         lhs_lower = qv * dist_abs_lo
         rhs24 = Fraction(b**M, 2 * d1.value * d2.value * b ** (n0 + 1))
-        checks.append(_entry("scaled_distance_bound", True, lhs_lower >= rhs24, _dec(lhs_lower, 30), _dec(rhs24, 30)))
+        checks.append(entry("scaled_distance_bound", True, lhs_lower >= rhs24, fmt_real(lhs_lower, 30), fmt_real(rhs24, 30)))
 
     # the final lower bound, decided against the enclosure
     target = Fraction(n_used, scale)
@@ -545,12 +518,12 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
         dist_lo = Fraction(0)
     final_ok = dist_lo >= rhs_iv.hi
     checks.append(
-        _entry(
+        entry(
             "final_lower_bound",
             True,
             final_ok,
-            _dec(dist_lo, 40),
-            _dec(rhs_iv.hi, 40),
+            fmt_real(dist_lo, 40),
+            fmt_real(rhs_iv.hi, 40),
         )
     )
 
@@ -558,19 +531,19 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     verdict = "all checks passed" if not failed else f"FAILED: {', '.join(failed)}"
     return {
         "constants": {
-            "a1": {"value": _dec(rc.a1.hi, 12), "direction": "upper", "precision_bits": prec},
+            "a1": {"value": fmt_real(rc.a1.hi, 12), "direction": "upper", "precision_bits": prec},
             "a1_variant": rc.a1_variant,
-            "a2": {"value": _dec(rc.a2.hi, 12), "direction": "upper", "precision_bits": prec},
-            "x": {"value": _dec(inst.x.lo, 10), "direction": "lower", "precision_bits": prec},
+            "a2": {"value": fmt_real(rc.a2.hi, 12), "direction": "upper", "precision_bits": prec},
+            "x": {"value": fmt_real(inst.x.lo, 10), "direction": "lower", "precision_bits": prec},
             "h": inst.h,
             "n0": n0,
             "n1": n1,
             "M": M,
-            "M0": {"value": _dec(inst.m0.hi, 10), "direction": "upper", "precision_bits": prec},
-            "D1": str(d1.value),
-            "D2": str(d2.value),
-            "E1": {"value": _dec(e1.hi, 8), "direction": "upper", "precision_bits": prec},
-            "candidate_n_digits": len(str(abs(n_used))),
+            "M0": {"value": fmt_real(inst.m0.hi, 10), "direction": "upper", "precision_bits": prec},
+            "D1": full_digits(d1.value),
+            "D2": full_digits(d2.value),
+            "E1": {"value": fmt_real(e1.hi, 8), "direction": "upper", "precision_bits": prec},
+            "candidate_n_digits": digits10(n_used),
             "nearest_n_used": inst.candidate_n is None,
             "series_terms": terms_used,
         },

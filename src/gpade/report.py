@@ -1,0 +1,155 @@
+"""Report rendering: how every printed number, check entry and report looks.
+
+Every report the CLI prints is rendered here, so a rendering rule is
+decided once.  Integers printed in full go through `full_digits`, which does not
+depend on the interpreter's int-to-str digit limit; reports abbreviate
+integers above 40 digits unless exact output was requested.
+"""
+
+from __future__ import annotations
+
+import json
+from decimal import Decimal
+from fractions import Fraction
+
+from .arith import Interval, LogUpperBound, digits10, floor_log10
+
+__all__ = [
+    "full_digits",
+    "fmt_real",
+    "int_str",
+    "rational",
+    "abbrev",
+    "dec_iv",
+    "fmt_value",
+    "entry",
+    "canonical",
+    "flatten",
+    "emit_report",
+]
+
+
+def full_digits(n: int) -> str:
+    """Every decimal digit of n (with its sign), for an integer of any size."""
+    return str(Decimal(n))
+
+
+def int_str(n: int, exact: bool) -> str:
+    """n in full, or abbreviated to its first and last 12 digits plus the
+    digit count when it has more than 40 digits (the sign is not counted)."""
+    d = digits10(n)
+    if exact or d <= 40:
+        return full_digits(n)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    return f"{sign}{n // 10 ** (d - 12)}...{n % 10**12:012d}({d}digits)"
+
+
+def rational(q: Fraction, exact: bool = True) -> str:
+    """`str(q)` for a rational of any size, numerator and denominator
+    rendered by `int_str`."""
+    num = int_str(q.numerator, exact)
+    return num if q.denominator == 1 else f"{num}/{int_str(q.denominator, exact)}"
+
+
+def abbrev(s: str, exact: bool) -> str:
+    """Abbreviate a digit string longer than 40 characters (the sign counts)."""
+    if exact or len(s) <= 40 or not s.lstrip("-").isdigit():
+        return s
+    body = s.lstrip("-")
+    sign = "-" if s.startswith("-") else ""
+    return f"{sign}{body[:12]}...{body[-12:]}({len(body)}digits)"
+
+
+def fmt_real(q: Fraction, sig: int = 18) -> str:
+    """Deterministic decimal rendering of a rational, exact-arithmetic only.
+
+    Mid-range values print in fixed point (truncated); very large or very
+    small ones print as a truncated mantissa with a power of ten.  Safe for
+    integers of any size (never stringifies a huge int directly).
+    """
+    q = Fraction(q)
+    if q == 0:
+        return "0"
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    e = floor_log10(q)
+    if -6 <= e <= 24:
+        scaled = int(q * 10**sig)
+        whole, frac = divmod(scaled, 10**sig)
+        return f"{sign}{whole}.{str(frac).zfill(sig)}"
+    mant = int(q / Fraction(10) ** e * 10 ** (sig - 1))
+    ms = str(mant)[:sig]
+    return f"{sign}{ms[0]}.{ms[1:]}e{e:+d}"
+
+
+def dec_iv(iv: Interval, digits: int = 12) -> str:
+    return f"[{fmt_real(iv.lo, digits)}, {fmt_real(iv.hi, digits)}]"
+
+
+def fmt_value(value) -> str:
+    if isinstance(value, Fraction):
+        return fmt_real(value)
+    if isinstance(value, int):
+        return fmt_real(Fraction(value)) if abs(value) >= 10**24 else full_digits(value)
+    return str(value)
+
+
+def entry(name, applicable, passed, lhs="", rhs=""):
+    """One check of a report.
+
+    `passed` is the numeric outcome either way; `applicable` records whether
+    the bound's stated size threshold is met (only then is a FAIL a finding).
+    """
+    return {
+        "name": name,
+        "applicable": applicable,
+        "passed": passed,
+        "lhs": fmt_value(lhs),
+        "rhs": fmt_value(rhs),
+    }
+
+
+def canonical(obj, exact: bool = False):
+    """Convert a result object into deterministic JSON-ready primitives."""
+    if isinstance(obj, LogUpperBound):
+        return {"value": fmt_real(obj.value, 24), "direction": "upper", "precision_bits": obj.precision}
+    if isinstance(obj, Interval):
+        return {"lo": fmt_real(obj.lo, 24), "hi": fmt_real(obj.hi, 24), "direction": "outward"}
+    if isinstance(obj, Fraction):
+        return rational(obj, exact)
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, int):
+        return int_str(obj, exact) if abs(obj) >= 10**40 else obj
+    if isinstance(obj, str):
+        return abbrev(obj, exact)
+    if isinstance(obj, dict):
+        return {str(k): canonical(v, exact) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [canonical(v, exact) for v in obj]
+    return str(obj)
+
+
+def flatten(obj, prefix="") -> list[tuple[str, str]]:
+    rows = []
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            rows.extend(flatten(obj[k], f"{prefix}{k}."))
+    elif isinstance(obj, list):
+        for idx, v in enumerate(obj):
+            rows.extend(flatten(v, f"{prefix}{idx}."))
+    else:
+        rows.append((prefix.rstrip("."), "" if obj is None else str(obj)))
+    return rows
+
+
+def emit_report(result: dict, fmt: str, exact: bool = False) -> str:
+    """Deterministic, byte-stable rendering of a result tree."""
+    canon = canonical(result, exact)
+    if fmt == "json":
+        return json.dumps(canon, sort_keys=True, indent=2) + "\n"
+    lines = ["key\tvalue"]
+    for key, val in flatten(canon):
+        lines.append(f"{key}\t{val}")
+    return "\n".join(lines) + "\n"

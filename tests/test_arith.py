@@ -16,7 +16,6 @@ from gpade.arith import (
     factorize,
     floor_log,
     floor_log10,
-    fmt_real,
     integer_nth_root,
     legendre_nu,
     log_interval,
@@ -25,7 +24,10 @@ from gpade.arith import (
     p_valuation,
     pochhammer,
     primes_upto,
+    _atanh_series,
 )
+from gpade.errors import CertificationError
+from gpade.report import fmt_real
 
 LOG2_LO = F("0.6931471805599453094172321214581")
 LOG2_HI = F("0.6931471805599453094172321214582")
@@ -125,6 +127,7 @@ def test_factored_integer():
     assert fi.format_factors() == "2^3*3*5*7"
     assert (fi * FactoredInteger.of(15)).value == 12600
     assert (FactoredInteger.of(6) ** 3).value == 216
+    assert FactoredInteger.from_exponents([(3, 2), (2, 1), (5, 0), (2, 2)]).factors == ((2, 3), (3, 2))
     with pytest.raises(ValueError):
         FactoredInteger(10, ((2, 1),))
 
@@ -142,6 +145,12 @@ def test_log_enclosures():
         iv = log_interval(q, 80)
         assert math.isclose(float(iv.lo), math.log(q), rel_tol=1e-12, abs_tol=1e-15)
         assert iv.lo <= iv.hi
+
+
+def test_series_domain_checked_under_optimize():
+    # a raised error, not an assert, so `python -O` keeps the check
+    with pytest.raises(CertificationError):
+        _atanh_series(F(1, 2), 64)
 
 
 def test_exp_enclosures():

@@ -1,6 +1,9 @@
 import json
+import sys
 
-from gpade.cli import _int_str, emit_report, main
+from gpade.arith import digits10
+from gpade.cli import emit_report, main
+from gpade.report import abbrev, int_str
 
 HALF = "m = 1\nalpha0 = 1\nalpha1 = 1/2\n"
 ONE = "m = 1\nalpha0 = 1\nalpha1 = 1\n"
@@ -125,18 +128,6 @@ def test_padic_audit(params_file, capsys):
     assert data["audits"][0]["dominance_holds"] is True
 
 
-def test_padic_jobs_match(params_file, capsys):
-    path = params_file(HALF)
-    base = [
-        "padic", "--params", path, "--beta", "8/3", "--p", "2",
-        "--ell", "1,1", "--ell", "5,-4", "--tau", "1/2", "--delta", "1/20",
-        "--format", "json",
-    ]
-    _, seq, _ = run(capsys, base + ["--jobs", "1"])
-    _, par, _ = run(capsys, base + ["--jobs", "2"])
-    assert seq == par
-
-
 def test_global_probe(params_file, capsys):
     path = params_file(ONE)
     code, out, _ = run(
@@ -168,6 +159,36 @@ def test_restricted_with_explicit_flags(params_file, capsys):
     assert data["constants"]["nearest_n_used"] is False
     final = next(c for c in data["checks"] if c["name"] == "final_lower_bound")
     assert final["passed"] is True
+
+
+def test_global_rejects_point_before_constant(params_file, capsys, monkeypatch):
+    import gpade.cli as cli_mod
+
+    def constant_not_reached(*args, **kwargs):
+        raise RuntimeError("global_relation_constant ran before the point was checked")
+
+    monkeypatch.setattr(cli_mod, "global_relation_constant", constant_not_reached)
+    path = params_file("m = 2\nalpha0 = 1\nalpha1 = 1/2\nalpha2 = 1/3\n")
+    code, out, err = run(capsys, ["global", "--params", path, "--a", "30030", "--ell", "1,2,3"])
+    assert code == 2
+    assert out == ""
+    assert "coprime" in err
+
+
+def test_restricted_beyond_int_str_limit(params_file, capsys):
+    # the cleared combination of this audit has more than 4300 digits
+    path = params_file(ONE)
+    code, out, _ = run(
+        capsys,
+        [
+            "restricted", "--params", path, "--beta", "1/" + "1" + "0" * 40,
+            "--theta-mode", "sharp", "--vartheta", "2", "--format", "json",
+        ],
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["final_verdict"] == "all checks passed"
+    assert data["constants"]["candidate_n_digits"] == 5441
 
 
 def test_restricted_hypothesis_exit(params_file, capsys):
@@ -207,14 +228,31 @@ def test_exit_code_mapping(params_file, capsys, monkeypatch):
 
 def test_int_abbreviation():
     n = 123456789 * 10**300 + 987654321
-    s = _int_str(n, exact=False)
+    s = int_str(n, exact=False)
     assert s.startswith("123456789") and s.endswith("(309digits)")
     assert "..." in s
-    assert _int_str(n, exact=True) == str(n)
-    assert _int_str(-(10**45), exact=False).startswith("-100000000000...")
+    assert int_str(n, exact=True) == str(n)
+    assert int_str(-(10**45), exact=False).startswith("-100000000000...")
+    # a negative 40-digit integer: int_str does not count the sign, abbrev does
+    n40 = -(10**39 + 7)
+    assert int_str(n40, exact=False) == str(n40)
+    assert abbrev(str(n40), exact=False) == "-100000000000...000000000007(40digits)"
     big = 7**20000  # beyond the default int-to-str guard
-    s2 = _int_str(big, exact=False)
+    s2 = int_str(big, exact=False)
     assert s2.endswith("digits)")
+
+
+def test_exact_int_beyond_str_limit():
+    limit = sys.get_int_max_str_digits()
+    big = 7**20000
+    full = json.loads(emit_report({"n": big}, "json", exact=True))["n"]
+    assert sys.get_int_max_str_digits() == limit
+    assert len(full) == digits10(big)
+    value = 0
+    for k in range(0, len(full), 1000):
+        chunk = full[k : k + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == big
 
 
 def test_emit_report_formats():

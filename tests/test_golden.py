@@ -1,0 +1,47 @@
+"""Golden CLI reports: every case in tests/golden/cases.json is replayed
+through `gpade.cli.main` in-process, and its stdout and exit code must match
+the stored report byte for byte.
+
+A change that alters a report on purpose rewrites the corpus with
+`PYTHONPATH=src python tests/test_golden.py` and says why in CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from gpade.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+def replay(case: dict) -> tuple[int, str]:
+    params = str(GOLDEN / "params" / f"{case['params']}.params")
+    argv = [case["argv"][0], "--params", params, *case["argv"][1:]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_report(case):
+    code, out = replay(case)
+    assert code == case["exit"]
+    assert out.encode() == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+def _write_corpus() -> None:
+    for case in CASES:
+        case["exit"], out = replay(case)
+        (GOLDEN / f"{case['name']}.out").write_bytes(out.encode())
+    lines = ",\n".join("  " + json.dumps(case) for case in CASES)
+    (GOLDEN / "cases.json").write_text(f"[\n{lines}\n]\n")
+
+
+if __name__ == "__main__":
+    _write_corpus()
