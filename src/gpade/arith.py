@@ -120,9 +120,13 @@ def pochhammer(x: Fraction, n: int) -> Fraction:
     return acc
 
 
-def poly_eval(coeffs: tuple[Fraction, ...], t: Fraction) -> Fraction:
-    """The polynomial with coefficients coeffs[0], coeffs[1], ... at t (Horner)."""
-    acc = Fraction(0)
+def poly_eval(coeffs, t):
+    """The polynomial with coefficients coeffs[0], coeffs[1], ... at t (Horner).
+
+    Integer coefficients at an integer t stay in int; otherwise the value is a
+    Fraction.
+    """
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
@@ -361,6 +365,9 @@ class Interval:
     def pow_int(self, n: int) -> "Interval":
         if n < 0:
             return self.pow_int(-n).inv()
+        if self.lo >= 0:
+            # monotone on [0, inf); Fraction ** int skips the gcd of a product
+            return Interval(Fraction(self.lo) ** n, Fraction(self.hi) ** n)
         acc = Interval.point(1)
         base = self
         k = n

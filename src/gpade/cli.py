@@ -83,13 +83,23 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+def _theta_mode(text: str) -> str:
+    # syntax only: the paper mode's log is computed by the subcommands that use it
+    if text not in ("paper", "sharp"):
+        try:
+            ThetaMode.parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", required=True, help="parameter file (m, alpha0..alpham)")
     common.add_argument("--format", choices=("tsv", "json"), default="tsv")
     common.add_argument("--precision", type=int, default=128, metavar="BITS")
     common.add_argument("--exact", action="store_true", help="print big integers in full")
-    common.add_argument("--theta-mode", default="paper", metavar="{paper|sharp|custom:T,C}")
+    common.add_argument("--theta-mode", type=_theta_mode, default="paper", metavar="{paper|sharp|custom:T,C}")
 
     ap = argparse.ArgumentParser(prog="gpade", description=__doc__.split("\n", 1)[0])
     sub = ap.add_subparsers(dest="command", required=True)

@@ -10,13 +10,18 @@ Two independent construction routes are provided: the closed-form
 coefficients (`build_q`) and a fraction-free exact linear solve of the order
 conditions (`oracle_solve`).  They must agree coefficientwise; tests and the
 verification CLI exercise both.
+
+The closed form, the product series and the determinant check clear common
+denominators once and then work on plain integers; the oracle keeps its own
+route from the series coefficients into the Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
+from operator import mul
 
 from .arith import pochhammer, poly_eval
 from .errors import NonMonomialDeterminant, SingularSystem
@@ -125,6 +130,12 @@ def phi_partial_sum(gp: GParams, j: int, z: Fraction, T: int) -> Fraction:
     return acc
 
 
+def _cleared(xs) -> tuple[int, list[int]]:
+    """The lcm L of the denominators of the rationals xs, and the integers L*x."""
+    L = lcm(*(x.denominator for x in xs))
+    return L, [x.numerator * (L // x.denominator) for x in xs]
+
+
 # ---------------------------------------------------------------------------
 # Closed-form denominator coefficients
 # ---------------------------------------------------------------------------
@@ -132,7 +143,18 @@ def phi_partial_sum(gp: GParams, j: int, z: Fraction, T: int) -> Fraction:
 
 def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Closed-form coefficients a_0..a_N of the common denominator Q for
-    arbitrary degrees N_j >= N - 1 (N = sum of the n_j).  a_N = 1."""
+    arbitrary degrees N_j >= N - 1 (N = sum of the n_j).  a_N = 1.
+
+    The summand of a_{N-k-1} factors as g(l-k) * h(l), summed over k <= l < N
+    and divided by prod_j (alpha_j + N_j - N + 1)_{n_j}, with
+
+        g(d) = (alpha_0 - 1)_d / d!,
+        h(l) = (-1)^(l+1) (alpha_0 + l + 1)_{N-l-1} / (N-l-1)! * prod_j (c_j + l)_{n_j},
+        c_j  = alpha_j + alpha_0 + N_j - N + 1.
+
+    Both sequences follow from their term ratios; cleared by the lcm of their
+    denominators, every coefficient is one integer correlation.
+    """
     m = gp.m
     if len(n_list) != m or len(N_list) != m:
         raise ValueError("need one block degree and one target degree per series")
@@ -140,22 +162,32 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...
     if any(Nj < N - 1 for Nj in N_list):
         raise ValueError("closed form requires N_j >= N - 1")
     alpha0 = gp.alpha[0]
-    a = [Fraction(0)] * (N + 1)
-    a[N] = Fraction(1)
     # the product's denominator does not involve the summation index
     denom = Fraction(1)
     for j in range(1, m + 1):
         denom *= pochhammer(gp.alpha[j] + N_list[j - 1] - N + 1, n_list[j - 1])
+    c = [gp.alpha[j] + alpha0 + N_list[j - 1] - N + 1 for j in range(1, m + 1)]
+    g = [Fraction(1)]
+    for d in range(N - 1):
+        g.append(g[-1] * (alpha0 - 1 + d) / (d + 1))
+    # h(N-1) has empty Pochhammer and factorial parts; step down by h(l)/h(l+1)
+    h = [Fraction(0)] * N
+    h[N - 1] = Fraction((-1) ** N)
+    for cj, nj in zip(c, n_list):
+        h[N - 1] *= pochhammer(cj + N - 1, nj)
+    for ell in range(N - 2, -1, -1):
+        ratio = -(alpha0 + ell + 1) / (N - ell - 1)
+        for cj, nj in zip(c, n_list):
+            ratio *= (cj + ell) / (cj + ell + nj)
+        h[ell] = h[ell + 1] * ratio
+    G, g_int = _cleared(g)
+    H, h_int = _cleared(h)
+    scale = denom * G * H
+    a = [Fraction(0)] * (N + 1)
+    a[N] = Fraction(1)
     for k in range(N):
-        acc = Fraction(0)
-        for ell in range(k, N):
-            term = Fraction((-1) ** (ell + 1))
-            term *= pochhammer(alpha0 - 1, ell - k) / factorial(ell - k)
-            term *= pochhammer(alpha0 + ell + 1, N - ell - 1) / factorial(N - ell - 1)
-            for j in range(1, m + 1):
-                term *= pochhammer(gp.alpha[j] + alpha0 + N_list[j - 1] - N + ell + 1, n_list[j - 1])
-            acc += term
-        a[N - k - 1] = acc / denom
+        acc = sum(map(mul, g_int, h_int[k:]))
+        a[N - k - 1] = Fraction(acc * scale.denominator, scale.numerator)
     return tuple(a)
 
 
@@ -168,15 +200,11 @@ def build_q(gp: GParams, shape: ApproxShape, i: int) -> tuple[Fraction, ...]:
 
 def series_product_coeffs(gp: GParams, q: tuple[Fraction, ...], j: int, upto: int) -> tuple[Fraction, ...]:
     """Coefficients 0..upto of Q * phi_j for a denominator Q given by `q`."""
-    ratios = phi_coeffs(gp, j, upto)
-    N = len(q) - 1
-    out = []
-    for mu in range(upto + 1):
-        acc = Fraction(0)
-        for k in range(min(N, mu) + 1):
-            acc += q[k] * ratios[mu - k]
-        out.append(acc)
-    return tuple(out)
+    Dq, q_int = _cleared(q)
+    Dr, r_int = _cleared(phi_coeffs(gp, j, upto))
+    r_rev = r_int[::-1]  # r_rev[upto - mu + k] = r_int[mu - k]
+    D = Dq * Dr
+    return tuple(Fraction(sum(map(mul, q_int, r_rev[upto - mu :])), D) for mu in range(upto + 1))
 
 
 def build_p(gp: GParams, shape: ApproxShape, q: tuple[Fraction, ...], i: int, j: int) -> tuple[Fraction, ...]:
@@ -331,18 +359,18 @@ def family_det(family: PadeFamily) -> tuple[int, Fraction]:
         omega *= family.p_leading(i)
     if omega == 0:
         raise NonMonomialDeterminant("vanishing leading coefficient")
+    # clear row i (Q_i and every P_ij) by the lcm L_i of its coefficient
+    # denominators: the integer determinant at t is det(t) * prod(L_i)
+    rows = []
+    target = omega
+    for i in range(gp.m + 1):
+        polys = [family.q[i]] + [family.p_coeffs(i, j) for j in range(1, gp.m + 1)]
+        L = lcm(*(cf.denominator for poly in polys for cf in poly))
+        rows.append([[cf.numerator * (L // cf.denominator) for cf in poly] for poly in polys])
+        target *= L
     for t in range(1, exponent + 2):
-        tq = Fraction(t)
-        # clear each row by the lcm of its denominators: det scales by their product
-        mat = []
-        scale = 1
-        for i in range(gp.m + 1):
-            row = [poly_eval(family.q[i], tq)]
-            row += [poly_eval(family.p_coeffs(i, j), tq) for j in range(1, gp.m + 1)]
-            den = lcm(*(x.denominator for x in row))
-            mat.append([x.numerator * (den // x.denominator) for x in row])
-            scale *= den
-        if bareiss_eliminate(mat)[1] != omega * tq**exponent * scale:
+        det = bareiss_eliminate([[poly_eval(poly, t) for poly in row] for row in rows])[1]
+        if det * target.denominator != target.numerator * t**exponent:
             raise NonMonomialDeterminant(f"determinant deviates from monomial at t={t}")
     return exponent, omega
 

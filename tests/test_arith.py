@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpade.arith import (
     FactoredInteger,
@@ -210,5 +212,25 @@ def test_interval_arithmetic():
     assert (a / a).contains(1)
     assert a.pow_int(3) == Interval(F(1), F(8))
     assert a.pow_int(0) == Interval.point(1)
+    # across zero the repeated-squaring enclosure is wider than the true range
+    c = Interval(F(-1, 2), F(3))
+    assert c.pow_int(2) == Interval(F(-3, 2), F(9))
+    assert c.pow_int(3) == Interval(F(-9, 2), F(27))
     with pytest.raises(ZeroDivisionError):
         b.inv()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lo=st.fractions(min_value=0, max_value=50, max_denominator=10**6),
+    width=st.fractions(min_value=0, max_value=50, max_denominator=10**6),
+    n=st.integers(0, 40),
+)
+def test_pow_int_nonnegative_matches_repeated_products(lo, width, n):
+    iv = Interval(lo, lo + width)
+    ref = Interval.point(1)
+    for _ in range(n):
+        ref = ref * iv
+    assert iv.pow_int(n) == ref
+    if lo > 0:
+        assert iv.pow_int(-n) == ref.inv()

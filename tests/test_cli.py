@@ -191,6 +191,38 @@ def test_restricted_beyond_int_str_limit(params_file, capsys):
     assert data["constants"]["candidate_n_digits"] == 5441
 
 
+def test_restricted_large_M(params_file, capsys):
+    # large-size smoke test: the family has n1 = 199 and n0 = 597
+    path = params_file(ONE)
+    code, out, _ = run(
+        capsys,
+        [
+            "restricted", "--params", path, "--beta", "1/20014458431",
+            "--theta-mode", "sharp", "--vartheta", "2", "--M", "200", "--format", "json",
+        ],
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["constants"]["M"] == 200
+    assert data["final_verdict"] == "all checks passed"
+
+
+def test_theta_mode_checked_by_every_subcommand(params_file, capsys):
+    path = params_file(HALF)
+    for argv in (
+        ["verify", "--params", path, "--n", "1", "--n0", "1"],
+        ["padic", "--params", path, "--beta", "8/3", "--p", "2", "--ell", "1,1"],
+    ):
+        code, out, err = run(capsys, argv + ["--theta-mode", "bogus"])
+        assert code == 2 and out == ""
+        assert "unknown theta mode 'bogus'" in err
+        code, out, err = run(capsys, argv + ["--theta-mode", "custom:3/2"])
+        assert code == 2 and out == ""
+        assert "want custom:THETA,C" in err
+        code, _, _ = run(capsys, argv + ["--theta-mode", "custom:3/2,5"])
+        assert code == 0
+
+
 def test_restricted_hypothesis_exit(params_file, capsys):
     path = params_file(ONE)
     code, _, err = run(

@@ -1,8 +1,13 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gpade.arith import pochhammer
 
 from gpade.errors import NonMonomialDeterminant
 from gpade.pade import (
@@ -22,7 +27,7 @@ from gpade.pade import (
 )
 from gpade.params import derive_params
 
-from conftest import make_configs, pick_alphas
+from conftest import ALPHA_POOL, make_configs, pick_alphas
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +118,71 @@ def test_generic_degrees_agree_with_oracle():
             window = cs[Nlist[j - 1] + 1 : Nlist[j - 1] + n[j - 1] + 1]
             coeffs_ok = coeffs_ok and all(c == 0 for c in window)
         assert coeffs_ok
+
+
+def reference_build_q_generic(gp, n_list, N_list):
+    """The closed form summed term by term: every summand rebuilt from its
+    Pochhammer products and factorials (the definition, O(N^2 m) products)."""
+    m, N, alpha0 = gp.m, sum(n_list), gp.alpha[0]
+    a = [F(0)] * (N + 1)
+    a[N] = F(1)
+    denom = F(1)
+    for j in range(1, m + 1):
+        denom *= pochhammer(gp.alpha[j] + N_list[j - 1] - N + 1, n_list[j - 1])
+    for k in range(N):
+        acc = F(0)
+        for ell in range(k, N):
+            term = F((-1) ** (ell + 1))
+            term *= pochhammer(alpha0 - 1, ell - k) / factorial(ell - k)
+            term *= pochhammer(alpha0 + ell + 1, N - ell - 1) / factorial(N - ell - 1)
+            for j in range(1, m + 1):
+                term *= pochhammer(gp.alpha[j] + alpha0 + N_list[j - 1] - N + ell + 1, n_list[j - 1])
+            acc += term
+        a[N - k - 1] = acc / denom
+    return tuple(a)
+
+
+@st.composite
+def closed_form_instances(draw):
+    """(alphas, block degrees, slacks) with pairwise non-congruent upper
+    parameters, m <= 3, n_j <= 5 and N_j = N - 1 + slack_j."""
+    m = draw(st.integers(1, 3))
+    uppers: list[F] = []
+    for _ in range(m):
+        pool = [c for c in ALPHA_POOL if all((c - x).denominator != 1 for x in uppers)]
+        uppers.append(draw(st.sampled_from(pool)))
+    alpha0 = draw(st.sampled_from(ALPHA_POOL))
+    n = tuple(draw(st.integers(1, 5)) for _ in range(m))
+    slack = tuple(draw(st.integers(0, 3)) for _ in range(m))
+    return [alpha0] + uppers, n, slack
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_form_instances())
+@example(([F(1), F(1, 2), F(1, 3)], (3, 2), (0, 2)))  # alpha_0 = 1: g(d) = 0 for d >= 1
+@example(([F(2, 3), F(5, 2)], (1,), (0,)))  # N = 1
+@example(([F(1), F(1)], (1,), (3,)))  # N = 1 and alpha_0 = 1
+def test_closed_form_matches_termwise_reference(instance):
+    alphas, n, slack = instance
+    gp = derive_params(alphas)
+    N_list = tuple(sum(n) - 1 + s for s in slack)
+    assert build_q_generic(gp, n, N_list) == reference_build_q_generic(gp, n, N_list)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    instance=closed_form_instances(),
+    q=st.lists(st.fractions(min_value=-1000, max_value=1000, max_denominator=50), min_size=1, max_size=9),
+    upto=st.integers(0, 25),
+)
+def test_series_product_matches_fraction_convolution(instance, q, upto):
+    gp = derive_params(instance[0])
+    for j in range(1, gp.m + 1):
+        phi = phi_coeffs(gp, j, upto)
+        naive = tuple(
+            sum((q[k] * phi[mu - k] for k in range(min(len(q) - 1, mu) + 1)), F(0)) for mu in range(upto + 1)
+        )
+        assert series_product_coeffs(gp, tuple(q), j, upto) == naive
 
 
 def test_determinant_hand_instance(half):
