@@ -410,26 +410,41 @@ class LogUpperBound:
 # ---------------------------------------------------------------------------
 
 
+# The series below are summed in W-bit fixed point on plain ints, W = prec +
+# _GUARD_BITS: a value v stands for v / 2^W.  The lower sum floors every
+# product and quotient and the upper sum ceils them, so each sum bounds the
+# exact series from its side; the upper sum adds a geometric tail bound.
+_GUARD_BITS = 32
+
+
 def _atanh_series(t: Fraction, prec: int) -> Interval:
     # 2*atanh(t) for 0 <= t < 1/2, with an explicit geometric tail bound.
     if not 0 <= t < Fraction(1, 2):
         raise InvariantViolation(f"atanh series needs 0 <= t < 1/2, got {t}")
     if t == 0:
         return Interval.point(0)
-    total = Fraction(0)
-    term = t
-    tt = t * t
-    k = 0
-    eps = Fraction(1, 1 << (prec + 8))
-    while term / (2 * k + 1) > eps:
-        total += term / (2 * k + 1)
-        term *= tt
+    w = prec + _GUARD_BITS
+    n, d = t.numerator, t.denominator
+    lo = (n << w) // d  # lo / 2^W <= t
+    hi = -((-n << w) // d)  # hi / 2^W >= t, and hi <= 2^(W-1)
+    # lower: floored terms of the increasing series at lo / 2^W
+    lo2 = lo * lo
+    s_lo, x, k = 0, lo, 0
+    while x:
+        s_lo += x // (2 * k + 1)
+        x = (x * lo2) >> (2 * w)
         k += 1
-        if k % 8 == 0:
-            total = dyadic_down(total, prec + 16)  # keep denominators bounded
-    # remaining tail: sum_{j>=k} t^(2j+1)/(2j+1) <= t^(2k+1) / (1 - t^2)
-    tail = term / (1 - tt)
-    return Interval(2 * total, 2 * (total + tail + eps)).rounded(prec + 8)
+    # upper: ceiled terms at u = hi / 2^W <= 1/2, y >= 2^W u^(2k+1); once
+    # y / (2k+1) is below one unit, the tail sum_{j>=k} u^(2j+1)/(2j+1) <=
+    # u^(2k+1) / ((2k+1)(1 - u^2)) is at most 2 ceil(y / (2k+1)) units
+    hi2 = hi * hi
+    s_hi, y, k = 0, hi, 0
+    while y >= 2 * k + 1:
+        s_hi += -(-y // (2 * k + 1))
+        y = -((-y * hi2) >> (2 * w))
+        k += 1
+    s_hi += 2 * -(-y // (2 * k + 1))
+    return Interval(Fraction(s_lo, 1 << (w - 1)), Fraction(s_hi, 1 << (w - 1))).rounded(prec + 8)
 
 
 @lru_cache(maxsize=None)
@@ -472,20 +487,30 @@ def _exp_core(x: Fraction, prec: int) -> Interval:
     # exp for 0 <= x <= 1/2 by Taylor series with a tail bound.
     if not 0 <= x <= Fraction(1, 2):
         raise InvariantViolation(f"exp series needs 0 <= x <= 1/2, got {x}")
-    total = Fraction(1)
-    term = Fraction(1)
-    k = 0
-    eps = Fraction(1, 1 << (prec + 8))
+    w = prec + _GUARD_BITS
+    one = 1 << w
+    n, d = x.numerator, x.denominator
+    lo = (n << w) // d
+    hi = -((-n << w) // d)  # hi <= 2^(W-1)
+    # lower: floored terms a_k = a_(k-1) * lo / (k 2^W)
+    s_lo, a, k = one, one, 1
     while True:
-        k += 1
-        term = term * x / k
-        if term <= eps:
+        a = (a * lo) // (k << w)
+        if not a:
             break
-        total += term
-        if k % 8 == 0:
-            total = dyadic_down(total, prec + 16)
-    tail = 2 * term  # ratio of consecutive terms is <= 1/2
-    return Interval(total, total + tail + eps).rounded(prec + 8)
+        s_lo += a
+        k += 1
+    # upper: ceiled terms; for k >= 1 the term ratio hi / ((k+1) 2^W) is at
+    # most 1/4, so once b <= 1 the terms from k on sum to at most 4b/3 units
+    s_hi, b, k = one, one, 1
+    while True:
+        b = -((-b * hi) // (k << w))
+        if b <= 1:
+            break
+        s_hi += b
+        k += 1
+    s_hi += 2 * b
+    return Interval(Fraction(s_lo, one), Fraction(s_hi, one)).rounded(prec + 8)
 
 
 def exp_interval(x: Fraction, prec: int = 128) -> Interval:

@@ -83,6 +83,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+def _precision(text: str) -> int:
+    try:
+        bits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if bits < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 bit, got {bits}")
+    return bits
+
+
 def _theta_mode(text: str) -> str:
     # syntax only: the paper mode's log is computed by the subcommands that use it
     if text not in ("paper", "sharp"):
@@ -97,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", required=True, help="parameter file (m, alpha0..alpham)")
     common.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    common.add_argument("--precision", type=int, default=128, metavar="BITS")
+    common.add_argument("--precision", type=_precision, default=128, metavar="BITS")
     common.add_argument("--exact", action="store_true", help="print big integers in full")
     common.add_argument("--theta-mode", type=_theta_mode, default="paper", metavar="{paper|sharp|custom:T,C}")
 

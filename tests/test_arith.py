@@ -2,8 +2,9 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpade.arith import (
@@ -27,6 +28,7 @@ from gpade.arith import (
     pochhammer,
     primes_upto,
     _atanh_series,
+    _exp_core,
 )
 from gpade.errors import CertificationError
 from gpade.report import fmt_real
@@ -234,3 +236,113 @@ def test_pow_int_nonnegative_matches_repeated_products(lo, width, n):
     assert iv.pow_int(n) == ref
     if lo > 0:
         assert iv.pow_int(-n) == ref.inv()
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point log/exp kernels: mpmath oracle and the former Fraction series
+# ---------------------------------------------------------------------------
+
+
+def reference_atanh_series(t: F, prec: int) -> Interval:
+    # the former Fraction kernel: 2*atanh(t) for 0 <= t < 1/2
+    total = F(0)
+    term = t
+    tt = t * t
+    k = 0
+    eps = F(1, 1 << (prec + 8))
+    while term / (2 * k + 1) > eps:
+        total += term / (2 * k + 1)
+        term *= tt
+        k += 1
+        if k % 8 == 0:
+            total = dyadic_down(total, prec + 16)
+    tail = term / (1 - tt)
+    return Interval(2 * total, 2 * (total + tail + eps)).rounded(prec + 8)
+
+
+def reference_exp_core(x: F, prec: int) -> Interval:
+    # the former Fraction kernel: exp(x) for 0 <= x <= 1/2
+    total = F(1)
+    term = F(1)
+    k = 0
+    eps = F(1, 1 << (prec + 8))
+    while True:
+        k += 1
+        term = term * x / k
+        if term <= eps:
+            break
+        total += term
+        if k % 8 == 0:
+            total = dyadic_down(total, prec + 16)
+    return Interval(total, total + 2 * term + eps).rounded(prec + 8)
+
+
+def oracle(fn, q: F, prec: int) -> F:
+    # fn(q) from mpmath at 4x the precision (at least 128 bits), as the exact
+    # rational value of the binary float mpmath returns
+    with mpmath.workprec(4 * max(prec, 32)):
+        value = fn(mpmath.mpf(q.numerator) / q.denominator)
+    man, exp = value.man_exp  # of |value|
+    return (-1 if value < 0 else 1) * F(man) * F(2) ** exp
+
+
+def _small_or_huge(max_bits):
+    # small integers and the thousands-of-bits ones `log_iv` produces
+    return st.one_of(st.integers(1, 10**6), st.integers(1, 1 << max_bits))
+
+
+@st.composite
+def unit_rationals(draw, max_bits, half_open):
+    """Rationals in [0, 1/2) (half_open) or [0, 1/2] with big or small terms."""
+    den = draw(_small_or_huge(max_bits).filter(lambda d: d >= 2))
+    num = draw(st.integers(0, (den - 1) // 2 if half_open else den // 2))
+    return F(num, den)
+
+
+@st.composite
+def positive_rationals(draw, max_bits):
+    return F(draw(_small_or_huge(max_bits)), draw(_small_or_huge(max_bits)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=unit_rationals(2048, half_open=True), prec=st.integers(1, 96))
+@example(t=F(1, 3), prec=64)
+@example(t=F(1, 2) - F(1, 1 << 2000), prec=96)
+@example(t=F(1, 1 << 2000), prec=8)
+def test_atanh_kernel_encloses_and_is_no_wider(t, prec):
+    iv = _atanh_series(t, prec)
+    assert iv.contains(oracle(lambda v: 2 * mpmath.atanh(v), t, prec))
+    assert iv.width <= reference_atanh_series(t, prec).width
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=unit_rationals(2048, half_open=False), prec=st.integers(1, 96))
+@example(x=F(1, 2), prec=96)
+@example(x=F(0), prec=32)
+@example(x=F(1, 1 << 2000), prec=8)
+def test_exp_kernel_encloses_and_is_no_wider(x, prec):
+    iv = _exp_core(x, prec)
+    assert iv.contains(oracle(mpmath.exp, x, prec))
+    assert iv.width <= reference_exp_core(x, prec).width
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=positive_rationals(4096), prec=st.integers(1, 512))
+@example(x=F(2), prec=512)
+@example(x=F((1 << 4000) + 1, 1 << 4000), prec=256)
+def test_log_interval_encloses(x, prec):
+    assert log_interval(x, prec).contains(oracle(mpmath.log, x, prec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.one_of(
+        st.fractions(min_value=-60, max_value=60, max_denominator=10**6),
+        st.builds(lambda n, d: F(n % (60 * d), d) * (-1) ** n, _small_or_huge(3000), _small_or_huge(3000)),
+    ),
+    prec=st.integers(1, 512),
+)
+@example(x=F(1, 2), prec=512)
+@example(x=F(-7, 2), prec=1)
+def test_exp_interval_encloses(x, prec):
+    assert exp_interval(x, prec).contains(oracle(mpmath.exp, x, prec))

@@ -8,6 +8,7 @@ from gpade.report import abbrev, int_str
 HALF = "m = 1\nalpha0 = 1\nalpha1 = 1/2\n"
 ONE = "m = 1\nalpha0 = 1\nalpha1 = 1\n"
 BAD = "m = 2\nalpha0 = 1/2\nalpha1 = 1/3\nalpha2 = 4/3\n"
+TRIO = "m = 2\nalpha0 = 1\nalpha1 = 1/2\nalpha2 = 1/3\n"
 
 
 def run(capsys, argv):
@@ -221,6 +222,33 @@ def test_theta_mode_checked_by_every_subcommand(params_file, capsys):
         assert "want custom:THETA,C" in err
         code, _, _ = run(capsys, argv + ["--theta-mode", "custom:3/2,5"])
         assert code == 0
+
+
+def test_precision_checked_at_parse_time(params_file, capsys):
+    path = params_file(HALF)
+    for bits in ("-5", "0", "x"):
+        code, out, err = run(capsys, ["constants", "--params", path, "--precision", bits])
+        assert code == 2 and out == ""
+        assert "argument --precision:" in err
+    code, _, _ = run(capsys, ["constants", "--params", path, "--precision", "1"])
+    assert code == 0
+
+
+def test_constants_high_precision(params_file, capsys):
+    # high-precision smoke test for the fixed-point log and exp kernels
+    path = params_file(TRIO)
+    code, out, _ = run(capsys, ["constants", "--params", path, "--precision", "512"])
+    assert code == 0
+    assert "size_constants.c1.precision_bits\t512" in out
+
+
+def test_global_high_precision(params_file, capsys):
+    path = params_file(TRIO)
+    code, out, _ = run(
+        capsys, ["global", "--params", path, "--a", "7", "--ell=1,2,-3", "--precision", "384"]
+    )
+    assert code == 0
+    assert "c9.precision_bits\t384" in out
 
 
 def test_restricted_hypothesis_exit(params_file, capsys):
