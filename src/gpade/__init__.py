@@ -28,7 +28,6 @@ from .denom import (
     verify_integrality,
 )
 from .errors import (
-    BoundViolation,
     CertificationError,
     DomainViolation,
     HypothesisFailure,
@@ -66,7 +65,6 @@ from .padic import (
 )
 from .params import GParams, derive_params, load_params, padic_domain_check, parse_params
 from .realapprox import (
-    RealEnclosure,
     RestrictedInstance,
     audit_restricted,
     c_of_vartheta,

@@ -164,7 +164,9 @@ def floor_log(p: int, x: Fraction) -> int:
 
 
 def p_valuation(q: Fraction, p: int) -> int:
-    """Exponent v with |q|_p = p^(-v), for q != 0."""
+    """Exponent v with |q|_p = p^(-v), for q != 0 and a prime p."""
+    if p < 2:
+        raise InvariantViolation(f"p-adic valuation needs a prime p, got {p}")
     q = Fraction(q)
     if q == 0:
         raise ValueError("p-adic valuation of zero is +infinity")

@@ -30,7 +30,6 @@ from .denom import (
     verify_integrality,
 )
 from .errors import (
-    BoundViolation,
     CertificationError,
     HypothesisFailure,
     IntegralityViolation,
@@ -54,14 +53,10 @@ from .realapprox import (
     restricted_constants,
     restricted_threshold,
 )
-from .report import emit_report, fmt_real, full_digits
+from .report import emit_report, entry, fmt_real, full_digits
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-
-def _checks_failed(checks: list[dict]) -> bool:
-    return any(c["applicable"] and c["passed"] is False for c in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +86,32 @@ def _precision(text: str) -> int:
     if bits < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1 bit, got {bits}")
     return bits
+
+
+# Miller-Rabin over the first 13 primes decides primality exactly below this
+# bound, the least odd composite that is a strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s)) for a in _MR_BASES)
+
+
+def _prime(text: str) -> int:
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if p >= _MR_LIMIT:
+        raise argparse.ArgumentTypeError(f"primality is decided only below {_MR_LIMIT}, got {p}")
+    if not _is_prime(p):
+        raise argparse.ArgumentTypeError(f"not a prime: {p}")
+    return p
 
 
 def _theta_mode(text: str) -> str:
@@ -136,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("padic", parents=[common], help="p-adic enclosures and linear-form audit")
     p.add_argument("--beta", type=_fraction, required=True, metavar="A/B")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--ell", type=_int_list, action="append", default=[], metavar="l0,l1,...")
     p.add_argument("--tau", type=_fraction, default=None)
     p.add_argument("--delta", type=_fraction, default=None)
@@ -208,18 +229,10 @@ def _cmd_denominators(args, gp):
     cert = make_cert(gp, shape, mode, args.precision)
     integ = verify_integrality(family, cert)
     bounds = check_size_bounds(family, cert)
-    code = 0 if integ["passed"] and not _checks_failed(bounds) else CHECK_FAILED
+    checks = [entry("integrality", True, integ["passed"]), *bounds]
+    code = CHECK_FAILED if any(c.failed for c in checks) else 0
     if args.format == "tsv":
-        extra = [
-            {
-                "name": "integrality",
-                "applicable": True,
-                "passed": integ["passed"],
-                "lhs": "",
-                "rhs": "",
-            }
-        ] + bounds
-        return code, cert_tsv(cert, extra)
+        return code, cert_tsv(cert, checks)
     result = {
         "D1": {"value": cert.d1.value, "factors": cert.d1.format_factors()},
         "D2": {"value": cert.d2.value, "factors": cert.d2.format_factors()},
@@ -334,7 +347,7 @@ def _cmd_restricted(args, gp):
         prec=args.precision,
     )
     report = audit_restricted(inst)
-    code = 0 if not _checks_failed(report["checks"]) else CHECK_FAILED
+    code = CHECK_FAILED if any(c.failed for c in report["checks"]) else 0
     return code, emit_report(report, args.format, args.exact)
 
 
@@ -366,7 +379,6 @@ def main(argv: list[str] | None = None) -> int:
         SingularSystem,
         NonMonomialDeterminant,
         IntegralityViolation,
-        BoundViolation,
         InvariantViolation,
     ) as exc:
         # a certified mathematical check failed: distinct from bad usage

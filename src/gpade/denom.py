@@ -33,10 +33,10 @@ from .arith import (
     prime_divisors,
     primes_upto,
 )
-from .errors import BoundViolation, DomainViolation, IntegralityViolation
+from .errors import DomainViolation, IntegralityViolation
 from .pade import ApproxShape, PadeFamily, bareiss_eliminate
 from .params import GParams, padic_domain_check
-from .report import entry, fmt_real, full_digits, rational
+from .report import Check, entry, fmt_real, full_digits, rational
 
 __all__ = [
     "ThetaMode",
@@ -73,8 +73,10 @@ class ThetaMode:
       * paper: theta = 8 log 2 with c = 2.
       * sharp: theta = 1.26 with c = 2, backed by the classical explicit
         estimate pi(x) < 1.25506 x / log x valid for all x > 1.
-      * custom: any rational theta with a caller-supplied threshold; flagged
-        uncertified since no table is consulted.
+      * custom: any rational theta > 1 with a caller-supplied threshold
+        c >= 2; flagged uncertified since no table is consulted.  `parse`
+        enforces those ranges; `custom` does not, since the global-relation
+        constant builds its limit mode custom(1, 0).
     """
 
     label: str
@@ -104,9 +106,12 @@ class ThetaMode:
             body = text[len("custom:") :]
             try:
                 theta_s, c_s = body.split(",")
-                return cls.custom(Fraction(theta_s), int(c_s))
+                theta, c_theta = Fraction(theta_s), int(c_s)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"bad theta mode {text!r}; want custom:THETA,C") from None
+            if theta <= 1 or c_theta < 2:
+                raise ValueError(f"bad theta mode {text!r}; want custom:THETA,C with THETA > 1, C >= 2")
+            return cls.custom(theta, c_theta)
         raise ValueError(f"unknown theta mode {text!r}")
 
 
@@ -218,12 +223,11 @@ def make_cert(gp: GParams, shape: ApproxShape, mode: ThetaMode | None = None, pr
 # ---------------------------------------------------------------------------
 
 
-def verify_integrality(family: PadeFamily, cert: DenominatorCert, strict: bool = False) -> dict:
-    """Assert D1*a_ik and D*c_ij_mu are integers for all in-range indices.
+def verify_integrality(family: PadeFamily, cert: DenominatorCert) -> dict:
+    """Check that D1*a_ik and D*c_ij_mu are integers for all in-range indices.
 
     Returns {"passed": bool, "violations": [...]}, listing each failing
-    coefficient (empty on success).  With strict=True a violation raises
-    IntegralityViolation instead of only being reported.
+    coefficient (empty on success).
     """
     gp, shape = family.gp, family.shape
     d1 = cert.d1.value
@@ -238,8 +242,6 @@ def verify_integrality(family: PadeFamily, cert: DenominatorCert, strict: bool =
             for mu, cf in enumerate(family.p_coeffs(i, j)):
                 if (cf * d).denominator != 1:
                     violations.append(("p", i, j, mu, rational(cf)))
-    if strict and violations:
-        raise IntegralityViolation(f"first violation: {violations[0]}")
     return {"passed": not violations, "violations": violations}
 
 
@@ -252,15 +254,13 @@ def check_size_bounds(
     family: PadeFamily,
     cert: DenominatorCert,
     zs: tuple[Fraction, ...] = (Fraction(2), Fraction(8, 3), Fraction(3)),
-    strict: bool = False,
-) -> list[dict]:
+) -> list[Check]:
     """Verify the certified log-size bounds on the concrete family.
 
     Gated by the mode's threshold: the D-bound needs min(n0, N) >= c(theta),
     the coefficient bound and the |z| >= 2 evaluation bounds need
     N >= c(theta).  LHS values are exact rationals; RHS values are upper
-    dyadic bounds, so a PASS certifies the inequality as stated.  With
-    strict=True an applicable failing bound raises BoundViolation.
+    dyadic bounds, so a PASS certifies the inequality as stated.
     """
     gp, shape = family.gp, family.shape
     cns = cert.constants
@@ -282,12 +282,10 @@ def check_size_bounds(
     for z in zs:
         z = Fraction(z)
         app_z = N >= c and abs(z) >= 2
-        qmax_ok = True
-        pmax_ok = True
         rhs_q = (2 * N * growth * Interval.point(abs(z)).pow_int(N)).hi
         lhs_q = max(abs(poly_eval(family.q[i], z)) for i in range(gp.m + 1))
-        qmax_ok = lhs_q <= rhs_q
-        out.append(entry(f"denom_poly_at_{z}", app_z, qmax_ok, lhs_q, rhs_q))
+        out.append(entry(f"denom_poly_at_{z}", app_z, lhs_q <= rhs_q, lhs_q, rhs_q))
+        pmax_ok = True
         worst = None
         for i in range(gp.m + 1):
             for j in range(1, gp.m + 1):
@@ -299,10 +297,6 @@ def check_size_bounds(
                     pmax_ok = False
                     worst = (i, j, lhs_p, rhs_p)
         out.append(entry(f"numer_poly_at_{z}", app_z, pmax_ok, "" if pmax_ok else worst, ""))
-    if strict:
-        bad = next((e for e in out if e["applicable"] and not e["passed"]), None)
-        if bad is not None:
-            raise BoundViolation(f"{bad['name']}: {bad['lhs']} exceeds {bad['rhs']}")
     return out
 
 
@@ -413,7 +407,7 @@ def remainder_padic_bound(
     )
 
 
-def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fraction, p: int) -> list[dict]:
+def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fraction, p: int) -> list[Check]:
     """Check the truncated cleared remainders against the p-adic bounds.
 
     For every (i, j): the exact p-adic absolute value of the truncated
@@ -446,7 +440,7 @@ def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fract
 
 def check_scaled_bounds(
     scaled: ScaledSystem, family: PadeFamily, cert: DenominatorCert, p: int
-) -> list[dict]:
+) -> list[Check]:
     """Magnitude bounds for the scaled integers, gated on Ntilde >= Ntilde_1
     and min(n0, N) >= c(theta)."""
     gp, shape = family.gp, family.shape
@@ -480,7 +474,7 @@ def check_scaled_bounds(
 # ---------------------------------------------------------------------------
 
 
-def cert_tsv(cert: DenominatorCert, checks: list[dict] | None = None) -> str:
+def cert_tsv(cert: DenominatorCert, checks: list[Check] | None = None) -> str:
     lines = ["quantity\tvalue\tdetail\tstatus"]
     for label, fi in (("D1", cert.d1), ("D2", cert.d2), ("D", cert.d)):
         lines.append(f"{label}\t{full_digits(fi.value)}\t{fi.format_factors()}\t-")
@@ -489,6 +483,5 @@ def cert_tsv(cert: DenominatorCert, checks: list[dict] | None = None) -> str:
         ub = cns.upper(k)
         lines.append(f"c{k}\t{fmt_real(ub.value, 24)}\tupper@{ub.precision}b\t-")
     for e in checks or []:
-        status = "SKIP" if not e["applicable"] else ("PASS" if e["passed"] else "FAIL")
-        lines.append(f"{e['name']}\t{e['lhs']}\t{e['rhs']}\t{status}")
+        lines.append(f"{e.name}\t{e.lhs}\t{e.rhs}\t{e.status}")
     return "\n".join(lines) + "\n"

@@ -35,10 +35,6 @@ class IntegralityViolation(CertificationError):
     """A denominator-cleared coefficient failed to be an integer."""
 
 
-class BoundViolation(CertificationError):
-    """A certified magnitude bound failed on an exactly computed value."""
-
-
 class DomainViolation(CertificationError):
     """An evaluation point violates its convergence / size precondition."""
 

@@ -301,7 +301,7 @@ def audit_linear_form(
     # hypothesis: ratio condition between tau and delta
     hyp_ratio = inst.tau > 4 * inst.delta * (1 + (m + 1) * inst.tau)
 
-    # hypothesis: p-adic smallness of the numerator (non-strict form), plus
+    # hypothesis: p-adic smallness of the numerator (with <= for <), plus
     # |a|_p <= |a|^(delta - 1) by exact power comparison
     chk = padic_domain_check(gp, p, Fraction(a))
     v_a = p_valuation(Fraction(a), p)

@@ -125,19 +125,16 @@ def padic_domain_check(gp: GParams, p: int, beta: Fraction) -> DomainCheck:
     delta(2,p) is 1 exactly when p = 2 and the lcm s of the upper-parameter
     denominators is even; delta_p flags whether p divides s at all.
     """
+    if p < 2:
+        raise InvariantViolation(f"domain check needs a prime p, got {p}")
     beta = Fraction(beta)
     if beta == 0:
         raise ValueError("domain check requires beta != 0")
     s = gp.s_lcm
     delta_2p = 1 if (p == 2 and s % 2 == 0) else 0
     delta_p = 1 if s % p == 0 else 0
-    # |beta|_p < 2^(-delta) * |s|_p  <=>  v_p(beta) > v_p(s) + delta*(p == 2)
-    lhs_v = p_valuation(beta, p)
-    rhs_v = p_valuation(Fraction(s), p)
-    if delta_2p and p == 2:
-        ok = lhs_v > rhs_v + 1
-    else:
-        ok = lhs_v > rhs_v
+    # |beta|_p < 2^(-delta(2,p)) * |s|_p  <=>  v_p(beta) > v_p(s) + delta(2,p)
+    ok = p_valuation(beta, p) > p_valuation(Fraction(s), p) + delta_2p
     return DomainCheck(ok, delta_2p, delta_p)
 
 

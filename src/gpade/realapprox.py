@@ -30,10 +30,9 @@ from .denom import ThetaMode, compute_d1
 from .errors import DomainViolation, HypothesisFailure, PrecisionInsufficient
 from .pade import ApproxShape, build_family, phi_partial_sum
 from .params import GParams
-from .report import entry, fmt_real, full_digits, rational
+from .report import Check, entry, fmt_real, full_digits, rational, tagged_bound
 
 __all__ = [
-    "RealEnclosure",
     "RestrictedConstants",
     "RestrictedInstance",
     "eval_phi_real",
@@ -47,23 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RealEnclosure:
-    """[lower, upper] containing the true series value; the width equals the
-    certified tail bound of the truncation that produced it."""
-
-    lower: Fraction
-    upper: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-    def contains(self, q: Fraction) -> bool:
-        return self.lower <= q <= self.upper
-
-
-def eval_phi_real(gp: GParams, z: Fraction, T: int) -> RealEnclosure:
+def eval_phi_real(gp: GParams, z: Fraction, T: int) -> Interval:
     """Partial sum of T+1 terms of phi_1 plus the tail bound |z|^(T+1)/(1-|z|).
 
     Every series coefficient lies in (0, 1] and the coefficients decrease, so
@@ -75,12 +58,12 @@ def eval_phi_real(gp: GParams, z: Fraction, T: int) -> RealEnclosure:
     if abs(z) >= 1:
         raise DomainViolation("real evaluation needs |z| < 1")
     if z == 0:
-        return RealEnclosure(Fraction(1), Fraction(1))
+        return Interval.point(1)
     acc = phi_partial_sum(gp, 1, z, T)
     tail = abs(z) ** (T + 1) / (1 - abs(z))
     if z > 0 or (T + 1) % 2 == 0:
-        return RealEnclosure(acc, acc + tail)
-    return RealEnclosure(acc - tail, acc)
+        return Interval(acc, acc + tail)
+    return Interval(acc - tail, acc)
 
 
 def c_of_vartheta(vartheta: Fraction, scan_limit: int = 200000) -> int:
@@ -326,7 +309,7 @@ def _floor_log2_ratio(q: int, p: int) -> int:
     return e
 
 
-def _phi_enclosure_for_target(gp: GParams, z: Fraction, target: Fraction) -> tuple[RealEnclosure, int]:
+def _phi_enclosure_for_target(gp: GParams, z: Fraction, target: Fraction) -> tuple[Interval, int]:
     """Enclosure of phi(z) with width <= target.
 
     The truncation order is read off bit lengths: with |z| <= 2^-L and
@@ -368,7 +351,7 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     if not 0 < abs(beta) < 1:
         raise DomainViolation("evaluation point must satisfy 0 < |a/b| < 1")
     th = rc.mode.theta
-    checks: list[dict] = []
+    checks: list[Check] = []
 
     # hypotheses (certified): b-size, B-size, and M >= M0
     hyp_b = Fraction(b) >= (rc.a1 * abs(a)).pow_int(6).hi
@@ -395,28 +378,21 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     )
     m_over = Fraction(M) / (inst.x.lo - 1)
     checks.append(entry("h_vs_M_over_xm1", True, Fraction(inst.h) >= m_over, inst.h, fmt_real(m_over, 6)))
-    checks.append(
-        entry(
-            "h_vs_thresholds",
-            True,
-            inst.h >= max(rc.c_theta, rc.c_vartheta, 4),
-            inst.h,
-            max(rc.c_theta, rc.c_vartheta, 4),
-        )
-    )
+    h_min = max(rc.c_theta, rc.c_vartheta, 4)
+    checks.append(entry("h_vs_thresholds", True, inst.h >= h_min, inst.h, h_min))
 
     # family and specialized clearing integers
     shape = ApproxShape(n=(n1,), n0=n0)
     family = build_family(gp, shape)
     d1 = restricted_d1(gp, n1, n0)
     d2 = restricted_d2(gp, n0)
+    q_at = [poly_eval(family.q[i], beta) for i in (0, 1)]
+    p_at = [poly_eval(family.p_coeffs(i, 1), beta) for i in (0, 1)]
     ui = []
     vi = []
     for i in (0, 1):
-        uval = Fraction(d1.value) * Fraction(b) ** n1 * poly_eval(family.q[i], beta)
-        vval = Fraction(d1.value * d2.value) * Fraction(b) ** (n0 + 1) * poly_eval(
-            family.p_coeffs(i, 1), beta
-        )
+        uval = Fraction(d1.value) * Fraction(b) ** n1 * q_at[i]
+        vval = Fraction(d1.value * d2.value) * Fraction(b) ** (n0 + 1) * p_at[i]
         ok_u = uval.denominator == 1
         ok_v = vval.denominator == 1
         checks.append(entry(f"integrality_scaled_q_{i}", True, ok_u, rational(uval) if not ok_u else "", ""))
@@ -435,7 +411,7 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     amax = max(abs(cf) for i in (0, 1) for cf in family.q[i])
     checks.append(entry("coeff_envelope", gate_n1, amax <= e1.hi, rational(amax), fmt_real(e1.hi, 6)))
     qbound = (e1 / (1 - abs(beta))).hi
-    qmax = max(abs(poly_eval(family.q[i], beta)) for i in (0, 1))
+    qmax = max(abs(q) for q in q_at)
     checks.append(entry("denom_poly_envelope", gate_n1, qmax <= qbound, rational(qmax), fmt_real(qbound, 6)))
 
     # (working precision for the series value) target: a tenth of the final RHS
@@ -447,11 +423,8 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     rbound = ((n1 + 1) * e1 * Interval.point(abs(beta)).pow_int(Nt + 1) / (1 - abs(beta))).hi
     rem_vals = []
     for i in (0, 1):
-        qv = poly_eval(family.q[i], beta)
-        pv = poly_eval(family.p_coeffs(i, 1), beta)
-        lo = min(qv * enc.lower, qv * enc.upper) - pv
-        hi = max(qv * enc.lower, qv * enc.upper) - pv
-        rem_vals.append(max(abs(lo), abs(hi)))
+        rem = enc * q_at[i] - p_at[i]
+        rem_vals.append(max(abs(rem.lo), abs(rem.hi)))
         checks.append(entry(f"remainder_envelope_{i}", gate_n1, rem_vals[i] <= rbound, fmt_real(rem_vals[i], 30), fmt_real(rbound, 30)))
 
     # the scaled product inequality driving the lower bound
@@ -477,7 +450,7 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
 
     # candidate numerator: nearest integer to B*b^M*phi unless overridden
     scale = B * b**M
-    lo_s, hi_s = enc.lower * scale, enc.upper * scale
+    lo_s, hi_s = enc.lo * scale, enc.hi * scale
     n_lo = (2 * lo_s.numerator + lo_s.denominator) // (2 * lo_s.denominator)
     n_hi = (2 * hi_s.numerator + hi_s.denominator) // (2 * hi_s.denominator)
     if n_lo != n_hi:
@@ -502,7 +475,7 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     # scaled distance bound at the witness row:
     # |Q_i(beta)| * |n - B b^M phi| >= b^M / (2 D1 D2 b^(n0+1))
     if witness is not None:
-        qv = abs(poly_eval(family.q[witness], beta))
+        qv = abs(q_at[witness])
         dist_abs_lo = max(Fraction(0), n_used - hi_s, lo_s - n_used)
         lhs_lower = qv * dist_abs_lo
         rhs24 = Fraction(b**M, 2 * d1.value * d2.value * b ** (n0 + 1))
@@ -510,12 +483,7 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
 
     # the final lower bound, decided against the enclosure
     target = Fraction(n_used, scale)
-    if target <= enc.lower:
-        dist_lo = enc.lower - target
-    elif target >= enc.upper:
-        dist_lo = target - enc.upper
-    else:
-        dist_lo = Fraction(0)
+    dist_lo = max(Fraction(0), enc.lo - target, target - enc.hi)
     final_ok = dist_lo >= rhs_iv.hi
     checks.append(
         entry(
@@ -527,22 +495,22 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
         )
     )
 
-    failed = [c["name"] for c in checks if c["applicable"] and c["passed"] is False]
+    failed = [c.name for c in checks if c.failed]
     verdict = "all checks passed" if not failed else f"FAILED: {', '.join(failed)}"
     return {
         "constants": {
-            "a1": {"value": fmt_real(rc.a1.hi, 12), "direction": "upper", "precision_bits": prec},
+            "a1": tagged_bound(rc.a1.hi, 12, "upper", prec),
             "a1_variant": rc.a1_variant,
-            "a2": {"value": fmt_real(rc.a2.hi, 12), "direction": "upper", "precision_bits": prec},
-            "x": {"value": fmt_real(inst.x.lo, 10), "direction": "lower", "precision_bits": prec},
+            "a2": tagged_bound(rc.a2.hi, 12, "upper", prec),
+            "x": tagged_bound(inst.x.lo, 10, "lower", prec),
             "h": inst.h,
             "n0": n0,
             "n1": n1,
             "M": M,
-            "M0": {"value": fmt_real(inst.m0.hi, 10), "direction": "upper", "precision_bits": prec},
+            "M0": tagged_bound(inst.m0.hi, 10, "upper", prec),
             "D1": full_digits(d1.value),
             "D2": full_digits(d2.value),
-            "E1": {"value": fmt_real(e1.hi, 8), "direction": "upper", "precision_bits": prec},
+            "E1": tagged_bound(e1.hi, 8, "upper", prec),
             "candidate_n_digits": digits10(n_used),
             "nearest_n_used": inst.candidate_n is None,
             "series_terms": terms_used,

@@ -9,6 +9,7 @@ integers above 40 digits unless exact output was requested.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -22,7 +23,9 @@ __all__ = [
     "abbrev",
     "dec_iv",
     "fmt_value",
+    "Check",
     "entry",
+    "tagged_bound",
     "canonical",
     "flatten",
     "emit_report",
@@ -95,25 +98,45 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-def entry(name, applicable, passed, lhs="", rhs=""):
-    """One check of a report.
+@dataclass(frozen=True)
+class Check:
+    """One check of a report: a rendered left side against a rendered right side.
 
     `passed` is the numeric outcome either way; `applicable` records whether
     the bound's stated size threshold is met (only then is a FAIL a finding).
     """
-    return {
-        "name": name,
-        "applicable": applicable,
-        "passed": passed,
-        "lhs": fmt_value(lhs),
-        "rhs": fmt_value(rhs),
-    }
+
+    name: str
+    applicable: bool
+    passed: bool
+    lhs: str
+    rhs: str
+
+    @property
+    def failed(self) -> bool:
+        return self.applicable and not self.passed
+
+    @property
+    def status(self) -> str:
+        return "SKIP" if not self.applicable else ("FAIL" if self.failed else "PASS")
+
+
+def entry(name, applicable, passed, lhs="", rhs="") -> Check:
+    """A Check whose two sides are rendered by `fmt_value`."""
+    return Check(name, applicable, passed, fmt_value(lhs), fmt_value(rhs))
+
+
+def tagged_bound(value: Fraction, digits: int, direction: str, precision: int) -> dict:
+    """A directed-rounded bound as printed: its value, rounding side and grid."""
+    return {"value": fmt_real(value, digits), "direction": direction, "precision_bits": precision}
 
 
 def canonical(obj, exact: bool = False):
     """Convert a result object into deterministic JSON-ready primitives."""
     if isinstance(obj, LogUpperBound):
-        return {"value": fmt_real(obj.value, 24), "direction": "upper", "precision_bits": obj.precision}
+        return tagged_bound(obj.value, 24, "upper", obj.precision)
+    if isinstance(obj, Check):
+        obj = asdict(obj)
     if isinstance(obj, Interval):
         return {"lo": fmt_real(obj.lo, 24), "hi": fmt_real(obj.hi, 24), "direction": "outward"}
     if isinstance(obj, Fraction):

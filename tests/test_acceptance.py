@@ -91,7 +91,7 @@ def test_criterion_05_size_bounds(acc_families, acc_certs):
             continue
         checked += 1
         for e in check_size_bounds(fam, cert, zs=(F(2), F(8, 3), F(3))):
-            ok = ok and e["passed"]
+            ok = ok and e.passed
     ok = ok and checked >= 100
     ok, dt = _line(5, f"size bounds hold on {checked} eligible configs", ok, t0)
     assert ok and dt < 60
@@ -136,23 +136,23 @@ def test_criterion_06_padic_remainder_bounds():
     fam = build_family(gp, sh)
     cert = make_cert(gp, sh, mode)
     for e in check_remainder_padic(fam, cert, F(8, 3), 2):
-        ok = ok and (e["passed"] or not e["applicable"]) and not (e["name"].startswith("remainder_first") and not e["passed"])
+        ok = ok and (e.passed or not e.applicable) and not (e.name.startswith("remainder_first") and not e.passed)
     # a designed instance past the clean-bound threshold
     gp1 = derive_params([F(1), F(1)])
     sh1 = ApproxShape(n=(2,), n0=6)
     fam1 = build_family(gp1, sh1)
     cert1 = make_cert(gp1, sh1, mode)
     entries = check_remainder_padic(fam1, cert1, F(4), 2)
-    ok = ok and any(e["applicable"] and e["name"].startswith("remainder_clean") for e in entries)
-    ok = ok and all(e["passed"] for e in entries)
+    ok = ok and any(e.applicable and e.name.startswith("remainder_clean") for e in entries)
+    ok = ok and all(e.passed for e in entries)
     # 20 random admissible points
     rng = random.Random(606)
     for gpr, shr, beta, p in _admissible_points(rng, 20):
         famr = build_family(gpr, shr)
         certr = make_cert(gpr, shr, mode)
         for e in check_remainder_padic(famr, certr, beta, p):
-            violated = e["applicable"] and not e["passed"]
-            first_violated = e["name"].startswith("remainder_first") and not e["passed"]
+            violated = e.applicable and not e.passed
+            first_violated = e.name.startswith("remainder_first") and not e.passed
             ok = ok and not violated and not first_violated
     ok, dt = _line(6, "p-adic remainder bounds on worked + 20 random points", ok, t0)
     assert ok and dt < 60
@@ -211,16 +211,16 @@ def test_criterion_10_restricted_end_to_end():
     inst = make_restricted_instance(gp, a=1, b=b, B=1, t=F(0), mode=mode, vartheta=F(2))
     rep = audit_restricted(inst)
     ok = rep["final_verdict"] == "all checks passed"
-    final = next(c for c in rep["checks"] if c["name"] == "final_lower_bound")
-    width = next(c for c in rep["checks"] if c["name"] == "enclosure_width")
-    ok = ok and final["passed"] and width["passed"]
+    final = next(c for c in rep["checks"] if c.name == "final_lower_bound")
+    width = next(c for c in rep["checks"] if c.name == "enclosure_width")
+    ok = ok and final.passed and width.passed
     # a far-off numerator makes the final inequality hold with room to spare
     inst_far = make_restricted_instance(
         gp, a=1, b=b, B=1, t=F(0), mode=mode, vartheta=F(2), candidate_n=10**230
     )
     rep_far = audit_restricted(inst_far)
-    final_far = next(c for c in rep_far["checks"] if c["name"] == "final_lower_bound")
-    ok = ok and final_far["passed"]
+    final_far = next(c for c in rep_far["checks"] if c.name == "final_lower_bound")
+    ok = ok and final_far.passed
     ok, dt = _line(10, f"restricted bound end to end (b={b}, M={inst.M})", ok, t0)
     assert ok and dt < 300
 
@@ -230,7 +230,7 @@ def test_criterion_11_real_oracle():
     gp = derive_params([F(1), F(1)])
     enc = eval_phi_real(gp, F(1, 2), 60)
     l2 = log_interval(F(2), 256)
-    ok = enc.lower <= 2 * l2.lo and 2 * l2.hi <= enc.upper
+    ok = enc.lo <= 2 * l2.lo and 2 * l2.hi <= enc.hi
     ok = ok and enc.width <= F(1, 2**50)
     ok, dt = _line(11, "real enclosure of the value at 1/2 brackets 2 log 2", ok, t0)
     assert ok and dt < 1

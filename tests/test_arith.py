@@ -30,7 +30,7 @@ from gpade.arith import (
     _atanh_series,
     _exp_core,
 )
-from gpade.errors import CertificationError
+from gpade.errors import CertificationError, InvariantViolation
 from gpade.report import fmt_real
 
 LOG2_LO = F("0.6931471805599453094172321214581")
@@ -86,6 +86,9 @@ def test_p_valuation():
     assert p_valuation(F(12), 2) == 2
     assert p_valuation(F(5, 9), 3) == -2
     assert p_valuation(F(1), 97) == 0
+    for p in (1, 0, -2):
+        with pytest.raises(InvariantViolation):
+            p_valuation(F(12), p)
     with pytest.raises(ValueError):
         p_valuation(F(0), 2)
     rng = random.Random(11)

@@ -1,8 +1,11 @@
+import argparse
 import json
 import sys
 
+import pytest
+
 from gpade.arith import digits10
-from gpade.cli import emit_report, main
+from gpade.cli import _MR_LIMIT, _prime, emit_report, main
 from gpade.report import abbrev, int_str
 
 HALF = "m = 1\nalpha0 = 1\nalpha1 = 1/2\n"
@@ -222,6 +225,30 @@ def test_theta_mode_checked_by_every_subcommand(params_file, capsys):
         assert "want custom:THETA,C" in err
         code, _, _ = run(capsys, argv + ["--theta-mode", "custom:3/2,5"])
         assert code == 0
+        # theta must exceed 1 and the threshold c(theta) be at least 2
+        for mode in ("custom:-1,2", "custom:1,2", "custom:2,1"):
+            code, out, err = run(capsys, argv + ["--theta-mode", mode])
+            assert code == 2 and out == ""
+            assert "want custom:THETA,C" in err
+
+
+def test_p_must_be_prime(params_file, capsys):
+    path = params_file(HALF)
+    argv = ["padic", "--params", path, "--beta", "8/3", "--ell", "1,1"]
+    for p in ("0", "1", "4", "6"):
+        code, out, err = run(capsys, argv + ["--p", p])
+        assert code == 2 and out == ""
+        assert "argument --p:" in err
+    code, _, _ = run(capsys, argv + ["--p", "2"])
+    assert code == 0
+
+
+def test_prime_type_is_exact_below_its_limit():
+    assert _prime("2") == 2 and _prime(str(2**61 - 1)) == 2**61 - 1
+    # composite, yet a strong pseudoprime to the first 12 prime bases
+    for text in ("318665857834031151167461", "-7", str(2**61 + 1), str(_MR_LIMIT), "x"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _prime(text)
 
 
 def test_precision_checked_at_parse_time(params_file, capsys):

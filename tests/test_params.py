@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from gpade.errors import IntegerDifference, NonPositiveAlpha
+from gpade.errors import IntegerDifference, InvariantViolation, NonPositiveAlpha
 from gpade.params import derive_params, load_params, padic_domain_check, parse_params
 
 from conftest import pick_alphas
@@ -59,8 +59,13 @@ def test_domain_check_examples():
     gp1 = derive_params([F(1), F(1)])
     assert padic_domain_check(gp1, 3, F(3)) == (True, 0, 0)
     assert padic_domain_check(gp, 2, F(2, 3)).ok is False
+    # at p = 2 with s even the bound tightens by one: v_2(4) = 2 is not > 1 + 1
+    assert padic_domain_check(gp, 2, F(4, 3)) == (False, 1, 1)
     with pytest.raises(ValueError):
         padic_domain_check(gp, 2, F(0))
+    for p in (1, 0, -2):
+        with pytest.raises(InvariantViolation):
+            padic_domain_check(gp, p, F(8, 3))
 
 
 def test_parse_and_load(params_file):

@@ -3,12 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from gpade.arith import log_interval
+from gpade.arith import Interval, log_interval
 from gpade.denom import ThetaMode
 from gpade.errors import DomainViolation, HypothesisFailure
 from gpade.params import derive_params
 from gpade.realapprox import (
-    RealEnclosure,
     audit_restricted,
     c_of_vartheta,
     epsilon_corollary,
@@ -37,12 +36,12 @@ def closed_form(z: F, prec: int = 300):
 def test_enclosure_two_log_two(gp11):
     enc = eval_phi_real(gp11, F(1, 2), 60)
     l2 = log_interval(F(2), 256)
-    assert enc.lower <= 2 * l2.lo and 2 * l2.hi <= enc.upper
+    assert enc.lo <= 2 * l2.lo and 2 * l2.hi <= enc.hi
     assert enc.width <= F(1, 2**50)
 
 
 def test_enclosure_at_zero(gp11):
-    assert eval_phi_real(gp11, F(0), 7) == RealEnclosure(F(1), F(1))
+    assert eval_phi_real(gp11, F(0), 7) == Interval.point(F(1))
 
 
 def test_enclosure_width_formula():
@@ -55,9 +54,9 @@ def test_enclosure_contains_closed_form(gp11):
     for z in (F(1, 2), F(-1, 2), F(1, 4), F(-1, 4), F(1, 8)):
         enc = eval_phi_real(gp11, z, 80)
         lo, hi = closed_form(z)
-        assert enc.lower <= hi and enc.upper >= lo
+        assert enc.lo <= hi and enc.hi >= lo
         mid = (lo + hi) / 2
-        assert enc.lower <= mid <= enc.upper
+        assert enc.lo <= mid <= enc.hi
 
 
 def test_enclosure_rejects_large_point(gp11):
