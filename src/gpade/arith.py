@@ -12,7 +12,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import InvariantViolation
 
@@ -41,6 +41,8 @@ __all__ = [
     "digits10",
     "floor_log10",
     "poly_eval",
+    "cleared",
+    "cleared_eval",
 ]
 
 
@@ -123,13 +125,36 @@ def pochhammer(x: Fraction, n: int) -> Fraction:
 def poly_eval(coeffs, t):
     """The polynomial with coefficients coeffs[0], coeffs[1], ... at t (Horner).
 
-    Integer coefficients at an integer t stay in int; otherwise the value is a
-    Fraction.
+    Integer coefficients at an integer t stay in int.  At a rational point
+    use `cleared_eval`, which needs no gcd per step.
     """
     acc = 0
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
+
+
+def cleared(xs) -> tuple[int, list[int]]:
+    """The lcm L of the denominators of the rationals xs, and the integers L*x."""
+    L = lcm(*(x.denominator for x in xs))
+    return L, [x.numerator * (L // x.denominator) for x in xs]
+
+
+def cleared_eval(coeffs, a: int, b: int) -> tuple[int, int]:
+    """The integers (H, L) with H = L * b^n * f(a/b), for f with the rational
+    coefficients coeffs[0..n], integers a and b != 0, and L the lcm of the
+    coefficient denominators; f(a/b) is H / (L * b^n).
+
+    H is the sum of c_k a^k b^(n-k) over the cleared coefficients
+    c_k = L * coeffs[k], by homogeneous Horner in int.
+    """
+    L, c = cleared(coeffs)
+    acc = c[-1]
+    bpow = 1
+    for ck in reversed(c[:-1]):
+        bpow *= b
+        acc = acc * a + ck * bpow
+    return acc, L
 
 
 def legendre_nu(p: int, n: int) -> int:
@@ -267,28 +292,37 @@ class FactoredInteger:
 # ---------------------------------------------------------------------------
 
 
+def _floor_log10_ratio(n: int, d: int) -> int:
+    """floor(log10(n/d)) for positive integers n, d.
+
+    The bit lengths put log10(n/d) within log10(2) of the estimate, so one
+    power of ten and a few multiplications by 10 settle it: num/den stays
+    (n/d) / 10^e and ends in [1, 10).
+    """
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    p = 10 ** abs(e)
+    num, den = (n, d * p) if e >= 0 else (n * p, d)
+    while num < den:
+        num *= 10
+        e -= 1
+    den *= 10
+    while num >= den:
+        den *= 10
+        e += 1
+    return e
+
+
 def digits10(n: int) -> int:
     """Number of decimal digits of |n|, without converting n to a string."""
-    n = abs(n)
-    if n == 0:
-        return 1
-    est = max(0, (n.bit_length() * 30103) // 100000 - 1)
-    while 10 ** (est + 1) <= n:
-        est += 1
-    return est + 1
+    return _floor_log10_ratio(abs(n), 1) + 1 if n else 1
 
 
 def floor_log10(q: Fraction) -> int:
-    """floor(log10 q) for q > 0, by exact comparison."""
+    """floor(log10 q) for q > 0, by exact integer comparison."""
     q = Fraction(q)
     if q <= 0:
         raise ValueError("floor_log10 requires q > 0")
-    e = digits10(q.numerator) - digits10(q.denominator)
-    while Fraction(10) ** e > q:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= q:
-        e += 1
-    return e
+    return _floor_log10_ratio(q.numerator, q.denominator)
 
 
 def dyadic_up(x: Fraction, bits: int) -> Fraction:
@@ -347,6 +381,8 @@ class Interval:
 
     def __mul__(self, other):
         o = other if isinstance(other, Interval) else Interval.point(other)
+        if self.lo >= 0 and o.lo >= 0:
+            return Interval(self.lo * o.lo, self.hi * o.hi)
         cands = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return Interval(min(cands), max(cands))
 

@@ -22,6 +22,7 @@ from .arith import (
     FactoredInteger,
     Interval,
     LogUpperBound,
+    cleared_eval,
     epsilon_interval,
     exp_iv,
     floor_log,
@@ -29,7 +30,6 @@ from .arith import (
     log_interval,
     log_iv,
     p_valuation,
-    poly_eval,
     prime_divisors,
     primes_upto,
 )
@@ -250,6 +250,11 @@ def verify_integrality(family: PadeFamily, cert: DenominatorCert) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _value_at(coeffs, z: Fraction) -> Fraction:
+    h, L = cleared_eval(coeffs, z.numerator, z.denominator)
+    return Fraction(h, L * z.denominator ** (len(coeffs) - 1))
+
+
 def check_size_bounds(
     family: PadeFamily,
     cert: DenominatorCert,
@@ -283,13 +288,13 @@ def check_size_bounds(
         z = Fraction(z)
         app_z = N >= c and abs(z) >= 2
         rhs_q = (2 * N * growth * Interval.point(abs(z)).pow_int(N)).hi
-        lhs_q = max(abs(poly_eval(family.q[i], z)) for i in range(gp.m + 1))
+        lhs_q = max(abs(_value_at(family.q[i], z)) for i in range(gp.m + 1))
         out.append(entry(f"denom_poly_at_{z}", app_z, lhs_q <= rhs_q, lhs_q, rhs_q))
         pmax_ok = True
         worst = None
         for i in range(gp.m + 1):
             for j in range(1, gp.m + 1):
-                lhs_p = abs(poly_eval(family.p_coeffs(i, j), z))
+                lhs_p = abs(_value_at(family.p_coeffs(i, j), z))
                 rhs_p = (
                     2 * N * (N + 1) * growth * Interval.point(abs(z)).pow_int(Nt - shape.n[j - 1] + 1)
                 ).hi
@@ -333,21 +338,21 @@ def scaled_integers(
         chk = padic_domain_check(gp, p, Fraction(beta.numerator))
         if not chk.ok:
             raise DomainViolation(f"|{beta.numerator}|_{p} does not meet the smallness condition")
-    scale = Fraction(cert.d.value) * Fraction(beta.denominator) ** shape.Ntilde
+    a, b = beta.numerator, beta.denominator
+
+    def scaled(coeffs, name: str) -> int:
+        # D b^Ntilde f(beta) = D b^(Ntilde - n) H / L, for f of degree n <= Ntilde
+        h, L = cleared_eval(coeffs, a, b)
+        v = cert.d.value * b ** (shape.Ntilde + 1 - len(coeffs)) * h
+        if v % L:
+            raise IntegralityViolation(f"scaled {name}({beta}) is not an integer")
+        return v // L
+
     qi = []
     pij = []
     for i in range(gp.m + 1):
-        qv = poly_eval(family.q[i], beta) * scale
-        if qv.denominator != 1:
-            raise IntegralityViolation(f"scaled Q_{i}({beta}) is not an integer")
-        qi.append(qv.numerator)
-        row = []
-        for j in range(1, gp.m + 1):
-            pv = poly_eval(family.p_coeffs(i, j), beta) * scale
-            if pv.denominator != 1:
-                raise IntegralityViolation(f"scaled P_{i}{j}({beta}) is not an integer")
-            row.append(pv.numerator)
-        pij.append(tuple(row))
+        qi.append(scaled(family.q[i], f"Q_{i}"))
+        pij.append(tuple(scaled(family.p_coeffs(i, j), f"P_{i}{j}") for j in range(1, gp.m + 1)))
     det = bareiss_eliminate([[qi[i], *pij[i]] for i in range(gp.m + 1)])[1]
     if det == 0:
         raise IntegralityViolation("scaled system matrix is singular")

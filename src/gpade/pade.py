@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .arith import pochhammer, poly_eval
+from .arith import cleared, pochhammer, poly_eval
 from .errors import NonMonomialDeterminant, SingularSystem
 from .params import GParams
 from .report import full_digits
@@ -121,19 +121,38 @@ def phi_coeffs(gp: GParams, j: int, upto: int) -> list[Fraction]:
 
 
 def phi_partial_sum(gp: GParams, j: int, z: Fraction, T: int) -> Fraction:
-    """Exact sum of the terms 0..T of phi_j at z, accumulated forward."""
-    acc = Fraction(0)
-    power = Fraction(1)
-    for cf in phi_coeffs(gp, j, T):
-        acc += cf * power
-        power *= z
-    return acc
+    """Exact sum of the terms 0..T of phi_j at z, by binary splitting.
 
+    Consecutive terms have the ratio (alpha_j + n) z / (alpha_j + alpha_0 + n)
+    = p(n) / q(n) with integers p(n), q(n).  Over a range of n, P = prod p(n),
+    Q = prod q(n) and the sum S / Q of the running products p(lo)...p(k) /
+    q(lo)...q(k) are integers; two halves merge as (P1 P2, Q1 Q2, S1 Q2 + P1 S2),
+    and the partial sum is (Q + S) / Q over n = 0..T-1 (Haible & Papanikolaou
+    1998).
+    """
+    if not 1 <= j <= gp.m:
+        raise ValueError("series index out of range")
+    if T < 0:
+        return Fraction(0)
+    if T == 0:
+        return Fraction(1)
+    z = Fraction(z)
+    aj = gp.alpha[j]
+    a0j = aj + gp.alpha[0]
+    pc = a0j.denominator * z.numerator
+    qc = aj.denominator * z.denominator
 
-def _cleared(xs) -> tuple[int, list[int]]:
-    """The lcm L of the denominators of the rationals xs, and the integers L*x."""
-    L = lcm(*(x.denominator for x in xs))
-    return L, [x.numerator * (L // x.denominator) for x in xs]
+    def split(lo: int, hi: int) -> tuple[int, int, int]:
+        if hi - lo == 1:
+            p = (aj.numerator + lo * aj.denominator) * pc
+            return p, (a0j.numerator + lo * a0j.denominator) * qc, p
+        mid = (lo + hi) // 2
+        p1, q1, s1 = split(lo, mid)
+        p2, q2, s2 = split(mid, hi)
+        return p1 * p2, q1 * q2, s1 * q2 + p1 * s2
+
+    _, q, s = split(0, T)
+    return Fraction(q + s, q)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +199,8 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...
         for cj, nj in zip(c, n_list):
             ratio *= (cj + ell) / (cj + ell + nj)
         h[ell] = h[ell + 1] * ratio
-    G, g_int = _cleared(g)
-    H, h_int = _cleared(h)
+    G, g_int = cleared(g)
+    H, h_int = cleared(h)
     scale = denom * G * H
     a = [Fraction(0)] * (N + 1)
     a[N] = Fraction(1)
@@ -200,8 +219,8 @@ def build_q(gp: GParams, shape: ApproxShape, i: int) -> tuple[Fraction, ...]:
 
 def series_product_coeffs(gp: GParams, q: tuple[Fraction, ...], j: int, upto: int) -> tuple[Fraction, ...]:
     """Coefficients 0..upto of Q * phi_j for a denominator Q given by `q`."""
-    Dq, q_int = _cleared(q)
-    Dr, r_int = _cleared(phi_coeffs(gp, j, upto))
+    Dq, q_int = cleared(q)
+    Dr, r_int = cleared(phi_coeffs(gp, j, upto))
     r_rev = r_int[::-1]  # r_rev[upto - mu + k] = r_int[mu - k]
     D = Dq * Dr
     return tuple(Fraction(sum(map(mul, q_int, r_rev[upto - mu :])), D) for mu in range(upto + 1))

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .arith import (
     FactoredInteger,
     Interval,
+    cleared_eval,
     digits10,
     epsilon_interval,
     exp_iv,
@@ -22,7 +23,6 @@ from .arith import (
     log_interval,
     log_iv,
     nth_root_iv,
-    poly_eval,
     prime_divisors,
     primes_upto,
 )
@@ -386,15 +386,22 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     family = build_family(gp, shape)
     d1 = restricted_d1(gp, n1, n0)
     d2 = restricted_d2(gp, n0)
-    q_at = [poly_eval(family.q[i], beta) for i in (0, 1)]
-    p_at = [poly_eval(family.p_coeffs(i, 1), beta) for i in (0, 1)]
-    ui = []
-    vi = []
+    # Q_i has degree n1 and P_i1 degree N_i1 <= n0 + 1: Q_i(a/b) = hq / (lq b^n1)
+    # and P_i1(a/b) = hp / (lp b^N_i1), and the scaled values D1 b^n1 Q_i(beta)
+    # and D1 D2 b^(n0+1) P_i1(beta) must be integers
+    q_at, p_at, ui, vi = [], [], [], []
     for i in (0, 1):
-        uval = Fraction(d1.value) * Fraction(b) ** n1 * q_at[i]
-        vval = Fraction(d1.value * d2.value) * Fraction(b) ** (n0 + 1) * p_at[i]
-        ok_u = uval.denominator == 1
-        ok_v = vval.denominator == 1
+        hq, lq = cleared_eval(family.q[i], a, b)
+        hp, lp = cleared_eval(family.p_coeffs(i, 1), a, b)
+        deg_p = shape.Nij(i, 1)
+        q_at.append(Fraction(hq, lq * b**n1))
+        p_at.append(Fraction(hp, lp * b**deg_p))
+        u = d1.value * hq
+        v = d1.value * d2.value * b ** (n0 + 1 - deg_p) * hp
+        ok_u = u % lq == 0
+        ok_v = v % lp == 0
+        uval = u // lq if ok_u else Fraction(u, lq)
+        vval = v // lp if ok_v else Fraction(v, lp)
         checks.append(entry(f"integrality_scaled_q_{i}", True, ok_u, rational(uval) if not ok_u else "", ""))
         checks.append(entry(f"integrality_scaled_p_{i}", True, ok_v, rational(vval) if not ok_v else "", ""))
         ui.append(uval)

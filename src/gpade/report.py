@@ -76,13 +76,14 @@ def fmt_real(q: Fraction, sig: int = 18) -> str:
         return "0"
     sign = "-" if q < 0 else ""
     q = abs(q)
+    n, d = q.numerator, q.denominator
     e = floor_log10(q)
     if -6 <= e <= 24:
-        scaled = int(q * 10**sig)
-        whole, frac = divmod(scaled, 10**sig)
+        whole, frac = divmod(n * 10**sig // d, 10**sig)
         return f"{sign}{whole}.{str(frac).zfill(sig)}"
-    mant = int(q / Fraction(10) ** e * 10 ** (sig - 1))
-    ms = str(mant)[:sig]
+    # the sig leading digits: floor(q * 10^k), k = sig - 1 - e
+    k = sig - 1 - e
+    ms = str(n * 10**k // d if k >= 0 else n // (d * 10**-k))
     return f"{sign}{ms[0]}.{ms[1:]}e{e:+d}"
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import mpmath
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gpade.arith import (
     FactoredInteger,
     Interval,
+    cleared_eval,
     digits10,
     dyadic_down,
     dyadic_up,
@@ -207,6 +209,124 @@ def test_formatting():
     assert digits10(10**100) == 101
     assert digits10(10**100 - 1) == 100
     assert digits10(0) == 1
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels against the former Fraction code: decimal rendering,
+# evaluation at a/b and products of intervals
+# ---------------------------------------------------------------------------
+
+
+def reference_digits10(n: int) -> int:
+    n = abs(n)
+    if n == 0:
+        return 1
+    est = max(0, (n.bit_length() * 30103) // 100000 - 1)
+    while 10 ** (est + 1) <= n:
+        est += 1
+    return est + 1
+
+
+def reference_floor_log10(q: F) -> int:
+    e = reference_digits10(q.numerator) - reference_digits10(q.denominator)
+    while F(10) ** e > q:
+        e -= 1
+    while F(10) ** (e + 1) <= q:
+        e += 1
+    return e
+
+
+def reference_fmt_real(q: F, sig: int = 18) -> str:
+    # the former rendering by Fraction products and quotients
+    if q == 0:
+        return "0"
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    e = reference_floor_log10(q)
+    if -6 <= e <= 24:
+        scaled = int(q * 10**sig)
+        whole, frac = divmod(scaled, 10**sig)
+        return f"{sign}{whole}.{str(frac).zfill(sig)}"
+    mant = int(q / F(10) ** e * 10 ** (sig - 1))
+    ms = str(mant)[:sig]
+    return f"{sign}{ms[0]}.{ms[1:]}e{e:+d}"
+
+
+def _digits_up_to(n: int):
+    # small terms and terms of up to n decimal digits
+    return st.one_of(st.integers(1, 10**6), st.integers(1, 10**n))
+
+
+@st.composite
+def signed_rationals(draw, n):
+    sign = draw(st.sampled_from([1, -1]))
+    return sign * F(draw(_digits_up_to(n)), draw(_digits_up_to(n)))
+
+
+@st.composite
+def powers_of_ten(draw):
+    # exact powers of ten and their neighbours, including the switch between
+    # fixed point (-6 <= e <= 24) and mantissa notation
+    k = draw(st.one_of(st.sampled_from([-7, -6, 0, 24, 25]), st.integers(-6000, 6000)))
+    nudge = draw(st.sampled_from([-1, 0, 1])) * F(1, 10 ** (abs(k) + 45))
+    return draw(st.sampled_from([1, -1])) * (F(10) ** k + nudge)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.one_of(signed_rationals(6000), powers_of_ten()), sig=st.integers(6, 40))
+@example(q=F(1, 10**6), sig=6)
+@example(q=F(10**6 - 1, 10**12), sig=6)
+@example(q=F(10**24), sig=40)
+@example(q=F(10**25 - 1), sig=40)
+def test_fmt_real_matches_fraction_reference(q, sig):
+    assert fmt_real(q, sig) == reference_fmt_real(q, sig)
+    if q:
+        assert floor_log10(abs(q)) == reference_floor_log10(abs(q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(st.integers(-(10**6000), 10**6000), st.integers(-(10**6), 10**6)), k=st.integers(0, 6000))
+def test_digits10_matches_decimal_and_reference(n, k):
+    for x in (n, 10**k, 10**k - 1, -(10**k)):
+        expected = Decimal(x).adjusted() + 1 if x else 1
+        assert digits10(x) == expected == reference_digits10(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    coeffs=st.lists(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4), min_size=1, max_size=30),
+    a=st.integers(-(10**12), 10**12),
+    b=st.integers(1, 10**12),
+)
+@example(coeffs=[F(1, 3), F(-2, 5), F(7, 4)], a=-3, b=6)
+def test_cleared_eval_matches_fraction_horner(coeffs, a, b):
+    h, L = cleared_eval(coeffs, a, b)
+    value = F(0)
+    for c in reversed(coeffs):
+        value = value * F(a, b) + c
+    assert L == math.lcm(*(c.denominator for c in coeffs))
+    assert F(h, L * b ** (len(coeffs) - 1)) == value
+
+
+def reference_interval_mul(x: Interval, y: Interval) -> Interval:
+    cands = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+    return Interval(min(cands), max(cands))
+
+
+@st.composite
+def intervals(draw, nonnegative):
+    low = 0 if nonnegative else -50
+    ends = st.one_of(st.just(F(0)), st.fractions(min_value=low, max_value=50, max_denominator=1000))
+    lo, hi = sorted((draw(ends), draw(ends)))
+    return Interval(lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.one_of(intervals(True), intervals(False)), y=st.one_of(intervals(True), intervals(False)))
+@example(x=Interval(F(0), F(0)), y=Interval(F(0), F(3)))
+@example(x=Interval(F(0), F(2)), y=Interval(F(-1), F(0)))
+def test_interval_product_matches_four_candidates(x, y):
+    assert x * y == reference_interval_mul(x, y)
 
 
 def test_interval_arithmetic():

@@ -18,8 +18,8 @@ from gpade.denom import (
     scaled_integers,
     verify_integrality,
 )
-from gpade.arith import Interval
-from gpade.errors import DomainViolation
+from gpade.arith import FactoredInteger, Interval
+from gpade.errors import DomainViolation, IntegralityViolation
 from gpade.pade import ApproxShape, build_family
 from gpade.params import derive_params
 
@@ -141,6 +141,29 @@ def test_scaled_integers_hand_instance(half):
         scaled_integers(fam, cert, F(3, 2), p=2)
     with pytest.raises(DomainViolation):
         scaled_integers(fam, cert, F(1, 2))
+
+
+def test_scaled_integers_match_fraction_horner():
+    # D b^Ntilde Q_i(beta) and D b^Ntilde P_ij(beta) by Fraction Horner, at a
+    # negative point; without D the same values are not all integers
+    gp = derive_params([F(1), F(1, 2), F(1, 3)])
+    shape = ApproxShape(n=(2, 1), n0=3)
+    fam = build_family(gp, shape)
+    cert = make_cert(gp, shape, ThetaMode.paper())
+    beta = F(-7, 3)
+
+    def scaled(coeffs):
+        value = F(0)
+        for c in reversed(coeffs):
+            value = value * beta + c
+        return value * cert.d.value * beta.denominator**shape.Ntilde
+
+    sc = scaled_integers(fam, cert, beta)
+    for i in range(gp.m + 1):
+        assert F(sc.qi[i]) == scaled(fam.q[i])
+        assert tuple(map(F, sc.pij[i])) == tuple(scaled(fam.p_coeffs(i, j)) for j in (1, 2))
+    with pytest.raises(IntegralityViolation):
+        scaled_integers(fam, replace(cert, d=FactoredInteger.one()), beta)
 
 
 def test_remainder_bound_hand_instance(half):

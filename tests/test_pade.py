@@ -22,6 +22,7 @@ from gpade.pade import (
     oracle_solve_generic,
     phi_coeff,
     phi_coeffs,
+    phi_partial_sum,
     series_product_coeffs,
     verify_order,
 )
@@ -183,6 +184,44 @@ def test_series_product_matches_fraction_convolution(instance, q, upto):
             sum((q[k] * phi[mu - k] for k in range(min(len(q) - 1, mu) + 1)), F(0)) for mu in range(upto + 1)
         )
         assert series_product_coeffs(gp, tuple(q), j, upto) == naive
+
+
+def reference_phi_partial_sum(gp, j, z, T):
+    """The former kernel: the terms 0..T of phi_j at z added one at a time."""
+    acc = F(0)
+    power = F(1)
+    for cf in phi_coeffs(gp, j, T):
+        acc += cf * power
+        power *= z
+    return acc
+
+
+# the p-adic audits evaluate at 8/3 and 27/2; the others cover |z| < 1 and > 1
+series_points = st.one_of(
+    st.sampled_from([F(8, 3), F(-8, 3), F(27, 2), F(-27, 2), F(1, 20014458431), F(-3, 7)]),
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+    st.fractions(min_value=-30, max_value=30, max_denominator=100),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=closed_form_instances(), j=st.integers(1, 3), z=series_points, T=st.integers(-1, 600))
+@example(instance=([F(1), F(1, 2)], (1,), (0,)), j=1, z=F(8, 3), T=3000)
+def test_partial_sum_matches_forward_sum(instance, j, z, T):
+    gp = derive_params(instance[0])
+    j = min(j, gp.m)
+    assert phi_partial_sum(gp, j, z, T) == reference_phi_partial_sum(gp, j, z, T)
+
+
+def test_partial_sum_edges():
+    gp = derive_params([F(1), F(1, 2), F(1, 3)])
+    assert phi_partial_sum(gp, 2, F(5, 3), 0) == 1
+    assert phi_partial_sum(gp, 2, F(5, 3), -1) == 0
+    assert phi_partial_sum(gp, 2, F(5, 3), -7) == 0
+    assert phi_partial_sum(gp, 1, F(0), 9) == 1
+    for j in (0, 3):
+        with pytest.raises(ValueError, match="series index out of range"):
+            phi_partial_sum(gp, j, F(1, 2), 4)
 
 
 def test_determinant_hand_instance(half):

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from gpade.arith import Interval, log_interval
+import gpade.realapprox
+from gpade.arith import FactoredInteger, Interval, log_interval
 from gpade.denom import ThetaMode
 from gpade.errors import DomainViolation, HypothesisFailure
+from gpade.pade import ApproxShape, build_family
 from gpade.params import derive_params
 from gpade.realapprox import (
     audit_restricted,
@@ -207,3 +209,23 @@ def test_audit_integer_leading_parameter_end_to_end():
         make_restricted_instance(gp, a=-3, b=b3, B=1, t=F(0), mode=mode, vartheta=F(2))
     )
     assert rep3["final_verdict"] == "all checks passed"
+
+
+def test_audit_integrality_is_a_real_check(gp11, monkeypatch):
+    # without D1 the scaled Q_i(beta) are not integers: the checks must fail
+    # and show b^n1 Q_i(beta), computed here by Fraction Horner
+    mode = ThetaMode.sharp()
+    b = smallest_admissible_b(gp11, 1, mode, F(2))
+    inst = make_restricted_instance(gp11, a=1, b=b, B=1, t=F(0), mode=mode, vartheta=F(2))
+    assert audit_restricted(inst)["final_verdict"] == "all checks passed"
+    monkeypatch.setattr(gpade.realapprox, "restricted_d1", lambda gp, n1, n0: FactoredInteger.one())
+    checks = {c.name: c for c in audit_restricted(inst)["checks"]}
+    fam = build_family(gp11, ApproxShape(n=(inst.n1,), n0=inst.n0))
+    for i in (0, 1):
+        value = F(0)
+        for c in reversed(fam.q[i]):
+            value = value * F(1, b) + c
+        scaled = value * b**inst.n1
+        assert scaled.denominator != 1
+        assert checks[f"integrality_scaled_q_{i}"].failed
+        assert checks[f"integrality_scaled_q_{i}"].lhs == f"{scaled.numerator}/{scaled.denominator}"
