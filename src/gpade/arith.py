@@ -39,7 +39,7 @@ __all__ = [
     "dyadic_down",
     "integer_nth_root",
     "digits10",
-    "floor_log10",
+    "floor_log10_ratio",
     "poly_eval",
     "cleared",
     "cleared_eval",
@@ -292,13 +292,15 @@ class FactoredInteger:
 # ---------------------------------------------------------------------------
 
 
-def _floor_log10_ratio(n: int, d: int) -> int:
+def floor_log10_ratio(n: int, d: int) -> int:
     """floor(log10(n/d)) for positive integers n, d.
 
     The bit lengths put log10(n/d) within log10(2) of the estimate, so one
     power of ten and a few multiplications by 10 settle it: num/den stays
-    (n/d) / 10^e and ends in [1, 10).
+    (n/d) / 10^e and ends in [1, 10).  The pair need not be reduced.
     """
+    if n <= 0 or d <= 0:
+        raise ValueError("floor_log10_ratio requires n, d > 0")
     e = (n.bit_length() - d.bit_length()) * 30103 // 100000
     p = 10 ** abs(e)
     num, den = (n, d * p) if e >= 0 else (n * p, d)
@@ -314,15 +316,7 @@ def _floor_log10_ratio(n: int, d: int) -> int:
 
 def digits10(n: int) -> int:
     """Number of decimal digits of |n|, without converting n to a string."""
-    return _floor_log10_ratio(abs(n), 1) + 1 if n else 1
-
-
-def floor_log10(q: Fraction) -> int:
-    """floor(log10 q) for q > 0, by exact integer comparison."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("floor_log10 requires q > 0")
-    return _floor_log10_ratio(q.numerator, q.denominator)
+    return floor_log10_ratio(abs(n), 1) + 1 if n else 1
 
 
 def dyadic_up(x: Fraction, bits: int) -> Fraction:

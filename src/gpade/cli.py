@@ -18,6 +18,7 @@ byte-identical reports (sorted keys, exact rationals, tagged bounds).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -124,7 +125,10 @@ def _theta_mode(text: str) -> str:
     return text
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged (an appended
+    # option copies its default list before appending)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", required=True, help="parameter file (m, alpha0..alpham)")
     common.add_argument("--format", choices=("tsv", "json"), default="tsv")

@@ -24,7 +24,7 @@ from math import lcm
 from operator import mul
 
 from .arith import cleared, pochhammer, poly_eval
-from .errors import NonMonomialDeterminant, SingularSystem
+from .errors import InvariantViolation, NonMonomialDeterminant, SingularSystem
 from .params import GParams
 from .report import full_digits
 
@@ -34,6 +34,7 @@ __all__ = [
     "phi_coeff",
     "phi_coeffs",
     "phi_partial_sum",
+    "phi_partial_sum_parts",
     "build_q",
     "build_q_generic",
     "build_p",
@@ -121,38 +122,46 @@ def phi_coeffs(gp: GParams, j: int, upto: int) -> list[Fraction]:
 
 
 def phi_partial_sum(gp: GParams, j: int, z: Fraction, T: int) -> Fraction:
-    """Exact sum of the terms 0..T of phi_j at z, by binary splitting.
+    """Exact sum of the terms 0..T of phi_j at z (see `phi_partial_sum_parts`)."""
+    num, q, _ = phi_partial_sum_parts(gp, j, z, T)
+    return Fraction(num, q)
+
+
+def phi_partial_sum_parts(gp: GParams, j: int, z: Fraction, T: int) -> tuple[int, int, int]:
+    """Integers (N, Q, R) with the sum of the terms 0..T of phi_j at z equal to
+    N / Q, not reduced, and Q = R * z.denominator^T with R > 0.
 
     Consecutive terms have the ratio (alpha_j + n) z / (alpha_j + alpha_0 + n)
-    = p(n) / q(n) with integers p(n), q(n).  Over a range of n, P = prod p(n),
-    Q = prod q(n) and the sum S / Q of the running products p(lo)...p(k) /
-    q(lo)...q(k) are integers; two halves merge as (P1 P2, Q1 Q2, S1 Q2 + P1 S2),
-    and the partial sum is (Q + S) / Q over n = 0..T-1 (Haible & Papanikolaou
-    1998).
+    = p(n) / q(n) with integers p(n) and q(n) = r(n) * z.denominator.  Over a
+    range of n, P = prod p(n), Q = prod q(n), R = prod r(n) and the sum S / Q
+    of the running products p(lo)...p(k) / q(lo)...q(k) are integers; two
+    halves merge as (P1 P2, Q1 Q2, S1 Q2 + P1 S2, R1 R2), and over
+    n = 0..T-1 the partial sum is (Q + S) / Q (binary splitting, Haible &
+    Papanikolaou 1998).
     """
     if not 1 <= j <= gp.m:
         raise ValueError("series index out of range")
     if T < 0:
-        return Fraction(0)
+        return 0, 1, 1
     if T == 0:
-        return Fraction(1)
+        return 1, 1, 1
     z = Fraction(z)
     aj = gp.alpha[j]
     a0j = aj + gp.alpha[0]
     pc = a0j.denominator * z.numerator
-    qc = aj.denominator * z.denominator
 
-    def split(lo: int, hi: int) -> tuple[int, int, int]:
+    def split(lo: int, hi: int) -> tuple[int, int, int, int]:
         if hi - lo == 1:
             p = (aj.numerator + lo * aj.denominator) * pc
-            return p, (a0j.numerator + lo * a0j.denominator) * qc, p
+            r = (a0j.numerator + lo * a0j.denominator) * aj.denominator
+            return p, r * z.denominator, p, r
         mid = (lo + hi) // 2
-        p1, q1, s1 = split(lo, mid)
-        p2, q2, s2 = split(mid, hi)
-        return p1 * p2, q1 * q2, s1 * q2 + p1 * s2
+        p1, q1, s1, r1 = split(lo, mid)
+        p2, q2, s2, r2 = split(mid, hi)
+        return p1 * p2, q1 * q2, s1 * q2 + p1 * s2, r1 * r2
 
-    _, q, s = split(0, T)
-    return Fraction(q + s, q)
+    _, q, s, r = split(0, T)
+    return q + s, q, r
 
 
 # ---------------------------------------------------------------------------
@@ -329,28 +338,32 @@ def bareiss_eliminate(rows: list[list[int]]) -> tuple[list[list[int]], int]:
 def oracle_solve_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Denominator coefficients obtained by solving the order conditions
     directly: one homogeneous equation per forced-zero coefficient, with the
-    leading coefficient pinned to 1.  Independent of the closed form."""
+    leading coefficient pinned to 1.  Independent of the closed form.
+
+    Each row is cleared by the lcm of its denominators, and after the Bareiss
+    elimination y = det * x is back-substituted in integers: by Cramer's rule
+    every y_r is an integer, so each division is exact.
+    """
     m = gp.m
     N = sum(n_list)
     rows: list[list[int]] = []
     for j in range(1, m + 1):
         ratios = phi_coeffs(gp, j, N_list[j - 1] + n_list[j - 1])
         for mu in range(N_list[j - 1] + 1, N_list[j - 1] + n_list[j - 1] + 1):
-            coeffs = [ratios[mu - k] for k in range(N)]  # unknowns a_0..a_{N-1}
-            rhs = -ratios[mu - N]
-            den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-            rows.append([int(c * den) for c in coeffs] + [int(rhs * den)])
+            row = [ratios[mu - k] for k in range(N)] + [-ratios[mu - N]]  # a_0..a_{N-1} | rhs
+            L = lcm(*(c.denominator for c in row))
+            rows.append([c.numerator * (L // c.denominator) for c in row])
     M, det = bareiss_eliminate(rows)
     if det == 0:
         raise SingularSystem("the order conditions do not determine the denominator")
     n = len(M)
-    x = [Fraction(0)] * n
+    y = [0] * n
     for r in range(n - 1, -1, -1):
-        acc = Fraction(M[r][n])
-        for cidx in range(r + 1, n):
-            acc -= M[r][cidx] * x[cidx]
-        x[r] = acc / M[r][r]
-    return tuple(x) + (Fraction(1),)
+        acc = det * M[r][n] - sum(map(mul, M[r][r + 1 : n], y[r + 1 :]))
+        y[r], rem = divmod(acc, M[r][r])
+        if rem:
+            raise InvariantViolation("back-substitution left a remainder: det * x is not integral")
+    return tuple(Fraction(yr, det) for yr in y) + (Fraction(1),)
 
 
 def oracle_solve(gp: GParams, shape: ApproxShape, i: int) -> tuple[Fraction, ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .arith import (
     FactoredInteger,
@@ -27,10 +28,10 @@ from .arith import (
     primes_upto,
 )
 from .denom import ThetaMode, compute_d1
-from .errors import DomainViolation, HypothesisFailure, PrecisionInsufficient
-from .pade import ApproxShape, build_family, phi_partial_sum
+from .errors import DomainViolation, HypothesisFailure, InvariantViolation, PrecisionInsufficient
+from .pade import ApproxShape, build_p, build_q, phi_partial_sum_parts
 from .params import GParams
-from .report import Check, entry, fmt_real, full_digits, rational, tagged_bound
+from .report import Check, entry, fmt_ratio, fmt_real, full_digits, rational, tagged_bound
 
 __all__ = [
     "RestrictedConstants",
@@ -54,16 +55,28 @@ def eval_phi_real(gp: GParams, z: Fraction, T: int) -> Interval:
     the series is alternating and the tail has the sign of the first omitted
     term.  Either way the enclosure has width exactly the tail bound.
     """
-    z = Fraction(z)
+    lo, hi, den = _phi_real_ends(gp, Fraction(z), T)
+    return Interval(Fraction(lo, den), Fraction(hi, den))
+
+
+def _phi_real_ends(gp: GParams, z: Fraction, T: int) -> tuple[int, int, int]:
+    """The ends of `eval_phi_real` as integers (lo, hi, den), not reduced:
+    the enclosure is [lo/den, hi/den]."""
     if abs(z) >= 1:
         raise DomainViolation("real evaluation needs |z| < 1")
+    if T < 0:
+        raise DomainViolation("real evaluation needs T >= 0")
     if z == 0:
-        return Interval.point(1)
-    acc = phi_partial_sum(gp, 1, z, T)
-    tail = abs(z) ** (T + 1) / (1 - abs(z))
+        return 1, 1, 1
+    num, q, r = phi_partial_sum_parts(gp, 1, z, T)
+    # with |z| = an/zd and q = r zd^T, the tail bound is an^(T+1) r / (q (zd - an))
+    an, zd = abs(z.numerator), z.denominator
+    acc = num * (zd - an)
+    tail = an ** (T + 1) * r
+    den = q * (zd - an)
     if z > 0 or (T + 1) % 2 == 0:
-        return Interval(acc, acc + tail)
-    return Interval(acc - tail, acc)
+        return acc, acc + tail, den
+    return acc - tail, acc, den
 
 
 def c_of_vartheta(vartheta: Fraction, scan_limit: int = 200000) -> int:
@@ -309,30 +322,53 @@ def _floor_log2_ratio(q: int, p: int) -> int:
     return e
 
 
-def _phi_enclosure_for_target(gp: GParams, z: Fraction, target: Fraction) -> tuple[Interval, int]:
-    """Enclosure of phi(z) with width <= target.
+def _phi_enclosure_for_target(gp: GParams, z: Fraction, tn: int, td: int) -> tuple[tuple[int, int, int], int]:
+    """Ends (lo, hi, den) of an enclosure of phi(z) with width <= tn/td, and
+    the truncation order T used.
 
-    The truncation order is read off bit lengths: with |z| <= 2^-L and
-    2^-G <= target*(1-|z|), any T >= G/L gives tail |z|^(T+1)/(1-|z|) below
-    the target.  Points with |z| > 1/2 fall back to exact stepping.
+    T is read off the bit lengths of the goal target*(1-|z|) in lowest terms,
+    so tn and td may share a power of two, which adds to both bit lengths
+    alike, but no odd prime.  With |z| <= 2^-L and 2^-G <= goal, any T >= G/L
+    gives tail |z|^(T+1)/(1-|z|) below the target.  Points with |z| > 1/2
+    fall back to exact stepping.
     """
-    az = abs(z)
-    goal = target * (1 - az)
-    L = _floor_log2_ratio(az.denominator, az.numerator)
+    an, zd = abs(z.numerator), z.denominator
+    L = _floor_log2_ratio(zd, an)
     if L >= 1:
-        G = max(1, goal.denominator.bit_length() - goal.numerator.bit_length() + 1)
+        # (tn/td) * ((zd - an)/zd) without a new odd common factor; each gcd
+        # has one small side
+        g1, g2 = gcd(tn, zd), gcd(zd - an, td)
+        gn = (tn // g1) * ((zd - an) // g2)
+        gd = (td // g2) * (zd // g1)
+        G = max(1, gd.bit_length() - gn.bit_length() + 1)
         T = -(-G // L)
         if T > _TRUNCATION_CAP:
             raise PrecisionInsufficient("tail target unreachably small")
-        return eval_phi_real(gp, z, T), T
-    tail = az / (1 - az)
+        return _phi_real_ends(gp, z, T), T
+    # the tail bound sn/sd = |z|^(T+1)/(1-|z|), stepped until it meets the target
+    sn, sd = an, zd - an
     T = 0
-    while tail > target:
+    while sn * td > tn * sd:
         T += 1
-        tail *= az
+        sn *= an
+        sd *= zd
         if T > _TRUNCATION_CAP:
             raise PrecisionInsufficient("tail target unreachably small")
-    return eval_phi_real(gp, z, T), T
+    return _phi_real_ends(gp, z, T), T
+
+
+def _envelope(end: Fraction, a: int, scale: int, M: int) -> tuple[int, int]:
+    """1/(scale * (x^18 |a|^17)^M) at the end x of a1 as (shift, den): the
+    value is 2^shift / den, a pair that shares no odd prime.
+
+    The ends of a1 are dyadic, x = n / 2^k with n odd when k > 0, so x^(18M)
+    is one power of n and a shift; n^(18M) is the only big power, taken once.
+    """
+    n, d = end.numerator, end.denominator
+    k = d.bit_length() - 1
+    if d != 1 << k:
+        raise InvariantViolation("the ends of a1 must be dyadic")
+    return 18 * M * k, scale * n ** (18 * M) * abs(a) ** (17 * M)
 
 
 def audit_restricted(inst: RestrictedInstance) -> dict:
@@ -342,6 +378,12 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     every check entry carries the comparison actually made.  Mathematical
     failures are reported (never silently accepted); hypothesis violations
     raise HypothesisFailure before any verdict is attempted.
+
+    Every quantity that grows with M or with the series length (the values
+    at beta, the enclosure, the remainders, the envelope 1/(B b^M (a1^18
+    |a|^17)^M) and the distances) is an unreduced pair of integers
+    (numerator, positive denominator): comparisons cross-multiply and
+    rendering goes through `fmt_ratio`, so none of them pays a gcd.
     """
     gp = inst.gp
     rc = inst.constants
@@ -350,6 +392,7 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     beta = Fraction(a, b)
     if not 0 < abs(beta) < 1:
         raise DomainViolation("evaluation point must satisfy 0 < |a/b| < 1")
+    an, bd = abs(beta.numerator), beta.denominator
     th = rc.mode.theta
     checks: list[Check] = []
 
@@ -381,9 +424,10 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     h_min = max(rc.c_theta, rc.c_vartheta, 4)
     checks.append(entry("h_vs_thresholds", True, inst.h >= h_min, inst.h, h_min))
 
-    # family and specialized clearing integers
+    # the polynomials the audit reads (Q_0, Q_1, P_01, P_11) and the
+    # specialized clearing integers
     shape = ApproxShape(n=(n1,), n0=n0)
-    family = build_family(gp, shape)
+    qs = [build_q(gp, shape, i) for i in (0, 1)]
     d1 = restricted_d1(gp, n1, n0)
     d2 = restricted_d2(gp, n0)
     # Q_i has degree n1 and P_i1 degree N_i1 <= n0 + 1: Q_i(a/b) = hq / (lq b^n1)
@@ -391,11 +435,11 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     # and D1 D2 b^(n0+1) P_i1(beta) must be integers
     q_at, p_at, ui, vi = [], [], [], []
     for i in (0, 1):
-        hq, lq = cleared_eval(family.q[i], a, b)
-        hp, lp = cleared_eval(family.p_coeffs(i, 1), a, b)
         deg_p = shape.Nij(i, 1)
-        q_at.append(Fraction(hq, lq * b**n1))
-        p_at.append(Fraction(hp, lp * b**deg_p))
+        hq, lq = cleared_eval(qs[i], a, b)
+        hp, lp = cleared_eval(build_p(gp, shape, qs[i], i, 1), a, b)
+        q_at.append((hq, lq * b**n1))
+        p_at.append((hp, lp * b**deg_p))
         u = d1.value * hq
         v = d1.value * d2.value * b ** (n0 + 1 - deg_p) * hp
         ok_u = u % lq == 0
@@ -415,24 +459,53 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
         * exp_iv(th * (2 * gp.s0 * n1 + gp.v[0] * Nt), prec)
     )
     gate_n1 = n1 >= rc.c_theta
-    amax = max(abs(cf) for i in (0, 1) for cf in family.q[i])
+    amax = max(abs(cf) for q in qs for cf in q)
     checks.append(entry("coeff_envelope", gate_n1, amax <= e1.hi, rational(amax), fmt_real(e1.hi, 6)))
     qbound = (e1 / (1 - abs(beta))).hi
-    qmax = max(abs(q) for q in q_at)
+    qmax = max(abs(Fraction(hq, dq)) for hq, dq in q_at)
     checks.append(entry("denom_poly_envelope", gate_n1, qmax <= qbound, rational(qmax), fmt_real(qbound, 6)))
 
-    # (working precision for the series value) target: a tenth of the final RHS
-    rhs_iv = (Fraction(B) * Fraction(b) ** M * (rc.a1.pow_int(18) * abs(a) ** 17).pow_int(M)).inv()
-    enc, terms_used = _phi_enclosure_for_target(gp, beta, rhs_iv.lo / 10)
-    checks.append(entry("enclosure_width", True, enc.width <= rhs_iv.lo / 10, fmt_real(enc.width, 40), fmt_real(rhs_iv.lo / 10, 40)))
+    # the final right-hand side 1/(B b^M (a1^18 |a|^17)^M): its lower end
+    # comes from the upper end of a1 and its upper end from the lower end
+    bM = b**M
+    scale = B * bM
+    env_lo = _envelope(rc.a1.hi, a, scale, M)
+    env_hi = _envelope(rc.a1.lo, a, scale, M)
 
-    # remainder envelope at the evaluation point
-    rbound = ((n1 + 1) * e1 * Interval.point(abs(beta)).pow_int(Nt + 1) / (1 - abs(beta))).hi
-    rem_vals = []
+    # (working precision for the series value) target: a tenth of the final RHS
+    t_shift, t_den = env_lo[0], 10 * env_lo[1]
+    (lo, hi, den), terms_used = _phi_enclosure_for_target(gp, beta, 1 << t_shift, t_den)
+    width = hi - lo
+    checks.append(
+        entry(
+            "enclosure_width",
+            True,
+            width * t_den <= den << t_shift,
+            fmt_ratio(width, den, 40),
+            fmt_ratio(1 << t_shift, t_den, 40),
+        )
+    )
+
+    # remainder envelope at the evaluation point:
+    # (n1 + 1) E1 |beta|^(Nt+1) / (1 - |beta|)
+    rb_num = (n1 + 1) * e1.hi.numerator * an ** (Nt + 1) * bd
+    rb_den = e1.hi.denominator * bd ** (Nt + 1) * (bd - an)
+    # |R_i| <= max |x Q_i(beta) - P_i1(beta)| over the enclosure ends x
+    rems = []
     for i in (0, 1):
-        rem = enc * q_at[i] - p_at[i]
-        rem_vals.append(max(abs(rem.lo), abs(rem.hi)))
-        checks.append(entry(f"remainder_envelope_{i}", gate_n1, rem_vals[i] <= rbound, fmt_real(rem_vals[i], 30), fmt_real(rbound, 30)))
+        (hq, dq), (hp, dp) = q_at[i], p_at[i]
+        cq, cp = hq * dp, hp * dq * den
+        rem = (max(abs(lo * cq - cp), abs(hi * cq - cp)), den * dq * dp)
+        rems.append(rem)
+        checks.append(
+            entry(
+                f"remainder_envelope_{i}",
+                gate_n1,
+                rem[0] * rb_den <= rb_num * rem[1],
+                fmt_ratio(*rem, 30),
+                fmt_ratio(rb_num, rb_den, 30),
+            )
+        )
 
     # the scaled product inequality driving the lower bound
     lhs25 = (
@@ -449,17 +522,24 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     checks.append(entry("scaled_product_le_1", True, lhs25.hi <= 1, fmt_real(lhs25.hi, 12), "1"))
 
     # smallness of B*|R_i| against 1/(2 D1 D2 b^(n0+1))
-    half_clear = Fraction(1, 2 * d1.value * d2.value * b ** (n0 + 1))
+    half_den = 2 * d1.value * d2.value * b ** (n0 + 1)
     for i in (0, 1):
+        rn, rd = rems[i]
         checks.append(
-            entry(f"remainder_small_{i}", True, B * rem_vals[i] <= half_clear, fmt_real(B * rem_vals[i], 40), fmt_real(half_clear, 40))
+            entry(
+                f"remainder_small_{i}",
+                True,
+                B * rn * half_den <= rd,
+                fmt_ratio(B * rn, rd, 40),
+                fmt_ratio(1, half_den, 40),
+            )
         )
 
     # candidate numerator: nearest integer to B*b^M*phi unless overridden
-    scale = B * b**M
-    lo_s, hi_s = enc.lo * scale, enc.hi * scale
-    n_lo = (2 * lo_s.numerator + lo_s.denominator) // (2 * lo_s.denominator)
-    n_hi = (2 * hi_s.numerator + hi_s.denominator) // (2 * hi_s.denominator)
+    # B b^M phi lies in [lo_s / den, hi_s / den]
+    lo_s, hi_s = lo * scale, hi * scale
+    n_lo = (2 * lo_s + den) // (2 * den)
+    n_hi = (2 * hi_s + den) // (2 * den)
     if n_lo != n_hi:
         raise PrecisionInsufficient("nearest integer undecided; raise the truncation")
     nearest = n_lo
@@ -469,36 +549,45 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     witness = None
     w_vals = []
     for i in (0, 1):
-        w = n_used * d2.value * b ** (n0 - n1 + 1) * int(ui[i]) - B * b**M * int(vi[i])
+        w = n_used * d2.value * b ** (n0 - n1 + 1) * int(ui[i]) - scale * int(vi[i])
         w_vals.append(w)
         if w != 0 and witness is None:
             witness = i
     checks.append(entry("cleared_combination_nonzero", True, witness is not None, full_digits(w_vals[0]), full_digits(w_vals[1])))
     if witness is not None and n0 - n1 + 1 >= M:
         checks.append(
-            entry("cleared_combination_divisible", True, w_vals[witness] % b**M == 0, f"i={witness}", f"b^{M}")
+            entry("cleared_combination_divisible", True, w_vals[witness] % bM == 0, f"i={witness}", f"b^{M}")
         )
+
+    # the distance from n to B b^M phi, certified from the enclosure:
+    # |n - B b^M phi| >= dist / den
+    dist = max(0, n_used * den - hi_s, lo_s - n_used * den)
 
     # scaled distance bound at the witness row:
     # |Q_i(beta)| * |n - B b^M phi| >= b^M / (2 D1 D2 b^(n0+1))
     if witness is not None:
-        qv = abs(q_at[witness])
-        dist_abs_lo = max(Fraction(0), n_used - hi_s, lo_s - n_used)
-        lhs_lower = qv * dist_abs_lo
-        rhs24 = Fraction(b**M, 2 * d1.value * d2.value * b ** (n0 + 1))
-        checks.append(entry("scaled_distance_bound", True, lhs_lower >= rhs24, fmt_real(lhs_lower, 30), fmt_real(rhs24, 30)))
+        hq, dq = q_at[witness]
+        lhs_num, lhs_den = abs(hq) * dist, dq * den
+        checks.append(
+            entry(
+                "scaled_distance_bound",
+                True,
+                lhs_num * half_den >= bM * lhs_den,
+                fmt_ratio(lhs_num, lhs_den, 30),
+                fmt_ratio(bM, half_den, 30),
+            )
+        )
 
-    # the final lower bound, decided against the enclosure
-    target = Fraction(n_used, scale)
-    dist_lo = max(Fraction(0), enc.lo - target, target - enc.hi)
-    final_ok = dist_lo >= rhs_iv.hi
+    # the final lower bound |phi - n/(B b^M)| >= dist / (den B b^M),
+    # decided against the upper end of the right-hand side
+    e_shift, e_den = env_hi
     checks.append(
         entry(
             "final_lower_bound",
             True,
-            final_ok,
-            fmt_real(dist_lo, 40),
-            fmt_real(rhs_iv.hi, 40),
+            dist * e_den >= (den * scale) << e_shift,
+            fmt_ratio(dist, den * scale, 40),
+            fmt_ratio(1 << e_shift, e_den, 40),
         )
     )
 

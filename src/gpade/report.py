@@ -13,11 +13,12 @@ from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .arith import Interval, LogUpperBound, digits10, floor_log10
+from .arith import Interval, LogUpperBound, digits10, floor_log10_ratio
 
 __all__ = [
     "full_digits",
     "fmt_real",
+    "fmt_ratio",
     "int_str",
     "rational",
     "abbrev",
@@ -72,12 +73,21 @@ def fmt_real(q: Fraction, sig: int = 18) -> str:
     integers of any size (never stringifies a huge int directly).
     """
     q = Fraction(q)
-    if q == 0:
+    return fmt_ratio(q.numerator, q.denominator, sig)
+
+
+def fmt_ratio(n: int, d: int, sig: int = 18) -> str:
+    """`fmt_real(n/d)` for integers n and d > 0 that need not be coprime.
+
+    Every digit is a floor of n*10^k/d (or n/(d*10^-k)) and the exponent is
+    floor(log10(|n|/d)); both depend only on the value n/d, so any multiple
+    (n*g, d*g) renders the same without a gcd.
+    """
+    if n == 0:
         return "0"
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    n, d = q.numerator, q.denominator
-    e = floor_log10(q)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    e = floor_log10_ratio(n, d)
     if -6 <= e <= 24:
         whole, frac = divmod(n * 10**sig // d, 10**sig)
         return f"{sign}{whole}.{str(frac).zfill(sig)}"

@@ -20,7 +20,7 @@ from gpade.arith import (
     exp_interval,
     factorize,
     floor_log,
-    floor_log10,
+    floor_log10_ratio,
     integer_nth_root,
     legendre_nu,
     log_interval,
@@ -33,7 +33,7 @@ from gpade.arith import (
     _exp_core,
 )
 from gpade.errors import CertificationError, InvariantViolation
-from gpade.report import fmt_real
+from gpade.report import fmt_ratio, fmt_real
 
 LOG2_LO = F("0.6931471805599453094172321214581")
 LOG2_HI = F("0.6931471805599453094172321214582")
@@ -204,8 +204,8 @@ def test_formatting():
     assert fmt_real(F(1, 3), 6) == "0.333333"
     assert fmt_real(F(-22, 7), 6) == "-3.142857"
     big = F(17) ** 5000
-    assert fmt_real(big, 8).endswith(f"e+{floor_log10(big)}")
-    assert fmt_real(1 / big, 8).endswith(f"e{floor_log10(1/big):+d}")
+    assert fmt_real(big, 8).endswith(f"e+{floor_log10_ratio(big.numerator, big.denominator)}")
+    assert fmt_real(1 / big, 8).endswith(f"e{floor_log10_ratio(big.denominator, big.numerator):+d}")
     assert digits10(10**100) == 101
     assert digits10(10**100 - 1) == 100
     assert digits10(0) == 1
@@ -281,7 +281,23 @@ def powers_of_ten(draw):
 def test_fmt_real_matches_fraction_reference(q, sig):
     assert fmt_real(q, sig) == reference_fmt_real(q, sig)
     if q:
-        assert floor_log10(abs(q)) == reference_floor_log10(abs(q))
+        assert floor_log10_ratio(abs(q.numerator), q.denominator) == reference_floor_log10(abs(q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.one_of(signed_rationals(3000), powers_of_ten()),
+    g=st.one_of(st.integers(1, 10), st.integers(1, 10**3000)),
+    sig=st.integers(6, 40),
+)
+@example(q=F(1, 10**6), g=10**9, sig=6)  # fixed point, smallest exponent
+@example(q=F(-(10**25 - 1)), g=7, sig=40)  # fixed point, largest exponent
+@example(q=F(10**25), g=2**100, sig=30)  # mantissa, k < 0
+@example(q=F(3, 10**40), g=12, sig=40)  # mantissa, k >= 0
+@example(q=F(0), g=5, sig=6)
+def test_fmt_ratio_is_reduction_free(q, g, sig):
+    # any common multiple (n g, d g) renders as the reduced rational does
+    assert fmt_ratio(q.numerator * g, q.denominator * g, sig) == fmt_real(q, sig)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,11 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gpade.arith import digits10
-from gpade.cli import _MR_LIMIT, _prime, emit_report, main
+from gpade.cli import _MR_LIMIT, _build_parser, _prime, emit_report, main
 from gpade.report import abbrev, int_str
 
 HALF = "m = 1\nalpha0 = 1\nalpha1 = 1/2\n"
@@ -352,3 +355,23 @@ def test_emit_report_formats():
     assert lines[1].startswith("a.0\tTrue")
     # empty results still produce the header row
     assert emit_report({}, "tsv") == "key\tvalue\n"
+
+
+def test_parser_reuse_keeps_appended_option_empty(params_file, capsys):
+    # one parser serves every main() call of a process: an --ell appended by
+    # one call must not reach the next, and each report must match the one a
+    # fresh process prints
+    assert _build_parser() is _build_parser()
+    path = params_file(HALF)
+    base = ["padic", "--params", path, "--beta", "8/3", "--p", "2"]
+    with_ell = base + ["--ell", "1,1"]
+    code1, out1, _ = run(capsys, with_ell)
+    code2, out2, _ = run(capsys, base)
+    assert _build_parser().parse_args(base).ell == []
+    assert "linear_forms" in out1 and "linear_forms" not in out2
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for argv, code, out in ((with_ell, code1, out1), (base, code2, out2)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpade.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout) == (code, out)

@@ -1,14 +1,28 @@
+import dataclasses
+import functools
 import math
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gpade.realapprox
-from gpade.arith import FactoredInteger, Interval, log_interval
+from gpade.arith import (
+    FactoredInteger,
+    Interval,
+    cleared_eval,
+    digits10,
+    epsilon_interval,
+    exp_iv,
+    log_interval,
+    log_iv,
+)
 from gpade.denom import ThetaMode
-from gpade.errors import DomainViolation, HypothesisFailure
+from gpade.errors import CertificationError, DomainViolation, HypothesisFailure, PrecisionInsufficient
 from gpade.pade import ApproxShape, build_family
-from gpade.params import derive_params
+from gpade.params import GParams, derive_params
 from gpade.realapprox import (
     audit_restricted,
     c_of_vartheta,
@@ -21,6 +35,7 @@ from gpade.realapprox import (
     restricted_threshold,
     smallest_admissible_b,
 )
+from gpade.report import Check, entry, fmt_real, full_digits, rational, tagged_bound
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +86,7 @@ def test_enclosure_target_guard(gp11):
     from gpade.realapprox import _phi_enclosure_for_target
 
     with pytest.raises(PrecisionInsufficient):
-        _phi_enclosure_for_target(gp11, F(1, 2), F(1, 2 ** (3 * 10**6)))
+        _phi_enclosure_for_target(gp11, F(1, 2), 1, 2 ** (3 * 10**6))
 
 
 def test_vartheta_threshold():
@@ -229,3 +244,283 @@ def test_audit_integrality_is_a_real_check(gp11, monkeypatch):
         assert scaled.denominator != 1
         assert checks[f"integrality_scaled_q_{i}"].failed
         assert checks[f"integrality_scaled_q_{i}"].lhs == f"{scaled.numerator}/{scaled.denominator}"
+
+
+# ---------------------------------------------------------------------------
+# The audit on unreduced integer pairs against its former Interval/Fraction body
+# ---------------------------------------------------------------------------
+
+TRUNCATION_CAP = 200_000
+
+
+def reference_floor_log2_ratio(q: int, p: int) -> int:
+    """floor(log2(q/p)) for integers q > p >= 1, without big powers."""
+    e = q.bit_length() - p.bit_length()
+    if (p << e) > q:
+        e -= 1
+    return e
+
+
+def reference_phi_enclosure_for_target(gp: GParams, z: Fraction, target: Fraction) -> tuple[Interval, int]:
+    """Enclosure of phi(z) with width <= target.
+
+    The truncation order is read off bit lengths: with |z| <= 2^-L and
+    2^-G <= target*(1-|z|), any T >= G/L gives tail |z|^(T+1)/(1-|z|) below
+    the target.  Points with |z| > 1/2 fall back to exact stepping.
+    """
+    az = abs(z)
+    goal = target * (1 - az)
+    L = reference_floor_log2_ratio(az.denominator, az.numerator)
+    if L >= 1:
+        G = max(1, goal.denominator.bit_length() - goal.numerator.bit_length() + 1)
+        T = -(-G // L)
+        if T > TRUNCATION_CAP:
+            raise PrecisionInsufficient("tail target unreachably small")
+        return eval_phi_real(gp, z, T), T
+    tail = az / (1 - az)
+    T = 0
+    while tail > target:
+        T += 1
+        tail *= az
+        if T > TRUNCATION_CAP:
+            raise PrecisionInsufficient("tail target unreachably small")
+    return eval_phi_real(gp, z, T), T
+
+
+def reference_audit_restricted(inst):
+    """The former audit body on Interval/Fraction products, and the nearest
+    integer to B b^M phi it found."""
+    gp = inst.gp
+    rc = inst.constants
+    prec = rc.precision
+    a, b, B, M = inst.a, inst.b, inst.B, inst.M
+    beta = Fraction(a, b)
+    if not 0 < abs(beta) < 1:
+        raise DomainViolation("evaluation point must satisfy 0 < |a/b| < 1")
+    th = rc.mode.theta
+    checks: list[Check] = []
+
+    # hypotheses (certified): b-size, B-size, and M >= M0
+    hyp_b = Fraction(b) >= (rc.a1 * abs(a)).pow_int(6).hi
+    hyp_B = B ** inst.t.denominator <= b**inst.t.numerator
+    if not (hyp_b and hyp_B):
+        raise HypothesisFailure("size hypotheses on (b, B) fail")
+    if Fraction(M) < inst.m0.hi:
+        raise HypothesisFailure(f"M = {M} is below the certified threshold {fmt_real(inst.m0.hi, 6)}")
+    checks.append(entry("b_at_least_sixth_power", True, True, b, rational((rc.a1 * abs(a)).pow_int(6).hi)))
+    checks.append(entry("M_at_least_threshold", True, True, M, fmt_real(inst.m0.hi, 6)))
+
+    n1, n0 = inst.n1, inst.n0
+    Nt = n0 + n1
+    checks.append(entry("x_at_least_3", True, inst.x.lo >= 3, fmt_real(inst.x.lo, 10), "3"))
+    checks.append(entry("exponent_gap", True, n0 - n1 + 1 >= M, n0 - n1 + 1, M))
+
+    # the block-size constraints behind the choice of h
+    log_b = log_interval(Fraction(b), prec)
+    log_a2a = log_iv(rc.a2 * abs(a), prec)
+    h_req = 12 * log_a2a / log_b
+    checks.append(entry("h_vs_12log", True, Fraction(inst.h) >= h_req.hi, inst.h, fmt_real(h_req.hi, 6)))
+    checks.append(
+        entry("h_vs_4t", True, inst.h * inst.t.denominator >= 4 * inst.t.numerator, inst.h, rational(4 * inst.t))
+    )
+    m_over = Fraction(M) / (inst.x.lo - 1)
+    checks.append(entry("h_vs_M_over_xm1", True, Fraction(inst.h) >= m_over, inst.h, fmt_real(m_over, 6)))
+    h_min = max(rc.c_theta, rc.c_vartheta, 4)
+    checks.append(entry("h_vs_thresholds", True, inst.h >= h_min, inst.h, h_min))
+
+    # family and specialized clearing integers
+    shape = ApproxShape(n=(n1,), n0=n0)
+    family = build_family(gp, shape)
+    d1 = restricted_d1(gp, n1, n0)
+    d2 = restricted_d2(gp, n0)
+    # Q_i has degree n1 and P_i1 degree N_i1 <= n0 + 1: Q_i(a/b) = hq / (lq b^n1)
+    # and P_i1(a/b) = hp / (lp b^N_i1), and the scaled values D1 b^n1 Q_i(beta)
+    # and D1 D2 b^(n0+1) P_i1(beta) must be integers
+    q_at, p_at, ui, vi = [], [], [], []
+    for i in (0, 1):
+        hq, lq = cleared_eval(family.q[i], a, b)
+        hp, lp = cleared_eval(family.p_coeffs(i, 1), a, b)
+        deg_p = shape.Nij(i, 1)
+        q_at.append(Fraction(hq, lq * b**n1))
+        p_at.append(Fraction(hp, lp * b**deg_p))
+        u = d1.value * hq
+        v = d1.value * d2.value * b ** (n0 + 1 - deg_p) * hp
+        ok_u = u % lq == 0
+        ok_v = v % lp == 0
+        uval = u // lq if ok_u else Fraction(u, lq)
+        vval = v // lp if ok_v else Fraction(v, lp)
+        checks.append(entry(f"integrality_scaled_q_{i}", True, ok_u, rational(uval) if not ok_u else "", ""))
+        checks.append(entry(f"integrality_scaled_p_{i}", True, ok_v, rational(vval) if not ok_v else "", ""))
+        ui.append(uval)
+        vi.append(vval)
+
+    # coefficient envelope and the |z| < 1 evaluation bounds
+    e1 = (
+        n1
+        * exp_iv(th * (2 * gp.r0 + gp.u[0]), prec)
+        * (Interval.point(Fraction(gp.d_lcm, gp.s0)) * epsilon_interval(gp.s_lcm, prec)).pow_int(n1)
+        * exp_iv(th * (2 * gp.s0 * n1 + gp.v[0] * Nt), prec)
+    )
+    gate_n1 = n1 >= rc.c_theta
+    amax = max(abs(cf) for i in (0, 1) for cf in family.q[i])
+    checks.append(entry("coeff_envelope", gate_n1, amax <= e1.hi, rational(amax), fmt_real(e1.hi, 6)))
+    qbound = (e1 / (1 - abs(beta))).hi
+    qmax = max(abs(q) for q in q_at)
+    checks.append(entry("denom_poly_envelope", gate_n1, qmax <= qbound, rational(qmax), fmt_real(qbound, 6)))
+
+    # (working precision for the series value) target: a tenth of the final RHS
+    rhs_iv = (Fraction(B) * Fraction(b) ** M * (rc.a1.pow_int(18) * abs(a) ** 17).pow_int(M)).inv()
+    enc, terms_used = reference_phi_enclosure_for_target(gp, beta, rhs_iv.lo / 10)
+    checks.append(entry("enclosure_width", True, enc.width <= rhs_iv.lo / 10, fmt_real(enc.width, 40), fmt_real(rhs_iv.lo / 10, 40)))
+
+    # remainder envelope at the evaluation point
+    rbound = ((n1 + 1) * e1 * Interval.point(abs(beta)).pow_int(Nt + 1) / (1 - abs(beta))).hi
+    rem_vals = []
+    for i in (0, 1):
+        rem = enc * q_at[i] - p_at[i]
+        rem_vals.append(max(abs(rem.lo), abs(rem.hi)))
+        checks.append(entry(f"remainder_envelope_{i}", gate_n1, rem_vals[i] <= rbound, fmt_real(rem_vals[i], 30), fmt_real(rbound, 30)))
+
+    # the scaled product inequality driving the lower bound
+    lhs25 = (
+        rc.a2
+        * abs(a)
+        * (Interval.point(rc.vartheta * gp.d_lcm * gp.s0) * epsilon_interval(gp.s0, prec) * epsilon_interval(gp.v_lcm, prec)).pow_int(n1)
+        * Fraction(gp.dtilde) ** n0
+        * epsilon_interval(gp.s_lcm, prec).pow_int(Nt)
+        * exp_iv(th * (2 * gp.s0 * n1 + (gp.s_lcm + gp.v_lcm) * n0 + gp.v_lcm * Nt), prec)
+        * Fraction(abs(a)) ** Nt
+        * B
+        / Fraction(b) ** n1
+    )
+    checks.append(entry("scaled_product_le_1", True, lhs25.hi <= 1, fmt_real(lhs25.hi, 12), "1"))
+
+    # smallness of B*|R_i| against 1/(2 D1 D2 b^(n0+1))
+    half_clear = Fraction(1, 2 * d1.value * d2.value * b ** (n0 + 1))
+    for i in (0, 1):
+        checks.append(
+            entry(f"remainder_small_{i}", True, B * rem_vals[i] <= half_clear, fmt_real(B * rem_vals[i], 40), fmt_real(half_clear, 40))
+        )
+
+    # candidate numerator: nearest integer to B*b^M*phi unless overridden
+    scale = B * b**M
+    lo_s, hi_s = enc.lo * scale, enc.hi * scale
+    n_lo = (2 * lo_s.numerator + lo_s.denominator) // (2 * lo_s.denominator)
+    n_hi = (2 * hi_s.numerator + hi_s.denominator) // (2 * hi_s.denominator)
+    if n_lo != n_hi:
+        raise PrecisionInsufficient("nearest integer undecided; raise the truncation")
+    nearest = n_lo
+    n_used = inst.candidate_n if inst.candidate_n is not None else nearest
+
+    # the cleared combination W_i: nonzero for some row, divisible by b^M
+    witness = None
+    w_vals = []
+    for i in (0, 1):
+        w = n_used * d2.value * b ** (n0 - n1 + 1) * int(ui[i]) - B * b**M * int(vi[i])
+        w_vals.append(w)
+        if w != 0 and witness is None:
+            witness = i
+    checks.append(entry("cleared_combination_nonzero", True, witness is not None, full_digits(w_vals[0]), full_digits(w_vals[1])))
+    if witness is not None and n0 - n1 + 1 >= M:
+        checks.append(
+            entry("cleared_combination_divisible", True, w_vals[witness] % b**M == 0, f"i={witness}", f"b^{M}")
+        )
+
+    # scaled distance bound at the witness row:
+    # |Q_i(beta)| * |n - B b^M phi| >= b^M / (2 D1 D2 b^(n0+1))
+    if witness is not None:
+        qv = abs(q_at[witness])
+        dist_abs_lo = max(Fraction(0), n_used - hi_s, lo_s - n_used)
+        lhs_lower = qv * dist_abs_lo
+        rhs24 = Fraction(b**M, 2 * d1.value * d2.value * b ** (n0 + 1))
+        checks.append(entry("scaled_distance_bound", True, lhs_lower >= rhs24, fmt_real(lhs_lower, 30), fmt_real(rhs24, 30)))
+
+    # the final lower bound, decided against the enclosure
+    target = Fraction(n_used, scale)
+    dist_lo = max(Fraction(0), enc.lo - target, target - enc.hi)
+    final_ok = dist_lo >= rhs_iv.hi
+    checks.append(
+        entry(
+            "final_lower_bound",
+            True,
+            final_ok,
+            fmt_real(dist_lo, 40),
+            fmt_real(rhs_iv.hi, 40),
+        )
+    )
+
+    failed = [c.name for c in checks if c.failed]
+    verdict = "all checks passed" if not failed else f"FAILED: {', '.join(failed)}"
+    return {
+        "constants": {
+            "a1": tagged_bound(rc.a1.hi, 12, "upper", prec),
+            "a1_variant": rc.a1_variant,
+            "a2": tagged_bound(rc.a2.hi, 12, "upper", prec),
+            "x": tagged_bound(inst.x.lo, 10, "lower", prec),
+            "h": inst.h,
+            "n0": n0,
+            "n1": n1,
+            "M": M,
+            "M0": tagged_bound(inst.m0.hi, 10, "upper", prec),
+            "D1": full_digits(d1.value),
+            "D2": full_digits(d2.value),
+            "E1": tagged_bound(e1.hi, 8, "upper", prec),
+            "candidate_n_digits": digits10(n_used),
+            "nearest_n_used": inst.candidate_n is None,
+            "series_terms": terms_used,
+        },
+        "checks": checks,
+        "final_verdict": verdict,
+    }, nearest
+
+
+AUDIT_PARAMS = {"unit": (F(1), F(1)), "int2": (F(2), F(1)), "half": (F(1), F(1, 2))}
+# theta = 1/10 is below every certified mode: the coefficient envelope and the
+# remainder checks then fail for some instances
+AUDIT_MODES = {"sharp": ThetaMode.sharp(), "thin": ThetaMode.custom(F(1, 10), 2)}
+
+
+@functools.lru_cache(maxsize=None)
+def smallest_b(key: str, a: int, mode: str) -> int:
+    return smallest_admissible_b(derive_params(list(AUDIT_PARAMS[key])), a, AUDIT_MODES[mode], F(2))
+
+
+def outcome(audit, inst):
+    try:
+        return audit(inst)
+    except CertificationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from(sorted(AUDIT_PARAMS)),
+    mode=st.sampled_from(sorted(AUDIT_MODES)),
+    a=st.sampled_from([1, -1, 3, -3]),
+    offset=st.integers(0, 40),
+    Bt=st.sampled_from([(1, F(0)), (7, F(1, 2))]),
+    extra_M=st.integers(0, 15),
+    shift=st.one_of(st.none(), st.integers(-3, 3)),
+    a1_one=st.booleans(),
+)
+def test_audit_matches_fraction_reference(key, mode, a, offset, Bt, extra_M, shift, a1_one):
+    gp = derive_params(list(AUDIT_PARAMS[key]))
+    b = smallest_b(key, a, mode) + offset
+    b += math.gcd(a, b) != 1  # keeps a/b reduced: b + 1 is prime to 3 when b is not
+    B, t = Bt
+    assume(B**t.denominator <= b**t.numerator)  # B <= b^t fails for the small bases of theta = 1/10
+    inst = make_restricted_instance(gp, a=a, b=b, B=B, t=t, mode=AUDIT_MODES[mode], vartheta=F(2))
+    inst = make_restricted_instance(
+        gp, a=a, b=b, B=B, t=t, mode=AUDIT_MODES[mode], vartheta=F(2), M=inst.M + extra_M
+    )
+    if a1_one:
+        # a1 = 1 shrinks the envelope 1/(B b^M (a1^18 |a|^17)^M) below the
+        # true distance, so the final bound and the remainder checks can fail
+        inst = dataclasses.replace(inst, constants=dataclasses.replace(inst.constants, a1=Interval.point(F(1))))
+    if shift is not None:
+        # every integer n obeys the bound; a shifted candidate changes the
+        # distances and the cleared combinations
+        _, nearest = reference_audit_restricted(inst)
+        inst = dataclasses.replace(inst, candidate_n=nearest + shift)
+    expected = outcome(lambda i: reference_audit_restricted(i)[0], inst)
+    assert outcome(audit_restricted, inst) == expected
