@@ -24,7 +24,7 @@ from math import lcm
 from operator import mul
 
 from .arith import cleared, pochhammer, poly_eval
-from .errors import InvariantViolation, NonMonomialDeterminant, SingularSystem
+from .errors import IntegralityViolation, InvariantViolation, NonMonomialDeterminant, SingularSystem
 from .params import GParams
 from .report import full_digits
 
@@ -307,6 +307,37 @@ def verify_order(family: PadeFamily) -> dict[tuple[int, int], bool]:
 # ---------------------------------------------------------------------------
 
 
+def _bareiss_steps(M: list[list[int]], cols: range, pivot_rows: int, prev: int) -> tuple[int, int]:
+    """Fraction-free (Bareiss) steps over the columns `cols` of the integer
+    rows M, in place.
+
+    For column k, the first row r in k..pivot_rows-1 with M[r][k] != 0 is
+    swapped into row k.  In every row r below it, M[r][c] becomes
+    (M[k][k] M[r][c] - M[r][k] M[k][c]) / prev for c > k, where prev is the
+    previous pivot (the argument `prev` before the first step), and M[r][k]
+    becomes 0.  Returns the last pivot and the sign of the row permutation;
+    the pivot is 0 when some column has no nonzero pivot.
+    """
+    sign = 1
+    for k in cols:
+        piv = next((r for r in range(k, pivot_rows) if M[r][k] != 0), None)
+        if piv is None:
+            return 0, sign
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        pk = M[k]
+        a = pk[k]
+        for r in range(k + 1, len(M)):
+            row = M[r]
+            b = row[k]
+            for c in range(k + 1, len(row)):
+                row[c] = (a * row[c] - b * pk[c]) // prev
+            row[k] = 0
+        prev = a
+    return prev, sign
+
+
 def bareiss_eliminate(rows: list[list[int]]) -> tuple[list[list[int]], int]:
     """Fraction-free (Bareiss) forward elimination of an integer matrix with
     n rows and at least n columns; columns past the n-th (a right-hand side)
@@ -316,58 +347,96 @@ def bareiss_eliminate(rows: list[list[int]]) -> tuple[list[list[int]], int]:
     n x n block, which is 0 (with the rows only partly eliminated) when some
     column has no nonzero pivot.  Every division is exact.
     """
-    n = len(rows)
     M = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if M[r][k] != 0), None)
-        if piv is None:
-            return M, 0
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for r in range(k + 1, n):
-            for cidx in range(k + 1, len(M[r])):
-                M[r][cidx] = (M[k][k] * M[r][cidx] - M[r][k] * M[k][cidx]) // prev
-            M[r][k] = 0
-        prev = M[k][k]
-    return M, sign * prev
+    det, sign = _bareiss_steps(M, range(len(M)), len(M), 1)
+    return M, sign * det
+
+
+def _solve_sharing(
+    shared: list[list[int]], others: list[list[int]], systems: list[list[int]]
+) -> list[tuple[Fraction, ...]]:
+    """Exact solutions x of several square integer systems, one for each index
+    list in `systems`: the rows `shared`, then others[o] for each o in the
+    list.  A row holds the coefficients and then the right-hand side.
+
+    The shared rows are eliminated once, with pivots taken from them only,
+    and every other row is reduced against those pivots once.  By Sylvester's
+    identity an entry left after k fraction-free steps is a (k+1)-minor of the
+    k pivot rows and its own row, so a reduced row does not depend on the rows
+    reduced beside it.  Each system then finishes its last columns with its
+    own reduced rows, carrying on from the shared rows' last pivot.  If the
+    shared rows have no pivot in some column, every system is solved whole,
+    with an empty shared set.  A system whose own rows leave a column without
+    pivot is singular, since any nonzero pivot is a valid Bareiss choice.
+
+    Each solution is back-substituted as y = det * x in integers: by Cramer's
+    rule every y_r is an integer, so each division is exact.
+    """
+    s = len(shared)
+    M = [row[:] for row in shared + others]
+    prev, _ = _bareiss_steps(M, range(s), s, 1)
+    if prev == 0:
+        whole = [[*range(s), *(s + o for o in system)] for system in systems]
+        return _solve_sharing([], shared + others, whole)
+    out = []
+    for system in systems:
+        U = M[:s] + [M[s + o][:] for o in system]
+        n = len(U)
+        det, _ = _bareiss_steps(U, range(s, n), n, prev)
+        if det == 0:
+            raise SingularSystem("the order conditions do not determine the denominator")
+        y = [0] * n
+        for r in range(n - 1, -1, -1):
+            acc = det * U[r][n] - sum(map(mul, U[r][r + 1 : n], y[r + 1 :]))
+            y[r], rem = divmod(acc, U[r][r])
+            if rem:
+                raise InvariantViolation("back-substitution left a remainder: det * x is not integral")
+        out.append(tuple(Fraction(yr, det) for yr in y))
+    return out
+
+
+def _order_row(ratios: list[Fraction], mu: int, N: int) -> list[int]:
+    """The order-mu condition on Q * phi for the unknowns a_0..a_{N-1}, with
+    a_N = 1 moved to the right-hand side, cleared by the lcm of its
+    denominators (`ratios` holds phi's coefficients through order mu)."""
+    row = [ratios[mu - k] for k in range(N)] + [-ratios[mu - N]]
+    L = lcm(*(c.denominator for c in row))
+    return [c.numerator * (L // c.denominator) for c in row]
 
 
 def oracle_solve_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Denominator coefficients obtained by solving the order conditions
     directly: one homogeneous equation per forced-zero coefficient, with the
     leading coefficient pinned to 1.  Independent of the closed form.
-
-    Each row is cleared by the lcm of its denominators, and after the Bareiss
-    elimination y = det * x is back-substituted in integers: by Cramer's rule
-    every y_r is an integer, so each division is exact.
     """
-    m = gp.m
     N = sum(n_list)
     rows: list[list[int]] = []
-    for j in range(1, m + 1):
-        ratios = phi_coeffs(gp, j, N_list[j - 1] + n_list[j - 1])
-        for mu in range(N_list[j - 1] + 1, N_list[j - 1] + n_list[j - 1] + 1):
-            row = [ratios[mu - k] for k in range(N)] + [-ratios[mu - N]]  # a_0..a_{N-1} | rhs
-            L = lcm(*(c.denominator for c in row))
-            rows.append([c.numerator * (L // c.denominator) for c in row])
-    M, det = bareiss_eliminate(rows)
-    if det == 0:
-        raise SingularSystem("the order conditions do not determine the denominator")
-    n = len(M)
-    y = [0] * n
-    for r in range(n - 1, -1, -1):
-        acc = det * M[r][n] - sum(map(mul, M[r][r + 1 : n], y[r + 1 :]))
-        y[r], rem = divmod(acc, M[r][r])
-        if rem:
-            raise InvariantViolation("back-substitution left a remainder: det * x is not integral")
-    return tuple(Fraction(yr, det) for yr in y) + (Fraction(1),)
+    for j, (nj, Nj) in enumerate(zip(n_list, N_list), start=1):
+        ratios = phi_coeffs(gp, j, Nj + nj)
+        rows += [_order_row(ratios, mu, N) for mu in range(Nj + 1, Nj + nj + 1)]
+    return _solve_sharing([], rows, [list(range(len(rows)))])[0] + (Fraction(1),)
 
 
-def oracle_solve(gp: GParams, shape: ApproxShape, i: int) -> tuple[Fraction, ...]:
-    return oracle_solve_generic(gp, shape.n, shape.Nij_row(i))
+def oracle_solve(gp: GParams, shape: ApproxShape) -> tuple[tuple[Fraction, ...], ...]:
+    """Denominator coefficients of all m+1 rows, each solved from its order
+    conditions as in `oracle_solve_generic`, by one shared elimination.
+
+    Row i's conditions on series j are the orders N_ij+1..N_ij+n_j, and
+    N_ij = N_j + [i = j].  So the orders N_j+2..N_j+n_j of every series
+    (N - m equations) are common to all rows.  Row 0 adds order N_j+1 of
+    every series; row i takes order N_i+n_i+1 of series i in place of N_i+1.
+    """
+    N, m = shape.N, shape.m
+    shared: list[list[int]] = []
+    low: list[list[int]] = []
+    high: list[list[int]] = []
+    for j, (nj, Nj) in enumerate(zip(shape.n, shape.Nj), start=1):
+        ratios = phi_coeffs(gp, j, Nj + nj + 1)
+        shared += [_order_row(ratios, mu, N) for mu in range(Nj + 2, Nj + nj + 1)]
+        low.append(_order_row(ratios, Nj + 1, N))
+        high.append(_order_row(ratios, Nj + nj + 1, N))
+    systems = [[m + j if j == i - 1 else j for j in range(m)] for i in range(m + 1)]
+    return tuple(x + (Fraction(1),) for x in _solve_sharing(shared, low + high, systems))
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +485,9 @@ def family_tsv(family: PadeFamily, scale: int | None = None) -> str:
     """One coefficient per row: (i, poly, degree, numerator, denominator).
 
     `poly` is "Q" for the common denominator and the series index otherwise.
-    With `scale` given, coefficients are multiplied by it first (they must
-    then be integers, i.e. `scale` must clear all denominators).
+    With `scale` given, coefficients are multiplied by it first; they must
+    then be integers, and a `scale` that leaves one non-integral raises
+    `IntegralityViolation`.
     """
     lines = ["i\tpoly\tdegree\tnumerator\tdenominator"]
 
@@ -425,7 +495,7 @@ def family_tsv(family: PadeFamily, scale: int | None = None) -> str:
         for deg, cf in enumerate(coeffs):
             val = cf * scale if scale is not None else cf
             if scale is not None and val.denominator != 1:
-                raise ValueError(f"scale {scale} does not clear coefficient {cf}")
+                raise IntegralityViolation(f"scale {scale} does not clear coefficient {cf}")
             lines.append(f"{i}\t{label}\t{deg}\t{full_digits(val.numerator)}\t{full_digits(val.denominator)}")
 
     for i in range(family.gp.m + 1):

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from gpade.arith import digits10
+from gpade.arith import FactoredInteger, digits10
 from gpade.cli import _MR_LIMIT, _build_parser, _prime, emit_report, main
+from gpade.denom import make_cert
 from gpade.report import abbrev, int_str
 
 HALF = "m = 1\nalpha0 = 1\nalpha1 = 1/2\n"
@@ -213,6 +215,29 @@ def test_restricted_large_M(params_file, capsys):
     assert data["constants"]["M"] == 200
     assert data["final_verdict"] == "all checks passed"
 
+
+def test_verify_large_N(capsys):
+    # large-size smoke test: m = 3, N = 48
+    path = str(Path(__file__).parent / "golden" / "params" / "quad.params")
+    code, out, _ = run(capsys, ["verify", "--params", path, "--n", "16,16,16", "--n0", "16"])
+    assert code == 0
+    assert "verdict\tPASS" in out
+
+
+def test_scaled_construct_with_d_that_does_not_clear(params_file, capsys, monkeypatch):
+    # D = 12600 = 2^3 3^2 5^2 7 here, and D / 5 leaves a coefficient 4/75 non-integral
+    import gpade.cli as cli_mod
+
+    def short_cert(*args, **kwargs):
+        cert = make_cert(*args, **kwargs)
+        return replace(cert, d=FactoredInteger.of(cert.d.value // 5))
+
+    monkeypatch.setattr(cli_mod, "make_cert", short_cert)
+    path = params_file(HALF)
+    code, out, err = run(capsys, ["construct", "--params", path, "--n", "1", "--n0", "1", "--scaled"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("check failed: scale 2520 does not clear")
 
 def test_theta_mode_checked_by_every_subcommand(params_file, capsys):
     path = params_file(HALF)

@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from gpade.arith import pochhammer
 
-from gpade.errors import NonMonomialDeterminant
+from gpade.errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
 from gpade.pade import (
+    _solve_sharing,
     ApproxShape,
     build_family,
     build_p,
@@ -97,8 +98,9 @@ def test_perturbation_breaks_order(half):
 
 def test_oracle_matches_closed_form(half):
     gp, shape, fam = half
-    assert oracle_solve(gp, shape, 0) == fam.q[0]
-    assert oracle_solve(gp, shape, 1) == fam.q[1]
+    solved = oracle_solve(gp, shape)
+    assert solved[0] == fam.q[0]
+    assert solved[1] == fam.q[1]
 
 
 def test_generic_degrees_agree_with_oracle():
@@ -168,6 +170,80 @@ def test_closed_form_matches_termwise_reference(instance):
     gp = derive_params(alphas)
     N_list = tuple(sum(n) - 1 + s for s in slack)
     assert build_q_generic(gp, n, N_list) == reference_build_q_generic(gp, n, N_list)
+
+
+def reference_oracle_solve_generic(gp, n_list, N_list):
+    """One row's order conditions solved on their own: the rows cleared by
+    their lcm, a whole Bareiss elimination, y = det * x back-substituted."""
+    N = sum(n_list)
+    M = []
+    for j in range(1, gp.m + 1):
+        ratios = phi_coeffs(gp, j, N_list[j - 1] + n_list[j - 1])
+        for mu in range(N_list[j - 1] + 1, N_list[j - 1] + n_list[j - 1] + 1):
+            row = [ratios[mu - k] for k in range(N)] + [-ratios[mu - N]]
+            L = lcm(*(c.denominator for c in row))
+            M.append([c.numerator * (L // c.denominator) for c in row])
+    prev = 1
+    for k in range(N):
+        piv = next(r for r in range(k, N) if M[r][k] != 0)
+        M[k], M[piv] = M[piv], M[k]
+        for r in range(k + 1, N):
+            for c in range(k + 1, N + 1):
+                M[r][c] = (M[k][k] * M[r][c] - M[r][k] * M[k][c]) // prev
+            M[r][k] = 0
+        prev = M[k][k]
+    y = [0] * N
+    for r in range(N - 1, -1, -1):
+        y[r] = (prev * M[r][N] - sum(M[r][c] * y[c] for c in range(r + 1, N))) // M[r][r]
+    return tuple(F(yr, prev) for yr in y) + (F(1),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=closed_form_instances(), extra=st.integers(0, 2))
+@example(instance=([F(1), F(1, 2), F(1, 3), F(1, 4)], (1, 1, 1), (0, 0, 0)), extra=0)  # no shared rows
+@example(instance=([F(1), F(1, 2)], (5,), (0,)), extra=2)
+def test_shared_oracle_matches_per_row_solve(instance, extra):
+    alphas, n, _ = instance
+    gp = derive_params(alphas)
+    shape = ApproxShape(n=n, n0=max(n) + extra)
+    rows = oracle_solve(gp, shape)
+    assert len(rows) == gp.m + 1
+    for i, q in enumerate(rows):
+        assert q == reference_oracle_solve_generic(gp, shape.n, shape.Nij_row(i))
+        assert q == build_q(gp, shape, i)
+
+
+def _satisfies(rows, x):
+    return all(sum(c * xk for c, xk in zip(row, x)) == row[-1] for row in rows)
+
+
+def test_shared_solve_needs_a_swap_in_the_tail():
+    shared = [[2, 1, 1, 3]]
+    # reduced against the shared pivot, the first row is 0 in column 1
+    others = [[4, 2, 5, 1], [0, 1, 1, 1]]
+    for system in ([0, 1], [1, 0]):
+        (x,) = _solve_sharing(shared, others, [system])
+        assert _satisfies(shared + [others[o] for o in system], x)
+
+
+def test_shared_solve_without_shared_pivot_solves_each_system_whole():
+    shared = [[0, 2, 1, 3], [0, 1, 4, 1]]  # no pivot in column 0
+    others = [[1, 0, 0, 1], [5, 1, 1, 2], [3, 0, 1, 1]]
+    systems = [[0], [1], [2]]
+    solved = _solve_sharing(shared, others, systems)
+    for system, x in zip(systems, solved):
+        assert _satisfies(shared + [others[o] for o in system], x)
+    assert solved[0] == (F(1), F(11, 7), F(-1, 7))
+
+
+def test_shared_solve_singular_tail():
+    shared = [[2, 1, 1, 3]]
+    others = [[4, 2, 5, 1], [0, 1, 1, 1], [0, 3, 3, 5]]  # the last two: proportional coefficients
+    assert len(_solve_sharing(shared, others, [[0, 1], [0, 2]])) == 2
+    with pytest.raises(SingularSystem):
+        _solve_sharing(shared, others, [[0, 1], [1, 2]])
+    with pytest.raises(SingularSystem):
+        _solve_sharing([], [[1, 2, 3], [2, 4, 5]], [[0, 1]])
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,8 +353,9 @@ def test_small_random_sweep():
     for gp, sh in make_configs(4242, 20, n_max=4, n0_max=5):
         fam = build_family(gp, sh)
         assert all(verify_order(fam).values())
+        solved = oracle_solve(gp, sh)
         for i in range(gp.m + 1):
-            assert oracle_solve(gp, sh, i) == fam.q[i]
+            assert solved[i] == fam.q[i]
             assert fam.q[i][-1] == 1  # normalized leading coefficient
         e, om = family_det(fam)
         assert e == sh.N + sum(sh.Nj) + gp.m and om != 0
@@ -293,7 +370,7 @@ def test_family_tsv(half):
     assert "1\t1\t2\t4\t75" in lines
     scaled = family_tsv(fam, scale=12600)
     assert "1\t1\t2\t672\t1" in scaled.split("\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(IntegralityViolation):
         family_tsv(fam, scale=2)
 
 
