@@ -30,6 +30,7 @@ from .denom import (
 from .errors import (
     CertificationError,
     DomainViolation,
+    FactorizationLimit,
     HypothesisFailure,
     IntegerDifference,
     IntegralityViolation,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from .errors import InvariantViolation
+from .errors import FactorizationLimit, InvariantViolation
 
 __all__ = [
     "Fraction",
@@ -22,6 +22,8 @@ __all__ = [
     "Interval",
     "LogUpperBound",
     "primes_upto",
+    "MR_LIMIT",
+    "is_prime",
     "factorize",
     "prime_divisors",
     "pochhammer",
@@ -83,13 +85,34 @@ def primes_upto(n: int) -> list[int]:
     return _primes[:lo]
 
 
+# Miller-Rabin over the first 13 primes decides primality exactly below this
+# bound, the least odd composite that is a strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+_TRIAL_LIMIT = 10**7  # factorize divides out the primes up to this bound, at most
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is certified prime: exact below MR_LIMIT, never above."""
+    if n >= MR_LIMIT or n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s)) for a in _MR_BASES)
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, e), ...), primes ascending."""
+    """Prime factorization of n >= 1 as ((p, e), ...), primes ascending.
+
+    Trial division by the primes up to min(sqrt n, 10^7) stops once the part
+    left is 1 or certified prime by `is_prime`; a part left above 10^14 that
+    is not certified prime raises `FactorizationLimit`.
+    """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out = []
     m = n
-    for p in primes_upto(isqrt(n) + 1):
+    for p in [] if is_prime(n) else primes_upto(min(isqrt(n), _TRIAL_LIMIT)):
         if p * p > m:
             break
         if m % p == 0:
@@ -98,6 +121,10 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 e += 1
                 m //= p
             out.append((p, e))
+            if is_prime(m):
+                break
+    if m > _TRIAL_LIMIT**2 and not is_prime(m):
+        raise FactorizationLimit(f"cannot factor {m}: no prime factor up to {_TRIAL_LIMIT}, and not certified prime")
     if m > 1:
         out.append((m, 1))
     return tuple(out)

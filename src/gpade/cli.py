@@ -22,6 +22,7 @@ import functools
 import sys
 from fractions import Fraction
 
+from .arith import MR_LIMIT, is_prime
 from .denom import (
     ThetaMode,
     bound_constants,
@@ -38,7 +39,7 @@ from .errors import (
     NonMonomialDeterminant,
     SingularSystem,
 )
-from .pade import ApproxShape, build_family, family_det, family_tsv, oracle_solve, verify_order
+from .pade import ApproxShape, build_family, family_det, family_rows, family_tsv, oracle_solve, verify_order
 from .padic import (
     LinearFormInstance,
     audit_linear_form,
@@ -89,28 +90,14 @@ def _precision(text: str) -> int:
     return bits
 
 
-# Miller-Rabin over the first 13 primes decides primality exactly below this
-# bound, the least odd composite that is a strong pseudoprime to all of them.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2 or any(n % q == 0 for q in _MR_BASES):
-        return n in _MR_BASES
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
-    d = (n - 1) >> s
-    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s)) for a in _MR_BASES)
-
-
 def _prime(text: str) -> int:
     try:
         p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if p >= _MR_LIMIT:
-        raise argparse.ArgumentTypeError(f"primality is decided only below {_MR_LIMIT}, got {p}")
-    if not _is_prime(p):
+    if p >= MR_LIMIT:
+        raise argparse.ArgumentTypeError(f"primality is decided only below {MR_LIMIT}, got {p}")
+    if not is_prime(p):
         raise argparse.ArgumentTypeError(f"not a prime: {p}")
     return p
 
@@ -142,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", parents=[common], help="dump the approximant family")
     p.add_argument("--n", type=_int_list, required=True, metavar="a,b,c")
     p.add_argument("--n0", type=int, required=True, metavar="K")
-    p.add_argument("--truncation", type=int, default=None, metavar="T")
     p.add_argument("--scaled", action="store_true", help="emit coefficients cleared by D")
 
     p = sub.add_parser("verify", parents=[common], help="order, oracle and determinant checks")
@@ -187,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_construct(args, gp):
     shape = ApproxShape(n=args.n, n0=args.n0)
-    family = build_family(gp, shape, T=args.truncation)
+    family = build_family(gp, shape)
     scale = None
     note = {}
     if args.scaled:
@@ -197,11 +183,7 @@ def _cmd_construct(args, gp):
     if args.format == "tsv":
         header = "".join(f"# {k} = {v}\n" for k, v in note.items())
         return 0, header + family_tsv(family, scale)
-    rows = []
-    for line in family_tsv(family, scale).splitlines()[1:]:
-        i, poly, deg, num, den = line.split("\t")
-        rows.append({"i": int(i), "poly": poly, "degree": int(deg), "numerator": num, "denominator": den})
-    return 0, emit_report({"coefficients": rows, **note}, "json", args.exact)
+    return 0, emit_report({"coefficients": list(family_rows(family, scale)), **note}, "json", args.exact)
 
 
 def _cmd_verify(args, gp):

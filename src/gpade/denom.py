@@ -415,8 +415,9 @@ def remainder_padic_bound(
 def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fraction, p: int) -> list[Check]:
     """Check the truncated cleared remainders against the p-adic bounds.
 
-    For every (i, j): the exact p-adic absolute value of the truncated
-    D * (Q_i*phi_j - P_ij)(beta), and of each of its terms, must respect the
+    For every (i, j): the exact p-adic absolute value of
+    D * (Q_i*phi_j - P_ij)(beta), truncated after the order
+    `ApproxShape.remainder_truncation`, and of each of its terms, must respect the
     first bound; and the second bound when its threshold is met.
     """
     gp, shape = family.gp, family.shape
@@ -428,7 +429,7 @@ def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fract
             start = shape.Nij(i, j) + shape.n[j - 1] + 1
             terms = [
                 d * cf * beta**mu
-                for mu, cf in enumerate(family.remainder_coeffs(i, j), start=start)
+                for mu, cf in enumerate(family.remainder_coeffs(i, j, shape.remainder_truncation), start=start)
             ]
             total = sum(terms, Fraction(0))
             vals = [Fraction(1, p**p_valuation(t, p)) if t != 0 else Fraction(0) for t in terms]

@@ -45,3 +45,7 @@ class HypothesisFailure(CertificationError):
 
 class PrecisionInsufficient(CertificationError):
     """The working precision cannot decide a comparison; raise it."""
+
+
+class FactorizationLimit(CertificationError):
+    """An integer has a part that trial division and Miller-Rabin cannot factor."""

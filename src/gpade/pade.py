@@ -18,6 +18,7 @@ route from the series coefficients into the Bareiss elimination.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -45,6 +46,7 @@ __all__ = [
     "oracle_solve_generic",
     "bareiss_eliminate",
     "family_det",
+    "family_rows",
     "family_tsv",
 ]
 
@@ -93,6 +95,12 @@ class ApproxShape:
 
     def Nij_row(self, i: int) -> tuple[int, ...]:
         return tuple(self.Nij(i, j) for j in range(1, self.m + 1))
+
+    @property
+    def remainder_truncation(self) -> int:
+        """Ntilde + max n_j + 2: the order at which the p-adic remainder
+        readers first truncate, past every row's first remainder order."""
+        return self.Ntilde + max(self.n) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -249,47 +257,36 @@ def build_p(gp: GParams, shape: ApproxShape, q: tuple[Fraction, ...], i: int, j:
 class PadeFamily:
     gp: GParams
     shape: ApproxShape
-    T: int
     q: tuple[tuple[Fraction, ...], ...]  # (m+1) rows of denominator coeffs
-    c: tuple[tuple[tuple[Fraction, ...], ...], ...]  # c[i][j-1] = Q_i*phi_j to T
+    c: tuple[tuple[tuple[Fraction, ...], ...], ...]  # c[i][j-1] = Q_i*phi_j to N_ij + n_j
 
     def p_coeffs(self, i: int, j: int) -> tuple[Fraction, ...]:
         return self.c[i][j - 1][: self.shape.Nij(i, j) + 1]
 
     def forced_zero_coeffs(self, i: int, j: int) -> tuple[Fraction, ...]:
-        lo = self.shape.Nij(i, j) + 1
-        return self.c[i][j - 1][lo : lo + self.shape.n[j - 1]]
+        return self.c[i][j - 1][self.shape.Nij(i, j) + 1 :]
 
-    def remainder_coeffs(self, i: int, j: int) -> tuple[Fraction, ...]:
+    def remainder_coeffs(self, i: int, j: int, T: int) -> tuple[Fraction, ...]:
         """Series coefficients of Q_i*phi_j - P_ij from the first possibly
-        nonzero order up to the truncation T (order offset Nij+n_j+1)."""
-        return self.c[i][j - 1][self.shape.Nij(i, j) + self.shape.n[j - 1] + 1 :]
+        nonzero order N_ij + n_j + 1 up to T, computed on demand."""
+        return series_product_coeffs(self.gp, self.q[i], j, T)[self.shape.Nij(i, j) + self.shape.n[j - 1] + 1 :]
 
     def p_leading(self, i: int) -> Fraction:
         """Leading coefficient of P_ii (order N_i + 1); nonzero by theory."""
         return self.c[i][i - 1][self.shape.Nij(i, i)]
 
 
-def build_family(gp: GParams, shape: ApproxShape, T: int | None = None) -> PadeFamily:
-    """Construct all m+1 rows with product series computed through order T.
-
-    The default truncation T = Ntilde + max(n_j) + 2 is the smallest order
-    exposing both the forced zero window and the first nonzero remainder
-    coefficient for every row.
-    """
+def build_family(gp: GParams, shape: ApproxShape) -> PadeFamily:
+    """Construct all m+1 rows, each product series Q_i*phi_j through its
+    order window N_ij + n_j: the numerator P_ij and the forced zeros."""
     if gp.m != shape.m:
         raise ValueError("shape and parameters disagree on m")
-    if T is None:
-        T = shape.Ntilde + max(shape.n) + 2
-    min_T = max(shape.Nij(i, j) + shape.n[j - 1] + 1 for i in range(gp.m + 1) for j in range(1, gp.m + 1))
-    if T < min_T:
-        raise ValueError(f"truncation T={T} below first remainder order {min_T}")
     qrows = tuple(build_q(gp, shape, i) for i in range(gp.m + 1))
     ctab = tuple(
-        tuple(series_product_coeffs(gp, qrows[i], j, T) for j in range(1, gp.m + 1))
+        tuple(series_product_coeffs(gp, qrows[i], j, shape.Nij(i, j) + shape.n[j - 1]) for j in range(1, gp.m + 1))
         for i in range(gp.m + 1)
     )
-    return PadeFamily(gp=gp, shape=shape, T=T, q=qrows, c=ctab)
+    return PadeFamily(gp=gp, shape=shape, q=qrows, c=ctab)
 
 
 def verify_order(family: PadeFamily) -> dict[tuple[int, int], bool]:
@@ -481,25 +478,27 @@ def family_det(family: PadeFamily) -> tuple[int, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def family_tsv(family: PadeFamily, scale: int | None = None) -> str:
-    """One coefficient per row: (i, poly, degree, numerator, denominator).
+def family_rows(family: PadeFamily, scale: int | None = None) -> Iterator[dict]:
+    """One dict per coefficient: i, poly, degree, numerator, denominator.
 
-    `poly` is "Q" for the common denominator and the series index otherwise.
-    With `scale` given, coefficients are multiplied by it first; they must
-    then be integers, and a `scale` that leaves one non-integral raises
-    `IntegralityViolation`.
+    `poly` is "Q" for the common denominator and the series index otherwise;
+    numerator and denominator are digit strings.  With `scale` given,
+    coefficients are multiplied by it first; they must then be integers, and
+    a `scale` that leaves one non-integral raises `IntegralityViolation`.
     """
-    lines = ["i\tpoly\tdegree\tnumerator\tdenominator"]
-
-    def emit(i: int, label: str, coeffs):
-        for deg, cf in enumerate(coeffs):
-            val = cf * scale if scale is not None else cf
-            if scale is not None and val.denominator != 1:
-                raise IntegralityViolation(f"scale {scale} does not clear coefficient {cf}")
-            lines.append(f"{i}\t{label}\t{deg}\t{full_digits(val.numerator)}\t{full_digits(val.denominator)}")
-
     for i in range(family.gp.m + 1):
-        emit(i, "Q", family.q[i])
-        for j in range(1, family.gp.m + 1):
-            emit(i, str(j), family.p_coeffs(i, j))
+        polys = [("Q", family.q[i])] + [(str(j), family.p_coeffs(i, j)) for j in range(1, family.gp.m + 1)]
+        for label, coeffs in polys:
+            for deg, cf in enumerate(coeffs):
+                val = cf * scale if scale is not None else cf
+                if scale is not None and val.denominator != 1:
+                    raise IntegralityViolation(f"scale {scale} does not clear coefficient {cf}")
+                num, den = full_digits(val.numerator), full_digits(val.denominator)
+                yield {"i": i, "poly": label, "degree": deg, "numerator": num, "denominator": den}
+
+
+def family_tsv(family: PadeFamily, scale: int | None = None) -> str:
+    """The rows of `family_rows` as TSV under a header line."""
+    lines = ["i\tpoly\tdegree\tnumerator\tdenominator"]
+    lines += ["\t".join(map(str, row.values())) for row in family_rows(family, scale)]
     return "\n".join(lines) + "\n"

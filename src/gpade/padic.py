@@ -22,9 +22,9 @@ from .arith import (
     p_valuation,
     prime_divisors,
 )
-from .denom import DenominatorCert, ThetaMode, bound_constants, make_cert, ntilde1_interval, scaled_integers
+from .denom import ThetaMode, bound_constants, make_cert, ntilde1_interval, scaled_integers
 from .errors import DomainViolation, InvariantViolation
-from .pade import ApproxShape, PadeFamily, build_family, phi_partial_sum, series_product_coeffs
+from .pade import ApproxShape, build_family, phi_partial_sum
 from .params import GParams, padic_domain_check
 from .report import dec_iv, full_digits, rational
 
@@ -66,21 +66,19 @@ class PAdicEnclosure:
         return self.k >= 1 and self.unit_residue % self.p != 0
 
 
-def _series_tail_start(gp: GParams, p: int, q: Fraction, target: int) -> int:
-    """Smallest T >= 3 such that every term of index > T certifiably has
-    valuation >= target.
-
-    Uses the per-term floor n*q - log_p(U + V*n), which is increasing in n
-    for n >= 3 once q >= 1/2 (guaranteed by the convergence condition).
-    """
+def _tail_rate(gp: GParams, p: int, beta: Fraction, delta_p: int) -> Fraction:
+    """The rate q at which the valuations of the series terms at beta grow;
+    the convergence domain guarantees q >= 1/2."""
+    q = p_valuation(beta, p) - p_valuation(Fraction(gp.dtilde), p) - Fraction(delta_p, p - 1)
     if q < Fraction(1, 2):
         raise DomainViolation("term valuations do not grow fast enough (q < 1/2)")
-    T = 3
-    while True:
-        n = T + 1
-        if n * q - (floor_log(p, Fraction(gp.U + gp.V * n)) + 1) >= target:
-            return T
-        T += 1
+    return q
+
+
+def _tail_floor(gp: GParams, p: int, q: Fraction, n: int) -> Fraction:
+    """A floor for the valuation of every series term of index >= n, for
+    n >= 3 and q >= 1/2, where it increases in n."""
+    return n * q - (floor_log(p, Fraction(gp.U + gp.V * n)) + 1)
 
 
 def _enclose(p: int, value: Fraction, tail_exponent: int) -> PAdicEnclosure:
@@ -111,11 +109,12 @@ def eval_phi_padic(gp: GParams, j: int, beta: Fraction, p: int, k: int) -> PAdic
     chk = padic_domain_check(gp, p, beta)
     if not chk.ok:
         raise DomainViolation(f"|{beta}|_{p} outside the convergence domain")
-    w = p_valuation(beta, p) - p_valuation(Fraction(gp.dtilde), p)
-    q = w - Fraction(chk.delta_p, p - 1)
+    q = _tail_rate(gp, p, beta, chk.delta_p)
     target = k
     for _ in range(2):
-        T = _series_tail_start(gp, p, q, target)
+        T = 3  # the least T >= 3 past which every term has valuation >= target
+        while _tail_floor(gp, p, q, T + 1) < target:
+            T += 1
         enc = _enclose(p, phi_partial_sum(gp, j, beta, T), target)
         if enc.below_precision or enc.k >= k:
             return enc
@@ -248,21 +247,7 @@ def select_block_degrees(inst: LinearFormInstance, a: int) -> BlockDegreeSelecti
 # ---------------------------------------------------------------------------
 
 
-def _scaled_remainder_partial(
-    family: PadeFamily, cert: DenominatorCert, beta: Fraction, i: int, j: int, T: int
-) -> Fraction:
-    """Sum of D * b^Ntilde * c_ij_mu * beta^mu over the remainder window
-    ord..T, exactly.  Extends the family's series if T exceeds its cache."""
-    shape = family.shape
-    start = shape.Nij(i, j) + shape.n[j - 1] + 1
-    coeffs = family.c[i][j - 1]
-    if T > family.T:
-        coeffs = series_product_coeffs(family.gp, family.q[i], j, T)
-    scale = Fraction(cert.d.value) * Fraction(beta.denominator) ** shape.Ntilde
-    acc = Fraction(0)
-    for mu in range(start, T + 1):
-        acc += coeffs[mu] * beta**mu
-    return acc * scale
+_EVAL_DIGITS = 48  # p-adic digits certified for the series values in the audit's linear form
 
 
 def audit_linear_form(
@@ -272,7 +257,6 @@ def audit_linear_form(
     inst: LinearFormInstance,
     mode: ThetaMode | None = None,
     prec: int = 128,
-    eval_digits: int = 48,
 ) -> dict:
     """Audit the full p-adic lower-bound chain at a concrete instance.
 
@@ -376,21 +360,21 @@ def audit_linear_form(
     report["witness"] = {"index": wi, "lambda": full_digits(lambdas[wi]), "lambda_valuation": v_lambda}
 
     # remainder side: grow the truncation until the comparison is decided
-    w = p_valuation(beta, p) - p_valuation(Fraction(gp.dtilde), p)
-    q_rate = w - Fraction(chk.delta_p, p - 1)
-    if q_rate < Fraction(1, 2):
-        # cannot happen once the smallness condition holds; guards the tail bound
-        raise DomainViolation("remainder terms do not gain valuation fast enough")
+    q_rate = _tail_rate(gp, p, beta, chk.delta_p)
+    scale = cert.d.value * Fraction(b) ** shape.Ntilde
     dominance = None
     rem_desc = None
-    T = family.T
+    T = shape.remainder_truncation
     for _ in range(16):
-        tail_exp = (T + 1) * q_rate - (floor_log(p, Fraction(gp.U + gp.V * (T + 1))) + 1)
+        tail_exp = _tail_floor(gp, p, q_rate, T + 1)
+        # D * b^Ntilde * sum_j ell_j (Q_wi*phi_j - P_wi,j)(beta), truncated at T
         partial = Fraction(0)
         for j in range(1, m + 1):
             if inst.ell[j] == 0:
                 continue
-            partial += inst.ell[j] * _scaled_remainder_partial(family, cert, beta, wi, j, T)
+            rem = family.remainder_coeffs(wi, j, T)
+            start = shape.Nij(wi, j) + shape.n[j - 1] + 1
+            partial += inst.ell[j] * scale * sum(cf * beta**mu for mu, cf in enumerate(rem, start=start))
         if partial != 0 and Fraction(p_valuation(partial, p)) < tail_exp:
             v_rem = p_valuation(partial, p)
             dominance = v_lambda < v_rem
@@ -419,7 +403,7 @@ def audit_linear_form(
     }
 
     # the series-side value of the form, via enclosures
-    encs = eval_all_phi(gp, beta, p, eval_digits)
+    encs = eval_all_phi(gp, beta, p, _EVAL_DIGITS)
     lf = linear_form_valuation(encs, inst.ell)
     report["linear_form"] = {
         "exact": lf.exact,

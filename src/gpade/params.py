@@ -54,9 +54,6 @@ class GParams:
     def r0(self) -> int:
         return self.r[0]
 
-    def alpha0(self) -> Fraction:
-        return self.alpha[0]
-
 
 def derive_params(alphas: Sequence[Fraction]) -> GParams:
     """Validate the parameter list and derive every integer the toolkit uses.

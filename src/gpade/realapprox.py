@@ -79,7 +79,10 @@ def _phi_real_ends(gp: GParams, z: Fraction, T: int) -> tuple[int, int, int]:
     return acc - tail, acc, den
 
 
-def c_of_vartheta(vartheta: Fraction, scan_limit: int = 200000) -> int:
+_SCAN_LIMIT = 200000  # the largest n that c_of_vartheta scans for the crossover
+
+
+def c_of_vartheta(vartheta: Fraction) -> int:
     """Smallest n* with (n+1)^2 <= vartheta^n for every n >= n*.
 
     Found by scanning for the crossover and certified by the ratio test:
@@ -91,7 +94,7 @@ def c_of_vartheta(vartheta: Fraction, scan_limit: int = 200000) -> int:
         raise ValueError("need vartheta > 1")
     power = Fraction(1)
     n = 0
-    while n <= scan_limit:
+    while n <= _SCAN_LIMIT:
         if (n + 1) ** 2 <= power and (n + 2) ** 2 < (n + 1) ** 2 * vartheta:
             return n
         power *= vartheta

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpade.arith import (
+    MR_LIMIT,
     FactoredInteger,
     Interval,
     cleared_eval,
@@ -22,6 +23,7 @@ from gpade.arith import (
     floor_log,
     floor_log10_ratio,
     integer_nth_root,
+    is_prime,
     legendre_nu,
     log_interval,
     log_iv,
@@ -32,7 +34,7 @@ from gpade.arith import (
     _atanh_series,
     _exp_core,
 )
-from gpade.errors import CertificationError, InvariantViolation
+from gpade.errors import CertificationError, FactorizationLimit, InvariantViolation
 from gpade.report import fmt_ratio, fmt_real
 
 LOG2_LO = F("0.6931471805599453094172321214581")
@@ -128,6 +130,18 @@ def test_primes_and_factorize():
     assert factorize(12600) == ((2, 3), (3, 2), (5, 2), (7, 1))
     assert factorize(1) == ()
     assert factorize(97) == ((97, 1),)
+
+
+def test_factorize_beyond_the_trial_limit():
+    P = 10**16 + 61  # prime, certified by Miller-Rabin
+    assert factorize(P) == ((P, 1),)
+    assert factorize(2 * 3**5 * P) == ((2, 1), (3, 5), (P, 1))
+    assert factorize(9999991 * P) == ((9999991, 1), (P, 1))  # the largest prime below 10^7
+    q = 10000019  # the least prime above 10^7: trial division does not reach it
+    with pytest.raises(FactorizationLimit, match="cannot factor"):
+        factorize(q * q)
+    # prime, but Miller-Rabin over 13 bases certifies nothing above MR_LIMIT
+    assert 2**127 - 1 > MR_LIMIT and not is_prime(2**127 - 1)
 
 
 def test_factored_integer():

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from gpade.arith import FactoredInteger, digits10
-from gpade.cli import _MR_LIMIT, _build_parser, _prime, emit_report, main
+from gpade.arith import MR_LIMIT, FactoredInteger, digits10
+from gpade.cli import _build_parser, _prime, emit_report, main
 from gpade.denom import make_cert
 from gpade.report import abbrev, int_str
 
@@ -170,6 +170,30 @@ def test_restricted_with_explicit_flags(params_file, capsys):
     assert final["passed"] is True
 
 
+def test_global_large_prime_point(params_file, capsys):
+    # 10^16 + 61 is prime: certified by Miller-Rabin without sieving to its root
+    path = params_file(ONE)
+    code, out, err = run(capsys, ["global", "--params", path, "--a", "10000000000000061", "--ell", "0,1"])
+    assert code == 0 and err == ""
+    assert "probe.per_prime.0.p\t10000000000000061" in out
+    assert "probe.certified_nonzero_at.0\t10000000000000061" in out
+
+
+def test_global_point_too_large_to_factor(params_file, capsys):
+    path = params_file(ONE)
+    a = str(10**50 + 151)
+    code, out, err = run(capsys, ["global", "--params", path, "--a", a, "--ell", "0,1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot factor") and err.count("\n") == 1
+
+
+def test_construct_has_no_truncation_option(params_file, capsys):
+    path = params_file(HALF)
+    code, out, err = run(capsys, ["construct", "--params", path, "--n", "1", "--n0", "1", "--truncation", "9"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --truncation" in err
+
+
 def test_global_rejects_point_before_constant(params_file, capsys, monkeypatch):
     import gpade.cli as cli_mod
 
@@ -274,7 +298,7 @@ def test_p_must_be_prime(params_file, capsys):
 def test_prime_type_is_exact_below_its_limit():
     assert _prime("2") == 2 and _prime(str(2**61 - 1)) == 2**61 - 1
     # composite, yet a strong pseudoprime to the first 12 prime bases
-    for text in ("318665857834031151167461", "-7", str(2**61 + 1), str(_MR_LIMIT), "x"):
+    for text in ("318665857834031151167461", "-7", str(2**61 + 1), str(MR_LIMIT), "x"):
         with pytest.raises(argparse.ArgumentTypeError):
             _prime(text)
 

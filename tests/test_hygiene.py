@@ -6,14 +6,20 @@
 - every name in a module's `__all__`, and every name the package re-exports,
   resolves;
 - every function the benchmark tracer wraps (`TRACED` in `bench/tracing.py`)
-  resolves, so `--trace 1` keeps reporting all of its spans.
+  resolves, so `--trace 1` keeps reporting all of its spans;
+- every `--option` of every subcommand appears in README's command-line
+  section.
 """
 
+import argparse
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
+
+from gpade.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gpade"
@@ -75,3 +81,18 @@ def test_traced_names_resolve():
     ]
     assert traced
     assert missing == []
+
+
+def test_cli_options_documented():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        opt
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert options
+    assert sorted(opt for opt in options if not re.search(re.escape(opt) + r"(?![\w-])", section)) == []

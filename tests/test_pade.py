@@ -80,7 +80,7 @@ def test_hand_instance_numerators(half):
 def test_hand_instance_remainder(half):
     gp, shape, fam = half
     assert fam.forced_zero_coeffs(0, 1) == (F(0),)
-    assert fam.remainder_coeffs(0, 1)[0] == F(-4, 105)
+    assert fam.remainder_coeffs(0, 1, shape.remainder_truncation)[0] == F(-4, 105)
     assert verify_order(fam) == {(0, 1): True, (1, 1): True}
 
 
@@ -90,7 +90,7 @@ def test_perturbation_breaks_order(half):
         for k in range(shape.N + 1):
             qq = list(fam.q[i])
             qq[k] += 1
-            coeffs = series_product_coeffs(gp, tuple(qq), 1, fam.T)
+            coeffs = series_product_coeffs(gp, tuple(qq), 1, shape.remainder_truncation)
             lo = shape.Nij(i, 1) + 1
             window = coeffs[lo : lo + shape.n[0]]
             assert any(c != 0 for c in window)
@@ -373,8 +373,3 @@ def test_family_tsv(half):
     with pytest.raises(IntegralityViolation):
         family_tsv(fam, scale=2)
 
-
-def test_truncation_guard(half):
-    gp, shape, _ = half
-    with pytest.raises(ValueError):
-        build_family(gp, shape, T=2)
