@@ -12,6 +12,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import isqrt, lcm
 
 from .errors import FactorizationLimit, InvariantViolation
@@ -57,23 +58,27 @@ _sieved_upto = 13
 
 
 def _grow_sieve(limit: int) -> None:
-    global _primes, _sieved_upto
+    # sieve the segment (_sieved_upto, limit] by the primes up to sqrt(limit),
+    # which are sieved first
+    global _sieved_upto
     if limit <= _sieved_upto:
         return
-    limit = max(2 * _sieved_upto, limit, 64)
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    _primes = [i for i, f in enumerate(flags) if f]
+    _grow_sieve(isqrt(limit))
+    lo = _sieved_upto + 1
+    flags = bytearray([1]) * (limit + 1 - lo)
+    for p in _primes:
+        if p * p > limit:
+            break
+        start = max(p * p, -(-lo // p) * p) - lo
+        flags[start::p] = bytes(len(range(start, len(flags), p)))
+    _primes.extend(compress(range(lo, limit + 1), flags))
     _sieved_upto = limit
 
 
 def primes_upto(n: int) -> list[int]:
     """All primes p <= n, ascending."""
     if n > _sieved_upto:
-        _grow_sieve(n)
+        _grow_sieve(max(2 * _sieved_upto, n))
     # bisect by hand; the list is small and this avoids an import
     lo, hi = 0, len(_primes)
     while lo < hi:
@@ -101,18 +106,34 @@ def is_prime(n: int) -> bool:
     return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s)) for a in _MR_BASES)
 
 
+def _primes_read_upto(limit: int):
+    """The primes up to limit, ascending, doubling the shared sieve only when
+    the caller reads past it."""
+    i = 0
+    while True:
+        while i < len(_primes):
+            if _primes[i] > limit:
+                return
+            yield _primes[i]
+            i += 1
+        if _sieved_upto >= limit:
+            return
+        _grow_sieve(min(2 * _sieved_upto, limit))
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...), primes ascending.
 
     Trial division by the primes up to min(sqrt n, 10^7) stops once the part
     left is 1 or certified prime by `is_prime`; a part left above 10^14 that
-    is not certified prime raises `FactorizationLimit`.
+    is not certified prime raises `FactorizationLimit`.  The sieve grows only
+    as far as the division reads.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out = []
     m = n
-    for p in [] if is_prime(n) else primes_upto(min(isqrt(n), _TRIAL_LIMIT)):
+    for p in [] if is_prime(n) else _primes_read_upto(min(isqrt(n), _TRIAL_LIMIT)):
         if p * p > m:
             break
         if m % p == 0:
@@ -199,7 +220,7 @@ def legendre_nu(p: int, n: int) -> int:
     return total
 
 
-def floor_log(p: int, x: Fraction) -> int:
+def floor_log(p: int, x: Fraction | int) -> int:
     """Largest t >= 0 with p^t <= x, decided by exact comparison.
 
     Only defined for x >= 1; callers never need the negative branch.
@@ -207,9 +228,10 @@ def floor_log(p: int, x: Fraction) -> int:
     x = Fraction(x)
     if x < 1:
         raise ValueError("floor_log requires x >= 1")
+    n = x.numerator // x.denominator  # p^t <= x exactly when p^t <= floor(x)
     t = 0
     power = p
-    while power <= x:
+    while power <= n:
         t += 1
         power *= p
     return t
@@ -373,7 +395,7 @@ class Interval:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError("empty interval")
+            raise InvariantViolation("empty interval: lo > hi")
 
     @classmethod
     def point(cls, q) -> "Interval":
@@ -512,6 +534,7 @@ def _log2_interval(prec: int) -> Interval:
     return _atanh_series(Fraction(1, 3), prec)
 
 
+@lru_cache(maxsize=None)
 def log_interval(x: Fraction, prec: int = 128) -> Interval:
     """Certified enclosure of the natural log of a positive rational."""
     x = Fraction(x)
@@ -542,13 +565,14 @@ def log_iv(iv: Interval, prec: int = 128) -> Interval:
     return Interval(log_interval(iv.lo, prec).lo, log_interval(iv.hi, prec).hi)
 
 
-def _exp_core(x: Fraction, prec: int) -> Interval:
-    # exp for 0 <= x <= 1/2 by Taylor series with a tail bound.
-    if not 0 <= x <= Fraction(1, 2):
-        raise InvariantViolation(f"exp series needs 0 <= x <= 1/2, got {x}")
+def _exp_core(n: int, d: int, prec: int) -> tuple[int, int]:
+    # exp(n/d) for 0 <= n/d <= 1/2 (d > 0, the pair need not be reduced) by
+    # Taylor series with a tail bound: integers (lo, hi) with lo / 2^(prec+8)
+    # <= exp(n/d) <= hi / 2^(prec+8)
+    if not 0 <= 2 * n <= d:
+        raise InvariantViolation(f"exp series needs 0 <= x <= 1/2, got {n}/{d}")
     w = prec + _GUARD_BITS
     one = 1 << w
-    n, d = x.numerator, x.denominator
     lo = (n << w) // d
     hi = -((-n << w) // d)  # hi <= 2^(W-1)
     # lower: floored terms a_k = a_(k-1) * lo / (k 2^W)
@@ -569,29 +593,37 @@ def _exp_core(x: Fraction, prec: int) -> Interval:
         s_hi += b
         k += 1
     s_hi += 2 * b
-    return Interval(Fraction(s_lo, one), Fraction(s_hi, one)).rounded(prec + 8)
+    shift = _GUARD_BITS - 8
+    return s_lo >> shift, -((-s_hi) >> shift)
 
 
+@lru_cache(maxsize=None)
 def exp_interval(x: Fraction, prec: int = 128) -> Interval:
     """Certified enclosure of exp(x) for rational x."""
     x = Fraction(x)
-    if x < 0:
-        iv = exp_interval(-x, prec).inv()
-        # keep relative precision: small values need a finer absolute grid
-        shift = max(0, floor_log(2, 1 / iv.lo)) if iv.lo < 1 else 0
-        return iv.rounded(prec + shift + 8)
-    if x == 0:
+    n, d = abs(x.numerator), x.denominator
+    if n == 0:
         return Interval.point(1)
-    j = 0
-    r = x
-    while r > Fraction(1, 2):
-        r /= 2
-        j += 1
+    # exp|x| = exp(r)^(2^j) with r = n / (d 2^j) <= 1/2; the kernel's result
+    # is on the 2^-(wp+8) grid and each square lands on the 2^-wp grid, the
+    # lower end floored and the upper end ceiled
+    j = (-(-2 * n // d) - 1).bit_length()
     wp = prec + 4 * j + 24
-    acc = _exp_core(r, wp)
+    lo, hi = _exp_core(n, d << j, wp)
+    grid = wp + 8
     for _ in range(j):
-        acc = (acc * acc).rounded(wp)
-    return acc.rounded(prec)
+        s = 2 * grid - wp
+        lo, hi = (lo * lo) >> s, -((-hi * hi) >> s)
+        grid = wp
+    s = grid - prec
+    lo, hi = lo >> s, -((-hi) >> s)  # exp|x| in [lo, hi] / 2^prec
+    if x > 0:
+        return Interval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec))
+    # exp(x) = 1 / exp|x|; keep relative precision: small values need a
+    # finer absolute grid, 2^-(prec + floor(log2 exp|x|.hi) + 8)
+    bits = prec + (hi >> prec).bit_length() + 7
+    one = 1 << (prec + bits)
+    return Interval(Fraction(one // hi, 1 << bits), Fraction(-(-one // lo), 1 << bits))
 
 
 def exp_iv(iv: Interval, prec: int = 128) -> Interval:
@@ -612,6 +644,7 @@ def nth_root_iv(iv: Interval, k: int, prec: int = 128) -> Interval:
     return Interval(Fraction(r_lo, 1 << prec), Fraction(r_hi, 1 << prec))
 
 
+@lru_cache(maxsize=None)
 def epsilon_interval(n: int, prec: int = 128) -> Interval:
     """Enclosure of the product over primes p | n of p^(1/(p-1))."""
     if n < 1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .arith import (
@@ -24,6 +25,7 @@ from .arith import (
     LogUpperBound,
     cleared_eval,
     epsilon_interval,
+    exp_interval,
     exp_iv,
     floor_log,
     legendre_nu,
@@ -129,7 +131,7 @@ def compute_d1(gp: GParams, shape: ApproxShape) -> FactoredInteger:
     for j in range(1, gp.m + 1):
         pairs += [(p, legendre_nu(p, shape.n[j - 1])) for p in prime_divisors(gp.v[j - 1])]
         x = gp.r[j] + (n0 + 1) * gp.s[j]
-        pairs += [(p, floor_log(p, Fraction(x))) for p in primes_upto(x) if gp.s[j] % p != 0]
+        pairs += [(p, floor_log(p, x)) for p in primes_upto(x) if gp.s[j] % p != 0]
     return FactoredInteger.from_exponents(pairs)
 
 
@@ -141,7 +143,7 @@ def compute_d2(gp: GParams, shape: ApproxShape) -> FactoredInteger:
     pairs = [(p, e * Nt) for p, e in FactoredInteger.of(base).factors]
     pairs += [(p, legendre_nu(p, Nt)) for p in prime_divisors(gp.s_lcm)]
     x = gp.U + gp.V * Nt
-    pairs += [(p, floor_log(p, Fraction(x))) for p in primes_upto(x)]
+    pairs += [(p, floor_log(p, x)) for p in primes_upto(x)]
     return FactoredInteger.from_exponents(pairs)
 
 
@@ -168,8 +170,10 @@ class SizeConstants:
         return self.iv[5] + self.iv[6] * shape.N + self.iv[7] * shape.Ntilde
 
 
+@lru_cache(maxsize=None)
 def bound_constants(gp: GParams, mode: ThetaMode, prec: int = 128) -> SizeConstants:
-    """The constants c1..c8 as certified enclosures.
+    """The constants c1..c8 as certified enclosures, memoized on their exact
+    arguments.
 
     c1 = theta*(m(R+S)+U)            c2 = m*theta*S
     c3 = log(s0^2 eps(s0) eps(v))    c4 = theta*V + log(dtilde*eps(s))
@@ -275,19 +279,20 @@ def check_size_bounds(
     out = []
 
     app_d = min(n0, N) >= c
-    rhs_d = exp_iv(cns.exponent_13(shape), prec).hi
+    rhs_d = exp_interval(cns.exponent_13(shape).hi, prec).hi
     out.append(entry("log_size_D", app_d, Fraction(cert.d.value) <= rhs_d, cert.d.value, rhs_d))
 
+    # each right side is an exact product of positive upper endpoints
+    growth = exp_interval(cns.exponent_14(shape).hi, prec).hi
     app_a = N >= c
     amax = max(abs(a) for row in family.q for a in row)
-    rhs_a = (N * exp_iv(cns.exponent_14(shape), prec)).hi
+    rhs_a = N * growth
     out.append(entry("coeff_magnitude", app_a, amax <= rhs_a, amax, rhs_a))
 
-    growth = exp_iv(cns.exponent_14(shape), prec)
     for z in zs:
         z = Fraction(z)
         app_z = N >= c and abs(z) >= 2
-        rhs_q = (2 * N * growth * Interval.point(abs(z)).pow_int(N)).hi
+        rhs_q = 2 * N * growth * abs(z) ** N
         lhs_q = max(abs(_value_at(family.q[i], z)) for i in range(gp.m + 1))
         out.append(entry(f"denom_poly_at_{z}", app_z, lhs_q <= rhs_q, lhs_q, rhs_q))
         pmax_ok = True
@@ -295,9 +300,7 @@ def check_size_bounds(
         for i in range(gp.m + 1):
             for j in range(1, gp.m + 1):
                 lhs_p = abs(_value_at(family.p_coeffs(i, j), z))
-                rhs_p = (
-                    2 * N * (N + 1) * growth * Interval.point(abs(z)).pow_int(Nt - shape.n[j - 1] + 1)
-                ).hi
+                rhs_p = 2 * N * (N + 1) * growth * abs(z) ** (Nt - shape.n[j - 1] + 1)
                 if lhs_p > rhs_p:
                     pmax_ok = False
                     worst = (i, j, lhs_p, rhs_p)

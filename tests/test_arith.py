@@ -1,13 +1,19 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gpade import arith
 from gpade.arith import (
     MR_LIMIT,
     FactoredInteger,
@@ -33,6 +39,7 @@ from gpade.arith import (
     primes_upto,
     _atanh_series,
     _exp_core,
+    _log2_interval,
 )
 from gpade.errors import CertificationError, FactorizationLimit, InvariantViolation
 from gpade.report import fmt_ratio, fmt_real
@@ -142,6 +149,30 @@ def test_factorize_beyond_the_trial_limit():
         factorize(q * q)
     # prime, but Miller-Rabin over 13 bases certifies nothing above MR_LIMIT
     assert 2**127 - 1 > MR_LIMIT and not is_prime(2**127 - 1)
+
+
+def test_sieve_grows_by_segments(monkeypatch):
+    # from the initial sieve, each growth sieves only the new segment
+    monkeypatch.setattr(arith, "_primes", [2, 3, 5, 7, 11, 13])
+    monkeypatch.setattr(arith, "_sieved_upto", 13)
+    for n in (14, 100, 101, 5000, 5001, 200000):
+        assert primes_upto(n) == list(sympy.primerange(2, n + 1))
+        assert arith._primes == list(sympy.primerange(2, arith._sieved_upto + 1))
+    assert factorize(199999 * 10007) == ((10007, 1), (199999, 1))
+
+
+def test_factorize_sieves_only_as_far_as_it_reads():
+    # the cofactor left after dividing out 2 is certified prime, so a fresh
+    # process reads one prime and must not sieve towards sqrt(n) or 10^7
+    code = (
+        "from gpade import arith\n"
+        "assert arith.factorize(2 * (10**16 + 61)) == ((2, 1), (10**16 + 61, 1))\n"
+        "print(arith._sieved_upto)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 10**4
 
 
 def test_factored_integer():
@@ -474,7 +505,8 @@ def test_atanh_kernel_encloses_and_is_no_wider(t, prec):
 @example(x=F(0), prec=32)
 @example(x=F(1, 1 << 2000), prec=8)
 def test_exp_kernel_encloses_and_is_no_wider(x, prec):
-    iv = _exp_core(x, prec)
+    lo, hi = _exp_core(x.numerator, x.denominator, prec)
+    iv = Interval(F(lo, 1 << (prec + 8)), F(hi, 1 << (prec + 8)))
     assert iv.contains(oracle(mpmath.exp, x, prec))
     assert iv.width <= reference_exp_core(x, prec).width
 
@@ -499,3 +531,92 @@ def test_log_interval_encloses(x, prec):
 @example(x=F(-7, 2), prec=1)
 def test_exp_interval_encloses(x, prec):
     assert exp_interval(x, prec).contains(oracle(mpmath.exp, x, prec))
+
+
+# ---------------------------------------------------------------------------
+# log/exp identity: the enclosures equal those of the former Interval-based
+# reduction, endpoint for endpoint
+# ---------------------------------------------------------------------------
+
+
+def reference_exp_interval(x: F, prec: int) -> Interval:
+    # the former reduction: r = x / 2^j as a reduced Fraction, the kernel's
+    # enclosure on the 2^-(wp+8) grid, then j Interval squares each rounded
+    # outward to the 2^-wp grid; the series kernel is shared (its own test is
+    # test_exp_kernel_encloses_and_is_no_wider)
+    x = F(x)
+    if x < 0:
+        iv = reference_exp_interval(-x, prec).inv()
+        shift = max(0, floor_log(2, 1 / iv.lo)) if iv.lo < 1 else 0
+        return iv.rounded(prec + shift + 8)
+    if x == 0:
+        return Interval.point(1)
+    j = 0
+    r = x
+    while r > F(1, 2):
+        r /= 2
+        j += 1
+    wp = prec + 4 * j + 24
+    lo, hi = _exp_core(r.numerator, r.denominator, wp)
+    acc = Interval(F(lo, 1 << (wp + 8)), F(hi, 1 << (wp + 8)))
+    for _ in range(j):
+        acc = (acc * acc).rounded(wp)
+    return acc.rounded(prec)
+
+
+def reference_log_interval(x: F, prec: int) -> Interval:
+    x = F(x)
+    if x == 1:
+        return Interval.point(0)
+    if x < 1:
+        return -reference_log_interval(1 / x, prec)
+    e = max(x.numerator.bit_length() - x.denominator.bit_length(), 0)
+    if (1 << e) > x:
+        e -= 1
+    m = x / (1 << e)
+    if m >= 2:
+        e += 1
+        m /= 2
+    wp = prec + max(16, e.bit_length() + 8)
+    total = _atanh_series((m - 1) / (m + 1), wp) + _log2_interval(wp) * e
+    return total.rounded(prec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    x=st.one_of(
+        st.fractions(min_value=-60, max_value=60, max_denominator=10**6),
+        st.builds(lambda n, d: F(n % (60 * d), d) * (-1) ** n, _small_or_huge(3000), _small_or_huge(3000)),
+    ),
+    prec=st.integers(1, 512),
+)
+@example(x=F(0), prec=1)
+@example(x=F(-7, 2), prec=1)
+@example(x=F(1, 2), prec=512)
+@example(x=F(-1, 1 << 2000), prec=8)
+@example(x=F(-59), prec=512)
+def test_exp_interval_matches_reference_endpoints(x, prec):
+    iv, ref = exp_interval(x, prec), reference_exp_interval(x, prec)
+    assert (iv.lo, iv.hi) == (ref.lo, ref.hi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    x=st.one_of(positive_rationals(4096), st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6)),
+    prec=st.integers(1, 512),
+)
+@example(x=F(1), prec=1)
+@example(x=F(1, 3), prec=512)
+@example(x=F((1 << 4000) + 1, 1 << 4000), prec=256)
+def test_log_interval_matches_reference_endpoints(x, prec):
+    iv, ref = log_interval(x, prec), reference_log_interval(x, prec)
+    assert (iv.lo, iv.hi) == (ref.lo, ref.hi)
+
+
+def test_empty_interval_is_an_invariant_violation():
+    # an empty enclosure is a defect, reported as a failed check (exit 1),
+    # not as bad input
+    with pytest.raises(InvariantViolation, match="empty interval"):
+        Interval(F(1), F(0))
+    assert not issubclass(InvariantViolation, ValueError)
+    assert Interval(F(1), F(1)).width == 0

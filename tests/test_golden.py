@@ -35,6 +35,16 @@ def test_golden_report(case):
     assert out.encode() == (GOLDEN / f"{case['name']}.out").read_bytes()
 
 
+def test_golden_reports_do_not_depend_on_call_order():
+    # the certified constants are memoized per process: replaying the corpus
+    # backwards, each case twice, must print the same bytes and exit codes
+    for case in reversed(CASES):
+        expected = (case["exit"], (GOLDEN / f"{case['name']}.out").read_bytes())
+        for _ in range(2):
+            code, out = replay(case)
+            assert (code, out.encode()) == expected, case["name"]
+
+
 def _write_corpus() -> None:
     for case in CASES:
         case["exit"], out = replay(case)
