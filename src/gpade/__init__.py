@@ -7,7 +7,6 @@ from .arith import (
     FactoredInteger,
     Interval,
     LogUpperBound,
-    epsilon_n,
     floor_log,
     legendre_nu,
     p_valuation,
@@ -49,7 +48,6 @@ from .pade import (
     family_det,
     family_tsv,
     oracle_solve,
-    phi_coeff,
     verify_order,
 )
 from .padic import (
@@ -69,7 +67,6 @@ from .realapprox import (
     RestrictedInstance,
     audit_restricted,
     c_of_vartheta,
-    epsilon_corollary,
     eval_phi_real,
     make_restricted_instance,
     restricted_constants,

@@ -31,7 +31,6 @@ __all__ = [
     "legendre_nu",
     "floor_log",
     "p_valuation",
-    "epsilon_n",
     "epsilon_interval",
     "log_interval",
     "log_iv",
@@ -325,11 +324,6 @@ class FactoredInteger:
     def __mul__(self, other: "FactoredInteger") -> "FactoredInteger":
         return FactoredInteger.from_exponents(self.factors + other.factors)
 
-    def __pow__(self, n: int) -> "FactoredInteger":
-        if n < 0:
-            raise ValueError("negative power of a FactoredInteger")
-        return FactoredInteger.from_exponents((p, e * n) for p, e in self.factors)
-
     def format_factors(self) -> str:
         if not self.factors:
             return "1"
@@ -402,10 +396,6 @@ class Interval:
         q = Fraction(q)
         return cls(q, q)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def __add__(self, other):
         o = other if isinstance(other, Interval) else Interval.point(other)
         return Interval(self.lo + o.lo, self.hi + o.hi)
@@ -418,9 +408,6 @@ class Interval:
     def __sub__(self, other):
         o = other if isinstance(other, Interval) else Interval.point(other)
         return self + (-o)
-
-    def __rsub__(self, other):
-        return Interval.point(other) - self
 
     def __mul__(self, other):
         o = other if isinstance(other, Interval) else Interval.point(other)
@@ -439,9 +426,6 @@ class Interval:
     def __truediv__(self, other):
         o = other if isinstance(other, Interval) else Interval.point(other)
         return self * o.inv()
-
-    def __rtruediv__(self, other):
-        return Interval.point(other) / self
 
     def pow_int(self, n: int) -> "Interval":
         if n < 0:
@@ -464,10 +448,6 @@ class Interval:
 
     def max_with(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
-
-    def contains(self, q) -> bool:
-        q = Fraction(q)
-        return self.lo <= q <= self.hi
 
 
 @dataclass(frozen=True)
@@ -654,10 +634,3 @@ def epsilon_interval(n: int, prec: int = 128) -> Interval:
         acc = acc * nth_root_iv(Interval.point(p), p - 1, prec + 8)
     return acc.rounded(prec)
 
-
-def epsilon_n(n: int, precision: int = 96) -> tuple[tuple[tuple[int, Fraction], ...], LogUpperBound]:
-    """Exact exponent list ((p, 1/(p-1)), ...) over p | n, plus a certified
-    upper bound for the product of p^(1/(p-1))."""
-    exps = tuple((p, Fraction(1, p - 1)) for p in prime_divisors(n))
-    iv = epsilon_interval(n, precision + 16)
-    return exps, LogUpperBound.from_interval(iv, precision)

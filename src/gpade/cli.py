@@ -43,6 +43,7 @@ from .pade import ApproxShape, build_family, family_det, family_rows, family_tsv
 from .padic import (
     LinearFormInstance,
     audit_linear_form,
+    check_global_point,
     eval_all_phi,
     global_relation_constant,
     linear_form_valuation,
@@ -300,7 +301,8 @@ def _cmd_padic(args, gp):
 
 def _cmd_global(args, gp):
     mode = ThetaMode.parse(args.theta_mode, args.precision)
-    # the probe validates --a, so it runs before the costly constant
+    # --a is checked, and the probe run, before the costly constant
+    check_global_point(gp, args.a)
     probe = None
     if args.ell is not None:
         probe = probe_global_relation(gp, args.a, args.ell, k=max(8, args.precision // 2))

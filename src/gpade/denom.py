@@ -53,7 +53,6 @@ __all__ = [
     "verify_integrality",
     "check_size_bounds",
     "scaled_integers",
-    "check_scaled_bounds",
     "ntilde1_interval",
     "remainder_padic_bound",
     "check_remainder_padic",
@@ -208,10 +207,6 @@ class DenominatorCert:
     d: FactoredInteger
     constants: SizeConstants
 
-    @property
-    def mode(self) -> ThetaMode:
-        return self.constants.mode
-
 
 def make_cert(gp: GParams, shape: ApproxShape, mode: ThetaMode | None = None, prec: int = 128) -> DenominatorCert:
     mode = mode or ThetaMode.paper(prec)
@@ -318,7 +313,6 @@ class ScaledSystem:
     """The integers D*b^Ntilde*Q_i(beta) and D*b^Ntilde*P_ij(beta), plus the
     (nonzero) determinant of the stacked (m+1) x (m+1) integer matrix."""
 
-    beta: Fraction
     qi: tuple[int, ...]
     pij: tuple[tuple[int, ...], ...]
     det: int
@@ -359,7 +353,7 @@ def scaled_integers(
     det = bareiss_eliminate([[qi[i], *pij[i]] for i in range(gp.m + 1)])[1]
     if det == 0:
         raise IntegralityViolation("scaled system matrix is singular")
-    return ScaledSystem(beta=beta, qi=tuple(qi), pij=tuple(pij), det=det)
+    return ScaledSystem(qi=tuple(qi), pij=tuple(pij), det=det)
 
 
 def ntilde1_interval(gp: GParams, cns: SizeConstants, beta: Fraction, p: int) -> Interval:
@@ -444,37 +438,6 @@ def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fract
             out.append(
                 entry(f"remainder_clean_bound_{i}_{j}", rb.lemma6_applicable, ok6, vtot, rb.lemma6_upper)
             )
-    return out
-
-
-def check_scaled_bounds(
-    scaled: ScaledSystem, family: PadeFamily, cert: DenominatorCert, p: int
-) -> list[Check]:
-    """Magnitude bounds for the scaled integers, gated on Ntilde >= Ntilde_1
-    and min(n0, N) >= c(theta)."""
-    gp, shape = family.gp, family.shape
-    cns = cert.constants
-    beta = scaled.beta
-    a, b = beta.numerator, beta.denominator
-    nt1 = ntilde1_interval(gp, cert.constants, beta, p)
-    applicable = (
-        Fraction(shape.Ntilde) >= nt1.hi and min(shape.n0, shape.N) >= cns.mode.c_theta
-    )
-    env = exp_iv(cns.iv[2] * shape.n0 + cns.iv[8] * shape.Ntilde, cns.precision)
-    out = []
-    rhs_q = (env * Fraction(b) ** shape.n0 * Fraction(abs(a)) ** (shape.Ntilde - shape.n0)).hi
-    ok_q = all(abs(q) <= rhs_q for q in scaled.qi)
-    out.append(entry("scaled_denom_magnitude", applicable, ok_q, max(abs(q) for q in scaled.qi), rhs_q))
-    ok_p = True
-    worst = ""
-    for i in range(gp.m + 1):
-        for j in range(1, gp.m + 1):
-            nj = shape.n[j - 1]
-            rhs_p = (env * Fraction(b) ** nj * Fraction(abs(a)) ** (shape.Ntilde - nj + 1)).hi
-            if abs(scaled.pij[i][j - 1]) > rhs_p:
-                ok_p = False
-                worst = f"(i={i}, j={j})"
-    out.append(entry("scaled_numer_magnitude", applicable, ok_p, worst, ""))
     return out
 
 

@@ -32,7 +32,6 @@ from .report import full_digits
 __all__ = [
     "ApproxShape",
     "PadeFamily",
-    "phi_coeff",
     "phi_coeffs",
     "phi_partial_sum",
     "phi_partial_sum_parts",
@@ -43,7 +42,6 @@ __all__ = [
     "build_family",
     "verify_order",
     "oracle_solve",
-    "oracle_solve_generic",
     "bareiss_eliminate",
     "family_det",
     "family_rows",
@@ -108,11 +106,6 @@ class ApproxShape:
 # ---------------------------------------------------------------------------
 
 _ratio_cache: dict[tuple[GParams, int], list[Fraction]] = {}
-
-
-def phi_coeff(gp: GParams, j: int, n: int) -> Fraction:
-    """n-th series coefficient of the j-th function (1-based j)."""
-    return phi_coeffs(gp, j, n)[n]
 
 
 def phi_coeffs(gp: GParams, j: int, upto: int) -> list[Fraction]:
@@ -401,22 +394,11 @@ def _order_row(ratios: list[Fraction], mu: int, N: int) -> list[int]:
     return [c.numerator * (L // c.denominator) for c in row]
 
 
-def oracle_solve_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Denominator coefficients obtained by solving the order conditions
-    directly: one homogeneous equation per forced-zero coefficient, with the
-    leading coefficient pinned to 1.  Independent of the closed form.
-    """
-    N = sum(n_list)
-    rows: list[list[int]] = []
-    for j, (nj, Nj) in enumerate(zip(n_list, N_list), start=1):
-        ratios = phi_coeffs(gp, j, Nj + nj)
-        rows += [_order_row(ratios, mu, N) for mu in range(Nj + 1, Nj + nj + 1)]
-    return _solve_sharing([], rows, [list(range(len(rows)))])[0] + (Fraction(1),)
-
-
 def oracle_solve(gp: GParams, shape: ApproxShape) -> tuple[tuple[Fraction, ...], ...]:
-    """Denominator coefficients of all m+1 rows, each solved from its order
-    conditions as in `oracle_solve_generic`, by one shared elimination.
+    """Denominator coefficients of all m+1 rows, each solved directly from
+    its order conditions (one homogeneous equation per forced-zero
+    coefficient, the leading coefficient pinned to 1), independently of the
+    closed form and by one shared elimination.
 
     Row i's conditions on series j are the orders N_ij+1..N_ij+n_j, and
     N_ij = N_j + [i = j].  So the orders N_j+2..N_j+n_j of every series

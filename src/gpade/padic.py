@@ -39,6 +39,7 @@ __all__ = [
     "select_block_degrees",
     "audit_linear_form",
     "global_relation_constant",
+    "check_global_point",
     "probe_global_relation",
 ]
 
@@ -60,10 +61,6 @@ class PAdicEnclosure:
     @property
     def below_precision(self) -> bool:
         return self.k == 0
-
-    @property
-    def certified_nonzero(self) -> bool:
-        return self.k >= 1 and self.unit_residue % self.p != 0
 
 
 def _tail_rate(gp: GParams, p: int, beta: Fraction, delta_p: int) -> Fraction:
@@ -135,15 +132,6 @@ class LinearFormValuation:
     exact: bool
     valuation: int | None
     precision_exponent: int | None
-
-    def abs_value(self) -> Fraction | None:
-        if not self.exact:
-            return None
-        return Fraction(1, self.p**self.valuation) if self.valuation >= 0 else Fraction(self.p ** (-self.valuation))
-
-    def upper_bound(self) -> Fraction:
-        e = self.valuation if self.exact else self.precision_exponent
-        return Fraction(1, self.p**e) if e >= 0 else Fraction(self.p ** (-e))
 
 
 def linear_form_valuation(values: tuple[PAdicEnclosure, ...], ell: tuple[int, ...]) -> LinearFormValuation:
@@ -493,14 +481,20 @@ def global_relation_constant(gp: GParams, mode: ThetaMode | None = None, prec: i
     }
 
 
-def probe_global_relation(gp: GParams, a: int, ell: tuple[int, ...], k: int = 64, prec: int = 128) -> dict:
-    """Try to certify, prime by prime over p | a, that the integer form does
-    not vanish at the point a.  A single certified-nonzero prime rules out a
-    global relation for this form; truncation alone can never confirm one."""
+def check_global_point(gp: GParams, a: int) -> None:
+    """Reject an integer point a that no global relation is stated at:
+    |a| <= 1, or a sharing a prime with the parameter denominators."""
     if abs(a) <= 1:
         raise ValueError("need |a| > 1")
     if gcd(a, gp.s_lcm) != 1:
         raise DomainViolation("the point must be coprime to the parameter denominators")
+
+
+def probe_global_relation(gp: GParams, a: int, ell: tuple[int, ...], k: int = 64, prec: int = 128) -> dict:
+    """Try to certify, prime by prime over p | a, that the integer form does
+    not vanish at the point a.  A single certified-nonzero prime rules out a
+    global relation for this form; truncation alone can never confirm one."""
+    check_global_point(gp, a)
     results = []
     nonzero_at = []
     for p in prime_divisors(abs(a)):

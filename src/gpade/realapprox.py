@@ -38,7 +38,6 @@ __all__ = [
     "RestrictedInstance",
     "eval_phi_real",
     "c_of_vartheta",
-    "epsilon_corollary",
     "restricted_constants",
     "restricted_threshold",
     "smallest_admissible_b",
@@ -79,27 +78,47 @@ def _phi_real_ends(gp: GParams, z: Fraction, T: int) -> tuple[int, int, int]:
     return acc - tail, acc, den
 
 
-_SCAN_LIMIT = 200000  # the largest n that c_of_vartheta scans for the crossover
+_SCAN_LIMIT = 200000  # the largest n that c_of_vartheta searches for the crossover
+
+
+def _first_from(holds, n: int) -> int | None:
+    """Least k in [n, _SCAN_LIMIT] with holds(k), for a `holds` that stays
+    true once true there; None when it fails at _SCAN_LIMIT.  Gallops up in
+    doubling steps, then bisects the last step."""
+    lo, step = n, 1
+    while not holds(n):
+        if n >= _SCAN_LIMIT:
+            return None
+        lo, n, step = n + 1, min(n + step, _SCAN_LIMIT), 2 * step
+    while lo < n:  # holds(n), and no k below lo holds
+        mid = (lo + n) // 2
+        if holds(mid):
+            n = mid
+        else:
+            lo = mid + 1
+    return n
 
 
 def c_of_vartheta(vartheta: Fraction) -> int:
     """Smallest n* with (n+1)^2 <= vartheta^n for every n >= n*.
 
-    Found by scanning for the crossover and certified by the ratio test:
-    once (n*+2)^2 < (n*+1)^2 * vartheta, the squared-ratio factor only
-    shrinks, so induction carries the inequality to every larger n.
+    Certified by the ratio test: the least n* with (n*+1)^2 <= vartheta^n*
+    and (n*+2)^2 < (n*+1)^2 * vartheta.  Once the ratio condition holds, the
+    squared-ratio factor only shrinks, so it holds for every larger n and
+    induction carries the power inequality onward.  Both conditions are thus
+    monotone where they are searched, and each first n is found by galloping
+    and bisection on exact integer comparisons (n+1)^2 * den^n <= num^n.
     """
     vartheta = Fraction(vartheta)
     if vartheta <= 1:
         raise ValueError("need vartheta > 1")
-    power = Fraction(1)
-    n = 0
-    while n <= _SCAN_LIMIT:
-        if (n + 1) ** 2 <= power and (n + 2) ** 2 < (n + 1) ** 2 * vartheta:
-            return n
-        power *= vartheta
-        n += 1
-    raise ValueError("crossover not found below the scan limit")
+    num, den = vartheta.numerator, vartheta.denominator
+    n = _first_from(lambda k: (k + 2) ** 2 * den < (k + 1) ** 2 * num, 0)
+    if n is not None:
+        n = _first_from(lambda k: (k + 1) ** 2 * den**k <= num**k, n)
+    if n is None:
+        raise ValueError("crossover not found below the scan limit")
+    return n
 
 
 @dataclass(frozen=True)
@@ -168,36 +187,16 @@ def restricted_constants(
     )
 
 
+def _b_size_bound(rc: RestrictedConstants, a: int) -> Fraction:
+    """The upper end of (a1*|a|)^6 (a1 is positive): b is certified
+    admissible when b >= it."""
+    return (rc.a1.hi * abs(a)) ** 6
+
+
 def smallest_admissible_b(gp: GParams, a: int, mode: ThetaMode, vartheta: Fraction, prec: int = 128) -> int:
     """Least integer b certified to satisfy b >= (a1*|a|)^6."""
-    rc = restricted_constants(gp, mode, vartheta, prec)
-    bound = (rc.a1 * abs(a)).pow_int(6).hi
+    bound = _b_size_bound(restricted_constants(gp, mode, vartheta, prec), a)
     return -((-bound.numerator) // bound.denominator)  # ceil
-
-
-def epsilon_corollary(
-    rc: RestrictedConstants, a: int, b: int, B: int, M: int, epsilon: Fraction
-) -> dict:
-    """The power-saving restatement of the verified lower bound.
-
-    When b^epsilon exceeds a1^18*|a|^17 (certified against the upper a1), the
-    audited bound 1/(B b^M (a1^18 |a|^17)^M) is itself at least
-    1/(B b^(M(1+epsilon))), so the distance bound transfers; both exact power
-    comparisons are reported.
-    """
-    epsilon = Fraction(epsilon)
-    if not 0 < epsilon < 1:
-        raise ValueError("need 0 < epsilon < 1")
-    en, ed = epsilon.numerator, epsilon.denominator
-    envelope = (rc.a1.pow_int(18) * abs(a) ** 17).hi
-    hyp = Fraction(b) ** en > envelope**ed
-    implied = Fraction(b) ** (en * M) >= envelope ** (ed * M) if hyp else None
-    return {
-        "epsilon": rational(epsilon),
-        "power_hypothesis": bool(hyp),
-        "bound_transfers": implied,
-        "implied_rhs": f"1/(B * b^(M*(1+{epsilon})))",
-    }
 
 
 def restricted_threshold(
@@ -214,7 +213,7 @@ def restricted_threshold(
     prec = rc.precision
     if a == 0 or b < 1 or B < 1 or t < 0:
         raise HypothesisFailure("need a != 0, b >= 1, B >= 1, t >= 0")
-    hyp_b = Fraction(b) >= (rc.a1 * abs(a)).pow_int(6).hi
+    hyp_b = b >= _b_size_bound(rc, a)
     hyp_B = B ** t.denominator <= b**t.numerator
     if not hyp_b:
         raise HypothesisFailure(f"b = {b} is not certified >= (a1*|a|)^6")
@@ -400,13 +399,14 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     checks: list[Check] = []
 
     # hypotheses (certified): b-size, B-size, and M >= M0
-    hyp_b = Fraction(b) >= (rc.a1 * abs(a)).pow_int(6).hi
+    b_bound = _b_size_bound(rc, a)
+    hyp_b = b >= b_bound
     hyp_B = B ** inst.t.denominator <= b**inst.t.numerator
     if not (hyp_b and hyp_B):
         raise HypothesisFailure("size hypotheses on (b, B) fail")
     if Fraction(M) < inst.m0.hi:
         raise HypothesisFailure(f"M = {M} is below the certified threshold {fmt_real(inst.m0.hi, 6)}")
-    checks.append(entry("b_at_least_sixth_power", True, True, b, rational((rc.a1 * abs(a)).pow_int(6).hi)))
+    checks.append(entry("b_at_least_sixth_power", True, True, b, rational(b_bound)))
     checks.append(entry("M_at_least_threshold", True, True, M, fmt_real(inst.m0.hi, 6)))
 
     n1, n0 = inst.n1, inst.n0

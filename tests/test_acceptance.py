@@ -232,6 +232,6 @@ def test_criterion_11_real_oracle():
     enc = eval_phi_real(gp, F(1, 2), 60)
     l2 = log_interval(F(2), 256)
     ok = enc.lo <= 2 * l2.lo and 2 * l2.hi <= enc.hi
-    ok = ok and enc.width <= F(1, 2**50)
+    ok = ok and enc.hi - enc.lo <= F(1, 2**50)
     ok, dt = _line(11, "real enclosure of the value at 1/2 brackets 2 log 2", ok, t0)
     assert ok and dt < 1

@@ -23,7 +23,6 @@ from gpade.arith import (
     dyadic_down,
     dyadic_up,
     epsilon_interval,
-    epsilon_n,
     exp_interval,
     factorize,
     floor_log,
@@ -111,24 +110,23 @@ def test_p_valuation():
 
 
 def test_epsilon_examples():
-    exps, ub = epsilon_n(1)
-    assert exps == () and ub.value >= 1 and ub.value - 1 < F(1, 10**20)
-    exps, ub = epsilon_n(2)
-    assert exps == ((2, F(1)),) and ub.value >= 2 and ub.value - 2 < F(1, 10**20)
-    exps, ub = epsilon_n(12, 96)
-    assert exps == ((2, F(1)), (3, F(1, 2)))
+    one = epsilon_interval(1, 96)
+    assert one.hi >= 1 and one.hi - 1 < F(1, 10**20)
+    two = epsilon_interval(2, 96)
+    assert two.hi >= 2 and two.hi - 2 < F(1, 10**20)
+    twelve = epsilon_interval(12, 96)
     two_sqrt3 = 2 * F("1.7320508075688772935274463415058")
-    assert ub.value >= two_sqrt3
-    assert ub.value - two_sqrt3 < F(1, 10**6)
+    assert twelve.hi >= two_sqrt3
+    assert twelve.hi - two_sqrt3 < F(1, 10**6)
 
 
 def test_epsilon_bound_vs_higher_precision():
     # the certified bound dominates a 10x-precision evaluation and is close
     for n in (2, 6, 12, 30, 360, 2310):
-        _, ub = epsilon_n(n, 64)
+        ub = epsilon_interval(n, 64).hi
         tight = epsilon_interval(n, 640)
-        assert ub.value >= tight.lo
-        assert ub.value - tight.hi <= F(1, 2 ** (64 - 4))
+        assert ub >= tight.lo
+        assert ub - tight.hi <= F(1, 2 ** (64 - 4))
 
 
 def test_primes_and_factorize():
@@ -180,7 +178,6 @@ def test_factored_integer():
     assert fi.factors == ((2, 3), (3, 1), (5, 1), (7, 1))
     assert fi.format_factors() == "2^3*3*5*7"
     assert (fi * FactoredInteger.of(15)).value == 12600
-    assert (FactoredInteger.of(6) ** 3).value == 216
     assert FactoredInteger.from_exponents([(3, 2), (2, 1), (5, 0), (2, 2)]).factors == ((2, 3), (3, 2))
     with pytest.raises(ValueError):
         FactoredInteger(10, ((2, 1),))
@@ -189,7 +186,7 @@ def test_factored_integer():
 def test_log_enclosures():
     l2 = log_interval(F(2), 128)
     assert l2.lo <= LOG2_HI and l2.hi >= LOG2_LO
-    assert l2.width < F(1, 2**120)
+    assert l2.hi - l2.lo < F(1, 2**120)
     assert log_interval(F(1), 200) == Interval.point(0)
     neg = log_interval(F(1, 2), 96)
     assert neg.lo <= -LOG2_LO <= neg.hi or neg.lo <= -LOG2_HI <= neg.hi
@@ -216,12 +213,13 @@ def test_exp_enclosures():
         q = F(rng.randint(-350, 650)) + F(rng.randint(0, 999), 1000)
         iv = exp_interval(q, 96)
         assert math.isclose(float(iv.lo), math.exp(q), rel_tol=1e-9)
-        assert iv.lo > 0 and float(iv.width / iv.lo) < 2**-80
+        assert iv.lo > 0 and float((iv.hi - iv.lo) / iv.lo) < 2**-80
 
 
 def test_exp_log_roundtrip():
     for q in (F(5, 3), F(30), F(-7, 2)):
-        assert log_iv(exp_interval(q, 160), 160).contains(q)
+        iv = log_iv(exp_interval(q, 160), 160)
+        assert iv.lo <= q <= iv.hi
 
 
 def test_nth_roots():
@@ -395,7 +393,8 @@ def test_interval_arithmetic():
     b = Interval(F(-3), F(4))
     prod = a * b
     assert prod.lo == -6 and prod.hi == 8
-    assert (a / a).contains(1)
+    quot = a / a
+    assert quot.lo <= 1 <= quot.hi
     assert a.pow_int(3) == Interval(F(1), F(8))
     assert a.pow_int(0) == Interval.point(1)
     # across zero the repeated-squaring enclosure is wider than the true range
@@ -495,8 +494,9 @@ def positive_rationals(draw, max_bits):
 @example(t=F(1, 1 << 2000), prec=8)
 def test_atanh_kernel_encloses_and_is_no_wider(t, prec):
     iv = _atanh_series(t, prec)
-    assert iv.contains(oracle(lambda v: 2 * mpmath.atanh(v), t, prec))
-    assert iv.width <= reference_atanh_series(t, prec).width
+    ref = reference_atanh_series(t, prec)
+    assert iv.lo <= oracle(lambda v: 2 * mpmath.atanh(v), t, prec) <= iv.hi
+    assert iv.hi - iv.lo <= ref.hi - ref.lo
 
 
 @settings(max_examples=40, deadline=None)
@@ -507,8 +507,9 @@ def test_atanh_kernel_encloses_and_is_no_wider(t, prec):
 def test_exp_kernel_encloses_and_is_no_wider(x, prec):
     lo, hi = _exp_core(x.numerator, x.denominator, prec)
     iv = Interval(F(lo, 1 << (prec + 8)), F(hi, 1 << (prec + 8)))
-    assert iv.contains(oracle(mpmath.exp, x, prec))
-    assert iv.width <= reference_exp_core(x, prec).width
+    ref = reference_exp_core(x, prec)
+    assert iv.lo <= oracle(mpmath.exp, x, prec) <= iv.hi
+    assert iv.hi - iv.lo <= ref.hi - ref.lo
 
 
 @settings(max_examples=60, deadline=None)
@@ -516,7 +517,8 @@ def test_exp_kernel_encloses_and_is_no_wider(x, prec):
 @example(x=F(2), prec=512)
 @example(x=F((1 << 4000) + 1, 1 << 4000), prec=256)
 def test_log_interval_encloses(x, prec):
-    assert log_interval(x, prec).contains(oracle(mpmath.log, x, prec))
+    iv = log_interval(x, prec)
+    assert iv.lo <= oracle(mpmath.log, x, prec) <= iv.hi
 
 
 @settings(max_examples=60, deadline=None)
@@ -530,7 +532,8 @@ def test_log_interval_encloses(x, prec):
 @example(x=F(1, 2), prec=512)
 @example(x=F(-7, 2), prec=1)
 def test_exp_interval_encloses(x, prec):
-    assert exp_interval(x, prec).contains(oracle(mpmath.exp, x, prec))
+    iv = exp_interval(x, prec)
+    assert iv.lo <= oracle(mpmath.exp, x, prec) <= iv.hi
 
 
 # ---------------------------------------------------------------------------
@@ -619,4 +622,5 @@ def test_empty_interval_is_an_invariant_violation():
     with pytest.raises(InvariantViolation, match="empty interval"):
         Interval(F(1), F(0))
     assert not issubclass(InvariantViolation, ValueError)
-    assert Interval(F(1), F(1)).width == 0
+    point = Interval(F(1), F(1))
+    assert point.hi - point.lo == 0

@@ -187,6 +187,15 @@ def test_global_point_too_large_to_factor(params_file, capsys):
     assert err.startswith("error: cannot factor") and err.count("\n") == 1
 
 
+def test_constants_vartheta_past_the_scan_limit(params_file, capsys):
+    # the crossover of 10001/10000 lies past the search cap: a usage error,
+    # found without stepping through every n below the cap
+    path = params_file(ONE)
+    code, out, err = run(capsys, ["constants", "--params", path, "--vartheta", "10001/10000"])
+    assert code == 2 and out == ""
+    assert "scan limit" in err
+
+
 def test_construct_has_no_truncation_option(params_file, capsys):
     path = params_file(HALF)
     code, out, err = run(capsys, ["construct", "--params", path, "--n", "1", "--n0", "1", "--truncation", "9"])
@@ -206,6 +215,16 @@ def test_global_rejects_point_before_constant(params_file, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "coprime" in err
+
+
+@pytest.mark.parametrize("a", ["30030", "0", "1", "-1"])
+def test_global_checks_point_without_probe(params_file, capsys, a):
+    # --a is checked whether or not --ell asks for the probe, with its messages
+    path = params_file(TRIO)
+    for ell in ([], ["--ell", "1,2,3"]):
+        code, out, err = run(capsys, ["global", "--params", path, "--a", a, *ell])
+        assert code == 2 and out == ""
+        assert ("coprime" if a == "30030" else "need |a| > 1") in err
 
 
 def test_restricted_beyond_int_str_limit(params_file, capsys):

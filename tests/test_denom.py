@@ -8,7 +8,6 @@ from gpade.denom import (
     ThetaMode,
     cert_tsv,
     check_remainder_padic,
-    check_scaled_bounds,
     check_size_bounds,
     compute_d1,
     compute_d2,
@@ -41,7 +40,7 @@ def test_theta_modes():
     # 8 log 2 = 5.54517744447956247533785697166541...
     assert paper.theta.lo <= F("5.5451774444795624753378569716655")
     assert paper.theta.hi >= F("5.5451774444795624753378569716654")
-    assert paper.theta.width < F(1, 2**110)
+    assert paper.theta.hi - paper.theta.lo < F(1, 2**110)
     sharp = ThetaMode.sharp()
     assert sharp.theta == paper.theta.__class__.point(F(63, 50)) and sharp.c_theta == 2
     custom = ThetaMode.parse("custom:3/2,5")
@@ -198,10 +197,6 @@ def test_clean_bound_applicable_instance():
     assert rb.lemma6_applicable
     entries = check_remainder_padic(fam, cert, beta, 2)
     assert all(e.passed for e in entries)
-    sc = scaled_integers(fam, cert, beta, p=2)
-    for e in check_scaled_bounds(sc, fam, cert, 2):
-        assert e.passed, e
-        assert e.applicable
 
 
 def test_ntilde1_components(half):

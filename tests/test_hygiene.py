@@ -8,13 +8,19 @@
 - every function the benchmark tracer wraps (`TRACED` in `bench/tracing.py`)
   resolves, so `--trace 1` keeps reporting all of its spans;
 - every `--option` of every subcommand appears in README's command-line
-  section.
+  section;
+- every function is reached by the golden corpus, or an acceptance test
+  calls it and it is on an explicit allowlist with that reason.
 """
 
 import argparse
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +102,64 @@ def test_cli_options_documented():
     }
     assert options
     assert sorted(opt for opt in options if not re.search(re.escape(opt) + r"(?![\w-])", section)) == []
+
+
+# The functions no golden report reaches, each with the reason it stays.  A
+# function neither the corpus nor an acceptance test reaches is deleted.
+UNREACHED_ALLOWED = {
+    "denom.check_remainder_padic": "acceptance criterion 6 checks the p-adic remainder bounds with it",
+    "denom.remainder_padic_bound": "acceptance criterion 6, through check_remainder_padic",
+    "realapprox.eval_phi_real": "acceptance criterion 11 encloses phi(1/2) with it",
+    "realapprox.smallest_admissible_b": "acceptance criteria 10 and 11 take the least admissible b from it",
+}
+
+# Replays the golden corpus in a fresh interpreter under sys.settrace and
+# prints "module.qualname" of every gpade function entered.  A fresh process
+# keeps the memoized constants and the prime sieve that earlier tests filled
+# from hiding the functions that fill them.
+_TRACE_CORPUS = """
+import json, os, sys
+src = sys.argv[1] + os.sep
+reached = set()
+
+def tracer(frame, event, arg):
+    code = frame.f_code
+    if code.co_filename.startswith(src):
+        reached.add(os.path.basename(code.co_filename)[:-3] + "." + code.co_qualname)
+
+sys.settrace(tracer)
+from test_golden import CASES, replay
+for case in CASES:
+    replay(case)
+sys.settrace(None)
+print(json.dumps(sorted(reached)))
+"""
+
+
+def _defined_functions(path: Path) -> set[str]:
+    """"module.qualname" of every function and method defined in a module."""
+    names = set()
+
+    def walk(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(f"{path.stem}.{prefix}{child.name}")
+                walk(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+
+    walk(_tree(path), "")
+    return names
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11 on")
+def test_every_function_reached():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(ROOT / "tests")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE_CORPUS, str(SRC)], capture_output=True, text=True, env=env, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    reached = set(json.loads(proc.stdout))
+    defined = set().union(*map(_defined_functions, MODULES))
+    assert sorted(defined - reached) == sorted(UNREACHED_ALLOWED)
+    assert all(re.match(r"acceptance criteri|error path", why) for why in UNREACHED_ALLOWED.values())

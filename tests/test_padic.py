@@ -33,7 +33,6 @@ def test_enclosure_unit_value(gp11):
     assert enc.valuation_offset == 0
     assert enc.k >= 8
     assert enc.unit_residue % 3 == 1
-    assert enc.certified_nonzero
 
 
 def test_enclosure_vanishing_value(gp11):
@@ -69,11 +68,10 @@ def test_enclosure_domain_violation(gph):
 def test_linear_form_examples(gp11):
     enc3 = eval_phi_padic(gp11, 1, F(3), 3, 16)
     lf = linear_form_valuation((enc3,), (0, 1))
-    assert lf.exact and lf.valuation == 0 and lf.abs_value() == 1
+    assert lf.exact and lf.valuation == 0
     enc2 = eval_phi_padic(gp11, 1, F(2), 2, 32)
     lf2 = linear_form_valuation((enc2,), (0, 1))
     assert not lf2.exact and lf2.precision_exponent >= 32
-    assert lf2.upper_bound() <= F(1, 2**32)
     lf3 = linear_form_valuation((enc3,), (1, 0))
     assert lf3.exact and lf3.valuation == 0
     with pytest.raises(ValueError):
@@ -218,7 +216,7 @@ def test_enclosure_boundary_growth_rate():
     assert gp.dtilde == 3
     beta = F(9)
     enc = eval_phi_padic(gp, 1, beta, 3, 24)
-    assert enc.certified_nonzero
+    assert enc.k >= 1 and enc.unit_residue % 3 != 0
     # a much deeper partial sum is an independent oracle for the residue
     deep = sum(cf * beta**n for n, cf in enumerate(phi_coeffs(gp, 1, 400)))
     assert p_valuation(deep, 3) == enc.valuation_offset

@@ -3,6 +3,7 @@ import functools
 import math
 from fractions import Fraction
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +27,6 @@ from gpade.params import GParams, derive_params
 from gpade.realapprox import (
     audit_restricted,
     c_of_vartheta,
-    epsilon_corollary,
     eval_phi_real,
     make_restricted_instance,
     restricted_constants,
@@ -54,7 +54,7 @@ def test_enclosure_two_log_two(gp11):
     enc = eval_phi_real(gp11, F(1, 2), 60)
     l2 = log_interval(F(2), 256)
     assert enc.lo <= 2 * l2.lo and 2 * l2.hi <= enc.hi
-    assert enc.width <= F(1, 2**50)
+    assert enc.hi - enc.lo <= F(1, 2**50)
 
 
 def test_enclosure_at_zero(gp11):
@@ -64,7 +64,7 @@ def test_enclosure_at_zero(gp11):
 def test_enclosure_width_formula():
     gp = derive_params([F(1), F(1, 2)])
     enc = eval_phi_real(gp, F(1, 4), 40)
-    assert enc.width == F(1, 4) ** 41 * F(4, 3)
+    assert enc.hi - enc.lo == F(1, 4) ** 41 * F(4, 3)
 
 
 def test_enclosure_contains_closed_form(gp11):
@@ -99,6 +99,34 @@ def test_vartheta_threshold():
     assert c_of_vartheta(F(3)) <= 6
     with pytest.raises(ValueError):
         c_of_vartheta(F(1))
+
+
+def reference_c_of_vartheta(vartheta, limit):
+    """The crossover by a plain scan over n = 0..limit, one Fraction power
+    step at a time; None past the limit."""
+    power = F(1)
+    for n in range(limit + 1):
+        if (n + 1) ** 2 <= power and (n + 2) ** 2 < (n + 1) ** 2 * vartheta:
+            return n
+        power *= vartheta
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    vartheta=st.fractions(min_value=1, max_value=9, max_denominator=60).filter(lambda x: x > 1),
+    limit=st.sampled_from([0, 1, 5, 6, 7, 40, 300, 2000]),
+)
+def test_vartheta_threshold_matches_scan(vartheta, limit):
+    # the galloping search finds the scan's crossover, and raises exactly
+    # when the scan runs past its limit
+    expected = reference_c_of_vartheta(vartheta, limit)
+    with mock.patch.object(gpade.realapprox, "_SCAN_LIMIT", limit):
+        if expected is None:
+            with pytest.raises(ValueError, match="scan limit"):
+                c_of_vartheta(vartheta)
+        else:
+            assert c_of_vartheta(vartheta) == expected
 
 
 def test_constants_harmonic_case(gp11):
@@ -181,23 +209,6 @@ def test_instance_assembly(gp11):
     assert 3 <= float(inst.x.lo) < 3.001
     assert inst.n1 == inst.h and inst.n0 == int(inst.x.lo * inst.h)
     assert inst.n0 - inst.n1 + 1 >= inst.M
-
-
-def test_epsilon_corollary(gp11):
-    mode = ThetaMode.sharp()
-    rc = restricted_constants(gp11, mode, F(2))
-    # at the minimal admissible b the power hypothesis cannot hold for any
-    # exponent below one (b is roughly the 6th power, 18 > 6)
-    b_min = smallest_admissible_b(gp11, 1, mode, F(2))
-    weak = epsilon_corollary(rc, 1, b_min, 1, 22, F(9, 10))
-    assert weak["power_hypothesis"] is False and weak["bound_transfers"] is None
-    # a much larger b turns the bound into a genuine power saving
-    big_b = 10**40
-    strong = epsilon_corollary(rc, 1, big_b, 1, 30, F(9, 10))
-    assert strong["power_hypothesis"] is True
-    assert strong["bound_transfers"] is True
-    with pytest.raises(ValueError):
-        epsilon_corollary(rc, 1, big_b, 1, 30, F(3, 2))
 
 
 def test_audit_hypothesis_failure(gp11):
@@ -371,7 +382,8 @@ def reference_audit_restricted(inst):
     # (working precision for the series value) target: a tenth of the final RHS
     rhs_iv = (Fraction(B) * Fraction(b) ** M * (rc.a1.pow_int(18) * abs(a) ** 17).pow_int(M)).inv()
     enc, terms_used = reference_phi_enclosure_for_target(gp, beta, rhs_iv.lo / 10)
-    checks.append(entry("enclosure_width", True, enc.width <= rhs_iv.lo / 10, fmt_real(enc.width, 40), fmt_real(rhs_iv.lo / 10, 40)))
+    width = enc.hi - enc.lo
+    checks.append(entry("enclosure_width", True, width <= rhs_iv.lo / 10, fmt_real(width, 40), fmt_real(rhs_iv.lo / 10, 40)))
 
     # remainder envelope at the evaluation point
     rbound = ((n1 + 1) * e1 * Interval.point(abs(beta)).pow_int(Nt + 1) / (1 - abs(beta))).hi
