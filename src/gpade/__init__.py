@@ -43,7 +43,6 @@ from .pade import (
     ApproxShape,
     PadeFamily,
     build_family,
-    build_p,
     build_q,
     family_det,
     family_tsv,

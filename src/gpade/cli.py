@@ -123,22 +123,18 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=_precision, default=128, metavar="BITS")
     common.add_argument("--exact", action="store_true", help="print big integers in full")
     common.add_argument("--theta-mode", type=_theta_mode, default="paper", metavar="{paper|sharp|custom:T,C}")
+    degrees = argparse.ArgumentParser(add_help=False)
+    degrees.add_argument("--n", type=_int_list, required=True, metavar="a,b,c")
+    degrees.add_argument("--n0", type=int, required=True, metavar="K")
 
     ap = argparse.ArgumentParser(prog="gpade", description=__doc__.split("\n", 1)[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", parents=[common], help="dump the approximant family")
-    p.add_argument("--n", type=_int_list, required=True, metavar="a,b,c")
-    p.add_argument("--n0", type=int, required=True, metavar="K")
+    p = sub.add_parser("construct", parents=[common, degrees], help="dump the approximant family")
     p.add_argument("--scaled", action="store_true", help="emit coefficients cleared by D")
 
-    p = sub.add_parser("verify", parents=[common], help="order, oracle and determinant checks")
-    p.add_argument("--n", type=_int_list, required=True)
-    p.add_argument("--n0", type=int, required=True)
-
-    p = sub.add_parser("denominators", parents=[common], help="clearing integers and integrality")
-    p.add_argument("--n", type=_int_list, required=True)
-    p.add_argument("--n0", type=int, required=True)
+    sub.add_parser("verify", parents=[common, degrees], help="order, oracle and determinant checks")
+    sub.add_parser("denominators", parents=[common, degrees], help="clearing integers and integrality")
 
     p = sub.add_parser("constants", parents=[common], help="certified constants")
     p.add_argument("--vartheta", type=_fraction, default=None, metavar="V")
@@ -170,6 +166,15 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # Subcommand bodies (each returns (exit_code, result_dict_or_text))
 # ---------------------------------------------------------------------------
+
+
+def _global_relation(gr: dict) -> dict:
+    """The printed keys of `global_relation_constant`."""
+    return {
+        "c9": gr["c9"],
+        "log_C": gr["log_C"],
+        "crosscheck_abs_diff_upper": fmt_real(gr["crosscheck_abs_diff_upper"], 24),
+    }
 
 
 def _cmd_construct(args, gp):
@@ -236,11 +241,7 @@ def _cmd_constants(args, gp):
     result = {
         "theta_mode": {"label": mode.label, "c_theta": mode.c_theta, "certified": mode.certified},
         "size_constants": {f"c{k}": cns.upper(k) for k in range(1, 9)},
-        "global_relation": {
-            "c9": gr["c9"],
-            "log_C": gr["log_C"],
-            "crosscheck_abs_diff_upper": fmt_real(gr["crosscheck_abs_diff_upper"], 24),
-        },
+        "global_relation": _global_relation(gr),
     }
     if gp.m == 1 and args.vartheta is not None:
         rc = restricted_constants(gp, mode, args.vartheta, args.precision)
@@ -274,18 +275,9 @@ def _cmd_padic(args, gp):
     }
     code = 0
     if args.ell:
-        forms = []
-        for ell in args.ell:
-            lf = linear_form_valuation(encs, ell)
-            forms.append(
-                {
-                    "ell": list(ell),
-                    "exact": lf.exact,
-                    "valuation": lf.valuation,
-                    "below_precision_exponent": lf.precision_exponent,
-                }
-            )
-        result["linear_forms"] = forms
+        result["linear_forms"] = [
+            {"ell": list(ell), **linear_form_valuation(encs, ell).report()} for ell in args.ell
+        ]
         if args.tau is not None:
             delta = args.delta if args.delta is not None else Fraction(0)
             mode = ThetaMode.parse(args.theta_mode, args.precision)
@@ -306,12 +298,7 @@ def _cmd_global(args, gp):
     probe = None
     if args.ell is not None:
         probe = probe_global_relation(gp, args.a, args.ell, k=max(8, args.precision // 2))
-    gr = global_relation_constant(gp, mode, args.precision)
-    result = {
-        "c9": gr["c9"],
-        "log_C": gr["log_C"],
-        "crosscheck_abs_diff_upper": fmt_real(gr["crosscheck_abs_diff_upper"], 24),
-    }
+    result = _global_relation(global_relation_constant(gp, mode, args.precision))
     if probe is not None:
         result["probe"] = probe
     return 0, emit_report(result, args.format, args.exact)

@@ -423,11 +423,7 @@ def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fract
     out = []
     for i in range(gp.m + 1):
         for j in range(1, gp.m + 1):
-            start = shape.Nij(i, j) + shape.n[j - 1] + 1
-            terms = [
-                d * cf * beta**mu
-                for mu, cf in enumerate(family.remainder_coeffs(i, j, shape.remainder_truncation), start=start)
-            ]
+            terms = [d * t for t in family.remainder_terms(i, j, beta, shape.remainder_truncation)]
             total = sum(terms, Fraction(0))
             vals = [Fraction(1, p**p_valuation(t, p)) if t != 0 else Fraction(0) for t in terms]
             vtot = Fraction(1, p**p_valuation(total, p)) if total != 0 else Fraction(0)

@@ -11,6 +11,11 @@ coefficients (`build_q`) and a fraction-free exact linear solve of the order
 conditions (`oracle_solve`).  They must agree coefficientwise; tests and the
 verification CLI exercise both.
 
+The family (`build_family`) holds Q_i and P_ij only.  Every other window of
+the product series Q_i * phi_j -- the n_j forced zeros past P_ij and the
+remainder terms past them -- is computed on demand by the one windowed
+kernel `series_product_coeffs`, which also builds P_ij.
+
 The closed form, the product series and the determinant check clear common
 denominators once and then work on plain integers; the oracle keeps its own
 route from the series coefficients into the Bareiss elimination.
@@ -37,7 +42,6 @@ __all__ = [
     "phi_partial_sum_parts",
     "build_q",
     "build_q_generic",
-    "build_p",
     "series_product_coeffs",
     "build_family",
     "verify_order",
@@ -227,18 +231,18 @@ def build_q(gp: GParams, shape: ApproxShape, i: int) -> tuple[Fraction, ...]:
     return build_q_generic(gp, shape.n, shape.Nij_row(i))
 
 
-def series_product_coeffs(gp: GParams, q: tuple[Fraction, ...], j: int, upto: int) -> tuple[Fraction, ...]:
-    """Coefficients 0..upto of Q * phi_j for a denominator Q given by `q`."""
+def series_product_coeffs(gp: GParams, q: tuple[Fraction, ...], j: int, lo: int, hi: int) -> tuple[Fraction, ...]:
+    """Coefficients lo..hi of Q * phi_j for a denominator Q given by `q`.
+
+    Coefficient mu reads phi_j at the orders mu - deg Q .. mu, so the window
+    needs phi_j only from order max(0, lo - deg Q) on.
+    """
+    start = max(0, lo - (len(q) - 1))
     Dq, q_int = cleared(q)
-    Dr, r_int = cleared(phi_coeffs(gp, j, upto))
-    r_rev = r_int[::-1]  # r_rev[upto - mu + k] = r_int[mu - k]
+    Dr, r_int = cleared(phi_coeffs(gp, j, hi)[start:])
+    r_rev = r_int[::-1]  # r_rev[hi - mu + k] = phi_j's coefficient mu - k
     D = Dq * Dr
-    return tuple(Fraction(sum(map(mul, q_int, r_rev[upto - mu :])), D) for mu in range(upto + 1))
-
-
-def build_p(gp: GParams, shape: ApproxShape, q: tuple[Fraction, ...], i: int, j: int) -> tuple[Fraction, ...]:
-    """Numerator coefficients of P_ij (degree <= N_ij), from row i's Q."""
-    return series_product_coeffs(gp, q, j, shape.Nij(i, j))
+    return tuple(Fraction(sum(map(mul, q_int, r_rev[hi - mu :])), D) for mu in range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -251,35 +255,40 @@ class PadeFamily:
     gp: GParams
     shape: ApproxShape
     q: tuple[tuple[Fraction, ...], ...]  # (m+1) rows of denominator coeffs
-    c: tuple[tuple[tuple[Fraction, ...], ...], ...]  # c[i][j-1] = Q_i*phi_j to N_ij + n_j
+    p: tuple[tuple[tuple[Fraction, ...], ...], ...]  # p[i][j-1] = P_ij through order N_ij
 
     def p_coeffs(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.c[i][j - 1][: self.shape.Nij(i, j) + 1]
+        return self.p[i][j - 1]
 
     def forced_zero_coeffs(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.c[i][j - 1][self.shape.Nij(i, j) + 1 :]
+        """Coefficients N_ij + 1 .. N_ij + n_j of Q_i*phi_j, which the order
+        conditions force to zero, computed from Q_i."""
+        Nij = self.shape.Nij(i, j)
+        return series_product_coeffs(self.gp, self.q[i], j, Nij + 1, Nij + self.shape.n[j - 1])
 
-    def remainder_coeffs(self, i: int, j: int, T: int) -> tuple[Fraction, ...]:
-        """Series coefficients of Q_i*phi_j - P_ij from the first possibly
-        nonzero order N_ij + n_j + 1 up to T, computed on demand."""
-        return series_product_coeffs(self.gp, self.q[i], j, T)[self.shape.Nij(i, j) + self.shape.n[j - 1] + 1 :]
+    def remainder_terms(self, i: int, j: int, z: Fraction, T: int) -> list[Fraction]:
+        """The terms c_mu * z^mu of (Q_i*phi_j - P_ij)(z) from the first
+        possibly nonzero order mu = N_ij + n_j + 1 up to T, computed from Q_i."""
+        start = self.shape.Nij(i, j) + self.shape.n[j - 1] + 1
+        coeffs = series_product_coeffs(self.gp, self.q[i], j, start, T)
+        return [cf * z**mu for mu, cf in enumerate(coeffs, start=start)]
 
     def p_leading(self, i: int) -> Fraction:
         """Leading coefficient of P_ii (order N_i + 1); nonzero by theory."""
-        return self.c[i][i - 1][self.shape.Nij(i, i)]
+        return self.p[i][i - 1][-1]
 
 
 def build_family(gp: GParams, shape: ApproxShape) -> PadeFamily:
-    """Construct all m+1 rows, each product series Q_i*phi_j through its
-    order window N_ij + n_j: the numerator P_ij and the forced zeros."""
+    """Construct all m+1 rows: Q_i and every numerator P_ij, the product
+    series Q_i*phi_j through order N_ij."""
     if gp.m != shape.m:
         raise ValueError("shape and parameters disagree on m")
     qrows = tuple(build_q(gp, shape, i) for i in range(gp.m + 1))
-    ctab = tuple(
-        tuple(series_product_coeffs(gp, qrows[i], j, shape.Nij(i, j) + shape.n[j - 1]) for j in range(1, gp.m + 1))
+    prows = tuple(
+        tuple(series_product_coeffs(gp, qrows[i], j, 0, shape.Nij(i, j)) for j in range(1, gp.m + 1))
         for i in range(gp.m + 1)
     )
-    return PadeFamily(gp=gp, shape=shape, q=qrows, c=ctab)
+    return PadeFamily(gp=gp, shape=shape, q=qrows, p=prows)
 
 
 def verify_order(family: PadeFamily) -> dict[tuple[int, int], bool]:
@@ -389,9 +398,7 @@ def _order_row(ratios: list[Fraction], mu: int, N: int) -> list[int]:
     """The order-mu condition on Q * phi for the unknowns a_0..a_{N-1}, with
     a_N = 1 moved to the right-hand side, cleared by the lcm of its
     denominators (`ratios` holds phi's coefficients through order mu)."""
-    row = [ratios[mu - k] for k in range(N)] + [-ratios[mu - N]]
-    L = lcm(*(c.denominator for c in row))
-    return [c.numerator * (L // c.denominator) for c in row]
+    return cleared([ratios[mu - k] for k in range(N)] + [-ratios[mu - N]])[1]
 
 
 def oracle_solve(gp: GParams, shape: ApproxShape) -> tuple[tuple[Fraction, ...], ...]:

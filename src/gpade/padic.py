@@ -133,6 +133,14 @@ class LinearFormValuation:
     valuation: int | None
     precision_exponent: int | None
 
+    def report(self) -> dict:
+        """The valuation as the CLI and the audit print it."""
+        return {
+            "exact": self.exact,
+            "valuation": self.valuation,
+            "below_precision_exponent": self.precision_exponent,
+        }
+
 
 def linear_form_valuation(values: tuple[PAdicEnclosure, ...], ell: tuple[int, ...]) -> LinearFormValuation:
     """Combine enclosures of phi_1..phi_m with integer coefficients
@@ -220,7 +228,6 @@ def select_block_degrees(inst: LinearFormInstance, a: int) -> BlockDegreeSelecti
     clamped = tuple(dg < 1 for dg in degrees)
     n0 = max(1, degrees[0])
     n = tuple(max(1, dg) for dg in degrees[1:])
-    n0 = max(n0, max(n))  # h0 >= h_j keeps this a no-op; belt and braces
     shape = ApproxShape(n=n, n0=n0)
     checks: dict = {"clamped_any": any(clamped)}
     if not any(clamped):
@@ -360,9 +367,7 @@ def audit_linear_form(
         for j in range(1, m + 1):
             if inst.ell[j] == 0:
                 continue
-            rem = family.remainder_coeffs(wi, j, T)
-            start = shape.Nij(wi, j) + shape.n[j - 1] + 1
-            partial += inst.ell[j] * scale * sum(cf * beta**mu for mu, cf in enumerate(rem, start=start))
+            partial += inst.ell[j] * scale * sum(family.remainder_terms(wi, j, beta, T))
         if partial != 0 and Fraction(p_valuation(partial, p)) < tail_exp:
             v_rem = p_valuation(partial, p)
             dominance = v_lambda < v_rem
@@ -393,11 +398,7 @@ def audit_linear_form(
     # the series-side value of the form, via enclosures
     encs = eval_all_phi(gp, beta, p, _EVAL_DIGITS)
     lf = linear_form_valuation(encs, inst.ell)
-    report["linear_form"] = {
-        "exact": lf.exact,
-        "valuation": lf.valuation,
-        "below_precision_exponent": lf.precision_exponent,
-    }
+    report["linear_form"] = lf.report()
     consistency = None
     if dominance and lf.exact:
         v_qi = p_valuation(Fraction(scaled.qi[wi]), p) if scaled.qi[wi] != 0 else None
@@ -473,10 +474,7 @@ def global_relation_constant(gp: GParams, mode: ThetaMode | None = None, prec: i
     diff = c9_limit - log_c
     return {
         "log_C": LogUpperBound.from_interval(log_c, prec),
-        "log_C_interval": log_c,
         "c9": LogUpperBound.from_interval(c9_mode, prec),
-        "c9_interval": c9_mode,
-        "c9_limit_interval": c9_limit,
         "crosscheck_abs_diff_upper": max(abs(diff.lo), abs(diff.hi)),
     }
 

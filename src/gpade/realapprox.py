@@ -29,7 +29,7 @@ from .arith import (
 )
 from .denom import ThetaMode, compute_d1
 from .errors import DomainViolation, HypothesisFailure, InvariantViolation, PrecisionInsufficient
-from .pade import ApproxShape, build_p, build_q, phi_partial_sum_parts
+from .pade import ApproxShape, build_family, phi_partial_sum_parts
 from .params import GParams
 from .report import Check, entry, fmt_ratio, fmt_real, full_digits, rational, tagged_bound
 
@@ -427,10 +427,9 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     h_min = max(rc.c_theta, rc.c_vartheta, 4)
     checks.append(entry("h_vs_thresholds", True, inst.h >= h_min, inst.h, h_min))
 
-    # the polynomials the audit reads (Q_0, Q_1, P_01, P_11) and the
-    # specialized clearing integers
+    # the family (Q_0, Q_1, P_01, P_11) and the specialized clearing integers
     shape = ApproxShape(n=(n1,), n0=n0)
-    qs = [build_q(gp, shape, i) for i in (0, 1)]
+    family = build_family(gp, shape)
     d1 = restricted_d1(gp, n1, n0)
     d2 = restricted_d2(gp, n0)
     # Q_i has degree n1 and P_i1 degree N_i1 <= n0 + 1: Q_i(a/b) = hq / (lq b^n1)
@@ -439,8 +438,8 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     q_at, p_at, ui, vi = [], [], [], []
     for i in (0, 1):
         deg_p = shape.Nij(i, 1)
-        hq, lq = cleared_eval(qs[i], a, b)
-        hp, lp = cleared_eval(build_p(gp, shape, qs[i], i, 1), a, b)
+        hq, lq = cleared_eval(family.q[i], a, b)
+        hp, lp = cleared_eval(family.p_coeffs(i, 1), a, b)
         q_at.append((hq, lq * b**n1))
         p_at.append((hp, lp * b**deg_p))
         u = d1.value * hq
@@ -462,7 +461,7 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
         * exp_iv(th * (2 * gp.s0 * n1 + gp.v[0] * Nt), prec)
     )
     gate_n1 = n1 >= rc.c_theta
-    amax = max(abs(cf) for q in qs for cf in q)
+    amax = max(abs(cf) for q in family.q for cf in q)
     checks.append(entry("coeff_envelope", gate_n1, amax <= e1.hi, rational(amax), fmt_real(e1.hi, 6)))
     qbound = (e1 / (1 - abs(beta))).hi
     qmax = max(abs(Fraction(hq, dq)) for hq, dq in q_at)

@@ -14,7 +14,6 @@ from gpade.pade import (
     _solve_sharing,
     ApproxShape,
     build_family,
-    build_p,
     build_q,
     build_q_generic,
     family_det,
@@ -70,15 +69,48 @@ def test_hand_instance_numerators(half):
     # order-0 coefficient always equals the constant denominator coefficient
     for i in (0, 1):
         assert fam.p_coeffs(i, 1)[0] == fam.q[i][0]
-    p01 = build_p(gp, shape, fam.q[0], 0, 1)
+    p01 = series_product_coeffs(gp, fam.q[0], 1, 0, shape.Nij(0, 1))
     assert p01 == fam.p_coeffs(0, 1)
 
 
 def test_hand_instance_remainder(half):
     gp, shape, fam = half
     assert fam.forced_zero_coeffs(0, 1) == (F(0),)
-    assert fam.remainder_coeffs(0, 1, shape.remainder_truncation)[0] == F(-4, 105)
+    assert fam.remainder_terms(0, 1, F(1), shape.remainder_truncation)[0] == F(-4, 105)
     assert verify_order(fam) == {(0, 1): True, (1, 1): True}
+
+
+def reference_product_coeffs(gp, q, j, T):
+    """Coefficients 0..T of Q * phi_j, by the Fraction convolution."""
+    phi = phi_coeffs(gp, j, T)
+    return [sum((q[k] * phi[mu - k] for k in range(min(len(q) - 1, mu) + 1)), F(0)) for mu in range(T + 1)]
+
+
+@pytest.mark.parametrize("z", [F(8, 3), F(27, 2)])
+# the `half` family, and trio (1; 1/2, 1/3), at the p-adic audits' points
+@pytest.mark.parametrize("alphas, n, n0", [([F(1), F(1, 2)], (1,), 1), ([F(1), F(1, 2), F(1, 3)], (2, 1), 2)])
+def test_remainder_terms_match_full_convolution(alphas, n, n0, z):
+    gp = derive_params(alphas)
+    shape = ApproxShape(n=n, n0=n0)
+    fam = build_family(gp, shape)
+    for T in (shape.remainder_truncation, shape.remainder_truncation + 9):
+        for i in range(gp.m + 1):
+            for j in range(1, gp.m + 1):
+                full = reference_product_coeffs(gp, fam.q[i], j, T)
+                Nij, nj = shape.Nij(i, j), shape.n[j - 1]
+                assert tuple(full[: Nij + 1]) == fam.p_coeffs(i, j)
+                assert full[Nij + 1 : Nij + nj + 1] == [0] * nj
+                expected = [cf * z**mu for mu, cf in enumerate(full) if mu > Nij + nj]
+                assert fam.remainder_terms(i, j, z, T) == expected
+                assert any(expected)
+
+
+def test_verify_order_reads_the_denominators(half):
+    gp, shape, fam = half
+    qq = [list(row) for row in fam.q]
+    qq[0][0] += 1
+    broken = replace(fam, q=tuple(map(tuple, qq)))
+    assert verify_order(broken) == {(0, 1): False, (1, 1): True}
 
 
 def test_perturbation_breaks_order(half):
@@ -87,9 +119,8 @@ def test_perturbation_breaks_order(half):
         for k in range(shape.N + 1):
             qq = list(fam.q[i])
             qq[k] += 1
-            coeffs = series_product_coeffs(gp, tuple(qq), 1, shape.remainder_truncation)
             lo = shape.Nij(i, 1) + 1
-            window = coeffs[lo : lo + shape.n[0]]
+            window = series_product_coeffs(gp, tuple(qq), 1, lo, lo + shape.n[0] - 1)
             assert any(c != 0 for c in window)
 
 
@@ -114,8 +145,7 @@ def test_generic_degrees_agree_with_oracle():
         assert q1 == q2
         coeffs_ok = True
         for j in range(1, m + 1):
-            cs = series_product_coeffs(gp, q1, j, Nlist[j - 1] + n[j - 1] + 1)
-            window = cs[Nlist[j - 1] + 1 : Nlist[j - 1] + n[j - 1] + 1]
+            window = series_product_coeffs(gp, q1, j, Nlist[j - 1] + 1, Nlist[j - 1] + n[j - 1])
             coeffs_ok = coeffs_ok and all(c == 0 for c in window)
         assert coeffs_ok
 
@@ -248,15 +278,15 @@ def test_shared_solve_singular_tail():
     instance=closed_form_instances(),
     q=st.lists(st.fractions(min_value=-1000, max_value=1000, max_denominator=50), min_size=1, max_size=9),
     upto=st.integers(0, 25),
+    data=st.data(),
 )
-def test_series_product_matches_fraction_convolution(instance, q, upto):
+def test_series_product_matches_fraction_convolution(instance, q, upto, data):
     gp = derive_params(instance[0])
+    lo = data.draw(st.integers(0, upto), label="lo")
     for j in range(1, gp.m + 1):
-        phi = phi_coeffs(gp, j, upto)
-        naive = tuple(
-            sum((q[k] * phi[mu - k] for k in range(min(len(q) - 1, mu) + 1)), F(0)) for mu in range(upto + 1)
-        )
-        assert series_product_coeffs(gp, tuple(q), j, upto) == naive
+        naive = tuple(reference_product_coeffs(gp, q, j, upto))
+        assert series_product_coeffs(gp, tuple(q), j, 0, upto) == naive
+        assert series_product_coeffs(gp, tuple(q), j, lo, upto) == naive[lo:]
 
 
 def reference_phi_partial_sum(gp, j, z, T):
