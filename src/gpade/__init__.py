@@ -6,7 +6,6 @@ restricted-approximation audit."""
 from .arith import (
     FactoredInteger,
     Interval,
-    LogUpperBound,
     floor_log,
     legendre_nu,
     p_valuation,

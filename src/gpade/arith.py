@@ -8,6 +8,7 @@ used anywhere in the computation paths.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,6 @@ __all__ = [
     "Fraction",
     "FactoredInteger",
     "Interval",
-    "LogUpperBound",
     "primes_upto",
     "MR_LIMIT",
     "is_prime",
@@ -78,15 +78,7 @@ def primes_upto(n: int) -> list[int]:
     """All primes p <= n, ascending."""
     if n > _sieved_upto:
         _grow_sieve(max(2 * _sieved_upto, n))
-    # bisect by hand; the list is small and this avoids an import
-    lo, hi = 0, len(_primes)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _primes[mid] <= n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return _primes[:lo]
+    return _primes[: bisect_right(_primes, n)]
 
 
 # Miller-Rabin over the first 13 primes decides primality exactly below this
@@ -428,42 +420,17 @@ class Interval:
         return self * o.inv()
 
     def pow_int(self, n: int) -> "Interval":
-        if n < 0:
-            return self.pow_int(-n).inv()
-        if self.lo >= 0:
-            # monotone on [0, inf); Fraction ** int skips the gcd of a product
-            return Interval(Fraction(self.lo) ** n, Fraction(self.hi) ** n)
-        acc = Interval.point(1)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        """[lo^n, hi^n], defined only for a nonnegative enclosure and n >= 0."""
+        if self.lo < 0 or n < 0:
+            raise InvariantViolation(f"pow_int needs lo >= 0 and n >= 0, got lo = {self.lo}, n = {n}")
+        # monotone on [0, inf); Fraction ** int skips the gcd of a product
+        return Interval(Fraction(self.lo) ** n, Fraction(self.hi) ** n)
 
     def rounded(self, bits: int) -> "Interval":
         return Interval(dyadic_down(self.lo, bits), dyadic_up(self.hi, bits))
 
     def max_with(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
-
-
-@dataclass(frozen=True)
-class LogUpperBound:
-    """A certified upper bound for a nonnegative real quantity.
-
-    `value` is a dyadic rational that is >= the exact quantity; `precision`
-    records the rounding grid (value is on the 2^-precision lattice).
-    """
-
-    value: Fraction
-    precision: int
-
-    @classmethod
-    def from_interval(cls, iv: Interval, bits: int) -> "LogUpperBound":
-        return cls(dyadic_up(iv.hi, bits), bits)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from .realapprox import (
     restricted_constants,
     restricted_threshold,
 )
-from .report import emit_report, entry, fmt_real, full_digits
+from .report import emit_report, entry, fmt_real, full_digits, tagged_bound
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -104,7 +104,7 @@ def _prime(text: str) -> int:
 
 
 def _theta_mode(text: str) -> str:
-    # syntax only: the paper mode's log is computed by the subcommands that use it
+    # syntax only: `main` builds the mode once --precision is known
     if text not in ("paper", "sharp"):
         try:
             ThetaMode.parse(text)
@@ -168,22 +168,22 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _global_relation(gr: dict) -> dict:
-    """The printed keys of `global_relation_constant`."""
+def _global_relation(gr: dict, prec: int) -> dict:
+    """The printed keys of `global_relation_constant` at precision prec."""
     return {
-        "c9": gr["c9"],
-        "log_C": gr["log_C"],
+        "c9": tagged_bound(gr["c9"], 24, "upper", prec),
+        "log_C": tagged_bound(gr["log_C"], 24, "upper", prec),
         "crosscheck_abs_diff_upper": fmt_real(gr["crosscheck_abs_diff_upper"], 24),
     }
 
 
-def _cmd_construct(args, gp):
+def _cmd_construct(args, gp, mode):
     shape = ApproxShape(n=args.n, n0=args.n0)
     family = build_family(gp, shape)
     scale = None
     note = {}
     if args.scaled:
-        cert = make_cert(gp, shape, ThetaMode.parse(args.theta_mode, args.precision), args.precision)
+        cert = make_cert(gp, shape, mode, args.precision)
         scale = cert.d.value
         note = {"scaled_by_D": full_digits(scale)}
     if args.format == "tsv":
@@ -192,7 +192,7 @@ def _cmd_construct(args, gp):
     return 0, emit_report({"coefficients": list(family_rows(family, scale)), **note}, "json", args.exact)
 
 
-def _cmd_verify(args, gp):
+def _cmd_verify(args, gp, mode):
     shape = ApproxShape(n=args.n, n0=args.n0)
     family = build_family(gp, shape)
     order = verify_order(family)
@@ -212,9 +212,8 @@ def _cmd_verify(args, gp):
     return (0 if ok else CHECK_FAILED), emit_report(result, args.format, args.exact)
 
 
-def _cmd_denominators(args, gp):
+def _cmd_denominators(args, gp, mode):
     shape = ApproxShape(n=args.n, n0=args.n0)
-    mode = ThetaMode.parse(args.theta_mode, args.precision)
     family = build_family(gp, shape)
     cert = make_cert(gp, shape, mode, args.precision)
     integ = verify_integrality(family, cert)
@@ -234,14 +233,15 @@ def _cmd_denominators(args, gp):
     return code, emit_report(result, "json", args.exact)
 
 
-def _cmd_constants(args, gp):
-    mode = ThetaMode.parse(args.theta_mode, args.precision)
+def _cmd_constants(args, gp, mode):
     cns = bound_constants(gp, mode, args.precision)
     gr = global_relation_constant(gp, mode, args.precision)
     result = {
         "theta_mode": {"label": mode.label, "c_theta": mode.c_theta, "certified": mode.certified},
-        "size_constants": {f"c{k}": cns.upper(k) for k in range(1, 9)},
-        "global_relation": _global_relation(gr),
+        "size_constants": {
+            f"c{k}": tagged_bound(cns.upper(k), 24, "upper", args.precision) for k in range(1, 9)
+        },
+        "global_relation": _global_relation(gr, args.precision),
     }
     if gp.m == 1 and args.vartheta is not None:
         rc = restricted_constants(gp, mode, args.vartheta, args.precision)
@@ -249,7 +249,7 @@ def _cmd_constants(args, gp):
             "a1": rc.a1,
             "a1_variant": rc.a1_variant,
             "a2": rc.a2,
-            "c_theta": rc.c_theta,
+            "c_theta": mode.c_theta,
             "c_vartheta": rc.c_vartheta,
         }
         if args.beta is not None:
@@ -259,7 +259,7 @@ def _cmd_constants(args, gp):
     return 0, emit_report(result, args.format, args.exact)
 
 
-def _cmd_padic(args, gp):
+def _cmd_padic(args, gp, mode):
     encs = eval_all_phi(gp, args.beta, args.p, max(8, args.precision // 2))
     result = {
         "enclosures": [
@@ -280,7 +280,6 @@ def _cmd_padic(args, gp):
         ]
         if args.tau is not None:
             delta = args.delta if args.delta is not None else Fraction(0)
-            mode = ThetaMode.parse(args.theta_mode, args.precision)
             audits = [
                 audit_linear_form(gp, args.beta, args.p, LinearFormInstance(ell, args.tau, delta), mode, args.precision)
                 for ell in args.ell
@@ -291,21 +290,19 @@ def _cmd_padic(args, gp):
     return code, emit_report(result, args.format, args.exact)
 
 
-def _cmd_global(args, gp):
-    mode = ThetaMode.parse(args.theta_mode, args.precision)
+def _cmd_global(args, gp, mode):
     # --a is checked, and the probe run, before the costly constant
     check_global_point(gp, args.a)
     probe = None
     if args.ell is not None:
         probe = probe_global_relation(gp, args.a, args.ell, k=max(8, args.precision // 2))
-    result = _global_relation(global_relation_constant(gp, mode, args.precision))
+    result = _global_relation(global_relation_constant(gp, mode, args.precision), args.precision)
     if probe is not None:
         result["probe"] = probe
     return 0, emit_report(result, args.format, args.exact)
 
 
-def _cmd_restricted(args, gp):
-    mode = ThetaMode.parse(args.theta_mode, args.precision)
+def _cmd_restricted(args, gp, mode):
     a, b = args.beta.numerator, args.beta.denominator
     inst = make_restricted_instance(
         gp,
@@ -336,34 +333,23 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        mode = ThetaMode.parse(args.theta_mode, args.precision)
         gp = load_params(args.params)
-    except (OSError, ValueError, CertificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        code, text = _COMMANDS[args.command](args, gp)
-    except (
-        SingularSystem,
-        NonMonomialDeterminant,
-        IntegralityViolation,
-        InvariantViolation,
-    ) as exc:
-        # a certified mathematical check failed: distinct from bad usage
+        code, text = _COMMANDS[args.command](args, gp, mode)
+    except (SingularSystem, NonMonomialDeterminant, IntegralityViolation, InvariantViolation) as exc:
+        # a certified mathematical check failed or a defect surfaced, wherever
+        # it was raised: distinct from bad usage
         print(f"check failed: {exc}", file=sys.stderr)
         return CHECK_FAILED
     except HypothesisFailure as exc:
         print(f"hypothesis error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (OSError, ValueError, CertificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     sys.stdout.write(text)

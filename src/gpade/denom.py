@@ -22,8 +22,8 @@ from math import gcd
 from .arith import (
     FactoredInteger,
     Interval,
-    LogUpperBound,
     cleared_eval,
+    dyadic_up,
     epsilon_interval,
     exp_interval,
     exp_iv,
@@ -38,7 +38,7 @@ from .arith import (
 from .errors import DomainViolation, IntegralityViolation
 from .pade import ApproxShape, PadeFamily, bareiss_eliminate
 from .params import GParams, padic_domain_check
-from .report import Check, entry, fmt_real, full_digits, rational
+from .report import Check, entry, fmt_real, full_digits, rational, tsv
 
 __all__ = [
     "ThetaMode",
@@ -159,8 +159,9 @@ class SizeConstants:
     precision: int
     iv: tuple[Interval, ...]  # index 0 unused; 1..8 meaningful
 
-    def upper(self, k: int) -> LogUpperBound:
-        return LogUpperBound.from_interval(self.iv[k], self.precision)
+    def upper(self, k: int) -> Fraction:
+        """The upper end of c_k rounded up to the 2^-precision grid."""
+        return dyadic_up(self.iv[k].hi, self.precision)
 
     def exponent_13(self, shape: ApproxShape) -> Interval:
         return self.iv[1] + self.iv[2] * shape.n0 + self.iv[3] * shape.N + self.iv[4] * shape.Ntilde
@@ -200,21 +201,16 @@ def bound_constants(gp: GParams, mode: ThetaMode, prec: int = 128) -> SizeConsta
 class DenominatorCert:
     """D1, D2, D = D1*D2 for a concrete (gp, shape), plus size constants."""
 
-    gp: GParams
-    shape: ApproxShape
     d1: FactoredInteger
     d2: FactoredInteger
     d: FactoredInteger
     constants: SizeConstants
 
 
-def make_cert(gp: GParams, shape: ApproxShape, mode: ThetaMode | None = None, prec: int = 128) -> DenominatorCert:
-    mode = mode or ThetaMode.paper(prec)
+def make_cert(gp: GParams, shape: ApproxShape, mode: ThetaMode, prec: int = 128) -> DenominatorCert:
     d1 = compute_d1(gp, shape)
     d2 = compute_d2(gp, shape)
-    return DenominatorCert(
-        gp=gp, shape=shape, d1=d1, d2=d2, d=d1 * d2, constants=bound_constants(gp, mode, prec)
-    )
+    return DenominatorCert(d1=d1, d2=d2, d=d1 * d2, constants=bound_constants(gp, mode, prec))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +369,6 @@ def ntilde1_interval(gp: GParams, cns: SizeConstants, beta: Fraction, p: int) ->
 class RemainderBound:
     a14: Fraction
     lemma6_upper: Fraction
-    ntilde1: LogUpperBound
     lemma6_applicable: bool
     delta_p: int
 
@@ -397,16 +392,9 @@ def remainder_padic_bound(
     dp = chk.delta_p
     abs_a_p = Fraction(1, p ** (va * (Nt + 1)))
     a14 = 2 * gp.dtilde * Fraction(abs(a)) ** (4 * dp) * Fraction(Nt) ** dp * abs_a_p
-    nt1 = ntilde1_interval(gp, cert.constants, beta, p)
-    applicable = Fraction(Nt) >= nt1.hi
+    applicable = Fraction(Nt) >= ntilde1_interval(gp, cert.constants, beta, p).hi
     lemma6 = exp_iv(Interval.point(2 * Nt), cert.constants.precision).hi * abs_a_p
-    return RemainderBound(
-        a14=a14,
-        lemma6_upper=lemma6,
-        ntilde1=LogUpperBound.from_interval(nt1, cert.constants.precision),
-        lemma6_applicable=applicable,
-        delta_p=dp,
-    )
+    return RemainderBound(a14=a14, lemma6_upper=lemma6, lemma6_applicable=applicable, delta_p=dp)
 
 
 def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fraction, p: int) -> list[Check]:
@@ -442,14 +430,10 @@ def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fract
 # ---------------------------------------------------------------------------
 
 
-def cert_tsv(cert: DenominatorCert, checks: list[Check] | None = None) -> str:
-    lines = ["quantity\tvalue\tdetail\tstatus"]
-    for label, fi in (("D1", cert.d1), ("D2", cert.d2), ("D", cert.d)):
-        lines.append(f"{label}\t{full_digits(fi.value)}\t{fi.format_factors()}\t-")
+def cert_tsv(cert: DenominatorCert, checks: list[Check]) -> str:
     cns = cert.constants
-    for k in range(1, 9):
-        ub = cns.upper(k)
-        lines.append(f"c{k}\t{fmt_real(ub.value, 24)}\tupper@{ub.precision}b\t-")
-    for e in checks or []:
-        lines.append(f"{e.name}\t{e.lhs}\t{e.rhs}\t{e.status}")
-    return "\n".join(lines) + "\n"
+    clearing = (("D1", cert.d1), ("D2", cert.d2), ("D", cert.d))
+    rows = [(label, full_digits(fi.value), fi.format_factors(), "-") for label, fi in clearing]
+    rows += [(f"c{k}", fmt_real(cns.upper(k), 24), f"upper@{cns.precision}b", "-") for k in range(1, 9)]
+    rows += [(e.name, e.lhs, e.rhs, e.status) for e in checks]
+    return tsv(("quantity", "value", "detail", "status"), rows)

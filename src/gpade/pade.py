@@ -32,7 +32,7 @@ from operator import mul
 from .arith import cleared, pochhammer, poly_eval
 from .errors import IntegralityViolation, InvariantViolation, NonMonomialDeterminant, SingularSystem
 from .params import GParams
-from .report import full_digits
+from .report import full_digits, tsv
 
 __all__ = [
     "ApproxShape",
@@ -488,6 +488,5 @@ def family_rows(family: PadeFamily, scale: int | None = None) -> Iterator[dict]:
 
 def family_tsv(family: PadeFamily, scale: int | None = None) -> str:
     """The rows of `family_rows` as TSV under a header line."""
-    lines = ["i\tpoly\tdegree\tnumerator\tdenominator"]
-    lines += ["\t".join(map(str, row.values())) for row in family_rows(family, scale)]
-    return "\n".join(lines) + "\n"
+    header = ("i", "poly", "degree", "numerator", "denominator")
+    return tsv(header, (row.values() for row in family_rows(family, scale)))

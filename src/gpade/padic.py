@@ -14,7 +14,7 @@ from math import gcd, prod
 
 from .arith import (
     Interval,
-    LogUpperBound,
+    dyadic_up,
     epsilon_interval,
     floor_log,
     log_interval,
@@ -250,7 +250,7 @@ def audit_linear_form(
     beta: Fraction,
     p: int,
     inst: LinearFormInstance,
-    mode: ThetaMode | None = None,
+    mode: ThetaMode,
     prec: int = 128,
 ) -> dict:
     """Audit the full p-adic lower-bound chain at a concrete instance.
@@ -262,7 +262,6 @@ def audit_linear_form(
     when its preconditions hold.  Nothing is assumed: every comparison is
     either exact or directed.
     """
-    mode = mode or ThetaMode.paper(prec)
     beta = Fraction(beta)
     a, b = beta.numerator, beta.denominator
     m = gp.m
@@ -292,7 +291,7 @@ def audit_linear_form(
 
     cns = bound_constants(gp, mode, prec)
     log_a = log_interval(Fraction(abs(a)), prec)
-    log_b = log_interval(Fraction(b), prec) if b > 1 else Interval.point(0)
+    log_b = log_interval(Fraction(b), prec)
     inv_tau = 1 / inst.tau
     rhs_large = 2 * (1 + inv_tau) * log_b + 2 * (
         cns.iv[2] * (1 + inv_tau) + (cns.iv[8] + 2) * (m + 1 + inv_tau)
@@ -311,7 +310,7 @@ def audit_linear_form(
     # height threshold
     nt1 = ntilde1_interval(gp, cns, beta, p)
     log_h0 = ((nt1 + (m + 1)) * log_a / (1 + (m + 1) * inst.tau)).max_with(8 * log_a / inst.tau)
-    log_ht = log_interval(Fraction(inst.htilde), prec) if inst.htilde > 1 else Interval.point(0)
+    log_ht = log_interval(Fraction(inst.htilde), prec)
     ht_reaches = log_ht.lo >= log_h0.hi
     report["height_threshold"] = {
         "log_h0_upper": dec_iv(log_h0),
@@ -333,8 +332,8 @@ def audit_linear_form(
     scaled = scaled_integers(family, cert, beta, p=p)
 
     report["constants"] = {
-        "c2_upper": rational(cns.upper(2).value),
-        "c8_upper": rational(cns.upper(8).value),
+        "c2_upper": rational(cns.upper(2)),
+        "c8_upper": rational(cns.upper(8)),
         "ntilde1_upper": rational(nt1.hi),
         "c_theta": mode.c_theta,
     }
@@ -450,14 +449,14 @@ def audit_linear_form(
 # ---------------------------------------------------------------------------
 
 
-def global_relation_constant(gp: GParams, mode: ThetaMode | None = None, prec: int = 128) -> dict:
-    """The no-global-relation threshold log C, plus its cross-check.
+def global_relation_constant(gp: GParams, mode: ThetaMode, prec: int = 128) -> dict:
+    """The no-global-relation threshold log C and c9, each rounded up to the
+    2^-prec grid, plus the cross-check of log C.
 
     log C is the limiting display (prime-count factor pushed to 1):
       m*S + (m+1)*(3 + log(d*dtilde*s0*eps(s0)*eps(s)^2*eps(v)) + 2*s0 + (m+1)*V)
     and must agree with c2 + (m+1)*c8 evaluated at the same limit.
     """
-    mode = mode or ThetaMode.paper(prec)
     m = gp.m
     inner = (
         Interval.point(gp.d_lcm * gp.dtilde * gp.s0)
@@ -473,8 +472,8 @@ def global_relation_constant(gp: GParams, mode: ThetaMode | None = None, prec: i
     c9_mode = cns_mode.iv[2] + (m + 1) * cns_mode.iv[8]
     diff = c9_limit - log_c
     return {
-        "log_C": LogUpperBound.from_interval(log_c, prec),
-        "c9": LogUpperBound.from_interval(c9_mode, prec),
+        "log_C": dyadic_up(log_c.hi, prec),
+        "c9": dyadic_up(c9_mode.hi, prec),
         "crosscheck_abs_diff_upper": max(abs(diff.lo), abs(diff.hi)),
     }
 

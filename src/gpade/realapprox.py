@@ -79,6 +79,9 @@ def _phi_real_ends(gp: GParams, z: Fraction, T: int) -> tuple[int, int, int]:
 
 
 _SCAN_LIMIT = 200000  # the largest n that c_of_vartheta searches for the crossover
+# Up to this size of num^n, c_of_vartheta compares exact powers: that is
+# cheaper than the two certified logs a probe costs otherwise (about 0.1 ms)
+_EXACT_POWER_BITS = 1 << 14
 
 
 def _first_from(holds, n: int) -> int | None:
@@ -107,15 +110,26 @@ def c_of_vartheta(vartheta: Fraction) -> int:
     squared-ratio factor only shrinks, so it holds for every larger n and
     induction carries the power inequality onward.  Both conditions are thus
     monotone where they are searched, and each first n is found by galloping
-    and bisection on exact integer comparisons (n+1)^2 * den^n <= num^n.
+    and bisection.  A probe of the power condition compares the exact powers
+    (n+1)^2 * den^n <= num^n when num^n has at most _EXACT_POWER_BITS bits;
+    above that it compares certified enclosures of n log(vartheta) and
+    2 log(n+1), and forms the powers only when the enclosures overlap.
     """
     vartheta = Fraction(vartheta)
     if vartheta <= 1:
         raise ValueError("need vartheta > 1")
     num, den = vartheta.numerator, vartheta.denominator
+
+    def power_holds(k: int) -> bool:
+        if k * num.bit_length() > _EXACT_POWER_BITS:
+            gap = k * log_interval(vartheta) - 2 * log_interval(Fraction(k + 1))
+            if gap.lo >= 0 or gap.hi < 0:
+                return gap.lo >= 0
+        return (k + 1) ** 2 * den**k <= num**k
+
     n = _first_from(lambda k: (k + 2) ** 2 * den < (k + 1) ** 2 * num, 0)
     if n is not None:
-        n = _first_from(lambda k: (k + 1) ** 2 * den**k <= num**k, n)
+        n = _first_from(power_holds, n)
     if n is None:
         raise ValueError("crossover not found below the scan limit")
     return n
@@ -125,11 +139,9 @@ def c_of_vartheta(vartheta: Fraction) -> int:
 class RestrictedConstants:
     mode: ThetaMode
     vartheta: Fraction
-    c_theta: int
     c_vartheta: int
     a1: Interval
     a1_variant: str
-    a1_general: Interval
     a2: Interval
     precision: int
 
@@ -152,18 +164,7 @@ def restricted_constants(
     s0, r0 = gp.s0, gp.r0
     r, s = gp.r[1], gp.s[1]
     u, v = gp.u[0], gp.v[0]
-    d = gp.d_lcm
-    eps_s0 = epsilon_interval(s0, prec)
     eps_s = epsilon_interval(gp.s_lcm, prec)
-    eps_v = epsilon_interval(gp.v_lcm, prec)
-
-    base = Interval.point(vartheta * d * s0) * eps_s0 * eps_v
-    a1_general = (
-        nth_root_iv(base, 4, prec)
-        * gp.dtilde
-        * eps_s
-        * exp_iv(th * (Fraction(s0, 2) + s + 2 * v), prec)
-    )
     if r0 == 1 and s0 == 1:
         a1 = nth_root_iv(Interval.point(Fraction(2)), 4, prec) * exp_iv(th * (3 * s), prec)
         variant = "leading_parameter_one"
@@ -171,17 +172,16 @@ def restricted_constants(
         a1 = nth_root_iv(Interval.point(4 * vartheta), 4, prec) * exp_iv(th * (3 * s), prec)
         variant = "integer_leading_parameter"
     else:
-        a1 = a1_general
+        base = Interval.point(vartheta * gp.d_lcm * s0) * epsilon_interval(s0, prec) * epsilon_interval(gp.v_lcm, prec)
+        a1 = nth_root_iv(base, 4, prec) * gp.dtilde * eps_s * exp_iv(th * (Fraction(s0, 2) + s + 2 * v), prec)
         variant = "general"
     a2 = 4 * gp.dtilde * eps_s * exp_iv(th * (r + s + 2 * r0 + 2 * u), prec)
     return RestrictedConstants(
         mode=mode,
         vartheta=vartheta,
-        c_theta=mode.c_theta,
         c_vartheta=c_of_vartheta(vartheta),
         a1=a1.rounded(prec),
         a1_variant=variant,
-        a1_general=a1_general.rounded(prec),
         a2=a2.rounded(prec),
         precision=prec,
     )
@@ -227,7 +227,7 @@ def restricted_threshold(
         6 * log_a2a / log_b + Fraction(1, 2),
         Interval.point(Fraction(4 * t.numerator + t.denominator, 2 * t.denominator)),
         ratio / 4,
-        Interval.point(Fraction(1 + max(rc.c_theta, rc.c_vartheta, 4), 2)),
+        Interval.point(Fraction(1 + max(rc.mode.c_theta, rc.c_vartheta, 4), 2)),
     ]
     biggest = parts[0]
     for pc in parts[1:]:
@@ -264,8 +264,8 @@ def make_restricted_instance(
     b: int,
     B: int,
     t: Fraction,
-    mode: ThetaMode | None = None,
-    vartheta: Fraction = Fraction(2),
+    mode: ThetaMode,
+    vartheta: Fraction,
     M: int | None = None,
     candidate_n: int | None = None,
     prec: int = 128,
@@ -273,7 +273,6 @@ def make_restricted_instance(
     """Assemble an instance: derive x = log b / (2 log(a1|a|)), pick the block
     sizes n1 = h = floor(M/(x-2)) and n0 = floor(x*h) from the certified lower
     end of x, and default M to the least certified admissible exponent."""
-    mode = mode or ThetaMode.sharp()
     rc = restricted_constants(gp, mode, vartheta, prec)
     m0, _ = restricted_threshold(gp, rc, a, b, B, t)
     if M is None:
@@ -316,14 +315,6 @@ def restricted_d2(gp: GParams, n0: int) -> FactoredInteger:
 _TRUNCATION_CAP = 200_000
 
 
-def _floor_log2_ratio(q: int, p: int) -> int:
-    """floor(log2(q/p)) for integers q > p >= 1, without big powers."""
-    e = q.bit_length() - p.bit_length()
-    if (p << e) > q:
-        e -= 1
-    return e
-
-
 def _phi_enclosure_for_target(gp: GParams, z: Fraction, tn: int, td: int) -> tuple[tuple[int, int, int], int]:
     """Ends (lo, hi, den) of an enclosure of phi(z) with width <= tn/td, and
     the truncation order T used.
@@ -331,31 +322,23 @@ def _phi_enclosure_for_target(gp: GParams, z: Fraction, tn: int, td: int) -> tup
     T is read off the bit lengths of the goal target*(1-|z|) in lowest terms,
     so tn and td may share a power of two, which adds to both bit lengths
     alike, but no odd prime.  With |z| <= 2^-L and 2^-G <= goal, any T >= G/L
-    gives tail |z|^(T+1)/(1-|z|) below the target.  Points with |z| > 1/2
-    fall back to exact stepping.
+    gives tail |z|^(T+1)/(1-|z|) below the target.  Defined for 0 < |z| <= 1/2:
+    the audit's hypothesis b >= (a1|a|)^6 gives |z| <= a1^-6, and every form
+    of a1 exceeds 2^(1/4).
     """
     an, zd = abs(z.numerator), z.denominator
-    L = _floor_log2_ratio(zd, an)
-    if L >= 1:
-        # (tn/td) * ((zd - an)/zd) without a new odd common factor; each gcd
-        # has one small side
-        g1, g2 = gcd(tn, zd), gcd(zd - an, td)
-        gn = (tn // g1) * ((zd - an) // g2)
-        gd = (td // g2) * (zd // g1)
-        G = max(1, gd.bit_length() - gn.bit_length() + 1)
-        T = -(-G // L)
-        if T > _TRUNCATION_CAP:
-            raise PrecisionInsufficient("tail target unreachably small")
-        return _phi_real_ends(gp, z, T), T
-    # the tail bound sn/sd = |z|^(T+1)/(1-|z|), stepped until it meets the target
-    sn, sd = an, zd - an
-    T = 0
-    while sn * td > tn * sd:
-        T += 1
-        sn *= an
-        sd *= zd
-        if T > _TRUNCATION_CAP:
-            raise PrecisionInsufficient("tail target unreachably small")
+    if not 0 < 2 * an <= zd:
+        raise InvariantViolation(f"the series target needs 0 < |z| <= 1/2, got {z}")
+    L = floor_log(2, Fraction(zd, an))
+    # (tn/td) * ((zd - an)/zd) without a new odd common factor; each gcd has
+    # one small side
+    g1, g2 = gcd(tn, zd), gcd(zd - an, td)
+    gn = (tn // g1) * ((zd - an) // g2)
+    gd = (td // g2) * (zd // g1)
+    G = max(1, gd.bit_length() - gn.bit_length() + 1)
+    T = -(-G // L)
+    if T > _TRUNCATION_CAP:
+        raise PrecisionInsufficient("tail target unreachably small")
     return _phi_real_ends(gp, z, T), T
 
 
@@ -424,7 +407,7 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     )
     m_over = Fraction(M) / (inst.x.lo - 1)
     checks.append(entry("h_vs_M_over_xm1", True, Fraction(inst.h) >= m_over, inst.h, fmt_real(m_over, 6)))
-    h_min = max(rc.c_theta, rc.c_vartheta, 4)
+    h_min = max(rc.mode.c_theta, rc.c_vartheta, 4)
     checks.append(entry("h_vs_thresholds", True, inst.h >= h_min, inst.h, h_min))
 
     # the family (Q_0, Q_1, P_01, P_11) and the specialized clearing integers
@@ -460,7 +443,7 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
         * (Interval.point(Fraction(gp.d_lcm, gp.s0)) * epsilon_interval(gp.s_lcm, prec)).pow_int(n1)
         * exp_iv(th * (2 * gp.s0 * n1 + gp.v[0] * Nt), prec)
     )
-    gate_n1 = n1 >= rc.c_theta
+    gate_n1 = n1 >= rc.mode.c_theta
     amax = max(abs(cf) for q in family.q for cf in q)
     checks.append(entry("coeff_envelope", gate_n1, amax <= e1.hi, rational(amax), fmt_real(e1.hi, 6)))
     qbound = (e1 / (1 - abs(beta))).hi

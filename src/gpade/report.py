@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .arith import Interval, LogUpperBound, digits10, floor_log10_ratio
+from .arith import Interval, digits10, floor_log10_ratio
 
 __all__ = [
     "full_digits",
@@ -29,6 +29,7 @@ __all__ = [
     "tagged_bound",
     "canonical",
     "flatten",
+    "tsv",
     "emit_report",
 ]
 
@@ -144,8 +145,6 @@ def tagged_bound(value: Fraction, digits: int, direction: str, precision: int) -
 
 def canonical(obj, exact: bool = False):
     """Convert a result object into deterministic JSON-ready primitives."""
-    if isinstance(obj, LogUpperBound):
-        return tagged_bound(obj.value, 24, "upper", obj.precision)
     if isinstance(obj, Check):
         obj = asdict(obj)
     if isinstance(obj, Interval):
@@ -178,12 +177,15 @@ def flatten(obj, prefix="") -> list[tuple[str, str]]:
     return rows
 
 
+def tsv(header, rows) -> str:
+    """Tab-separated lines: the header's fields, then each row's fields."""
+    lines = ["\t".join(header)] + ["\t".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def emit_report(result: dict, fmt: str, exact: bool = False) -> str:
     """Deterministic, byte-stable rendering of a result tree."""
     canon = canonical(result, exact)
     if fmt == "json":
         return json.dumps(canon, sort_keys=True, indent=2) + "\n"
-    lines = ["key\tvalue"]
-    for key, val in flatten(canon):
-        lines.append(f"{key}\t{val}")
-    return "\n".join(lines) + "\n"
+    return tsv(("key", "value"), flatten(canon))

@@ -163,7 +163,7 @@ def test_criterion_07_global_threshold_constant():
     t0 = time.time()
     gp = derive_params([F(1), F(1, 2)])
     gr = global_relation_constant(gp, ThetaMode.paper())
-    ok = abs(float(gr["log_C"].value) - 24.1589) < 1e-3
+    ok = abs(float(gr["log_C"]) - 24.1589) < 1e-3
     ok = ok and gr["crosscheck_abs_diff_upper"] < F(1, 2**100)
     ok, dt = _line(7, "no-global-relation threshold log C = 24.1589(3)", ok, t0)
     assert ok and dt < 1

@@ -367,7 +367,7 @@ def test_exit_code_mapping(params_file, capsys, monkeypatch):
     path = params_file(HALF)
 
     def raises(exc):
-        def cmd(args, gp):
+        def cmd(args, gp, mode):
             raise exc
 
         return cmd
@@ -382,6 +382,20 @@ def test_exit_code_mapping(params_file, capsys, monkeypatch):
         code, _, err = run(capsys, ["verify", "--params", path, "--n", "1", "--n0", "1"])
         assert code == expected, (exc, code)
         assert "boom" in err
+
+
+def test_invariant_violation_while_loading_params_exits_1(params_file, capsys, monkeypatch):
+    # a defect exits 1 wherever it is raised, also while the parameters load
+    import gpade.params as params_mod
+    from gpade.errors import InvariantViolation
+
+    def derive(alphas):
+        raise InvariantViolation("boom")
+
+    monkeypatch.setattr(params_mod, "derive_params", derive)
+    code, out, err = run(capsys, ["verify", "--params", params_file(HALF), "--n", "1", "--n0", "1"])
+    assert (code, out) == (1, "")
+    assert "boom" in err
 
 
 def test_int_abbreviation():

@@ -163,7 +163,7 @@ def test_threshold_at_power_point(gph):
 def test_global_relation_constant(gph):
     gr = global_relation_constant(gph, ThetaMode.paper())
     # the explicit threshold: 2 + 2*(9 + log 8)
-    assert abs(float(gr["log_C"].value) - 24.158883083359672) < 1e-12
+    assert abs(float(gr["log_C"]) - 24.158883083359672) < 1e-12
     assert gr["crosscheck_abs_diff_upper"] < F(1, 2**100)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import time
 from fractions import Fraction
 from fractions import Fraction as F
 from unittest import mock
@@ -21,7 +22,13 @@ from gpade.arith import (
     log_iv,
 )
 from gpade.denom import ThetaMode
-from gpade.errors import CertificationError, DomainViolation, HypothesisFailure, PrecisionInsufficient
+from gpade.errors import (
+    CertificationError,
+    DomainViolation,
+    HypothesisFailure,
+    InvariantViolation,
+    PrecisionInsufficient,
+)
 from gpade.pade import ApproxShape, build_family
 from gpade.params import GParams, derive_params
 from gpade.realapprox import (
@@ -87,6 +94,9 @@ def test_enclosure_target_guard(gp11):
 
     with pytest.raises(PrecisionInsufficient):
         _phi_enclosure_for_target(gp11, F(1, 2), 1, 2 ** (3 * 10**6))
+    # the audit's hypothesis on b keeps |z| <= 1/2; a larger point is a defect
+    with pytest.raises(InvariantViolation):
+        _phi_enclosure_for_target(gp11, F(3, 4), 1, 2**10)
 
 
 def test_vartheta_threshold():
@@ -96,9 +106,21 @@ def test_vartheta_threshold():
     for n in range(6, 40):
         assert (n + 1) ** 2 <= 2**n
     assert 6**2 > 2**5
-    assert c_of_vartheta(F(3)) <= 6
+    assert c_of_vartheta(F(3)) == 2
+    # with every probe sent through the log enclosures: (n+1)^2 = 3^n at
+    # n = 2, where they overlap and the exact powers decide
+    with mock.patch.object(gpade.realapprox, "_EXACT_POWER_BITS", 0):
+        assert c_of_vartheta(F(3)) == 2
     with pytest.raises(ValueError):
         c_of_vartheta(F(1))
+
+
+def test_vartheta_threshold_near_one_is_fast():
+    # the log enclosures bracket the crossover: no power of 5001/5000 near
+    # n = 116684 (about 1.4 million bits) is formed
+    t0 = time.perf_counter()
+    assert c_of_vartheta(F(5001, 5000)) == 116684
+    assert time.perf_counter() - t0 < 0.5
 
 
 def reference_c_of_vartheta(vartheta, limit):
@@ -116,12 +138,17 @@ def reference_c_of_vartheta(vartheta, limit):
 @given(
     vartheta=st.fractions(min_value=1, max_value=9, max_denominator=60).filter(lambda x: x > 1),
     limit=st.sampled_from([0, 1, 5, 6, 7, 40, 300, 2000]),
+    exact_bits=st.sampled_from([0, gpade.realapprox._EXACT_POWER_BITS]),
 )
-def test_vartheta_threshold_matches_scan(vartheta, limit):
+def test_vartheta_threshold_matches_scan(vartheta, limit, exact_bits):
     # the galloping search finds the scan's crossover, and raises exactly
-    # when the scan runs past its limit
+    # when the scan runs past its limit, also when every probe of the power
+    # condition goes through the log enclosures (exact_bits = 0)
     expected = reference_c_of_vartheta(vartheta, limit)
-    with mock.patch.object(gpade.realapprox, "_SCAN_LIMIT", limit):
+    with (
+        mock.patch.object(gpade.realapprox, "_SCAN_LIMIT", limit),
+        mock.patch.object(gpade.realapprox, "_EXACT_POWER_BITS", exact_bits),
+    ):
         if expected is None:
             with pytest.raises(ValueError, match="scan limit"):
                 c_of_vartheta(vartheta)
@@ -135,7 +162,7 @@ def test_constants_harmonic_case(gp11):
     assert rc.a1_variant == "leading_parameter_one"
     assert math.isclose(float(rc.a1.lo), 2**0.25 * math.exp(3 * 1.26), rel_tol=1e-12)
     assert math.isclose(float(rc.a2.lo), 4 * math.exp(8 * 1.26), rel_tol=1e-12)
-    assert rc.c_theta == 2 and rc.c_vartheta == 6
+    assert rc.mode.c_theta == 2 and rc.c_vartheta == 6
     assert float(rc.a1.hi) < 52.2  # keeps the admissible b near 2e10
 
 
@@ -148,7 +175,6 @@ def test_constants_variants():
     gp_frac = derive_params([F(1, 2), F(1, 3)])
     rc2 = restricted_constants(gp_frac, mode, F(2))
     assert rc2.a1_variant == "general"
-    assert rc2.a1.lo == rc2.a1_general.lo
     with pytest.raises(ValueError):
         restricted_constants(derive_params([F(1), F(1, 2), F(1, 3)]), mode, F(2))
 
@@ -336,7 +362,7 @@ def reference_audit_restricted(inst):
     )
     m_over = Fraction(M) / (inst.x.lo - 1)
     checks.append(entry("h_vs_M_over_xm1", True, Fraction(inst.h) >= m_over, inst.h, fmt_real(m_over, 6)))
-    h_min = max(rc.c_theta, rc.c_vartheta, 4)
+    h_min = max(rc.mode.c_theta, rc.c_vartheta, 4)
     checks.append(entry("h_vs_thresholds", True, inst.h >= h_min, inst.h, h_min))
 
     # family and specialized clearing integers
@@ -372,7 +398,7 @@ def reference_audit_restricted(inst):
         * (Interval.point(Fraction(gp.d_lcm, gp.s0)) * epsilon_interval(gp.s_lcm, prec)).pow_int(n1)
         * exp_iv(th * (2 * gp.s0 * n1 + gp.v[0] * Nt), prec)
     )
-    gate_n1 = n1 >= rc.c_theta
+    gate_n1 = n1 >= rc.mode.c_theta
     amax = max(abs(cf) for i in (0, 1) for cf in family.q[i])
     checks.append(entry("coeff_envelope", gate_n1, amax <= e1.hi, rational(amax), fmt_real(e1.hi, 6)))
     qbound = (e1 / (1 - abs(beta))).hi
