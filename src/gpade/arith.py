@@ -42,6 +42,7 @@ __all__ = [
     "integer_nth_root",
     "digits10",
     "floor_log10_ratio",
+    "product_le",
     "poly_eval",
     "cleared",
     "cleared_eval",
@@ -352,6 +353,19 @@ def floor_log10_ratio(n: int, d: int) -> int:
 def digits10(n: int) -> int:
     """Number of decimal digits of |n|, without converting n to a string."""
     return floor_log10_ratio(abs(n), 1) + 1 if n else 1
+
+
+def product_le(a: int, b: int, c: int, d: int) -> bool:
+    """a*b <= c*d for integers a, b, c, d >= 0, multiplied out only on a near-tie.
+
+    A product of nonzero factors with bit lengths la and lb lies in
+    [2^(la+lb-2), 2^(la+lb)), so bit-length sums two or more apart decide.
+    """
+    left = a.bit_length() + b.bit_length()
+    right = c.bit_length() + d.bit_length()
+    if a and b and c and d and abs(left - right) >= 2:
+        return left < right
+    return a * b <= c * d
 
 
 def dyadic_up(x: Fraction, bits: int) -> Fraction:

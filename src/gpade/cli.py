@@ -104,7 +104,7 @@ def _prime(text: str) -> int:
 
 
 def _theta_mode(text: str) -> str:
-    # syntax only: `main` builds the mode once --precision is known
+    # syntax only: `_mode` builds the mode once --precision is known
     if text not in ("paper", "sharp"):
         try:
             ThetaMode.parse(text)
@@ -168,6 +168,12 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _mode(args) -> ThetaMode:
+    """The --theta-mode at --precision, built only by the commands that read
+    it: the paper mode costs a certified log 2 at that precision."""
+    return ThetaMode.parse(args.theta_mode, args.precision)
+
+
 def _global_relation(gr: dict, prec: int) -> dict:
     """The printed keys of `global_relation_constant` at precision prec."""
     return {
@@ -177,13 +183,13 @@ def _global_relation(gr: dict, prec: int) -> dict:
     }
 
 
-def _cmd_construct(args, gp, mode):
+def _cmd_construct(args, gp):
     shape = ApproxShape(n=args.n, n0=args.n0)
     family = build_family(gp, shape)
     scale = None
     note = {}
     if args.scaled:
-        cert = make_cert(gp, shape, mode, args.precision)
+        cert = make_cert(gp, shape, _mode(args), args.precision)
         scale = cert.d.value
         note = {"scaled_by_D": full_digits(scale)}
     if args.format == "tsv":
@@ -192,7 +198,7 @@ def _cmd_construct(args, gp, mode):
     return 0, emit_report({"coefficients": list(family_rows(family, scale)), **note}, "json", args.exact)
 
 
-def _cmd_verify(args, gp, mode):
+def _cmd_verify(args, gp):
     shape = ApproxShape(n=args.n, n0=args.n0)
     family = build_family(gp, shape)
     order = verify_order(family)
@@ -212,7 +218,8 @@ def _cmd_verify(args, gp, mode):
     return (0 if ok else CHECK_FAILED), emit_report(result, args.format, args.exact)
 
 
-def _cmd_denominators(args, gp, mode):
+def _cmd_denominators(args, gp):
+    mode = _mode(args)
     shape = ApproxShape(n=args.n, n0=args.n0)
     family = build_family(gp, shape)
     cert = make_cert(gp, shape, mode, args.precision)
@@ -233,7 +240,8 @@ def _cmd_denominators(args, gp, mode):
     return code, emit_report(result, "json", args.exact)
 
 
-def _cmd_constants(args, gp, mode):
+def _cmd_constants(args, gp):
+    mode = _mode(args)
     cns = bound_constants(gp, mode, args.precision)
     gr = global_relation_constant(gp, mode, args.precision)
     result = {
@@ -259,7 +267,7 @@ def _cmd_constants(args, gp, mode):
     return 0, emit_report(result, args.format, args.exact)
 
 
-def _cmd_padic(args, gp, mode):
+def _cmd_padic(args, gp):
     encs = eval_all_phi(gp, args.beta, args.p, max(8, args.precision // 2))
     result = {
         "enclosures": [
@@ -280,6 +288,7 @@ def _cmd_padic(args, gp, mode):
         ]
         if args.tau is not None:
             delta = args.delta if args.delta is not None else Fraction(0)
+            mode = _mode(args)
             audits = [
                 audit_linear_form(gp, args.beta, args.p, LinearFormInstance(ell, args.tau, delta), mode, args.precision)
                 for ell in args.ell
@@ -290,19 +299,19 @@ def _cmd_padic(args, gp, mode):
     return code, emit_report(result, args.format, args.exact)
 
 
-def _cmd_global(args, gp, mode):
+def _cmd_global(args, gp):
     # --a is checked, and the probe run, before the costly constant
     check_global_point(gp, args.a)
     probe = None
     if args.ell is not None:
         probe = probe_global_relation(gp, args.a, args.ell, k=max(8, args.precision // 2))
-    result = _global_relation(global_relation_constant(gp, mode, args.precision), args.precision)
+    result = _global_relation(global_relation_constant(gp, _mode(args), args.precision), args.precision)
     if probe is not None:
         result["probe"] = probe
     return 0, emit_report(result, args.format, args.exact)
 
 
-def _cmd_restricted(args, gp, mode):
+def _cmd_restricted(args, gp):
     a, b = args.beta.numerator, args.beta.denominator
     inst = make_restricted_instance(
         gp,
@@ -310,7 +319,7 @@ def _cmd_restricted(args, gp, mode):
         b=b,
         B=args.B,
         t=args.t,
-        mode=mode,
+        mode=_mode(args),
         vartheta=args.vartheta,
         M=args.M,
         candidate_n=args.candidate_n,
@@ -338,9 +347,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        mode = ThetaMode.parse(args.theta_mode, args.precision)
         gp = load_params(args.params)
-        code, text = _COMMANDS[args.command](args, gp, mode)
+        code, text = _COMMANDS[args.command](args, gp)
     except (SingularSystem, NonMonomialDeterminant, IntegralityViolation, InvariantViolation) as exc:
         # a certified mathematical check failed or a defect surfaced, wherever
         # it was raised: distinct from bad usage

@@ -306,12 +306,11 @@ def check_size_bounds(
 
 @dataclass(frozen=True)
 class ScaledSystem:
-    """The integers D*b^Ntilde*Q_i(beta) and D*b^Ntilde*P_ij(beta), plus the
-    (nonzero) determinant of the stacked (m+1) x (m+1) integer matrix."""
+    """The integers D*b^Ntilde*Q_i(beta) and D*b^Ntilde*P_ij(beta), whose
+    stacked (m+1) x (m+1) integer matrix is nonsingular."""
 
     qi: tuple[int, ...]
     pij: tuple[tuple[int, ...], ...]
-    det: int
 
 
 def scaled_integers(
@@ -346,10 +345,9 @@ def scaled_integers(
     for i in range(gp.m + 1):
         qi.append(scaled(family.q[i], f"Q_{i}"))
         pij.append(tuple(scaled(family.p_coeffs(i, j), f"P_{i}{j}") for j in range(1, gp.m + 1)))
-    det = bareiss_eliminate([[qi[i], *pij[i]] for i in range(gp.m + 1)])[1]
-    if det == 0:
+    if bareiss_eliminate([[qi[i], *pij[i]] for i in range(gp.m + 1)])[1] == 0:
         raise IntegralityViolation("scaled system matrix is singular")
-    return ScaledSystem(qi=tuple(qi), pij=tuple(pij), det=det)
+    return ScaledSystem(qi=tuple(qi), pij=tuple(pij))
 
 
 def ntilde1_interval(gp: GParams, cns: SizeConstants, beta: Fraction, p: int) -> Interval:
@@ -370,7 +368,6 @@ class RemainderBound:
     a14: Fraction
     lemma6_upper: Fraction
     lemma6_applicable: bool
-    delta_p: int
 
 
 def remainder_padic_bound(
@@ -394,7 +391,7 @@ def remainder_padic_bound(
     a14 = 2 * gp.dtilde * Fraction(abs(a)) ** (4 * dp) * Fraction(Nt) ** dp * abs_a_p
     applicable = Fraction(Nt) >= ntilde1_interval(gp, cert.constants, beta, p).hi
     lemma6 = exp_iv(Interval.point(2 * Nt), cert.constants.precision).hi * abs_a_p
-    return RemainderBound(a14=a14, lemma6_upper=lemma6, lemma6_applicable=applicable, delta_p=dp)
+    return RemainderBound(a14=a14, lemma6_upper=lemma6, lemma6_applicable=applicable)
 
 
 def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fraction, p: int) -> list[Check]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .arith import (
     FactoredInteger,
@@ -26,9 +25,11 @@ from .arith import (
     nth_root_iv,
     prime_divisors,
     primes_upto,
+    product_le,
 )
 from .denom import ThetaMode, compute_d1
-from .errors import DomainViolation, HypothesisFailure, InvariantViolation, PrecisionInsufficient
+from .envelope import Envelope, series_terms
+from .errors import DomainViolation, HypothesisFailure, PrecisionInsufficient
 from .pade import ApproxShape, build_family, phi_partial_sum_parts
 from .params import GParams
 from .report import Check, entry, fmt_ratio, fmt_real, full_digits, rational, tagged_bound
@@ -312,50 +313,6 @@ def restricted_d2(gp: GParams, n0: int) -> FactoredInteger:
 # ---------------------------------------------------------------------------
 
 
-_TRUNCATION_CAP = 200_000
-
-
-def _phi_enclosure_for_target(gp: GParams, z: Fraction, tn: int, td: int) -> tuple[tuple[int, int, int], int]:
-    """Ends (lo, hi, den) of an enclosure of phi(z) with width <= tn/td, and
-    the truncation order T used.
-
-    T is read off the bit lengths of the goal target*(1-|z|) in lowest terms,
-    so tn and td may share a power of two, which adds to both bit lengths
-    alike, but no odd prime.  With |z| <= 2^-L and 2^-G <= goal, any T >= G/L
-    gives tail |z|^(T+1)/(1-|z|) below the target.  Defined for 0 < |z| <= 1/2:
-    the audit's hypothesis b >= (a1|a|)^6 gives |z| <= a1^-6, and every form
-    of a1 exceeds 2^(1/4).
-    """
-    an, zd = abs(z.numerator), z.denominator
-    if not 0 < 2 * an <= zd:
-        raise InvariantViolation(f"the series target needs 0 < |z| <= 1/2, got {z}")
-    L = floor_log(2, Fraction(zd, an))
-    # (tn/td) * ((zd - an)/zd) without a new odd common factor; each gcd has
-    # one small side
-    g1, g2 = gcd(tn, zd), gcd(zd - an, td)
-    gn = (tn // g1) * ((zd - an) // g2)
-    gd = (td // g2) * (zd // g1)
-    G = max(1, gd.bit_length() - gn.bit_length() + 1)
-    T = -(-G // L)
-    if T > _TRUNCATION_CAP:
-        raise PrecisionInsufficient("tail target unreachably small")
-    return _phi_real_ends(gp, z, T), T
-
-
-def _envelope(end: Fraction, a: int, scale: int, M: int) -> tuple[int, int]:
-    """1/(scale * (x^18 |a|^17)^M) at the end x of a1 as (shift, den): the
-    value is 2^shift / den, a pair that shares no odd prime.
-
-    The ends of a1 are dyadic, x = n / 2^k with n odd when k > 0, so x^(18M)
-    is one power of n and a shift; n^(18M) is the only big power, taken once.
-    """
-    n, d = end.numerator, end.denominator
-    k = d.bit_length() - 1
-    if d != 1 << k:
-        raise InvariantViolation("the ends of a1 must be dyadic")
-    return 18 * M * k, scale * n ** (18 * M) * abs(a) ** (17 * M)
-
-
 def audit_restricted(inst: RestrictedInstance) -> dict:
     """Run the whole restricted-approximation certification chain.
 
@@ -454,21 +411,15 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     # comes from the upper end of a1 and its upper end from the lower end
     bM = b**M
     scale = B * bM
-    env_lo = _envelope(rc.a1.hi, a, scale, M)
-    env_hi = _envelope(rc.a1.lo, a, scale, M)
+    env = Envelope(rc.a1.lo, a, scale, M)
 
     # (working precision for the series value) target: a tenth of the final RHS
-    t_shift, t_den = env_lo[0], 10 * env_lo[1]
-    (lo, hi, den), terms_used = _phi_enclosure_for_target(gp, beta, 1 << t_shift, t_den)
+    target = Envelope(rc.a1.hi, a, 10 * scale, M)
+    terms_used = series_terms(beta, target)
+    lo, hi, den = _phi_real_ends(gp, beta, terms_used)
     width = hi - lo
     checks.append(
-        entry(
-            "enclosure_width",
-            True,
-            width * t_den <= den << t_shift,
-            fmt_ratio(width, den, 40),
-            fmt_ratio(1 << t_shift, t_den, 40),
-        )
+        entry("enclosure_width", True, target.holds_above(width, den), fmt_ratio(width, den, 40), target.render(40))
     )
 
     # remainder envelope at the evaluation point:
@@ -486,7 +437,7 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
             entry(
                 f"remainder_envelope_{i}",
                 gate_n1,
-                rem[0] * rb_den <= rb_num * rem[1],
+                product_le(rem[0], rb_den, rb_num, rem[1]),
                 fmt_ratio(*rem, 30),
                 fmt_ratio(rb_num, rb_den, 30),
             )
@@ -514,7 +465,7 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
             entry(
                 f"remainder_small_{i}",
                 True,
-                B * rn * half_den <= rd,
+                product_le(B * rn, half_den, rd, 1),
                 fmt_ratio(B * rn, rd, 40),
                 fmt_ratio(1, half_den, 40),
             )
@@ -557,7 +508,7 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
             entry(
                 "scaled_distance_bound",
                 True,
-                lhs_num * half_den >= bM * lhs_den,
+                product_le(bM, lhs_den, lhs_num, half_den),
                 fmt_ratio(lhs_num, lhs_den, 30),
                 fmt_ratio(bM, half_den, 30),
             )
@@ -565,15 +516,9 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
 
     # the final lower bound |phi - n/(B b^M)| >= dist / (den B b^M),
     # decided against the upper end of the right-hand side
-    e_shift, e_den = env_hi
+    dscale = den * scale
     checks.append(
-        entry(
-            "final_lower_bound",
-            True,
-            dist * e_den >= (den * scale) << e_shift,
-            fmt_ratio(dist, den * scale, 40),
-            fmt_ratio(1 << e_shift, e_den, 40),
-        )
+        entry("final_lower_bound", True, env.holds_below(dist, dscale), fmt_ratio(dist, dscale, 40), env.render(40))
     )
 
     failed = [c.name for c in checks if c.failed]

@@ -82,20 +82,35 @@ def fmt_ratio(n: int, d: int, sig: int = 18) -> str:
 
     Every digit is a floor of n*10^k/d (or n/(d*10^-k)) and the exponent is
     floor(log10(|n|/d)); both depend only on the value n/d, so any multiple
-    (n*g, d*g) renders the same without a gcd.
+    (n*g, d*g) renders the same without a gcd.  Being monotone floors, they
+    also agree on every value between two that render alike: when both
+    operands are long, their leading bits nl = n >> t and dl = d >> t bracket
+    n/d in [nl/(dl+1), (nl+1)/dl], and the exact rendering is paid only when
+    the two ends of the bracket render differently.
     """
     if n == 0:
         return "0"
     sign = "-" if n < 0 else ""
     n = abs(n)
+    t = min(n.bit_length(), d.bit_length()) - (4 * sig + 128)
+    if t > 0:
+        nl, dl = n >> t, d >> t
+        low = _fmt_positive(nl, dl + 1, sig)
+        if low == _fmt_positive(nl + 1, dl, sig):
+            return sign + low
+    return sign + _fmt_positive(n, d, sig)
+
+
+def _fmt_positive(n: int, d: int, sig: int) -> str:
+    """`fmt_ratio(n, d, sig)` for n, d > 0, from the exact value."""
     e = floor_log10_ratio(n, d)
     if -6 <= e <= 24:
         whole, frac = divmod(n * 10**sig // d, 10**sig)
-        return f"{sign}{whole}.{str(frac).zfill(sig)}"
+        return f"{whole}.{str(frac).zfill(sig)}"
     # the sig leading digits: floor(q * 10^k), k = sig - 1 - e
     k = sig - 1 - e
     ms = str(n * 10**k // d if k >= 0 else n // (d * 10**-k))
-    return f"{sign}{ms[0]}.{ms[1:]}e{e:+d}"
+    return f"{ms[0]}.{ms[1:]}e{e:+d}"
 
 
 def dec_iv(iv: Interval, digits: int = 12) -> str:

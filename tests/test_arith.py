@@ -36,6 +36,7 @@ from gpade.arith import (
     p_valuation,
     pochhammer,
     primes_upto,
+    product_le,
     _atanh_series,
     _exp_core,
     _log2_interval,
@@ -341,6 +342,76 @@ def test_fmt_real_matches_fraction_reference(q, sig):
 def test_fmt_ratio_is_reduction_free(q, g, sig):
     # any common multiple (n g, d g) renders as the reduced rational does
     assert fmt_ratio(q.numerator * g, q.denominator * g, sig) == fmt_real(q, sig)
+
+
+def exact_fmt_ratio(n: int, d: int, sig: int) -> str:
+    # the renderer from the full operands, as before the leading-bits bracket
+    if n == 0:
+        return "0"
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    e = floor_log10_ratio(n, d)
+    if -6 <= e <= 24:
+        whole, frac = divmod(n * 10**sig // d, 10**sig)
+        return f"{sign}{whole}.{str(frac).zfill(sig)}"
+    k = sig - 1 - e
+    ms = str(n * 10**k // d if k >= 0 else n // (d * 10**-k))
+    return f"{sign}{ms[0]}.{ms[1:]}e{e:+d}"
+
+
+@st.composite
+def long_ratios(draw):
+    """(n, d) of 300 to 20000 bits: random pairs, and values on a rendering
+    boundary (c * 10^j, or just below it) or the reciprocal of one."""
+    d = draw(st.integers(2**299, 2**20000))
+    kind = draw(st.sampled_from(["random", "boundary", "below", "reciprocal"]))
+    if kind == "random":
+        n = draw(st.integers(2**299, 2**20000))
+    else:
+        c = draw(st.integers(1, 10**40)) * 10 ** draw(st.integers(0, 3000))
+        n = d * c - (kind == "below")
+        if kind == "reciprocal":
+            n, d = d, n + 1
+    return draw(st.sampled_from([1, -1])) * n, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=long_ratios(), sig=st.integers(6, 40))
+@example(pair=(10**400 * 3**700 - 1, 3**700), sig=40)  # the bracket straddles 10^400
+@example(pair=(-(3**700), 3**700 * 10**30), sig=6)  # exactly 10^-30
+def test_fmt_ratio_matches_exact_renderer(pair, sig):
+    assert fmt_ratio(*pair, sig) == exact_fmt_ratio(*pair, sig)
+
+
+def test_fmt_ratio_renders_a_near_tie_exactly(monkeypatch):
+    # 10^400 - 1/3^700: the leading bits bracket both 9.99...e+399 and
+    # 1.00...e+400, so the full operands decide
+    from gpade import report
+
+    calls = []
+    positive = report._fmt_positive
+    monkeypatch.setattr(report, "_fmt_positive", lambda n, d, sig: calls.append(n) or positive(n, d, sig))
+    n, d = 10**400 * 3**700 - 1, 3**700
+    assert fmt_ratio(n, d, 40) == "9." + "9" * 39 + "e+399"
+    assert calls[-1] == n and len(calls) == 3
+    calls.clear()
+    assert fmt_ratio(n // 7, d, 40) == exact_fmt_ratio(n // 7, d, 40)
+    assert len(calls) == 2  # 10^400 / 7 is settled by the bracket
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xs=st.lists(st.one_of(st.integers(0, 2**70), st.integers(0, 2**3000)), min_size=4, max_size=4),
+    nudge=st.integers(-2, 2),
+)
+@example(xs=[0, 5, 1, 1], nudge=0)
+@example(xs=[2**64, 3, 2**65, 1], nudge=0)  # equal bit-length sums: multiplied out
+def test_product_le_matches_products(xs, nudge):
+    a, b, c, d = xs
+    assert product_le(a, b, c, d) == (a * b <= c * d)
+    # near-ties: c * d within 2 of a * b
+    if a * b + nudge >= 0:
+        assert product_le(a, b, a * b + nudge, 1) == (nudge >= 0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -303,6 +304,16 @@ def test_theta_mode_checked_by_every_subcommand(params_file, capsys):
             assert "want custom:THETA,C" in err
 
 
+def test_verify_builds_no_theta_mode(capsys):
+    # verify reads no theta mode, so the default paper mode's certified log 2
+    # at --precision bits (seconds at 20000 bits) is never computed
+    path = str(Path(__file__).parent / "golden" / "params" / "half.params")
+    t0 = time.perf_counter()
+    code, _, _ = run(capsys, ["verify", "--params", path, "--n", "2", "--n0", "2", "--precision", "20000"])
+    assert code == 0
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_p_must_be_prime(params_file, capsys):
     path = params_file(HALF)
     argv = ["padic", "--params", path, "--beta", "8/3", "--ell", "1,1"]
@@ -367,7 +378,7 @@ def test_exit_code_mapping(params_file, capsys, monkeypatch):
     path = params_file(HALF)
 
     def raises(exc):
-        def cmd(args, gp, mode):
+        def cmd(args, gp):
             raise exc
 
         return cmd

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import gpade.denom
 from gpade.denom import (
     ThetaMode,
     cert_tsv,
@@ -131,15 +132,18 @@ def test_size_bounds_below_threshold_instance():
     assert all(not e.applicable for e in entries if e.name.startswith(("log_size", "coeff")))
 
 
-def test_scaled_integers_hand_instance(half):
+def test_scaled_integers_hand_instance(half, monkeypatch):
     gp, shape, fam, cert = half
     sc = scaled_integers(fam, cert, F(8, 3), p=2)
     assert sc.qi[0] == 113400
-    assert sc.det != 0
     with pytest.raises(DomainViolation):
         scaled_integers(fam, cert, F(3, 2), p=2)
     with pytest.raises(DomainViolation):
         scaled_integers(fam, cert, F(1, 2))
+    # a singular stacked matrix is a failed check, never a returned system
+    monkeypatch.setattr(gpade.denom, "bareiss_eliminate", lambda rows: (rows, 0))
+    with pytest.raises(IntegralityViolation, match="singular"):
+        scaled_integers(fam, cert, F(8, 3), p=2)
 
 
 def test_scaled_integers_match_fraction_horner():
@@ -169,7 +173,8 @@ def test_remainder_bound_hand_instance(half):
     gp, shape, fam, cert = half
     rb = remainder_padic_bound(gp, shape, F(8, 3), 2, cert)
     assert rb.a14 == 32
-    assert rb.delta_p == 1
+    # delta(2) = 1: the prefactor |a|^4 Ntilde enters
+    assert rb.a14 == 2 * gp.dtilde * 8**4 * shape.Ntilde * F(1, 2 ** (3 * (shape.Ntilde + 1)))
     assert not rb.lemma6_applicable  # Ntilde = 2 is far below the threshold
     entries = check_remainder_padic(fam, cert, F(8, 3), 2)
     for e in entries:
@@ -182,7 +187,6 @@ def test_remainder_bound_no_s_prime():
     shape = ApproxShape(n=(1,), n0=1)
     cert = make_cert(gp, shape, ThetaMode.sharp())
     rb = remainder_padic_bound(gp, shape, F(9, 2), 3, cert)
-    assert rb.delta_p == 0
     assert rb.a14 == 2 * gp.dtilde * F(1, 3 ** (2 * 3))
 
 

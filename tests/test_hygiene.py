@@ -10,7 +10,9 @@
 - every `--option` of every subcommand appears in README's command-line
   section;
 - every function is reached by the golden corpus, or an acceptance test
-  calls it and it is on an explicit allowlist with that reason.
+  calls it and it is on an explicit allowlist with that reason;
+- no module's compile peak rises above the bound that keeps the benchmark's
+  peak_rss_mb where it is.
 """
 
 import argparse
@@ -21,6 +23,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -102,6 +105,29 @@ def test_cli_options_documented():
     }
     assert options
     assert sorted(opt for opt in options if not re.search(re.escape(opt) + r"(?![\w-])", section)) == []
+
+
+# The benchmark runs gpade with PYTHONDONTWRITEBYTECODE=1, so every process
+# compiles src/gpade from source, and the compile peak of the largest module
+# sets a floor under every workload's peak_rss_mb: growing realapprox.py from
+# 601 to 678 lines raised that peak from 1.66 to 1.86 MiB and peak_rss_mb by
+# 0.25 MB on all three workloads.  The bound is the largest peak measured
+# when this check was added: realapprox.py at 601 lines, 1.66 MiB.
+COMPILE_PEAK_BYTES = 1_740_152
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the bound is measured on Python 3.11")
+def test_compile_peak_of_every_module():
+    peaks = {}
+    for path in MODULES:
+        source = path.read_text()
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.stem] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= COMPILE_PEAK_BYTES, peaks
 
 
 # The functions no golden report reaches, each with the reason it stays.  A

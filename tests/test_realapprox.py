@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gpade.envelope
 import gpade.realapprox
 from gpade.arith import (
     FactoredInteger,
@@ -22,6 +23,7 @@ from gpade.arith import (
     log_iv,
 )
 from gpade.denom import ThetaMode
+from gpade.envelope import BoundedPower, Envelope, series_terms
 from gpade.errors import (
     CertificationError,
     DomainViolation,
@@ -88,15 +90,25 @@ def test_enclosure_rejects_large_point(gp11):
         eval_phi_real(gp11, F(3, 2), 10)
 
 
-def test_enclosure_target_guard(gp11):
-    from gpade.errors import PrecisionInsufficient
-    from gpade.realapprox import _phi_enclosure_for_target
-
+def test_enclosure_target_guard():
+    # a target of 2^-(3*10^6) at z = 1/2 asks for more than 200000 terms
     with pytest.raises(PrecisionInsufficient):
-        _phi_enclosure_for_target(gp11, F(1, 2), 1, 2 ** (3 * 10**6))
+        series_terms(F(1, 2), Envelope(F(1), 1, 2 ** (3 * 10**6), 1))
     # the audit's hypothesis on b keeps |z| <= 1/2; a larger point is a defect
     with pytest.raises(InvariantViolation):
-        _phi_enclosure_for_target(gp11, F(3, 4), 1, 2**10)
+        series_terms(F(3, 4), Envelope(F(1), 1, 2**10, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 2**300), e=st.integers(1, 3000), bits=st.sampled_from([2, 6, 64, 256]))
+def test_bounded_power_brackets_the_power(n, e, bits):
+    with mock.patch.object(gpade.envelope, "_POWER_BITS", bits):
+        pw = BoundedPower(n, e)
+    assert pw.lo << pw.s <= n**e <= pw.hi << pw.s
+    if bits == 256:  # squaring doubles the relative gap: about e * 2^-255 in the end
+        assert (pw.hi - pw.lo) << 200 <= pw.lo
+    # a monotone reader: the bit length of the power, settled or computed
+    assert pw.settle(lambda p, s: (p << s).bit_length()) == (n**e).bit_length()
 
 
 def test_vartheta_threshold():
