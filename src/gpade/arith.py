@@ -153,13 +153,18 @@ def prime_divisors(n: int) -> tuple[int, ...]:
 
 
 def pochhammer(x: Fraction, n: int) -> Fraction:
-    """Rising factorial x(x+1)...(x+n-1), with the empty product equal to 1."""
+    """Rising factorial x(x+1)...(x+n-1), with the empty product equal to 1.
+
+    With x = s/t in lowest terms the product is prod_{k<n} (s + k t) / t^n,
+    formed in int and reduced once.
+    """
     if n < 0:
         raise ValueError("pochhammer requires n >= 0")
-    acc = Fraction(1)
+    s, t = x.numerator, x.denominator
+    acc = 1
     for k in range(n):
-        acc *= x + k
-    return acc
+        acc *= s + k * t
+    return Fraction(acc, t**n)
 
 
 def poly_eval(coeffs, t):
@@ -238,10 +243,16 @@ def p_valuation(q: Fraction, p: int) -> int:
         raise ValueError("p-adic valuation of zero is +infinity")
 
     def _v(n: int) -> int:
+        # p, p^2, p^4, ... while they divide n; then strip each p^(2^k) at most
+        # once, largest first: O(log v) big divisions in place of v
+        powers = [p]
+        while n % powers[-1] == 0:
+            powers.append(powers[-1] * powers[-1])
         v = 0
-        while n % p == 0:
-            v += 1
-            n //= p
+        for k in range(len(powers) - 2, -1, -1):
+            quot, rem = divmod(n, powers[k])
+            if rem == 0:
+                n, v = quot, v + (1 << k)
         return v
 
     num = abs(q.numerator)

@@ -49,7 +49,7 @@ from .padic import (
     linear_form_valuation,
     probe_global_relation,
 )
-from .params import load_params
+from .params import load_params, parse_fraction, parse_int
 from .realapprox import (
     audit_restricted,
     make_restricted_instance,
@@ -67,35 +67,40 @@ CHECK_FAILED = 1
 # ---------------------------------------------------------------------------
 
 
+# Numbers go through `parse_int` and `parse_fraction`, which take any number
+# of digits: an --ell or --beta may be longer than int()'s 4300-digit limit.
+
+
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(parse_int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
-def _precision(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        bits = int(text)
+        return parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _precision(text: str) -> int:
+    bits = _int(text)
     if bits < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1 bit, got {bits}")
     return bits
 
 
 def _prime(text: str) -> int:
-    try:
-        p = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    p = _int(text)
     if p >= MR_LIMIT:
         raise argparse.ArgumentTypeError(f"primality is decided only below {MR_LIMIT}, got {p}")
     if not is_prime(p):
@@ -125,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--theta-mode", type=_theta_mode, default="paper", metavar="{paper|sharp|custom:T,C}")
     degrees = argparse.ArgumentParser(add_help=False)
     degrees.add_argument("--n", type=_int_list, required=True, metavar="a,b,c")
-    degrees.add_argument("--n0", type=int, required=True, metavar="K")
+    degrees.add_argument("--n0", type=_int, required=True, metavar="K")
 
     ap = argparse.ArgumentParser(prog="gpade", description=__doc__.split("\n", 1)[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -139,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", parents=[common], help="certified constants")
     p.add_argument("--vartheta", type=_fraction, default=None, metavar="V")
     p.add_argument("--beta", type=_fraction, default=None, metavar="A/B")
-    p.add_argument("--B", type=int, default=1)
+    p.add_argument("--B", type=_int, default=1)
     p.add_argument("--t", type=_fraction, default=Fraction(0))
 
     p = sub.add_parser("padic", parents=[common], help="p-adic enclosures and linear-form audit")
@@ -150,15 +155,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_fraction, default=None)
 
     p = sub.add_parser("global", parents=[common], help="global-relation threshold and probe")
-    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--a", type=_int, required=True)
     p.add_argument("--ell", type=_int_list, default=None, metavar="l0,l1,...")
 
     p = sub.add_parser("restricted", parents=[common], help="restricted-approximation audit")
     p.add_argument("--beta", type=_fraction, required=True, metavar="A/B")
-    p.add_argument("--B", type=int, default=1)
+    p.add_argument("--B", type=_int, default=1)
     p.add_argument("--t", type=_fraction, default=Fraction(0))
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--candidate-n", type=int, default=None)
+    p.add_argument("--M", type=_int, default=None)
+    p.add_argument("--candidate-n", type=_int, default=None)
     p.add_argument("--vartheta", type=_fraction, default=Fraction(2))
     return ap
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .arith import cleared, pochhammer, poly_eval
@@ -185,8 +185,21 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...
         h(l) = (-1)^(l+1) (alpha_0 + l + 1)_{N-l-1} / (N-l-1)! * prod_j (c_j + l)_{n_j},
         c_j  = alpha_j + alpha_0 + N_j - N + 1.
 
-    Both sequences follow from their term ratios; cleared by the lcm of their
-    denominators, every coefficient is one integer correlation.
+    With alpha_0 = u/v and c_j = s_j/t_j in lowest terms, G = v^(N-1) (N-1)!
+    and H = G prod_j t_j^(n_j) clear the two sequences into integer running
+    products (no division per step):
+
+        G g(d) = A_d B_d,     A_d = prod_{k<d} (u - v + k v),  B_d = prod_{d<k<N} k v,
+        H h(l) = (-1)^(l+1) C_l E_l W_l,
+                              C_l = prod_{l<k<N} (u + k v),    E_l = v^l (N-1)! / (N-1-l)!,
+                              W_l = prod_j prod_{i<n_j} (s_j + (l+i) t_j),
+
+    so that E_0 = 1, E_(l+1) = E_l v (N-1-l), and G = A_0 B_0.  The
+    denominator's Pochhammer product is dn/dd.  After each sequence is divided
+    by its content, every coefficient is one integer correlation over one
+    common denominator, reduced once:
+
+        a_{N-k-1} = sum_{k<=l<N} (G g(l-k)) (H h(l)) dd / (dn G H).
     """
     m = gp.m
     if len(n_list) != m or len(N_list) != m:
@@ -194,33 +207,52 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...
     N = sum(n_list)
     if any(Nj < N - 1 for Nj in N_list):
         raise ValueError("closed form requires N_j >= N - 1")
-    alpha0 = gp.alpha[0]
-    # the product's denominator does not involve the summation index
-    denom = Fraction(1)
+    u, v = gp.r0, gp.s0
+    # the product's denominator dn/dd does not involve the summation index
+    dn = dd = 1
     for j in range(1, m + 1):
-        denom *= pochhammer(gp.alpha[j] + N_list[j - 1] - N + 1, n_list[j - 1])
-    c = [gp.alpha[j] + alpha0 + N_list[j - 1] - N + 1 for j in range(1, m + 1)]
-    g = [Fraction(1)]
-    for d in range(N - 1):
-        g.append(g[-1] * (alpha0 - 1 + d) / (d + 1))
-    # h(N-1) has empty Pochhammer and factorial parts; step down by h(l)/h(l+1)
-    h = [Fraction(0)] * N
-    h[N - 1] = Fraction((-1) ** N)
-    for cj, nj in zip(c, n_list):
-        h[N - 1] *= pochhammer(cj + N - 1, nj)
-    for ell in range(N - 2, -1, -1):
-        ratio = -(alpha0 + ell + 1) / (N - ell - 1)
-        for cj, nj in zip(c, n_list):
-            ratio *= (cj + ell) / (cj + ell + nj)
-        h[ell] = h[ell + 1] * ratio
-    G, g_int = cleared(g)
-    H, h_int = cleared(h)
-    scale = denom * G * H
+        pj = pochhammer(gp.alpha[j] + (N_list[j - 1] - N + 1), n_list[j - 1])
+        dn *= pj.numerator
+        dd *= pj.denominator
+    g_int = [1]
+    for k in range(N - 1):
+        g_int.append(g_int[-1] * (u - v + k * v))
+    B = 1
+    for d in range(N - 1, -1, -1):
+        g_int[d] *= B
+        B *= d * v
+    G = H = g_int[0]
+    # c_j = (u_j + (N_j - N + 1) v_j) / v_j, already in lowest terms
+    factors = []
+    for j in range(1, m + 1):
+        s, t = gp.u[j - 1] + (N_list[j - 1] - N + 1) * gp.v[j - 1], gp.v[j - 1]
+        factors.append((n_list[j - 1], [s + k * t for k in range(N + n_list[j - 1] - 1)]))
+        H *= t ** n_list[j - 1]
+    h_int = [0] * N
+    C = 1
+    for ell in range(N - 1, -1, -1):
+        h_int[ell] = C
+        C *= u + ell * v
+    E = 1
+    for ell in range(N):
+        w = E if ell % 2 else -E
+        for nj, f in factors:
+            w *= prod(f[ell : ell + nj])
+        h_int[ell] *= w
+        E *= v * (N - 1 - ell)
+    # G and H exceed the lcm of the denominators by up to thousands of bits at
+    # large N; dividing out each sequence's content keeps the correlation's
+    # operands no longer than lcm-cleared ones
+    cg, ch = gcd(*g_int), gcd(*h_int)
+    g_int = [x // cg for x in g_int]
+    h_int = [x // ch for x in h_int]
+    num, den = dd * cg * ch, dn * G * H
+    c = gcd(num, den)
+    num, den = num // c, den // c
     a = [Fraction(0)] * (N + 1)
     a[N] = Fraction(1)
     for k in range(N):
-        acc = sum(map(mul, g_int, h_int[k:]))
-        a[N - k - 1] = Fraction(acc * scale.denominator, scale.numerator)
+        a[N - k - 1] = Fraction(sum(map(mul, g_int, h_int[k:])) * num, den)
     return tuple(a)
 
 

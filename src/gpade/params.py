@@ -9,7 +9,9 @@ maxima) are derived once here and frozen.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
@@ -17,7 +19,16 @@ from typing import NamedTuple, Sequence
 from .errors import IntegerDifference, InvariantViolation, NonPositiveAlpha
 from .arith import p_valuation
 
-__all__ = ["GParams", "derive_params", "padic_domain_check", "parse_params", "load_params", "DomainCheck"]
+__all__ = [
+    "GParams",
+    "derive_params",
+    "padic_domain_check",
+    "parse_int",
+    "parse_fraction",
+    "parse_params",
+    "load_params",
+    "DomainCheck",
+]
 
 
 @dataclass(frozen=True)
@@ -136,6 +147,37 @@ def padic_domain_check(gp: GParams, p: int, beta: Fraction) -> DomainCheck:
 
 
 # ---------------------------------------------------------------------------
+# Numbers in text.  int() and Fraction() refuse more than 4300 digits (the
+# interpreter's guard on int-to-str conversion); Decimal has no such limit and
+# converts exactly, so the two parsers below accept what int() and Fraction()
+# accept, of any length.
+# ---------------------------------------------------------------------------
+
+_DIGITS = r"\d+(?:_\d+)*"
+_INT_TEXT = re.compile(rf"\s*[+-]?{_DIGITS}\s*")
+_RATIONAL_TEXT = re.compile(
+    rf"\s*[+-]?(?:{_DIGITS}/{_DIGITS}|(?=\.?\d)(?:{_DIGITS})?(?:\.(?:{_DIGITS})?)?(?:[eE][+-]?{_DIGITS})?)\s*"
+)
+
+
+def parse_int(text: str) -> int:
+    """int(text), for a decimal integer literal of any length."""
+    if not _INT_TEXT.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(Decimal(text))
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), for a literal 'a/b' or a decimal of any length."""
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    num, _, den = text.partition("/")
+    if den:
+        return Fraction(int(Decimal(num)), int(Decimal(den)))
+    return Fraction(Decimal(text))
+
+
+# ---------------------------------------------------------------------------
 # Parameter files: "m = 2", "alpha0 = 1/2", ..., comments start with '#'.
 # ---------------------------------------------------------------------------
 
@@ -154,9 +196,9 @@ def parse_params(text: str, source: str = "<params>") -> GParams:
         val = val.strip()
         try:
             if key == "m":
-                m_declared = int(val)
+                m_declared = parse_int(val)
             elif key.startswith("alpha"):
-                entries[key] = Fraction(val)
+                entries[key] = parse_fraction(val)
             else:
                 raise ValueError(f"unknown key {key!r}")
         except (ValueError, ZeroDivisionError) as exc:

@@ -54,6 +54,18 @@ def test_pochhammer_examples():
     assert pochhammer(F(2), 3) == 24
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-(10**6), 10**6), st.integers(1, 10**6), st.integers(0, 30))
+@example(-7, 1, 10)  # crosses zero: the product is 0
+@example(5, 6, 0)
+def test_pochhammer_matches_running_fraction_product(num, den, n):
+    x = F(num, den)
+    acc = F(1)
+    for k in range(n):
+        acc *= x + k
+    assert pochhammer(x, n) == acc
+
+
 def test_pochhammer_splitting_identity():
     rng = random.Random(3)
     for _ in range(50):
@@ -91,6 +103,36 @@ def test_floor_log():
             x = 1 / x
         t = floor_log(p, x)
         assert p**t <= x < p ** (t + 1)
+
+
+def reference_p_valuation(q: F, p: int) -> int:
+    """v_p(q), one factor of p stripped per step."""
+    n, v = (q.numerator, 1) if q.numerator % p == 0 else (q.denominator, -1)
+    count = 0
+    while n % p == 0:
+        n //= p
+        count += 1
+    return v * count
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 101]),
+    st.integers(0, 5000),
+    st.integers(1, 10**40),
+    st.integers(1, 10**40),
+    st.booleans(),
+    st.booleans(),
+)
+@example(101, 5000, 1, 1, False, False)
+@example(2, 4096, 3, 1, True, True)
+@example(5, 1, 1, 7, True, False)
+def test_p_valuation_matches_one_step_loop(p, v, a, b, in_denominator, negative):
+    # cofactors a and b made prime to p, so that v_p(q) = +-v exactly
+    a, b = a * p + 1, b * p + p - 1
+    num, den = (a, b * p**v) if in_denominator else (a * p**v, b)
+    q = F(-num if negative else num, den)
+    assert p_valuation(q, p) == reference_p_valuation(q, p) == (-v if in_denominator else v)
 
 
 def test_p_valuation():

@@ -409,6 +409,16 @@ def test_invariant_violation_while_loading_params_exits_1(params_file, capsys, m
     assert "boom" in err
 
 
+def test_padic_takes_an_ell_beyond_int_str_limit(capsys):
+    # int() refuses more than 4300 digits; the command line takes any length
+    half = str(Path(__file__).parent / "golden" / "params" / "half.params")
+    digits = "9" * 4999 + "7"
+    argv = ["padic", "--params", half, "--beta", "8/3", "--p", "2", "--ell", f"1,{digits}"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert "linear_forms.0.ell.1\t999999999999...999999999997(5000digits)" in out
+
+
 def test_int_abbreviation():
     n = 123456789 * 10**300 + 987654321
     s = int_str(n, exact=False)

@@ -2,12 +2,13 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 from math import factorial, lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpade.arith import pochhammer
+from gpade.arith import cleared, pochhammer
 
 from gpade.errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
 from gpade.pade import (
@@ -172,17 +173,49 @@ def reference_build_q_generic(gp, n_list, N_list):
     return tuple(a)
 
 
+def reference_ratio_build_q_generic(gp, n_list, N_list):
+    """The closed form with g(d) and h(l) stepped by their term ratios in
+    `Fraction` (one reduction per step), each sequence cleared by the lcm of
+    its denominators."""
+    m, N, alpha0 = gp.m, sum(n_list), gp.alpha[0]
+    denom = F(1)
+    for j in range(1, m + 1):
+        denom *= pochhammer(gp.alpha[j] + N_list[j - 1] - N + 1, n_list[j - 1])
+    c = [gp.alpha[j] + alpha0 + N_list[j - 1] - N + 1 for j in range(1, m + 1)]
+    g = [F(1)]
+    for d in range(N - 1):
+        g.append(g[-1] * (alpha0 - 1 + d) / (d + 1))
+    h = [F(0)] * N
+    h[N - 1] = F((-1) ** N)
+    for cj, nj in zip(c, n_list):
+        h[N - 1] *= pochhammer(cj + N - 1, nj)
+    for ell in range(N - 2, -1, -1):
+        ratio = -(alpha0 + ell + 1) / (N - ell - 1)
+        for cj, nj in zip(c, n_list):
+            ratio *= (cj + ell) / (cj + ell + nj)
+        h[ell] = h[ell + 1] * ratio
+    G, g_int = cleared(g)
+    H, h_int = cleared(h)
+    scale = denom * G * H
+    a = [F(0)] * (N + 1)
+    a[N] = F(1)
+    for k in range(N):
+        acc = sum(map(mul, g_int, h_int[k:]))
+        a[N - k - 1] = F(acc * scale.denominator, scale.numerator)
+    return tuple(a)
+
+
 @st.composite
-def closed_form_instances(draw):
+def closed_form_instances(draw, n_max=5):
     """(alphas, block degrees, slacks) with pairwise non-congruent upper
-    parameters, m <= 3, n_j <= 5 and N_j = N - 1 + slack_j."""
+    parameters, m <= 3, n_j <= n_max and N_j = N - 1 + slack_j."""
     m = draw(st.integers(1, 3))
     uppers: list[F] = []
     for _ in range(m):
         pool = [c for c in ALPHA_POOL if all((c - x).denominator != 1 for x in uppers)]
         uppers.append(draw(st.sampled_from(pool)))
     alpha0 = draw(st.sampled_from(ALPHA_POOL))
-    n = tuple(draw(st.integers(1, 5)) for _ in range(m))
+    n = tuple(draw(st.integers(1, n_max)) for _ in range(m))
     slack = tuple(draw(st.integers(0, 3)) for _ in range(m))
     return [alpha0] + uppers, n, slack
 
@@ -197,6 +230,26 @@ def test_closed_form_matches_termwise_reference(instance):
     gp = derive_params(alphas)
     N_list = tuple(sum(n) - 1 + s for s in slack)
     assert build_q_generic(gp, n, N_list) == reference_build_q_generic(gp, n, N_list)
+
+
+@settings(max_examples=80, deadline=None)
+@given(closed_form_instances(n_max=12))
+@example(([F(1), F(1, 2), F(1, 3)], (3, 2), (0, 2)))  # alpha_0 = 1: g(d) = 0 for d >= 1
+@example(([F(2, 3), F(5, 2)], (1,), (0,)))  # N = 1
+# the shapes the benchmark workloads build: (1, 1) at N = 24 and N = 39,
+# m = 2 at (12, 12) and m = 3 at (8, 8, 8)
+@example(([F(1), F(1)], (24,), (1,)))
+@example(([F(1), F(1)], (39,), (2,)))
+@example(([F(1), F(1, 2), F(1, 3)], (12, 12), (1, 2)))
+@example(([F(1), F(1, 2), F(2, 3), F(3, 4)], (8, 8, 8), (2, 1, 1)))
+@example(([F(5, 3), F(1, 3), F(5, 2), F(7, 4)], (8, 8, 8), (1, 1, 1)))
+def test_closed_form_matches_ratio_recurrence(instance):
+    # the integer running products over one common denominator give the
+    # coefficients of the Fraction term-ratio recurrence
+    alphas, n, slack = instance
+    gp = derive_params(alphas)
+    N_list = tuple(sum(n) - 1 + s for s in slack)
+    assert build_q_generic(gp, n, N_list) == reference_ratio_build_q_generic(gp, n, N_list)
 
 
 def reference_oracle_solve_generic(gp, n_list, N_list):

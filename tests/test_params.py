@@ -3,9 +3,11 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpade.errors import IntegerDifference, InvariantViolation, NonPositiveAlpha
-from gpade.params import derive_params, load_params, padic_domain_check, parse_params
+from gpade.params import derive_params, load_params, padic_domain_check, parse_fraction, parse_int, parse_params
 
 from conftest import pick_alphas
 
@@ -74,6 +76,40 @@ def test_parse_and_load(params_file):
     assert gp == derive_params([F(1), F(1, 2)])
     path = params_file(text)
     assert load_params(path) == gp
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+# short texts over the characters of both grammars (at most 7 characters, so
+# an exponent stays below 10^5)
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789_./+-eE \t", max_size=7))
+@example("1/0")
+@example(" -3/4 ")
+@example("1_000.5e-2")
+@example("1 /2")
+@example("nan")
+@example("\u0663/2")
+def test_parsers_accept_what_int_and_fraction_accept(text):
+    assert _outcome(parse_int, text) == _outcome(int, text)
+    assert _outcome(parse_fraction, text) == _outcome(F, text)
+
+
+def test_parsers_take_any_number_of_digits():
+    # int() and Fraction() refuse these beyond 4300 digits
+    n = 10**5000 - 3
+    digits = "9" * 4999 + "7"
+    assert parse_int(f" -{digits}") == -n
+    assert parse_fraction(f"1/{digits}") == F(1, n)
+    assert parse_fraction(f"-{digits}/2") == F(-n, 2)
+    assert parse_fraction(f"0.{digits}") == F(n, 10**5000)
+    gp = parse_params(f"m = 1\nalpha0 = {digits}/2\nalpha1 = 1/{digits}\n")
+    assert gp.alpha == (F(n, 2), F(1, n))
 
 
 @pytest.mark.parametrize(
