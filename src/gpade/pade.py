@@ -18,7 +18,10 @@ kernel `series_product_coeffs`, which also builds P_ij.
 
 The closed form, the product series and the determinant check clear common
 denominators once and then work on plain integers; the oracle keeps its own
-route from the series coefficients into the Bareiss elimination.
+route from the series coefficients into a primitive-row elimination: each
+reduced row is divided by the gcd of its entries, so it stays proportional
+to, and never larger than, the Bareiss row of determinant-sized minors.
+The determinant check keeps Bareiss on its small dense matrices.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .arith import cleared, pochhammer, poly_eval
-from .errors import IntegralityViolation, InvariantViolation, NonMonomialDeterminant, SingularSystem
+from .errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
 from .params import GParams
 from .report import full_digits, tsv
 
@@ -338,49 +341,71 @@ def verify_order(family: PadeFamily) -> dict[tuple[int, int], bool]:
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_steps(M: list[list[int]], cols: range, pivot_rows: int, prev: int) -> tuple[int, int]:
-    """Fraction-free (Bareiss) steps over the columns `cols` of the integer
-    rows M, in place.
-
-    For column k, the first row r in k..pivot_rows-1 with M[r][k] != 0 is
-    swapped into row k.  In every row r below it, M[r][c] becomes
-    (M[k][k] M[r][c] - M[r][k] M[k][c]) / prev for c > k, where prev is the
-    previous pivot (the argument `prev` before the first step), and M[r][k]
-    becomes 0.  Returns the last pivot and the sign of the row permutation;
-    the pivot is 0 when some column has no nonzero pivot.
-    """
-    sign = 1
-    for k in cols:
-        piv = next((r for r in range(k, pivot_rows) if M[r][k] != 0), None)
-        if piv is None:
-            return 0, sign
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        pk = M[k]
-        a = pk[k]
-        for r in range(k + 1, len(M)):
-            row = M[r]
-            b = row[k]
-            for c in range(k + 1, len(row)):
-                row[c] = (a * row[c] - b * pk[c]) // prev
-            row[k] = 0
-        prev = a
-    return prev, sign
-
-
 def bareiss_eliminate(rows: list[list[int]]) -> tuple[list[list[int]], int]:
     """Fraction-free (Bareiss) forward elimination of an integer matrix with
     n rows and at least n columns; columns past the n-th (a right-hand side)
     are carried along.
 
+    For column k, the first row r >= k with M[r][k] != 0 is swapped into row
+    k.  In every row r below it, M[r][c] becomes
+    (M[k][k] M[r][c] - M[r][k] M[k][c]) / prev for c > k, where prev is the
+    previous pivot (1 before the first step), and M[r][k] becomes 0.  Every
+    division is exact.
+
     Returns the upper-triangular rows and the determinant of the leading
     n x n block, which is 0 (with the rows only partly eliminated) when some
-    column has no nonzero pivot.  Every division is exact.
+    column has no nonzero pivot.
     """
     M = [row[:] for row in rows]
-    det, sign = _bareiss_steps(M, range(len(M)), len(M), 1)
-    return M, sign * det
+    prev, sign = 1, 1
+    for k in range(len(M)):
+        piv = next((r for r in range(k, len(M)) if M[r][k] != 0), None)
+        if piv is None:
+            return M, 0
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        pk = M[k]
+        a = pk[k]
+        for row in M[k + 1 :]:
+            b = row[k]
+            for c in range(k + 1, len(row)):
+                row[c] = (a * row[c] - b * pk[c]) // prev
+            row[k] = 0
+        prev = a
+    return M, sign * prev
+
+
+def _primitive_steps(M: list[list[int]], cols: range, pivot_rows: int) -> bool:
+    """Primitive-row elimination over the columns `cols` of the integer rows
+    M, in place.
+
+    For column k, the first row r in k..pivot_rows-1 with M[r][k] != 0 is
+    swapped into row k.  Every row r below it with b = M[r][k] != 0 becomes
+    the primitive part (the row divided by the gcd of its entries) of
+    (a/g) M[r] - (b/g) M[k], where a = M[k][k] and g = gcd(a, b).  Returns
+    False, with the rows only partly eliminated, when some column has no
+    nonzero pivot.
+    """
+    for k in cols:
+        piv = next((r for r in range(k, pivot_rows) if M[r][k] != 0), None)
+        if piv is None:
+            return False
+        M[k], M[piv] = M[piv], M[k]
+        tail = M[k][k + 1 :]
+        a = M[k][k]
+        for row in M[k + 1 :]:
+            b = row[k]
+            if b == 0:
+                continue
+            g = gcd(a, b)
+            ag, bg = a // g, b // g
+            new = [ag * x - bg * y for x, y in zip(row[k + 1 :], tail)]
+            content = gcd(*new)
+            if content > 1:
+                new = [x // content for x in new]
+            row[k:] = [0, *new]
+    return True
 
 
 def _solve_sharing(
@@ -390,39 +415,51 @@ def _solve_sharing(
     list in `systems`: the rows `shared`, then others[o] for each o in the
     list.  A row holds the coefficients and then the right-hand side.
 
-    The shared rows are eliminated once, with pivots taken from them only,
-    and every other row is reduced against those pivots once.  By Sylvester's
-    identity an entry left after k fraction-free steps is a (k+1)-minor of the
-    k pivot rows and its own row, so a reduced row does not depend on the rows
-    reduced beside it.  Each system then finishes its last columns with its
-    own reduced rows, carrying on from the shared rows' last pivot.  If the
-    shared rows have no pivot in some column, every system is solved whole,
-    with an empty shared set.  A system whose own rows leave a column without
-    pivot is singular, since any nonzero pivot is a valid Bareiss choice.
+    The shared rows are eliminated once by primitive-row steps
+    (`_primitive_steps`), with pivots taken from them only, and every other
+    row is reduced against those pivots once.  A reduced row depends only on
+    its own row and the pivot rows, not on the rows reduced beside it: it is
+    the row of the Schur complement of the pivot block, up to a factor.  The
+    Bareiss row at the same step, whose entries are minors of the pivot rows
+    and its own row (Sylvester's identity), is that Schur-complement row too.
+    An integer row proportional to a primitive row is an integer multiple of
+    it, so no entry ever exceeds the Bareiss minor in its place.  In practice
+    the entries stay far smaller: the minors grow to the size of the
+    determinant, the primitive entries stay near the size of the solution.
 
-    Each solution is back-substituted as y = det * x in integers: by Cramer's
-    rule every y_r is an integer, so each division is exact.
+    Each system then finishes its last columns with its own reduced rows.  If
+    the shared rows have no pivot in some column, every system is solved
+    whole, with an empty shared set.  A system whose own rows leave a column
+    without pivot is singular, since the shared steps and any choice of
+    nonzero pivots keep the rank.
+
+    Each solution is back-substituted as x = X / D over a running common
+    denominator D, the lcm of the denominators of the entries found so far,
+    so X and D stay as small as the solution itself; no determinant is
+    formed.
     """
     s = len(shared)
     M = [row[:] for row in shared + others]
-    prev, _ = _bareiss_steps(M, range(s), s, 1)
-    if prev == 0:
+    if not _primitive_steps(M, range(s), s):
         whole = [[*range(s), *(s + o for o in system)] for system in systems]
         return _solve_sharing([], shared + others, whole)
     out = []
     for system in systems:
         U = M[:s] + [M[s + o][:] for o in system]
         n = len(U)
-        det, _ = _bareiss_steps(U, range(s, n), n, prev)
-        if det == 0:
+        if not _primitive_steps(U, range(s, n), n):
             raise SingularSystem("the order conditions do not determine the denominator")
-        y = [0] * n
+        x: list[Fraction] = [Fraction(0)] * n
+        X, D = [0] * n, 1
         for r in range(n - 1, -1, -1):
-            acc = det * U[r][n] - sum(map(mul, U[r][r + 1 : n], y[r + 1 :]))
-            y[r], rem = divmod(acc, U[r][r])
-            if rem:
-                raise InvariantViolation("back-substitution left a remainder: det * x is not integral")
-        out.append(tuple(Fraction(yr, det) for yr in y))
+            x[r] = Fraction(D * U[r][n] - sum(map(mul, U[r][r + 1 : n], X[r + 1 :])), D * U[r][r])
+            # D grows to the lcm of D and x_r's denominator
+            scale = x[r].denominator // gcd(D, x[r].denominator)
+            if scale != 1:
+                X[r + 1 :] = [xc * scale for xc in X[r + 1 :]]
+                D *= scale
+            X[r] = x[r].numerator * (D // x[r].denominator)
+        out.append(tuple(x))
     return out
 
 
@@ -467,9 +504,9 @@ def family_det(family: PadeFamily) -> tuple[int, Fraction]:
 
     Returns (e, omega) with e = N + sum N_j + m and omega the product of the
     leading P_ii coefficients.  The certification evaluates the determinant
-    at e+1 points; since its degree is at most e by row/column degree counts,
-    agreement at e+1 points proves the polynomial identity.  Any mismatch
-    raises NonMonomialDeterminant.
+    at the 2k >= e+1 points t = +-1..+-k; since its degree is at most e by
+    row/column degree counts, agreement there proves the polynomial
+    identity.  Any mismatch raises NonMonomialDeterminant.
     """
     gp, shape = family.gp, family.shape
     exponent = shape.N + sum(shape.Nj) + gp.m
@@ -479,18 +516,24 @@ def family_det(family: PadeFamily) -> tuple[int, Fraction]:
     if omega == 0:
         raise NonMonomialDeterminant("vanishing leading coefficient")
     # clear row i (Q_i and every P_ij) by the lcm L_i of its coefficient
-    # denominators: the integer determinant at t is det(t) * prod(L_i)
+    # denominators: the integer determinant at t is det(t) * prod(L_i).  Each
+    # cleared polynomial f is split into even and odd parts, f(+-t) =
+    # even(t^2) +- t odd(t^2), so one pair of evaluations serves both signs.
     rows = []
     target = omega
     for i in range(gp.m + 1):
         polys = [family.q[i]] + [family.p_coeffs(i, j) for j in range(1, gp.m + 1)]
         L = lcm(*(cf.denominator for poly in polys for cf in poly))
-        rows.append([[cf.numerator * (L // cf.denominator) for cf in poly] for poly in polys])
+        cleared_polys = [[cf.numerator * (L // cf.denominator) for cf in poly] for poly in polys]
+        rows.append([(f[0::2], f[1::2]) for f in cleared_polys])
         target *= L
-    for t in range(1, exponent + 2):
-        det = bareiss_eliminate([[poly_eval(poly, t) for poly in row] for row in rows])[1]
-        if det * target.denominator != target.numerator * t**exponent:
-            raise NonMonomialDeterminant(f"determinant deviates from monomial at t={t}")
+    for t in range(1, exponent // 2 + 2):
+        t2 = t * t
+        halves = [[(poly_eval(even, t2), t * poly_eval(odd, t2)) for even, odd in row] for row in rows]
+        for point, sign in ((t, 1), (-t, -1)):
+            det = bareiss_eliminate([[e + sign * o for e, o in row] for row in halves])[1]
+            if det * target.denominator != target.numerator * point**exponent:
+                raise NonMonomialDeterminant(f"determinant deviates from monomial at t={point}")
     return exponent, omega
 
 

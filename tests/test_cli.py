@@ -268,6 +268,16 @@ def test_verify_large_N(capsys):
     assert "verdict\tPASS" in out
 
 
+def test_verify_at_N_96(capsys):
+    # m = 3, N = 96: the oracle's primitive-row elimination keeps this under
+    # a second, where Bareiss minors as large as the determinant took 27 s
+    path = str(Path(__file__).parent / "golden" / "params" / "quad.params")
+    code, out, _ = run(capsys, ["verify", "--params", path, "--n", "32,32,32", "--n0", "32"])
+    assert code == 0
+    assert "determinant_monomial.exponent\t387" in out
+    assert "verdict\tPASS" in out
+
+
 def test_scaled_construct_with_d_that_does_not_clear(params_file, capsys, monkeypatch):
     # D = 12600 = 2^3 3^2 5^2 7 here, and D / 5 leaves a coefficient 4/75 non-integral
     import gpade.cli as cli_mod

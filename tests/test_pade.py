@@ -1,4 +1,5 @@
 import random
+from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction as F
 from math import factorial, lcm
@@ -326,6 +327,59 @@ def test_shared_solve_singular_tail():
         _solve_sharing([], [[1, 2, 3], [2, 4, 5]], [[0, 1]])
 
 
+def reference_fraction_solve(rows):
+    """x with rows[r][:-1] . x = rows[r][-1] by Gauss-Jordan elimination in
+    Fraction, or None when the square system is singular."""
+    n = len(rows)
+    A = [[F(c) for c in row] for row in rows]
+    for k in range(n):
+        piv = next((r for r in range(k, n) if A[r][k] != 0), None)
+        if piv is None:
+            return None
+        A[k], A[piv] = A[piv], A[k]
+        for r in range(n):
+            if r != k and A[r][k] != 0:
+                f = A[r][k] / A[k][k]
+                A[r] = [x - f * y for x, y in zip(A[r], A[k])]
+    return tuple(A[r][n] / A[r][r] for r in range(n))
+
+
+@st.composite
+def sharing_instances(draw):
+    """(shared, others, systems): n unknowns, s < n shared rows, at least
+    n - s other rows, and systems of n - s distinct other rows each; small
+    entries make zero, proportional and pivotless rows common."""
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(0, n - 1))
+    row = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
+    shared = draw(st.lists(row, min_size=s, max_size=s))
+    others = draw(st.lists(row, min_size=n - s, max_size=n - s + 3))
+    pick = st.permutations(range(len(others))).map(lambda order: list(order[: n - s]))
+    return shared, others, draw(st.lists(pick, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sharing_instances())
+# an unused other row that reduces to all zeros (content 0)
+@example(([[2, 1, 1, 3]], [[4, 2, 2, 6], [0, 1, 1, 1], [1, 0, 3, 2]], [[1, 2], [2, 1]]))
+# proportional own rows: singular
+@example(([[2, 1, 1, 3]], [[4, 2, 5, 1], [0, 1, 1, 1], [0, 3, 3, 5]], [[0, 1], [1, 2]]))
+# the first own row is 0 in column 1 after the shared step: a swap in the tail
+@example(([[2, 1, 1, 3]], [[4, 2, 5, 1], [0, 1, 1, 1]], [[0, 1], [1, 0]]))
+# the shared rows have no pivot in column 0: every system is solved whole
+@example(([[0, 2, 1, 3], [0, 1, 4, 1]], [[1, 0, 0, 1], [5, 1, 1, 2], [3, 0, 1, 1]], [[0], [1], [2]]))
+def test_sharing_solve_matches_fraction_gauss(instance):
+    shared, others, systems = instance
+    before = deepcopy(instance)
+    expected = [reference_fraction_solve(shared + [others[o] for o in system]) for system in systems]
+    if None in expected:
+        with pytest.raises(SingularSystem):
+            _solve_sharing(shared, others, systems)
+    else:
+        assert _solve_sharing(shared, others, systems) == expected
+    assert instance == before  # the inputs are left as they were
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     instance=closed_form_instances(),
@@ -404,13 +458,24 @@ def test_determinant_by_direct_polynomial_arithmetic(half):
     assert det == [F(0), F(0), F(0), F(4, 75)]
 
 
-def test_determinant_rejects_corruption(half):
-    gp, shape, fam = half
-    qq = list(list(row) for row in fam.q)
-    qq[0][0] += 1
-    broken = replace(fam, q=tuple(tuple(r) for r in qq))
-    with pytest.raises(NonMonomialDeterminant):
-        family_det(broken)
+def test_determinant_rejects_corruption():
+    # the determinant is checked at +-1..+-k from even and odd parts: corrupt
+    # an even and an odd coefficient, at odd and at even exponents
+    for alphas, n, n0, exponent in [
+        ([F(1), F(1, 2)], (1,), 1, 3),
+        ([F(1), F(1, 2)], (1,), 2, 4),
+        ([F(1, 2), F(1, 3), F(3, 4)], (2, 1), 3, 14),
+        ([F(3, 2), F(1, 2), F(2, 3), F(1, 4)], (1, 2, 1), 2, 21),
+    ]:
+        gp = derive_params(alphas)
+        fam = build_family(gp, ApproxShape(n=n, n0=n0))
+        assert family_det(fam)[0] == exponent
+        for i, degree in [(0, 0), (gp.m, 1)]:
+            qq = [list(row) for row in fam.q]
+            qq[i][degree] += 1
+            broken = replace(fam, q=tuple(tuple(r) for r in qq))
+            with pytest.raises(NonMonomialDeterminant):
+                family_det(broken)
 
 
 def test_numerator_degrees():
