@@ -119,52 +119,60 @@ def _theta_mode(text: str) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parsing leaves the parser unchanged (an appended
-    # option copies its default list before appending)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--params", required=True, help="parameter file (m, alpha0..alpham)")
-    common.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    common.add_argument("--precision", type=_precision, default=128, metavar="BITS")
-    common.add_argument("--exact", action="store_true", help="print big integers in full")
-    common.add_argument("--theta-mode", type=_theta_mode, default="paper", metavar="{paper|sharp|custom:T,C}")
-    degrees = argparse.ArgumentParser(add_help=False)
-    degrees.add_argument("--n", type=_int_list, required=True, metavar="a,b,c")
-    degrees.add_argument("--n0", type=_int, required=True, metavar="K")
-
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone: a report names
+    its subcommand first, and building only that one spares the others'
+    parsers.  Built once per process: parsing leaves the parser unchanged (an
+    appended option copies its default list before appending)."""
     ap = argparse.ArgumentParser(prog="gpade", description=__doc__.split("\n", 1)[0])
-    sub = ap.add_subparsers(dest="command", required=True)
+    # alone, a subcommand is listed with the others in the usage line of an error
+    choices = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=choices)
 
-    p = sub.add_parser("construct", parents=[common, degrees], help="dump the approximant family")
-    p.add_argument("--scaled", action="store_true", help="emit coefficients cleared by D")
+    def add(name: str, summary: str, degrees: bool = False) -> argparse.ArgumentParser | None:
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--params", required=True, help="parameter file (m, alpha0..alpham)")
+        p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+        p.add_argument("--precision", type=_precision, default=128, metavar="BITS")
+        p.add_argument("--exact", action="store_true", help="print big integers in full")
+        p.add_argument("--theta-mode", type=_theta_mode, default="paper", metavar="{paper|sharp|custom:T,C}")
+        if degrees:
+            p.add_argument("--n", type=_int_list, required=True, metavar="a,b,c")
+            p.add_argument("--n0", type=_int, required=True, metavar="K")
+        return p
 
-    sub.add_parser("verify", parents=[common, degrees], help="order, oracle and determinant checks")
-    sub.add_parser("denominators", parents=[common, degrees], help="clearing integers and integrality")
+    if p := add("construct", "dump the approximant family", True):
+        p.add_argument("--scaled", action="store_true", help="emit coefficients cleared by D")
 
-    p = sub.add_parser("constants", parents=[common], help="certified constants")
-    p.add_argument("--vartheta", type=_fraction, default=None, metavar="V")
-    p.add_argument("--beta", type=_fraction, default=None, metavar="A/B")
-    p.add_argument("--B", type=_int, default=1)
-    p.add_argument("--t", type=_fraction, default=Fraction(0))
+    add("verify", "order, oracle and determinant checks", True)
+    add("denominators", "clearing integers and integrality", True)
 
-    p = sub.add_parser("padic", parents=[common], help="p-adic enclosures and linear-form audit")
-    p.add_argument("--beta", type=_fraction, required=True, metavar="A/B")
-    p.add_argument("--p", type=_prime, required=True)
-    p.add_argument("--ell", type=_int_list, action="append", default=[], metavar="l0,l1,...")
-    p.add_argument("--tau", type=_fraction, default=None)
-    p.add_argument("--delta", type=_fraction, default=None)
+    if p := add("constants", "certified constants"):
+        p.add_argument("--vartheta", type=_fraction, default=None, metavar="V")
+        p.add_argument("--beta", type=_fraction, default=None, metavar="A/B")
+        p.add_argument("--B", type=_int, default=1)
+        p.add_argument("--t", type=_fraction, default=Fraction(0))
 
-    p = sub.add_parser("global", parents=[common], help="global-relation threshold and probe")
-    p.add_argument("--a", type=_int, required=True)
-    p.add_argument("--ell", type=_int_list, default=None, metavar="l0,l1,...")
+    if p := add("padic", "p-adic enclosures and linear-form audit"):
+        p.add_argument("--beta", type=_fraction, required=True, metavar="A/B")
+        p.add_argument("--p", type=_prime, required=True)
+        p.add_argument("--ell", type=_int_list, action="append", default=[], metavar="l0,l1,...")
+        p.add_argument("--tau", type=_fraction, default=None)
+        p.add_argument("--delta", type=_fraction, default=None)
 
-    p = sub.add_parser("restricted", parents=[common], help="restricted-approximation audit")
-    p.add_argument("--beta", type=_fraction, required=True, metavar="A/B")
-    p.add_argument("--B", type=_int, default=1)
-    p.add_argument("--t", type=_fraction, default=Fraction(0))
-    p.add_argument("--M", type=_int, default=None)
-    p.add_argument("--candidate-n", type=_int, default=None)
-    p.add_argument("--vartheta", type=_fraction, default=Fraction(2))
+    if p := add("global", "global-relation threshold and probe"):
+        p.add_argument("--a", type=_int, required=True)
+        p.add_argument("--ell", type=_int_list, default=None, metavar="l0,l1,...")
+
+    if p := add("restricted", "restricted-approximation audit"):
+        p.add_argument("--beta", type=_fraction, required=True, metavar="A/B")
+        p.add_argument("--B", type=_int, default=1)
+        p.add_argument("--t", type=_fraction, default=Fraction(0))
+        p.add_argument("--M", type=_int, default=None)
+        p.add_argument("--candidate-n", type=_int, default=None)
+        p.add_argument("--vartheta", type=_fraction, default=Fraction(2))
     return ap
 
 
@@ -330,7 +338,7 @@ def _cmd_restricted(args, gp):
         candidate_n=args.candidate_n,
         prec=args.precision,
     )
-    report = audit_restricted(inst)
+    report = audit_restricted(inst, args.exact)
     code = CHECK_FAILED if any(c.failed for c in report["checks"]) else 0
     return code, emit_report(report, args.format, args.exact)
 
@@ -347,8 +355,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -46,6 +46,7 @@ __all__ = [
     "build_q",
     "build_q_generic",
     "series_product_coeffs",
+    "numerator_at",
     "build_family",
     "verify_order",
     "oracle_solve",
@@ -131,13 +132,14 @@ def phi_coeffs(gp: GParams, j: int, upto: int) -> list[Fraction]:
 
 def phi_partial_sum(gp: GParams, j: int, z: Fraction, T: int) -> Fraction:
     """Exact sum of the terms 0..T of phi_j at z (see `phi_partial_sum_parts`)."""
-    num, q, _ = phi_partial_sum_parts(gp, j, z, T)
+    num, q, _, _ = phi_partial_sum_parts(gp, j, z, T)
     return Fraction(num, q)
 
 
-def phi_partial_sum_parts(gp: GParams, j: int, z: Fraction, T: int) -> tuple[int, int, int]:
-    """Integers (N, Q, R) with the sum of the terms 0..T of phi_j at z equal to
-    N / Q, not reduced, and Q = R * z.denominator^T with R > 0.
+def phi_partial_sum_parts(gp: GParams, j: int, z: Fraction, T: int) -> tuple[int, int, int, int]:
+    """Integers (N, Q, R, P) with the sum of the terms 0..T of phi_j at z equal
+    to N / Q, not reduced, Q = R * z.denominator^T with R > 0, and the term of
+    order T equal to P / Q.
 
     Consecutive terms have the ratio (alpha_j + n) z / (alpha_j + alpha_0 + n)
     = p(n) / q(n) with integers p(n) and q(n) = r(n) * z.denominator.  Over a
@@ -150,9 +152,9 @@ def phi_partial_sum_parts(gp: GParams, j: int, z: Fraction, T: int) -> tuple[int
     if not 1 <= j <= gp.m:
         raise ValueError("series index out of range")
     if T < 0:
-        return 0, 1, 1
+        return 0, 1, 1, 0
     if T == 0:
-        return 1, 1, 1
+        return 1, 1, 1, 1
     z = Fraction(z)
     aj = gp.alpha[j]
     a0j = aj + gp.alpha[0]
@@ -168,8 +170,8 @@ def phi_partial_sum_parts(gp: GParams, j: int, z: Fraction, T: int) -> tuple[int
         p2, q2, s2, r2 = split(mid, hi)
         return p1 * p2, q1 * q2, s1 * q2 + p1 * s2, r1 * r2
 
-    _, q, s, r = split(0, T)
-    return q + s, q, r
+    p, q, s, r = split(0, T)
+    return q + s, q, r, p
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +192,15 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...
 
     With alpha_0 = u/v and c_j = s_j/t_j in lowest terms, G = v^(N-1) (N-1)!
     and H = G prod_j t_j^(n_j) clear the two sequences into integer running
-    products (no division per step):
+    products:
 
         G g(d) = A_d B_d,     A_d = prod_{k<d} (u - v + k v),  B_d = prod_{d<k<N} k v,
         H h(l) = (-1)^(l+1) C_l E_l W_l,
                               C_l = prod_{l<k<N} (u + k v),    E_l = v^l (N-1)! / (N-1-l)!,
                               W_l = prod_j prod_{i<n_j} (s_j + (l+i) t_j),
 
-    so that E_0 = 1, E_(l+1) = E_l v (N-1-l), and G = A_0 B_0.  The
+    so that E_0 = 1, E_(l+1) = E_l v (N-1-l), and G = A_0 B_0; each factor
+    of W_(l+1) is that of W_l times s_j + (l+n_j) t_j over s_j + l t_j.  The
     denominator's Pochhammer product is dn/dd.  After each sequence is divided
     by its content, every coefficient is one integer correlation over one
     common denominator, reduced once:
@@ -226,11 +229,17 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...
         B *= d * v
     G = H = g_int[0]
     # c_j = (u_j + (N_j - N + 1) v_j) / v_j, already in lowest terms
-    factors = []
+    windows = []
     for j in range(1, m + 1):
-        s, t = gp.u[j - 1] + (N_list[j - 1] - N + 1) * gp.v[j - 1], gp.v[j - 1]
-        factors.append((n_list[j - 1], [s + k * t for k in range(N + n_list[j - 1] - 1)]))
-        H *= t ** n_list[j - 1]
+        s, t, nj = gp.u[j - 1] + (N_list[j - 1] - N + 1) * gp.v[j - 1], gp.v[j - 1], n_list[j - 1]
+        f = [s + k * t for k in range(N + nj - 1)]
+        # the window slides by one exact division per step: every factor is
+        # positive, since s / t = c_j > 0
+        win = [prod(f[:nj])]
+        for ell in range(N - 1):
+            win.append(win[-1] * f[ell + nj] // f[ell])
+        windows.append(win)
+        H *= t**nj
     h_int = [0] * N
     C = 1
     for ell in range(N - 1, -1, -1):
@@ -239,8 +248,8 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...
     E = 1
     for ell in range(N):
         w = E if ell % 2 else -E
-        for nj, f in factors:
-            w *= prod(f[ell : ell + nj])
+        for win in windows:
+            w *= win[ell]
         h_int[ell] *= w
         E *= v * (N - 1 - ell)
     # G and H exceed the lcm of the denominators by up to thousands of bits at
@@ -278,6 +287,34 @@ def series_product_coeffs(gp: GParams, q: tuple[Fraction, ...], j: int, lo: int,
     r_rev = r_int[::-1]  # r_rev[hi - mu + k] = phi_j's coefficient mu - k
     D = Dq * Dr
     return tuple(Fraction(sum(map(mul, q_int, r_rev[hi - mu :])), D) for mu in range(lo, hi + 1))
+
+
+def numerator_at(gp: GParams, q: tuple[Fraction, ...], j: int, a: int, b: int, T: int) -> tuple[int, int]:
+    """Integers (num, den), den > 0, with num / den the value at a/b (b > 0)
+    of the coefficients 0..T >= n = deg Q of Q * phi_j: P_ij(a/b) for T = N_ij.
+
+    The value is Q(a/b) S + sum over T - n < t <= T of phi_j's term of order t
+    times Q_(T-t)(a/b), where S is phi_j's partial sum through T - n
+    (`phi_partial_sum_parts`) and Q_r(a/b) = H_r / (L b^r) is Q's prefix of
+    degree r: H_r = H_(r-1) b + c_r a^r over Q cleared by L (`cleared_eval`).
+    The n tail terms close by a backward Horner over the ratio
+    (alpha_j + t) a / ((alpha_j + alpha_0 + t) b) of the terms of orders t + 1
+    and t: after order t the sum is acc / (L b^(T-t) G), G the product of the
+    ratio denominators so far, and the tail is the term of order T - n times it.
+    """
+    n = len(q) - 1
+    L, c = cleared(q)
+    H, apow = [c[0]], 1
+    for ck in c[1:]:
+        apow *= a
+        H.append(H[-1] * b + ck * apow)
+    sn, sq, _, p = phi_partial_sum_parts(gp, j, Fraction(a, b), T - n)
+    aj, a0j = gp.alpha[j], gp.alpha[j] + gp.alpha[0]
+    acc, G = 0, 1
+    for t in range(T - 1, T - n - 1, -1):
+        acc = (aj.numerator + t * aj.denominator) * a0j.denominator * a * (H[T - 1 - t] * G + acc)
+        G *= (a0j.numerator + t * a0j.denominator) * aj.denominator
+    return H[n] * sn * G + p * acc, sq * L * b**n * G
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,9 @@ from .arith import (
 from .denom import ThetaMode, compute_d1
 from .envelope import Envelope, series_terms
 from .errors import DomainViolation, HypothesisFailure, PrecisionInsufficient
-from .pade import ApproxShape, build_family, phi_partial_sum_parts
+from .pade import ApproxShape, build_q, numerator_at, phi_partial_sum_parts
 from .params import GParams
-from .report import Check, entry, fmt_ratio, fmt_real, full_digits, rational, tagged_bound
+from .report import Check, entry, fmt_ratio, fmt_real, full_digits, int_str, rational, tagged_bound
 
 __all__ = [
     "RestrictedConstants",
@@ -68,7 +68,7 @@ def _phi_real_ends(gp: GParams, z: Fraction, T: int) -> tuple[int, int, int]:
         raise DomainViolation("real evaluation needs T >= 0")
     if z == 0:
         return 1, 1, 1
-    num, q, r = phi_partial_sum_parts(gp, 1, z, T)
+    num, q, r, _ = phi_partial_sum_parts(gp, 1, z, T)
     # with |z| = an/zd and q = r zd^T, the tail bound is an^(T+1) r / (q (zd - an))
     an, zd = abs(z.numerator), z.denominator
     acc = num * (zd - an)
@@ -313,7 +313,7 @@ def restricted_d2(gp: GParams, n0: int) -> FactoredInteger:
 # ---------------------------------------------------------------------------
 
 
-def audit_restricted(inst: RestrictedInstance) -> dict:
+def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
     """Run the whole restricted-approximation certification chain.
 
     Produces {"constants": ..., "checks": [...], "final_verdict": ...} where
@@ -325,7 +325,8 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     at beta, the enclosure, the remainders, the envelope 1/(B b^M (a1^18
     |a|^17)^M) and the distances) is an unreduced pair of integers
     (numerator, positive denominator): comparisons cross-multiply and
-    rendering goes through `fmt_ratio`, so none of them pays a gcd.
+    rendering goes through `fmt_ratio`, so none of them pays a gcd.  The
+    cleared combinations W_i are rendered in full only when `exact` is set.
     """
     gp = inst.gp
     rc = inst.constants
@@ -367,27 +368,27 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
     h_min = max(rc.mode.c_theta, rc.c_vartheta, 4)
     checks.append(entry("h_vs_thresholds", True, inst.h >= h_min, inst.h, h_min))
 
-    # the family (Q_0, Q_1, P_01, P_11) and the specialized clearing integers
+    # the denominators Q_0, Q_1 and the specialized clearing integers
     shape = ApproxShape(n=(n1,), n0=n0)
-    family = build_family(gp, shape)
+    qs = [build_q(gp, shape, i) for i in (0, 1)]
     d1 = restricted_d1(gp, n1, n0)
     d2 = restricted_d2(gp, n0)
-    # Q_i has degree n1 and P_i1 degree N_i1 <= n0 + 1: Q_i(a/b) = hq / (lq b^n1)
-    # and P_i1(a/b) = hp / (lp b^N_i1), and the scaled values D1 b^n1 Q_i(beta)
-    # and D1 D2 b^(n0+1) P_i1(beta) must be integers
+    # Q_i has degree n1: Q_i(a/b) = hq / (lq b^n1); P_i1(a/b) = hp / dp comes
+    # from phi's partial sum and a short tail, with no coefficient of P_i1
+    # (`numerator_at`); the scaled values D1 b^n1 Q_i(beta) and
+    # D1 D2 b^(n0+1) P_i1(beta) must be integers
     q_at, p_at, ui, vi = [], [], [], []
     for i in (0, 1):
-        deg_p = shape.Nij(i, 1)
-        hq, lq = cleared_eval(family.q[i], a, b)
-        hp, lp = cleared_eval(family.p_coeffs(i, 1), a, b)
+        hq, lq = cleared_eval(qs[i], a, b)
+        hp, dp = numerator_at(gp, qs[i], 1, a, b, shape.Nij(i, 1))
         q_at.append((hq, lq * b**n1))
-        p_at.append((hp, lp * b**deg_p))
+        p_at.append((hp, dp))
         u = d1.value * hq
-        v = d1.value * d2.value * b ** (n0 + 1 - deg_p) * hp
+        v = d1.value * d2.value * b ** (n0 + 1) * hp
         ok_u = u % lq == 0
-        ok_v = v % lp == 0
+        ok_v = v % dp == 0
         uval = u // lq if ok_u else Fraction(u, lq)
-        vval = v // lp if ok_v else Fraction(v, lp)
+        vval = v // dp if ok_v else Fraction(v, dp)
         checks.append(entry(f"integrality_scaled_q_{i}", True, ok_u, rational(uval) if not ok_u else "", ""))
         checks.append(entry(f"integrality_scaled_p_{i}", True, ok_v, rational(vval) if not ok_v else "", ""))
         ui.append(uval)
@@ -401,7 +402,7 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
         * exp_iv(th * (2 * gp.s0 * n1 + gp.v[0] * Nt), prec)
     )
     gate_n1 = n1 >= rc.mode.c_theta
-    amax = max(abs(cf) for q in family.q for cf in q)
+    amax = max(abs(cf) for q in qs for cf in q)
     checks.append(entry("coeff_envelope", gate_n1, amax <= e1.hi, rational(amax), fmt_real(e1.hi, 6)))
     qbound = (e1 / (1 - abs(beta))).hi
     qmax = max(abs(Fraction(hq, dq)) for hq, dq in q_at)
@@ -489,7 +490,8 @@ def audit_restricted(inst: RestrictedInstance) -> dict:
         w_vals.append(w)
         if w != 0 and witness is None:
             witness = i
-    checks.append(entry("cleared_combination_nonzero", True, witness is not None, full_digits(w_vals[0]), full_digits(w_vals[1])))
+    w0, w1 = (int_str(w, exact) for w in w_vals)  # rendered as the report abbreviates them
+    checks.append(entry("cleared_combination_nonzero", True, witness is not None, w0, w1))
     if witness is not None and n0 - n1 + 1 >= M:
         checks.append(
             entry("cleared_combination_divisible", True, w_vals[witness] % bM == 0, f"i={witness}", f"b^{M}")

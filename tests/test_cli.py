@@ -8,6 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from test_golden import CASES
 
 from gpade.arith import MR_LIMIT, FactoredInteger, digits10
 from gpade.cli import _build_parser, _prime, emit_report, main
@@ -488,3 +489,38 @@ def test_parser_reuse_keeps_appended_option_empty(params_file, capsys):
             [sys.executable, "-m", "gpade.cli", *argv], capture_output=True, text=True, env=env, timeout=120
         )
         assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_subcommand_parser_matches_full_parser():
+    # main() builds only the subcommand argv names; every golden argv must
+    # parse to the same namespace as with every subcommand built
+    for case in CASES:
+        argv = [case["argv"][0], "--params", "p.params", *case["argv"][1:]]
+        alone = _build_parser(argv[0])
+        assert list(_subcommands(alone)) == [argv[0]]
+        assert alone.parse_args(argv) == _build_parser().parse_args(argv)
+    assert list(_subcommands(_build_parser())) == ["construct", "verify", "denominators", "constants", "padic", "global", "restricted"]
+
+
+def test_help_and_usage_errors_unchanged(capsys):
+    full = _build_parser()
+
+    def parse(parser, argv):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    bad = ["restricted", "--params", "p", "--beta", "1/3"]
+    for argv in (["verify", "-h"], ["restricted", "-h"], [*bad, "--bogus"], [*bad, "--M", "x"], ["padic", "--p", "4"]):
+        assert parse(_build_parser(argv[0]), argv) == parse(full, argv)
+    assert run(capsys, ["verify", "-h"]) == (0, _subcommands(full)["verify"].format_help(), "")
+    assert run(capsys, ["-h"]) == (0, full.format_help(), "")
+    code, out, err = run(capsys, [])
+    assert (code, out) == (2, "") and err.endswith("gpade: error: the following arguments are required: command\n")
+    code, out, err = run(capsys, ["bogus"])
+    assert (code, out) == (2, "") and "gpade: error: argument command: invalid choice: 'bogus'" in err

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpade.arith import cleared, pochhammer
+from gpade.arith import cleared, cleared_eval, pochhammer
 
 from gpade.errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
 from gpade.pade import (
@@ -22,7 +22,9 @@ from gpade.pade import (
     family_tsv,
     oracle_solve,
     phi_coeffs,
+    numerator_at,
     phi_partial_sum,
+    phi_partial_sum_parts,
     series_product_coeffs,
     verify_order,
 )
@@ -421,6 +423,45 @@ def test_partial_sum_matches_forward_sum(instance, j, z, T):
     gp = derive_params(instance[0])
     j = min(j, gp.m)
     assert phi_partial_sum(gp, j, z, T) == reference_phi_partial_sum(gp, j, z, T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance=closed_form_instances(), j=st.integers(1, 3), z=series_points, T=st.integers(-1, 300))
+def test_partial_sum_parts_hold_the_last_term(instance, j, z, T):
+    gp = derive_params(instance[0])
+    j = min(j, gp.m)
+    num, q, r, p = phi_partial_sum_parts(gp, j, z, T)
+    assert r > 0 and q == r * z.denominator ** max(T, 0)
+    assert F(p, q) == (phi_coeffs(gp, j, T)[T] * z**T if T >= 0 else 0)
+
+
+def reference_numerator_value(family, i, a, b):
+    """P_i1(a/b) from the coefficients of P_i1, built by the product series."""
+    hp, lp = cleared_eval(family.p_coeffs(i, 1), a, b)
+    return F(hp, lp * b ** family.shape.Nij(i, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alphas=st.tuples(st.sampled_from(ALPHA_POOL), st.sampled_from(ALPHA_POOL)),
+    n1=st.integers(1, 40),
+    extra=st.integers(0, 80),
+    a=st.integers(-40, 40).filter(bool),
+    b=st.integers(1, 10**12),
+    g=st.integers(1, 12),
+)
+@example(alphas=(F(2), F(1, 2)), n1=1, extra=0, a=-1, b=1, g=3)  # a/b = -3/3: T - n = 0
+@example(alphas=(F(1), F(1)), n1=40, extra=80, a=1, b=20014458431, g=1)  # N_11 = 3 n1 + 1
+def test_numerator_value_matches_product_series(alphas, n1, extra, a, b, g):
+    # m = 1: P_01 and P_11 at a g / (b g), gcd(a g, b g) >= g, with
+    # n1 <= n0 <= 3 n1, so N_i1 = n0 + i runs up to 3 n1 + 1
+    gp = derive_params(list(alphas))
+    shape = ApproxShape(n=(n1,), n0=n1 + extra % (2 * n1 + 1))
+    family = build_family(gp, shape)
+    for i in (0, 1):
+        num, den = numerator_at(gp, family.q[i], 1, a * g, b * g, shape.Nij(i, 1))
+        assert den > 0
+        assert F(num, den) == reference_numerator_value(family, i, a * g, b * g)
 
 
 def test_partial_sum_edges():

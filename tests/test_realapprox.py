@@ -44,7 +44,7 @@ from gpade.realapprox import (
     restricted_threshold,
     smallest_admissible_b,
 )
-from gpade.report import Check, entry, fmt_real, full_digits, rational, tagged_bound
+from gpade.report import Check, abbrev, emit_report, entry, fmt_real, full_digits, int_str, rational, tagged_bound
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +293,24 @@ def test_audit_integrality_is_a_real_check(gp11, monkeypatch):
         assert scaled.denominator != 1
         assert checks[f"integrality_scaled_q_{i}"].failed
         assert checks[f"integrality_scaled_q_{i}"].lhs == f"{scaled.numerator}/{scaled.denominator}"
+
+
+def test_cleared_combinations_in_full_only_under_exact(gp11):
+    # the audit abbreviates W_i unless asked for every digit; the report
+    # abbreviates long digit strings again, with a sign-counting rule that parts
+    # from int_str's only at a negative W of 40 digits, and prints the same
+    for w in (0, -7, 10**39, -(10**39), 10**40 - 1, -(10**40 - 1), 10**40, -(10**40), -(3**300)):
+        assert abbrev(int_str(w, False), False) == abbrev(full_digits(w), False)
+    mode = ThetaMode.sharp()
+    b = smallest_admissible_b(gp11, 1, mode, F(2))
+    inst = make_restricted_instance(gp11, a=1, b=b, B=1, t=F(0), mode=mode, vartheta=F(2))
+    full, short = (
+        next(c for c in audit_restricted(inst, exact)["checks"] if c.name == "cleared_combination_nonzero")
+        for exact in (True, False)
+    )
+    assert full.lhs.lstrip("-").isdigit() and full.rhs.lstrip("-").isdigit()
+    assert (short.lhs, short.rhs) == (abbrev(full.lhs, False), abbrev(full.rhs, False))
+    assert short.lhs != full.lhs
 
 
 # ---------------------------------------------------------------------------
@@ -573,4 +591,8 @@ def test_audit_matches_fraction_reference(key, mode, a, offset, Bt, extra_M, shi
         _, nearest = reference_audit_restricted(inst)
         inst = dataclasses.replace(inst, candidate_n=nearest + shift)
     expected = outcome(lambda i: reference_audit_restricted(i)[0], inst)
-    assert outcome(audit_restricted, inst) == expected
+    # the reference renders the cleared combinations in full, as --exact does;
+    # without it the audit abbreviates them as the printed report would
+    assert outcome(lambda i: audit_restricted(i, exact=True), inst) == expected
+    if isinstance(expected, dict):
+        assert emit_report(audit_restricted(inst), "json") == emit_report(expected, "json")
