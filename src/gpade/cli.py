@@ -120,19 +120,21 @@ def _theta_mode(text: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone: a report names
-    its subcommand first, and building only that one spares the others'
-    parsers.  Built once per process: parsing leaves the parser unchanged (an
-    appended option copies its default list before appending)."""
-    ap = argparse.ArgumentParser(prog="gpade", description=__doc__.split("\n", 1)[0])
-    # alone, a subcommand is listed with the others in the usage line of an error
-    choices = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = ap.add_subparsers(dest="command", required=True, metavar=choices)
+    """The parser `gpade` of every subcommand, or the parser `gpade command`
+    of that subcommand alone, the one the full parser hands its arguments to.
+    Built once per process: parsing leaves the parser unchanged (an appended
+    option copies its default list before appending)."""
+    if command is None:
+        ap = argparse.ArgumentParser(prog="gpade", description=__doc__.split("\n", 1)[0])
+        sub = ap.add_subparsers(dest="command", required=True)
+    built = {}
 
     def add(name: str, summary: str, degrees: bool = False) -> argparse.ArgumentParser | None:
         if command not in (None, name):
             return None
-        p = sub.add_parser(name, help=summary)
+        # add_parser makes the same parser, with the summary for the full help
+        p = sub.add_parser(name, help=summary) if command is None else argparse.ArgumentParser(prog=f"gpade {name}")
+        built[name] = p
         p.add_argument("--params", required=True, help="parameter file (m, alpha0..alpham)")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
         p.add_argument("--precision", type=_precision, default=128, metavar="BITS")
@@ -173,7 +175,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--M", type=_int, default=None)
         p.add_argument("--candidate-n", type=_int, default=None)
         p.add_argument("--vartheta", type=_fraction, default=Fraction(2))
-    return ap
+    return ap if command is None else built[command]
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +356,23 @@ _COMMANDS = {
 }
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`_build_parser().parse_args(argv)`, building only the subcommand's own
+    parser when argv names one first: the full parser passes everything after
+    the name to it and adds the name.  Help, an empty or unknown command and
+    arguments left over go to the full parser, which prints what it always did.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -11,7 +11,7 @@ import pytest
 from test_golden import CASES
 
 from gpade.arith import MR_LIMIT, FactoredInteger, digits10
-from gpade.cli import _build_parser, _prime, emit_report, main
+from gpade.cli import _build_parser, _parse_args, _prime, emit_report, main
 from gpade.denom import make_cert
 from gpade.report import abbrev, int_str
 
@@ -496,28 +496,29 @@ def _subcommands(parser):
 
 
 def test_subcommand_parser_matches_full_parser():
-    # main() builds only the subcommand argv names; every golden argv must
-    # parse to the same namespace as with every subcommand built
+    # main() parses with the parser of the subcommand argv names alone; every
+    # golden argv must give the namespace the full parser gives
+    full = _build_parser()
     for case in CASES:
         argv = [case["argv"][0], "--params", "p.params", *case["argv"][1:]]
         alone = _build_parser(argv[0])
-        assert list(_subcommands(alone)) == [argv[0]]
-        assert alone.parse_args(argv) == _build_parser().parse_args(argv)
-    assert list(_subcommands(_build_parser())) == ["construct", "verify", "denominators", "constants", "padic", "global", "restricted"]
+        assert alone.prog == f"gpade {argv[0]}" and alone is not full
+        assert _parse_args(argv) == full.parse_args(argv)
+    assert list(_subcommands(full)) == ["construct", "verify", "denominators", "constants", "padic", "global", "restricted"]
 
 
 def test_help_and_usage_errors_unchanged(capsys):
     full = _build_parser()
 
-    def parse(parser, argv):
+    def parse(parse_args, argv):
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
+            parse_args(argv)
         out = capsys.readouterr()
         return exc.value.code, out.out, out.err
 
     bad = ["restricted", "--params", "p", "--beta", "1/3"]
-    for argv in (["verify", "-h"], ["restricted", "-h"], [*bad, "--bogus"], [*bad, "--M", "x"], ["padic", "--p", "4"]):
-        assert parse(_build_parser(argv[0]), argv) == parse(full, argv)
+    for argv in (["verify", "-h"], ["restricted", "-h"], [*bad, "--bogus"], [*bad, "x"], [*bad, "--M", "x"], ["padic", "--p", "4"]):
+        assert parse(_parse_args, argv) == parse(full.parse_args, argv)
     assert run(capsys, ["verify", "-h"]) == (0, _subcommands(full)["verify"].format_help(), "")
     assert run(capsys, ["-h"]) == (0, full.format_help(), "")
     code, out, err = run(capsys, [])
