@@ -359,8 +359,9 @@ _COMMANDS = {
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """`_build_parser().parse_args(argv)`, building only the subcommand's own
     parser when argv names one first: the full parser passes everything after
-    the name to it and adds the name.  Help, an empty or unknown command and
-    arguments left over go to the full parser, which prints what it always did.
+    the name to it and adds the name.  An empty or unknown command, top-level
+    help and arguments left over go to the full parser, which prints what it
+    always did.
     """
     if argv and argv[0] in _COMMANDS:
         args, rest = _build_parser(argv[0]).parse_known_args(argv[1:])

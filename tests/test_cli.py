@@ -8,12 +8,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from test_golden import CASES
 
 from gpade.arith import MR_LIMIT, FactoredInteger, digits10
 from gpade.cli import _build_parser, _parse_args, _prime, emit_report, main
 from gpade.denom import make_cert
 from gpade.report import abbrev, int_str
+
+from test_golden import CASES
 
 HALF = "m = 1\nalpha0 = 1\nalpha1 = 1/2\n"
 ONE = "m = 1\nalpha0 = 1\nalpha1 = 1\n"

@@ -20,9 +20,9 @@ from gpade.pade import (
     build_q_generic,
     family_det,
     family_tsv,
+    numerator_at,
     oracle_solve,
     phi_coeffs,
-    numerator_at,
     phi_partial_sum,
     phi_partial_sum_parts,
     series_product_coeffs,
