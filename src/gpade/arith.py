@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .errors import FactorizationLimit, InvariantViolation
 
@@ -22,6 +23,7 @@ __all__ = [
     "Fraction",
     "FactoredInteger",
     "Interval",
+    "Grid",
     "primes_upto",
     "MR_LIMIT",
     "is_prime",
@@ -179,21 +181,41 @@ def poly_eval(coeffs, t):
     return acc
 
 
-def cleared(xs) -> tuple[int, list[int]]:
-    """The lcm L of the denominators of the rationals xs, and the integers L*x."""
+class Grid(NamedTuple):
+    """Rationals nums[k] / den over one common denominator den > 0, normalized
+    so that gcd(den, *nums) = 1.  Then den is the lcm of the reduced
+    denominators, so two grids hold the same rationals exactly when they are
+    equal as tuples.  `values` is the one way back to reduced Fractions."""
+
+    den: int
+    nums: tuple[int, ...]
+
+    @classmethod
+    def of(cls, den: int, nums) -> "Grid":
+        """The grid of the rationals nums[k] / den, for den > 0."""
+        g = gcd(den, *nums)
+        return cls(den, tuple(nums)) if g == 1 else cls(den // g, tuple(x // g for x in nums))
+
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+
+def cleared(xs) -> Grid:
+    """The grid of the rationals xs: the lcm L of their denominators and the
+    integers L*x, which have no common factor with L."""
     L = lcm(*(x.denominator for x in xs))
-    return L, [x.numerator * (L // x.denominator) for x in xs]
+    return Grid(L, tuple(x.numerator * (L // x.denominator) for x in xs))
 
 
-def cleared_eval(coeffs, a: int, b: int) -> tuple[int, int]:
-    """The integers (H, L) with H = L * b^n * f(a/b), for f with the rational
-    coefficients coeffs[0..n], integers a and b != 0, and L the lcm of the
-    coefficient denominators; f(a/b) is H / (L * b^n).
+def cleared_eval(grid: Grid, a: int, b: int) -> tuple[int, int]:
+    """The integers (H, L) with f(a/b) = H / (L * b^n), for integers a and
+    b != 0 and the polynomial f of degree n on `grid` = (L, c): its
+    coefficients are c_k / L, with gcd(L, *c) = 1, so L is the lcm of their
+    reduced denominators.
 
-    H is the sum of c_k a^k b^(n-k) over the cleared coefficients
-    c_k = L * coeffs[k], by homogeneous Horner in int.
+    H is the sum of c_k a^k b^(n-k), by homogeneous Horner in int.
     """
-    L, c = cleared(coeffs)
+    L, c = grid
     acc = c[-1]
     bpow = 1
     for ck in reversed(c[:-1]):

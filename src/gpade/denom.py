@@ -34,11 +34,12 @@ from .arith import (
     p_valuation,
     prime_divisors,
     primes_upto,
+    product_le,
 )
 from .errors import DomainViolation, IntegralityViolation
 from .pade import ApproxShape, PadeFamily, bareiss_eliminate
 from .params import GParams, padic_domain_check
-from .report import Check, entry, fmt_real, full_digits, rational, tsv
+from .report import Check, entry, fmt_ratio, fmt_real, full_digits, rational, tsv
 
 __all__ = [
     "ThetaMode",
@@ -221,33 +222,29 @@ def make_cert(gp: GParams, shape: ApproxShape, mode: ThetaMode, prec: int = 128)
 def verify_integrality(family: PadeFamily, cert: DenominatorCert) -> dict:
     """Check that D1*a_ik and D*c_ij_mu are integers for all in-range indices.
 
-    Returns {"passed": bool, "violations": [...]}, listing each failing
-    coefficient (empty on success).
+    On a grid (L, c), d clears c_k / L when L divides d c_k, and clears the
+    whole grid when L divides d, since gcd(L, *c) = 1.  Returns
+    {"passed": bool, "violations": [...]}, listing each failing coefficient
+    (empty on success).
     """
-    gp, shape = family.gp, family.shape
+    gp = family.gp
     d1 = cert.d1.value
     d = cert.d.value
     violations = []
-    for i in range(gp.m + 1):
-        for k, a in enumerate(family.q[i]):
-            if (a * d1).denominator != 1:
-                violations.append(("q", i, k, rational(a)))
+    for i, (L, nums) in enumerate(family.q):
+        if d1 % L:
+            violations += [("q", i, k, rational(Fraction(c, L))) for k, c in enumerate(nums) if d1 * c % L]
     for i in range(gp.m + 1):
         for j in range(1, gp.m + 1):
-            for mu, cf in enumerate(family.p_coeffs(i, j)):
-                if (cf * d).denominator != 1:
-                    violations.append(("p", i, j, mu, rational(cf)))
+            L, nums = family.p_coeffs(i, j)
+            if d % L:
+                violations += [("p", i, j, mu, rational(Fraction(c, L))) for mu, c in enumerate(nums) if d * c % L]
     return {"passed": not violations, "violations": violations}
 
 
 # ---------------------------------------------------------------------------
 # Magnitude bound checks (exact LHS vs upper-rounded RHS)
 # ---------------------------------------------------------------------------
-
-
-def _value_at(coeffs, z: Fraction) -> Fraction:
-    h, L = cleared_eval(coeffs, z.numerator, z.denominator)
-    return Fraction(h, L * z.denominator ** (len(coeffs) - 1))
 
 
 def check_size_bounds(
@@ -259,8 +256,11 @@ def check_size_bounds(
 
     Gated by the mode's threshold: the D-bound needs min(n0, N) >= c(theta),
     the coefficient bound and the |z| >= 2 evaluation bounds need
-    N >= c(theta).  LHS values are exact rationals; RHS values are upper
-    dyadic bounds, so a PASS certifies the inequality as stated.
+    N >= c(theta).  LHS values are exact rationals, each polynomial's value
+    at z = a/b an unreduced pair (H, L b^n) from `cleared_eval` on its grid;
+    RHS values are upper dyadic bounds, so a PASS certifies the inequality
+    as stated.  Comparisons cross-multiply and rendering goes through
+    `fmt_ratio`; only a failing (i, j) is reported as reduced Fractions.
     """
     gp, shape = family.gp, family.shape
     cns = cert.constants
@@ -276,25 +276,41 @@ def check_size_bounds(
     # each right side is an exact product of positive upper endpoints
     growth = exp_interval(cns.exponent_14(shape).hi, prec).hi
     app_a = N >= c
-    amax = max(abs(a) for row in family.q for a in row)
+    # the largest |a| / L over the grids (L, a) of the Q_i
+    an, ad = 0, 1
+    for L, nums in family.q:
+        top = max(map(abs, nums))
+        if top * ad > an * L:
+            an, ad = top, L
     rhs_a = N * growth
-    out.append(entry("coeff_magnitude", app_a, amax <= rhs_a, amax, rhs_a))
+    ok_a = product_le(an, rhs_a.denominator, rhs_a.numerator, ad)
+    out.append(entry("coeff_magnitude", app_a, ok_a, fmt_ratio(an, ad), rhs_a))
 
     for z in zs:
         z = Fraction(z)
+        a, b = z.numerator, z.denominator
         app_z = N >= c and abs(z) >= 2
         rhs_q = 2 * N * growth * abs(z) ** N
-        lhs_q = max(abs(_value_at(family.q[i], z)) for i in range(gp.m + 1))
-        out.append(entry(f"denom_poly_at_{z}", app_z, lhs_q <= rhs_q, lhs_q, rhs_q))
+        # |Q_i(z)| = |H| / (L b^N); qn / qd is the largest
+        qn, qd = 0, 1
+        for grid in family.q:
+            h, L = cleared_eval(grid, a, b)
+            d = L * b**N
+            if not product_le(abs(h), qd, qn, d):
+                qn, qd = abs(h), d
+        ok_q = product_le(qn, rhs_q.denominator, rhs_q.numerator, qd)
+        out.append(entry(f"denom_poly_at_{z}", app_z, ok_q, fmt_ratio(qn, qd), rhs_q))
         pmax_ok = True
         worst = None
+        rhs_p = [2 * N * (N + 1) * growth * abs(z) ** (Nt - nj + 1) for nj in shape.n]
         for i in range(gp.m + 1):
-            for j in range(1, gp.m + 1):
-                lhs_p = abs(_value_at(family.p_coeffs(i, j), z))
-                rhs_p = 2 * N * (N + 1) * growth * abs(z) ** (Nt - shape.n[j - 1] + 1)
-                if lhs_p > rhs_p:
+            for j, rhs in enumerate(rhs_p, start=1):
+                grid = family.p_coeffs(i, j)
+                h, L = cleared_eval(grid, a, b)
+                pd = L * b ** (len(grid.nums) - 1)
+                if not product_le(abs(h), rhs.denominator, rhs.numerator, pd):
                     pmax_ok = False
-                    worst = (i, j, lhs_p, rhs_p)
+                    worst = (i, j, Fraction(abs(h), pd), rhs)
         out.append(entry(f"numer_poly_at_{z}", app_z, pmax_ok, "" if pmax_ok else worst, ""))
     return out
 
@@ -332,10 +348,10 @@ def scaled_integers(
             raise DomainViolation(f"|{beta.numerator}|_{p} does not meet the smallness condition")
     a, b = beta.numerator, beta.denominator
 
-    def scaled(coeffs, name: str) -> int:
+    def scaled(grid, name: str) -> int:
         # D b^Ntilde f(beta) = D b^(Ntilde - n) H / L, for f of degree n <= Ntilde
-        h, L = cleared_eval(coeffs, a, b)
-        v = cert.d.value * b ** (shape.Ntilde + 1 - len(coeffs)) * h
+        h, L = cleared_eval(grid, a, b)
+        v = cert.d.value * b ** (shape.Ntilde + 1 - len(grid.nums)) * h
         if v % L:
             raise IntegralityViolation(f"scaled {name}({beta}) is not an integer")
         return v // L

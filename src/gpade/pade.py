@@ -16,12 +16,18 @@ the product series Q_i * phi_j -- the n_j forced zeros past P_ij and the
 remainder terms past them -- is computed on demand by the one windowed
 kernel `series_product_coeffs`, which also builds P_ij.
 
-The closed form, the product series and the determinant check clear common
-denominators once and then work on plain integers; the oracle keeps its own
-route from the series coefficients into a primitive-row elimination: each
-reduced row is divided by the gcd of its entries, so it stays proportional
-to, and never larger than, the Bareiss row of determinant-sized minors.
-The determinant check keeps Bareiss on its small dense matrices.
+Every polynomial is built once as an integer grid (`arith.Grid`): a positive
+common denominator and a tuple of integer numerators with no factor common
+to all of them, so equal polynomials are equal tuples.  The closed form ends
+in integer correlations over one denominator, the product series convolves
+numerators on the grid of Q times that of phi_j, and the oracle's
+back-substitution runs over a running common denominator; each normalizes
+once.  The checks read the numerators as they are, and a reduced Fraction is
+formed only where a report prints one.  The oracle's elimination is
+primitive-row: each reduced row is divided by the gcd of its entries, so it
+stays proportional to, and never larger than, the Bareiss row of
+determinant-sized minors.  The determinant check keeps Bareiss on its small
+dense matrices.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .arith import cleared, pochhammer, poly_eval
+from .arith import Grid, cleared, pochhammer, poly_eval
 from .errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
 from .params import GParams
 from .report import full_digits, tsv
@@ -179,9 +185,10 @@ def phi_partial_sum_parts(gp: GParams, j: int, z: Fraction, T: int) -> tuple[int
 # ---------------------------------------------------------------------------
 
 
-def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Closed-form coefficients a_0..a_N of the common denominator Q for
-    arbitrary degrees N_j >= N - 1 (N = sum of the n_j).  a_N = 1.
+def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...]) -> Grid:
+    """The grid of the closed-form coefficients a_0..a_N of the common
+    denominator Q for arbitrary degrees N_j >= N - 1 (N = sum of the n_j).
+    a_N = 1.
 
     The summand of a_{N-k-1} factors as g(l-k) * h(l), summed over k <= l < N
     and divided by prod_j (alpha_j + N_j - N + 1)_{n_j}, with
@@ -203,7 +210,7 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...
     of W_(l+1) is that of W_l times s_j + (l+n_j) t_j over s_j + l t_j.  The
     denominator's Pochhammer product is dn/dd.  After each sequence is divided
     by its content, every coefficient is one integer correlation over one
-    common denominator, reduced once:
+    common denominator, and the grid is normalized once:
 
         a_{N-k-1} = sum_{k<=l<N} (G g(l-k)) (H h(l)) dd / (dn G H).
     """
@@ -261,49 +268,49 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...
     num, den = dd * cg * ch, dn * G * H
     c = gcd(num, den)
     num, den = num // c, den // c
-    a = [Fraction(0)] * (N + 1)
-    a[N] = Fraction(1)
-    for k in range(N):
-        a[N - k - 1] = Fraction(sum(map(mul, g_int, h_int[k:])) * num, den)
-    return tuple(a)
+    sums = [sum(map(mul, g_int, h_int[k:])) * num for k in range(N - 1, -1, -1)]
+    return Grid.of(den, [*sums, den])
 
 
-def build_q(gp: GParams, shape: ApproxShape, i: int) -> tuple[Fraction, ...]:
-    """Denominator coefficients for row i of the family (0 <= i <= m)."""
+def build_q(gp: GParams, shape: ApproxShape, i: int) -> Grid:
+    """The grid of the denominator coefficients of row i (0 <= i <= m)."""
     if not 0 <= i <= gp.m:
         raise ValueError("row index out of range")
     return build_q_generic(gp, shape.n, shape.Nij_row(i))
 
 
-def series_product_coeffs(gp: GParams, q: tuple[Fraction, ...], j: int, lo: int, hi: int) -> tuple[Fraction, ...]:
-    """Coefficients lo..hi of Q * phi_j for a denominator Q given by `q`.
+def series_product_coeffs(gp: GParams, q: Grid, j: int, lo: int, hi: int) -> Grid:
+    """The grid of the coefficients lo..hi of Q * phi_j, for the grid `q` of
+    a denominator Q.
 
     Coefficient mu reads phi_j at the orders mu - deg Q .. mu, so the window
-    needs phi_j only from order max(0, lo - deg Q) on.
+    needs phi_j only from order max(0, lo - deg Q) on.  The convolution of
+    the numerators lies on the grid Dq Dr of Q and of phi_j's window, and is
+    normalized once.
     """
-    start = max(0, lo - (len(q) - 1))
-    Dq, q_int = cleared(q)
+    Dq, q_int = q
+    start = max(0, lo - (len(q_int) - 1))
     Dr, r_int = cleared(phi_coeffs(gp, j, hi)[start:])
     r_rev = r_int[::-1]  # r_rev[hi - mu + k] = phi_j's coefficient mu - k
-    D = Dq * Dr
-    return tuple(Fraction(sum(map(mul, q_int, r_rev[hi - mu :])), D) for mu in range(lo, hi + 1))
+    return Grid.of(Dq * Dr, [sum(map(mul, q_int, r_rev[hi - mu :])) for mu in range(lo, hi + 1)])
 
 
-def numerator_at(gp: GParams, q: tuple[Fraction, ...], j: int, a: int, b: int, T: int) -> tuple[int, int]:
-    """Integers (num, den), den > 0, with num / den the value at a/b (b > 0)
-    of the coefficients 0..T >= n = deg Q of Q * phi_j: P_ij(a/b) for T = N_ij.
+def numerator_at(gp: GParams, q: Grid, j: int, a: int, b: int, T: int) -> tuple[int, int, int]:
+    """Integers (num, den, H), den > 0, with num / den the value at a/b (b > 0)
+    of the coefficients 0..T >= n = deg Q of Q * phi_j, P_ij(a/b) for T = N_ij,
+    and H / (L b^n) = Q(a/b) for the grid (L, c) of Q, the H of `cleared_eval`.
 
     The value is Q(a/b) S + sum over T - n < t <= T of phi_j's term of order t
     times Q_(T-t)(a/b), where S is phi_j's partial sum through T - n
     (`phi_partial_sum_parts`) and Q_r(a/b) = H_r / (L b^r) is Q's prefix of
-    degree r: H_r = H_(r-1) b + c_r a^r over Q cleared by L (`cleared_eval`).
+    degree r: H_r = H_(r-1) b + c_r a^r, and H = H_n.
     The n tail terms close by a backward Horner over the ratio
     (alpha_j + t) a / ((alpha_j + alpha_0 + t) b) of the terms of orders t + 1
     and t: after order t the sum is acc / (L b^(T-t) G), G the product of the
     ratio denominators so far, and the tail is the term of order T - n times it.
     """
-    n = len(q) - 1
-    L, c = cleared(q)
+    L, c = q
+    n = len(c) - 1
     H, apow = [c[0]], 1
     for ck in c[1:]:
         apow *= a
@@ -314,7 +321,7 @@ def numerator_at(gp: GParams, q: tuple[Fraction, ...], j: int, a: int, b: int, T
     for t in range(T - 1, T - n - 1, -1):
         acc = (aj.numerator + t * aj.denominator) * a0j.denominator * a * (H[T - 1 - t] * G + acc)
         G *= (a0j.numerator + t * a0j.denominator) * aj.denominator
-    return H[n] * sn * G + p * acc, sq * L * b**n * G
+    return H[n] * sn * G + p * acc, sq * L * b**n * G, H[n]
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +333,15 @@ def numerator_at(gp: GParams, q: tuple[Fraction, ...], j: int, a: int, b: int, T
 class PadeFamily:
     gp: GParams
     shape: ApproxShape
-    q: tuple[tuple[Fraction, ...], ...]  # (m+1) rows of denominator coeffs
-    p: tuple[tuple[tuple[Fraction, ...], ...], ...]  # p[i][j-1] = P_ij through order N_ij
+    q: tuple[Grid, ...]  # (m+1) grids of denominator coeffs
+    p: tuple[tuple[Grid, ...], ...]  # p[i][j-1] = P_ij through order N_ij
 
-    def p_coeffs(self, i: int, j: int) -> tuple[Fraction, ...]:
+    def p_coeffs(self, i: int, j: int) -> Grid:
         return self.p[i][j - 1]
 
-    def forced_zero_coeffs(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """Coefficients N_ij + 1 .. N_ij + n_j of Q_i*phi_j, which the order
-        conditions force to zero, computed from Q_i."""
+    def forced_zero_coeffs(self, i: int, j: int) -> Grid:
+        """The grid of the coefficients N_ij + 1 .. N_ij + n_j of Q_i*phi_j,
+        which the order conditions force to zero, computed from Q_i."""
         Nij = self.shape.Nij(i, j)
         return series_product_coeffs(self.gp, self.q[i], j, Nij + 1, Nij + self.shape.n[j - 1])
 
@@ -342,12 +349,14 @@ class PadeFamily:
         """The terms c_mu * z^mu of (Q_i*phi_j - P_ij)(z) from the first
         possibly nonzero order mu = N_ij + n_j + 1 up to T, computed from Q_i."""
         start = self.shape.Nij(i, j) + self.shape.n[j - 1] + 1
-        coeffs = series_product_coeffs(self.gp, self.q[i], j, start, T)
-        return [cf * z**mu for mu, cf in enumerate(coeffs, start=start)]
+        den, nums = series_product_coeffs(self.gp, self.q[i], j, start, T)
+        zn, zd = z.numerator, z.denominator
+        return [Fraction(c * zn**mu, den * zd**mu) for mu, c in enumerate(nums, start=start)]
 
     def p_leading(self, i: int) -> Fraction:
         """Leading coefficient of P_ii (order N_i + 1); nonzero by theory."""
-        return self.p[i][i - 1][-1]
+        den, nums = self.p[i][i - 1]
+        return Fraction(nums[-1], den)
 
 
 def build_family(gp: GParams, shape: ApproxShape) -> PadeFamily:
@@ -369,7 +378,7 @@ def verify_order(family: PadeFamily) -> dict[tuple[int, int], bool]:
     out = {}
     for i in range(family.gp.m + 1):
         for j in range(1, family.gp.m + 1):
-            out[(i, j)] = all(c == 0 for c in family.forced_zero_coeffs(i, j))
+            out[(i, j)] = not any(family.forced_zero_coeffs(i, j).nums)
     return out
 
 
@@ -445,12 +454,11 @@ def _primitive_steps(M: list[list[int]], cols: range, pivot_rows: int) -> bool:
     return True
 
 
-def _solve_sharing(
-    shared: list[list[int]], others: list[list[int]], systems: list[list[int]]
-) -> list[tuple[Fraction, ...]]:
-    """Exact solutions x of several square integer systems, one for each index
-    list in `systems`: the rows `shared`, then others[o] for each o in the
-    list.  A row holds the coefficients and then the right-hand side.
+def _solve_sharing(shared: list[list[int]], others: list[list[int]], systems: list[list[int]]) -> list[Grid]:
+    """The grids of the exact solutions x of several square integer systems,
+    one for each index list in `systems`: the rows `shared`, then others[o]
+    for each o in the list.  A row holds the coefficients and then the
+    right-hand side.
 
     The shared rows are eliminated once by primitive-row steps
     (`_primitive_steps`), with pivots taken from them only, and every other
@@ -471,9 +479,9 @@ def _solve_sharing(
     nonzero pivots keep the rank.
 
     Each solution is back-substituted as x = X / D over a running common
-    denominator D, the lcm of the denominators of the entries found so far,
-    so X and D stay as small as the solution itself; no determinant is
-    formed.
+    denominator D, the lcm of the reduced denominators of the entries found
+    so far, so X and D stay as small as the solution itself and (D, X) ends
+    as its grid; no determinant is formed.
     """
     s = len(shared)
     M = [row[:] for row in shared + others]
@@ -486,17 +494,19 @@ def _solve_sharing(
         n = len(U)
         if not _primitive_steps(U, range(s, n), n):
             raise SingularSystem("the order conditions do not determine the denominator")
-        x: list[Fraction] = [Fraction(0)] * n
         X, D = [0] * n, 1
         for r in range(n - 1, -1, -1):
-            x[r] = Fraction(D * U[r][n] - sum(map(mul, U[r][r + 1 : n], X[r + 1 :])), D * U[r][r])
-            # D grows to the lcm of D and x_r's denominator
-            scale = x[r].denominator // gcd(D, x[r].denominator)
+            # x_r = xn / xd in lowest terms, xd > 0
+            xn, xd = D * U[r][n] - sum(map(mul, U[r][r + 1 : n], X[r + 1 :])), D * U[r][r]
+            g = gcd(xn, xd) if xd > 0 else -gcd(xn, xd)
+            xn, xd = xn // g, xd // g
+            # D grows to the lcm of D and xd
+            scale = xd // gcd(D, xd)
             if scale != 1:
                 X[r + 1 :] = [xc * scale for xc in X[r + 1 :]]
                 D *= scale
-            X[r] = x[r].numerator * (D // x[r].denominator)
-        out.append(tuple(x))
+            X[r] = xn * (D // xd)
+        out.append(Grid(D, tuple(X)))
     return out
 
 
@@ -504,14 +514,14 @@ def _order_row(ratios: list[Fraction], mu: int, N: int) -> list[int]:
     """The order-mu condition on Q * phi for the unknowns a_0..a_{N-1}, with
     a_N = 1 moved to the right-hand side, cleared by the lcm of its
     denominators (`ratios` holds phi's coefficients through order mu)."""
-    return cleared([ratios[mu - k] for k in range(N)] + [-ratios[mu - N]])[1]
+    return list(cleared([ratios[mu - k] for k in range(N)] + [-ratios[mu - N]]).nums)
 
 
-def oracle_solve(gp: GParams, shape: ApproxShape) -> tuple[tuple[Fraction, ...], ...]:
-    """Denominator coefficients of all m+1 rows, each solved directly from
-    its order conditions (one homogeneous equation per forced-zero
-    coefficient, the leading coefficient pinned to 1), independently of the
-    closed form and by one shared elimination.
+def oracle_solve(gp: GParams, shape: ApproxShape) -> tuple[Grid, ...]:
+    """The grids of the denominator coefficients of all m+1 rows, each solved
+    directly from its order conditions (one homogeneous equation per
+    forced-zero coefficient, the leading coefficient pinned to 1),
+    independently of the closed form and by one shared elimination.
 
     Row i's conditions on series j are the orders N_ij+1..N_ij+n_j, and
     N_ij = N_j + [i = j].  So the orders N_j+2..N_j+n_j of every series
@@ -528,7 +538,7 @@ def oracle_solve(gp: GParams, shape: ApproxShape) -> tuple[tuple[Fraction, ...],
         low.append(_order_row(ratios, Nj + 1, N))
         high.append(_order_row(ratios, Nj + nj + 1, N))
     systems = [[m + j if j == i - 1 else j for j in range(m)] for i in range(m + 1)]
-    return tuple(x + (Fraction(1),) for x in _solve_sharing(shared, low + high, systems))
+    return tuple(Grid(D, (*X, D)) for D, X in _solve_sharing(shared, low + high, systems))
 
 
 # ---------------------------------------------------------------------------
@@ -552,16 +562,16 @@ def family_det(family: PadeFamily) -> tuple[int, Fraction]:
         omega *= family.p_leading(i)
     if omega == 0:
         raise NonMonomialDeterminant("vanishing leading coefficient")
-    # clear row i (Q_i and every P_ij) by the lcm L_i of its coefficient
+    # clear row i (Q_i and every P_ij) by the lcm L_i of its grids'
     # denominators: the integer determinant at t is det(t) * prod(L_i).  Each
     # cleared polynomial f is split into even and odd parts, f(+-t) =
     # even(t^2) +- t odd(t^2), so one pair of evaluations serves both signs.
     rows = []
     target = omega
     for i in range(gp.m + 1):
-        polys = [family.q[i]] + [family.p_coeffs(i, j) for j in range(1, gp.m + 1)]
-        L = lcm(*(cf.denominator for poly in polys for cf in poly))
-        cleared_polys = [[cf.numerator * (L // cf.denominator) for cf in poly] for poly in polys]
+        polys = [family.q[i], *family.p[i]]
+        L = lcm(*(den for den, _ in polys))
+        cleared_polys = [[c * (L // den) for c in nums] for den, nums in polys]
         rows.append([(f[0::2], f[1::2]) for f in cleared_polys])
         target *= L
     for t in range(1, exponent // 2 + 2):
@@ -589,8 +599,8 @@ def family_rows(family: PadeFamily, scale: int | None = None) -> Iterator[dict]:
     """
     for i in range(family.gp.m + 1):
         polys = [("Q", family.q[i])] + [(str(j), family.p_coeffs(i, j)) for j in range(1, family.gp.m + 1)]
-        for label, coeffs in polys:
-            for deg, cf in enumerate(coeffs):
+        for label, grid in polys:
+            for deg, cf in enumerate(grid.values()):
                 val = cf * scale if scale is not None else cf
                 if scale is not None and val.denominator != 1:
                     raise IntegralityViolation(f"scale {scale} does not clear coefficient {cf}")

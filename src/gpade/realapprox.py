@@ -14,7 +14,6 @@ from fractions import Fraction
 from .arith import (
     FactoredInteger,
     Interval,
-    cleared_eval,
     digits10,
     epsilon_interval,
     exp_iv,
@@ -313,6 +312,29 @@ def restricted_d2(gp: GParams, n0: int) -> FactoredInteger:
 # ---------------------------------------------------------------------------
 
 
+def _nearest_integer(lo: int, hi: int, den: int, bits: int) -> int:
+    """The integer nearest to every value in [lo / den, hi / den] (den > 0,
+    halves rounded up), for values of about `bits` bits; PrecisionInsufficient
+    when the two ends round to different integers.
+
+    With t low bits dropped, as in `fmt_ratio`, nl = lo >> t, nh = hi >> t
+    and dl = den >> t put the interval inside [nl / (dl + 1), (nh + 1) / dl]
+    when lo > 0.  If the lower end of that bracket rounds to n and its upper
+    end lies below n + 1/2, every value in it rounds to n; only a bracket that
+    straddles a half-integer pays for the exact quotients.
+    """
+    t = den.bit_length() - bits - 64
+    if t > 0 and lo > 0:
+        dl = den >> t
+        n = (2 * (lo >> t) + dl + 1) // (2 * dl + 2)
+        if 2 * ((hi >> t) + 1) < (2 * n + 1) * dl:
+            return n
+    n_lo = (2 * lo + den) // (2 * den)
+    if n_lo != (2 * hi + den) // (2 * den):
+        raise PrecisionInsufficient("nearest integer undecided; raise the truncation")
+    return n_lo
+
+
 def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
     """Run the whole restricted-approximation certification chain.
 
@@ -373,14 +395,15 @@ def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
     qs = [build_q(gp, shape, i) for i in (0, 1)]
     d1 = restricted_d1(gp, n1, n0)
     d2 = restricted_d2(gp, n0)
-    # Q_i has degree n1: Q_i(a/b) = hq / (lq b^n1); P_i1(a/b) = hp / dp comes
-    # from phi's partial sum and a short tail, with no coefficient of P_i1
-    # (`numerator_at`); the scaled values D1 b^n1 Q_i(beta) and
-    # D1 D2 b^(n0+1) P_i1(beta) must be integers
+    # Q_i has degree n1 and the grid (lq, c): Q_i(a/b) = hq / (lq b^n1) and
+    # P_i1(a/b) = hp / dp come from one prefix Horner over c, phi's partial
+    # sum and a short tail, with no coefficient of P_i1 (`numerator_at`); the
+    # scaled values D1 b^n1 Q_i(beta) and D1 D2 b^(n0+1) P_i1(beta) must be
+    # integers
     q_at, p_at, ui, vi = [], [], [], []
     for i in (0, 1):
-        hq, lq = cleared_eval(qs[i], a, b)
-        hp, dp = numerator_at(gp, qs[i], 1, a, b, shape.Nij(i, 1))
+        lq = qs[i].den
+        hp, dp, hq = numerator_at(gp, qs[i], 1, a, b, shape.Nij(i, 1))
         q_at.append((hq, lq * b**n1))
         p_at.append((hp, dp))
         u = d1.value * hq
@@ -402,7 +425,7 @@ def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
         * exp_iv(th * (2 * gp.s0 * n1 + gp.v[0] * Nt), prec)
     )
     gate_n1 = n1 >= rc.mode.c_theta
-    amax = max(abs(cf) for q in qs for cf in q)
+    amax = max(Fraction(max(map(abs, nums)), L) for L, nums in qs)
     checks.append(entry("coeff_envelope", gate_n1, amax <= e1.hi, rational(amax), fmt_real(e1.hi, 6)))
     qbound = (e1 / (1 - abs(beta))).hi
     qmax = max(abs(Fraction(hq, dq)) for hq, dq in q_at)
@@ -475,11 +498,7 @@ def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
     # candidate numerator: nearest integer to B*b^M*phi unless overridden
     # B b^M phi lies in [lo_s / den, hi_s / den]
     lo_s, hi_s = lo * scale, hi * scale
-    n_lo = (2 * lo_s + den) // (2 * den)
-    n_hi = (2 * hi_s + den) // (2 * den)
-    if n_lo != n_hi:
-        raise PrecisionInsufficient("nearest integer undecided; raise the truncation")
-    nearest = n_lo
+    nearest = _nearest_integer(lo_s, hi_s, den, scale.bit_length())
     n_used = inst.candidate_n if inst.candidate_n is not None else nearest
 
     # the cleared combination W_i: nonzero for some row, divisible by b^M

@@ -17,7 +17,9 @@ from gpade import arith
 from gpade.arith import (
     MR_LIMIT,
     FactoredInteger,
+    Grid,
     Interval,
+    cleared,
     cleared_eval,
     digits10,
     dyadic_down,
@@ -472,12 +474,28 @@ def test_digits10_matches_decimal_and_reference(n, k):
 )
 @example(coeffs=[F(1, 3), F(-2, 5), F(7, 4)], a=-3, b=6)
 def test_cleared_eval_matches_fraction_horner(coeffs, a, b):
-    h, L = cleared_eval(coeffs, a, b)
+    grid = cleared(coeffs)
+    h, L = cleared_eval(grid, a, b)
     value = F(0)
     for c in reversed(coeffs):
         value = value * F(a, b) + c
-    assert L == math.lcm(*(c.denominator for c in coeffs))
+    assert L == grid.den == math.lcm(*(c.denominator for c in coeffs))
     assert F(h, L * b ** (len(coeffs) - 1)) == value
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nums=st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=12),
+    den=st.integers(1, 10**30),
+    g=st.integers(1, 10**6),
+)
+@example(nums=[0, 0], den=7, g=3)  # all zero: the grid (1, (0, 0))
+def test_grid_is_normalized_and_tuple_equal(nums, den, g):
+    values = tuple(F(x, den) for x in nums)
+    grid = Grid.of(den * g, [x * g for x in nums])
+    assert grid.den > 0 and math.gcd(grid.den, *grid.nums) == 1
+    assert grid.values() == values
+    assert grid == Grid.of(den, nums) == cleared(values)
 
 
 def reference_interval_mul(x: Interval, y: Interval) -> Interval:

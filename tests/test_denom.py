@@ -22,6 +22,7 @@ from gpade.arith import FactoredInteger, Interval
 from gpade.errors import DomainViolation, IntegralityViolation
 from gpade.pade import ApproxShape, build_family
 from gpade.params import derive_params
+from gpade.report import entry, rational
 
 from conftest import make_configs
 
@@ -110,6 +111,102 @@ def test_integrality_random_sweep():
         assert verify_integrality(fam, cert)["passed"]
 
 
+def reference_verify_integrality(family, cert):
+    """Every coefficient as a reduced Fraction, times D1 or D."""
+    m = family.gp.m
+    violations = []
+    for i in range(m + 1):
+        for k, a in enumerate(family.q[i].values()):
+            if (a * cert.d1.value).denominator != 1:
+                violations.append(("q", i, k, rational(a)))
+    for i in range(m + 1):
+        for j in range(1, m + 1):
+            for mu, cf in enumerate(family.p_coeffs(i, j).values()):
+                if (cf * cert.d.value).denominator != 1:
+                    violations.append(("p", i, j, mu, rational(cf)))
+    return {"passed": not violations, "violations": violations}
+
+
+def reference_check_size_bounds(family, cert, zs=(F(2), F(8, 3), F(3))):
+    """The size checks with every value a reduced Fraction: coefficients from
+    the grids, values at z by Fraction Horner."""
+    from gpade.arith import exp_interval
+
+    def value_at(grid, z):
+        acc = F(0)
+        for c in reversed(grid.values()):
+            acc = acc * z + c
+        return acc
+
+    gp, shape, cns = family.gp, family.shape, cert.constants
+    c, N, Nt = cns.mode.c_theta, shape.N, shape.Ntilde
+    rhs_d = exp_interval(cns.exponent_13(shape).hi, cns.precision).hi
+    out = [entry("log_size_D", min(shape.n0, N) >= c, F(cert.d.value) <= rhs_d, cert.d.value, rhs_d)]
+    growth = exp_interval(cns.exponent_14(shape).hi, cns.precision).hi
+    amax = max(abs(a) for grid in family.q for a in grid.values())
+    out.append(entry("coeff_magnitude", N >= c, amax <= N * growth, amax, N * growth))
+    for z in zs:
+        app_z = N >= c and abs(z) >= 2
+        rhs_q = 2 * N * growth * abs(z) ** N
+        lhs_q = max(abs(value_at(grid, z)) for grid in family.q)
+        out.append(entry(f"denom_poly_at_{z}", app_z, lhs_q <= rhs_q, lhs_q, rhs_q))
+        worst = None
+        for i in range(gp.m + 1):
+            for j in range(1, gp.m + 1):
+                lhs_p = abs(value_at(family.p_coeffs(i, j), z))
+                rhs_p = 2 * N * (N + 1) * growth * abs(z) ** (Nt - shape.n[j - 1] + 1)
+                if lhs_p > rhs_p:
+                    worst = (i, j, lhs_p, rhs_p)
+        out.append(entry(f"numer_poly_at_{z}", app_z, worst is None, "" if worst is None else worst, ""))
+    return out
+
+
+def test_integrality_and_size_checks_match_fraction_reference():
+    for k, (gp, sh) in enumerate(make_configs(8080, 24, n_max=4, n0_max=5)):
+        fam = build_family(gp, sh)
+        cert = make_cert(gp, sh, ThetaMode.sharp() if k % 2 else ThetaMode.paper())
+        assert verify_integrality(fam, cert) == reference_verify_integrality(fam, cert)
+        assert check_size_bounds(fam, cert) == reference_check_size_bounds(fam, cert)
+
+
+def test_integrality_violations_match_fraction_reference():
+    # D1 without one of its primes leaves coefficients of Q_i uncleared, and
+    # D = D1 alone those of P_ij as well
+    gp = derive_params([F(1, 2), F(1, 3), F(3, 4)])
+    shape = ApproxShape(n=(2, 1), n0=3)
+    fam = build_family(gp, shape)
+    cert = make_cert(gp, shape, ThetaMode.paper())
+    kinds = set()
+    for p, _ in cert.d1.factors:
+        d1 = FactoredInteger.from_exponents([(q, e) for q, e in cert.d1.factors if q != p])
+        for d in (d1 * cert.d2, d1):
+            crippled = replace(cert, d1=d1, d=d)
+            rep = verify_integrality(fam, crippled)
+            assert rep == reference_verify_integrality(fam, crippled)
+            kinds |= {v[0] for v in rep["violations"]}
+        assert not rep["passed"]
+    assert kinds == {"q", "p"}
+
+
+def test_failing_numerator_bound_matches_fraction_reference():
+    # shrink the constants until some P_ij exceeds its bound: the check
+    # renders the last failing (i, j) with its two reduced sides
+    gp = derive_params([F(1), F(1, 2), F(1, 3)])
+    shape = ApproxShape(n=(3, 2), n0=4)
+    fam = build_family(gp, shape)
+    cert = make_cert(gp, shape, ThetaMode.paper())
+    zero = Interval.point(F(0))
+    for shift in range(0, 400, 10):
+        iv = (zero, *cert.constants.iv[1:5], Interval.point(F(-shift)), zero, zero, cert.constants.iv[8])
+        shrunk = replace(cert, constants=replace(cert.constants, iv=iv))
+        checks = check_size_bounds(fam, shrunk)
+        numer = [e for e in checks if e.name.startswith("numer_poly") and not e.passed]
+        if numer:
+            break
+    assert numer and numer[0].lhs.startswith("(") and "Fraction(" in numer[0].lhs
+    assert checks == reference_check_size_bounds(fam, shrunk)
+
+
 def test_constant_c2_value(half):
     gp, shape, fam, cert = half
     c2 = cert.constants.iv[2]
@@ -163,8 +260,8 @@ def test_scaled_integers_match_fraction_horner():
 
     sc = scaled_integers(fam, cert, beta)
     for i in range(gp.m + 1):
-        assert F(sc.qi[i]) == scaled(fam.q[i])
-        assert tuple(map(F, sc.pij[i])) == tuple(scaled(fam.p_coeffs(i, j)) for j in (1, 2))
+        assert F(sc.qi[i]) == scaled(fam.q[i].values())
+        assert tuple(map(F, sc.pij[i])) == tuple(scaled(fam.p_coeffs(i, j).values()) for j in (1, 2))
     with pytest.raises(IntegralityViolation):
         scaled_integers(fam, replace(cert, d=FactoredInteger.one()), beta)
 

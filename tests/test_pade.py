@@ -2,14 +2,14 @@ import random
 from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction as F
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpade.arith import cleared, cleared_eval, pochhammer
+from gpade.arith import Grid, cleared, cleared_eval, pochhammer
 
 from gpade.errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
 from gpade.pade import (
@@ -61,25 +61,26 @@ def test_series_specialization_is_harmonic():
 
 def test_hand_instance_denominators(half):
     gp, shape, fam = half
-    assert build_q(gp, shape, 0) == (F(-5, 3), F(1))
-    assert build_q(gp, shape, 1) == (F(-7, 5), F(1))
-    assert fam.q[0][-1] == 1 and fam.q[1][-1] == 1
+    assert build_q(gp, shape, 0) == Grid(3, (-5, 3))
+    assert build_q(gp, shape, 0).values() == (F(-5, 3), F(1))
+    assert build_q(gp, shape, 1).values() == (F(-7, 5), F(1))
+    assert fam.q[0].values()[-1] == 1 and fam.q[1].values()[-1] == 1
 
 
 def test_hand_instance_numerators(half):
     gp, shape, fam = half
-    assert fam.p_coeffs(0, 1) == (F(-5, 3), F(4, 9))
-    assert fam.p_coeffs(1, 1) == (F(-7, 5), F(8, 15), F(4, 75))
+    assert fam.p_coeffs(0, 1).values() == (F(-5, 3), F(4, 9))
+    assert fam.p_coeffs(1, 1).values() == (F(-7, 5), F(8, 15), F(4, 75))
     # order-0 coefficient always equals the constant denominator coefficient
     for i in (0, 1):
-        assert fam.p_coeffs(i, 1)[0] == fam.q[i][0]
+        assert fam.p_coeffs(i, 1).values()[0] == fam.q[i].values()[0]
     p01 = series_product_coeffs(gp, fam.q[0], 1, 0, shape.Nij(0, 1))
     assert p01 == fam.p_coeffs(0, 1)
 
 
 def test_hand_instance_remainder(half):
     gp, shape, fam = half
-    assert fam.forced_zero_coeffs(0, 1) == (F(0),)
+    assert fam.forced_zero_coeffs(0, 1).values() == (F(0),)
     assert fam.remainder_terms(0, 1, F(1), shape.remainder_truncation)[0] == F(-4, 105)
     assert verify_order(fam) == {(0, 1): True, (1, 1): True}
 
@@ -100,20 +101,25 @@ def test_remainder_terms_match_full_convolution(alphas, n, n0, z):
     for T in (shape.remainder_truncation, shape.remainder_truncation + 9):
         for i in range(gp.m + 1):
             for j in range(1, gp.m + 1):
-                full = reference_product_coeffs(gp, fam.q[i], j, T)
+                full = reference_product_coeffs(gp, fam.q[i].values(), j, T)
                 Nij, nj = shape.Nij(i, j), shape.n[j - 1]
-                assert tuple(full[: Nij + 1]) == fam.p_coeffs(i, j)
+                assert tuple(full[: Nij + 1]) == fam.p_coeffs(i, j).values()
                 assert full[Nij + 1 : Nij + nj + 1] == [0] * nj
                 expected = [cf * z**mu for mu, cf in enumerate(full) if mu > Nij + nj]
                 assert fam.remainder_terms(i, j, z, T) == expected
                 assert any(expected)
 
 
+def plus_one(grid, k):
+    """The grid with 1 added to its coefficient k (still normalized)."""
+    nums = list(grid.nums)
+    nums[k] += grid.den
+    return Grid(grid.den, tuple(nums))
+
+
 def test_verify_order_reads_the_denominators(half):
     gp, shape, fam = half
-    qq = [list(row) for row in fam.q]
-    qq[0][0] += 1
-    broken = replace(fam, q=tuple(map(tuple, qq)))
+    broken = replace(fam, q=(plus_one(fam.q[0], 0), fam.q[1]))
     assert verify_order(broken) == {(0, 1): False, (1, 1): True}
 
 
@@ -121,18 +127,16 @@ def test_perturbation_breaks_order(half):
     gp, shape, fam = half
     for i in (0, 1):
         for k in range(shape.N + 1):
-            qq = list(fam.q[i])
-            qq[k] += 1
             lo = shape.Nij(i, 1) + 1
-            window = series_product_coeffs(gp, tuple(qq), 1, lo, lo + shape.n[0] - 1)
-            assert any(c != 0 for c in window)
+            window = series_product_coeffs(gp, plus_one(fam.q[i], k), 1, lo, lo + shape.n[0] - 1)
+            assert any(window.nums)
 
 
 def test_oracle_matches_closed_form(half):
     gp, shape, fam = half
     solved = oracle_solve(gp, shape)
-    assert solved[0] == fam.q[0]
-    assert solved[1] == fam.q[1]
+    assert solved == tuple(fam.q)
+    assert solved[1].values() == (F(-7, 5), F(1))
 
 
 def test_generic_degrees_agree_with_oracle():
@@ -146,11 +150,11 @@ def test_generic_degrees_agree_with_oracle():
         Nlist = tuple(N - 1 + rng.randint(0, 3) for _ in range(m))
         q1 = build_q_generic(gp, n, Nlist)
         q2 = reference_oracle_solve_generic(gp, n, Nlist)
-        assert q1 == q2
+        assert q1.values() == q2
         coeffs_ok = True
         for j in range(1, m + 1):
             window = series_product_coeffs(gp, q1, j, Nlist[j - 1] + 1, Nlist[j - 1] + n[j - 1])
-            coeffs_ok = coeffs_ok and all(c == 0 for c in window)
+            coeffs_ok = coeffs_ok and all(c == 0 for c in window.values())
         assert coeffs_ok
 
 
@@ -232,7 +236,7 @@ def test_closed_form_matches_termwise_reference(instance):
     alphas, n, slack = instance
     gp = derive_params(alphas)
     N_list = tuple(sum(n) - 1 + s for s in slack)
-    assert build_q_generic(gp, n, N_list) == reference_build_q_generic(gp, n, N_list)
+    assert build_q_generic(gp, n, N_list).values() == reference_build_q_generic(gp, n, N_list)
 
 
 @settings(max_examples=80, deadline=None)
@@ -252,7 +256,7 @@ def test_closed_form_matches_ratio_recurrence(instance):
     alphas, n, slack = instance
     gp = derive_params(alphas)
     N_list = tuple(sum(n) - 1 + s for s in slack)
-    assert build_q_generic(gp, n, N_list) == reference_ratio_build_q_generic(gp, n, N_list)
+    assert build_q_generic(gp, n, N_list).values() == reference_ratio_build_q_generic(gp, n, N_list)
 
 
 def reference_oracle_solve_generic(gp, n_list, N_list):
@@ -292,7 +296,7 @@ def test_shared_oracle_matches_per_row_solve(instance, extra):
     rows = oracle_solve(gp, shape)
     assert len(rows) == gp.m + 1
     for i, q in enumerate(rows):
-        assert q == reference_oracle_solve_generic(gp, shape.n, shape.Nij_row(i))
+        assert q.values() == reference_oracle_solve_generic(gp, shape.n, shape.Nij_row(i))
         assert q == build_q(gp, shape, i)
 
 
@@ -306,7 +310,7 @@ def test_shared_solve_needs_a_swap_in_the_tail():
     others = [[4, 2, 5, 1], [0, 1, 1, 1]]
     for system in ([0, 1], [1, 0]):
         (x,) = _solve_sharing(shared, others, [system])
-        assert _satisfies(shared + [others[o] for o in system], x)
+        assert _satisfies(shared + [others[o] for o in system], x.values())
 
 
 def test_shared_solve_without_shared_pivot_solves_each_system_whole():
@@ -315,8 +319,8 @@ def test_shared_solve_without_shared_pivot_solves_each_system_whole():
     systems = [[0], [1], [2]]
     solved = _solve_sharing(shared, others, systems)
     for system, x in zip(systems, solved):
-        assert _satisfies(shared + [others[o] for o in system], x)
-    assert solved[0] == (F(1), F(11, 7), F(-1, 7))
+        assert _satisfies(shared + [others[o] for o in system], x.values())
+    assert solved[0] == Grid(7, (7, 11, -1))
 
 
 def test_shared_solve_singular_tail():
@@ -378,7 +382,7 @@ def test_sharing_solve_matches_fraction_gauss(instance):
         with pytest.raises(SingularSystem):
             _solve_sharing(shared, others, systems)
     else:
-        assert _solve_sharing(shared, others, systems) == expected
+        assert [x.values() for x in _solve_sharing(shared, others, systems)] == expected
     assert instance == before  # the inputs are left as they were
 
 
@@ -394,8 +398,34 @@ def test_series_product_matches_fraction_convolution(instance, q, upto, data):
     lo = data.draw(st.integers(0, upto), label="lo")
     for j in range(1, gp.m + 1):
         naive = tuple(reference_product_coeffs(gp, q, j, upto))
-        assert series_product_coeffs(gp, tuple(q), j, 0, upto) == naive
-        assert series_product_coeffs(gp, tuple(q), j, lo, upto) == naive[lo:]
+        assert series_product_coeffs(gp, cleared(q), j, 0, upto).values() == naive
+        assert series_product_coeffs(gp, cleared(q), j, lo, upto).values() == naive[lo:]
+
+
+def normalized_values(grid):
+    """The values on a grid, once its normalization is checked."""
+    assert grid.den > 0 and gcd(grid.den, *grid.nums) == 1
+    return grid.values()
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=closed_form_instances(), extra=st.integers(0, 2), lo=st.integers(0, 30))
+@example(instance=([F(1), F(1)], (3,), (0,)), extra=0, lo=0)  # alpha_0 = alpha_1 = 1: phi's grid is lcm(1..n+1)
+def test_grids_are_normalized_and_match_fraction_references(instance, extra, lo):
+    # the closed form, the product series and the oracle hand out their
+    # polynomials on normalized grids, equal to the Fraction references
+    alphas, n, slack = instance
+    gp = derive_params(alphas)
+    N_list = tuple(sum(n) - 1 + s for s in slack)
+    q = build_q_generic(gp, n, N_list)
+    assert normalized_values(q) == reference_ratio_build_q_generic(gp, n, N_list)
+    for j in range(1, gp.m + 1):
+        hi = lo + sum(n) + 3
+        window = series_product_coeffs(gp, q, j, lo, hi)
+        assert normalized_values(window) == tuple(reference_product_coeffs(gp, q.values(), j, hi)[lo:])
+    shape = ApproxShape(n=n, n0=max(n) + extra)
+    for i, row in enumerate(oracle_solve(gp, shape)):
+        assert normalized_values(row) == reference_oracle_solve_generic(gp, shape.n, shape.Nij_row(i))
 
 
 def reference_phi_partial_sum(gp, j, z, T):
@@ -459,9 +489,10 @@ def test_numerator_value_matches_product_series(alphas, n1, extra, a, b, g):
     shape = ApproxShape(n=(n1,), n0=n1 + extra % (2 * n1 + 1))
     family = build_family(gp, shape)
     for i in (0, 1):
-        num, den = numerator_at(gp, family.q[i], 1, a * g, b * g, shape.Nij(i, 1))
+        num, den, hq = numerator_at(gp, family.q[i], 1, a * g, b * g, shape.Nij(i, 1))
         assert den > 0
         assert F(num, den) == reference_numerator_value(family, i, a * g, b * g)
+        assert hq == cleared_eval(family.q[i], a * g, b * g)[0]
 
 
 def test_partial_sum_edges():
@@ -493,15 +524,16 @@ def test_determinant_by_direct_polynomial_arithmetic(half):
                 out[i + j] += ai * bj
         return out
 
-    first = poly_mul(fam.q[0], fam.p_coeffs(1, 1))
-    second = poly_mul(fam.q[1], fam.p_coeffs(0, 1))
+    first = poly_mul(fam.q[0].values(), fam.p_coeffs(1, 1).values())
+    second = poly_mul(fam.q[1].values(), fam.p_coeffs(0, 1).values())
     det = [x - y for x, y in zip(first, second + [F(0)] * (len(first) - len(second)))]
     assert det == [F(0), F(0), F(0), F(4, 75)]
 
 
 def test_determinant_rejects_corruption():
     # the determinant is checked at +-1..+-k from even and odd parts: corrupt
-    # an even and an odd coefficient, at odd and at even exponents
+    # an even and an odd coefficient (a numerator of Q_i's grid), at odd and
+    # at even exponents
     for alphas, n, n0, exponent in [
         ([F(1), F(1, 2)], (1,), 1, 3),
         ([F(1), F(1, 2)], (1,), 2, 4),
@@ -512,9 +544,10 @@ def test_determinant_rejects_corruption():
         fam = build_family(gp, ApproxShape(n=n, n0=n0))
         assert family_det(fam)[0] == exponent
         for i, degree in [(0, 0), (gp.m, 1)]:
-            qq = [list(row) for row in fam.q]
-            qq[i][degree] += 1
-            broken = replace(fam, q=tuple(tuple(r) for r in qq))
+            L, nums = fam.q[i]
+            qq = list(fam.q)
+            qq[i] = Grid(L, (*nums[:degree], nums[degree] + 1, *nums[degree + 1 :]))
+            broken = replace(fam, q=tuple(qq))
             with pytest.raises(NonMonomialDeterminant):
                 family_det(broken)
 
@@ -532,7 +565,7 @@ def test_numerator_degrees():
             assert fam.p_leading(i) != 0
         for i in range(gp.m + 1):
             for j in range(1, gp.m + 1):
-                assert len(fam.p_coeffs(i, j)) == shape.Nij(i, j) + 1
+                assert len(fam.p_coeffs(i, j).nums) == shape.Nij(i, j) + 1
 
 
 def test_small_random_sweep():
@@ -542,7 +575,7 @@ def test_small_random_sweep():
         solved = oracle_solve(gp, sh)
         for i in range(gp.m + 1):
             assert solved[i] == fam.q[i]
-            assert fam.q[i][-1] == 1  # normalized leading coefficient
+            assert fam.q[i].values()[-1] == 1  # normalized leading coefficient
         e, om = family_det(fam)
         assert e == sh.N + sum(sh.Nj) + gp.m and om != 0
 

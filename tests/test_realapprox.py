@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gpade.envelope
@@ -34,6 +34,7 @@ from gpade.errors import (
 from gpade.pade import ApproxShape, build_family
 from gpade.params import GParams, derive_params
 from gpade.realapprox import (
+    _nearest_integer,
     audit_restricted,
     c_of_vartheta,
     eval_phi_real,
@@ -287,12 +288,52 @@ def test_audit_integrality_is_a_real_check(gp11, monkeypatch):
     fam = build_family(gp11, ApproxShape(n=(inst.n1,), n0=inst.n0))
     for i in (0, 1):
         value = F(0)
-        for c in reversed(fam.q[i]):
+        for c in reversed(fam.q[i].values()):
             value = value * F(1, b) + c
         scaled = value * b**inst.n1
         assert scaled.denominator != 1
         assert checks[f"integrality_scaled_q_{i}"].failed
         assert checks[f"integrality_scaled_q_{i}"].lhs == f"{scaled.numerator}/{scaled.denominator}"
+
+
+def reference_nearest(lo, hi, den):
+    """floor(x + 1/2) for x = lo/den and hi/den, or None when they differ."""
+    n_lo, n_hi = (math.floor(F(x, den) + F(1, 2)) for x in (lo, hi))
+    return n_lo if n_lo == n_hi else None
+
+
+def test_nearest_integer_falls_back_when_the_bracket_straddles():
+    # lo/den = 7.5 +- 1/(2 den): the leading bits bracket 7.5 itself, so only
+    # the exact quotients decide
+    den, bits = 2**200 + 1, 4
+    t = den.bit_length() - bits - 64
+    for lo, nearest in (((15 * den + 1) // 2, 8), ((15 * den - 1) // 2, 7)):
+        nl, dl = lo >> t, den >> t
+        assert math.floor(F(nl, dl + 1) + F(1, 2)) == 7 and F(nl + 1, dl) > F(15, 2)
+        assert _nearest_integer(lo, lo, den, bits) == nearest
+    with pytest.raises(PrecisionInsufficient, match="nearest integer undecided"):
+        _nearest_integer((15 * den - 1) // 2, (15 * den + 1) // 2, den, bits)
+    # far from a half-integer the bracket decides; both ends must round alike
+    assert _nearest_integer(7 * den, 7 * den + den // 3, den, bits) == 7
+    with pytest.raises(PrecisionInsufficient):
+        _nearest_integer(7 * den, 7 * den + den, den, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.integers(-(2**200), 2**200),
+    width=st.integers(0, 2**140),
+    den=st.integers(1, 2**260),
+    bits=st.integers(0, 80),
+)
+@example(x=2**199 + 2**198, width=0, den=2**199, bits=2)  # exactly 3/2: halves round up
+def test_nearest_integer_matches_exact_rounding(x, width, den, bits):
+    expected = reference_nearest(x, x + width, den)
+    if expected is None:
+        with pytest.raises(PrecisionInsufficient):
+            _nearest_integer(x, x + width, den, bits)
+    else:
+        assert _nearest_integer(x, x + width, den, bits) == expected
 
 
 def test_cleared_combinations_in_full_only_under_exact(gp11):
@@ -429,7 +470,7 @@ def reference_audit_restricted(inst):
         * exp_iv(th * (2 * gp.s0 * n1 + gp.v[0] * Nt), prec)
     )
     gate_n1 = n1 >= rc.mode.c_theta
-    amax = max(abs(cf) for i in (0, 1) for cf in family.q[i])
+    amax = max(abs(cf) for i in (0, 1) for cf in family.q[i].values())
     checks.append(entry("coeff_envelope", gate_n1, amax <= e1.hi, rational(amax), fmt_real(e1.hi, 6)))
     qbound = (e1 / (1 - abs(beta))).hi
     qmax = max(abs(q) for q in q_at)
