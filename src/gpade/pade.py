@@ -47,8 +47,8 @@ __all__ = [
     "ApproxShape",
     "PadeFamily",
     "phi_coeffs",
-    "phi_partial_sum",
-    "phi_partial_sum_parts",
+    "phi_split",
+    "phi_merge",
     "build_q",
     "build_q_generic",
     "series_product_coeffs",
@@ -120,6 +120,7 @@ class ApproxShape:
 # ---------------------------------------------------------------------------
 
 _ratio_cache: dict[tuple[GParams, int], list[Fraction]] = {}
+Piece = tuple[int, int, int, int]  # a `phi_split` piece (P, Q, S, R)
 
 
 def phi_coeffs(gp: GParams, j: int, upto: int) -> list[Fraction]:
@@ -136,48 +137,45 @@ def phi_coeffs(gp: GParams, j: int, upto: int) -> list[Fraction]:
     return seq[: upto + 1]
 
 
-def phi_partial_sum(gp: GParams, j: int, z: Fraction, T: int) -> Fraction:
-    """Exact sum of the terms 0..T of phi_j at z (see `phi_partial_sum_parts`)."""
-    num, q, _, _ = phi_partial_sum_parts(gp, j, z, T)
-    return Fraction(num, q)
-
-
-def phi_partial_sum_parts(gp: GParams, j: int, z: Fraction, T: int) -> tuple[int, int, int, int]:
-    """Integers (N, Q, R, P) with the sum of the terms 0..T of phi_j at z equal
-    to N / Q, not reduced, Q = R * z.denominator^T with R > 0, and the term of
-    order T equal to P / Q.
+def phi_split(gp: GParams, j: int, z: Fraction, cuts: tuple[int, ...]) -> list[Piece]:
+    """Binary-splitting pieces (P, Q, S, R) of phi_j at z over [0, c_1),
+    [c_1, c_2), ... for cuts 0 <= c_1 <= c_2 <= ...
 
     Consecutive terms have the ratio (alpha_j + n) z / (alpha_j + alpha_0 + n)
     = p(n) / q(n) with integers p(n) and q(n) = r(n) * z.denominator.  Over a
-    range of n, P = prod p(n), Q = prod q(n), R = prod r(n) and the sum S / Q
-    of the running products p(lo)...p(k) / q(lo)...q(k) are integers; two
-    halves merge as (P1 P2, Q1 Q2, S1 Q2 + P1 S2, R1 R2), and over
-    n = 0..T-1 the partial sum is (Q + S) / Q (binary splitting, Haible &
-    Papanikolaou 1998).
+    range [lo, hi) of n, P = prod p(n), Q = prod q(n), R = prod r(n) > 0 and
+    the sum S / Q of the running products p(lo)...p(k) / q(lo)...q(k) are
+    integers: the term of order hi is the term of order lo times P / Q, and
+    the terms of orders lo+1..hi add up to the term of order lo times S / Q.
+    An empty range is (1, 1, 0, 1), and adjacent pieces merge by `phi_merge`
+    (binary splitting, Haible & Papanikolaou 1998).  So one split serves every
+    partial sum through a cut and every tail between two cuts.
     """
     if not 1 <= j <= gp.m:
         raise ValueError("series index out of range")
-    if T < 0:
-        return 0, 1, 1, 0
-    if T == 0:
-        return 1, 1, 1, 1
     z = Fraction(z)
     aj = gp.alpha[j]
     a0j = aj + gp.alpha[0]
     pc = a0j.denominator * z.numerator
 
-    def split(lo: int, hi: int) -> tuple[int, int, int, int]:
+    def split(lo: int, hi: int) -> Piece:
         if hi - lo == 1:
             p = (aj.numerator + lo * aj.denominator) * pc
             r = (a0j.numerator + lo * a0j.denominator) * aj.denominator
             return p, r * z.denominator, p, r
+        if hi <= lo:
+            return 1, 1, 0, 1
         mid = (lo + hi) // 2
-        p1, q1, s1, r1 = split(lo, mid)
-        p2, q2, s2, r2 = split(mid, hi)
-        return p1 * p2, q1 * q2, s1 * q2 + p1 * s2, r1 * r2
+        return phi_merge(split(lo, mid), split(mid, hi))
 
-    p, q, s, r = split(0, T)
-    return q + s, q, r, p
+    return [split(lo, hi) for lo, hi in zip((0, *cuts), cuts)]
+
+
+def phi_merge(x: Piece, y: Piece) -> Piece:
+    """The `phi_split` piece over [lo, hi) from those over [lo, mid) and [mid, hi)."""
+    p1, q1, s1, r1 = x
+    p2, q2, s2, r2 = y
+    return p1 * p2, q1 * q2, s1 * q2 + p1 * s2, r1 * r2
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +293,21 @@ def series_product_coeffs(gp: GParams, q: Grid, j: int, lo: int, hi: int) -> Gri
     return Grid.of(Dq * Dr, [sum(map(mul, q_int, r_rev[hi - mu :])) for mu in range(lo, hi + 1)])
 
 
-def numerator_at(gp: GParams, q: Grid, j: int, a: int, b: int, T: int) -> tuple[int, int, int]:
-    """Integers (num, den, H), den > 0, with num / den the value at a/b (b > 0)
-    of the coefficients 0..T >= n = deg Q of Q * phi_j, P_ij(a/b) for T = N_ij,
-    and H / (L b^n) = Q(a/b) for the grid (L, c) of Q, the H of `cleared_eval`.
+def numerator_at(gp: GParams, q: Grid, j: int, a: int, b: int, T: int, head: Piece) -> tuple[int, ...]:
+    """Integers (num, H, acc, G), G > 0, with num / (Q' L b^n G) the value at
+    a/b (b > 0) of the coefficients 0..T >= n = deg Q of Q * phi_j, P_ij(a/b)
+    for T = N_ij, and H / (L b^n) = Q(a/b) for the grid (L, c) of Q, the H of
+    `cleared_eval`; `head` is the `phi_split` piece (P, Q', S, R) of phi_j at
+    a/b over [0, T - n).
 
-    The value is Q(a/b) S + sum over T - n < t <= T of phi_j's term of order t
-    times Q_(T-t)(a/b), where S is phi_j's partial sum through T - n
-    (`phi_partial_sum_parts`) and Q_r(a/b) = H_r / (L b^r) is Q's prefix of
-    degree r: H_r = H_(r-1) b + c_r a^r, and H = H_n.
-    The n tail terms close by a backward Horner over the ratio
-    (alpha_j + t) a / ((alpha_j + alpha_0 + t) b) of the terms of orders t + 1
-    and t: after order t the sum is acc / (L b^(T-t) G), G the product of the
-    ratio denominators so far, and the tail is the term of order T - n times it.
+    The value is Q(a/b) S_(T-n) + P / Q' * acc / (L b^n G): S_(T-n) =
+    (Q' + S) / Q' is phi_j's partial sum through T - n, P / Q' its term of
+    order T - n, and Q_r(a/b) = H_r / (L b^r) is Q's prefix of degree r:
+    H_r = H_(r-1) b + c_r a^r, and H = H_n.  The n tail terms close by a
+    backward Horner over the ratio (alpha_j + t) a / ((alpha_j + alpha_0 + t) b)
+    of the terms of orders t + 1 and t: after order t the sum is
+    acc / (L b^(T-t) G), G the product of the ratio denominators so far, and
+    the tail is the term of order T - n times it.
     """
     L, c = q
     n = len(c) - 1
@@ -315,13 +315,13 @@ def numerator_at(gp: GParams, q: Grid, j: int, a: int, b: int, T: int) -> tuple[
     for ck in c[1:]:
         apow *= a
         H.append(H[-1] * b + ck * apow)
-    sn, sq, _, p = phi_partial_sum_parts(gp, j, Fraction(a, b), T - n)
+    p, sq, s, _ = head
     aj, a0j = gp.alpha[j], gp.alpha[j] + gp.alpha[0]
     acc, G = 0, 1
     for t in range(T - 1, T - n - 1, -1):
         acc = (aj.numerator + t * aj.denominator) * a0j.denominator * a * (H[T - 1 - t] * G + acc)
         G *= (a0j.numerator + t * a0j.denominator) * aj.denominator
-    return H[n] * sn * G + p * acc, sq * L * b**n * G, H[n]
+    return H[n] * (sq + s) * G + p * acc, H[n], acc, G
 
 
 # ---------------------------------------------------------------------------

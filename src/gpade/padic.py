@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, log, prod
 
 from .arith import (
     Interval,
@@ -23,8 +23,8 @@ from .arith import (
     prime_divisors,
 )
 from .denom import ThetaMode, bound_constants, make_cert, ntilde1_interval, scaled_integers
-from .errors import DomainViolation, InvariantViolation
-from .pade import ApproxShape, build_family, phi_partial_sum
+from .errors import DomainViolation, InvariantViolation, PrecisionInsufficient
+from .pade import ApproxShape, build_family, phi_split
 from .params import GParams, padic_domain_check
 from .report import dec_iv, full_digits, rational
 
@@ -78,6 +78,24 @@ def _tail_floor(gp: GParams, p: int, q: Fraction, n: int) -> Fraction:
     return n * q - (floor_log(p, Fraction(gp.U + gp.V * n)) + 1)
 
 
+def _truncation_order(gp: GParams, p: int, q: Fraction, target: int) -> int:
+    """The least T >= 3 with _tail_floor(T + 1) >= target.
+
+    On a run of n where k = floor_log(p, U + V n) stays constant, the floor
+    is n q - k - 1, so the least n of the run that reaches the target is
+    max(run start, ceil((target + k + 1) / q)); the run ends at the least n
+    with U + V n >= p^(k+1).  The runs are visited in order from n = 4.
+    """
+    n = 4
+    while True:
+        k = floor_log(p, gp.U + gp.V * n)
+        end = -(-(p ** (k + 1) - gp.U) // gp.V)
+        n = max(n, -(-(target + k + 1) // q))
+        if n < end:
+            return n - 1
+        n = end
+
+
 def _enclose(p: int, value: Fraction, tail_exponent: int) -> PAdicEnclosure:
     if value == 0:
         return PAdicEnclosure(p, tail_exponent, 0, 0)
@@ -109,10 +127,9 @@ def eval_phi_padic(gp: GParams, j: int, beta: Fraction, p: int, k: int) -> PAdic
     q = _tail_rate(gp, p, beta, chk.delta_p)
     target = k
     for _ in range(2):
-        T = 3  # the least T >= 3 past which every term has valuation >= target
-        while _tail_floor(gp, p, q, T + 1) < target:
-            T += 1
-        enc = _enclose(p, phi_partial_sum(gp, j, beta, T), target)
+        T = _truncation_order(gp, p, q, target)  # past T every term has valuation >= target
+        _, sq, s, _ = phi_split(gp, j, beta, (T,))[0]  # terms 0..T sum to (sq + s) / sq
+        enc = _enclose(p, Fraction(sq + s, sq), target)
         if enc.below_precision or enc.k >= k:
             return enc
         target = k + enc.valuation_offset  # positive leading valuation: retry deeper
@@ -221,9 +238,13 @@ def select_block_degrees(inst: LinearFormInstance, a: int) -> BlockDegreeSelecti
     degrees = []
     for hj in inst.h:
         rhs = hj**td * Ht**tn
-        t = 0
+        # the largest t with A^(t td) <= rhs, from a float estimate that the
+        # exact comparisons then correct by a step or two
+        t = max(0, int(log(rhs) / (td * log(A))) - 1)
         while A ** ((t + 1) * td) <= rhs:
             t += 1
+        while A ** (t * td) > rhs:
+            t -= 1
         degrees.append(t)
     clamped = tuple(dg < 1 for dg in degrees)
     n0 = max(1, degrees[0])
@@ -243,6 +264,10 @@ def select_block_degrees(inst: LinearFormInstance, a: int) -> BlockDegreeSelecti
 
 
 _EVAL_DIGITS = 48  # p-adic digits certified for the series values in the audit's linear form
+# The largest Ntilde whose family the linear-form audit builds: at m = 1,
+# build_family alone takes 0.9 s at Ntilde = 800, 8 s at 1600 and 44 s at 2400
+# (half.params, Python 3.11 on a 2-core machine).
+_NTILDE_CAP = 2000
 
 
 def audit_linear_form(
@@ -327,6 +352,10 @@ def audit_linear_form(
         "clamped": list(sel.clamped),
         "checks": sel.checks,
     }
+    if shape.Ntilde > _NTILDE_CAP:
+        raise PrecisionInsufficient(
+            f"the selected shape has Ntilde = {shape.Ntilde}, above the cap {_NTILDE_CAP} on the family size"
+        )
     family = build_family(gp, shape)
     cert = make_cert(gp, shape, mode, prec)
     scaled = scaled_integers(family, cert, beta, p=p)

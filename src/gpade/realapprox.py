@@ -29,8 +29,9 @@ from .arith import (
 from .denom import ThetaMode, compute_d1
 from .envelope import Envelope, series_terms
 from .errors import DomainViolation, HypothesisFailure, PrecisionInsufficient
-from .pade import ApproxShape, build_q, numerator_at, phi_partial_sum_parts
+from .pade import ApproxShape, build_q, phi_split
 from .params import GParams
+from .realseries import phi_real_ends, rows_at
 from .report import Check, entry, fmt_ratio, fmt_real, full_digits, int_str, rational, tagged_bound
 
 __all__ = [
@@ -54,28 +55,13 @@ def eval_phi_real(gp: GParams, z: Fraction, T: int) -> Interval:
     the series is alternating and the tail has the sign of the first omitted
     term.  Either way the enclosure has width exactly the tail bound.
     """
-    lo, hi, den = _phi_real_ends(gp, Fraction(z), T)
-    return Interval(Fraction(lo, den), Fraction(hi, den))
-
-
-def _phi_real_ends(gp: GParams, z: Fraction, T: int) -> tuple[int, int, int]:
-    """The ends of `eval_phi_real` as integers (lo, hi, den), not reduced:
-    the enclosure is [lo/den, hi/den]."""
+    z = Fraction(z)
     if abs(z) >= 1:
         raise DomainViolation("real evaluation needs |z| < 1")
     if T < 0:
         raise DomainViolation("real evaluation needs T >= 0")
-    if z == 0:
-        return 1, 1, 1
-    num, q, r, _ = phi_partial_sum_parts(gp, 1, z, T)
-    # with |z| = an/zd and q = r zd^T, the tail bound is an^(T+1) r / (q (zd - an))
-    an, zd = abs(z.numerator), z.denominator
-    acc = num * (zd - an)
-    tail = an ** (T + 1) * r
-    den = q * (zd - an)
-    if z > 0 or (T + 1) % 2 == 0:
-        return acc, acc + tail, den
-    return acc - tail, acc, den
+    lo, hi, den = phi_real_ends(z, T, phi_split(gp, 1, z, (T,))[0])
+    return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 _SCAN_LIMIT = 200000  # the largest n that c_of_vartheta searches for the crossover
@@ -395,27 +381,34 @@ def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
     qs = [build_q(gp, shape, i) for i in (0, 1)]
     d1 = restricted_d1(gp, n1, n0)
     d2 = restricted_d2(gp, n0)
-    # Q_i has degree n1 and the grid (lq, c): Q_i(a/b) = hq / (lq b^n1) and
-    # P_i1(a/b) = hp / dp come from one prefix Horner over c, phi's partial
-    # sum and a short tail, with no coefficient of P_i1 (`numerator_at`); the
-    # scaled values D1 b^n1 Q_i(beta) and D1 D2 b^(n0+1) P_i1(beta) must be
-    # integers
-    q_at, p_at, ui, vi = [], [], [], []
-    for i in (0, 1):
+
+    # the final right-hand side 1/(B b^M (a1^18 |a|^17)^M): its lower end
+    # comes from the upper end of a1 and its upper end from the lower end
+    bM = b**M
+    scale = B * bM
+    env = Envelope(rc.a1.lo, a, scale, M)
+    # (working precision for the series value) target: a tenth of the final RHS
+    target = Envelope(rc.a1.hi, a, 10 * scale, M)
+    terms_used = series_terms(beta, target)
+    # phi_1 at beta, split once (`realseries.rows_at`): the enclosure
+    # [lo/den, hi/den] through terms_used and, for each row, Q_i(beta) =
+    # hq / (lq b^n1), the scaled D1 D2 b^(n0+1) P_i1(beta), which must be an
+    # integer as D1 b^n1 Q_i(beta) must, and the bound max |x Q_i(beta) -
+    # P_i1(beta)| over the ends x on the remainder |R_i|
+    (lo, hi, den), rows = rows_at(gp, qs, n0, a, b, terms_used, d1.value * d2.value)
+    q_at, ui, vi, rems = [], [], [], []
+    for i, (hq, vval, rem) in enumerate(rows):
         lq = qs[i].den
-        hp, dp, hq = numerator_at(gp, qs[i], 1, a, b, shape.Nij(i, 1))
         q_at.append((hq, lq * b**n1))
-        p_at.append((hp, dp))
         u = d1.value * hq
-        v = d1.value * d2.value * b ** (n0 + 1) * hp
         ok_u = u % lq == 0
-        ok_v = v % dp == 0
         uval = u // lq if ok_u else Fraction(u, lq)
-        vval = v // dp if ok_v else Fraction(v, dp)
+        ok_v = vval.denominator == 1
         checks.append(entry(f"integrality_scaled_q_{i}", True, ok_u, rational(uval) if not ok_u else "", ""))
         checks.append(entry(f"integrality_scaled_p_{i}", True, ok_v, rational(vval) if not ok_v else "", ""))
         ui.append(uval)
         vi.append(vval)
+        rems.append(rem)
 
     # coefficient envelope and the |z| < 1 evaluation bounds
     e1 = (
@@ -431,16 +424,6 @@ def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
     qmax = max(abs(Fraction(hq, dq)) for hq, dq in q_at)
     checks.append(entry("denom_poly_envelope", gate_n1, qmax <= qbound, rational(qmax), fmt_real(qbound, 6)))
 
-    # the final right-hand side 1/(B b^M (a1^18 |a|^17)^M): its lower end
-    # comes from the upper end of a1 and its upper end from the lower end
-    bM = b**M
-    scale = B * bM
-    env = Envelope(rc.a1.lo, a, scale, M)
-
-    # (working precision for the series value) target: a tenth of the final RHS
-    target = Envelope(rc.a1.hi, a, 10 * scale, M)
-    terms_used = series_terms(beta, target)
-    lo, hi, den = _phi_real_ends(gp, beta, terms_used)
     width = hi - lo
     checks.append(
         entry("enclosure_width", True, target.holds_above(width, den), fmt_ratio(width, den, 40), target.render(40))
@@ -450,13 +433,7 @@ def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
     # (n1 + 1) E1 |beta|^(Nt+1) / (1 - |beta|)
     rb_num = (n1 + 1) * e1.hi.numerator * an ** (Nt + 1) * bd
     rb_den = e1.hi.denominator * bd ** (Nt + 1) * (bd - an)
-    # |R_i| <= max |x Q_i(beta) - P_i1(beta)| over the enclosure ends x
-    rems = []
-    for i in (0, 1):
-        (hq, dq), (hp, dp) = q_at[i], p_at[i]
-        cq, cp = hq * dp, hp * dq * den
-        rem = (max(abs(lo * cq - cp), abs(hi * cq - cp)), den * dq * dp)
-        rems.append(rem)
+    for i, rem in enumerate(rems):
         checks.append(
             entry(
                 f"remainder_envelope_{i}",

@@ -431,6 +431,20 @@ def test_padic_takes_an_ell_beyond_int_str_limit(capsys):
     assert "linear_forms.0.ell.1\t999999999999...999999999997(5000digits)" in out
 
 
+def test_padic_refuses_a_shape_too_large_to_build(capsys):
+    # a 5000-digit ell at tau = 1/2 selects n0 = n1 = 11072: the family of
+    # Ntilde = 22144 is refused before it is built, with nothing on stdout
+    half = str(Path(__file__).parent / "golden" / "params" / "half.params")
+    ell = "7" + "0" * 4999
+    argv = ["padic", "--params", half, "--beta", "8/3", "--p", "2", "--ell", f"1,{ell}", "--tau", "1/2",
+            "--delta", "1/20"]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert "Ntilde = 22144" in err and "cap 2000" in err
+
+
 def test_int_abbreviation():
     n = 123456789 * 10**300 + 987654321
     s = int_str(n, exact=False)

@@ -23,8 +23,8 @@ from gpade.pade import (
     numerator_at,
     oracle_solve,
     phi_coeffs,
-    phi_partial_sum,
-    phi_partial_sum_parts,
+    phi_merge,
+    phi_split,
     series_product_coeffs,
     verify_order,
 )
@@ -446,23 +446,47 @@ series_points = st.one_of(
 )
 
 
+def split_partial_sum(gp, j, z, T):
+    """The terms 0..T of phi_j at z from the `phi_split` piece over [0, T)."""
+    _, q, s, _ = phi_split(gp, j, z, (T,))[0]
+    return F(q + s, q)
+
+
 @settings(max_examples=60, deadline=None)
-@given(instance=closed_form_instances(), j=st.integers(1, 3), z=series_points, T=st.integers(-1, 600))
+@given(instance=closed_form_instances(), j=st.integers(1, 3), z=series_points, T=st.integers(0, 600))
 @example(instance=([F(1), F(1, 2)], (1,), (0,)), j=1, z=F(8, 3), T=3000)
 def test_partial_sum_matches_forward_sum(instance, j, z, T):
     gp = derive_params(instance[0])
     j = min(j, gp.m)
-    assert phi_partial_sum(gp, j, z, T) == reference_phi_partial_sum(gp, j, z, T)
+    assert split_partial_sum(gp, j, z, T) == reference_phi_partial_sum(gp, j, z, T)
 
 
 @settings(max_examples=40, deadline=None)
-@given(instance=closed_form_instances(), j=st.integers(1, 3), z=series_points, T=st.integers(-1, 300))
-def test_partial_sum_parts_hold_the_last_term(instance, j, z, T):
+@given(
+    instance=closed_form_instances(),
+    j=st.integers(1, 3),
+    z=series_points,
+    cuts=st.lists(st.integers(0, 300), min_size=1, max_size=4).map(sorted),
+)
+def test_partial_sum_parts_hold_the_last_term(instance, j, z, cuts):
+    # each piece over [lo, hi) carries the term ratio and the tail from lo,
+    # and the pieces merge into the piece over [0, hi)
     gp = derive_params(instance[0])
     j = min(j, gp.m)
-    num, q, r, p = phi_partial_sum_parts(gp, j, z, T)
-    assert r > 0 and q == r * z.denominator ** max(T, 0)
-    assert F(p, q) == (phi_coeffs(gp, j, T)[T] * z**T if T >= 0 else 0)
+    pieces = phi_split(gp, j, z, tuple(cuts))
+    assert len(pieces) == len(cuts)
+
+    def term(t):
+        return phi_coeffs(gp, j, t)[t] * z**t
+
+    for lo, hi, (p, q, s, r) in zip([0, *cuts], cuts, pieces):
+        assert r > 0 and q == r * z.denominator ** (hi - lo)
+        assert term(lo) * F(p, q) == term(hi)
+        assert term(lo) * F(s, q) == sum((term(t) for t in range(lo + 1, hi + 1)), F(0))
+    merged = (1, 1, 0, 1)
+    for piece in pieces:
+        merged = phi_merge(merged, piece)
+    assert merged == phi_split(gp, j, z, (cuts[-1],))[0]
 
 
 def reference_numerator_value(family, i, a, b):
@@ -489,21 +513,23 @@ def test_numerator_value_matches_product_series(alphas, n1, extra, a, b, g):
     shape = ApproxShape(n=(n1,), n0=n1 + extra % (2 * n1 + 1))
     family = build_family(gp, shape)
     for i in (0, 1):
-        num, den, hq = numerator_at(gp, family.q[i], 1, a * g, b * g, shape.Nij(i, 1))
-        assert den > 0
-        assert F(num, den) == reference_numerator_value(family, i, a * g, b * g)
+        T = shape.Nij(i, 1)
+        head = phi_split(gp, 1, F(a, b), (T - n1,))[0]
+        num, hq, acc, G = numerator_at(gp, family.q[i], 1, a * g, b * g, T, head)
+        assert G > 0
+        assert F(num, head[1] * family.q[i].den * (b * g) ** n1 * G) == reference_numerator_value(family, i, a * g, b * g)
         assert hq == cleared_eval(family.q[i], a * g, b * g)[0]
 
 
 def test_partial_sum_edges():
     gp = derive_params([F(1), F(1, 2), F(1, 3)])
-    assert phi_partial_sum(gp, 2, F(5, 3), 0) == 1
-    assert phi_partial_sum(gp, 2, F(5, 3), -1) == 0
-    assert phi_partial_sum(gp, 2, F(5, 3), -7) == 0
-    assert phi_partial_sum(gp, 1, F(0), 9) == 1
+    assert phi_split(gp, 2, F(5, 3), (0,)) == [(1, 1, 0, 1)]  # the terms 0..0 sum to 1
+    assert phi_split(gp, 2, F(5, 3), ()) == []
+    assert phi_split(gp, 2, F(5, 3), (3, 3))[1] == (1, 1, 0, 1)
+    assert split_partial_sum(gp, 1, F(0), 9) == 1
     for j in (0, 3):
         with pytest.raises(ValueError, match="series index out of range"):
-            phi_partial_sum(gp, j, F(1, 2), 4)
+            phi_split(gp, j, F(1, 2), (4,))
 
 
 def test_determinant_hand_instance(half):

@@ -2,10 +2,14 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpade.denom import ThetaMode
-from gpade.errors import DomainViolation
+from gpade.errors import DomainViolation, IntegerDifference
 from gpade.padic import (
+    _tail_floor,
+    _truncation_order,
     LinearFormInstance,
     audit_linear_form,
     eval_all_phi,
@@ -16,6 +20,8 @@ from gpade.padic import (
     select_block_degrees,
 )
 from gpade.params import derive_params
+
+from conftest import ALPHA_POOL
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +249,54 @@ def test_audit_three_series():
     assert rep["dominance_holds"] is True
     assert rep["chain_consistency"] is True
     assert rep["valuations"]["lambda"] == rep["witness"]["lambda_valuation"]
+
+
+def reference_truncation_order(gp, p, q, target):
+    """The former scan: T from 3 up, one `_tail_floor` per step."""
+    T = 3
+    while _tail_floor(gp, p, q, T + 1) < target:
+        T += 1
+    return T
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alphas=st.lists(st.sampled_from(ALPHA_POOL), min_size=2, max_size=4, unique=True),
+    p=st.sampled_from([2, 3, 5, 7, 11, 101]),
+    q=st.fractions(min_value=F(1, 2), max_value=6, max_denominator=12),
+    target=st.integers(-5, 600),
+)
+@example(alphas=[F(1), F(1, 2)], p=2, q=F(1, 2), target=600)  # the slowest rate: the runs of k matter most
+def test_truncation_order_matches_the_scan(alphas, p, q, target):
+    # the run-by-run search returns the scan's T wherever floor_log(p, U + V n) steps
+    try:
+        gp = derive_params(alphas)
+    except IntegerDifference:
+        return
+    assert _truncation_order(gp, p, q, target) == reference_truncation_order(gp, p, q, target)
+
+
+def reference_block_degrees(inst, a):
+    """The former degree search: t counted up one power at a time."""
+    A, tn, td = abs(a), inst.tau.numerator, inst.tau.denominator
+    out = []
+    for hj in inst.h:
+        rhs = hj**td * inst.htilde**tn
+        t = 0
+        while A ** ((t + 1) * td) <= rhs:
+            t += 1
+        out.append(max(1, t))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ell=st.lists(st.integers(-(10**40), 10**40), min_size=2, max_size=4).filter(any),
+    a=st.integers(2, 10**6),
+    tau=st.fractions(min_value=F(1, 7), max_value=3, max_denominator=7),
+)
+@example(ell=[8, 8**5], a=8, tau=F(1))  # h_j Htilde^tau an exact power of a
+def test_block_degrees_match_the_step_search(ell, a, tau):
+    inst = LinearFormInstance(ell=tuple(ell), tau=tau, delta=F(0))
+    sel = select_block_degrees(inst, a)
+    assert [sel.shape.n0, *sel.shape.n] == reference_block_degrees(inst, a)

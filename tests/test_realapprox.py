@@ -31,7 +31,7 @@ from gpade.errors import (
     InvariantViolation,
     PrecisionInsufficient,
 )
-from gpade.pade import ApproxShape, build_family
+from gpade.pade import ApproxShape, build_family, phi_coeffs
 from gpade.params import GParams, derive_params
 from gpade.realapprox import (
     _nearest_integer,
@@ -45,7 +45,10 @@ from gpade.realapprox import (
     restricted_threshold,
     smallest_admissible_b,
 )
+from gpade.realseries import rows_at
 from gpade.report import Check, abbrev, emit_report, entry, fmt_real, full_digits, int_str, rational, tagged_bound
+
+from conftest import ALPHA_POOL
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +297,79 @@ def test_audit_integrality_is_a_real_check(gp11, monkeypatch):
         assert scaled.denominator != 1
         assert checks[f"integrality_scaled_q_{i}"].failed
         assert checks[f"integrality_scaled_q_{i}"].lhs == f"{scaled.numerator}/{scaled.denominator}"
+
+
+def test_audit_p_integrality_is_a_real_check(gp11, monkeypatch):
+    # without D2 the scaled P_i1(beta) are not integers: the checks must fail
+    # and show D1 b^(n0+1) P_i1(beta), computed here from P_i1's coefficients
+    mode = ThetaMode.sharp()
+    b = smallest_admissible_b(gp11, 1, mode, F(2))
+    inst = make_restricted_instance(gp11, a=1, b=b, B=1, t=F(0), mode=mode, vartheta=F(2))
+    monkeypatch.setattr(gpade.realapprox, "restricted_d2", lambda gp, n0: FactoredInteger.one())
+    checks = {c.name: c for c in audit_restricted(inst)["checks"]}
+    fam = build_family(gp11, ApproxShape(n=(inst.n1,), n0=inst.n0))
+    d1 = restricted_d1(gp11, inst.n1, inst.n0).value
+    for i in (0, 1):
+        hp, lp = cleared_eval(fam.p_coeffs(i, 1), 1, b)
+        scaled = F(d1 * b ** (inst.n0 + 1) * hp, lp * b ** fam.shape.Nij(i, 1))
+        assert scaled.denominator != 1
+        assert checks[f"integrality_scaled_p_{i}"].failed
+        assert checks[f"integrality_scaled_p_{i}"].lhs == f"{scaled.numerator}/{scaled.denominator}"
+
+
+def reference_rows(gp, n1, n0, a, b, T, clear):
+    """The enclosure ends and each row's (Q_i(beta), v, remainder) by the
+    cancellation formulas: P_i1(beta) from P_i1's coefficients (the product
+    series), phi_1's partial sum term by term, and the remainder as
+    max |x Q_i(beta) - P_i1(beta)| over the two ends x."""
+    beta = F(a, b)
+    s_T = sum(cf * beta**t for t, cf in enumerate(phi_coeffs(gp, 1, T)))
+    tail = abs(beta) ** (T + 1) / (1 - abs(beta))
+    ends = (s_T, s_T + tail) if beta > 0 or (T + 1) % 2 == 0 else (s_T - tail, s_T)
+    family = build_family(gp, ApproxShape(n=(n1,), n0=n0))
+    rows = []
+    for i in (0, 1):
+        hq, lq = cleared_eval(family.q[i], a, b)
+        hp, lp = cleared_eval(family.p_coeffs(i, 1), a, b)
+        q_val, p_val = F(hq, lq * b**n1), F(hp, lp * b ** (n0 + i))
+        v = clear * b ** (n0 + 1) * p_val
+        rem = max(abs(x * q_val - p_val) for x in ends)
+        rows.append((hq, v, rem))
+    return ends, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alphas=st.tuples(st.sampled_from(ALPHA_POOL), st.sampled_from(ALPHA_POOL)),
+    n1=st.integers(1, 40),
+    extra=st.integers(0, 80),
+    a=st.integers(-40, 40).filter(bool),
+    b=st.integers(41, 10**12),
+    g=st.integers(1, 6),
+    dT=st.integers(-120, 120),
+    cleared=st.booleans(),
+)
+@example(alphas=(F(1), F(1)), n1=21, extra=42, a=-3, b=14590540195783, g=1, dT=49, cleared=True)  # T + 1 = 92
+@example(alphas=(F(1), F(1)), n1=29, extra=58, a=-3, b=14590540195783, g=1, dT=66, cleared=True)  # T + 1 = 125
+@example(alphas=(F(2), F(1, 2)), n1=3, extra=4, a=5, b=77, g=4, dT=-3, cleared=False)  # T = 1 < c_0 = 4
+@example(alphas=(F(1), F(1, 2)), n1=5, extra=4, a=1, b=50, g=2, dT=1, cleared=True)  # T = c_1 = 5
+def test_rows_match_the_cancellation_formulas(alphas, n1, extra, a, b, g, dT, cleared):
+    # m = 1 at beta = a g / (b g): the tails and the cofactor division give
+    # the same rationals as the full-length products, for T on both sides of
+    # c_i = n0 - n1 + i and either parity of T + 1, integral or not
+    gp = derive_params(list(alphas))
+    n0 = n1 + extra % (2 * n1 + 1)
+    T = max(0, n0 - n1 + dT)
+    clear = restricted_d1(gp, n1, n0).value * restricted_d2(gp, n0).value if cleared else 1 + abs(a)
+    shape = ApproxShape(n=(n1,), n0=n0)
+    qs = [build_family(gp, shape).q[i] for i in (0, 1)]
+    (lo, hi, den), rows = rows_at(gp, qs, n0, a * g, b * g, T, clear)
+    ends, ref = reference_rows(gp, n1, n0, a * g, b * g, T, clear)
+    assert den > 0 and (F(lo, den), F(hi, den)) == ends
+    for (hq, v, (rn, rd)), (hq_ref, v_ref, rem_ref) in zip(rows, ref):
+        assert hq == hq_ref
+        assert v == v_ref and type(v) is (int if v_ref.denominator == 1 else Fraction)
+        assert rd > 0 and F(rn, rd) == rem_ref
 
 
 def reference_nearest(lo, hi, den):
