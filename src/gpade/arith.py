@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -305,27 +304,31 @@ def integer_nth_root(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class _FactoredFields(NamedTuple):
+    value: int
+    factors: tuple[tuple[int, int], ...]
+
+
+class FactoredInteger(_FactoredFields):
     """A positive integer together with its prime factorization.
 
     Invariants: primes strictly increasing, exponents >= 1, and the product
     of p^e equals `value` (checked on construction).
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, value: int, factors: tuple[tuple[int, int], ...]):
         prod = 1
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last or e < 1:
                 raise ValueError("factors must have ascending primes, e >= 1")
             last = p
             prod *= p**e
-        if prod != self.value or self.value < 1:
+        if prod != value or value < 1:
             raise ValueError("factorization does not match value")
+        return tuple.__new__(cls, (value, factors))
 
     @classmethod
     def one(cls) -> "FactoredInteger":
@@ -415,20 +418,24 @@ def dyadic_down(x: Fraction, bits: int) -> Fraction:
     return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
 
 
-@dataclass(frozen=True)
-class Interval:
+class _IntervalFields(NamedTuple):
+    lo: Fraction
+    hi: Fraction
+
+
+class Interval(_IntervalFields):
     """A rational enclosure [lo, hi] of a real number.
 
     All operations round outward, so any Interval produced here certifiably
     contains the exact real it stands for.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise InvariantViolation("empty interval: lo > hi")
+        return tuple.__new__(cls, (lo, hi))
 
     @classmethod
     def point(cls, q) -> "Interval":

@@ -14,10 +14,10 @@ side, and report rather than assume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .arith import (
     FactoredInteger,
@@ -66,8 +66,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaMode:
+class ThetaMode(NamedTuple):
     """A constant theta > 1 with a certified threshold c(theta) such that the
     prime count satisfies pi(x) <= theta * x / log x for all x >= c(theta).
 
@@ -152,8 +151,7 @@ def compute_d2(gp: GParams, shape: ApproxShape) -> FactoredInteger:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SizeConstants:
+class SizeConstants(NamedTuple):
     """Directed upper enclosures of the eight log-scale size constants."""
 
     mode: ThetaMode
@@ -198,8 +196,7 @@ def bound_constants(gp: GParams, mode: ThetaMode, prec: int = 128) -> SizeConsta
     return SizeConstants(mode=mode, precision=prec, iv=(dummy, c1, c2, c3, c4, c5, c6, c7, c8))
 
 
-@dataclass(frozen=True)
-class DenominatorCert:
+class DenominatorCert(NamedTuple):
     """D1, D2, D = D1*D2 for a concrete (gp, shape), plus size constants."""
 
     d1: FactoredInteger
@@ -320,8 +317,7 @@ def check_size_bounds(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScaledSystem:
+class ScaledSystem(NamedTuple):
     """The integers D*b^Ntilde*Q_i(beta) and D*b^Ntilde*P_ij(beta), whose
     stacked (m+1) x (m+1) integer matrix is nonsingular."""
 
@@ -379,8 +375,7 @@ def ntilde1_interval(gp: GParams, cns: SizeConstants, beta: Fraction, p: int) ->
     return t1.max_with(t2).max_with(t3)
 
 
-@dataclass(frozen=True)
-class RemainderBound:
+class RemainderBound(NamedTuple):
     a14: Fraction
     lemma6_upper: Fraction
     lemma6_applicable: bool

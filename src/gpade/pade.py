@@ -33,10 +33,10 @@ dense matrices.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .arith import Grid, cleared, pochhammer, poly_eval
 from .errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
@@ -68,22 +68,26 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ApproxShape:
+class _ShapeFields(NamedTuple):
+    n: tuple[int, ...]
+    n0: int
+
+
+class ApproxShape(_ShapeFields):
     """Block degrees n_1..n_m plus the free degree n0 >= max n_j.
 
     Fixes N_j = N + n0 - n_j, so every N_j >= N - 1 automatically and the
     shifted per-row degrees are N_ij = N_j + delta_ij.
     """
 
-    n: tuple[int, ...]
-    n0: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.n or any(k < 1 for k in self.n):
+    def __new__(cls, n: tuple[int, ...], n0: int):
+        if not n or any(k < 1 for k in n):
             raise ValueError("block degrees must be positive")
-        if self.n0 < max(self.n):
+        if n0 < max(n):
             raise ValueError("n0 must be >= max n_j")
+        return tuple.__new__(cls, (n, n0))
 
     @property
     def m(self) -> int:
@@ -121,6 +125,10 @@ class ApproxShape:
 
 _ratio_cache: dict[tuple[GParams, int], list[Fraction]] = {}
 Piece = tuple[int, int, int, int]  # a `phi_split` piece (P, Q, S, R)
+# `phi_split` sums ranges of at most this many terms by a loop, where the
+# operands are still short and a call and a merge per term would cost more
+# than the products (8 to 32 terms time alike, 16 slightly best)
+_LEAF_TERMS = 16
 
 
 def phi_coeffs(gp: GParams, j: int, upto: int) -> list[Fraction]:
@@ -148,25 +156,33 @@ def phi_split(gp: GParams, j: int, z: Fraction, cuts: tuple[int, ...]) -> list[P
     integers: the term of order hi is the term of order lo times P / Q, and
     the terms of orders lo+1..hi add up to the term of order lo times S / Q.
     An empty range is (1, 1, 0, 1), and adjacent pieces merge by `phi_merge`
-    (binary splitting, Haible & Papanikolaou 1998).  So one split serves every
-    partial sum through a cut and every tail between two cuts.
+    (binary splitting, Haible & Papanikolaou 1998), which is associative, so
+    ranges of up to `_LEAF_TERMS` terms are summed by a loop with the same
+    result.  One split serves every partial sum through a cut and every tail
+    between two cuts.
     """
     if not 1 <= j <= gp.m:
         raise ValueError("series index out of range")
     z = Fraction(z)
     aj = gp.alpha[j]
     a0j = aj + gp.alpha[0]
+    # p(n) = pn + n pd and r(n) = rn + n rd
     pc = a0j.denominator * z.numerator
+    pn, pd = aj.numerator * pc, aj.denominator * pc
+    rn, rd = a0j.numerator * aj.denominator, a0j.denominator * aj.denominator
+    zd = z.denominator
 
     def split(lo: int, hi: int) -> Piece:
-        if hi - lo == 1:
-            p = (aj.numerator + lo * aj.denominator) * pc
-            r = (a0j.numerator + lo * a0j.denominator) * aj.denominator
-            return p, r * z.denominator, p, r
-        if hi <= lo:
-            return 1, 1, 0, 1
-        mid = (lo + hi) // 2
-        return phi_merge(split(lo, mid), split(mid, hi))
+        if hi - lo > _LEAF_TERMS:
+            mid = (lo + hi) // 2
+            return phi_merge(split(lo, mid), split(mid, hi))
+        # a short range: one-term pieces merged in order onto the empty piece
+        P, Q, S, R = 1, 1, 0, 1
+        for n in range(lo, hi):
+            p, r = pn + n * pd, rn + n * rd
+            q = r * zd
+            P, Q, S, R = P * p, Q * q, S * q + P * p, R * r
+        return P, Q, S, R
 
     return [split(lo, hi) for lo, hi in zip((0, *cuts), cuts)]
 
@@ -329,8 +345,7 @@ def numerator_at(gp: GParams, q: Grid, j: int, a: int, b: int, T: int, head: Pie
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PadeFamily:
+class PadeFamily(NamedTuple):
     gp: GParams
     shape: ApproxShape
     q: tuple[Grid, ...]  # (m+1) grids of denominator coeffs

@@ -8,9 +8,9 @@ be zero, so zero is never claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log, prod
+from typing import NamedTuple
 
 from .arith import (
     Interval,
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PAdicEnclosure:
+class PAdicEnclosure(NamedTuple):
     """value = p^valuation_offset * (unit_residue + O(p^k)).
 
     When k >= 1 the residue is a unit, so |value|_p = p^-valuation_offset is
@@ -140,8 +139,7 @@ def eval_all_phi(gp: GParams, beta: Fraction, p: int, k: int) -> tuple[PAdicEncl
     return tuple(eval_phi_padic(gp, j, beta, p, k) for j in range(1, gp.m + 1))
 
 
-@dataclass(frozen=True)
-class LinearFormValuation:
+class LinearFormValuation(NamedTuple):
     """|L|_p of an integer combination of enclosed values: either the exact
     valuation, or a certified bound |L|_p <= p^-precision_exponent."""
 
@@ -190,17 +188,21 @@ def linear_form_valuation(values: tuple[PAdicEnclosure, ...], ell: tuple[int, ..
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearFormInstance:
+class _FormFields(NamedTuple):
     ell: tuple[int, ...]
     tau: Fraction
     delta: Fraction
 
-    def __post_init__(self):
-        if all(l == 0 for l in self.ell):
+
+class LinearFormInstance(_FormFields):
+    __slots__ = ()
+
+    def __new__(cls, ell: tuple[int, ...], tau: Fraction, delta: Fraction):
+        if all(l == 0 for l in ell):
             raise ValueError("the zero form is excluded")
-        if self.tau <= 0 or self.delta < 0:
+        if tau <= 0 or delta < 0:
             raise ValueError("need tau > 0 and delta >= 0")
+        return tuple.__new__(cls, (ell, tau, delta))
 
     @property
     def m(self) -> int:
@@ -216,8 +218,7 @@ class LinearFormInstance:
         return prod(self.h)
 
 
-@dataclass(frozen=True)
-class BlockDegreeSelection:
+class BlockDegreeSelection(NamedTuple):
     shape: ApproxShape
     clamped: tuple[bool, ...]  # index 0 is n0
     checks: dict

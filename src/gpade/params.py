@@ -10,7 +10,6 @@ maxima) are derived once here and frozen.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
@@ -31,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GParams:
+class GParams(NamedTuple):
     """Immutable bundle of the series parameters and all derived integers.
 
     Indexing convention: r/s cover j = 0..m (alpha_j = r_j/s_j reduced);

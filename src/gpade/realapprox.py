@@ -8,8 +8,8 @@ the chain is either decided exactly or with directed rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import (
     FactoredInteger,
@@ -121,8 +121,7 @@ def c_of_vartheta(vartheta: Fraction) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class RestrictedConstants:
+class RestrictedConstants(NamedTuple):
     mode: ThetaMode
     vartheta: Fraction
     c_vartheta: int
@@ -227,8 +226,7 @@ def restricted_threshold(
     return m0, detail
 
 
-@dataclass(frozen=True)
-class RestrictedInstance:
+class RestrictedInstance(NamedTuple):
     gp: GParams
     constants: RestrictedConstants
     a: int

@@ -9,9 +9,9 @@ integers above 40 digits unless exact output was requested.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import Interval, digits10, floor_log10_ratio
 
@@ -125,8 +125,7 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One check of a report: a rendered left side against a rendered right side.
 
     `passed` is the numeric outcome either way; `applicable` records whether
@@ -161,7 +160,7 @@ def tagged_bound(value: Fraction, digits: int, direction: str, precision: int) -
 def canonical(obj, exact: bool = False):
     """Convert a result object into deterministic JSON-ready primitives."""
     if isinstance(obj, Check):
-        obj = asdict(obj)
+        obj = obj._asdict()
     if isinstance(obj, Interval):
         return {"lo": fmt_real(obj.lo, 24), "hi": fmt_real(obj.hi, 24), "direction": "outward"}
     if isinstance(obj, Fraction):

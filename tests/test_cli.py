@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -286,7 +285,7 @@ def test_scaled_construct_with_d_that_does_not_clear(params_file, capsys, monkey
 
     def short_cert(*args, **kwargs):
         cert = make_cert(*args, **kwargs)
-        return replace(cert, d=FactoredInteger.of(cert.d.value // 5))
+        return cert._replace(d=FactoredInteger.of(cert.d.value // 5))
 
     monkeypatch.setattr(cli_mod, "make_cert", short_cert)
     path = params_file(HALF)

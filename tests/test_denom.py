@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -84,7 +83,7 @@ def test_integrality_report(half):
     rep = verify_integrality(fam, cert)
     assert rep["passed"] and rep["violations"] == []
     # dropping D2 must surface the numerator violation (15 * 4/9 not integral)
-    crippled = replace(cert, d=cert.d1)
+    crippled = cert._replace(d=cert.d1)
     rep2 = verify_integrality(fam, crippled)
     assert not rep2["passed"]
     assert any(v[0] == "p" for v in rep2["violations"])
@@ -97,7 +96,7 @@ def test_size_bounds_zeroed_constants_fail():
     fam = build_family(gp, shape)
     cert = make_cert(gp, shape, ThetaMode.paper())
     zero = Interval.point(F(0))
-    broken = replace(cert, constants=replace(cert.constants, iv=(zero,) * 9))
+    broken = cert._replace(constants=cert.constants._replace(iv=(zero,) * 9))
     failed = [e for e in check_size_bounds(fam, broken, zs=(F(2),)) if e.failed]
     assert failed and all(e.applicable and not e.passed for e in failed)
     assert failed[0].name == "log_size_D" and failed[0].status == "FAIL"
@@ -180,7 +179,7 @@ def test_integrality_violations_match_fraction_reference():
     for p, _ in cert.d1.factors:
         d1 = FactoredInteger.from_exponents([(q, e) for q, e in cert.d1.factors if q != p])
         for d in (d1 * cert.d2, d1):
-            crippled = replace(cert, d1=d1, d=d)
+            crippled = cert._replace(d1=d1, d=d)
             rep = verify_integrality(fam, crippled)
             assert rep == reference_verify_integrality(fam, crippled)
             kinds |= {v[0] for v in rep["violations"]}
@@ -198,7 +197,7 @@ def test_failing_numerator_bound_matches_fraction_reference():
     zero = Interval.point(F(0))
     for shift in range(0, 400, 10):
         iv = (zero, *cert.constants.iv[1:5], Interval.point(F(-shift)), zero, zero, cert.constants.iv[8])
-        shrunk = replace(cert, constants=replace(cert.constants, iv=iv))
+        shrunk = cert._replace(constants=cert.constants._replace(iv=iv))
         checks = check_size_bounds(fam, shrunk)
         numer = [e for e in checks if e.name.startswith("numer_poly") and not e.passed]
         if numer:
@@ -263,7 +262,7 @@ def test_scaled_integers_match_fraction_horner():
         assert F(sc.qi[i]) == scaled(fam.q[i].values())
         assert tuple(map(F, sc.pij[i])) == tuple(scaled(fam.p_coeffs(i, j).values()) for j in (1, 2))
     with pytest.raises(IntegralityViolation):
-        scaled_integers(fam, replace(cert, d=FactoredInteger.one()), beta)
+        scaled_integers(fam, cert._replace(d=FactoredInteger.one()), beta)
 
 
 def test_remainder_bound_hand_instance(half):

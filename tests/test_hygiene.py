@@ -3,6 +3,10 @@
 - no module imports another module's `_`-prefixed name;
 - no `assert` statement (invariants raise `InvariantViolation`, which
   `python -O` cannot strip);
+- no module imports `dataclasses`, and `import gpade.cli` does not load it:
+  records are `NamedTuple`s, which generate no code at import, and each
+  record stays immutable, equal and hashable by value, and keeps its
+  constructor checks under `python -O`;
 - every name in a module's `__all__`, and every name the package re-exports,
   resolves;
 - every function the benchmark tracer wraps (`TRACED` in `bench/tracing.py`)
@@ -24,11 +28,19 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from gpade.arith import FactoredInteger, Grid, Interval
 from gpade.cli import _build_parser
+from gpade.denom import ThetaMode, make_cert, remainder_padic_bound, scaled_integers
+from gpade.pade import ApproxShape, build_family
+from gpade.padic import LinearFormInstance, eval_phi_padic, linear_form_valuation, select_block_degrees
+from gpade.params import derive_params, padic_domain_check
+from gpade.realapprox import make_restricted_instance, smallest_admissible_b
+from gpade.report import entry
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gpade"
@@ -59,6 +71,140 @@ def test_no_private_cross_module_import(path):
 def test_no_assert_statement(path):
     lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_dataclasses_import(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names))
+    ]
+    assert lines == []
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = "import sys, gpade.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def _record_samples() -> list:
+    """One instance of every record type of the package, built by the code
+    that builds it in a report."""
+    gp = derive_params([F(1), F(1, 2)])
+    shape = ApproxShape(n=(1,), n0=1)
+    family = build_family(gp, shape)
+    cert = make_cert(gp, shape, ThetaMode.paper())
+    enc = eval_phi_padic(gp, 1, F(8, 3), 2, 8)
+    form = LinearFormInstance(ell=(5, 4), tau=F(1, 2), delta=F(1, 20))
+    gp11, sharp = derive_params([F(1), F(1)]), ThetaMode.sharp()
+    b = smallest_admissible_b(gp11, 1, sharp, F(2))
+    restricted = make_restricted_instance(gp11, a=1, b=b, B=1, t=F(0), mode=sharp, vartheta=F(2))
+    return [
+        FactoredInteger.of(360),
+        Interval(F(1, 3), F(1, 2)),
+        Grid.of(6, (3, 4)),
+        gp,
+        padic_domain_check(gp, 2, F(8)),
+        shape,
+        family,
+        cert.constants.mode,
+        cert.constants,
+        cert,
+        scaled_integers(family, cert, F(8, 3), p=2),
+        remainder_padic_bound(gp, shape, F(8, 3), 2, cert),
+        enc,
+        linear_form_valuation((enc,), (0, 1)),
+        form,
+        select_block_degrees(form, 8),
+        restricted.constants,
+        restricted,
+        entry("sample", True, True, F(1, 3), 1),
+    ]
+
+
+def _record_types() -> set[type]:
+    """Every public NamedTuple class defined in a module of the package."""
+    found = set()
+    for path in MODULES:
+        module = importlib.import_module(_module_name(path))
+        for name, obj in vars(module).items():
+            is_record = isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+            if is_record and not name.startswith("_") and obj.__module__ == module.__name__:
+                found.add(obj)
+    return found
+
+
+def test_records_are_immutable_values():
+    samples = _record_samples()
+    assert {type(x) for x in samples} == _record_types()
+    for x in samples:
+        cls, name = type(x), type(x).__name__
+        with pytest.raises(AttributeError):
+            setattr(x, x._fields[0], None)
+        with pytest.raises(AttributeError):
+            x.extra = None  # no instance dict
+        twin = cls(*x)
+        assert twin == x and twin is not x
+        if any(isinstance(v, dict) for v in x):
+            with pytest.raises(TypeError):  # a dict field makes the record unhashable
+                hash(x)
+        else:
+            assert hash(twin) == hash(x)
+        fields = ", ".join(f"{f}={getattr(x, f)!r}" for f in x._fields)
+        assert repr(x) == f"{name}({fields})"
+
+
+# Each constructor check of a record, run under `python -O`: the bad fields,
+# and the error type and message the check raises.
+_OPTIMIZED_CHECKS = """
+from fractions import Fraction as F
+from gpade.arith import FactoredInteger, Interval
+from gpade.pade import ApproxShape
+from gpade.padic import LinearFormInstance
+cases = [
+    (Interval, (F(1, 2), F(1, 3))),
+    (FactoredInteger, (12, ((3, 1), (2, 2)))),
+    (FactoredInteger, (12, ((2, 2),))),
+    (FactoredInteger, (0, ())),
+    (ApproxShape, ((), 1)),
+    (ApproxShape, ((2, 0), 2)),
+    (ApproxShape, ((1, 3), 2)),
+    (LinearFormInstance, ((0, 0), F(1, 2), F(0))),
+    (LinearFormInstance, ((1, 1), F(0), F(0))),
+    (LinearFormInstance, ((1, 1), F(1, 2), F(-1))),
+]
+for cls, fields in cases:
+    try:
+        cls(*fields)
+    except Exception as exc:
+        print(cls.__name__, type(exc).__name__, exc)
+    else:
+        print(cls.__name__, "accepted")
+"""
+
+
+def test_record_checks_hold_under_optimize():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "Interval InvariantViolation empty interval: lo > hi",
+        "FactoredInteger ValueError factors must have ascending primes, e >= 1",
+        "FactoredInteger ValueError factorization does not match value",
+        "FactoredInteger ValueError factorization does not match value",
+        "ApproxShape ValueError block degrees must be positive",
+        "ApproxShape ValueError block degrees must be positive",
+        "ApproxShape ValueError n0 must be >= max n_j",
+        "LinearFormInstance ValueError the zero form is excluded",
+        "LinearFormInstance ValueError need tau > 0 and delta >= 0",
+        "LinearFormInstance ValueError need tau > 0 and delta >= 0",
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

@@ -1,6 +1,5 @@
 import random
 from copy import deepcopy
-from dataclasses import replace
 from fractions import Fraction as F
 from math import factorial, gcd, lcm
 from operator import mul
@@ -119,7 +118,7 @@ def plus_one(grid, k):
 
 def test_verify_order_reads_the_denominators(half):
     gp, shape, fam = half
-    broken = replace(fam, q=(plus_one(fam.q[0], 0), fam.q[1]))
+    broken = fam._replace(q=(plus_one(fam.q[0], 0), fam.q[1]))
     assert verify_order(broken) == {(0, 1): False, (1, 1): True}
 
 
@@ -489,6 +488,39 @@ def test_partial_sum_parts_hold_the_last_term(instance, j, z, cuts):
     assert merged == phi_split(gp, j, z, (cuts[-1],))[0]
 
 
+def reference_phi_split(gp, j, z, cuts):
+    """The former kernel: every range split down to one-term leaves."""
+    aj = gp.alpha[j]
+    a0j = aj + gp.alpha[0]
+
+    def split(lo, hi):
+        if hi - lo == 1:
+            p = (aj.numerator + lo * aj.denominator) * a0j.denominator * z.numerator
+            r = (a0j.numerator + lo * a0j.denominator) * aj.denominator
+            return p, r * z.denominator, p, r
+        if hi <= lo:
+            return 1, 1, 0, 1
+        mid = (lo + hi) // 2
+        return phi_merge(split(lo, mid), split(mid, hi))
+
+    return [split(lo, hi) for lo, hi in zip((0, *cuts), cuts)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    instance=closed_form_instances(),
+    j=st.integers(1, 3),
+    z=series_points,
+    cuts=st.lists(st.integers(0, 200), max_size=5).map(sorted),
+)
+@example(instance=([F(1), F(1)], (1,), (0,)), j=1, z=F(1, 20014458431), cuts=(15, 16, 17, 33, 34, 600))
+def test_split_matches_one_term_leaves(instance, j, z, cuts):
+    # the leaf loop merges in another order; the pieces are the same integers
+    gp = derive_params(instance[0])
+    j = min(j, gp.m)
+    assert phi_split(gp, j, z, tuple(cuts)) == reference_phi_split(gp, j, z, tuple(cuts))
+
+
 def reference_numerator_value(family, i, a, b):
     """P_i1(a/b) from the coefficients of P_i1, built by the product series."""
     hp, lp = cleared_eval(family.p_coeffs(i, 1), a, b)
@@ -573,7 +605,7 @@ def test_determinant_rejects_corruption():
             L, nums = fam.q[i]
             qq = list(fam.q)
             qq[i] = Grid(L, (*nums[:degree], nums[degree] + 1, *nums[degree + 1 :]))
-            broken = replace(fam, q=tuple(qq))
+            broken = fam._replace(q=tuple(qq))
             with pytest.raises(NonMonomialDeterminant):
                 family_det(broken)
 

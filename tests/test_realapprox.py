@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import time
@@ -701,12 +700,12 @@ def test_audit_matches_fraction_reference(key, mode, a, offset, Bt, extra_M, shi
     if a1_one:
         # a1 = 1 shrinks the envelope 1/(B b^M (a1^18 |a|^17)^M) below the
         # true distance, so the final bound and the remainder checks can fail
-        inst = dataclasses.replace(inst, constants=dataclasses.replace(inst.constants, a1=Interval.point(F(1))))
+        inst = inst._replace(constants=inst.constants._replace(a1=Interval.point(F(1))))
     if shift is not None:
         # every integer n obeys the bound; a shifted candidate changes the
         # distances and the cleared combinations
         _, nearest = reference_audit_restricted(inst)
-        inst = dataclasses.replace(inst, candidate_n=nearest + shift)
+        inst = inst._replace(candidate_n=nearest + shift)
     expected = outcome(lambda i: reference_audit_restricted(i)[0], inst)
     # the reference renders the cleared combinations in full, as --exact does;
     # without it the audit abbreviates them as the printed report would
