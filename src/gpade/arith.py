@@ -1,9 +1,14 @@
 """Exact arithmetic primitives.
 
-Everything here is exact: rationals are `fractions.Fraction`, integers are
-unbounded, and every irrational quantity is represented by a rational
-enclosure [lo, hi] with outward (directed) rounding.  No floating point is
-used anywhere in the computation paths.
+Everything here is exact: integers are unbounded, and rationals are
+`fractions.Fraction` or, on the hot paths, integers over one common
+denominator.  The coefficients of a polynomial lie on a `Grid` (den, nums),
+and every irrational quantity is an `Interval` (lo_num, hi_num, den), the
+rational enclosure [lo_num/den, hi_num/den] with outward (directed)
+rounding.  Both are normalized by one gcd, so equal values are equal tuples.
+`Interval` and the certified log, exp and root kernels live in `interval`
+and are re-exported here.  No floating point is used anywhere in the
+computation paths.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .errors import FactorizationLimit, InvariantViolation
+from .interval import Interval, exp_interval, exp_iv, integer_nth_root, log_interval, log_iv, nth_root_iv
 
 __all__ = [
     "Fraction",
@@ -38,8 +44,6 @@ __all__ = [
     "exp_interval",
     "exp_iv",
     "nth_root_iv",
-    "dyadic_up",
-    "dyadic_down",
     "integer_nth_root",
     "digits10",
     "floor_log10_ratio",
@@ -282,23 +286,6 @@ def p_valuation(q: Fraction, p: int) -> int:
     return -_v(q.denominator)
 
 
-def integer_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1, by Newton iteration on integers."""
-    if n < 0 or k < 1:
-        raise ValueError("integer_nth_root requires n >= 0, k >= 1")
-    if k == 1 or n < 2:
-        return n
-    x = 1 << ((n.bit_length() + k - 1) // k + 1)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    while x**k > n:
-        x -= 1
-    return x
-
-
 # ---------------------------------------------------------------------------
 # Factored positive integers
 # ---------------------------------------------------------------------------
@@ -360,7 +347,7 @@ class FactoredInteger(_FactoredFields):
 
 
 # ---------------------------------------------------------------------------
-# Directed rounding: dyadics and rational enclosures
+# Decimal size, product comparison and the epsilon constants
 # ---------------------------------------------------------------------------
 
 
@@ -402,247 +389,6 @@ def product_le(a: int, b: int, c: int, d: int) -> bool:
     if a and b and c and d and abs(left - right) >= 2:
         return left < right
     return a * b <= c * d
-
-
-def dyadic_up(x: Fraction, bits: int) -> Fraction:
-    """Smallest multiple of 2^-bits that is >= x."""
-    x = Fraction(x)
-    n = x.numerator << bits
-    d = x.denominator
-    return Fraction(-((-n) // d), 1 << bits)
-
-
-def dyadic_down(x: Fraction, bits: int) -> Fraction:
-    """Largest multiple of 2^-bits that is <= x."""
-    x = Fraction(x)
-    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
-
-
-class _IntervalFields(NamedTuple):
-    lo: Fraction
-    hi: Fraction
-
-
-class Interval(_IntervalFields):
-    """A rational enclosure [lo, hi] of a real number.
-
-    All operations round outward, so any Interval produced here certifiably
-    contains the exact real it stands for.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, lo: Fraction, hi: Fraction):
-        if lo > hi:
-            raise InvariantViolation("empty interval: lo > hi")
-        return tuple.__new__(cls, (lo, hi))
-
-    @classmethod
-    def point(cls, q) -> "Interval":
-        q = Fraction(q)
-        return cls(q, q)
-
-    def __add__(self, other):
-        o = other if isinstance(other, Interval) else Interval.point(other)
-        return Interval(self.lo + o.lo, self.hi + o.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        o = other if isinstance(other, Interval) else Interval.point(other)
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = other if isinstance(other, Interval) else Interval.point(other)
-        if self.lo >= 0 and o.lo >= 0:
-            return Interval(self.lo * o.lo, self.hi * o.hi)
-        cands = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Interval(min(cands), max(cands))
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "Interval":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("interval straddles zero")
-        return Interval(1 / self.hi, 1 / self.lo)
-
-    def __truediv__(self, other):
-        o = other if isinstance(other, Interval) else Interval.point(other)
-        return self * o.inv()
-
-    def pow_int(self, n: int) -> "Interval":
-        """[lo^n, hi^n], defined only for a nonnegative enclosure and n >= 0."""
-        if self.lo < 0 or n < 0:
-            raise InvariantViolation(f"pow_int needs lo >= 0 and n >= 0, got lo = {self.lo}, n = {n}")
-        # monotone on [0, inf); Fraction ** int skips the gcd of a product
-        return Interval(Fraction(self.lo) ** n, Fraction(self.hi) ** n)
-
-    def rounded(self, bits: int) -> "Interval":
-        return Interval(dyadic_down(self.lo, bits), dyadic_up(self.hi, bits))
-
-    def max_with(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
-
-
-# ---------------------------------------------------------------------------
-# Certified log / exp / roots over rationals
-# ---------------------------------------------------------------------------
-
-
-# The series below are summed in W-bit fixed point on plain ints, W = prec +
-# _GUARD_BITS: a value v stands for v / 2^W.  The lower sum floors every
-# product and quotient and the upper sum ceils them, so each sum bounds the
-# exact series from its side; the upper sum adds a geometric tail bound.
-_GUARD_BITS = 32
-
-
-def _atanh_series(t: Fraction, prec: int) -> Interval:
-    # 2*atanh(t) for 0 <= t < 1/2, with an explicit geometric tail bound.
-    if not 0 <= t < Fraction(1, 2):
-        raise InvariantViolation(f"atanh series needs 0 <= t < 1/2, got {t}")
-    if t == 0:
-        return Interval.point(0)
-    w = prec + _GUARD_BITS
-    n, d = t.numerator, t.denominator
-    lo = (n << w) // d  # lo / 2^W <= t
-    hi = -((-n << w) // d)  # hi / 2^W >= t, and hi <= 2^(W-1)
-    # lower: floored terms of the increasing series at lo / 2^W
-    lo2 = lo * lo
-    s_lo, x, k = 0, lo, 0
-    while x:
-        s_lo += x // (2 * k + 1)
-        x = (x * lo2) >> (2 * w)
-        k += 1
-    # upper: ceiled terms at u = hi / 2^W <= 1/2, y >= 2^W u^(2k+1); once
-    # y / (2k+1) is below one unit, the tail sum_{j>=k} u^(2j+1)/(2j+1) <=
-    # u^(2k+1) / ((2k+1)(1 - u^2)) is at most 2 ceil(y / (2k+1)) units
-    hi2 = hi * hi
-    s_hi, y, k = 0, hi, 0
-    while y >= 2 * k + 1:
-        s_hi += -(-y // (2 * k + 1))
-        y = -((-y * hi2) >> (2 * w))
-        k += 1
-    s_hi += 2 * -(-y // (2 * k + 1))
-    return Interval(Fraction(s_lo, 1 << (w - 1)), Fraction(s_hi, 1 << (w - 1))).rounded(prec + 8)
-
-
-@lru_cache(maxsize=None)
-def _log2_interval(prec: int) -> Interval:
-    # log 2 = 2*atanh(1/3)
-    return _atanh_series(Fraction(1, 3), prec)
-
-
-@lru_cache(maxsize=None)
-def log_interval(x: Fraction, prec: int = 128) -> Interval:
-    """Certified enclosure of the natural log of a positive rational."""
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("log of a nonpositive rational")
-    if x == 1:
-        return Interval.point(0)
-    if x < 1:
-        return -log_interval(1 / x, prec)
-    # write x = 2^e * m with m in [1, 2); here x > 1 so e >= 0
-    e = max(x.numerator.bit_length() - x.denominator.bit_length(), 0)
-    if (1 << e) > x:
-        e -= 1
-    m = x / (1 << e)
-    if m >= 2:
-        e += 1
-        m /= 2
-    if not 1 <= m < 2:
-        raise InvariantViolation(f"log reduction left mantissa {m} outside [1, 2)")
-    wp = prec + max(16, e.bit_length() + 8)
-    t = (m - 1) / (m + 1)  # in [0, 1/3)
-    body = _atanh_series(t, wp)
-    total = body + _log2_interval(wp) * e
-    return total.rounded(prec)
-
-
-def log_iv(iv: Interval, prec: int = 128) -> Interval:
-    return Interval(log_interval(iv.lo, prec).lo, log_interval(iv.hi, prec).hi)
-
-
-def _exp_core(n: int, d: int, prec: int) -> tuple[int, int]:
-    # exp(n/d) for 0 <= n/d <= 1/2 (d > 0, the pair need not be reduced) by
-    # Taylor series with a tail bound: integers (lo, hi) with lo / 2^(prec+8)
-    # <= exp(n/d) <= hi / 2^(prec+8)
-    if not 0 <= 2 * n <= d:
-        raise InvariantViolation(f"exp series needs 0 <= x <= 1/2, got {n}/{d}")
-    w = prec + _GUARD_BITS
-    one = 1 << w
-    lo = (n << w) // d
-    hi = -((-n << w) // d)  # hi <= 2^(W-1)
-    # lower: floored terms a_k = a_(k-1) * lo / (k 2^W)
-    s_lo, a, k = one, one, 1
-    while True:
-        a = (a * lo) // (k << w)
-        if not a:
-            break
-        s_lo += a
-        k += 1
-    # upper: ceiled terms; for k >= 1 the term ratio hi / ((k+1) 2^W) is at
-    # most 1/4, so once b <= 1 the terms from k on sum to at most 4b/3 units
-    s_hi, b, k = one, one, 1
-    while True:
-        b = -((-b * hi) // (k << w))
-        if b <= 1:
-            break
-        s_hi += b
-        k += 1
-    s_hi += 2 * b
-    shift = _GUARD_BITS - 8
-    return s_lo >> shift, -((-s_hi) >> shift)
-
-
-@lru_cache(maxsize=None)
-def exp_interval(x: Fraction, prec: int = 128) -> Interval:
-    """Certified enclosure of exp(x) for rational x."""
-    x = Fraction(x)
-    n, d = abs(x.numerator), x.denominator
-    if n == 0:
-        return Interval.point(1)
-    # exp|x| = exp(r)^(2^j) with r = n / (d 2^j) <= 1/2; the kernel's result
-    # is on the 2^-(wp+8) grid and each square lands on the 2^-wp grid, the
-    # lower end floored and the upper end ceiled
-    j = (-(-2 * n // d) - 1).bit_length()
-    wp = prec + 4 * j + 24
-    lo, hi = _exp_core(n, d << j, wp)
-    grid = wp + 8
-    for _ in range(j):
-        s = 2 * grid - wp
-        lo, hi = (lo * lo) >> s, -((-hi * hi) >> s)
-        grid = wp
-    s = grid - prec
-    lo, hi = lo >> s, -((-hi) >> s)  # exp|x| in [lo, hi] / 2^prec
-    if x > 0:
-        return Interval(Fraction(lo, 1 << prec), Fraction(hi, 1 << prec))
-    # exp(x) = 1 / exp|x|; keep relative precision: small values need a
-    # finer absolute grid, 2^-(prec + floor(log2 exp|x|.hi) + 8)
-    bits = prec + (hi >> prec).bit_length() + 7
-    one = 1 << (prec + bits)
-    return Interval(Fraction(one // hi, 1 << bits), Fraction(-(-one // lo), 1 << bits))
-
-
-def exp_iv(iv: Interval, prec: int = 128) -> Interval:
-    return Interval(exp_interval(iv.lo, prec).lo, exp_interval(iv.hi, prec).hi)
-
-
-def nth_root_iv(iv: Interval, k: int, prec: int = 128) -> Interval:
-    """Certified enclosure of the k-th root of a positive enclosure."""
-    if iv.lo <= 0:
-        raise ValueError("nth root requires a positive interval")
-    scale = 1 << (k * prec)
-    lo_int = (iv.lo.numerator * scale) // iv.lo.denominator
-    hi_int = -((-iv.hi.numerator * scale) // iv.hi.denominator)
-    r_lo = integer_nth_root(lo_int, k)
-    r_hi = integer_nth_root(hi_int, k)
-    if r_hi**k < hi_int:
-        r_hi += 1
-    return Interval(Fraction(r_lo, 1 << prec), Fraction(r_hi, 1 << prec))
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,6 @@ from .arith import (
     FactoredInteger,
     Interval,
     cleared_eval,
-    dyadic_up,
     epsilon_interval,
     exp_interval,
     exp_iv,
@@ -160,7 +159,7 @@ class SizeConstants(NamedTuple):
 
     def upper(self, k: int) -> Fraction:
         """The upper end of c_k rounded up to the 2^-precision grid."""
-        return dyadic_up(self.iv[k].hi, self.precision)
+        return self.iv[k].hi_up(self.precision)
 
     def exponent_13(self, shape: ApproxShape) -> Interval:
         return self.iv[1] + self.iv[2] * shape.n0 + self.iv[3] * shape.N + self.iv[4] * shape.Ntilde
@@ -256,8 +255,10 @@ def check_size_bounds(
     N >= c(theta).  LHS values are exact rationals, each polynomial's value
     at z = a/b an unreduced pair (H, L b^n) from `cleared_eval` on its grid;
     RHS values are upper dyadic bounds, so a PASS certifies the inequality
-    as stated.  Comparisons cross-multiply and rendering goes through
-    `fmt_ratio`; only a failing (i, j) is reported as reduced Fractions.
+    as stated, and each is an integer pair over the grid gn / gd of the
+    growth factor exp(c5 + c6 N + c7 Ntilde).  Comparisons cross-multiply
+    and rendering goes through `fmt_ratio`; only a failing (i, j) is
+    reported as reduced Fractions.
     """
     gp, shape = family.gp, family.shape
     cns = cert.constants
@@ -267,11 +268,11 @@ def check_size_bounds(
     out = []
 
     app_d = min(n0, N) >= c
-    rhs_d = exp_interval(cns.exponent_13(shape).hi, prec).hi
-    out.append(entry("log_size_D", app_d, Fraction(cert.d.value) <= rhs_d, cert.d.value, rhs_d))
+    _, dn, dd = exp_interval(cns.exponent_13(shape).hi, prec)
+    out.append(entry("log_size_D", app_d, cert.d.value * dd <= dn, cert.d.value, fmt_ratio(dn, dd)))
 
     # each right side is an exact product of positive upper endpoints
-    growth = exp_interval(cns.exponent_14(shape).hi, prec).hi
+    _, gn, gd = exp_interval(cns.exponent_14(shape).hi, prec)
     app_a = N >= c
     # the largest |a| / L over the grids (L, a) of the Q_i
     an, ad = 0, 1
@@ -279,35 +280,37 @@ def check_size_bounds(
         top = max(map(abs, nums))
         if top * ad > an * L:
             an, ad = top, L
-    rhs_a = N * growth
-    ok_a = product_le(an, rhs_a.denominator, rhs_a.numerator, ad)
-    out.append(entry("coeff_magnitude", app_a, ok_a, fmt_ratio(an, ad), rhs_a))
+    ok_a = product_le(an, gd, N * gn, ad)
+    out.append(entry("coeff_magnitude", app_a, ok_a, fmt_ratio(an, ad), fmt_ratio(N * gn, gd)))
 
     for z in zs:
         z = Fraction(z)
         a, b = z.numerator, z.denominator
         app_z = N >= c and abs(z) >= 2
-        rhs_q = 2 * N * growth * abs(z) ** N
+        # 2 N growth |z|^N
+        bN = b**N
+        rq_n, rq_d = 2 * N * gn * abs(a) ** N, gd * bN
         # |Q_i(z)| = |H| / (L b^N); qn / qd is the largest
         qn, qd = 0, 1
         for grid in family.q:
             h, L = cleared_eval(grid, a, b)
-            d = L * b**N
+            d = L * bN
             if not product_le(abs(h), qd, qn, d):
                 qn, qd = abs(h), d
-        ok_q = product_le(qn, rhs_q.denominator, rhs_q.numerator, qd)
-        out.append(entry(f"denom_poly_at_{z}", app_z, ok_q, fmt_ratio(qn, qd), rhs_q))
+        ok_q = product_le(qn, rq_d, rq_n, qd)
+        out.append(entry(f"denom_poly_at_{z}", app_z, ok_q, fmt_ratio(qn, qd), fmt_ratio(rq_n, rq_d)))
         pmax_ok = True
         worst = None
-        rhs_p = [2 * N * (N + 1) * growth * abs(z) ** (Nt - nj + 1) for nj in shape.n]
+        # 2 N (N + 1) growth |z|^(Ntilde - n_j + 1)
+        rhs_p = [(2 * N * (N + 1) * gn * abs(a) ** e, gd * b**e) for e in (Nt - nj + 1 for nj in shape.n)]
         for i in range(gp.m + 1):
-            for j, rhs in enumerate(rhs_p, start=1):
+            for j, (rn, rd) in enumerate(rhs_p, start=1):
                 grid = family.p_coeffs(i, j)
                 h, L = cleared_eval(grid, a, b)
                 pd = L * b ** (len(grid.nums) - 1)
-                if not product_le(abs(h), rhs.denominator, rhs.numerator, pd):
+                if not product_le(abs(h), rd, rn, pd):
                     pmax_ok = False
-                    worst = (i, j, Fraction(abs(h), pd), rhs)
+                    worst = (i, j, Fraction(abs(h), pd), Fraction(rn, rd))
         out.append(entry(f"numer_poly_at_{z}", app_z, pmax_ok, "" if pmax_ok else worst, ""))
     return out
 

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from .arith import (
     Interval,
-    dyadic_up,
     epsilon_interval,
     floor_log,
     log_interval,
@@ -502,9 +501,9 @@ def global_relation_constant(gp: GParams, mode: ThetaMode, prec: int = 128) -> d
     c9_mode = cns_mode.iv[2] + (m + 1) * cns_mode.iv[8]
     diff = c9_limit - log_c
     return {
-        "log_C": dyadic_up(log_c.hi, prec),
-        "c9": dyadic_up(c9_mode.hi, prec),
-        "crosscheck_abs_diff_upper": max(abs(diff.lo), abs(diff.hi)),
+        "log_C": log_c.hi_up(prec),
+        "c9": c9_mode.hi_up(prec),
+        "crosscheck_abs_diff_upper": Fraction(max(-diff.lo_num, diff.hi_num), diff.den),
     }
 
 

@@ -61,7 +61,7 @@ def eval_phi_real(gp: GParams, z: Fraction, T: int) -> Interval:
     if T < 0:
         raise DomainViolation("real evaluation needs T >= 0")
     lo, hi, den = phi_real_ends(z, T, phi_split(gp, 1, z, (T,))[0])
-    return Interval(Fraction(lo, den), Fraction(hi, den))
+    return Interval.of(lo, hi, den)
 
 
 _SCAN_LIMIT = 200000  # the largest n that c_of_vartheta searches for the crossover
@@ -260,7 +260,7 @@ def make_restricted_instance(
     rc = restricted_constants(gp, mode, vartheta, prec)
     m0, _ = restricted_threshold(gp, rc, a, b, B, t)
     if M is None:
-        M = -((-m0.hi.numerator) // m0.hi.denominator)  # ceil of the upper bound
+        M = -(-m0.hi_num // m0.den)  # ceil of the upper bound
     log_b = log_interval(Fraction(b), prec)
     x = log_b / (2 * log_iv(rc.a1 * abs(a), prec))
     if x.lo <= 2:
@@ -429,8 +429,9 @@ def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
 
     # remainder envelope at the evaluation point:
     # (n1 + 1) E1 |beta|^(Nt+1) / (1 - |beta|)
-    rb_num = (n1 + 1) * e1.hi.numerator * an ** (Nt + 1) * bd
-    rb_den = e1.hi.denominator * bd ** (Nt + 1) * (bd - an)
+    rb_num = (n1 + 1) * e1.hi_num * an ** (Nt + 1) * bd
+    rb_den = e1.den * bd ** (Nt + 1) * (bd - an)
+    rb_text = fmt_ratio(rb_num, rb_den, 30)
     for i, rem in enumerate(rems):
         checks.append(
             entry(
@@ -438,7 +439,7 @@ def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
                 gate_n1,
                 product_le(rem[0], rb_den, rb_num, rem[1]),
                 fmt_ratio(*rem, 30),
-                fmt_ratio(rb_num, rb_den, 30),
+                rb_text,
             )
         )
 
@@ -447,12 +448,12 @@ def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
         rc.a2
         * abs(a)
         * (Interval.point(rc.vartheta * gp.d_lcm * gp.s0) * epsilon_interval(gp.s0, prec) * epsilon_interval(gp.v_lcm, prec)).pow_int(n1)
-        * Fraction(gp.dtilde) ** n0
+        * gp.dtilde**n0
         * epsilon_interval(gp.s_lcm, prec).pow_int(Nt)
         * exp_iv(th * (2 * gp.s0 * n1 + (gp.s_lcm + gp.v_lcm) * n0 + gp.v_lcm * Nt), prec)
-        * Fraction(abs(a)) ** Nt
+        * abs(a) ** Nt
         * B
-        / Fraction(b) ** n1
+        / b**n1
     )
     checks.append(entry("scaled_product_le_1", True, lhs25.hi <= 1, fmt_real(lhs25.hi, 12), "1"))
 

@@ -13,7 +13,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Interval, digits10, floor_log10_ratio
+from .arith import Interval, digits10
 
 __all__ = [
     "full_digits",
@@ -86,35 +86,55 @@ def fmt_ratio(n: int, d: int, sig: int = 18) -> str:
     also agree on every value between two that render alike: when both
     operands are long, their leading bits nl = n >> t and dl = d >> t bracket
     n/d in [nl/(dl+1), (nl+1)/dl], and the exact rendering is paid only when
-    the two ends of the bracket render differently.
+    the two ends of the bracket render differently.  The ends share the
+    powers of ten of one rendering.
     """
     if n == 0:
         return "0"
     sign = "-" if n < 0 else ""
     n = abs(n)
+    pows: dict[int, int] = {}
     t = min(n.bit_length(), d.bit_length()) - (4 * sig + 128)
     if t > 0:
         nl, dl = n >> t, d >> t
-        low = _fmt_positive(nl, dl + 1, sig)
-        if low == _fmt_positive(nl + 1, dl, sig):
+        low = _fmt_positive(nl, dl + 1, sig, pows)
+        if low == _fmt_positive(nl + 1, dl, sig, pows):
             return sign + low
-    return sign + _fmt_positive(n, d, sig)
+    return sign + _fmt_positive(n, d, sig, pows)
 
 
-def _fmt_positive(n: int, d: int, sig: int) -> str:
-    """`fmt_ratio(n, d, sig)` for n, d > 0, from the exact value."""
-    e = floor_log10_ratio(n, d)
+def _fmt_positive(n: int, d: int, sig: int, pows: dict[int, int]) -> str:
+    """`fmt_ratio(n, d, sig)` for n, d > 0, from the exact value; `pows`
+    holds the powers 10^j already formed for this rendering, by j.
+
+    With e = floor(log10(n/d)) and a lower bound e_lo from the bit lengths,
+    m = floor(n/d 10^k) for k = sig - 1 - e_lo has e + k + 1 >= sig digits,
+    which give e, and its leading sig digits are the mantissa.  So one
+    power 10^|k| serves both, and the ends of a bracket, whose bit lengths
+    agree, find it in `pows`.
+    """
+    # n/d > 2^v for v = n.bit_length() - d.bit_length() - 1, and 0.30103 v
+    # exceeds v log10(2) by less than 1 while v < 2.3 * 10^8, so e_lo <= e
+    # there; the loop lowers e_lo for longer operands
+    e_lo = (n.bit_length() - d.bit_length() - 1) * 30103 // 100000 - 1
+    while True:
+        j = abs(sig - 1 - e_lo)
+        p = pows.get(j) or pows.setdefault(j, 10**j)
+        m = n * p // d if e_lo < sig else n // (d * p)
+        if m >= 10 ** (sig - 1):
+            break
+        e_lo -= 1
+    e = e_lo + len(str(m)) - sig
     if -6 <= e <= 24:
         whole, frac = divmod(n * 10**sig // d, 10**sig)
         return f"{whole}.{str(frac).zfill(sig)}"
-    # the sig leading digits: floor(q * 10^k), k = sig - 1 - e
-    k = sig - 1 - e
-    ms = str(n * 10**k // d if k >= 0 else n // (d * 10**-k))
+    ms = str(m // 10 ** (e - e_lo))
     return f"{ms[0]}.{ms[1:]}e{e:+d}"
 
 
 def dec_iv(iv: Interval, digits: int = 12) -> str:
-    return f"[{fmt_real(iv.lo, digits)}, {fmt_real(iv.hi, digits)}]"
+    lo, hi, den = iv
+    return f"[{fmt_ratio(lo, den, digits)}, {fmt_ratio(hi, den, digits)}]"
 
 
 def fmt_value(value) -> str:
@@ -157,18 +177,22 @@ def tagged_bound(value: Fraction, digits: int, direction: str, precision: int) -
     return {"value": fmt_real(value, digits), "direction": direction, "precision_bits": precision}
 
 
+_TEN_40 = 10**40  # above 128 bits, so not folded into a constant at compile time
+
+
 def canonical(obj, exact: bool = False):
     """Convert a result object into deterministic JSON-ready primitives."""
     if isinstance(obj, Check):
         obj = obj._asdict()
     if isinstance(obj, Interval):
-        return {"lo": fmt_real(obj.lo, 24), "hi": fmt_real(obj.hi, 24), "direction": "outward"}
+        lo, hi, den = obj
+        return {"lo": fmt_ratio(lo, den, 24), "hi": fmt_ratio(hi, den, 24), "direction": "outward"}
     if isinstance(obj, Fraction):
         return rational(obj, exact)
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, int):
-        return int_str(obj, exact) if abs(obj) >= 10**40 else obj
+        return int_str(obj, exact) if abs(obj) >= _TEN_40 else obj
     if isinstance(obj, str):
         return abbrev(obj, exact)
     if isinstance(obj, dict):

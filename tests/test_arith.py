@@ -6,6 +6,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
+from typing import NamedTuple
 
 import mpmath
 import pytest
@@ -22,8 +23,6 @@ from gpade.arith import (
     cleared,
     cleared_eval,
     digits10,
-    dyadic_down,
-    dyadic_up,
     epsilon_interval,
     exp_interval,
     factorize,
@@ -39,10 +38,8 @@ from gpade.arith import (
     pochhammer,
     primes_upto,
     product_le,
-    _atanh_series,
-    _exp_core,
-    _log2_interval,
 )
+from gpade.interval import _atanh_series, _exp_core, _log2_interval
 from gpade.errors import CertificationError, FactorizationLimit, InvariantViolation
 from gpade.report import fmt_ratio, fmt_real
 
@@ -280,11 +277,24 @@ def test_nth_roots():
     assert integer_nth_root(10**60 - 1, 5) == 10**12 - 1
 
 
+def dyadic_down(x: F, bits: int) -> F:
+    """Largest multiple of 2^-bits that is <= x."""
+    return F((x.numerator << bits) // x.denominator, 1 << bits)
+
+
+def dyadic_up(x: F, bits: int) -> F:
+    """Smallest multiple of 2^-bits that is >= x."""
+    return -dyadic_down(-x, bits)
+
+
 def test_dyadic_rounding():
     x = F(1, 3)
-    assert dyadic_down(x, 8) <= x <= dyadic_up(x, 8)
-    assert dyadic_up(x, 8) - dyadic_down(x, 8) == F(1, 256)
-    assert dyadic_up(F(5, 4), 2) == F(5, 4) == dyadic_down(F(5, 4), 2)
+    iv = Interval.point(x).rounded(8)
+    assert iv == Interval.of(dyadic_down(x, 8), dyadic_up(x, 8))
+    assert iv.lo <= x <= iv.hi and iv.hi - iv.lo == F(1, 256) and iv.den == 256
+    assert Interval.point(F(5, 4)).rounded(2) == Interval.point(F(5, 4))
+    assert Interval.of(-1, 2, 3).rounded(4) == Interval.of(-6, 11, 16)
+    assert Interval.point(F(1, 3)).hi_up(8) == dyadic_up(x, 8)
 
 
 def test_formatting():
@@ -434,13 +444,28 @@ def test_fmt_ratio_renders_a_near_tie_exactly(monkeypatch):
 
     calls = []
     positive = report._fmt_positive
-    monkeypatch.setattr(report, "_fmt_positive", lambda n, d, sig: calls.append(n) or positive(n, d, sig))
+    monkeypatch.setattr(report, "_fmt_positive", lambda n, *rest: calls.append(n) or positive(n, *rest))
     n, d = 10**400 * 3**700 - 1, 3**700
     assert fmt_ratio(n, d, 40) == "9." + "9" * 39 + "e+399"
     assert calls[-1] == n and len(calls) == 3
     calls.clear()
     assert fmt_ratio(n // 7, d, 40) == exact_fmt_ratio(n // 7, d, 40)
     assert len(calls) == 2  # 10^400 / 7 is settled by the bracket
+
+
+def test_fmt_ratio_forms_one_large_power_of_ten(monkeypatch):
+    # the bracket ends and the exact rendering share the powers of ten of one
+    # rendering: at about 4000 digits of exponent, one large power in all
+    from gpade import report
+
+    tables = []
+    positive = report._fmt_positive
+    monkeypatch.setattr(report, "_fmt_positive", lambda n, d, sig, pows: tables.append(pows) or positive(n, d, sig, pows))
+    for n, d in ((10**4000 * 3**700 - 1, 3**700), (3**700, 10**4000 * 3**700 + 1)):
+        assert fmt_ratio(n, d, 30) == exact_fmt_ratio(n, d, 30)
+        assert len(tables) == 3 and all(t is tables[0] for t in tables)
+        assert len([j for j in tables[0] if j > 100]) == 1
+        tables.clear()
 
 
 @settings(max_examples=300, deadline=None)
@@ -498,9 +523,59 @@ def test_grid_is_normalized_and_tuple_equal(nums, den, g):
     assert grid == Grid.of(den, nums) == cleared(values)
 
 
-def reference_interval_mul(x: Interval, y: Interval) -> Interval:
-    cands = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
-    return Interval(min(cands), max(cands))
+def _as_reference(x):
+    return x if isinstance(x, ReferenceInterval) else ReferenceInterval(F(x), F(x))
+
+
+class ReferenceInterval(NamedTuple):
+    """The former Interval: Fraction ends and every operation on Fractions,
+    an int or Fraction operand taken as a point."""
+
+    lo: F
+    hi: F
+
+    def __add__(self, other):
+        o = _as_reference(other)
+        return ReferenceInterval(self.lo + o.lo, self.hi + o.hi)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferenceInterval(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        return self + (-_as_reference(other))
+
+    def __mul__(self, other):
+        o = _as_reference(other)
+        cands = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+        return ReferenceInterval(min(cands), max(cands))
+
+    __rmul__ = __mul__
+
+    def inv(self):
+        if self.lo <= 0 <= self.hi:
+            raise ZeroDivisionError("interval straddles zero")
+        return ReferenceInterval(1 / self.hi, 1 / self.lo)
+
+    def __truediv__(self, other):
+        return self * _as_reference(other).inv()
+
+    def pow_int(self, n):
+        return ReferenceInterval(self.lo**n, self.hi**n)
+
+    def rounded(self, bits):
+        return ReferenceInterval(dyadic_down(self.lo, bits), dyadic_up(self.hi, bits))
+
+    def max_with(self, other):
+        return ReferenceInterval(max(self.lo, other.lo), max(self.hi, other.hi))
+
+
+def reference_of(iv: Interval) -> ReferenceInterval:
+    """The ends of a normalized Interval, checked to be on its reduced grid."""
+    assert type(iv) is Interval and iv.den > 0 and iv.lo_num <= iv.hi_num
+    assert math.gcd(*iv) == 1
+    return ReferenceInterval(iv.lo, iv.hi)
 
 
 @st.composite
@@ -508,29 +583,88 @@ def intervals(draw, nonnegative):
     low = 0 if nonnegative else -50
     ends = st.one_of(st.just(F(0)), st.fractions(min_value=low, max_value=50, max_denominator=1000))
     lo, hi = sorted((draw(ends), draw(ends)))
-    return Interval(lo, hi)
+    return Interval.of(lo, hi)
 
 
 @settings(max_examples=100, deadline=None)
 @given(x=st.one_of(intervals(True), intervals(False)), y=st.one_of(intervals(True), intervals(False)))
-@example(x=Interval(F(0), F(0)), y=Interval(F(0), F(3)))
-@example(x=Interval(F(0), F(2)), y=Interval(F(-1), F(0)))
+@example(x=Interval.of(F(0), F(0)), y=Interval.of(F(0), F(3)))
+@example(x=Interval.of(F(0), F(2)), y=Interval.of(F(-1), F(0)))
 def test_interval_product_matches_four_candidates(x, y):
-    assert x * y == reference_interval_mul(x, y)
+    assert reference_of(x * y) == reference_of(x) * reference_of(y)
+
+
+any_intervals = st.one_of(intervals(True), intervals(False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=any_intervals,
+    y=any_intervals,
+    k=st.one_of(st.integers(-30, 30), st.integers(-(10**30), 10**30)),
+    q=st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+    n=st.integers(0, 12),
+    bits=st.integers(0, 40),
+)
+@example(x=Interval.of(F(-3), F(-1, 2)), y=Interval.of(F(-5, 7), F(-1, 3)), k=-6, q=F(-2, 9), n=3, bits=5)
+@example(x=Interval.of(F(1, 6), F(3, 4)), y=Interval.of(F(1, 6), F(3, 4)), k=0, q=F(0), n=0, bits=0)
+def test_interval_operations_match_fraction_reference(x, y, k, q, n, bits):
+    rx, ry = reference_of(x), reference_of(y)
+    for o, ro in ((y, ry), (k, k), (q, q)):
+        assert reference_of(x + o) == rx + ro
+        assert reference_of(o + x) == ro + rx
+        assert reference_of(x - o) == rx - ro
+        assert reference_of(x * o) == rx * ro
+        assert reference_of(o * x) == ro * rx
+        if ro == 0 or isinstance(ro, ReferenceInterval) and ro.lo <= 0 <= ro.hi:
+            with pytest.raises(ZeroDivisionError):
+                x / o
+        else:
+            assert reference_of(x / o) == rx / ro
+    assert reference_of(-x) == -rx
+    if rx.lo <= 0 <= rx.hi:
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+    else:
+        assert reference_of(x.inv()) == rx.inv()
+    if rx.lo >= 0:
+        assert reference_of(x.pow_int(n)) == rx.pow_int(n)
+    assert reference_of(x.rounded(bits)) == rx.rounded(bits)
+    assert reference_of(x.max_with(y)) == rx.max_with(ry)
+    assert reference_of(Interval.point(q)) == ReferenceInterval(q, q)
+    # tuple equality is value equality
+    assert (x == y) == (rx == ry) and (x == y) <= (hash(x) == hash(y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lo=st.integers(-(10**6), 10**6),
+    width=st.integers(0, 10**6),
+    den=st.integers(1, 10**6),
+    g=st.integers(1, 10**6),
+)
+@example(lo=0, width=0, den=7, g=3)  # the point 0: (0, 0, 1)
+def test_interval_is_normalized_and_tuple_equal(lo, width, den, g):
+    ends = (F(lo, den), F(lo + width, den))
+    iv = Interval.of(lo * g, (lo + width) * g, den * g)
+    assert iv == Interval.of(lo, lo + width, den) == Interval.of(*ends)
+    assert hash(iv) == hash(Interval.of(*ends))
+    assert reference_of(iv) == ends
+    assert Interval.of(F(lo, g), F(lo + width, g), den) == Interval.of(lo, lo + width, den * g)
 
 
 def test_interval_arithmetic():
-    a = Interval(F(1), F(2))
-    b = Interval(F(-3), F(4))
+    a = Interval.of(F(1), F(2))
+    b = Interval.of(F(-3), F(4))
     prod = a * b
     assert prod.lo == -6 and prod.hi == 8
     quot = a / a
     assert quot.lo <= 1 <= quot.hi
-    assert a.pow_int(3) == Interval(F(1), F(8))
+    assert a.pow_int(3) == Interval.of(F(1), F(8))
     assert a.pow_int(0) == Interval.point(1)
     # pow_int is defined for nonnegative enclosures and exponents only
     with pytest.raises(InvariantViolation):
-        Interval(F(-1, 2), F(3)).pow_int(2)
+        Interval.of(F(-1, 2), F(3)).pow_int(2)
     with pytest.raises(InvariantViolation):
         Interval.point(F(2)).pow_int(-1)
     with pytest.raises(ZeroDivisionError):
@@ -544,7 +678,7 @@ def test_interval_arithmetic():
     n=st.integers(0, 40),
 )
 def test_pow_int_nonnegative_matches_repeated_products(lo, width, n):
-    iv = Interval(lo, lo + width)
+    iv = Interval.of(lo, lo + width)
     ref = Interval.point(1)
     for _ in range(n):
         ref = ref * iv
@@ -556,7 +690,7 @@ def test_pow_int_nonnegative_matches_repeated_products(lo, width, n):
 # ---------------------------------------------------------------------------
 
 
-def reference_atanh_series(t: F, prec: int) -> Interval:
+def reference_atanh_series(t: F, prec: int) -> ReferenceInterval:
     # the former Fraction kernel: 2*atanh(t) for 0 <= t < 1/2
     total = F(0)
     term = t
@@ -570,10 +704,10 @@ def reference_atanh_series(t: F, prec: int) -> Interval:
         if k % 8 == 0:
             total = dyadic_down(total, prec + 16)
     tail = term / (1 - tt)
-    return Interval(2 * total, 2 * (total + tail + eps)).rounded(prec + 8)
+    return ReferenceInterval(2 * total, 2 * (total + tail + eps)).rounded(prec + 8)
 
 
-def reference_exp_core(x: F, prec: int) -> Interval:
+def reference_exp_core(x: F, prec: int) -> ReferenceInterval:
     # the former Fraction kernel: exp(x) for 0 <= x <= 1/2
     total = F(1)
     term = F(1)
@@ -587,7 +721,7 @@ def reference_exp_core(x: F, prec: int) -> Interval:
         total += term
         if k % 8 == 0:
             total = dyadic_down(total, prec + 16)
-    return Interval(total, total + 2 * term + eps).rounded(prec + 8)
+    return ReferenceInterval(total, total + 2 * term + eps).rounded(prec + 8)
 
 
 def oracle(fn, q: F, prec: int) -> F:
@@ -636,7 +770,7 @@ def test_atanh_kernel_encloses_and_is_no_wider(t, prec):
 @example(x=F(1, 1 << 2000), prec=8)
 def test_exp_kernel_encloses_and_is_no_wider(x, prec):
     lo, hi = _exp_core(x.numerator, x.denominator, prec)
-    iv = Interval(F(lo, 1 << (prec + 8)), F(hi, 1 << (prec + 8)))
+    iv = Interval.of(lo, hi, 1 << (prec + 8))
     ref = reference_exp_core(x, prec)
     assert iv.lo <= oracle(mpmath.exp, x, prec) <= iv.hi
     assert iv.hi - iv.lo <= ref.hi - ref.lo
@@ -672,7 +806,7 @@ def test_exp_interval_encloses(x, prec):
 # ---------------------------------------------------------------------------
 
 
-def reference_exp_interval(x: F, prec: int) -> Interval:
+def reference_exp_interval(x: F, prec: int) -> ReferenceInterval:
     # the former reduction: r = x / 2^j as a reduced Fraction, the kernel's
     # enclosure on the 2^-(wp+8) grid, then j Interval squares each rounded
     # outward to the 2^-wp grid; the series kernel is shared (its own test is
@@ -683,7 +817,7 @@ def reference_exp_interval(x: F, prec: int) -> Interval:
         shift = max(0, floor_log(2, 1 / iv.lo)) if iv.lo < 1 else 0
         return iv.rounded(prec + shift + 8)
     if x == 0:
-        return Interval.point(1)
+        return ReferenceInterval(F(1), F(1))
     j = 0
     r = x
     while r > F(1, 2):
@@ -691,16 +825,16 @@ def reference_exp_interval(x: F, prec: int) -> Interval:
         j += 1
     wp = prec + 4 * j + 24
     lo, hi = _exp_core(r.numerator, r.denominator, wp)
-    acc = Interval(F(lo, 1 << (wp + 8)), F(hi, 1 << (wp + 8)))
+    acc = ReferenceInterval(F(lo, 1 << (wp + 8)), F(hi, 1 << (wp + 8)))
     for _ in range(j):
         acc = (acc * acc).rounded(wp)
     return acc.rounded(prec)
 
 
-def reference_log_interval(x: F, prec: int) -> Interval:
+def reference_log_interval(x: F, prec: int) -> ReferenceInterval:
     x = F(x)
     if x == 1:
-        return Interval.point(0)
+        return ReferenceInterval(F(0), F(0))
     if x < 1:
         return -reference_log_interval(1 / x, prec)
     e = max(x.numerator.bit_length() - x.denominator.bit_length(), 0)
@@ -711,7 +845,7 @@ def reference_log_interval(x: F, prec: int) -> Interval:
         e += 1
         m /= 2
     wp = prec + max(16, e.bit_length() + 8)
-    total = _atanh_series((m - 1) / (m + 1), wp) + _log2_interval(wp) * e
+    total = reference_of(_atanh_series((m - 1) / (m + 1), wp)) + reference_of(_log2_interval(wp)) * e
     return total.rounded(prec)
 
 
@@ -750,7 +884,9 @@ def test_empty_interval_is_an_invariant_violation():
     # an empty enclosure is a defect, reported as a failed check (exit 1),
     # not as bad input
     with pytest.raises(InvariantViolation, match="empty interval"):
-        Interval(F(1), F(0))
+        Interval.of(F(1), F(0))
+    with pytest.raises(InvariantViolation, match="empty interval"):
+        Interval.of(1, 0, 7)
     assert not issubclass(InvariantViolation, ValueError)
-    point = Interval(F(1), F(1))
+    point = Interval.of(F(1), F(1))
     assert point.hi - point.lo == 0

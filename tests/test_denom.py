@@ -6,6 +6,7 @@ import pytest
 import gpade.denom
 from gpade.denom import (
     ThetaMode,
+    bound_constants,
     cert_tsv,
     check_remainder_padic,
     check_size_bounds,
@@ -17,7 +18,7 @@ from gpade.denom import (
     scaled_integers,
     verify_integrality,
 )
-from gpade.arith import FactoredInteger, Interval
+from gpade.arith import FactoredInteger, Interval, log_interval
 from gpade.errors import DomainViolation, IntegralityViolation
 from gpade.pade import ApproxShape, build_family
 from gpade.params import derive_params
@@ -53,6 +54,20 @@ def test_theta_modes():
             ThetaMode.parse(text)
     with pytest.raises(ValueError):
         ThetaMode.parse("loose")
+
+
+def test_equal_theta_modes_share_bound_constants():
+    # each ThetaMode.paper() builds theta afresh, and the same value reached
+    # by other operations is the same normalized tuple, so the cache keyed by
+    # the mode serves them all
+    gp = derive_params([F(1), F(2, 3)])
+    log2 = log_interval(F(2), 128)
+    modes = [ThetaMode.paper(), ThetaMode.paper(), ThetaMode("paper", log2 + log2 * 7, 2, True)]
+    assert modes[0] == modes[1] == modes[2] and len({hash(x) for x in modes}) == 1
+    assert len({id(bound_constants(gp, mode)) for mode in modes}) == 1
+    custom = [ThetaMode.custom(F(3, 2), 5), ThetaMode.parse("custom:6/4,5")]
+    assert bound_constants(gp, custom[0]) is bound_constants(gp, custom[1])
+    assert bound_constants(gp, custom[0]) is not bound_constants(gp, modes[0])
 
 
 def test_clearing_integers_hand_instance(half):

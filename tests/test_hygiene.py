@@ -105,7 +105,7 @@ def _record_samples() -> list:
     restricted = make_restricted_instance(gp11, a=1, b=b, B=1, t=F(0), mode=sharp, vartheta=F(2))
     return [
         FactoredInteger.of(360),
-        Interval(F(1, 3), F(1, 2)),
+        Interval.of(F(1, 3), F(1, 2)),
         Grid.of(6, (3, 4)),
         gp,
         padic_domain_check(gp, 2, F(8)),
@@ -166,7 +166,8 @@ from gpade.arith import FactoredInteger, Interval
 from gpade.pade import ApproxShape
 from gpade.padic import LinearFormInstance
 cases = [
-    (Interval, (F(1, 2), F(1, 3))),
+    (Interval.of, (F(1, 2), F(1, 3))),
+    (Interval.of, (1, 0, 1)),
     (FactoredInteger, (12, ((3, 1), (2, 2)))),
     (FactoredInteger, (12, ((2, 2),))),
     (FactoredInteger, (0, ())),
@@ -181,9 +182,9 @@ for cls, fields in cases:
     try:
         cls(*fields)
     except Exception as exc:
-        print(cls.__name__, type(exc).__name__, exc)
+        print(cls.__qualname__.split(".")[0], type(exc).__name__, exc)
     else:
-        print(cls.__name__, "accepted")
+        print(cls.__qualname__.split(".")[0], "accepted")
 """
 
 
@@ -194,6 +195,7 @@ def test_record_checks_hold_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
+        "Interval InvariantViolation empty interval: lo > hi",
         "Interval InvariantViolation empty interval: lo > hi",
         "FactoredInteger ValueError factors must have ascending primes, e >= 1",
         "FactoredInteger ValueError factorization does not match value",
