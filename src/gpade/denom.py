@@ -36,7 +36,7 @@ from .arith import (
     product_le,
 )
 from .errors import DomainViolation, IntegralityViolation
-from .pade import ApproxShape, PadeFamily, bareiss_eliminate
+from .pade import ApproxShape, PadeFamily, bareiss_eliminate, series_product_coeffs
 from .params import GParams, padic_domain_check
 from .report import Check, entry, fmt_ratio, fmt_real, full_digits, rational, tsv
 
@@ -329,15 +329,21 @@ class ScaledSystem(NamedTuple):
 
 
 def scaled_integers(
-    family: PadeFamily, cert: DenominatorCert, beta: Fraction, p: int | None = None
+    gp: GParams,
+    shape: ApproxShape,
+    rows: list[list[tuple[int, int]]],
+    cert: DenominatorCert,
+    beta: Fraction,
+    p: int | None = None,
 ) -> ScaledSystem:
-    """Evaluate and clear the family at beta = a/b (reduced, |beta| >= 2).
+    """Clear the values of the family at beta = a/b (reduced, |beta| >= 2):
+    rows[i] holds Q_i(beta), P_i1(beta), ..., P_im(beta) as integer pairs
+    (num, den), den > 0 (`realseries.rows_at_point`).
 
     With a prime supplied, the p-adic smallness condition on the numerator is
     enforced as well; DomainViolation reports whichever precondition fails.
     The integer matrix is certified nonsingular by an exact determinant.
     """
-    gp, shape = family.gp, family.shape
     beta = Fraction(beta)
     if beta == 0 or abs(beta) < 2:
         raise DomainViolation(f"need |beta| >= 2, got {beta}")
@@ -345,24 +351,19 @@ def scaled_integers(
         chk = padic_domain_check(gp, p, Fraction(beta.numerator))
         if not chk.ok:
             raise DomainViolation(f"|{beta.numerator}|_{p} does not meet the smallness condition")
-    a, b = beta.numerator, beta.denominator
+    scale = cert.d.value * beta.denominator**shape.Ntilde
 
-    def scaled(grid, name: str) -> int:
-        # D b^Ntilde f(beta) = D b^(Ntilde - n) H / L, for f of degree n <= Ntilde
-        h, L = cleared_eval(grid, a, b)
-        v = cert.d.value * b ** (shape.Ntilde + 1 - len(grid.nums)) * h
-        if v % L:
+    def scaled(value: tuple[int, int], name: str) -> int:
+        num, den = value
+        v = scale * num
+        if v % den:
             raise IntegralityViolation(f"scaled {name}({beta}) is not an integer")
-        return v // L
+        return v // den
 
-    qi = []
-    pij = []
-    for i in range(gp.m + 1):
-        qi.append(scaled(family.q[i], f"Q_{i}"))
-        pij.append(tuple(scaled(family.p_coeffs(i, j), f"P_{i}{j}") for j in range(1, gp.m + 1)))
-    if bareiss_eliminate([[qi[i], *pij[i]] for i in range(gp.m + 1)])[1] == 0:
+    ints = [[scaled(v, f"P_{i}{k}" if k else f"Q_{i}") for k, v in enumerate(row)] for i, row in enumerate(rows)]
+    if bareiss_eliminate(ints)[1] == 0:
         raise IntegralityViolation("scaled system matrix is singular")
-    return ScaledSystem(qi=tuple(qi), pij=tuple(pij))
+    return ScaledSystem(qi=tuple(row[0] for row in ints), pij=tuple(tuple(row[1:]) for row in ints))
 
 
 def ntilde1_interval(gp: GParams, cns: SizeConstants, beta: Fraction, p: int) -> Interval:
@@ -417,12 +418,17 @@ def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fract
     first bound; and the second bound when its threshold is met.
     """
     gp, shape = family.gp, family.shape
+    beta = Fraction(beta)
     rb = remainder_padic_bound(gp, shape, beta, p, cert)
     d = cert.d.value
+    zn, zd = beta.numerator, beta.denominator
     out = []
     for i in range(gp.m + 1):
         for j in range(1, gp.m + 1):
-            terms = [d * t for t in family.remainder_terms(i, j, beta, shape.remainder_truncation)]
+            # the terms c_mu beta^mu from the first possibly nonzero order on
+            start = shape.Nij(i, j) + shape.n[j - 1] + 1
+            den, nums = series_product_coeffs(gp, family.q[i], j, start, shape.remainder_truncation)
+            terms = [Fraction(d * c * zn**mu, den * zd**mu) for mu, c in enumerate(nums, start=start)]
             total = sum(terms, Fraction(0))
             vals = [Fraction(1, p**p_valuation(t, p)) if t != 0 else Fraction(0) for t in terms]
             vtot = Fraction(1, p**p_valuation(total, p)) if total != 0 else Fraction(0)

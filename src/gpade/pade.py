@@ -14,7 +14,9 @@ verification CLI exercise both.
 The family (`build_family`) holds Q_i and P_ij only.  Every other window of
 the product series Q_i * phi_j -- the n_j forced zeros past P_ij and the
 remainder terms past them -- is computed on demand by the one windowed
-kernel `series_product_coeffs`, which also builds P_ij.
+kernel `series_product_coeffs`, which also builds P_ij.  The audits read no
+coefficient past Q_i: they evaluate the rows at a point from Q_i's grid and
+one split of phi_j (`phi_split`, `numerator_at`, and `realseries`).
 
 Every polynomial is built once as an integer grid (`arith.Grid`): a positive
 common denominator and a tuple of integer numerators with no factor common
@@ -359,14 +361,6 @@ class PadeFamily(NamedTuple):
         which the order conditions force to zero, computed from Q_i."""
         Nij = self.shape.Nij(i, j)
         return series_product_coeffs(self.gp, self.q[i], j, Nij + 1, Nij + self.shape.n[j - 1])
-
-    def remainder_terms(self, i: int, j: int, z: Fraction, T: int) -> list[Fraction]:
-        """The terms c_mu * z^mu of (Q_i*phi_j - P_ij)(z) from the first
-        possibly nonzero order mu = N_ij + n_j + 1 up to T, computed from Q_i."""
-        start = self.shape.Nij(i, j) + self.shape.n[j - 1] + 1
-        den, nums = series_product_coeffs(self.gp, self.q[i], j, start, T)
-        zn, zd = z.numerator, z.denominator
-        return [Fraction(c * zn**mu, den * zd**mu) for mu, c in enumerate(nums, start=start)]
 
     def p_leading(self, i: int) -> Fraction:
         """Leading coefficient of P_ii (order N_i + 1); nonzero by theory."""

@@ -23,8 +23,9 @@ from .arith import (
 )
 from .denom import ThetaMode, bound_constants, make_cert, ntilde1_interval, scaled_integers
 from .errors import DomainViolation, InvariantViolation, PrecisionInsufficient
-from .pade import ApproxShape, build_family, phi_split
+from .pade import ApproxShape, build_q, phi_split
 from .params import GParams, padic_domain_check
+from .realseries import phi_heads, rows_at_point, window_at
 from .report import dec_iv, full_digits, rational
 
 __all__ = [
@@ -264,9 +265,11 @@ def select_block_degrees(inst: LinearFormInstance, a: int) -> BlockDegreeSelecti
 
 
 _EVAL_DIGITS = 48  # p-adic digits certified for the series values in the audit's linear form
-# The largest Ntilde whose family the linear-form audit builds: at m = 1,
-# build_family alone takes 0.9 s at Ntilde = 800, 8 s at 1600 and 44 s at 2400
-# (half.params, Python 3.11 on a 2-core machine).
+# The largest Ntilde the linear-form audit accepts.  Its m + 1 denominators
+# Q_i (`build_q`) dominate its cost: at m = 1 (half.params, Python 3.11 on a
+# 2-core machine, in-process) the audit takes 0.08 s at Ntilde = 800, 0.56 s
+# at 1598 and 1.97 s at 2394, of which the two build_q calls take 0.06, 0.46
+# and 1.61 s.
 _NTILDE_CAP = 2000
 
 
@@ -343,7 +346,7 @@ def audit_linear_form(
         "htilde_reaches_threshold": bool(ht_reaches),
     }
 
-    # shape and family
+    # shape
     sel = select_block_degrees(inst, a)
     shape = sel.shape
     report["shape"] = {
@@ -356,9 +359,13 @@ def audit_linear_form(
         raise PrecisionInsufficient(
             f"the selected shape has Ntilde = {shape.Ntilde}, above the cap {_NTILDE_CAP} on the family size"
         )
-    family = build_family(gp, shape)
+    # the rows at beta from Q_i's grid and one split of each phi_j
+    # (`realseries`): no coefficient of any P_ij is formed
+    qs = [build_q(gp, shape, i) for i in range(m + 1)]
+    T = shape.remainder_truncation
+    heads = phi_heads(gp, shape, beta, T)
     cert = make_cert(gp, shape, mode, prec)
-    scaled = scaled_integers(family, cert, beta, p=p)
+    scaled = scaled_integers(gp, shape, rows_at_point(gp, qs, shape, a, b, heads), cert, beta, p=p)
 
     report["constants"] = {
         "c2_upper": rational(cns.upper(2)),
@@ -387,15 +394,16 @@ def audit_linear_form(
     scale = cert.d.value * Fraction(b) ** shape.Ntilde
     dominance = None
     rem_desc = None
-    T = shape.remainder_truncation
-    for _ in range(16):
+    for deepen in range(16):
+        if deepen:
+            heads = phi_heads(gp, shape, beta, T)
         tail_exp = _tail_floor(gp, p, q_rate, T + 1)
         # D * b^Ntilde * sum_j ell_j (Q_wi*phi_j - P_wi,j)(beta), truncated at T
         partial = Fraction(0)
         for j in range(1, m + 1):
             if inst.ell[j] == 0:
                 continue
-            partial += inst.ell[j] * scale * sum(family.remainder_terms(wi, j, beta, T))
+            partial += inst.ell[j] * scale * window_at(gp, qs[wi], shape, wi, j, a, b, T, heads[j - 1])
         if partial != 0 and Fraction(p_valuation(partial, p)) < tail_exp:
             v_rem = p_valuation(partial, p)
             dominance = v_lambda < v_rem

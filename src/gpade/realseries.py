@@ -1,23 +1,36 @@
-"""phi_1 at a real point beta = a/b, as the restricted audit reads it (m = 1).
+"""The Pade rows at a rational point beta = a/b, as both audits read them.
 
-The audit reads phi_1 at beta three ways: as an enclosure through the
-series truncation T, inside P_01(beta) and P_11(beta), and in the two
-remainders x Q_i(beta) - P_i1(beta) at the ends x of that enclosure.  All of
-them come from one binary split of phi_1 at beta (`pade.phi_split`), cut
-where the rows' partial sums end and at T: no partial sum is formed twice,
-and no remainder is the difference of two nearly equal full-length products.
+Each audit evaluates the rows from the grids of the Q_i and one binary split
+of each phi_j at beta (`pade.phi_split`), cut where the partial sums it needs
+end; `pade.numerator_at` then closes each value with n = deg Q_i tail terms.
+No coefficient of a numerator P_ij and no other coefficient of a product
+series Q_i * phi_j is formed.
+
+The restricted audit (m = 1, `rows_at`) reads phi_1 at beta three ways: as
+an enclosure through the series truncation T, inside P_01(beta) and
+P_11(beta), and in the two remainders x Q_i(beta) - P_i1(beta) at the ends x
+of that enclosure; no partial sum is formed twice, and no remainder is the
+difference of two nearly equal full-length products.
+
+The p-adic audit (any m, `phi_heads`, `rows_at_point`, `window_at`) reads
+V_t = sum_(mu <= t) [Q_i phi_j]_mu beta^mu: P_ij(beta) = V_(N_ij), and its
+remainder window, the orders N_ij + n_j + 1 through T, is V_T - V_(N_ij +
+n_j).  The window subtracts V at the last forced zero, not P_ij(beta), so it
+does not rest on the forced zeros being zero: that is `pade.verify_order`'s
+claim.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 
 from .arith import Grid
-from .pade import Piece, numerator_at, phi_merge, phi_split
+from .pade import ApproxShape, Piece, numerator_at, phi_merge, phi_split
 from .params import GParams
 
-__all__ = ["phi_real_ends", "rows_at"]
+__all__ = ["phi_real_ends", "rows_at", "phi_heads", "truncated_at", "rows_at_point", "window_at"]
 
 
 def phi_real_ends(z: Fraction, T: int, piece: Piece) -> tuple[int, int, int]:
@@ -91,3 +104,55 @@ def rows_at(gp: GParams, qs: list[Grid], n0: int, a: int, b: int, T: int, clear:
         rem = max(abs(t_num + hge * (lo - s_T)), abs(t_num + hge * (hi - s_T)))
         rows.append((hq, vq if vr == 0 else Fraction(num, vden), (rem, den * q.den * b**n1 * G * e)))
     return (lo, hi, den), rows
+
+
+def phi_heads(gp: GParams, shape: ApproxShape, z: Fraction, T: int) -> list[dict[int, Piece]]:
+    """For each series j, the `phi_split` pieces of phi_j at z over [0, c),
+    keyed by c, for c = n0 - n_j, n0 - n_j + 1, n0, n0 + 1 and T - N.
+
+    These are the heads `truncated_at` reads for row i: c = N_ij - N for
+    P_ij, c = N_ij + n_j - N for the last forced zero, both for i != j and
+    for i = j, and c = T - N for the truncation T > N.  Every cut is >= 0,
+    since n0 >= max n_j, and one split of phi_j gives them all.
+    """
+    out = []
+    for j, nj in enumerate(shape.n, start=1):
+        cuts = sorted({shape.n0 - nj, shape.n0 - nj + 1, shape.n0, shape.n0 + 1, T - shape.N})
+        out.append(dict(zip(cuts, accumulate(phi_split(gp, j, z, tuple(cuts)), phi_merge))))
+    return out
+
+
+def truncated_at(
+    gp: GParams, q: Grid, j: int, a: int, b: int, t: int, heads: dict[int, Piece]
+) -> tuple[int, int, int]:
+    """Integers (num, den, hq), den > 0: V_t = num / den is the value at a/b
+    (b > 0) of the coefficients 0..t of Q * phi_j, and Q(a/b) = hq / (L b^n)
+    for the grid (L, c) of Q of degree n <= t.  `heads` holds phi_j's piece
+    at a/b over [0, t - n) (`phi_heads`)."""
+    n = len(q.nums) - 1
+    head = heads[t - n]
+    num, hq, _, G = numerator_at(gp, q, j, a, b, t, head)
+    return num, head[1] * q.den * b**n * G, hq
+
+
+def rows_at_point(
+    gp: GParams, qs: list[Grid], shape: ApproxShape, a: int, b: int, heads: list[dict[int, Piece]]
+) -> list[list[tuple[int, int]]]:
+    """For each row i of the grids qs of Q_0..Q_m, the values [Q_i(a/b),
+    P_i1(a/b), ..., P_im(a/b)] as integer pairs (num, den), den > 0:
+    P_ij(a/b) = V_(N_ij) (`truncated_at`)."""
+    rows = []
+    for i, q in enumerate(qs):
+        ps = [truncated_at(gp, q, j, a, b, shape.Nij(i, j), heads[j - 1]) for j in range(1, gp.m + 1)]
+        rows.append([(ps[0][2], q.den * b ** (len(q.nums) - 1)), *(pv[:2] for pv in ps)])
+    return rows
+
+
+def window_at(
+    gp: GParams, q: Grid, shape: ApproxShape, i: int, j: int, a: int, b: int, T: int, heads: dict[int, Piece]
+) -> Fraction:
+    """The terms of orders N_ij + n_j + 1 through T of Q_i * phi_j at a/b,
+    summed: V_T - V_s with s = N_ij + n_j, for the grid q of Q_i."""
+    s = shape.Nij(i, j) + shape.n[j - 1]
+    (nt, dt, _), (ns, ds, _) = (truncated_at(gp, q, j, a, b, t, heads) for t in (T, s))
+    return Fraction(nt, dt) - Fraction(ns, ds)

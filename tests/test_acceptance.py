@@ -204,6 +204,23 @@ def test_criterion_09_linear_form_chain():
     assert ok and dt < 60
 
 
+def test_linear_form_bound_applies_where_the_theorem_does():
+    # the paper's p-adic lower bound at instances where every hypothesis
+    # holds (the golden cases padic.unit.applies.json and
+    # padic.trio.applies.json): m = 1 and m = 2, sharp theta mode
+    for alphas, beta, p, ell, delta in [
+        ([F(1), F(1)], F(2**130), 2, (10**315 + 7, -(10**315 + 3)), F(1, 20)),
+        ([F(1), F(1, 2), F(1, 3)], F(5**172), 5, (10**645 + 1, -(10**645 + 7), 10**645 + 3), F(1, 50)),
+    ]:
+        inst = LinearFormInstance(ell=ell, tau=F(1, 2), delta=delta)
+        rep = audit_linear_form(derive_params(alphas), beta, p, inst, ThetaMode.sharp())
+        assert rep["hypotheses"]["all_met"] is True
+        assert rep["height_threshold"]["htilde_reaches_threshold"] is True
+        assert rep["final_bound"] == {"applicable": True, "holds_numerically": True}
+        assert rep["remainder_part"]["kind"] == "exact"
+        assert rep["verdict"] == "combination dominates remainder part at this instance"
+
+
 def test_criterion_10_restricted_end_to_end():
     t0 = time.time()
     gp = derive_params([F(1), F(1)])

@@ -22,6 +22,7 @@ from gpade.arith import FactoredInteger, Interval, log_interval
 from gpade.errors import DomainViolation, IntegralityViolation
 from gpade.pade import ApproxShape, build_family
 from gpade.params import derive_params
+from gpade.realseries import phi_heads, rows_at_point
 from gpade.report import entry, rational
 
 from conftest import make_configs
@@ -243,23 +244,33 @@ def test_size_bounds_below_threshold_instance():
     assert all(not e.applicable for e in entries if e.name.startswith(("log_size", "coeff")))
 
 
+def point_rows(fam, beta):
+    """The rows of the family at beta as the p-adic audit evaluates them: from
+    the Q_i grids and one split of each phi_j (`realseries.rows_at_point`)."""
+    gp, shape = fam.gp, fam.shape
+    heads = phi_heads(gp, shape, beta, shape.remainder_truncation)
+    return rows_at_point(gp, list(fam.q), shape, beta.numerator, beta.denominator, heads)
+
+
 def test_scaled_integers_hand_instance(half, monkeypatch):
     gp, shape, fam, cert = half
-    sc = scaled_integers(fam, cert, F(8, 3), p=2)
+    rows = point_rows(fam, F(8, 3))
+    sc = scaled_integers(gp, shape, rows, cert, F(8, 3), p=2)
     assert sc.qi[0] == 113400
     with pytest.raises(DomainViolation):
-        scaled_integers(fam, cert, F(3, 2), p=2)
+        scaled_integers(gp, shape, point_rows(fam, F(3, 2)), cert, F(3, 2), p=2)
     with pytest.raises(DomainViolation):
-        scaled_integers(fam, cert, F(1, 2))
+        scaled_integers(gp, shape, point_rows(fam, F(1, 2)), cert, F(1, 2))
     # a singular stacked matrix is a failed check, never a returned system
     monkeypatch.setattr(gpade.denom, "bareiss_eliminate", lambda rows: (rows, 0))
     with pytest.raises(IntegralityViolation, match="singular"):
-        scaled_integers(fam, cert, F(8, 3), p=2)
+        scaled_integers(gp, shape, rows, cert, F(8, 3), p=2)
 
 
 def test_scaled_integers_match_fraction_horner():
-    # D b^Ntilde Q_i(beta) and D b^Ntilde P_ij(beta) by Fraction Horner, at a
-    # negative point; without D the same values are not all integers
+    # D b^Ntilde Q_i(beta) and D b^Ntilde P_ij(beta) from the point values
+    # against Fraction Horner on build_family's grids, at a negative point;
+    # without D the same values are not all integers
     gp = derive_params([F(1), F(1, 2), F(1, 3)])
     shape = ApproxShape(n=(2, 1), n0=3)
     fam = build_family(gp, shape)
@@ -272,12 +283,13 @@ def test_scaled_integers_match_fraction_horner():
             value = value * beta + c
         return value * cert.d.value * beta.denominator**shape.Ntilde
 
-    sc = scaled_integers(fam, cert, beta)
+    rows = point_rows(fam, beta)
+    sc = scaled_integers(gp, shape, rows, cert, beta)
     for i in range(gp.m + 1):
         assert F(sc.qi[i]) == scaled(fam.q[i].values())
         assert tuple(map(F, sc.pij[i])) == tuple(scaled(fam.p_coeffs(i, j).values()) for j in (1, 2))
-    with pytest.raises(IntegralityViolation):
-        scaled_integers(fam, cert._replace(d=FactoredInteger.one()), beta)
+    with pytest.raises(IntegralityViolation, match=r"scaled Q_0\(-7/3\) is not an integer"):
+        scaled_integers(gp, shape, rows, cert._replace(d=FactoredInteger.one()), beta)
 
 
 def test_remainder_bound_hand_instance(half):

@@ -40,6 +40,7 @@ from gpade.pade import ApproxShape, build_family
 from gpade.padic import LinearFormInstance, eval_phi_padic, linear_form_valuation, select_block_degrees
 from gpade.params import derive_params, padic_domain_check
 from gpade.realapprox import make_restricted_instance, smallest_admissible_b
+from gpade.realseries import phi_heads, rows_at_point
 from gpade.report import entry
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,6 +99,7 @@ def _record_samples() -> list:
     shape = ApproxShape(n=(1,), n0=1)
     family = build_family(gp, shape)
     cert = make_cert(gp, shape, ThetaMode.paper())
+    heads = phi_heads(gp, shape, F(8, 3), shape.remainder_truncation)
     enc = eval_phi_padic(gp, 1, F(8, 3), 2, 8)
     form = LinearFormInstance(ell=(5, 4), tau=F(1, 2), delta=F(1, 20))
     gp11, sharp = derive_params([F(1), F(1)]), ThetaMode.sharp()
@@ -114,7 +116,7 @@ def _record_samples() -> list:
         cert.constants.mode,
         cert.constants,
         cert,
-        scaled_integers(family, cert, F(8, 3), p=2),
+        scaled_integers(gp, shape, rows_at_point(gp, list(family.q), shape, 8, 3, heads), cert, F(8, 3), p=2),
         remainder_padic_bound(gp, shape, F(8, 3), 2, cert),
         enc,
         linear_form_valuation((enc,), (0, 1)),

@@ -28,6 +28,7 @@ from gpade.pade import (
     verify_order,
 )
 from gpade.params import derive_params
+from gpade.realseries import phi_heads, rows_at_point, window_at
 
 from conftest import ALPHA_POOL, make_configs, pick_alphas
 
@@ -80,7 +81,8 @@ def test_hand_instance_numerators(half):
 def test_hand_instance_remainder(half):
     gp, shape, fam = half
     assert fam.forced_zero_coeffs(0, 1).values() == (F(0),)
-    assert fam.remainder_terms(0, 1, F(1), shape.remainder_truncation)[0] == F(-4, 105)
+    # the first possibly nonzero order is N_01 + n_1 + 1 = 3
+    assert series_product_coeffs(gp, fam.q[0], 1, 3, 3).values() == (F(-4, 105),)
     assert verify_order(fam) == {(0, 1): True, (1, 1): True}
 
 
@@ -104,9 +106,43 @@ def test_remainder_terms_match_full_convolution(alphas, n, n0, z):
                 Nij, nj = shape.Nij(i, j), shape.n[j - 1]
                 assert tuple(full[: Nij + 1]) == fam.p_coeffs(i, j).values()
                 assert full[Nij + 1 : Nij + nj + 1] == [0] * nj
-                expected = [cf * z**mu for mu, cf in enumerate(full) if mu > Nij + nj]
-                assert fam.remainder_terms(i, j, z, T) == expected
-                assert any(expected)
+                # the remainder terms c_mu z^mu, mu = N_ij + n_j + 1 .. T
+                window = series_product_coeffs(gp, fam.q[i], j, Nij + nj + 1, T).values()
+                terms = [cf * z**mu for mu, cf in enumerate(window, start=Nij + nj + 1)]
+                assert terms == [cf * z**mu for mu, cf in enumerate(full) if mu > Nij + nj]
+                assert any(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+    n=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    extra=st.integers(0, 3),
+    a=st.integers(-30, 30).filter(bool),
+    b=st.integers(1, 10**6),
+    deeper=st.booleans(),
+)
+@example(m=1, seed=0, n=[1, 1, 1], extra=0, a=-8, b=3, deeper=False)  # n0 = n_1: the cut 0
+def test_point_values_match_product_series(m, seed, n, extra, a, b, deeper):
+    # P_ij(a/b) and the remainder window sums from Q_i's grid and one split
+    # of each phi_j (`realseries`), against the Fraction convolution, over
+    # pool tuples with m = 1, 2, 3, both signs of a and two truncations T
+    gp = derive_params(pick_alphas(random.Random(seed), m))
+    shape = ApproxShape(n=tuple(n[:m]), n0=max(n[:m]) + extra)
+    fam = build_family(gp, shape)
+    z = F(a, b)
+    T = shape.remainder_truncation + (shape.Ntilde if deeper else 0)
+    heads = phi_heads(gp, shape, z, T)
+    rows = rows_at_point(gp, list(fam.q), shape, z.numerator, z.denominator, heads)
+    for i in range(gp.m + 1):
+        assert F(*rows[i][0]) == sum(c * z**k for k, c in enumerate(fam.q[i].values()))
+        for j in range(1, gp.m + 1):
+            full = reference_product_coeffs(gp, fam.q[i].values(), j, T)
+            Nij, nj = shape.Nij(i, j), shape.n[j - 1]
+            assert F(*rows[i][j]) == sum(c * z**mu for mu, c in enumerate(full[: Nij + 1]))
+            window = window_at(gp, fam.q[i], shape, i, j, z.numerator, z.denominator, T, heads[j - 1])
+            assert window == sum(c * z**mu for mu, c in enumerate(full) if mu > Nij + nj)
 
 
 def plus_one(grid, k):

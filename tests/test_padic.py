@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -249,6 +250,25 @@ def test_audit_three_series():
     assert rep["dominance_holds"] is True
     assert rep["chain_consistency"] is True
     assert rep["valuations"]["lambda"] == rep["witness"]["lambda_valuation"]
+
+
+def test_audit_builds_no_numerator(monkeypatch, gph):
+    # the audit reads the rows at beta from the Q_i grids and one split of
+    # each phi_j: no family and no product-series coefficient, also while
+    # it deepens its truncation (form (5, 3) on half.params deepens once)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the p-adic audit formed product-series coefficients")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("gpade.")]:
+        for name in ("build_family", "series_product_coeffs"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    inst = LinearFormInstance(ell=(5, 3), tau=F(1, 2), delta=F(1, 20))
+    rep = audit_linear_form(gph, F(8, 3), 2, inst, ThetaMode.paper())
+    assert rep["dominance_holds"] is True
+    trio = derive_params([F(1), F(1, 2), F(1, 3)])
+    inst = LinearFormInstance(ell=(3, -2, 5), tau=F(1, 2), delta=F(1, 24))
+    assert audit_linear_form(trio, F(16, 5), 2, inst, ThetaMode.paper())["dominance_holds"] is True
 
 
 def reference_truncation_order(gp, p, q, target):
