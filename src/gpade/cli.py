@@ -10,6 +10,10 @@ Subcommands map one-to-one onto the library's certification operations:
   global        global-relation threshold and per-prime probing
   restricted    the real restricted-approximation audit
 
+Each subcommand's options are declared once, in `_OPTIONS`.  A valid argv is
+read from that table directly; the argparse parser is built from it only
+for help, usage errors and the argv the reader leaves to it.
+
 Exit status: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 hypothesis error.  Output is deterministic: identical inputs produce
 byte-identical reports (sorted keys, exact rationals, tagged bounds).
@@ -118,64 +122,119 @@ def _theta_mode(text: str) -> str:
     return text
 
 
-@functools.lru_cache(maxsize=None)
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser `gpade` of every subcommand, or the parser `gpade command`
-    of that subcommand alone, the one the full parser hands its arguments to.
-    Built once per process: parsing leaves the parser unchanged (an appended
-    option copies its default list before appending)."""
-    if command is None:
-        ap = argparse.ArgumentParser(prog="gpade", description=__doc__.split("\n", 1)[0])
-        sub = ap.add_subparsers(dest="command", required=True)
-    built = {}
+# Each subcommand's summary and options, declared once: an option is its flag
+# and the `add_argument` keywords that give its type, default, whether it is
+# required and whether it is a flag ("store_true"), a single value or an
+# "append".  `_read_argv` reads valid argv from this table and `_build_parser`
+# builds the argparse parser from it.
+_COMMON = {
+    "--params": dict(required=True, help="parameter file (m, alpha0..alpham)"),
+    "--format": dict(choices=("tsv", "json"), default="tsv"),
+    "--precision": dict(type=_precision, default=128, metavar="BITS"),
+    "--exact": dict(action="store_true", default=False, help="print big integers in full"),
+    "--theta-mode": dict(type=_theta_mode, default="paper", metavar="{paper|sharp|custom:T,C}"),
+}
+_WITH_DEGREES = {
+    **_COMMON,
+    "--n": dict(type=_int_list, required=True, metavar="a,b,c"),
+    "--n0": dict(type=_int, required=True, metavar="K"),
+}
+_OPTIONS = {
+    "construct": ("dump the approximant family", {
+        **_WITH_DEGREES,
+        "--scaled": dict(action="store_true", default=False, help="emit coefficients cleared by D"),
+    }),
+    "verify": ("order, oracle and determinant checks", _WITH_DEGREES),
+    "denominators": ("clearing integers and integrality", _WITH_DEGREES),
+    "constants": ("certified constants", {
+        **_COMMON,
+        "--vartheta": dict(type=_fraction, default=None, metavar="V"),
+        "--beta": dict(type=_fraction, default=None, metavar="A/B"),
+        "--B": dict(type=_int, default=1),
+        "--t": dict(type=_fraction, default=Fraction(0)),
+    }),
+    "padic": ("p-adic enclosures and linear-form audit", {
+        **_COMMON,
+        "--beta": dict(type=_fraction, required=True, metavar="A/B"),
+        "--p": dict(type=_prime, required=True),
+        "--ell": dict(type=_int_list, action="append", default=[], metavar="l0,l1,..."),
+        "--tau": dict(type=_fraction, default=None),
+        "--delta": dict(type=_fraction, default=None),
+    }),
+    "global": ("global-relation threshold and probe", {
+        **_COMMON,
+        "--a": dict(type=_int, required=True),
+        "--ell": dict(type=_int_list, default=None, metavar="l0,l1,..."),
+    }),
+    "restricted": ("restricted-approximation audit", {
+        **_COMMON,
+        "--beta": dict(type=_fraction, required=True, metavar="A/B"),
+        "--B": dict(type=_int, default=1),
+        "--t": dict(type=_fraction, default=Fraction(0)),
+        "--M": dict(type=_int, default=None),
+        "--candidate-n": dict(type=_int, default=None),
+        "--vartheta": dict(type=_fraction, default=Fraction(2)),
+    }),
+}
 
-    def add(name: str, summary: str, degrees: bool = False) -> argparse.ArgumentParser | None:
-        if command not in (None, name):
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace `_build_parser().parse_args(argv)` returns, read from
+    `_OPTIONS` without building a parser, or None where argparse might read
+    argv otherwise or reject it: a first word that names no subcommand, a
+    word that is not exactly `--flag` or `--flag=value` of its options (help,
+    abbreviations, unknown flags), a flag given a value, a value missing or
+    starting with "-" (argparse reads -3 as a value and -3/7 as an option), a
+    value its type or choices reject, and a required option left out."""
+    if not argv or argv[0] not in _OPTIONS:
+        return None
+    options = _OPTIONS[argv[0]][1]
+    values = {}
+    words = iter(argv[1:])
+    for word in words:
+        flag, eq, text = word.partition("=")
+        kw = options.get(flag)
+        if kw is None:
             return None
-        # add_parser makes the same parser, with the summary for the full help
-        p = sub.add_parser(name, help=summary) if command is None else argparse.ArgumentParser(prog=f"gpade {name}")
-        built[name] = p
-        p.add_argument("--params", required=True, help="parameter file (m, alpha0..alpham)")
-        p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-        p.add_argument("--precision", type=_precision, default=128, metavar="BITS")
-        p.add_argument("--exact", action="store_true", help="print big integers in full")
-        p.add_argument("--theta-mode", type=_theta_mode, default="paper", metavar="{paper|sharp|custom:T,C}")
-        if degrees:
-            p.add_argument("--n", type=_int_list, required=True, metavar="a,b,c")
-            p.add_argument("--n0", type=_int, required=True, metavar="K")
-        return p
+        action = kw.get("action")
+        if action == "store_true":
+            if eq:
+                return None
+            values[flag] = True
+            continue
+        if not eq:
+            text = next(words, "-")
+            if text.startswith("-"):
+                return None
+        try:
+            value = kw.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        # an appended option collects into a fresh list, never its default
+        values[flag] = [*values.get(flag, ()), value] if action == "append" else value
+    for flag, kw in options.items():
+        if flag not in values:
+            if kw.get("required"):
+                return None
+            values[flag] = kw.get("default")
+    return argparse.Namespace(command=argv[0], **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
-    if p := add("construct", "dump the approximant family", True):
-        p.add_argument("--scaled", action="store_true", help="emit coefficients cleared by D")
 
-    add("verify", "order, oracle and determinant checks", True)
-    add("denominators", "clearing integers and integrality", True)
-
-    if p := add("constants", "certified constants"):
-        p.add_argument("--vartheta", type=_fraction, default=None, metavar="V")
-        p.add_argument("--beta", type=_fraction, default=None, metavar="A/B")
-        p.add_argument("--B", type=_int, default=1)
-        p.add_argument("--t", type=_fraction, default=Fraction(0))
-
-    if p := add("padic", "p-adic enclosures and linear-form audit"):
-        p.add_argument("--beta", type=_fraction, required=True, metavar="A/B")
-        p.add_argument("--p", type=_prime, required=True)
-        p.add_argument("--ell", type=_int_list, action="append", default=[], metavar="l0,l1,...")
-        p.add_argument("--tau", type=_fraction, default=None)
-        p.add_argument("--delta", type=_fraction, default=None)
-
-    if p := add("global", "global-relation threshold and probe"):
-        p.add_argument("--a", type=_int, required=True)
-        p.add_argument("--ell", type=_int_list, default=None, metavar="l0,l1,...")
-
-    if p := add("restricted", "restricted-approximation audit"):
-        p.add_argument("--beta", type=_fraction, required=True, metavar="A/B")
-        p.add_argument("--B", type=_int, default=1)
-        p.add_argument("--t", type=_fraction, default=Fraction(0))
-        p.add_argument("--M", type=_int, default=None)
-        p.add_argument("--candidate-n", type=_int, default=None)
-        p.add_argument("--vartheta", type=_fraction, default=Fraction(2))
-    return ap if command is None else built[command]
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every subcommand, built from `_OPTIONS` for
+    help, usage errors and the argv `_read_argv` declines.  Built once per
+    process: parsing leaves it unchanged (an appended option copies its
+    default list before appending)."""
+    ap = argparse.ArgumentParser(prog="gpade", description=__doc__.split("\n", 1)[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (summary, options) in _OPTIONS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kw in options.items():
+            p.add_argument(flag, **kw)
+    return ap
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +416,10 @@ _COMMANDS = {
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """`_build_parser().parse_args(argv)`, building only the subcommand's own
-    parser when argv names one first: the full parser passes everything after
-    the name to it and adds the name.  An empty or unknown command, top-level
-    help and arguments left over go to the full parser, which prints what it
-    always did.
-    """
-    if argv and argv[0] in _COMMANDS:
-        args, rest = _build_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return _build_parser().parse_args(argv)
+    """`_build_parser().parse_args(argv)`, with no parser built for the argv
+    `_read_argv` reads."""
+    args = _read_argv(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

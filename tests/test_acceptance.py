@@ -206,13 +206,17 @@ def test_criterion_09_linear_form_chain():
 
 def test_linear_form_bound_applies_where_the_theorem_does():
     # the paper's p-adic lower bound at instances where every hypothesis
-    # holds (the golden cases padic.unit.applies.json and
-    # padic.trio.applies.json): m = 1 and m = 2, sharp theta mode
-    for alphas, beta, p, ell, delta in [
-        ([F(1), F(1)], F(2**130), 2, (10**315 + 7, -(10**315 + 3)), F(1, 20)),
-        ([F(1), F(1, 2), F(1, 3)], F(5**172), 5, (10**645 + 1, -(10**645 + 7), 10**645 + 3), F(1, 50)),
+    # holds (the golden cases padic.unit.applies.json, padic.trio.applies.json,
+    # padic.unit.corollary.json and padic.quad.applies.json): m = 1, 2 and 3,
+    # sharp theta mode, and the m = 1 corollary at tau = 1/4
+    quad = [F(3, 2), F(1, 2), F(2, 3), F(1, 4)]
+    for alphas, beta, p, ell, tau, delta in [
+        ([F(1), F(1)], F(2**130), 2, (10**315 + 7, -(10**315 + 3)), F(1, 2), F(1, 20)),
+        ([F(1), F(1, 2), F(1, 3)], F(5**172), 5, (10**645 + 1, -(10**645 + 7), 10**645 + 3), F(1, 2), F(1, 50)),
+        ([F(1), F(1)], F(2**260), 2, (10**1300 + 7, -(10**1300 + 3)), F(1, 4), F(1, 32)),
+        (quad, F(5**412), 5, (10**2280 + 1, -(10**2280 + 7), 10**2280 + 3, 10**2280 + 9), F(1, 2), F(1, 70)),
     ]:
-        inst = LinearFormInstance(ell=ell, tau=F(1, 2), delta=delta)
+        inst = LinearFormInstance(ell=ell, tau=tau, delta=delta)
         rep = audit_linear_form(derive_params(alphas), beta, p, inst, ThetaMode.sharp())
         assert rep["hypotheses"]["all_met"] is True
         assert rep["height_threshold"]["htilde_reaches_threshold"] is True

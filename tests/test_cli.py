@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,13 +9,32 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpade.arith import MR_LIMIT, FactoredInteger, digits10
-from gpade.cli import _build_parser, _parse_args, _prime, emit_report, main
+from gpade.cli import (
+    _OPTIONS,
+    _build_parser,
+    _fraction,
+    _int,
+    _int_list,
+    _parse_args,
+    _precision,
+    _prime,
+    _read_argv,
+    _theta_mode,
+    emit_report,
+    main,
+)
 from gpade.denom import make_cert
 from gpade.report import abbrev, int_str
 
 from test_golden import CASES
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import WORKLOADS, build  # noqa: E402
 
 HALF = "m = 1\nalpha0 = 1\nalpha1 = 1/2\n"
 ONE = "m = 1\nalpha0 = 1\nalpha1 = 1\n"
@@ -486,18 +507,19 @@ def test_emit_report_formats():
 
 
 def test_parser_reuse_keeps_appended_option_empty(params_file, capsys):
-    # one parser serves every main() call of a process: an --ell appended by
-    # one call must not reach the next, and each report must match the one a
-    # fresh process prints
+    # one parser serves every argparse parse of a process, and the reader
+    # collects --ell into a fresh list: an --ell appended by one call must not
+    # reach the next, and each report must match the one a fresh process prints
     assert _build_parser() is _build_parser()
     path = params_file(HALF)
     base = ["padic", "--params", path, "--beta", "8/3", "--p", "2"]
     with_ell = base + ["--ell", "1,1"]
     code1, out1, _ = run(capsys, with_ell)
     code2, out2, _ = run(capsys, base)
-    assert _build_parser().parse_args(base).ell == []
+    assert _build_parser().parse_args(with_ell).ell == [(1, 1)]
+    assert _build_parser().parse_args(base).ell == [] and _read_argv(base).ell == []
     assert "linear_forms" in out1 and "linear_forms" not in out2
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for argv, code, out in ((with_ell, code1, out1), (base, code2, out2)):
         proc = subprocess.run(
             [sys.executable, "-m", "gpade.cli", *argv], capture_output=True, text=True, env=env, timeout=120
@@ -509,16 +531,136 @@ def _subcommands(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def test_subcommand_parser_matches_full_parser():
-    # main() parses with the parser of the subcommand argv names alone; every
-    # golden argv must give the namespace the full parser gives
+# The golden cases whose argv argparse reads and the reader leaves to it: an
+# abbreviation, an unknown flag and a negative value in the next word.
+FALLBACK_CASES = {"constants.trio.prec_abbrev.tsv", "verify.half.unknown_flag", "restricted.unit.split_negative"}
+
+
+def _golden_argv(case):
+    return [case["argv"][0], "--params", "p.params", *case["argv"][1:]]
+
+
+def _same(args, expected) -> bool:
+    # equal, and with values of the same types (Fraction(2) == 2)
+    return args == expected and all(type(v) is type(getattr(expected, k)) for k, v in vars(args).items())
+
+
+def test_reader_matches_full_parser():
+    # main() reads every golden and workload argv without argparse, into the
+    # namespace the full parser gives, and leaves the rest to argparse
     full = _build_parser()
-    for case in CASES:
-        argv = [case["argv"][0], "--params", "p.params", *case["argv"][1:]]
-        alone = _build_parser(argv[0])
-        assert alone.prog == f"gpade {argv[0]}" and alone is not full
-        assert _parse_args(argv) == full.parse_args(argv)
+    argvs = [_golden_argv(case) for case in CASES if case["name"] not in FALLBACK_CASES]
+    for name in WORKLOADS:
+        for seed in (1, 2, 3):
+            wl = build(name, seed)
+            argvs += [wl.argv(op, "p") for op in wl.ops]
+    assert len(argvs) == len(CASES) - len(FALLBACK_CASES) + 213
+    for argv in argvs:
+        assert _same(_read_argv(argv), full.parse_args(argv)), argv
+    verify = ["verify", "--params", "p", "--n", "1", "--n0", "1"]
+    declined = [_golden_argv(case) for case in CASES if case["name"] in FALLBACK_CASES]
+    declined += [[], ["-h"], ["bogus", "--params", "p"], verify[:-2], verify[:-1], verify + ["--", "--exact"]]
+    for extra in (["-h"], ["--exact=1"], ["--format", "xml"], ["--n0", "x"], ["--precision=0"]):
+        declined.append(verify + extra)
+    assert [argv for argv in declined if _read_argv(argv) is not None] == []
     assert list(_subcommands(full)) == ["construct", "verify", "denominators", "constants", "padic", "global", "restricted"]
+
+
+# Valid and malformed value texts for each type of the option table; None is
+# the type of --params (--format takes its choices).  The negative values are
+# valid after "=" and left to argparse in the next word.
+_TEXTS = {
+    None: (["p.params", ""], ["-p"]),
+    _fraction: (["8/3", "2", "-3/7"], ["x", "1/0"]),
+    _int: (["7", "0", "-5"], ["x", "1/2"]),
+    _int_list: (["1,2", "3", "-1,5"], ["1,,2", "x"]),
+    _precision: (["96", "1"], ["0", "-5"]),
+    _prime: (["2", "5"], ["4", "1"]),
+    _theta_mode: (["sharp", "paper", "custom:3/2,5"], ["custom:1,2", "bogus"]),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one subcommand drawn from the option table (repeats, `=`
+    forms and split values included), perturbed at most once: an option left
+    out, abbreviated, given a malformed value or no value, or an unknown
+    flag, help or a flag with a value put in."""
+    command = draw(st.sampled_from(list(_OPTIONS)))
+    options = _OPTIONS[command][1]
+    flags = [flag for flag, kw in options.items() if kw.get("required") or draw(st.booleans())]
+    flags += draw(st.lists(st.sampled_from(flags), max_size=2))
+    words = []
+    for flag in draw(st.permutations(flags)):
+        kw = options[flag]
+        valid, malformed = ([*kw["choices"]], ["xml"]) if "choices" in kw else _TEXTS[kw.get("type")]
+        text = None if kw.get("action") == "store_true" else draw(st.sampled_from(valid))
+        words.append([flag, text, draw(st.booleans()), malformed])
+    k = draw(st.sampled_from(range(len(words))))
+    changes = [None, None, "leave out", "abbreviate", "malformed", "no value", "--bogus", "-h", "--exact=1"]
+    change = draw(st.sampled_from(changes))
+    if change == "leave out":
+        del words[k]
+    elif change == "abbreviate":
+        words[k][0] = draw(st.sampled_from([words[k][0][:-1], words[k][0][:3]]))
+    elif change == "malformed" and words[k][1] is not None:
+        words[k][1] = draw(st.sampled_from(words[k][3]))
+    elif change == "no value":
+        words[k][1] = None
+    argv = [command]
+    for flag, text, eq, _ in words:
+        argv += [flag] if text is None else [f"{flag}={text}"] if eq else [flag, text]
+    if change in ("--bogus", "-h", "--exact=1"):
+        argv.insert(draw(st.integers(1, len(argv))), change)
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+def test_reader_agrees_with_argparse(argv):
+    # the reader gives argparse's namespace or declines, and it declines
+    # every argv on which argparse exits
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = _build_parser().parse_args(argv)
+        except SystemExit:
+            expected = None
+    args = _read_argv(argv)
+    assert args is None or _same(args, expected)
+
+
+# Valid argv of every subcommand, parsed in a fresh interpreter where building
+# an argparse parser or translating one of its messages raises.
+_NO_PARSER = """
+import gettext
+
+def refuse(*args, **kwargs):
+    raise RuntimeError("an argparse parser was built")
+
+gettext.gettext = refuse
+import argparse
+
+argparse.ArgumentParser.__init__ = refuse
+from gpade.cli import _parse_args
+
+for argv in (
+    ["construct", "--params", "p", "--n", "2,1", "--n0", "3", "--scaled", "--format", "json"],
+    ["verify", "--params", "p", "--n=3", "--n0", "4", "--exact"],
+    ["denominators", "--params", "p", "--n", "3", "--n0", "3", "--theta-mode", "custom:3/2,5"],
+    ["constants", "--params", "p", "--precision", "192", "--beta", "1/20014458431", "--vartheta", "2"],
+    ["padic", "--params", "p", "--beta", "8/3", "--p", "2", "--ell", "1,1", "--ell=5,-4", "--tau", "1/2"],
+    ["global", "--params", "p", "--a", "35", "--ell=1,-2,3"],
+    ["restricted", "--params", "p", "--beta=-3/14590540195783", "--theta-mode", "sharp", "--M", "30"],
+):
+    print(_parse_args(argv).command)
+"""
+
+
+def test_valid_argv_builds_no_parser():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _NO_PARSER], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == list(_OPTIONS)
 
 
 def test_help_and_usage_errors_unchanged(capsys):
