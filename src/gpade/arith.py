@@ -48,7 +48,6 @@ __all__ = [
     "digits10",
     "floor_log10_ratio",
     "product_le",
-    "poly_eval",
     "cleared",
     "cleared_eval",
 ]
@@ -170,18 +169,6 @@ def pochhammer(x: Fraction, n: int) -> Fraction:
     for k in range(n):
         acc *= s + k * t
     return Fraction(acc, t**n)
-
-
-def poly_eval(coeffs, t):
-    """The polynomial with coefficients coeffs[0], coeffs[1], ... at t (Horner).
-
-    Integer coefficients at an integer t stay in int.  At a rational point
-    use `cleared_eval`, which needs no gcd per step.
-    """
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 class Grid(NamedTuple):

@@ -149,13 +149,13 @@ _OPTIONS = {
     "constants": ("certified constants", {
         **_COMMON,
         "--vartheta": dict(type=_fraction, default=None, metavar="V"),
-        "--beta": dict(type=_fraction, default=None, metavar="A/B"),
+        "--beta": dict(type=_fraction, default=None, metavar="A/B", help="write a negative value as --beta=-A/B"),
         "--B": dict(type=_int, default=1),
         "--t": dict(type=_fraction, default=Fraction(0)),
     }),
     "padic": ("p-adic enclosures and linear-form audit", {
         **_COMMON,
-        "--beta": dict(type=_fraction, required=True, metavar="A/B"),
+        "--beta": dict(type=_fraction, required=True, metavar="A/B", help="write a negative value as --beta=-A/B"),
         "--p": dict(type=_prime, required=True),
         "--ell": dict(type=_int_list, action="append", default=[], metavar="l0,l1,..."),
         "--tau": dict(type=_fraction, default=None),
@@ -168,7 +168,7 @@ _OPTIONS = {
     }),
     "restricted": ("restricted-approximation audit", {
         **_COMMON,
-        "--beta": dict(type=_fraction, required=True, metavar="A/B"),
+        "--beta": dict(type=_fraction, required=True, metavar="A/B", help="write a negative value as --beta=-A/B"),
         "--B": dict(type=_int, default=1),
         "--t": dict(type=_fraction, default=Fraction(0)),
         "--M": dict(type=_int, default=None),

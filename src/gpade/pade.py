@@ -28,8 +28,8 @@ once.  The checks read the numerators as they are, and a reduced Fraction is
 formed only where a report prints one.  The oracle's elimination is
 primitive-row: each reduced row is divided by the gcd of its entries, so it
 stays proportional to, and never larger than, the Bareiss row of
-determinant-sized minors.  The determinant check keeps Bareiss on its small
-dense matrices.
+determinant-sized minors.  The determinant check reads its degree from the
+grids and its valuation from the product kernel, and evaluates once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from .arith import Grid, cleared, pochhammer, poly_eval
+from .arith import Grid, cleared, pochhammer
 from .errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
 from .params import GParams
 from .report import full_digits, tsv
@@ -558,38 +558,42 @@ def oracle_solve(gp: GParams, shape: ApproxShape) -> tuple[Grid, ...]:
 def family_det(family: PadeFamily) -> tuple[int, Fraction]:
     """Certify that det(Q_i, P_i1, ..., P_im) is the monomial omega * z^e.
 
-    Returns (e, omega) with e = N + sum N_j + m and omega the product of the
-    leading P_ii coefficients.  The certification evaluates the determinant
-    at the 2k >= e+1 points t = +-1..+-k; since its degree is at most e by
-    row/column degree counts, agreement there proves the polynomial
-    identity.  Any mismatch raises NonMonomialDeterminant.
+    Returns (e, omega), e = N + sum N_j + m = m (Ntilde + 1) and omega the
+    product of the leading P_ii coefficients, in four steps:
+    1. deg Q_i <= N by its grid's length, deg P_ij <= N_ij by 2: deg det <= e;
+    2. each Q_i * phi_j through order Ntilde is P_ij's N_ij + 1 coefficients
+       padded with zeros;
+    3. so R_ij = Q_i phi_j - P_ij vanishes to order Ntilde + 1, and
+       det(Q, P) = (-1)^m det(Q, R) (column j minus phi_j times column 0)
+       to order e, whatever phi_j is; with 1, det = c z^e;
+    4. c = det(1) must equal omega.
+    A failed step, or omega = 0, raises NonMonomialDeterminant.
     """
     gp, shape = family.gp, family.shape
+    Nt = shape.Ntilde
     exponent = shape.N + sum(shape.Nj) + gp.m
     omega = Fraction(1)
     for i in range(1, gp.m + 1):
         omega *= family.p_leading(i)
     if omega == 0:
         raise NonMonomialDeterminant("vanishing leading coefficient")
-    # clear row i (Q_i and every P_ij) by the lcm L_i of its grids'
-    # denominators: the integer determinant at t is det(t) * prod(L_i).  Each
-    # cleared polynomial f is split into even and odd parts, f(+-t) =
-    # even(t^2) +- t odd(t^2), so one pair of evaluations serves both signs.
+    # row i at t = 1, cleared by the lcm L_i of its grids' denominators: the
+    # integer determinant is det(1) * prod(L_i)
     rows = []
     target = omega
-    for i in range(gp.m + 1):
-        polys = [family.q[i], *family.p[i]]
+    for i, (q, prow) in enumerate(zip(family.q, family.p)):
+        if len(q.nums) > shape.N + 1:
+            raise NonMonomialDeterminant(f"Q_{i} exceeds its degree bound")
+        for j, (den, nums) in enumerate(prow, 1):
+            # Ntilde - N_ij zeros: equal lengths also give deg P_ij <= N_ij
+            if series_product_coeffs(gp, q, j, 0, Nt) != (den, nums + (0,) * (Nt - shape.Nij(i, j))):
+                raise NonMonomialDeterminant(f"P_ij is not Q_i * phi_j through order Ntilde at i={i}, j={j}")
+        polys = (q, *prow)
         L = lcm(*(den for den, _ in polys))
-        cleared_polys = [[c * (L // den) for c in nums] for den, nums in polys]
-        rows.append([(f[0::2], f[1::2]) for f in cleared_polys])
+        rows.append([sum(nums) * (L // den) for den, nums in polys])
         target *= L
-    for t in range(1, exponent // 2 + 2):
-        t2 = t * t
-        halves = [[(poly_eval(even, t2), t * poly_eval(odd, t2)) for even, odd in row] for row in rows]
-        for point, sign in ((t, 1), (-t, -1)):
-            det = bareiss_eliminate([[e + sign * o for e, o in row] for row in halves])[1]
-            if det * target.denominator != target.numerator * point**exponent:
-                raise NonMonomialDeterminant(f"determinant deviates from monomial at t={point}")
+    if bareiss_eliminate(rows)[1] * target.denominator != target.numerator:
+        raise NonMonomialDeterminant("determinant at t=1 differs from omega")
     return exponent, omega
 
 

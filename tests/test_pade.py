@@ -1,6 +1,7 @@
 import random
 from copy import deepcopy
 from fractions import Fraction as F
+from itertools import permutations, zip_longest
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gpade.pade
 from gpade.arith import Grid, cleared, cleared_eval, pochhammer
 
 from gpade.errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
 from gpade.pade import (
     _solve_sharing,
     ApproxShape,
+    bareiss_eliminate,
     build_family,
     build_q,
     build_q_generic,
@@ -607,27 +610,145 @@ def test_determinant_hand_instance(half):
     assert omega == fam.p_leading(1)
 
 
-def test_determinant_by_direct_polynomial_arithmetic(half):
-    # independent route: expand Q0*P11 - Q1*P01 by coefficient convolution
-    gp, shape, fam = half
+def reference_family_det(family):
+    """(e, omega) of `family_det` by the multipoint route: the determinant has
+    degree <= e, so its values at the e + 1 points t = +-1..+-k (2k >= e + 1)
+    fix it, and it must equal omega t^e at each of them."""
 
-    def poly_mul(a, b):
-        out = [F(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return out
+    def horner(coeffs, t):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        return acc
 
-    first = poly_mul(fam.q[0].values(), fam.p_coeffs(1, 1).values())
-    second = poly_mul(fam.q[1].values(), fam.p_coeffs(0, 1).values())
-    det = [x - y for x, y in zip(first, second + [F(0)] * (len(first) - len(second)))]
-    assert det == [F(0), F(0), F(0), F(4, 75)]
+    gp, shape = family.gp, family.shape
+    exponent = shape.N + sum(shape.Nj) + gp.m
+    omega = F(1)
+    for i in range(1, gp.m + 1):
+        omega *= family.p_leading(i)
+    if omega == 0:
+        raise NonMonomialDeterminant("vanishing leading coefficient")
+    # each row cleared by the lcm L_i of its grids' denominators; each cleared
+    # polynomial split as f(+-t) = even(t^2) +- t odd(t^2)
+    rows = []
+    target = omega
+    for i in range(gp.m + 1):
+        polys = [family.q[i], *family.p[i]]
+        L = lcm(*(den for den, _ in polys))
+        cleared_polys = [[c * (L // den) for c in nums] for den, nums in polys]
+        rows.append([(f[0::2], f[1::2]) for f in cleared_polys])
+        target *= L
+    for t in range(1, exponent // 2 + 2):
+        halves = [[(horner(even, t * t), t * horner(odd, t * t)) for even, odd in row] for row in rows]
+        for point, sign in ((t, 1), (-t, -1)):
+            det = bareiss_eliminate([[e + sign * o for e, o in row] for row in halves])[1]
+            if det * target.denominator != target.numerator * point**exponent:
+                raise NonMonomialDeterminant(f"determinant deviates from monomial at t={point}")
+    return exponent, omega
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance=closed_form_instances(n_max=4), n0=st.integers(1, 5))
+@example(instance=([F(1), F(1, 2)], (1,), (0,)), n0=1)  # the `half` family
+def test_family_det_matches_multipoint_reference(instance, n0):
+    alphas, n, _ = instance
+    gp = derive_params(alphas)
+    fam = build_family(gp, ApproxShape(n=n, n0=max(n0, *n)))
+    assert family_det(fam) == reference_family_det(fam)
+
+
+def poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def leibniz_det(matrix, mul, one):
+    """The determinant of a square matrix by its permutation expansion, for
+    entries with the product `mul`, the unit `one`, + and unary -."""
+    n = len(matrix)
+    total = None
+    for perm in permutations(range(n)):
+        term = one
+        for r, c in enumerate(perm):
+            term = mul(term, matrix[r][c])
+        if sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n)) % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+class Poly(tuple):
+    """A polynomial of Fractions with + and unary - for `leibniz_det`."""
+
+    def __add__(self, other):
+        return Poly(a + b for a, b in zip_longest(self, other, fillvalue=0))
+
+    def __neg__(self):
+        return Poly(-a for a in self)
+
+
+def family_det_poly(family):
+    """The coefficients of det(Q_i, P_i1, ..., P_im), trailing zeros dropped."""
+    matrix = [[Poly(g.values()) for g in (family.q[i], *family.p[i])] for i in range(family.gp.m + 1)]
+    det = list(leibniz_det(matrix, lambda a, b: Poly(poly_mul(a, b)), Poly([F(1)])))
+    while det and det[-1] == 0:
+        det.pop()
+    return det
+
+
+def test_determinant_by_direct_polynomial_arithmetic():
+    # independent route: expand the determinant over permutations by
+    # coefficient convolution
+    for alphas, n, n0 in [
+        ([F(1), F(1, 2)], (1,), 1),  # the `half` family: Q0 P11 - Q1 P01
+        ([F(1), F(1, 2), F(1, 3)], (1, 1), 1),
+        ([F(1, 2), F(1, 3), F(3, 4)], (2, 1), 3),
+        ([F(5, 3), F(2, 5), F(7, 4)], (2, 2), 2),
+    ]:
+        fam = build_family(derive_params(alphas), ApproxShape(n=n, n0=n0))
+        exponent, omega = family_det(fam)
+        assert family_det_poly(fam) == [F(0)] * exponent + [omega]
+
+
+def with_row(fam, i, q, prow):
+    """The family with row i replaced by Q_i = q and P_ij = prow[j - 1]."""
+    qq, pp = list(fam.q), list(fam.p)
+    qq[i], pp[i] = q, tuple(prow)
+    return fam._replace(q=tuple(qq), p=tuple(pp))
+
+
+def det_at_one(fam):
+    """The determinant at t = 1, by the permutation expansion."""
+    return leibniz_det([[sum(g.values()) for g in (fam.q[i], *fam.p[i])] for i in range(fam.gp.m + 1)], mul, F(1))
+
+
+def lengthened_balanced(fam):
+    """An m = 1, n = (1,) family with Q_1 + c1 z^(N+1) + c2 z^(N+2) and P_11
+    its series through order N_11 = Ntilde: the witness holds, so the
+    determinant still vanishes to order e, and (c1, c2) != 0 keeps its value
+    at t = 1 equal to the new leading P_11 coefficient.  Only deg Q_1 <= N
+    fails."""
+    gp, shape = fam.gp, fam.shape
+
+    def row(c1, c2):
+        q = cleared([*fam.q[1].values(), F(c1), F(c2)])
+        return with_row(fam, 1, q, [series_product_coeffs(gp, q, 1, 0, shape.Ntilde)])
+
+    def gap(f):
+        return det_at_one(f) - f.p_leading(1)
+
+    a, b = gap(row(1, 0)), gap(row(0, 1))
+    return row(b, -a) if a or b else row(1, 0)
 
 
 def test_determinant_rejects_corruption():
-    # the determinant is checked at +-1..+-k from even and odd parts: corrupt
-    # an even and an odd coefficient (a numerator of Q_i's grid), at odd and
-    # at even exponents
+    # family_det proves the monomial from the degree bound, the series
+    # witness P_ij = Q_i phi_j through order Ntilde and the value at t = 1.
+    # Corrupt Q_i and P_ij at degree 0 and at their top degree and lengthen a
+    # P_ij; then break one check only while the other two hold
     for alphas, n, n0, exponent in [
         ([F(1), F(1, 2)], (1,), 1, 3),
         ([F(1), F(1, 2)], (1,), 2, 4),
@@ -635,15 +756,52 @@ def test_determinant_rejects_corruption():
         ([F(3, 2), F(1, 2), F(2, 3), F(1, 4)], (1, 2, 1), 2, 21),
     ]:
         gp = derive_params(alphas)
+        m = gp.m
         fam = build_family(gp, ApproxShape(n=n, n0=n0))
         assert family_det(fam)[0] == exponent
-        for i, degree in [(0, 0), (gp.m, 1)]:
-            L, nums = fam.q[i]
-            qq = list(fam.q)
-            qq[i] = Grid(L, (*nums[:degree], nums[degree] + 1, *nums[degree + 1 :]))
-            broken = fam._replace(q=tuple(qq))
+        broken = []
+        for i, degree in [(0, 0), (m, 1)]:
+            broken.append(with_row(fam, i, plus_one(fam.q[i], degree), fam.p[i]))
+        for i, j in [(0, 1), (m, m)]:
+            P = fam.p[i][j - 1]
+            for degree in (0, len(P.nums) - 1):
+                prow = list(fam.p[i])
+                prow[j - 1] = plus_one(P, degree)
+                broken.append(with_row(fam, i, fam.q[i], prow))
+            prow = list(fam.p[i])
+            prow[j - 1] = Grid(P.den, (*P.nums, 1))
+            broken.append(with_row(fam, i, fam.q[i], prow))
+        for corrupted in broken:
             with pytest.raises(NonMonomialDeterminant):
-                family_det(broken)
+                family_det(corrupted)
+
+        if n == (1,):
+            # the degree bound alone: Q_1 lengthened, no monomial
+            corrupted = lengthened_balanced(fam)
+            assert det_at_one(corrupted) == corrupted.p_leading(1)
+            assert len(family_det_poly(corrupted)) > exponent + 1
+            with pytest.raises(NonMonomialDeterminant, match="degree bound"):
+                family_det(corrupted)
+        # the witness alone: P_01 + 1 - z^N_01 has the same value at t = 1
+        prow = list(fam.p[0])
+        den, nums = prow[0]
+        prow[0] = Grid(den, (nums[0] + den, *nums[1:-1], nums[-1] - den))
+        with pytest.raises(NonMonomialDeterminant, match="phi_j"):
+            family_det(with_row(fam, 0, fam.q[0], prow))
+        # the value at t = 1 alone: row 0 doubled doubles the monomial
+        double = [Grid.of(g.den, [2 * x for x in g.nums]) for g in (fam.q[0], *fam.p[0])]
+        with pytest.raises(NonMonomialDeterminant, match="t=1"):
+            family_det(with_row(fam, 0, double[0], double[1:]))
+
+
+def test_family_det_evaluates_one_point(monkeypatch):
+    # the series witness leaves one unknown, det(1): one elimination per call
+    calls = []
+    monkeypatch.setattr(gpade.pade, "bareiss_eliminate", lambda rows: calls.append(rows) or bareiss_eliminate(rows))
+    for gp, sh in make_configs(4242, 6, n_max=4, n0_max=5):
+        before = len(calls)
+        family_det(build_family(gp, sh))
+        assert len(calls) == before + 1
 
 
 def test_numerator_degrees():
