@@ -7,8 +7,10 @@ and every irrational quantity is an `Interval` (lo_num, hi_num, den), the
 rational enclosure [lo_num/den, hi_num/den] with outward (directed)
 rounding.  Both are normalized by one gcd, so equal values are equal tuples.
 `Interval` and the certified log, exp and root kernels live in `interval`
-and are re-exported here.  No floating point is used anywhere in the
-computation paths.
+and are re-exported here.  The one exact-elimination kernel lives here
+too: `certify_nonsingular` proves determinants nonzero by their residues
+modulo a prime and falls back to `bareiss_eliminate` only on a zero
+residue.  No floating point is used anywhere in the computation paths.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import compress
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .errors import FactorizationLimit, InvariantViolation
+from .errors import FactorizationLimit, InvariantViolation, SingularSystem
 from .interval import Interval, exp_interval, exp_iv, integer_nth_root, log_interval, log_iv, nth_root_iv
 
 __all__ = [
@@ -50,6 +52,9 @@ __all__ = [
     "product_le",
     "cleared",
     "cleared_eval",
+    "RANK_PRIME",
+    "bareiss_eliminate",
+    "certify_nonsingular",
 ]
 
 
@@ -388,3 +393,114 @@ def epsilon_interval(n: int, prec: int = 128) -> Interval:
         acc = acc * nth_root_iv(Interval.point(p), p - 1, prec + 8)
     return acc.rounded(prec)
 
+
+
+# ---------------------------------------------------------------------------
+# Exact elimination: fraction-free determinants, nonsingularity by residue
+# ---------------------------------------------------------------------------
+
+# the largest prime below 2^30: the product of two residues is below 2^60,
+# which bounds the columns of `_Packed`
+RANK_PRIME = 2**30 - 35
+
+
+def bareiss_eliminate(rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Fraction-free (Bareiss) forward elimination of an integer matrix with
+    n rows and at least n columns; columns past the n-th (a right-hand side)
+    are carried along.
+
+    For column k, the first row r >= k with M[r][k] != 0 is swapped into row
+    k.  In every row r below it, M[r][c] becomes
+    (M[k][k] M[r][c] - M[r][k] M[k][c]) / prev for c > k, where prev is the
+    previous pivot (1 before the first step), and M[r][k] becomes 0.  Every
+    division is exact.
+
+    Returns the upper-triangular rows and the determinant of the leading
+    n x n block, which is 0 (with the rows only partly eliminated) when some
+    column has no nonzero pivot.
+    """
+    M = [row[:] for row in rows]
+    prev, sign = 1, 1
+    for k in range(len(M)):
+        piv = next((r for r in range(k, len(M)) if M[r][k] != 0), None)
+        if piv is None:
+            return M, 0
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        pk = M[k]
+        a = pk[k]
+        for row in M[k + 1 :]:
+            b = row[k]
+            for c in range(k + 1, len(row)):
+                row[c] = (a * row[c] - b * pk[c]) // prev
+            row[k] = 0
+        prev = a
+    return M, sign * prev
+
+
+class _Packed(NamedTuple):
+    """Rows of n residues modulo p, each packed into one integer, w bytes a
+    column, least significant first, so that one big-integer product and sum
+    update every column at once.  A column starts below p, and each multiple
+    of a basis row adds less than p^2 < 2^60 to it; at most n are added, so
+    w bytes hold it without a carry into the next column."""
+
+    p: int
+    n: int
+    w: int
+
+    def pack(self, xs) -> int:
+        return int.from_bytes(b"".join((x % self.p).to_bytes(self.w, "little") for x in xs), "little")
+
+    def residues(self, X: int) -> list[int]:
+        b, w = X.to_bytes(self.n * self.w, "little"), self.w
+        return [int.from_bytes(b[k : k + w], "little") % self.p for k in range(0, len(b), w)]
+
+    def reduce(self, basis: list[tuple[int, int]], X: int) -> int:
+        """X plus the multiples of the echelon basis rows that clear it at
+        their pivot columns.  A basis row (c, T) holds the negated residues of
+        a row that is 1 at column c and 0 at the pivot columns of the rows
+        before it, so one pass in order clears every pivot column."""
+        bits = 8 * self.w
+        mask = (1 << bits) - 1
+        for c, T in basis:
+            X += (X >> bits * c & mask) % self.p * T
+        return X
+
+    def extend(self, basis: list[tuple[int, int]], rows: list[int]) -> bool:
+        """Append each packed row, reduced against the basis, to it; False as
+        soon as one reduces to zero, when the rows are dependent modulo p."""
+        for X in rows:
+            x = self.residues(self.reduce(basis, X))
+            c = next((k for k, v in enumerate(x) if v), None)
+            if c is None:
+                return False
+            inv = pow(x[c], -1, self.p)
+            basis.append((c, self.pack(-v * inv for v in x)))
+        return True
+
+
+def certify_nonsingular(shared: list[list[int]], others: list[list[int]], systems: list[list[int]]) -> None:
+    """Prove that each square integer system -- the rows `shared`, then
+    others[o] for each o in one of the index lists `systems`, all of one
+    size n -- has a nonzero determinant, or raise SingularSystem.  Columns
+    past the n-th (a right-hand side) are ignored.
+
+    A nonzero residue of the determinant modulo the prime RANK_PRIME proves
+    it nonzero (cf. Abbott, Bronstein & Mulders, ISSAC 1999).  The shared
+    rows are brought to echelon form modulo the prime once and every other
+    row is reduced against them once, so each system finishes only its own
+    rows.  A zero residue (for every system, when the shared rows are
+    dependent modulo the prime) is settled by the exact `bareiss_eliminate`.
+    """
+    n = len(shared) + len(systems[0])
+    packed = _Packed(RANK_PRIME, n, (68 + n.bit_length()) // 8)
+    basis: list[tuple[int, int]] = []
+    full = packed.extend(basis, [packed.pack(row[:n]) for row in shared])
+    reduced = [packed.reduce(basis, packed.pack(row[:n])) for row in others] if full else []
+    for k, system in enumerate(systems):
+        if full and packed.extend([], [reduced[o] for o in system]):
+            continue
+        if bareiss_eliminate(shared + [others[o] for o in system])[1] == 0:
+            raise SingularSystem(f"integer system {k} has determinant 0")

@@ -276,7 +276,7 @@ def _cmd_verify(args, gp):
     shape = ApproxShape(n=args.n, n0=args.n0)
     family = build_family(gp, shape)
     order = verify_order(family)
-    oracle_ok = {i: q == family.q[i] for i, q in enumerate(oracle_solve(gp, shape))}
+    oracle_ok = dict(enumerate(oracle_solve(gp, shape, family.q)))
     exponent, omega = family_det(family)
     ok = all(order.values()) and all(oracle_ok.values())
     result = {

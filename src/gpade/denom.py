@@ -22,6 +22,7 @@ from typing import NamedTuple
 from .arith import (
     FactoredInteger,
     Interval,
+    certify_nonsingular,
     cleared_eval,
     epsilon_interval,
     exp_interval,
@@ -35,8 +36,8 @@ from .arith import (
     primes_upto,
     product_le,
 )
-from .errors import DomainViolation, IntegralityViolation
-from .pade import ApproxShape, PadeFamily, bareiss_eliminate, series_product_coeffs
+from .errors import DomainViolation, IntegralityViolation, SingularSystem
+from .pade import ApproxShape, PadeFamily, series_product_coeffs
 from .params import GParams, padic_domain_check
 from .report import Check, entry, fmt_ratio, fmt_real, full_digits, rational, tsv
 
@@ -342,7 +343,7 @@ def scaled_integers(
 
     With a prime supplied, the p-adic smallness condition on the numerator is
     enforced as well; DomainViolation reports whichever precondition fails.
-    The integer matrix is certified nonsingular by an exact determinant.
+    The integer matrix is certified nonsingular by `certify_nonsingular`.
     """
     beta = Fraction(beta)
     if beta == 0 or abs(beta) < 2:
@@ -361,8 +362,10 @@ def scaled_integers(
         return v // den
 
     ints = [[scaled(v, f"P_{i}{k}" if k else f"Q_{i}") for k, v in enumerate(row)] for i, row in enumerate(rows)]
-    if bareiss_eliminate(ints)[1] == 0:
-        raise IntegralityViolation("scaled system matrix is singular")
+    try:
+        certify_nonsingular([], ints, [range(len(ints))])
+    except SingularSystem:
+        raise IntegralityViolation("scaled system matrix is singular") from None
     return ScaledSystem(qi=tuple(row[0] for row in ints), pij=tuple(tuple(row[1:]) for row in ints))
 
 

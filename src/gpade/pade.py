@@ -6,10 +6,11 @@ polynomial Q_i of degree N and numerators P_ij such that Q_i * phi_j - P_ij
 vanishes to order N_ij + n_j + 1 at the origin.  Row i uses the shifted
 degrees N_ij = N_j + delta_ij.
 
-Two independent construction routes are provided: the closed-form
-coefficients (`build_q`) and a fraction-free exact linear solve of the order
-conditions (`oracle_solve`).  They must agree coefficientwise; tests and the
-verification CLI exercise both.
+The denominators come from their closed-form coefficients (`build_q`).
+`oracle_solve` certifies them against the order conditions, read from the
+series coefficients alone: each Q_i satisfies its N equations exactly, and
+their matrix is nonsingular (`arith.certify_nonsingular`), so Q_i is the
+unique monic solution.  No second construction is formed.
 
 The family (`build_family`) holds Q_i and P_ij only.  Every other window of
 the product series Q_i * phi_j -- the n_j forced zeros past P_ij and the
@@ -21,15 +22,11 @@ one split of phi_j (`phi_split`, `numerator_at`, and `realseries`).
 Every polynomial is built once as an integer grid (`arith.Grid`): a positive
 common denominator and a tuple of integer numerators with no factor common
 to all of them, so equal polynomials are equal tuples.  The closed form ends
-in integer correlations over one denominator, the product series convolves
-numerators on the grid of Q times that of phi_j, and the oracle's
-back-substitution runs over a running common denominator; each normalizes
-once.  The checks read the numerators as they are, and a reduced Fraction is
-formed only where a report prints one.  The oracle's elimination is
-primitive-row: each reduced row is divided by the gcd of its entries, so it
-stays proportional to, and never larger than, the Bareiss row of
-determinant-sized minors.  The determinant check reads its degree from the
-grids and its valuation from the product kernel, and evaluates once.
+in integer correlations over one denominator and the product series convolves
+numerators on the grid of Q times that of phi_j; each normalizes once.  The
+checks read the numerators as they are, and a reduced Fraction is formed
+only where a report prints one.  The determinant check reads its degree from
+the grids and its valuation from the product kernel, and evaluates once.
 """
 
 from __future__ import annotations
@@ -40,8 +37,8 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from .arith import Grid, cleared, pochhammer
-from .errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
+from .arith import Grid, bareiss_eliminate, certify_nonsingular, cleared, pochhammer
+from .errors import IntegralityViolation, NonMonomialDeterminant
 from .params import GParams
 from .report import full_digits, tsv
 
@@ -58,7 +55,6 @@ __all__ = [
     "build_family",
     "verify_order",
     "oracle_solve",
-    "bareiss_eliminate",
     "family_det",
     "family_rows",
     "family_tsv",
@@ -392,162 +388,44 @@ def verify_order(family: PadeFamily) -> dict[tuple[int, int], bool]:
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle: exact fraction-free solve of the order conditions
+# The oracle: a certificate from the order conditions
 # ---------------------------------------------------------------------------
 
 
-def bareiss_eliminate(rows: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Fraction-free (Bareiss) forward elimination of an integer matrix with
-    n rows and at least n columns; columns past the n-th (a right-hand side)
-    are carried along.
-
-    For column k, the first row r >= k with M[r][k] != 0 is swapped into row
-    k.  In every row r below it, M[r][c] becomes
-    (M[k][k] M[r][c] - M[r][k] M[k][c]) / prev for c > k, where prev is the
-    previous pivot (1 before the first step), and M[r][k] becomes 0.  Every
-    division is exact.
-
-    Returns the upper-triangular rows and the determinant of the leading
-    n x n block, which is 0 (with the rows only partly eliminated) when some
-    column has no nonzero pivot.
-    """
-    M = [row[:] for row in rows]
-    prev, sign = 1, 1
-    for k in range(len(M)):
-        piv = next((r for r in range(k, len(M)) if M[r][k] != 0), None)
-        if piv is None:
-            return M, 0
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        pk = M[k]
-        a = pk[k]
-        for row in M[k + 1 :]:
-            b = row[k]
-            for c in range(k + 1, len(row)):
-                row[c] = (a * row[c] - b * pk[c]) // prev
-            row[k] = 0
-        prev = a
-    return M, sign * prev
-
-
-def _primitive_steps(M: list[list[int]], cols: range, pivot_rows: int) -> bool:
-    """Primitive-row elimination over the columns `cols` of the integer rows
-    M, in place.
-
-    For column k, the first row r in k..pivot_rows-1 with M[r][k] != 0 is
-    swapped into row k.  Every row r below it with b = M[r][k] != 0 becomes
-    the primitive part (the row divided by the gcd of its entries) of
-    (a/g) M[r] - (b/g) M[k], where a = M[k][k] and g = gcd(a, b).  Returns
-    False, with the rows only partly eliminated, when some column has no
-    nonzero pivot.
-    """
-    for k in cols:
-        piv = next((r for r in range(k, pivot_rows) if M[r][k] != 0), None)
-        if piv is None:
-            return False
-        M[k], M[piv] = M[piv], M[k]
-        tail = M[k][k + 1 :]
-        a = M[k][k]
-        for row in M[k + 1 :]:
-            b = row[k]
-            if b == 0:
-                continue
-            g = gcd(a, b)
-            ag, bg = a // g, b // g
-            new = [ag * x - bg * y for x, y in zip(row[k + 1 :], tail)]
-            content = gcd(*new)
-            if content > 1:
-                new = [x // content for x in new]
-            row[k:] = [0, *new]
-    return True
-
-
-def _solve_sharing(shared: list[list[int]], others: list[list[int]], systems: list[list[int]]) -> list[Grid]:
-    """The grids of the exact solutions x of several square integer systems,
-    one for each index list in `systems`: the rows `shared`, then others[o]
-    for each o in the list.  A row holds the coefficients and then the
-    right-hand side.
-
-    The shared rows are eliminated once by primitive-row steps
-    (`_primitive_steps`), with pivots taken from them only, and every other
-    row is reduced against those pivots once.  A reduced row depends only on
-    its own row and the pivot rows, not on the rows reduced beside it: it is
-    the row of the Schur complement of the pivot block, up to a factor.  The
-    Bareiss row at the same step, whose entries are minors of the pivot rows
-    and its own row (Sylvester's identity), is that Schur-complement row too.
-    An integer row proportional to a primitive row is an integer multiple of
-    it, so no entry ever exceeds the Bareiss minor in its place.  In practice
-    the entries stay far smaller: the minors grow to the size of the
-    determinant, the primitive entries stay near the size of the solution.
-
-    Each system then finishes its last columns with its own reduced rows.  If
-    the shared rows have no pivot in some column, every system is solved
-    whole, with an empty shared set.  A system whose own rows leave a column
-    without pivot is singular, since the shared steps and any choice of
-    nonzero pivots keep the rank.
-
-    Each solution is back-substituted as x = X / D over a running common
-    denominator D, the lcm of the reduced denominators of the entries found
-    so far, so X and D stay as small as the solution itself and (D, X) ends
-    as its grid; no determinant is formed.
-    """
-    s = len(shared)
-    M = [row[:] for row in shared + others]
-    if not _primitive_steps(M, range(s), s):
-        whole = [[*range(s), *(s + o for o in system)] for system in systems]
-        return _solve_sharing([], shared + others, whole)
-    out = []
-    for system in systems:
-        U = M[:s] + [M[s + o][:] for o in system]
-        n = len(U)
-        if not _primitive_steps(U, range(s, n), n):
-            raise SingularSystem("the order conditions do not determine the denominator")
-        X, D = [0] * n, 1
-        for r in range(n - 1, -1, -1):
-            # x_r = xn / xd in lowest terms, xd > 0
-            xn, xd = D * U[r][n] - sum(map(mul, U[r][r + 1 : n], X[r + 1 :])), D * U[r][r]
-            g = gcd(xn, xd) if xd > 0 else -gcd(xn, xd)
-            xn, xd = xn // g, xd // g
-            # D grows to the lcm of D and xd
-            scale = xd // gcd(D, xd)
-            if scale != 1:
-                X[r + 1 :] = [xc * scale for xc in X[r + 1 :]]
-                D *= scale
-            X[r] = xn * (D // xd)
-        out.append(Grid(D, tuple(X)))
-    return out
-
-
-def _order_row(ratios: list[Fraction], mu: int, N: int) -> list[int]:
-    """The order-mu condition on Q * phi for the unknowns a_0..a_{N-1}, with
-    a_N = 1 moved to the right-hand side, cleared by the lcm of its
-    denominators (`ratios` holds phi's coefficients through order mu)."""
-    return list(cleared([ratios[mu - k] for k in range(N)] + [-ratios[mu - N]]).nums)
-
-
-def oracle_solve(gp: GParams, shape: ApproxShape) -> tuple[Grid, ...]:
-    """The grids of the denominator coefficients of all m+1 rows, each solved
-    directly from its order conditions (one homogeneous equation per
-    forced-zero coefficient, the leading coefficient pinned to 1),
-    independently of the closed form and by one shared elimination.
+def oracle_solve(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...]) -> tuple[bool, ...]:
+    """Whether each grid qs[i] holds the denominator of row i, certified from
+    the order conditions read from phi_j's coefficients, not the products.
 
     Row i's conditions on series j are the orders N_ij+1..N_ij+n_j, and
     N_ij = N_j + [i = j].  So the orders N_j+2..N_j+n_j of every series
     (N - m equations) are common to all rows.  Row 0 adds order N_j+1 of
     every series; row i takes order N_i+n_i+1 of series i in place of N_i+1.
+    The order-mu equation is sum_k phi_(mu-k) a_k = 0 over k <= N; with
+    a_N = 1 the N equations have one solution when their matrix in
+    a_0..a_(N-1) is nonsingular, which `arith.certify_nonsingular` proves
+    for all m+1 rows at once or raises SingularSystem.  A grid (L, c) then
+    holds that solution exactly when it has N + 1 numerators, c_N = L, and
+    the integer residual sum_k row_k c_k of every cleared equation is 0.
     """
     N, m = shape.N, shape.m
-    shared: list[list[int]] = []
-    low: list[list[int]] = []
-    high: list[list[int]] = []
+    shared, low, high = [], [], []
     for j, (nj, Nj) in enumerate(zip(shape.n, shape.Nj), start=1):
-        ratios = phi_coeffs(gp, j, Nj + nj + 1)
-        shared += [_order_row(ratios, mu, N) for mu in range(Nj + 2, Nj + nj + 1)]
-        low.append(_order_row(ratios, Nj + 1, N))
-        high.append(_order_row(ratios, Nj + nj + 1, N))
+        # phi_j's orders Nj+1-N..Nj+nj+1 on one grid, last first (a positive
+        # factor on a row moves neither its residual's zero nor the rank)
+        phi = cleared(phi_coeffs(gp, j, Nj + nj + 1)[Nj + 1 - N :]).nums[::-1]
+        rows = [list(phi[t : t + N + 1]) for t in range(nj, -1, -1)]  # orders Nj+1..Nj+nj+1
+        low.append(rows[0])
+        shared += rows[1:-1]
+        high.append(rows[-1])
+    others = low + high
     systems = [[m + j if j == i - 1 else j for j in range(m)] for i in range(m + 1)]
-    return tuple(Grid(D, (*X, D)) for D, X in _solve_sharing(shared, low + high, systems))
+    certify_nonsingular(shared, others, systems)
+    return tuple(
+        len(c) == N + 1
+        and c[N] == L
+        and not any(sum(map(mul, row, c)) for row in shared + [others[o] for o in system])
+        for (L, c), system in zip(qs, systems)
+    )
 
 
 # ---------------------------------------------------------------------------

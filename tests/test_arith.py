@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 from gpade import arith
 from gpade.arith import (
     MR_LIMIT,
+    RANK_PRIME,
     FactoredInteger,
     Grid,
     Interval,
+    bareiss_eliminate,
+    certify_nonsingular,
     cleared,
     cleared_eval,
     digits10,
@@ -40,7 +43,7 @@ from gpade.arith import (
     product_le,
 )
 from gpade.interval import _atanh_series, _exp_core, _log2_interval
-from gpade.errors import CertificationError, FactorizationLimit, InvariantViolation
+from gpade.errors import CertificationError, FactorizationLimit, InvariantViolation, SingularSystem
 from gpade.report import fmt_ratio, fmt_real
 
 LOG2_LO = F("0.6931471805599453094172321214581")
@@ -890,3 +893,85 @@ def test_empty_interval_is_an_invariant_violation():
     assert not issubclass(InvariantViolation, ValueError)
     point = Interval.of(F(1), F(1))
     assert point.hi - point.lo == 0
+
+
+def certified(shared, others, systems):
+    """The verdict of `certify_nonsingular`: True, or False when it raises."""
+    try:
+        certify_nonsingular(shared, others, systems)
+    except SingularSystem:
+        return False
+    return True
+
+
+@st.composite
+def nonsingularity_instances(draw):
+    """(shared, others, systems): n x n systems of s < n shared rows and n - s
+    other rows each, rows carrying a right-hand side.  Small entries make
+    singular systems common, and a row multiplied by the prime (then added
+    to another) makes a determinant that is a nonzero multiple of it."""
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(0, n - 1))
+    row = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
+    rows = draw(st.lists(row, min_size=n, max_size=n + 3))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, len(rows) - 1))
+        rows[r] = [RANK_PRIME * draw(st.integers(1, 3)) * x for x in rows[r]]
+        t = draw(st.integers(0, len(rows) - 1))
+        if t != r:
+            rows[t] = [x + y for x, y in zip(rows[t], rows[r])]
+    shared, others = rows[:s], rows[s:]
+    pick = st.permutations(range(len(others))).map(lambda order: list(order[: n - s]))
+    return shared, others, draw(st.lists(pick, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonsingularity_instances())
+# determinant RANK_PRIME: a zero residue, settled exactly
+@example(([], [[RANK_PRIME, 0, 1], [0, 1, 2]], [[0, 1]]))
+# a shared row that is 0 modulo the prime: every system falls back
+@example(([[RANK_PRIME, 2 * RANK_PRIME, 5]], [[1, 0, 0], [0, 1, 0], [2, 4, 1]], [[0], [1], [2]]))
+# an own row that reduces to 0 modulo the prime but not exactly
+@example(([[1, 2, 0]], [[1, 2 + RANK_PRIME, 3], [0, 1, 1]], [[0], [1]]))
+# proportional own rows: singular
+@example(([[2, 1, 1, 3]], [[4, 2, 5, 1], [0, 1, 1, 1], [0, 3, 3, 5]], [[0, 1], [1, 2]]))
+def test_certify_nonsingular_matches_bareiss(instance):
+    shared, others, systems = instance
+    expected = [bareiss_eliminate(shared + [others[o] for o in system])[1] != 0 for system in systems]
+    assert [certified(shared, others, [system]) for system in systems] == expected
+    assert certified(shared, others, systems) == all(expected)
+
+
+def test_certify_nonsingular_falls_back_on_a_zero_residue(monkeypatch):
+    # det = 2 RANK_PRIME: the residue is 0, the exact determinant is not, and
+    # the verdict is that of the exact determinant
+    calls = []
+    monkeypatch.setattr(arith, "bareiss_eliminate", lambda rows: calls.append(rows) or bareiss_eliminate(rows))
+    rows = [[RANK_PRIME, 0, 0], [1, 2, 0], [0, 3, 1]]
+    assert bareiss_eliminate(rows)[1] == 2 * RANK_PRIME
+    certify_nonsingular([], rows, [[0, 1, 2]])
+    assert len(calls) == 1
+    # a nonzero residue needs no exact determinant
+    certify_nonsingular([], [[3, 0, 0], [1, 2, 0], [0, 3, 1]], [[0, 1, 2]])
+    assert len(calls) == 1
+    # every residue is 0 modulo 1: each system is settled exactly
+    monkeypatch.setattr(arith, "RANK_PRIME", 1)
+    certify_nonsingular([[1, 2, 0, 5]], [[0, 1, 1, 1], [3, 0, 1, 2], [1, 2, 3, 4]], [[0, 1], [1, 2]])
+    assert len(calls) == 3
+    with pytest.raises(SingularSystem):
+        certify_nonsingular([[1, 2, 0, 5]], [[0, 1, 1, 1], [0, 2, 2, 7]], [[0, 1]])
+
+
+def test_certify_nonsingular_rejects_singular_systems():
+    # own rows proportional after the shared step: only the second system
+    shared = [[2, 1, 1, 3]]
+    others = [[4, 2, 5, 1], [0, 1, 1, 1], [0, 3, 3, 5]]
+    certify_nonsingular(shared, others, [[0, 1], [0, 2]])
+    with pytest.raises(SingularSystem, match="system 1"):
+        certify_nonsingular(shared, others, [[0, 1], [1, 2]])
+    # dependent shared rows make every system singular
+    with pytest.raises(SingularSystem, match="system 0"):
+        certify_nonsingular([[1, 2, 0], [2, 4, 0]], [[0, 0, 1], [1, 1, 1]], [[0], [1]])
+    # a zero column in a square matrix without a right-hand side
+    with pytest.raises(SingularSystem):
+        certify_nonsingular([], [[0, 5], [0, 7]], [range(2)])

@@ -10,13 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gpade.pade
-from gpade.arith import Grid, cleared, cleared_eval, pochhammer
+from gpade.arith import Grid, bareiss_eliminate, cleared, cleared_eval, pochhammer
 
 from gpade.errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
 from gpade.pade import (
-    _solve_sharing,
     ApproxShape,
-    bareiss_eliminate,
     build_family,
     build_q,
     build_q_generic,
@@ -34,6 +32,7 @@ from gpade.params import derive_params
 from gpade.realseries import phi_heads, rows_at_point, window_at
 
 from conftest import ALPHA_POOL, make_configs, pick_alphas
+from reference_solve import reference_oracle_solve, solve_sharing
 
 
 @pytest.fixture(scope="module")
@@ -172,9 +171,27 @@ def test_perturbation_breaks_order(half):
 
 def test_oracle_matches_closed_form(half):
     gp, shape, fam = half
-    solved = oracle_solve(gp, shape)
+    assert oracle_solve(gp, shape, fam.q) == (True, True)
+    solved = reference_oracle_solve(gp, shape)
     assert solved == tuple(fam.q)
     assert solved[1].values() == (F(-7, 5), F(1))
+
+
+def test_oracle_rejects_a_perturbed_denominator():
+    # Q_i plus z^k breaks row i's order conditions for every k, and only row i's
+    # verdict turns False; Q_i with a leading coefficient other than 1, or with
+    # a coefficient past degree N, is not the monic solution either
+    half_shape = (derive_params([F(1), F(1, 2)]), ApproxShape(n=(1,), n0=1))
+    for gp, shape in [half_shape, *make_configs(77, 4, n_max=3, n0_max=4)]:
+        qs = build_family(gp, shape).q
+        for i in range(gp.m + 1):
+            for k in range(shape.N + 1):
+                broken = qs[:i] + (plus_one(qs[i], k),) + qs[i + 1 :]
+                assert oracle_solve(gp, shape, broken) == tuple(r != i for r in range(gp.m + 1))
+            doubled = Grid.of(qs[i].den, [2 * x for x in qs[i].nums])
+            longer = Grid(qs[i].den, (*qs[i].nums, 0))
+            for bad in (doubled, longer):
+                assert oracle_solve(gp, shape, qs[:i] + (bad,) + qs[i + 1 :])[i] is False
 
 
 def test_generic_degrees_agree_with_oracle():
@@ -331,11 +348,12 @@ def test_shared_oracle_matches_per_row_solve(instance, extra):
     alphas, n, _ = instance
     gp = derive_params(alphas)
     shape = ApproxShape(n=n, n0=max(n) + extra)
-    rows = oracle_solve(gp, shape)
+    rows = reference_oracle_solve(gp, shape)
     assert len(rows) == gp.m + 1
     for i, q in enumerate(rows):
         assert q.values() == reference_oracle_solve_generic(gp, shape.n, shape.Nij_row(i))
         assert q == build_q(gp, shape, i)
+    assert oracle_solve(gp, shape, rows) == (True,) * (gp.m + 1)
 
 
 def _satisfies(rows, x):
@@ -347,7 +365,7 @@ def test_shared_solve_needs_a_swap_in_the_tail():
     # reduced against the shared pivot, the first row is 0 in column 1
     others = [[4, 2, 5, 1], [0, 1, 1, 1]]
     for system in ([0, 1], [1, 0]):
-        (x,) = _solve_sharing(shared, others, [system])
+        (x,) = solve_sharing(shared, others, [system])
         assert _satisfies(shared + [others[o] for o in system], x.values())
 
 
@@ -355,7 +373,7 @@ def test_shared_solve_without_shared_pivot_solves_each_system_whole():
     shared = [[0, 2, 1, 3], [0, 1, 4, 1]]  # no pivot in column 0
     others = [[1, 0, 0, 1], [5, 1, 1, 2], [3, 0, 1, 1]]
     systems = [[0], [1], [2]]
-    solved = _solve_sharing(shared, others, systems)
+    solved = solve_sharing(shared, others, systems)
     for system, x in zip(systems, solved):
         assert _satisfies(shared + [others[o] for o in system], x.values())
     assert solved[0] == Grid(7, (7, 11, -1))
@@ -364,11 +382,11 @@ def test_shared_solve_without_shared_pivot_solves_each_system_whole():
 def test_shared_solve_singular_tail():
     shared = [[2, 1, 1, 3]]
     others = [[4, 2, 5, 1], [0, 1, 1, 1], [0, 3, 3, 5]]  # the last two: proportional coefficients
-    assert len(_solve_sharing(shared, others, [[0, 1], [0, 2]])) == 2
+    assert len(solve_sharing(shared, others, [[0, 1], [0, 2]])) == 2
     with pytest.raises(SingularSystem):
-        _solve_sharing(shared, others, [[0, 1], [1, 2]])
+        solve_sharing(shared, others, [[0, 1], [1, 2]])
     with pytest.raises(SingularSystem):
-        _solve_sharing([], [[1, 2, 3], [2, 4, 5]], [[0, 1]])
+        solve_sharing([], [[1, 2, 3], [2, 4, 5]], [[0, 1]])
 
 
 def reference_fraction_solve(rows):
@@ -418,9 +436,9 @@ def test_sharing_solve_matches_fraction_gauss(instance):
     expected = [reference_fraction_solve(shared + [others[o] for o in system]) for system in systems]
     if None in expected:
         with pytest.raises(SingularSystem):
-            _solve_sharing(shared, others, systems)
+            solve_sharing(shared, others, systems)
     else:
-        assert [x.values() for x in _solve_sharing(shared, others, systems)] == expected
+        assert [x.values() for x in solve_sharing(shared, others, systems)] == expected
     assert instance == before  # the inputs are left as they were
 
 
@@ -462,7 +480,7 @@ def test_grids_are_normalized_and_match_fraction_references(instance, extra, lo)
         window = series_product_coeffs(gp, q, j, lo, hi)
         assert normalized_values(window) == tuple(reference_product_coeffs(gp, q.values(), j, hi)[lo:])
     shape = ApproxShape(n=n, n0=max(n) + extra)
-    for i, row in enumerate(oracle_solve(gp, shape)):
+    for i, row in enumerate(reference_oracle_solve(gp, shape)):
         assert normalized_values(row) == reference_oracle_solve_generic(gp, shape.n, shape.Nij_row(i))
 
 
@@ -794,6 +812,24 @@ def test_determinant_rejects_corruption():
             family_det(with_row(fam, 0, double[0], double[1:]))
 
 
+def test_oracle_verdicts_survive_the_exact_fallback(monkeypatch):
+    # modulo 1 every residue is 0, so every system is settled by Bareiss, and
+    # the verdicts are those of the modular certificate
+    configs = make_configs(4242, 6, n_max=3, n0_max=4)
+    families = [(gp, sh, build_family(gp, sh).q) for gp, sh in configs]
+    verdicts = [
+        (oracle_solve(gp, sh, qs), oracle_solve(gp, sh, (plus_one(qs[0], 0), *qs[1:]))) for gp, sh, qs in families
+    ]
+    calls = []
+    monkeypatch.setattr(gpade.arith, "RANK_PRIME", 1)
+    monkeypatch.setattr(gpade.arith, "bareiss_eliminate", lambda rows: calls.append(rows) or bareiss_eliminate(rows))
+    for (gp, sh, qs), (good, broken) in zip(families, verdicts):
+        assert good == (True,) * (gp.m + 1) and broken == (False, *good[1:])
+        assert oracle_solve(gp, sh, qs) == good
+        assert oracle_solve(gp, sh, (plus_one(qs[0], 0), *qs[1:])) == broken
+    assert len(calls) == 2 * sum(gp.m + 1 for gp, _, _ in families)
+
+
 def test_family_det_evaluates_one_point(monkeypatch):
     # the series witness leaves one unknown, det(1): one elimination per call
     calls = []
@@ -824,7 +860,8 @@ def test_small_random_sweep():
     for gp, sh in make_configs(4242, 20, n_max=4, n0_max=5):
         fam = build_family(gp, sh)
         assert all(verify_order(fam).values())
-        solved = oracle_solve(gp, sh)
+        assert oracle_solve(gp, sh, fam.q) == (True,) * (gp.m + 1)
+        solved = reference_oracle_solve(gp, sh)
         for i in range(gp.m + 1):
             assert solved[i] == fam.q[i]
             assert fam.q[i].values()[-1] == 1  # normalized leading coefficient
