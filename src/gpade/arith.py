@@ -404,39 +404,33 @@ def epsilon_interval(n: int, prec: int = 128) -> Interval:
 RANK_PRIME = 2**30 - 35
 
 
-def bareiss_eliminate(rows: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Fraction-free (Bareiss) forward elimination of an integer matrix with
-    n rows and at least n columns; columns past the n-th (a right-hand side)
-    are carried along.
+def bareiss_eliminate(rows: list[list[int]]) -> int:
+    """The determinant of the leading n x n block of an integer matrix with n
+    rows, by fraction-free (Bareiss) forward elimination; columns past the
+    n-th are ignored.
 
     For column k, the first row r >= k with M[r][k] != 0 is swapped into row
     k.  In every row r below it, M[r][c] becomes
-    (M[k][k] M[r][c] - M[r][k] M[k][c]) / prev for c > k, where prev is the
-    previous pivot (1 before the first step), and M[r][k] becomes 0.  Every
-    division is exact.
-
-    Returns the upper-triangular rows and the determinant of the leading
-    n x n block, which is 0 (with the rows only partly eliminated) when some
-    column has no nonzero pivot.
+    (M[k][k] M[r][c] - M[r][k] M[k][c]) / prev for k < c < n, where prev is
+    the previous pivot (1 before the first step).  Every division is exact,
+    and the determinant is the last pivot up to the swaps' sign, or 0 when
+    some column has no nonzero pivot.
     """
-    M = [row[:] for row in rows]
+    n = len(rows)
+    M = [row[:n] for row in rows]
     prev, sign = 1, 1
-    for k in range(len(M)):
-        piv = next((r for r in range(k, len(M)) if M[r][k] != 0), None)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k] != 0), None)
         if piv is None:
-            return M, 0
+            return 0
         if piv != k:
             M[k], M[piv] = M[piv], M[k]
             sign = -sign
-        pk = M[k]
-        a = pk[k]
+        pk, a = M[k][k + 1 :], M[k][k]
         for row in M[k + 1 :]:
-            b = row[k]
-            for c in range(k + 1, len(row)):
-                row[c] = (a * row[c] - b * pk[c]) // prev
-            row[k] = 0
+            row[k + 1 :] = [(a * x - row[k] * y) // prev for x, y in zip(row[k + 1 :], pk)]
         prev = a
-    return M, sign * prev
+    return sign * prev
 
 
 class _Packed(NamedTuple):
@@ -502,5 +496,5 @@ def certify_nonsingular(shared: list[list[int]], others: list[list[int]], system
     for k, system in enumerate(systems):
         if full and packed.extend([], [reduced[o] for o in system]):
             continue
-        if bareiss_eliminate(shared + [others[o] for o in system])[1] == 0:
+        if bareiss_eliminate(shared + [others[o] for o in system]) == 0:
             raise SingularSystem(f"integer system {k} has determinant 0")

@@ -275,9 +275,10 @@ def _cmd_construct(args, gp):
 def _cmd_verify(args, gp):
     shape = ApproxShape(n=args.n, n0=args.n0)
     family = build_family(gp, shape)
-    order = verify_order(family)
+    zeros = verify_order(family)
+    order = {key: not any(window.nums) for key, window in zeros.items()}
     oracle_ok = dict(enumerate(oracle_solve(gp, shape, family.q)))
-    exponent, omega = family_det(family)
+    exponent, omega = family_det(family, zeros)
     ok = all(order.values()) and all(oracle_ok.values())
     result = {
         "order_of_vanishing": {f"i{i}_j{j}": v for (i, j), v in sorted(order.items())},
@@ -285,7 +286,7 @@ def _cmd_verify(args, gp):
         "determinant_monomial": {
             "exponent": exponent,
             "leading": omega,
-            "expected_exponent": shape.N + sum(shape.Nj) + gp.m,
+            "expected_exponent": shape.det_exponent,
         },
         "verdict": "PASS" if ok else "FAIL",
     }

@@ -425,12 +425,14 @@ def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fract
     rb = remainder_padic_bound(gp, shape, beta, p, cert)
     d = cert.d.value
     zn, zd = beta.numerator, beta.denominator
+    # the terms c_mu beta^mu from each product's first possibly nonzero order on
+    starts = [[shape.Nij(i, j) + nj + 1 for i in range(gp.m + 1)] for j, nj in enumerate(shape.n, 1)]
+    T = shape.remainder_truncation
+    cols = [series_product_coeffs(gp, family.q, j, [(lo, T) for lo in los]) for j, los in enumerate(starts, 1)]
     out = []
     for i in range(gp.m + 1):
         for j in range(1, gp.m + 1):
-            # the terms c_mu beta^mu from the first possibly nonzero order on
-            start = shape.Nij(i, j) + shape.n[j - 1] + 1
-            den, nums = series_product_coeffs(gp, family.q[i], j, start, shape.remainder_truncation)
+            start, (den, nums) = starts[j - 1][i], cols[j - 1][i]
             terms = [Fraction(d * c * zn**mu, den * zd**mu) for mu, c in enumerate(nums, start=start)]
             total = sum(terms, Fraction(0))
             vals = [Fraction(1, p**p_valuation(t, p)) if t != 0 else Fraction(0) for t in terms]

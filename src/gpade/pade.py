@@ -12,12 +12,12 @@ series coefficients alone: each Q_i satisfies its N equations exactly, and
 their matrix is nonsingular (`arith.certify_nonsingular`), so Q_i is the
 unique monic solution.  No second construction is formed.
 
-The family (`build_family`) holds Q_i and P_ij only.  Every other window of
-the product series Q_i * phi_j -- the n_j forced zeros past P_ij and the
-remainder terms past them -- is computed on demand by the one windowed
-kernel `series_product_coeffs`, which also builds P_ij.  The audits read no
-coefficient past Q_i: they evaluate the rows at a point from Q_i's grid and
-one split of phi_j (`phi_split`, `numerator_at`, and `realseries`).
+The family (`build_family`) holds Q_i and P_ij only.  One windowed kernel,
+`series_product_coeffs`, forms P_ij, the n_j forced zeros past it
+(`verify_order`) and the remainder terms, clearing phi_j once for all rows;
+`verify` forms each coefficient once.  The audits read no coefficient past
+Q_i: they evaluate the rows at a point from Q_i's grid and one split of
+phi_j (`phi_split`, `numerator_at`, and `realseries`).
 
 Every polynomial is built once as an integer grid (`arith.Grid`): a positive
 common denominator and a tuple of integer numerators with no factor common
@@ -26,7 +26,7 @@ in integer correlations over one denominator and the product series convolves
 numerators on the grid of Q times that of phi_j; each normalizes once.  The
 checks read the numerators as they are, and a reduced Fraction is formed
 only where a report prints one.  The determinant check reads its degree from
-the grids and its valuation from the product kernel, and evaluates once.
+the grids and its valuation from the forced zeros, and evaluates once.
 """
 
 from __future__ import annotations
@@ -109,6 +109,11 @@ class ApproxShape(_ShapeFields):
 
     def Nij_row(self, i: int) -> tuple[int, ...]:
         return tuple(self.Nij(i, j) for j in range(1, self.m + 1))
+
+    @property
+    def det_exponent(self) -> int:
+        """e = N + sum N_j + m = m (Ntilde + 1) of det(Q_i, P_ij) = omega z^e."""
+        return self.m * (self.Ntilde + 1)
 
     @property
     def remainder_truncation(self) -> int:
@@ -291,20 +296,25 @@ def build_q(gp: GParams, shape: ApproxShape, i: int) -> Grid:
     return build_q_generic(gp, shape.n, shape.Nij_row(i))
 
 
-def series_product_coeffs(gp: GParams, q: Grid, j: int, lo: int, hi: int) -> Grid:
-    """The grid of the coefficients lo..hi of Q * phi_j, for the grid `q` of
-    a denominator Q.
+def series_product_coeffs(
+    gp: GParams, qs: tuple[Grid, ...], j: int, windows: list[tuple[int, int]]
+) -> tuple[Grid, ...]:
+    """The grids of the coefficients lo..hi of Q * phi_j, one for each grid
+    of a denominator Q in `qs` and its window (lo, hi) in `windows`.
 
-    Coefficient mu reads phi_j at the orders mu - deg Q .. mu, so the window
-    needs phi_j only from order max(0, lo - deg Q) on.  The convolution of
-    the numerators lies on the grid Dq Dr of Q and of phi_j's window, and is
-    normalized once.
+    Coefficient mu reads phi_j at the orders mu - deg Q .. mu, so a window
+    needs phi_j only from order max(0, lo - deg Q) on.  The union of the
+    windows' needs is cleared once, and each convolution of numerators lies
+    on the grid Dq Dr of its Q and of that window, normalized once.
     """
-    Dq, q_int = q
-    start = max(0, lo - (len(q_int) - 1))
-    Dr, r_int = cleared(phi_coeffs(gp, j, hi)[start:])
-    r_rev = r_int[::-1]  # r_rev[hi - mu + k] = phi_j's coefficient mu - k
-    return Grid.of(Dq * Dr, [sum(map(mul, q_int, r_rev[hi - mu :])) for mu in range(lo, hi + 1)])
+    start = min(max(0, lo - (len(q_int) - 1)) for (_, q_int), (lo, _) in zip(qs, windows))
+    end = max(hi for _, hi in windows)
+    Dr, r_int = cleared(phi_coeffs(gp, j, end)[start:])
+    r_rev = r_int[::-1]  # r_rev[end - mu + k] = phi_j's coefficient mu - k
+    return tuple(
+        Grid.of(Dq * Dr, [sum(map(mul, q_int, r_rev[end - mu :])) for mu in range(lo, hi + 1)])
+        for (Dq, q_int), (lo, hi) in zip(qs, windows)
+    )
 
 
 def numerator_at(gp: GParams, q: Grid, j: int, a: int, b: int, T: int, head: Piece) -> tuple[int, ...]:
@@ -352,12 +362,6 @@ class PadeFamily(NamedTuple):
     def p_coeffs(self, i: int, j: int) -> Grid:
         return self.p[i][j - 1]
 
-    def forced_zero_coeffs(self, i: int, j: int) -> Grid:
-        """The grid of the coefficients N_ij + 1 .. N_ij + n_j of Q_i*phi_j,
-        which the order conditions force to zero, computed from Q_i."""
-        Nij = self.shape.Nij(i, j)
-        return series_product_coeffs(self.gp, self.q[i], j, Nij + 1, Nij + self.shape.n[j - 1])
-
     def p_leading(self, i: int) -> Fraction:
         """Leading coefficient of P_ii (order N_i + 1); nonzero by theory."""
         den, nums = self.p[i][i - 1]
@@ -366,24 +370,24 @@ class PadeFamily(NamedTuple):
 
 def build_family(gp: GParams, shape: ApproxShape) -> PadeFamily:
     """Construct all m+1 rows: Q_i and every numerator P_ij, the product
-    series Q_i*phi_j through order N_ij."""
+    series Q_i*phi_j through order N_ij (the invariant `family_det` rests on)."""
     if gp.m != shape.m:
         raise ValueError("shape and parameters disagree on m")
-    qrows = tuple(build_q(gp, shape, i) for i in range(gp.m + 1))
-    prows = tuple(
-        tuple(series_product_coeffs(gp, qrows[i], j, 0, shape.Nij(i, j)) for j in range(1, gp.m + 1))
-        for i in range(gp.m + 1)
-    )
-    return PadeFamily(gp=gp, shape=shape, q=qrows, p=prows)
+    rows = range(gp.m + 1)
+    qrows = tuple(build_q(gp, shape, i) for i in rows)
+    cols = [series_product_coeffs(gp, qrows, j, [(0, shape.Nij(i, j)) for i in rows]) for j in range(1, gp.m + 1)]
+    return PadeFamily(gp=gp, shape=shape, q=qrows, p=tuple(zip(*cols)))
 
 
-def verify_order(family: PadeFamily) -> dict[tuple[int, int], bool]:
-    """Exact check of the defining order conditions for every (i, j):
-    the coefficients of Q_i*phi_j in the window (N_ij, N_ij + n_j] vanish."""
+def verify_order(family: PadeFamily) -> dict[tuple[int, int], Grid]:
+    """The grid of the coefficients N_ij + 1 .. N_ij + n_j of Q_i*phi_j for
+    every (i, j), which the order conditions force to zero: row i meets them
+    on series j exactly when that window's numerators are all 0."""
+    shape, rows = family.shape, range(family.gp.m + 1)
     out = {}
-    for i in range(family.gp.m + 1):
-        for j in range(1, family.gp.m + 1):
-            out[(i, j)] = not any(family.forced_zero_coeffs(i, j).nums)
+    for j, nj in enumerate(shape.n, 1):
+        windows = [(shape.Nij(i, j) + 1, shape.Nij(i, j) + nj) for i in rows]
+        out.update(zip([(i, j) for i in rows], series_product_coeffs(family.gp, family.q, j, windows)))
     return out
 
 
@@ -433,14 +437,16 @@ def oracle_solve(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...]) -> tuple
 # ---------------------------------------------------------------------------
 
 
-def family_det(family: PadeFamily) -> tuple[int, Fraction]:
+def family_det(family: PadeFamily, zeros: dict[tuple[int, int], Grid]) -> tuple[int, Fraction]:
     """Certify that det(Q_i, P_i1, ..., P_im) is the monomial omega * z^e.
 
-    Returns (e, omega), e = N + sum N_j + m = m (Ntilde + 1) and omega the
-    product of the leading P_ii coefficients, in four steps:
-    1. deg Q_i <= N by its grid's length, deg P_ij <= N_ij by 2: deg det <= e;
-    2. each Q_i * phi_j through order Ntilde is P_ij's N_ij + 1 coefficients
-       padded with zeros;
+    Premise: P_ij is Q_i * phi_j through order N_ij (`build_family`), and
+    zeros[i, j] its orders N_ij + 1 .. N_ij + n_j (`verify_order`).  Returns
+    (e, omega), e = `ApproxShape.det_exponent` and omega the product of the
+    leading P_ii coefficients, in four steps:
+    1. deg Q_i <= N and deg P_ij <= N_ij by the grids' lengths: deg det <= e;
+    2. the orders N_ij + 1 .. Ntilde of Q_i * phi_j, zeros[i, j] but the
+       diagonal's order Ntilde + 1, are 0;
     3. so R_ij = Q_i phi_j - P_ij vanishes to order Ntilde + 1, and
        det(Q, P) = (-1)^m det(Q, R) (column j minus phi_j times column 0)
        to order e, whatever phi_j is; with 1, det = c z^e;
@@ -448,31 +454,28 @@ def family_det(family: PadeFamily) -> tuple[int, Fraction]:
     A failed step, or omega = 0, raises NonMonomialDeterminant.
     """
     gp, shape = family.gp, family.shape
-    Nt = shape.Ntilde
-    exponent = shape.N + sum(shape.Nj) + gp.m
-    omega = Fraction(1)
-    for i in range(1, gp.m + 1):
-        omega *= family.p_leading(i)
+    omega = prod(family.p_leading(i) for i in range(1, gp.m + 1))
     if omega == 0:
         raise NonMonomialDeterminant("vanishing leading coefficient")
     # row i at t = 1, cleared by the lcm L_i of its grids' denominators: the
     # integer determinant is det(1) * prod(L_i)
-    rows = []
-    target = omega
+    rows, target = [], omega
     for i, (q, prow) in enumerate(zip(family.q, family.p)):
         if len(q.nums) > shape.N + 1:
             raise NonMonomialDeterminant(f"Q_{i} exceeds its degree bound")
-        for j, (den, nums) in enumerate(prow, 1):
-            # Ntilde - N_ij zeros: equal lengths also give deg P_ij <= N_ij
-            if series_product_coeffs(gp, q, j, 0, Nt) != (den, nums + (0,) * (Nt - shape.Nij(i, j))):
-                raise NonMonomialDeterminant(f"P_ij is not Q_i * phi_j through order Ntilde at i={i}, j={j}")
+        for j, (_, nums) in enumerate(prow, 1):
+            Nij = shape.Nij(i, j)
+            if len(nums) > Nij + 1:
+                raise NonMonomialDeterminant(f"P_ij exceeds its degree bound at i={i}, j={j}")
+            if any(zeros[i, j].nums[: shape.Ntilde - Nij]):
+                raise NonMonomialDeterminant(f"Q_i * phi_j is not 0 at orders N_ij+1..Ntilde at i={i}, j={j}")
         polys = (q, *prow)
         L = lcm(*(den for den, _ in polys))
         rows.append([sum(nums) * (L // den) for den, nums in polys])
         target *= L
-    if bareiss_eliminate(rows)[1] * target.denominator != target.numerator:
+    if bareiss_eliminate(rows) * target.denominator != target.numerator:
         raise NonMonomialDeterminant("determinant at t=1 differs from omega")
-    return exponent, omega
+    return shape.det_exponent, omega
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@ import random
 from copy import deepcopy
 from fractions import Fraction as F
 from itertools import permutations, zip_longest
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gpade.cli
 import gpade.pade
 from gpade.arith import Grid, bareiss_eliminate, cleared, cleared_eval, pochhammer
 
@@ -69,6 +71,21 @@ def test_hand_instance_denominators(half):
     assert fam.q[0].values()[-1] == 1 and fam.q[1].values()[-1] == 1
 
 
+def product_window(gp, q, j, lo, hi):
+    """The kernel's grid of the coefficients lo..hi of Q * phi_j, for one Q."""
+    return series_product_coeffs(gp, (q,), j, [(lo, hi)])[0]
+
+
+def order_holds(fam):
+    """verify's order_of_vanishing verdicts: which forced-zero windows are 0."""
+    return {key: not any(window.nums) for key, window in verify_order(fam).items()}
+
+
+def certified_det(fam):
+    """`family_det` on the family's own forced zeros, as `verify` calls it."""
+    return family_det(fam, verify_order(fam))
+
+
 def test_hand_instance_numerators(half):
     gp, shape, fam = half
     assert fam.p_coeffs(0, 1).values() == (F(-5, 3), F(4, 9))
@@ -76,16 +93,16 @@ def test_hand_instance_numerators(half):
     # order-0 coefficient always equals the constant denominator coefficient
     for i in (0, 1):
         assert fam.p_coeffs(i, 1).values()[0] == fam.q[i].values()[0]
-    p01 = series_product_coeffs(gp, fam.q[0], 1, 0, shape.Nij(0, 1))
+    p01 = product_window(gp, fam.q[0], 1, 0, shape.Nij(0, 1))
     assert p01 == fam.p_coeffs(0, 1)
 
 
 def test_hand_instance_remainder(half):
     gp, shape, fam = half
-    assert fam.forced_zero_coeffs(0, 1).values() == (F(0),)
+    assert verify_order(fam)[0, 1].values() == (F(0),)
     # the first possibly nonzero order is N_01 + n_1 + 1 = 3
-    assert series_product_coeffs(gp, fam.q[0], 1, 3, 3).values() == (F(-4, 105),)
-    assert verify_order(fam) == {(0, 1): True, (1, 1): True}
+    assert product_window(gp, fam.q[0], 1, 3, 3).values() == (F(-4, 105),)
+    assert order_holds(fam) == {(0, 1): True, (1, 1): True}
 
 
 def reference_product_coeffs(gp, q, j, T):
@@ -101,17 +118,20 @@ def test_remainder_terms_match_full_convolution(alphas, n, n0, z):
     gp = derive_params(alphas)
     shape = ApproxShape(n=n, n0=n0)
     fam = build_family(gp, shape)
+    zeros = verify_order(fam)
     for T in (shape.remainder_truncation, shape.remainder_truncation + 9):
-        for i in range(gp.m + 1):
-            for j in range(1, gp.m + 1):
+        for j, nj in enumerate(shape.n, 1):
+            # the remainder terms c_mu z^mu, mu = N_ij + n_j + 1 .. T, of every row at once
+            starts = [shape.Nij(i, j) + nj + 1 for i in range(gp.m + 1)]
+            windows = series_product_coeffs(gp, fam.q, j, [(lo, T) for lo in starts])
+            for i, (start, window) in enumerate(zip(starts, windows)):
                 full = reference_product_coeffs(gp, fam.q[i].values(), j, T)
-                Nij, nj = shape.Nij(i, j), shape.n[j - 1]
+                Nij = shape.Nij(i, j)
                 assert tuple(full[: Nij + 1]) == fam.p_coeffs(i, j).values()
-                assert full[Nij + 1 : Nij + nj + 1] == [0] * nj
-                # the remainder terms c_mu z^mu, mu = N_ij + n_j + 1 .. T
-                window = series_product_coeffs(gp, fam.q[i], j, Nij + nj + 1, T).values()
-                terms = [cf * z**mu for mu, cf in enumerate(window, start=Nij + nj + 1)]
-                assert terms == [cf * z**mu for mu, cf in enumerate(full) if mu > Nij + nj]
+                # the forced zeros, through order Ntilde + 1 on the diagonal
+                assert tuple(full[Nij + 1 : start]) == zeros[i, j].values() == (0,) * nj
+                terms = [cf * z**mu for mu, cf in enumerate(window.values(), start=start)]
+                assert terms == [cf * z**mu for mu, cf in enumerate(full) if mu >= start]
                 assert any(terms)
 
 
@@ -157,7 +177,7 @@ def plus_one(grid, k):
 def test_verify_order_reads_the_denominators(half):
     gp, shape, fam = half
     broken = fam._replace(q=(plus_one(fam.q[0], 0), fam.q[1]))
-    assert verify_order(broken) == {(0, 1): False, (1, 1): True}
+    assert order_holds(broken) == {(0, 1): False, (1, 1): True}
 
 
 def test_perturbation_breaks_order(half):
@@ -165,7 +185,7 @@ def test_perturbation_breaks_order(half):
     for i in (0, 1):
         for k in range(shape.N + 1):
             lo = shape.Nij(i, 1) + 1
-            window = series_product_coeffs(gp, plus_one(fam.q[i], k), 1, lo, lo + shape.n[0] - 1)
+            window = product_window(gp, plus_one(fam.q[i], k), 1, lo, lo + shape.n[0] - 1)
             assert any(window.nums)
 
 
@@ -208,7 +228,7 @@ def test_generic_degrees_agree_with_oracle():
         assert q1.values() == q2
         coeffs_ok = True
         for j in range(1, m + 1):
-            window = series_product_coeffs(gp, q1, j, Nlist[j - 1] + 1, Nlist[j - 1] + n[j - 1])
+            window = product_window(gp, q1, j, Nlist[j - 1] + 1, Nlist[j - 1] + n[j - 1])
             coeffs_ok = coeffs_ok and all(c == 0 for c in window.values())
         assert coeffs_ok
 
@@ -450,12 +470,19 @@ def test_sharing_solve_matches_fraction_gauss(instance):
     data=st.data(),
 )
 def test_series_product_matches_fraction_convolution(instance, q, upto, data):
+    # one call convolves several rows over windows of their own, as the
+    # family's rows and their forced zeros are
     gp = derive_params(instance[0])
     lo = data.draw(st.integers(0, upto), label="lo")
+    other = data.draw(st.lists(st.fractions(-50, 50, max_denominator=20), min_size=1, max_size=5), label="other")
+    bounds = data.draw(st.tuples(st.integers(0, 30), st.integers(0, 30)).map(sorted), label="other window")
     for j in range(1, gp.m + 1):
         naive = tuple(reference_product_coeffs(gp, q, j, upto))
-        assert series_product_coeffs(gp, cleared(q), j, 0, upto).values() == naive
-        assert series_product_coeffs(gp, cleared(q), j, lo, upto).values() == naive[lo:]
+        assert product_window(gp, cleared(q), j, 0, upto).values() == naive
+        windows = [(lo, upto), tuple(bounds), (0, upto)]
+        full, part, whole = series_product_coeffs(gp, (cleared(q), cleared(other), cleared(q)), j, windows)
+        assert full.values() == naive[lo:] and whole.values() == naive
+        assert part.values() == tuple(reference_product_coeffs(gp, other, j, bounds[1])[bounds[0] :])
 
 
 def normalized_values(grid):
@@ -477,11 +504,18 @@ def test_grids_are_normalized_and_match_fraction_references(instance, extra, lo)
     assert normalized_values(q) == reference_ratio_build_q_generic(gp, n, N_list)
     for j in range(1, gp.m + 1):
         hi = lo + sum(n) + 3
-        window = series_product_coeffs(gp, q, j, lo, hi)
+        window = product_window(gp, q, j, lo, hi)
         assert normalized_values(window) == tuple(reference_product_coeffs(gp, q.values(), j, hi)[lo:])
     shape = ApproxShape(n=n, n0=max(n) + extra)
-    for i, row in enumerate(reference_oracle_solve(gp, shape)):
+    qs = reference_oracle_solve(gp, shape)
+    for i, row in enumerate(qs):
         assert normalized_values(row) == reference_oracle_solve_generic(gp, shape.n, shape.Nij_row(i))
+    # the rows' P_ij and forced zeros, through order Ntilde + 1 on the diagonal
+    for j, nj in enumerate(shape.n, 1):
+        Nij = [shape.Nij(i, j) for i in range(gp.m + 1)]
+        for windows in ([(0, N) for N in Nij], [(N + 1, N + nj) for N in Nij]):
+            for row, (a, b), grid in zip(qs, windows, series_product_coeffs(gp, qs, j, windows)):
+                assert normalized_values(grid) == tuple(reference_product_coeffs(gp, row.values(), j, b)[a:])
 
 
 def reference_phi_partial_sum(gp, j, z, T):
@@ -623,7 +657,7 @@ def test_partial_sum_edges():
 
 def test_determinant_hand_instance(half):
     gp, shape, fam = half
-    exponent, omega = family_det(fam)
+    exponent, omega = certified_det(fam)
     assert exponent == 3 and omega == F(4, 75)
     assert omega == fam.p_leading(1)
 
@@ -659,7 +693,7 @@ def reference_family_det(family):
     for t in range(1, exponent // 2 + 2):
         halves = [[(horner(even, t * t), t * horner(odd, t * t)) for even, odd in row] for row in rows]
         for point, sign in ((t, 1), (-t, -1)):
-            det = bareiss_eliminate([[e + sign * o for e, o in row] for row in halves])[1]
+            det = bareiss_eliminate([[e + sign * o for e, o in row] for row in halves])
             if det * target.denominator != target.numerator * point**exponent:
                 raise NonMonomialDeterminant(f"determinant deviates from monomial at t={point}")
     return exponent, omega
@@ -672,7 +706,7 @@ def test_family_det_matches_multipoint_reference(instance, n0):
     alphas, n, _ = instance
     gp = derive_params(alphas)
     fam = build_family(gp, ApproxShape(n=n, n0=max(n0, *n)))
-    assert family_det(fam) == reference_family_det(fam)
+    assert certified_det(fam) == reference_family_det(fam)
 
 
 def poly_mul(a, b):
@@ -727,7 +761,7 @@ def test_determinant_by_direct_polynomial_arithmetic():
         ([F(5, 3), F(2, 5), F(7, 4)], (2, 2), 2),
     ]:
         fam = build_family(derive_params(alphas), ApproxShape(n=n, n0=n0))
-        exponent, omega = family_det(fam)
+        exponent, omega = certified_det(fam)
         assert family_det_poly(fam) == [F(0)] * exponent + [omega]
 
 
@@ -743,30 +777,31 @@ def det_at_one(fam):
     return leibniz_det([[sum(g.values()) for g in (fam.q[i], *fam.p[i])] for i in range(fam.gp.m + 1)], mul, F(1))
 
 
-def lengthened_balanced(fam):
-    """An m = 1, n = (1,) family with Q_1 + c1 z^(N+1) + c2 z^(N+2) and P_11
-    its series through order N_11 = Ntilde: the witness holds, so the
-    determinant still vanishes to order e, and (c1, c2) != 0 keeps its value
-    at t = 1 equal to the new leading P_11 coefficient.  Only deg Q_1 <= N
-    fails."""
+def det_gap(fam):
+    """det(1) - omega: 0 where the value at t = 1 holds."""
+    return det_at_one(fam) - prod(fam.p_leading(k) for k in range(1, fam.gp.m + 1))
+
+
+def balanced_row(fam, i, q_at):
+    """The family with row i rebuilt from the denominator q_at(c1, c2), its
+    P_ij the series through order N_ij as `build_family` forms them, at some
+    (c1, c2) != (0, 0) where det(1) still equals omega.  q_at is affine with
+    q_at(0, 0) = Q_i, so `det_gap` is linear in (c1, c2)."""
     gp, shape = fam.gp, fam.shape
 
     def row(c1, c2):
-        q = cleared([*fam.q[1].values(), F(c1), F(c2)])
-        return with_row(fam, 1, q, [series_product_coeffs(gp, q, 1, 0, shape.Ntilde)])
+        q = q_at(F(c1), F(c2))
+        return with_row(fam, i, q, [product_window(gp, q, j, 0, shape.Nij(i, j)) for j in range(1, gp.m + 1)])
 
-    def gap(f):
-        return det_at_one(f) - f.p_leading(1)
-
-    a, b = gap(row(1, 0)), gap(row(0, 1))
+    a, b = det_gap(row(1, 0)), det_gap(row(0, 1))
     return row(b, -a) if a or b else row(1, 0)
 
 
 def test_determinant_rejects_corruption():
-    # family_det proves the monomial from the degree bound, the series
-    # witness P_ij = Q_i phi_j through order Ntilde and the value at t = 1.
-    # Corrupt Q_i and P_ij at degree 0 and at their top degree and lengthen a
-    # P_ij; then break one check only while the other two hold
+    # family_det proves the monomial from the degree bounds, the forced zeros
+    # through order Ntilde and the value at t = 1.  Corrupt Q_i and P_ij at
+    # degree 0 and at their top degree and lengthen a P_ij; then break each
+    # check alone while the others hold
     for alphas, n, n0, exponent in [
         ([F(1), F(1, 2)], (1,), 1, 3),
         ([F(1), F(1, 2)], (1,), 2, 4),
@@ -776,7 +811,7 @@ def test_determinant_rejects_corruption():
         gp = derive_params(alphas)
         m = gp.m
         fam = build_family(gp, ApproxShape(n=n, n0=n0))
-        assert family_det(fam)[0] == exponent
+        assert certified_det(fam)[0] == exponent
         broken = []
         for i, degree in [(0, 0), (m, 1)]:
             broken.append(with_row(fam, i, plus_one(fam.q[i], degree), fam.p[i]))
@@ -791,25 +826,35 @@ def test_determinant_rejects_corruption():
             broken.append(with_row(fam, i, fam.q[i], prow))
         for corrupted in broken:
             with pytest.raises(NonMonomialDeterminant):
-                family_det(corrupted)
+                certified_det(corrupted)
 
         if n == (1,):
-            # the degree bound alone: Q_1 lengthened, no monomial
-            corrupted = lengthened_balanced(fam)
-            assert det_at_one(corrupted) == corrupted.p_leading(1)
+            # deg Q_i <= N alone: Q_1 + c1 z^(N+1) + c2 z^(N+2) and P_11 its
+            # series through N_11 = Ntilde, no monomial (row 1's window is
+            # order Ntilde + 1 alone, which the witness does not read)
+            corrupted = balanced_row(fam, 1, lambda c1, c2: cleared([*fam.q[1].values(), c1, c2]))
+            assert det_gap(corrupted) == 0 and order_holds(corrupted)[0, 1]
             assert len(family_det_poly(corrupted)) > exponent + 1
-            with pytest.raises(NonMonomialDeterminant, match="degree bound"):
-                family_det(corrupted)
-        # the witness alone: P_01 + 1 - z^N_01 has the same value at t = 1
+            with pytest.raises(NonMonomialDeterminant, match="Q_1 exceeds its degree bound"):
+                certified_det(corrupted)
+        # deg P_ij <= N_ij alone: P_01 - 1 + z^(N_01 + 1) has the same value at t = 1
         prow = list(fam.p[0])
         den, nums = prow[0]
-        prow[0] = Grid(den, (nums[0] + den, *nums[1:-1], nums[-1] - den))
+        prow[0] = Grid(den, (nums[0] - den, *nums[1:], den))
+        with pytest.raises(NonMonomialDeterminant, match="P_ij exceeds its degree bound"):
+            certified_det(with_row(fam, 0, fam.q[0], prow))
+        # the forced zeros alone: Q_0 + c1 + c2 z, its own P_0j, no monomial
+        corrupted = balanced_row(
+            fam, 0, lambda c1, c2: cleared([x + c for x, c in zip_longest(fam.q[0].values(), (c1, c2), fillvalue=0)])
+        )
+        assert det_gap(corrupted) == 0 and not all(order_holds(corrupted).values())
+        assert family_det_poly(corrupted) != [F(0)] * exponent + [det_at_one(corrupted)]
         with pytest.raises(NonMonomialDeterminant, match="phi_j"):
-            family_det(with_row(fam, 0, fam.q[0], prow))
+            certified_det(corrupted)
         # the value at t = 1 alone: row 0 doubled doubles the monomial
         double = [Grid.of(g.den, [2 * x for x in g.nums]) for g in (fam.q[0], *fam.p[0])]
         with pytest.raises(NonMonomialDeterminant, match="t=1"):
-            family_det(with_row(fam, 0, double[0], double[1:]))
+            certified_det(with_row(fam, 0, double[0], double[1:]))
 
 
 def test_oracle_verdicts_survive_the_exact_fallback(monkeypatch):
@@ -836,8 +881,42 @@ def test_family_det_evaluates_one_point(monkeypatch):
     monkeypatch.setattr(gpade.pade, "bareiss_eliminate", lambda rows: calls.append(rows) or bareiss_eliminate(rows))
     for gp, sh in make_configs(4242, 6, n_max=4, n0_max=5):
         before = len(calls)
-        family_det(build_family(gp, sh))
+        certified_det(build_family(gp, sh))
         assert len(calls) == before + 1
+
+
+@pytest.mark.parametrize("params, n, n0", [("half", (2,), 3), ("trio", (2, 1), 2), ("quad", (1, 2, 1), 2)])
+def test_verify_forms_each_product_coefficient_once(monkeypatch, capsys, params, n, n0):
+    # `verify` forms P_ij's orders 0..N_ij in build_family and the forced
+    # zeros N_ij+1..Ntilde+delta_ij in verify_order, each once, and family_det
+    # reads them: per (i, j) the orders formed are disjoint and cover exactly
+    # 0..Ntilde+delta_ij, and each kernel call clears phi_j's window once
+    kernel, clear = gpade.pade.series_product_coeffs, gpade.pade.cleared
+    formed, clears, per_call = {}, [], []
+
+    def counting_clear(xs):
+        clears.append(len(xs))
+        return clear(xs)
+
+    def recording_kernel(gp, qs, j, windows):
+        assert len(qs) == len(windows) == gp.m + 1
+        for i, (lo, hi) in enumerate(windows):
+            formed.setdefault((i, j), []).extend(range(lo, hi + 1))
+        before = len(clears)
+        out = kernel(gp, qs, j, windows)
+        per_call.append(len(clears) - before)
+        return out
+
+    monkeypatch.setattr(gpade.pade, "cleared", counting_clear)
+    monkeypatch.setattr(gpade.pade, "series_product_coeffs", recording_kernel)
+    path = str(Path(__file__).parent / "golden" / "params" / f"{params}.params")
+    argv = ["verify", "--params", path, "--n", ",".join(map(str, n)), "--n0", str(n0)]
+    assert gpade.cli.main(argv) == 0 and "PASS" in capsys.readouterr().out
+    shape, m = ApproxShape(n=n, n0=n0), len(n)
+    assert sorted(formed) == [(i, j) for i in range(m + 1) for j in range(1, m + 1)]
+    for (i, j), orders in formed.items():
+        assert sorted(orders) == list(range(shape.Ntilde + (i == j) + 1)), (i, j)
+    assert per_call == [1] * (2 * m)
 
 
 def test_numerator_degrees():
@@ -859,13 +938,13 @@ def test_numerator_degrees():
 def test_small_random_sweep():
     for gp, sh in make_configs(4242, 20, n_max=4, n0_max=5):
         fam = build_family(gp, sh)
-        assert all(verify_order(fam).values())
+        assert all(order_holds(fam).values())
         assert oracle_solve(gp, sh, fam.q) == (True,) * (gp.m + 1)
         solved = reference_oracle_solve(gp, sh)
         for i in range(gp.m + 1):
             assert solved[i] == fam.q[i]
             assert fam.q[i].values()[-1] == 1  # normalized leading coefficient
-        e, om = family_det(fam)
+        e, om = certified_det(fam)
         assert e == sh.N + sum(sh.Nj) + gp.m and om != 0
 
 
