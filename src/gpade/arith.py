@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .errors import FactorizationLimit, InvariantViolation, SingularSystem
@@ -50,7 +50,6 @@ __all__ = [
     "digits10",
     "floor_log10_ratio",
     "product_le",
-    "cleared",
     "cleared_eval",
     "RANK_PRIME",
     "bareiss_eliminate",
@@ -193,13 +192,6 @@ class Grid(NamedTuple):
 
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.nums)
-
-
-def cleared(xs) -> Grid:
-    """The grid of the rationals xs: the lcm L of their denominators and the
-    integers L*x, which have no common factor with L."""
-    L = lcm(*(x.denominator for x in xs))
-    return Grid(L, tuple(x.numerator * (L // x.denominator) for x in xs))
 
 
 def cleared_eval(grid: Grid, a: int, b: int) -> tuple[int, int]:

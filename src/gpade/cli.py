@@ -43,7 +43,7 @@ from .errors import (
     NonMonomialDeterminant,
     SingularSystem,
 )
-from .pade import ApproxShape, build_family, family_det, family_rows, family_tsv, oracle_solve, verify_order
+from .pade import ApproxShape, build_family, build_q, family_det, family_rows, family_tsv, oracle_solve, verify_order
 from .padic import (
     LinearFormInstance,
     audit_linear_form,
@@ -274,11 +274,11 @@ def _cmd_construct(args, gp):
 
 def _cmd_verify(args, gp):
     shape = ApproxShape(n=args.n, n0=args.n0)
-    family = build_family(gp, shape)
-    zeros = verify_order(family)
+    qs = tuple(build_q(gp, shape, i) for i in range(gp.m + 1))
+    zeros = verify_order(gp, shape, qs)
     order = {key: not any(window.nums) for key, window in zeros.items()}
-    oracle_ok = dict(enumerate(oracle_solve(gp, shape, family.q)))
-    exponent, omega = family_det(family, zeros)
+    oracle_ok = dict(enumerate(oracle_solve(gp, shape, qs)))
+    exponent, omega = family_det(gp, shape, qs, zeros)
     ok = all(order.values()) and all(oracle_ok.values())
     result = {
         "order_of_vanishing": {f"i{i}_j{j}": v for (i, j), v in sorted(order.items())},

@@ -12,32 +12,33 @@ series coefficients alone: each Q_i satisfies its N equations exactly, and
 their matrix is nonsingular (`arith.certify_nonsingular`), so Q_i is the
 unique monic solution.  No second construction is formed.
 
-The family (`build_family`) holds Q_i and P_ij only.  One windowed kernel,
-`series_product_coeffs`, forms P_ij, the n_j forced zeros past it
-(`verify_order`) and the remainder terms, clearing phi_j once for all rows;
-`verify` forms each coefficient once.  The audits read no coefficient past
-Q_i: they evaluate the rows at a point from Q_i's grid and one split of
-phi_j (`phi_split`, `numerator_at`, and `realseries`).
+The family (`build_family`) holds Q_i and P_ij, for the reports that print
+or check every coefficient.  `verify` forms no P_ij: one windowed kernel,
+`series_product_coeffs`, forms the n_j forced zeros past N_ij
+(`verify_order`), and `family_det` reads P_ij(1) from phi_j's partial sums.
+The audits read no coefficient past Q_i: they evaluate the rows at a point
+from Q_i's grid and one split of phi_j (`phi_split`, `numerator_at`, and
+`realseries`).
 
 Every polynomial is built once as an integer grid (`arith.Grid`): a positive
 common denominator and a tuple of integer numerators with no factor common
-to all of them, so equal polynomials are equal tuples.  The closed form ends
-in integer correlations over one denominator and the product series convolves
-numerators on the grid of Q times that of phi_j; each normalizes once.  The
-checks read the numerators as they are, and a reduced Fraction is formed
-only where a report prints one.  The determinant check reads its degree from
-the grids and its valuation from the forced zeros, and evaluates once.
+to all of them, so equal polynomials are equal tuples.  phi_j's windows come
+from integer running products of its term ratio, the closed form ends in
+integer correlations over one denominator, and the product series convolves
+numerators on the grid of Q times that of phi_j; each normalizes once.  A
+reduced Fraction is formed only where a report prints one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from math import gcd, lcm, prod
+from itertools import accumulate
+from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
-from .arith import Grid, bareiss_eliminate, certify_nonsingular, cleared, pochhammer
+from .arith import Grid, bareiss_eliminate, certify_nonsingular, pochhammer
 from .errors import IntegralityViolation, NonMonomialDeterminant
 from .params import GParams
 from .report import full_digits, tsv
@@ -126,7 +127,6 @@ class ApproxShape(_ShapeFields):
 # Series coefficients
 # ---------------------------------------------------------------------------
 
-_ratio_cache: dict[tuple[GParams, int], list[Fraction]] = {}
 Piece = tuple[int, int, int, int]  # a `phi_split` piece (P, Q, S, R)
 # `phi_split` sums ranges of at most this many terms by a loop, where the
 # operands are still short and a call and a merge per term would cost more
@@ -134,18 +134,28 @@ Piece = tuple[int, int, int, int]  # a `phi_split` piece (P, Q, S, R)
 _LEAF_TERMS = 16
 
 
-def phi_coeffs(gp: GParams, j: int, upto: int) -> list[Fraction]:
-    """Coefficients 0..upto of phi_j, computed incrementally and cached."""
-    if not 1 <= j <= gp.m:
-        raise ValueError("series index out of range")
-    key = (gp, j)
-    seq = _ratio_cache.setdefault(key, [Fraction(1)])
-    aj = gp.alpha[j]
-    a0j = gp.alpha[j] + gp.alpha[0]
-    while len(seq) <= upto:
-        n = len(seq) - 1
-        seq.append(seq[-1] * (aj + n) / (a0j + n))
-    return seq[: upto + 1]
+def phi_coeffs(gp: GParams, j: int, lo: int, hi: int) -> Grid:
+    """The grid of phi_j's coefficients of orders lo..hi (0 <= lo <= hi).
+
+    With alpha_j = a/b, alpha_0 + alpha_j = c/d and g = gcd(b, d), the term ratio
+    is p(k)/q(k) = (d/g)(a + kb) / ((b/g)(c + kd)).  Over q(0)...q(hi-1), order t
+    is p(0)...p(t-1) times q(t)...q(hi-1): one forward, one backward product.
+    """
+    if not (1 <= j <= gp.m and 0 <= lo <= hi):
+        raise ValueError("series index or window out of range")
+    aj, a0j = gp.alpha[j], gp.alpha[j] + gp.alpha[0]
+    a, b, c, d = aj.numerator, aj.denominator, a0j.numerator, a0j.denominator
+    bg, dg = b // gcd(b, d), d // gcd(b, d)
+    nums, fwd, den = [], 1, 1
+    for k in range(hi + 1):
+        if k >= lo:
+            nums.append(fwd)
+        fwd *= dg * (a + k * b)
+    for k in range(hi - 1, -1, -1):
+        den *= bg * (c + k * d)
+        if k >= lo:
+            nums[k - lo] *= den
+    return Grid.of(den, nums)
 
 
 def phi_split(gp: GParams, j: int, z: Fraction, cuts: tuple[int, ...]) -> list[Piece]:
@@ -309,7 +319,7 @@ def series_product_coeffs(
     """
     start = min(max(0, lo - (len(q_int) - 1)) for (_, q_int), (lo, _) in zip(qs, windows))
     end = max(hi for _, hi in windows)
-    Dr, r_int = cleared(phi_coeffs(gp, j, end)[start:])
+    Dr, r_int = phi_coeffs(gp, j, start, end)
     r_rev = r_int[::-1]  # r_rev[end - mu + k] = phi_j's coefficient mu - k
     return tuple(
         Grid.of(Dq * Dr, [sum(map(mul, q_int, r_rev[end - mu :])) for mu in range(lo, hi + 1)])
@@ -362,15 +372,10 @@ class PadeFamily(NamedTuple):
     def p_coeffs(self, i: int, j: int) -> Grid:
         return self.p[i][j - 1]
 
-    def p_leading(self, i: int) -> Fraction:
-        """Leading coefficient of P_ii (order N_i + 1); nonzero by theory."""
-        den, nums = self.p[i][i - 1]
-        return Fraction(nums[-1], den)
-
 
 def build_family(gp: GParams, shape: ApproxShape) -> PadeFamily:
     """Construct all m+1 rows: Q_i and every numerator P_ij, the product
-    series Q_i*phi_j through order N_ij (the invariant `family_det` rests on)."""
+    series Q_i*phi_j through order N_ij."""
     if gp.m != shape.m:
         raise ValueError("shape and parameters disagree on m")
     rows = range(gp.m + 1)
@@ -379,15 +384,15 @@ def build_family(gp: GParams, shape: ApproxShape) -> PadeFamily:
     return PadeFamily(gp=gp, shape=shape, q=qrows, p=tuple(zip(*cols)))
 
 
-def verify_order(family: PadeFamily) -> dict[tuple[int, int], Grid]:
+def verify_order(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...]) -> dict[tuple[int, int], Grid]:
     """The grid of the coefficients N_ij + 1 .. N_ij + n_j of Q_i*phi_j for
-    every (i, j), which the order conditions force to zero: row i meets them
-    on series j exactly when that window's numerators are all 0."""
-    shape, rows = family.shape, range(family.gp.m + 1)
+    every row's denominator grid qs[i] and series j, which the order
+    conditions force to zero: row i meets them on series j exactly when that
+    window's numerators are all 0."""
     out = {}
     for j, nj in enumerate(shape.n, 1):
-        windows = [(shape.Nij(i, j) + 1, shape.Nij(i, j) + nj) for i in rows]
-        out.update(zip([(i, j) for i in rows], series_product_coeffs(family.gp, family.q, j, windows)))
+        windows = [(shape.Nij(i, j) + 1, shape.Nij(i, j) + nj) for i in range(gp.m + 1)]
+        out.update(((i, j), w) for i, w in enumerate(series_product_coeffs(gp, qs, j, windows)))
     return out
 
 
@@ -416,7 +421,7 @@ def oracle_solve(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...]) -> tuple
     for j, (nj, Nj) in enumerate(zip(shape.n, shape.Nj), start=1):
         # phi_j's orders Nj+1-N..Nj+nj+1 on one grid, last first (a positive
         # factor on a row moves neither its residual's zero nor the rank)
-        phi = cleared(phi_coeffs(gp, j, Nj + nj + 1)[Nj + 1 - N :]).nums[::-1]
+        phi = phi_coeffs(gp, j, Nj + 1 - N, Nj + nj + 1).nums[::-1]
         rows = [list(phi[t : t + N + 1]) for t in range(nj, -1, -1)]  # orders Nj+1..Nj+nj+1
         low.append(rows[0])
         shared += rows[1:-1]
@@ -437,42 +442,45 @@ def oracle_solve(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...]) -> tuple
 # ---------------------------------------------------------------------------
 
 
-def family_det(family: PadeFamily, zeros: dict[tuple[int, int], Grid]) -> tuple[int, Fraction]:
-    """Certify that det(Q_i, P_i1, ..., P_im) is the monomial omega * z^e.
-
-    Premise: P_ij is Q_i * phi_j through order N_ij (`build_family`), and
-    zeros[i, j] its orders N_ij + 1 .. N_ij + n_j (`verify_order`).  Returns
-    (e, omega), e = `ApproxShape.det_exponent` and omega the product of the
-    leading P_ii coefficients, in four steps:
-    1. deg Q_i <= N and deg P_ij <= N_ij by the grids' lengths: deg det <= e;
+def family_det(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...], zeros: dict) -> tuple[int, Fraction]:
+    """Certify that det(Q_i, P_i1, ..., P_im) = omega * z^e for the grids qs
+    of Q_i, with P_ij *defined* as Q_i * phi_j through order N_ij: deg P_ij
+    <= N_ij by definition, and no P_ij is formed.  zeros[i, j] are the orders
+    N_ij + 1 .. N_ij + n_j of Q_i * phi_j (`verify_order`).  Returns (e, omega),
+    e = `ApproxShape.det_exponent` and omega the product of the leading P_ii
+    coefficients, in four steps:
+    1. deg Q_i <= N by the grids' lengths: deg det <= e;
     2. the orders N_ij + 1 .. Ntilde of Q_i * phi_j, zeros[i, j] but the
        diagonal's order Ntilde + 1, are 0;
     3. so R_ij = Q_i phi_j - P_ij vanishes to order Ntilde + 1, and
        det(Q, P) = (-1)^m det(Q, R) (column j minus phi_j times column 0)
        to order e, whatever phi_j is; with 1, det = c z^e;
     4. c = det(1) must equal omega.
-    A failed step, or omega = 0, raises NonMonomialDeterminant.
+    With phi_j's grid (D_j, f) and Q_i's (L_i, c), L_i D_j P_ij(1) is the sum
+    of c_k (f_0 + ... + f_(N_ij - k)), from phi_j's partial sums, and L_i D_i
+    times P_ii's leading coefficient that of c_k f_(N_ii - k).  A failed step,
+    or omega = 0, raises NonMonomialDeterminant.
     """
-    gp, shape = family.gp, family.shape
-    omega = prod(family.p_leading(i) for i in range(1, gp.m + 1))
-    if omega == 0:
-        raise NonMonomialDeterminant("vanishing leading coefficient")
-    # row i at t = 1, cleared by the lcm L_i of its grids' denominators: the
-    # integer determinant is det(1) * prod(L_i)
-    rows, target = [], omega
-    for i, (q, prow) in enumerate(zip(family.q, family.p)):
-        if len(q.nums) > shape.N + 1:
+    phis = [phi_coeffs(gp, j, 0, shape.Nij(j, j)) for j in range(1, gp.m + 1)]
+    sums = [list(accumulate(f)) for _, f in phis]
+    # rows at t = 1 times L_i, columns times D_j: det(1) prod(L_i) prod(D_j)
+    rows, target, omega = [], prod(D for D, _ in phis), Fraction(1)
+    for i, (L, c) in enumerate(qs):
+        if len(c) > shape.N + 1:
             raise NonMonomialDeterminant(f"Q_{i} exceeds its degree bound")
-        for j, (_, nums) in enumerate(prow, 1):
+        n, rev, row = len(c) - 1, c[::-1], [sum(c)]
+        for j, s in enumerate(sums, 1):
             Nij = shape.Nij(i, j)
-            if len(nums) > Nij + 1:
-                raise NonMonomialDeterminant(f"P_ij exceeds its degree bound at i={i}, j={j}")
             if any(zeros[i, j].nums[: shape.Ntilde - Nij]):
                 raise NonMonomialDeterminant(f"Q_i * phi_j is not 0 at orders N_ij+1..Ntilde at i={i}, j={j}")
-        polys = (q, *prow)
-        L = lcm(*(den for den, _ in polys))
-        rows.append([sum(nums) * (L // den) for den, nums in polys])
+            row.append(sum(map(mul, rev, s[Nij - n : Nij + 1])))
+            if i == j:  # P_ii's leading coefficient
+                omega *= Fraction(sum(map(mul, rev, phis[i - 1].nums[Nij - n : Nij + 1])), L * phis[i - 1].den)
+        rows.append(row)
         target *= L
+    if omega == 0:
+        raise NonMonomialDeterminant("vanishing leading coefficient")
+    target *= omega
     if bareiss_eliminate(rows) * target.denominator != target.numerator:
         raise NonMonomialDeterminant("determinant at t=1 differs from omega")
     return shape.det_exponent, omega

@@ -10,9 +10,10 @@ can compare the closed form with an independent solution.
 from math import gcd
 from operator import mul
 
-from gpade.arith import Grid, cleared
+from gpade.arith import Grid
 from gpade.errors import SingularSystem
-from gpade.pade import phi_coeffs
+
+from reference_series import cleared, reference_phi_coeffs
 
 
 def primitive_steps(M, cols, pivot_rows):
@@ -108,7 +109,7 @@ def reference_oracle_solve(gp, shape):
         return list(cleared([ratios[mu - k] for k in range(N)] + [-ratios[mu - N]]).nums)
 
     for j, (nj, Nj) in enumerate(zip(shape.n, shape.Nj), start=1):
-        ratios = phi_coeffs(gp, j, Nj + nj + 1)
+        ratios = reference_phi_coeffs(gp, j, Nj + nj + 1)
         shared += [order_row(ratios, mu) for mu in range(Nj + 2, Nj + nj + 1)]
         low.append(order_row(ratios, Nj + 1))
         high.append(order_row(ratios, Nj + nj + 1))

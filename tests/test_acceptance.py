@@ -17,7 +17,7 @@ from gpade.denom import (
     make_cert,
     verify_integrality,
 )
-from gpade.pade import ApproxShape, build_family, family_det, oracle_solve, verify_order
+from gpade.pade import ApproxShape, build_family, build_q, family_det, oracle_solve, verify_order
 from gpade.padic import (
     LinearFormInstance,
     audit_linear_form,
@@ -44,7 +44,7 @@ def _line(num, label, ok, t0):
 
 def test_criterion_01_order_of_vanishing(acc_families):
     t0 = time.time()
-    ok = all(not any(w.nums) for _, _, fam in acc_families for w in verify_order(fam).values())
+    ok = all(not any(w.nums) for gp, sh, fam in acc_families for w in verify_order(gp, sh, fam.q).values())
     ok, dt = _line(1, "order of vanishing on 200 random configs", ok, t0)
     assert ok and dt < 60
 
@@ -65,11 +65,11 @@ def test_criterion_03_determinant_monomial(acc_families):
     t0 = time.time()
     ok = True
     for gp, sh, fam in acc_families:
-        exponent, omega = family_det(fam, verify_order(fam))
+        exponent, omega = family_det(gp, sh, fam.q, verify_order(gp, sh, fam.q))
         ok = ok and exponent == sh.N + sum(sh.Nj) + gp.m and omega != 0
-    gp = derive_params([F(1), F(1, 2)])
-    fam = build_family(gp, ApproxShape(n=(1,), n0=1))
-    ok = ok and family_det(fam, verify_order(fam)) == (3, F(4, 75))
+    gp, sh = derive_params([F(1), F(1, 2)]), ApproxShape(n=(1,), n0=1)
+    qs = (build_q(gp, sh, 0), build_q(gp, sh, 1))
+    ok = ok and family_det(gp, sh, qs, verify_order(gp, sh, qs)) == (3, F(4, 75))
     ok, dt = _line(3, "determinant is the predicted monomial", ok, t0)
     assert ok and dt < 30
 

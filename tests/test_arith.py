@@ -23,7 +23,6 @@ from gpade.arith import (
     Interval,
     bareiss_eliminate,
     certify_nonsingular,
-    cleared,
     cleared_eval,
     digits10,
     epsilon_interval,
@@ -45,6 +44,8 @@ from gpade.arith import (
 from gpade.interval import _atanh_series, _exp_core, _log2_interval
 from gpade.errors import CertificationError, FactorizationLimit, InvariantViolation, SingularSystem
 from gpade.report import fmt_ratio, fmt_real
+
+from reference_series import cleared
 
 LOG2_LO = F("0.6931471805599453094172321214581")
 LOG2_HI = F("0.6931471805599453094172321214582")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import gpade.cli
 import gpade.pade
-from gpade.arith import Grid, bareiss_eliminate, cleared, cleared_eval, pochhammer
+from gpade.arith import Grid, bareiss_eliminate, cleared_eval, pochhammer
 
 from gpade.errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
 from gpade.pade import (
@@ -34,6 +34,7 @@ from gpade.params import derive_params
 from gpade.realseries import phi_heads, rows_at_point, window_at
 
 from conftest import ALPHA_POOL, make_configs, pick_alphas
+from reference_series import cleared, reference_phi_coeffs
 from reference_solve import reference_oracle_solve, solve_sharing
 
 
@@ -60,7 +61,34 @@ def test_shape_derivations():
 def test_series_specialization_is_harmonic():
     # alpha_0 = alpha_1 = 1 collapses the coefficients to 1/(n+1)
     gp = derive_params([F(1), F(1)])
-    assert phi_coeffs(gp, 1, 8) == [F(1, n + 1) for n in range(9)]
+    assert reference_phi_coeffs(gp, 1, 8) == [F(1, n + 1) for n in range(9)]
+    L = lcm(*range(1, 10))
+    assert phi_coeffs(gp, 1, 0, 8) == Grid(L, tuple(L // (n + 1) for n in range(9)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha0=st.sampled_from([F(1), F(2), F(3, 2), *ALPHA_POOL]),
+    alphaj=st.one_of(st.sampled_from(ALPHA_POOL), st.integers(1, 6).map(F)),
+    j=st.integers(0, 2),
+    lo=st.integers(-1, 40),
+    hi=st.integers(0, 60),
+)
+@example(alpha0=F(1), alphaj=F(1, 2), j=1, lo=0, hi=30)  # telescoping: phi's coefficients are 1/(1 + 2n)
+@example(alpha0=F(1), alphaj=F(1), j=1, lo=5, hi=12)  # harmonic, lo > 0
+@example(alpha0=F(2), alphaj=F(3), j=1, lo=0, hi=0)  # integer parameters, one coefficient
+@example(alpha0=F(3, 2), alphaj=F(1, 2), j=1, lo=7, hi=7)
+@example(alpha0=F(1), alphaj=F(1), j=2, lo=0, hi=3)  # no series 2
+@example(alpha0=F(1), alphaj=F(1), j=1, lo=4, hi=3)  # lo > hi
+def test_phi_window_matches_fraction_recurrence(alpha0, alphaj, j, lo, hi):
+    # the running products' window, normalized once, is the window of the
+    # Fraction recurrence cleared by its lcm
+    gp = derive_params([alpha0, alphaj])
+    if j != 1 or not 0 <= lo <= hi:
+        with pytest.raises(ValueError, match="series index or window out of range"):
+            phi_coeffs(gp, j, lo, hi)
+        return
+    assert phi_coeffs(gp, j, lo, hi) == cleared(reference_phi_coeffs(gp, j, hi)[lo:])
 
 
 def test_hand_instance_denominators(half):
@@ -77,13 +105,20 @@ def product_window(gp, q, j, lo, hi):
 
 
 def order_holds(fam):
-    """verify's order_of_vanishing verdicts: which forced-zero windows are 0."""
-    return {key: not any(window.nums) for key, window in verify_order(fam).items()}
+    """verify's order_of_vanishing verdicts on the family's denominators:
+    which forced-zero windows are 0."""
+    return {key: not any(window.nums) for key, window in verify_order(fam.gp, fam.shape, fam.q).items()}
 
 
 def certified_det(fam):
-    """`family_det` on the family's own forced zeros, as `verify` calls it."""
-    return family_det(fam, verify_order(fam))
+    """`family_det` on the family's denominators and their forced zeros, as
+    `verify` calls it; it reads no P_ij of the family."""
+    return family_det(fam.gp, fam.shape, fam.q, verify_order(fam.gp, fam.shape, fam.q))
+
+
+def p_leading(fam, i):
+    """The leading coefficient of the family's P_ii (order N_i + 1)."""
+    return fam.p[i][i - 1].values()[-1]
 
 
 def test_hand_instance_numerators(half):
@@ -99,7 +134,7 @@ def test_hand_instance_numerators(half):
 
 def test_hand_instance_remainder(half):
     gp, shape, fam = half
-    assert verify_order(fam)[0, 1].values() == (F(0),)
+    assert verify_order(gp, shape, fam.q)[0, 1].values() == (F(0),)
     # the first possibly nonzero order is N_01 + n_1 + 1 = 3
     assert product_window(gp, fam.q[0], 1, 3, 3).values() == (F(-4, 105),)
     assert order_holds(fam) == {(0, 1): True, (1, 1): True}
@@ -107,7 +142,7 @@ def test_hand_instance_remainder(half):
 
 def reference_product_coeffs(gp, q, j, T):
     """Coefficients 0..T of Q * phi_j, by the Fraction convolution."""
-    phi = phi_coeffs(gp, j, T)
+    phi = reference_phi_coeffs(gp, j, T)
     return [sum((q[k] * phi[mu - k] for k in range(min(len(q) - 1, mu) + 1)), F(0)) for mu in range(T + 1)]
 
 
@@ -118,7 +153,7 @@ def test_remainder_terms_match_full_convolution(alphas, n, n0, z):
     gp = derive_params(alphas)
     shape = ApproxShape(n=n, n0=n0)
     fam = build_family(gp, shape)
-    zeros = verify_order(fam)
+    zeros = verify_order(gp, shape, fam.q)
     for T in (shape.remainder_truncation, shape.remainder_truncation + 9):
         for j, nj in enumerate(shape.n, 1):
             # the remainder terms c_mu z^mu, mu = N_ij + n_j + 1 .. T, of every row at once
@@ -340,7 +375,7 @@ def reference_oracle_solve_generic(gp, n_list, N_list):
     N = sum(n_list)
     M = []
     for j in range(1, gp.m + 1):
-        ratios = phi_coeffs(gp, j, N_list[j - 1] + n_list[j - 1])
+        ratios = reference_phi_coeffs(gp, j, N_list[j - 1] + n_list[j - 1])
         for mu in range(N_list[j - 1] + 1, N_list[j - 1] + n_list[j - 1] + 1):
             row = [ratios[mu - k] for k in range(N)] + [-ratios[mu - N]]
             L = lcm(*(c.denominator for c in row))
@@ -522,7 +557,7 @@ def reference_phi_partial_sum(gp, j, z, T):
     """The former kernel: the terms 0..T of phi_j at z added one at a time."""
     acc = F(0)
     power = F(1)
-    for cf in phi_coeffs(gp, j, T):
+    for cf in reference_phi_coeffs(gp, j, T):
         acc += cf * power
         power *= z
     return acc
@@ -565,9 +600,10 @@ def test_partial_sum_parts_hold_the_last_term(instance, j, z, cuts):
     j = min(j, gp.m)
     pieces = phi_split(gp, j, z, tuple(cuts))
     assert len(pieces) == len(cuts)
+    phi = reference_phi_coeffs(gp, j, cuts[-1])
 
     def term(t):
-        return phi_coeffs(gp, j, t)[t] * z**t
+        return phi[t] * z**t
 
     for lo, hi, (p, q, s, r) in zip([0, *cuts], cuts, pieces):
         assert r > 0 and q == r * z.denominator ** (hi - lo)
@@ -659,7 +695,7 @@ def test_determinant_hand_instance(half):
     gp, shape, fam = half
     exponent, omega = certified_det(fam)
     assert exponent == 3 and omega == F(4, 75)
-    assert omega == fam.p_leading(1)
+    assert omega == p_leading(fam, 1)
 
 
 def reference_family_det(family):
@@ -677,7 +713,7 @@ def reference_family_det(family):
     exponent = shape.N + sum(shape.Nj) + gp.m
     omega = F(1)
     for i in range(1, gp.m + 1):
-        omega *= family.p_leading(i)
+        omega *= p_leading(family, i)
     if omega == 0:
         raise NonMonomialDeterminant("vanishing leading coefficient")
     # each row cleared by the lcm L_i of its grids' denominators; each cleared
@@ -765,11 +801,11 @@ def test_determinant_by_direct_polynomial_arithmetic():
         assert family_det_poly(fam) == [F(0)] * exponent + [omega]
 
 
-def with_row(fam, i, q, prow):
-    """The family with row i replaced by Q_i = q and P_ij = prow[j - 1]."""
-    qq, pp = list(fam.q), list(fam.p)
-    qq[i], pp[i] = q, tuple(prow)
-    return fam._replace(q=tuple(qq), p=tuple(pp))
+def with_row(fam, i, q):
+    """The family with row i rebuilt from the denominator q: Q_i = q and P_ij
+    the series q * phi_j through order N_ij, as `build_family` forms them."""
+    prow = tuple(product_window(fam.gp, q, j, 0, fam.shape.Nij(i, j)) for j in range(1, fam.gp.m + 1))
+    return fam._replace(q=fam.q[:i] + (q,) + fam.q[i + 1 :], p=fam.p[:i] + (prow,) + fam.p[i + 1 :])
 
 
 def det_at_one(fam):
@@ -779,29 +815,27 @@ def det_at_one(fam):
 
 def det_gap(fam):
     """det(1) - omega: 0 where the value at t = 1 holds."""
-    return det_at_one(fam) - prod(fam.p_leading(k) for k in range(1, fam.gp.m + 1))
+    return det_at_one(fam) - prod(p_leading(fam, k) for k in range(1, fam.gp.m + 1))
 
 
 def balanced_row(fam, i, q_at):
-    """The family with row i rebuilt from the denominator q_at(c1, c2), its
-    P_ij the series through order N_ij as `build_family` forms them, at some
-    (c1, c2) != (0, 0) where det(1) still equals omega.  q_at is affine with
-    q_at(0, 0) = Q_i, so `det_gap` is linear in (c1, c2)."""
-    gp, shape = fam.gp, fam.shape
+    """The family with row i rebuilt (`with_row`) from the denominator
+    q_at(c1, c2), at some (c1, c2) != (0, 0) where det(1) still equals omega.
+    q_at is affine with q_at(0, 0) = Q_i, so `det_gap` is linear in (c1, c2)."""
 
     def row(c1, c2):
-        q = q_at(F(c1), F(c2))
-        return with_row(fam, i, q, [product_window(gp, q, j, 0, shape.Nij(i, j)) for j in range(1, gp.m + 1)])
+        return with_row(fam, i, q_at(F(c1), F(c2)))
 
     a, b = det_gap(row(1, 0)), det_gap(row(0, 1))
     return row(b, -a) if a or b else row(1, 0)
 
 
 def test_determinant_rejects_corruption():
-    # family_det proves the monomial from the degree bounds, the forced zeros
-    # through order Ntilde and the value at t = 1.  Corrupt Q_i and P_ij at
-    # degree 0 and at their top degree and lengthen a P_ij; then break each
-    # check alone while the others hold
+    # family_det proves the monomial from deg Q_i <= N, the forced zeros
+    # through order Ntilde and the value at t = 1, with P_ij defined as
+    # Q_i * phi_j through N_ij.  Perturb Q_i at degree 0 and at its top
+    # degree: the verdict is the expanded determinant's.  Corrupt each
+    # forced zero it reads; then break each check alone while the others hold
     for alphas, n, n0, exponent in [
         ([F(1), F(1, 2)], (1,), 1, 3),
         ([F(1), F(1, 2)], (1,), 2, 4),
@@ -809,24 +843,24 @@ def test_determinant_rejects_corruption():
         ([F(3, 2), F(1, 2), F(2, 3), F(1, 4)], (1, 2, 1), 2, 21),
     ]:
         gp = derive_params(alphas)
-        m = gp.m
-        fam = build_family(gp, ApproxShape(n=n, n0=n0))
+        m, shape = gp.m, ApproxShape(n=n, n0=n0)
+        fam = build_family(gp, shape)
         assert certified_det(fam)[0] == exponent
-        broken = []
-        for i, degree in [(0, 0), (m, 1)]:
-            broken.append(with_row(fam, i, plus_one(fam.q[i], degree), fam.p[i]))
-        for i, j in [(0, 1), (m, m)]:
-            P = fam.p[i][j - 1]
-            for degree in (0, len(P.nums) - 1):
-                prow = list(fam.p[i])
-                prow[j - 1] = plus_one(P, degree)
-                broken.append(with_row(fam, i, fam.q[i], prow))
-            prow = list(fam.p[i])
-            prow[j - 1] = Grid(P.den, (*P.nums, 1))
-            broken.append(with_row(fam, i, fam.q[i], prow))
-        for corrupted in broken:
-            with pytest.raises(NonMonomialDeterminant):
-                certified_det(corrupted)
+        for i, degree in [(0, 0), (0, shape.N), (m, 0), (m, shape.N)]:
+            perturbed = with_row(fam, i, plus_one(fam.q[i], degree))
+            omega = prod(p_leading(perturbed, k) for k in range(1, m + 1))
+            if family_det_poly(perturbed) == [F(0)] * exponent + [omega]:
+                assert certified_det(perturbed) == (exponent, omega)
+            else:
+                with pytest.raises(NonMonomialDeterminant):
+                    certified_det(perturbed)
+        zeros = verify_order(gp, shape, fam.q)
+        read = [(i, j) for i, j in zeros if shape.Nij(i, j) < shape.Ntilde]
+        assert len(read) == (m + 1) * m - sum(nj == 1 for nj in n)
+        for i, j in read:
+            corrupted = {**zeros, (i, j): plus_one(zeros[i, j], shape.Ntilde - shape.Nij(i, j) - 1)}
+            with pytest.raises(NonMonomialDeterminant, match=f"phi_j is not 0 .* at i={i}, j={j}"):
+                family_det(gp, shape, fam.q, corrupted)
 
         if n == (1,):
             # deg Q_i <= N alone: Q_1 + c1 z^(N+1) + c2 z^(N+2) and P_11 its
@@ -837,12 +871,6 @@ def test_determinant_rejects_corruption():
             assert len(family_det_poly(corrupted)) > exponent + 1
             with pytest.raises(NonMonomialDeterminant, match="Q_1 exceeds its degree bound"):
                 certified_det(corrupted)
-        # deg P_ij <= N_ij alone: P_01 - 1 + z^(N_01 + 1) has the same value at t = 1
-        prow = list(fam.p[0])
-        den, nums = prow[0]
-        prow[0] = Grid(den, (nums[0] - den, *nums[1:], den))
-        with pytest.raises(NonMonomialDeterminant, match="P_ij exceeds its degree bound"):
-            certified_det(with_row(fam, 0, fam.q[0], prow))
         # the forced zeros alone: Q_0 + c1 + c2 z, its own P_0j, no monomial
         corrupted = balanced_row(
             fam, 0, lambda c1, c2: cleared([x + c for x, c in zip_longest(fam.q[0].values(), (c1, c2), fillvalue=0)])
@@ -851,10 +879,10 @@ def test_determinant_rejects_corruption():
         assert family_det_poly(corrupted) != [F(0)] * exponent + [det_at_one(corrupted)]
         with pytest.raises(NonMonomialDeterminant, match="phi_j"):
             certified_det(corrupted)
-        # the value at t = 1 alone: row 0 doubled doubles the monomial
-        double = [Grid.of(g.den, [2 * x for x in g.nums]) for g in (fam.q[0], *fam.p[0])]
+        # the value at t = 1 alone: Q_0 doubled doubles P_0j and the monomial
+        double = Grid.of(fam.q[0].den, [2 * x for x in fam.q[0].nums])
         with pytest.raises(NonMonomialDeterminant, match="t=1"):
-            certified_det(with_row(fam, 0, double[0], double[1:]))
+            certified_det(fam._replace(q=(double, *fam.q[1:])))
 
 
 def test_oracle_verdicts_survive_the_exact_fallback(monkeypatch):
@@ -886,28 +914,31 @@ def test_family_det_evaluates_one_point(monkeypatch):
 
 
 @pytest.mark.parametrize("params, n, n0", [("half", (2,), 3), ("trio", (2, 1), 2), ("quad", (1, 2, 1), 2)])
-def test_verify_forms_each_product_coefficient_once(monkeypatch, capsys, params, n, n0):
-    # `verify` forms P_ij's orders 0..N_ij in build_family and the forced
-    # zeros N_ij+1..Ntilde+delta_ij in verify_order, each once, and family_det
-    # reads them: per (i, j) the orders formed are disjoint and cover exactly
-    # 0..Ntilde+delta_ij, and each kernel call clears phi_j's window once
-    kernel, clear = gpade.pade.series_product_coeffs, gpade.pade.cleared
-    formed, clears, per_call = {}, [], []
+def test_verify_forms_no_numerator(monkeypatch, capsys, params, n, n0):
+    # `verify` builds no family: the kernel forms only the forced zeros
+    # N_ij+1..N_ij+n_j of each Q_i*phi_j, each once, from one phi_j window
+    # per call, and family_det reads P_ij(1) from phi_j's partial sums
+    kernel, phi = gpade.pade.series_product_coeffs, gpade.pade.phi_coeffs
+    formed, phi_windows, per_call = {}, [], []
 
-    def counting_clear(xs):
-        clears.append(len(xs))
-        return clear(xs)
+    def refuse(*args):
+        raise AssertionError("verify built the family")
+
+    def counting_phi(*args):
+        phi_windows.append(args[1:])
+        return phi(*args)
 
     def recording_kernel(gp, qs, j, windows):
-        assert len(qs) == len(windows) == gp.m + 1
         for i, (lo, hi) in enumerate(windows):
             formed.setdefault((i, j), []).extend(range(lo, hi + 1))
-        before = len(clears)
+        before = len(phi_windows)
         out = kernel(gp, qs, j, windows)
-        per_call.append(len(clears) - before)
+        per_call.append(len(phi_windows) - before)
         return out
 
-    monkeypatch.setattr(gpade.pade, "cleared", counting_clear)
+    for module in (gpade.cli, gpade.pade):
+        monkeypatch.setattr(module, "build_family", refuse)
+    monkeypatch.setattr(gpade.pade, "phi_coeffs", counting_phi)
     monkeypatch.setattr(gpade.pade, "series_product_coeffs", recording_kernel)
     path = str(Path(__file__).parent / "golden" / "params" / f"{params}.params")
     argv = ["verify", "--params", path, "--n", ",".join(map(str, n)), "--n0", str(n0)]
@@ -915,8 +946,9 @@ def test_verify_forms_each_product_coefficient_once(monkeypatch, capsys, params,
     shape, m = ApproxShape(n=n, n0=n0), len(n)
     assert sorted(formed) == [(i, j) for i in range(m + 1) for j in range(1, m + 1)]
     for (i, j), orders in formed.items():
-        assert sorted(orders) == list(range(shape.Ntilde + (i == j) + 1)), (i, j)
-    assert per_call == [1] * (2 * m)
+        Nij = shape.Nij(i, j)
+        assert orders == list(range(Nij + 1, Nij + n[j - 1] + 1)), (i, j)
+    assert per_call == [1] * m
 
 
 def test_numerator_degrees():
@@ -929,7 +961,7 @@ def test_numerator_degrees():
         fam = build_family(gp, shape)
         for i in range(1, gp.m + 1):
             # diagonal numerator has exact degree N_i + 1
-            assert fam.p_leading(i) != 0
+            assert p_leading(fam, i) != 0
         for i in range(gp.m + 1):
             for j in range(1, gp.m + 1):
                 assert len(fam.p_coeffs(i, j).nums) == shape.Nij(i, j) + 1
@@ -937,14 +969,15 @@ def test_numerator_degrees():
 
 def test_small_random_sweep():
     for gp, sh in make_configs(4242, 20, n_max=4, n0_max=5):
-        fam = build_family(gp, sh)
-        assert all(order_holds(fam).values())
-        assert oracle_solve(gp, sh, fam.q) == (True,) * (gp.m + 1)
+        qs = tuple(build_q(gp, sh, i) for i in range(gp.m + 1))
+        zeros = verify_order(gp, sh, qs)
+        assert not any(any(window.nums) for window in zeros.values())
+        assert oracle_solve(gp, sh, qs) == (True,) * (gp.m + 1)
         solved = reference_oracle_solve(gp, sh)
         for i in range(gp.m + 1):
-            assert solved[i] == fam.q[i]
-            assert fam.q[i].values()[-1] == 1  # normalized leading coefficient
-        e, om = certified_det(fam)
+            assert solved[i] == qs[i]
+            assert qs[i].values()[-1] == 1  # normalized leading coefficient
+        e, om = family_det(gp, sh, qs, zeros)
         assert e == sh.N + sum(sh.Nj) + gp.m and om != 0
 
 

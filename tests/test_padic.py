@@ -217,7 +217,7 @@ def test_enclosure_boundary_growth_rate():
     # alpha = (1/3, 2/3) at p = 3: the clearing factor carries one power of 3
     # and term valuations grow at exactly the borderline rate 1/2
     from gpade.arith import p_valuation
-    from gpade.pade import phi_coeffs
+    from reference_series import reference_phi_coeffs
 
     gp = derive_params([F(1, 3), F(2, 3)])
     assert gp.dtilde == 3
@@ -225,7 +225,7 @@ def test_enclosure_boundary_growth_rate():
     enc = eval_phi_padic(gp, 1, beta, 3, 24)
     assert enc.k >= 1 and enc.unit_residue % 3 != 0
     # a much deeper partial sum is an independent oracle for the residue
-    deep = sum(cf * beta**n for n, cf in enumerate(phi_coeffs(gp, 1, 400)))
+    deep = sum(cf * beta**n for n, cf in enumerate(reference_phi_coeffs(gp, 1, 400)))
     assert p_valuation(deep, 3) == enc.valuation_offset
     num, den = deep.numerator, deep.denominator
     num //= 3**enc.valuation_offset

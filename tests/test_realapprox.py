@@ -30,7 +30,7 @@ from gpade.errors import (
     InvariantViolation,
     PrecisionInsufficient,
 )
-from gpade.pade import ApproxShape, build_family, phi_coeffs
+from gpade.pade import ApproxShape, build_family
 from gpade.params import GParams, derive_params
 from gpade.realapprox import (
     _nearest_integer,
@@ -48,6 +48,7 @@ from gpade.realseries import rows_at
 from gpade.report import Check, abbrev, emit_report, entry, fmt_real, full_digits, int_str, rational, tagged_bound
 
 from conftest import ALPHA_POOL
+from reference_series import reference_phi_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +323,7 @@ def reference_rows(gp, n1, n0, a, b, T, clear):
     series), phi_1's partial sum term by term, and the remainder as
     max |x Q_i(beta) - P_i1(beta)| over the two ends x."""
     beta = F(a, b)
-    s_T = sum(cf * beta**t for t, cf in enumerate(phi_coeffs(gp, 1, T)))
+    s_T = sum(cf * beta**t for t, cf in enumerate(reference_phi_coeffs(gp, 1, T)))
     tail = abs(beta) ** (T + 1) / (1 - abs(beta))
     ends = (s_T, s_T + tail) if beta > 0 or (T + 1) % 2 == 0 else (s_T - tail, s_T)
     family = build_family(gp, ApproxShape(n=(n1,), n0=n0))
