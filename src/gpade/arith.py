@@ -10,7 +10,9 @@ rounding.  Both are normalized by one gcd, so equal values are equal tuples.
 and are re-exported here.  The one exact-elimination kernel lives here
 too: `certify_nonsingular` proves determinants nonzero by their residues
 modulo a prime and falls back to `bareiss_eliminate` only on a zero
-residue.  No floating point is used anywhere in the computation paths.
+residue.  Its rows are windows of a few integer sequences, each packed once
+into one integer of 8-byte residue columns (`_Packed` proves that no column
+carries).  No floating point is used anywhere in the computation paths.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
+from struct import Struct
 from typing import NamedTuple
 
 from .errors import FactorizationLimit, InvariantViolation, SingularSystem
@@ -52,6 +55,7 @@ __all__ = [
     "product_le",
     "cleared_eval",
     "RANK_PRIME",
+    "RANK_COLUMNS",
     "bareiss_eliminate",
     "certify_nonsingular",
 ]
@@ -391,9 +395,10 @@ def epsilon_interval(n: int, prec: int = 128) -> Interval:
 # Exact elimination: fraction-free determinants, nonsingularity by residue
 # ---------------------------------------------------------------------------
 
-# the largest prime below 2^30: the product of two residues is below 2^60,
-# which bounds the columns of `_Packed`
-RANK_PRIME = 2**30 - 35
+# the largest prime below 2^20, and the most columns a packed row may have:
+# with them no column of `_Packed` reaches 2^64
+RANK_PRIME = 2**20 - 3
+RANK_COLUMNS = 2**24
 
 
 def bareiss_eliminate(rows: list[list[int]]) -> int:
@@ -426,67 +431,94 @@ def bareiss_eliminate(rows: list[list[int]]) -> int:
 
 
 class _Packed(NamedTuple):
-    """Rows of n residues modulo p, each packed into one integer, w bytes a
+    """Rows of n residues modulo p, each packed into one integer, 8 bytes a
     column, least significant first, so that one big-integer product and sum
-    update every column at once.  A column starts below p, and each multiple
-    of a basis row adds less than p^2 < 2^60 to it; at most n are added, so
-    w bytes hold it without a carry into the next column."""
+    update every column at once; `row` packs and unpacks n columns at once.
+
+    No column carries into the next.  A column starts below p, and each basis
+    row a row is reduced against adds a residue below p times one of its
+    columns, also below p, so at most (p - 1)^2.  The basis rows one row
+    meets (the shared ones, then its own system's) have distinct pivot
+    columns, so there are at most n of them, and every column stays below
+    p + n (p - 1)^2.  For p = RANK_PRIME = 2^20 - 3 and n <= RANK_COLUMNS =
+    2^24 that is at most p + 2^24 (2^20 - 4)^2 = 2^64 - 2^47 + 2^28 + 2^20 - 3
+    < 2^64, which 8 bytes hold; `certify_nonsingular` refuses a larger n."""
 
     p: int
     n: int
-    w: int
+    row: Struct
 
     def pack(self, xs) -> int:
-        return int.from_bytes(b"".join((x % self.p).to_bytes(self.w, "little") for x in xs), "little")
+        return int.from_bytes(self.row.pack(*xs), "little")
 
     def residues(self, X: int) -> list[int]:
-        b, w = X.to_bytes(self.n * self.w, "little"), self.w
-        return [int.from_bytes(b[k : k + w], "little") % self.p for k in range(0, len(b), w)]
+        p = self.p
+        return [x % p for x in self.row.unpack(X.to_bytes(8 * self.n, "little"))]
 
     def reduce(self, basis: list[tuple[int, int]], X: int) -> int:
         """X plus the multiples of the echelon basis rows that clear it at
         their pivot columns.  A basis row (c, T) holds the negated residues of
         a row that is 1 at column c and 0 at the pivot columns of the rows
         before it, so one pass in order clears every pivot column."""
-        bits = 8 * self.w
-        mask = (1 << bits) - 1
+        p, mask = self.p, (1 << 64) - 1
         for c, T in basis:
-            X += (X >> bits * c & mask) % self.p * T
+            X += (X >> 64 * c & mask) % p * T
         return X
 
     def extend(self, basis: list[tuple[int, int]], rows: list[int]) -> bool:
         """Append each packed row, reduced against the basis, to it; False as
         soon as one reduces to zero, when the rows are dependent modulo p."""
+        p = self.p
         for X in rows:
             x = self.residues(self.reduce(basis, X))
-            c = next((k for k, v in enumerate(x) if v), None)
+            c = next(compress(range(self.n), x), None)
             if c is None:
                 return False
-            inv = pow(x[c], -1, self.p)
-            basis.append((c, self.pack(-v * inv for v in x)))
+            inv = p - pow(x[c], -1, p)
+            basis.append((c, self.pack([v * inv % p for v in x])))
         return True
 
 
-def certify_nonsingular(shared: list[list[int]], others: list[list[int]], systems: list[list[int]]) -> None:
+def certify_nonsingular(
+    seqs: list[list[int]], shared: list[tuple[int, int]], others: list[tuple[int, int]], systems: list[list[int]]
+) -> None:
     """Prove that each square integer system -- the rows `shared`, then
     others[o] for each o in one of the index lists `systems`, all of one
-    size n -- has a nonzero determinant, or raise SingularSystem.  Columns
-    past the n-th (a right-hand side) are ignored.
+    size n -- has a nonzero determinant, or raise SingularSystem.  A row
+    (s, t) is the window seqs[s][t : t + n] of one of the integer sequences
+    `seqs`: shifts of one sequence for a Toeplitz block, or one sequence per
+    row at offset 0 for a general matrix.
 
     A nonzero residue of the determinant modulo the prime RANK_PRIME proves
-    it nonzero (cf. Abbott, Bronstein & Mulders, ISSAC 1999).  The shared
-    rows are brought to echelon form modulo the prime once and every other
-    row is reduced against them once, so each system finishes only its own
-    rows.  A zero residue (for every system, when the shared rows are
-    dependent modulo the prime) is settled by the exact `bareiss_eliminate`.
+    it nonzero (cf. Abbott, Bronstein & Mulders, ISSAC 1999).  Each sequence's
+    residues are packed once (`_Packed`), and a row is a shift and mask of
+    that one integer.  The shared rows are brought to echelon form modulo
+    the prime once and every other row is reduced against them once, so each
+    system finishes only its own rows.  A zero residue (for every system,
+    when the shared rows are dependent modulo the prime) is settled by the
+    exact `bareiss_eliminate` on the windows.  More than RANK_COLUMNS
+    columns, or a window past its sequence's end, is refused (ValueError)
+    before anything is packed.
     """
     n = len(shared) + len(systems[0])
-    packed = _Packed(RANK_PRIME, n, (68 + n.bit_length()) // 8)
+    if n > RANK_COLUMNS:
+        raise ValueError(f"{n} columns exceed the {RANK_COLUMNS} a packed row holds")
+    if any(t < 0 or t + n > len(seqs[s]) for s, t in shared + others):
+        raise ValueError("a row's window runs past its sequence")
+    p = RANK_PRIME
+    packed, mask = _Packed(p, n, Struct(f"<{n}Q")), (1 << 64 * n) - 1
+    ints = [int.from_bytes(Struct(f"<{len(seq)}Q").pack(*[x % p for x in seq]), "little") for seq in seqs]
+
+    def window(row: tuple[int, int]) -> int:
+        s, t = row
+        return ints[s] >> 64 * t & mask
+
     basis: list[tuple[int, int]] = []
-    full = packed.extend(basis, [packed.pack(row[:n]) for row in shared])
-    reduced = [packed.reduce(basis, packed.pack(row[:n])) for row in others] if full else []
+    full = packed.extend(basis, [window(row) for row in shared])
+    reduced = [packed.reduce(basis, window(row)) for row in others] if full else []
     for k, system in enumerate(systems):
         if full and packed.extend([], [reduced[o] for o in system]):
             continue
-        if bareiss_eliminate(shared + [others[o] for o in system]) == 0:
+        rows = shared + [others[o] for o in system]
+        if bareiss_eliminate([list(seqs[s][t : t + n]) for s, t in rows]) == 0:
             raise SingularSystem(f"integer system {k} has determinant 0")

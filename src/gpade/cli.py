@@ -277,7 +277,7 @@ def _cmd_verify(args, gp):
     qs = tuple(build_q(gp, shape, i) for i in range(gp.m + 1))
     zeros = verify_order(gp, shape, qs)
     order = {key: not any(window.nums) for key, window in zeros.items()}
-    oracle_ok = dict(enumerate(oracle_solve(gp, shape, qs)))
+    oracle_ok = dict(enumerate(oracle_solve(gp, shape, qs, zeros)))
     exponent, omega = family_det(gp, shape, qs, zeros)
     ok = all(order.values()) and all(oracle_ok.values())
     result = {

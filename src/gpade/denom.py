@@ -363,7 +363,7 @@ def scaled_integers(
 
     ints = [[scaled(v, f"P_{i}{k}" if k else f"Q_{i}") for k, v in enumerate(row)] for i, row in enumerate(rows)]
     try:
-        certify_nonsingular([], ints, [range(len(ints))])
+        certify_nonsingular(ints, [], [(k, 0) for k in range(len(ints))], [range(len(ints))])
     except SingularSystem:
         raise IntegralityViolation("scaled system matrix is singular") from None
     return ScaledSystem(qi=tuple(row[0] for row in ints), pij=tuple(tuple(row[1:]) for row in ints))

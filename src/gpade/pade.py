@@ -7,15 +7,17 @@ vanishes to order N_ij + n_j + 1 at the origin.  Row i uses the shifted
 degrees N_ij = N_j + delta_ij.
 
 The denominators come from their closed-form coefficients (`build_q`).
-`oracle_solve` certifies them against the order conditions, read from the
-series coefficients alone: each Q_i satisfies its N equations exactly, and
-their matrix is nonsingular (`arith.certify_nonsingular`), so Q_i is the
+`oracle_solve` certifies them against the order conditions: each Q_i meets
+its N equations exactly, since their left sides are the forced zeros of
+Q_i * phi_j, and their matrix, whose rows are windows of phi_j's
+coefficients, is nonsingular (`arith.certify_nonsingular`), so Q_i is the
 unique monic solution.  No second construction is formed.
 
 The family (`build_family`) holds Q_i and P_ij, for the reports that print
 or check every coefficient.  `verify` forms no P_ij: one windowed kernel,
 `series_product_coeffs`, forms the n_j forced zeros past N_ij
-(`verify_order`), and `family_det` reads P_ij(1) from phi_j's partial sums.
+(`verify_order`), which `oracle_solve` and `family_det` read, and
+`family_det` reads P_ij(1) from phi_j's partial sums.
 The audits read no coefficient past Q_i: they evaluate the rows at a point
 from Q_i's grid and one split of phi_j (`phi_split`, `numerator_at`, and
 `realseries`).
@@ -401,9 +403,10 @@ def verify_order(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...]) -> dict[
 # ---------------------------------------------------------------------------
 
 
-def oracle_solve(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...]) -> tuple[bool, ...]:
+def oracle_solve(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...], zeros: dict) -> tuple[bool, ...]:
     """Whether each grid qs[i] holds the denominator of row i, certified from
-    the order conditions read from phi_j's coefficients, not the products.
+    the order conditions; zeros[i, j] are the orders N_ij+1..N_ij+n_j of
+    Q_i * phi_j for the grids qs (`verify_order`).
 
     Row i's conditions on series j are the orders N_ij+1..N_ij+n_j, and
     N_ij = N_j + [i = j].  So the orders N_j+2..N_j+n_j of every series
@@ -412,28 +415,27 @@ def oracle_solve(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...]) -> tuple
     The order-mu equation is sum_k phi_(mu-k) a_k = 0 over k <= N; with
     a_N = 1 the N equations have one solution when their matrix in
     a_0..a_(N-1) is nonsingular, which `arith.certify_nonsingular` proves
-    for all m+1 rows at once or raises SingularSystem.  A grid (L, c) then
-    holds that solution exactly when it has N + 1 numerators, c_N = L, and
-    the integer residual sum_k row_k c_k of every cleared equation is 0.
+    for all m+1 rows at once or raises SingularSystem.  Its rows are windows
+    of phi_j's coefficients, so each series is read and packed once.  A grid
+    (L, c) with N + 1 numerators and c_N = L then holds that solution exactly
+    when it meets the equations: their left sides are its coefficients
+    N_ij+1..N_ij+n_j of Q_i * phi_j, so every window zeros[i, j] is all 0.
     """
     N, m = shape.N, shape.m
-    shared, low, high = [], [], []
-    for j, (nj, Nj) in enumerate(zip(shape.n, shape.Nj), start=1):
-        # phi_j's orders Nj+1-N..Nj+nj+1 on one grid, last first (a positive
-        # factor on a row moves neither its residual's zero nor the rank)
-        phi = phi_coeffs(gp, j, Nj + 1 - N, Nj + nj + 1).nums[::-1]
-        rows = [list(phi[t : t + N + 1]) for t in range(nj, -1, -1)]  # orders Nj+1..Nj+nj+1
-        low.append(rows[0])
-        shared += rows[1:-1]
-        high.append(rows[-1])
-    others = low + high
+    seqs, shared, low, high = [], [], [], []
+    for s, (nj, Nj) in enumerate(zip(shape.n, shape.Nj)):
+        # phi_j's orders Nj+1-N..Nj+nj+1 on one grid, last first, so that the
+        # window at offset t is the equation of order Nj+nj+1-t (a positive
+        # factor on a row does not move the rank)
+        seqs.append(phi_coeffs(gp, s + 1, Nj + 1 - N, Nj + nj + 1).nums[::-1])
+        low.append((s, nj))
+        shared += [(s, t) for t in range(nj - 1, 0, -1)]
+        high.append((s, 0))
     systems = [[m + j if j == i - 1 else j for j in range(m)] for i in range(m + 1)]
-    certify_nonsingular(shared, others, systems)
+    certify_nonsingular(seqs, shared, low + high, systems)
     return tuple(
-        len(c) == N + 1
-        and c[N] == L
-        and not any(sum(map(mul, row, c)) for row in shared + [others[o] for o in system])
-        for (L, c), system in zip(qs, systems)
+        len(c) == N + 1 and c[N] == L and not any(any(zeros[i, j].nums) for j in range(1, m + 1))
+        for i, (L, c) in enumerate(qs)
     )
 
 

@@ -56,7 +56,7 @@ def test_criterion_02_oracle_equivalence(acc_families):
         # the reference solves the order conditions exactly; the certificate
         # must accept every closed-form row
         ok = ok and reference_oracle_solve(gp, sh) == fam.q
-        ok = ok and oracle_solve(gp, sh, fam.q) == (True,) * (gp.m + 1)
+        ok = ok and oracle_solve(gp, sh, fam.q, verify_order(gp, sh, fam.q)) == (True,) * (gp.m + 1)
     ok, dt = _line(2, "closed form equals exact solve on 200 configs", ok, t0)
     assert ok and dt < 60
 

@@ -6,6 +6,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
+from struct import Struct
 from typing import NamedTuple
 
 import mpmath
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from gpade import arith
 from gpade.arith import (
     MR_LIMIT,
+    RANK_COLUMNS,
     RANK_PRIME,
     FactoredInteger,
     Grid,
@@ -896,21 +898,35 @@ def test_empty_interval_is_an_invariant_violation():
     assert point.hi - point.lo == 0
 
 
-def certified(shared, others, systems):
+def certified(seqs, shared, others, systems):
     """The verdict of `certify_nonsingular`: True, or False when it raises."""
     try:
-        certify_nonsingular(shared, others, systems)
+        certify_nonsingular(seqs, shared, others, systems)
     except SingularSystem:
         return False
     return True
 
 
+def bareiss_verdicts(seqs, shared, others, systems):
+    """Whether each system's exact determinant, over the sliced windows, is nonzero."""
+    n = len(shared) + len(systems[0])
+    rows = [[list(seqs[s][t : t + n]) for s, t in shared + [others[o] for o in system]] for system in systems]
+    return [bareiss_eliminate(system) != 0 for system in rows]
+
+
+def matches_bareiss(seqs, shared, others, systems):
+    expected = bareiss_verdicts(seqs, shared, others, systems)
+    assert [certified(seqs, shared, others, [system]) for system in systems] == expected
+    assert certified(seqs, shared, others, systems) == all(expected)
+
+
 @st.composite
 def nonsingularity_instances(draw):
-    """(shared, others, systems): n x n systems of s < n shared rows and n - s
-    other rows each, rows carrying a right-hand side.  Small entries make
-    singular systems common, and a row multiplied by the prime (then added
-    to another) makes a determinant that is a nonzero multiple of it."""
+    """(seqs, shared, others, systems) of a general matrix, one sequence per
+    row at offset 0: n x n systems of s < n shared rows and n - s other rows
+    each, rows carrying a right-hand side.  Small entries make singular
+    systems common, and a row multiplied by the prime (then added to another)
+    makes a determinant that is a nonzero multiple of it."""
     n = draw(st.integers(1, 5))
     s = draw(st.integers(0, n - 1))
     row = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
@@ -921,26 +937,63 @@ def nonsingularity_instances(draw):
         t = draw(st.integers(0, len(rows) - 1))
         if t != r:
             rows[t] = [x + y for x, y in zip(rows[t], rows[r])]
-    shared, others = rows[:s], rows[s:]
-    pick = st.permutations(range(len(others))).map(lambda order: list(order[: n - s]))
-    return shared, others, draw(st.lists(pick, min_size=1, max_size=3))
+    windows = [(k, 0) for k in range(len(rows))]
+    pick = st.permutations(range(len(rows) - s)).map(lambda order: list(order[: n - s]))
+    return rows, windows[:s], windows[s:], draw(st.lists(pick, min_size=1, max_size=3))
 
 
 @settings(max_examples=300, deadline=None)
 @given(nonsingularity_instances())
 # determinant RANK_PRIME: a zero residue, settled exactly
-@example(([], [[RANK_PRIME, 0, 1], [0, 1, 2]], [[0, 1]]))
+@example(([[RANK_PRIME, 0, 1], [0, 1, 2]], [], [(0, 0), (1, 0)], [[0, 1]]))
 # a shared row that is 0 modulo the prime: every system falls back
-@example(([[RANK_PRIME, 2 * RANK_PRIME, 5]], [[1, 0, 0], [0, 1, 0], [2, 4, 1]], [[0], [1], [2]]))
+@example(
+    ([[RANK_PRIME, 2 * RANK_PRIME, 5], [1, 0, 0], [0, 1, 0], [2, 4, 1]], [(0, 0)], [(1, 0), (2, 0), (3, 0)], [[0], [1], [2]])
+)
 # an own row that reduces to 0 modulo the prime but not exactly
-@example(([[1, 2, 0]], [[1, 2 + RANK_PRIME, 3], [0, 1, 1]], [[0], [1]]))
+@example(([[1, 2, 0], [1, 2 + RANK_PRIME, 3], [0, 1, 1]], [(0, 0)], [(1, 0), (2, 0)], [[0], [1]]))
 # proportional own rows: singular
-@example(([[2, 1, 1, 3]], [[4, 2, 5, 1], [0, 1, 1, 1], [0, 3, 3, 5]], [[0, 1], [1, 2]]))
+@example(([[2, 1, 1, 3], [4, 2, 5, 1], [0, 1, 1, 1], [0, 3, 3, 5]], [(0, 0)], [(1, 0), (2, 0), (3, 0)], [[0, 1], [1, 2]]))
 def test_certify_nonsingular_matches_bareiss(instance):
-    shared, others, systems = instance
-    expected = [bareiss_eliminate(shared + [others[o] for o in system]) != 0 for system in systems]
-    assert [certified(shared, others, [system]) for system in systems] == expected
-    assert certified(shared, others, systems) == all(expected)
+    matches_bareiss(*instance)
+
+
+@st.composite
+def window_instances(draw):
+    """(seqs, shared, others, systems) of Toeplitz windows: every row is n
+    consecutive entries of one of 1-3 sequences at a random offset.  Small
+    entries and repeated windows make singular systems common; a sequence
+    multiplied by the prime, or one equal to another modulo the prime but
+    not exactly, makes determinants that are nonzero multiples of it."""
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(0, n - 1))
+    k = draw(st.integers(1, 3))
+    length = n + draw(st.integers(0, 4))
+    seqs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=length, max_size=length), min_size=k, max_size=k))
+    r = draw(st.integers(0, k - 1))
+    twist = draw(st.sampled_from(["none", "scaled", "shifted"]))
+    if twist == "scaled":
+        seqs[r] = [RANK_PRIME * draw(st.integers(1, 3)) * x for x in seqs[r]]
+    elif twist == "shifted":
+        u = draw(st.integers(0, k - 1))
+        seqs[r] = [x + RANK_PRIME * draw(st.integers(-1, 1)) for x in seqs[u]]
+    window = st.tuples(st.integers(0, k - 1), st.integers(0, length - n))
+    shared = draw(st.lists(window, min_size=s, max_size=s))
+    others = draw(st.lists(window, min_size=n - s, max_size=n - s + 3))
+    pick = st.permutations(range(len(others))).map(lambda order: list(order[: n - s]))
+    return seqs, shared, others, draw(st.lists(pick, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_instances())
+# Toeplitz windows [1, 1], [1, p + 1] of one sequence: determinant RANK_PRIME
+@example(([[1, 1, RANK_PRIME + 1]], [], [(0, 0), (0, 1)], [[0, 1]]))
+# two sequences equal modulo the prime, one shared window: every residue is 0
+@example(([[1, 2, 3, 5], [1 + RANK_PRIME, 2, 3, 5]], [(0, 1)], [(0, 0), (1, 0), (1, 2)], [[0], [1], [2]]))
+# the same window twice: singular
+@example(([[0, 1, 2, 4], [3, 1, 1, 1]], [(1, 1)], [(0, 1), (1, 1), (0, 2)], [[0], [1], [2]]))
+def test_certify_nonsingular_on_windows_matches_bareiss(instance):
+    matches_bareiss(*instance)
 
 
 def test_certify_nonsingular_falls_back_on_a_zero_residue(monkeypatch):
@@ -949,30 +1002,51 @@ def test_certify_nonsingular_falls_back_on_a_zero_residue(monkeypatch):
     calls = []
     monkeypatch.setattr(arith, "bareiss_eliminate", lambda rows: calls.append(rows) or bareiss_eliminate(rows))
     rows = [[RANK_PRIME, 0, 0], [1, 2, 0], [0, 3, 1]]
+    general = [(0, 0), (1, 0), (2, 0)]
     assert bareiss_eliminate(rows) == 2 * RANK_PRIME
-    certify_nonsingular([], rows, [[0, 1, 2]])
-    assert len(calls) == 1
+    certify_nonsingular(rows, [], general, [[0, 1, 2]])
+    assert calls == [rows]
     # a nonzero residue needs no exact determinant
-    certify_nonsingular([], [[3, 0, 0], [1, 2, 0], [0, 3, 1]], [[0, 1, 2]])
+    certify_nonsingular([[3, 0, 0], [1, 2, 0], [0, 3, 1]], [], general, [[0, 1, 2]])
     assert len(calls) == 1
-    # every residue is 0 modulo 1: each system is settled exactly
+    # every residue is 0 modulo 1: each system is settled exactly, on its
+    # windows of one sequence
     monkeypatch.setattr(arith, "RANK_PRIME", 1)
-    certify_nonsingular([[1, 2, 0, 5]], [[0, 1, 1, 1], [3, 0, 1, 2], [1, 2, 3, 4]], [[0, 1], [1, 2]])
-    assert len(calls) == 3
+    seqs = [[0, 1, 2, 0, 5], [3, 1, 2, 3, 4]]
+    certify_nonsingular(seqs, [(0, 2)], [(0, 1), (1, 0), (1, 1)], [[0, 1], [1, 2]])
+    assert calls[1:] == [[[2, 0, 5], [1, 2, 0], [3, 1, 2]], [[2, 0, 5], [3, 1, 2], [1, 2, 3]]]
     with pytest.raises(SingularSystem):
-        certify_nonsingular([[1, 2, 0, 5]], [[0, 1, 1, 1], [0, 2, 2, 7]], [[0, 1]])
+        certify_nonsingular([[0, 1, 1, 1], [0, 2, 2, 7]], [], [(0, 0), (1, 0)], [[0, 1]])
 
 
 def test_certify_nonsingular_rejects_singular_systems():
     # own rows proportional after the shared step: only the second system
-    shared = [[2, 1, 1, 3]]
-    others = [[4, 2, 5, 1], [0, 1, 1, 1], [0, 3, 3, 5]]
-    certify_nonsingular(shared, others, [[0, 1], [0, 2]])
+    seqs = [[2, 1, 1, 3], [4, 2, 5, 1], [0, 1, 1, 1], [0, 3, 3, 5]]
+    others = [(1, 0), (2, 0), (3, 0)]
+    certify_nonsingular(seqs, [(0, 0)], others, [[0, 1], [0, 2]])
     with pytest.raises(SingularSystem, match="system 1"):
-        certify_nonsingular(shared, others, [[0, 1], [1, 2]])
-    # dependent shared rows make every system singular
+        certify_nonsingular(seqs, [(0, 0)], others, [[0, 1], [1, 2]])
+    # dependent shared rows make every system singular: two windows of
+    # [1, 2, 4, 8], proportional since the sequence is geometric
     with pytest.raises(SingularSystem, match="system 0"):
-        certify_nonsingular([[1, 2, 0], [2, 4, 0]], [[0, 0, 1], [1, 1, 1]], [[0], [1]])
+        certify_nonsingular([[1, 2, 4, 8], [0, 0, 1, 1]], [(0, 0), (0, 1)], [(1, 0), (1, 1)], [[0], [1]])
     # a zero column in a square matrix without a right-hand side
     with pytest.raises(SingularSystem):
-        certify_nonsingular([], [[0, 5], [0, 7]], [range(2)])
+        certify_nonsingular([[0, 5], [0, 7]], [], [(0, 0), (1, 0)], [range(2)])
+
+
+def test_certify_nonsingular_refuses_more_columns_than_the_bound(monkeypatch):
+    # p + n (p - 1)^2 < 2^64 up to the bound: no packed column carries
+    assert is_prime(RANK_PRIME) and RANK_PRIME + RANK_COLUMNS * (RANK_PRIME - 1) ** 2 < 2**64
+    # the bound is checked before any sequence is packed
+    formats = []
+    monkeypatch.setattr(arith, "Struct", lambda fmt: formats.append(fmt) or Struct(fmt))
+    monkeypatch.setattr(arith, "RANK_COLUMNS", 2)
+    with pytest.raises(ValueError, match="3 columns exceed the 2"):
+        certify_nonsingular([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [(0, 0)], [(1, 0), (2, 0)], [[0, 1]])
+    # so is every window's end
+    with pytest.raises(ValueError, match="past its sequence"):
+        certify_nonsingular([[1, 0, 1]], [], [(0, 0), (0, 2)], [[0, 1]])
+    assert formats == []
+    certify_nonsingular([[1, 0], [0, 1]], [], [(0, 0), (1, 0)], [[0, 1]])
+    assert formats

@@ -110,6 +110,12 @@ def order_holds(fam):
     return {key: not any(window.nums) for key, window in verify_order(fam.gp, fam.shape, fam.q).items()}
 
 
+def judged(gp, shape, qs):
+    """`oracle_solve` on the grids qs and their forced zeros, as `verify`
+    calls it."""
+    return oracle_solve(gp, shape, qs, verify_order(gp, shape, qs))
+
+
 def certified_det(fam):
     """`family_det` on the family's denominators and their forced zeros, as
     `verify` calls it; it reads no P_ij of the family."""
@@ -226,7 +232,7 @@ def test_perturbation_breaks_order(half):
 
 def test_oracle_matches_closed_form(half):
     gp, shape, fam = half
-    assert oracle_solve(gp, shape, fam.q) == (True, True)
+    assert judged(gp, shape, fam.q) == (True, True)
     solved = reference_oracle_solve(gp, shape)
     assert solved == tuple(fam.q)
     assert solved[1].values() == (F(-7, 5), F(1))
@@ -242,11 +248,25 @@ def test_oracle_rejects_a_perturbed_denominator():
         for i in range(gp.m + 1):
             for k in range(shape.N + 1):
                 broken = qs[:i] + (plus_one(qs[i], k),) + qs[i + 1 :]
-                assert oracle_solve(gp, shape, broken) == tuple(r != i for r in range(gp.m + 1))
+                assert judged(gp, shape, broken) == tuple(r != i for r in range(gp.m + 1))
             doubled = Grid.of(qs[i].den, [2 * x for x in qs[i].nums])
             longer = Grid(qs[i].den, (*qs[i].nums, 0))
             for bad in (doubled, longer):
-                assert oracle_solve(gp, shape, qs[:i] + (bad,) + qs[i + 1 :])[i] is False
+                assert judged(gp, shape, qs[:i] + (bad,) + qs[i + 1 :])[i] is False
+
+
+def test_oracle_reads_the_forced_zeros():
+    # the oracle's residual is verify_order's window: one nonzero coefficient
+    # in zeros[i, j] turns only row i's verdict False
+    for gp, shape in make_configs(91, 4, n_max=3, n0_max=4):
+        qs = tuple(build_q(gp, shape, i) for i in range(gp.m + 1))
+        zeros = verify_order(gp, shape, qs)
+        for (i, j), window in zeros.items():
+            for k in range(len(window.nums)):
+                nums = list(window.nums)
+                nums[k] = 1
+                corrupted = {**zeros, (i, j): Grid(window.den, tuple(nums))}
+                assert oracle_solve(gp, shape, qs, corrupted) == tuple(r != i for r in range(gp.m + 1))
 
 
 def test_generic_degrees_agree_with_oracle():
@@ -408,7 +428,7 @@ def test_shared_oracle_matches_per_row_solve(instance, extra):
     for i, q in enumerate(rows):
         assert q.values() == reference_oracle_solve_generic(gp, shape.n, shape.Nij_row(i))
         assert q == build_q(gp, shape, i)
-    assert oracle_solve(gp, shape, rows) == (True,) * (gp.m + 1)
+    assert judged(gp, shape, rows) == (True,) * (gp.m + 1)
 
 
 def _satisfies(rows, x):
@@ -891,15 +911,15 @@ def test_oracle_verdicts_survive_the_exact_fallback(monkeypatch):
     configs = make_configs(4242, 6, n_max=3, n0_max=4)
     families = [(gp, sh, build_family(gp, sh).q) for gp, sh in configs]
     verdicts = [
-        (oracle_solve(gp, sh, qs), oracle_solve(gp, sh, (plus_one(qs[0], 0), *qs[1:]))) for gp, sh, qs in families
+        (judged(gp, sh, qs), judged(gp, sh, (plus_one(qs[0], 0), *qs[1:]))) for gp, sh, qs in families
     ]
     calls = []
     monkeypatch.setattr(gpade.arith, "RANK_PRIME", 1)
     monkeypatch.setattr(gpade.arith, "bareiss_eliminate", lambda rows: calls.append(rows) or bareiss_eliminate(rows))
     for (gp, sh, qs), (good, broken) in zip(families, verdicts):
         assert good == (True,) * (gp.m + 1) and broken == (False, *good[1:])
-        assert oracle_solve(gp, sh, qs) == good
-        assert oracle_solve(gp, sh, (plus_one(qs[0], 0), *qs[1:])) == broken
+        assert judged(gp, sh, qs) == good
+        assert judged(gp, sh, (plus_one(qs[0], 0), *qs[1:])) == broken
     assert len(calls) == 2 * sum(gp.m + 1 for gp, _, _ in families)
 
 
@@ -917,9 +937,11 @@ def test_family_det_evaluates_one_point(monkeypatch):
 def test_verify_forms_no_numerator(monkeypatch, capsys, params, n, n0):
     # `verify` builds no family: the kernel forms only the forced zeros
     # N_ij+1..N_ij+n_j of each Q_i*phi_j, each once, from one phi_j window
-    # per call, and family_det reads P_ij(1) from phi_j's partial sums
-    kernel, phi = gpade.pade.series_product_coeffs, gpade.pade.phi_coeffs
-    formed, phi_windows, per_call = {}, [], []
+    # per call, and family_det reads P_ij(1) from phi_j's partial sums; the
+    # oracle reads those forced zeros, forming no product and, on this
+    # nonsingular family, no exact determinant
+    kernel, phi, oracle = gpade.pade.series_product_coeffs, gpade.pade.phi_coeffs, gpade.cli.oracle_solve
+    formed, phi_windows, per_call, in_oracle = {}, [], [], []
 
     def refuse(*args):
         raise AssertionError("verify built the family")
@@ -928,7 +950,19 @@ def test_verify_forms_no_numerator(monkeypatch, capsys, params, n, n0):
         phi_windows.append(args[1:])
         return phi(*args)
 
+    def watched_oracle(*args):
+        in_oracle.append(True)
+        try:
+            return oracle(*args)
+        finally:
+            in_oracle.pop()
+
+    def refused_in_oracle(*args):
+        raise AssertionError("oracle_solve formed a product or an exact determinant")
+
     def recording_kernel(gp, qs, j, windows):
+        if in_oracle:
+            refused_in_oracle()
         for i, (lo, hi) in enumerate(windows):
             formed.setdefault((i, j), []).extend(range(lo, hi + 1))
         before = len(phi_windows)
@@ -940,6 +974,8 @@ def test_verify_forms_no_numerator(monkeypatch, capsys, params, n, n0):
         monkeypatch.setattr(module, "build_family", refuse)
     monkeypatch.setattr(gpade.pade, "phi_coeffs", counting_phi)
     monkeypatch.setattr(gpade.pade, "series_product_coeffs", recording_kernel)
+    monkeypatch.setattr(gpade.cli, "oracle_solve", watched_oracle)
+    monkeypatch.setattr(gpade.arith, "bareiss_eliminate", refused_in_oracle)
     path = str(Path(__file__).parent / "golden" / "params" / f"{params}.params")
     argv = ["verify", "--params", path, "--n", ",".join(map(str, n)), "--n0", str(n0)]
     assert gpade.cli.main(argv) == 0 and "PASS" in capsys.readouterr().out
@@ -972,7 +1008,7 @@ def test_small_random_sweep():
         qs = tuple(build_q(gp, sh, i) for i in range(gp.m + 1))
         zeros = verify_order(gp, sh, qs)
         assert not any(any(window.nums) for window in zeros.values())
-        assert oracle_solve(gp, sh, qs) == (True,) * (gp.m + 1)
+        assert oracle_solve(gp, sh, qs, zeros) == (True,) * (gp.m + 1)
         solved = reference_oracle_solve(gp, sh)
         for i in range(gp.m + 1):
             assert solved[i] == qs[i]
