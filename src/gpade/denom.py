@@ -37,7 +37,7 @@ from .arith import (
     product_le,
 )
 from .errors import DomainViolation, IntegralityViolation, SingularSystem
-from .pade import ApproxShape, PadeFamily, series_product_coeffs
+from .pade import ApproxShape, PadeFamily, phi_coeffs, series_product_coeffs
 from .params import GParams, padic_domain_check
 from .report import Check, entry, fmt_ratio, fmt_real, full_digits, rational, tsv
 
@@ -428,7 +428,8 @@ def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fract
     # the terms c_mu beta^mu from each product's first possibly nonzero order on
     starts = [[shape.Nij(i, j) + nj + 1 for i in range(gp.m + 1)] for j, nj in enumerate(shape.n, 1)]
     T = shape.remainder_truncation
-    cols = [series_product_coeffs(gp, family.q, j, [(lo, T) for lo in los]) for j, los in enumerate(starts, 1)]
+    phis = [phi_coeffs(gp, j, T) for j in range(1, gp.m + 1)]
+    cols = [series_product_coeffs(phi, family.q, [(lo, T) for lo in los]) for phi, los in zip(phis, starts)]
     out = []
     for i in range(gp.m + 1):
         for j in range(1, gp.m + 1):

@@ -14,17 +14,17 @@ coefficients, is nonsingular (`arith.certify_nonsingular`), so Q_i is the
 unique monic solution.  No second construction is formed.
 
 The family (`build_family`) holds Q_i and P_ij, for the reports that print
-or check every coefficient.  `verify` forms no P_ij: one windowed kernel,
-`series_product_coeffs`, forms the n_j forced zeros past N_ij
-(`verify_order`), which `oracle_solve` and `family_det` read, and
-`family_det` reads P_ij(1) from phi_j's partial sums.
-The audits read no coefficient past Q_i: they evaluate the rows at a point
-from Q_i's grid and one split of phi_j (`phi_split`, `numerator_at`, and
-`realseries`).
+or check every coefficient.  `verify` forms no P_ij.  The forced zeros of
+Q_i * phi_j end by order N_ij + n_j <= Ntilde + 1, so `verify` forms phi_j
+once through Ntilde + 1 (`phi_coeffs`) for `verify_order` (the forced zeros,
+by `series_product_coeffs`), `oracle_solve` (its equations' rows) and
+`family_det` (P_ij(1) from partial sums).  The audits read no coefficient
+past Q_i: they evaluate the rows at a point from Q_i's grid and one split
+of phi_j (`phi_split`, `numerator_at`, and `realseries`).
 
 Every polynomial is built once as an integer grid (`arith.Grid`): a positive
 common denominator and a tuple of integer numerators with no factor common
-to all of them, so equal polynomials are equal tuples.  phi_j's windows come
+to all of them, so equal polynomials are equal tuples.  phi_j's grid comes
 from integer running products of its term ratio, the closed form ends in
 integer correlations over one denominator, and the product series convolves
 numerators on the grid of Q times that of phi_j; each normalizes once.  A
@@ -136,27 +136,25 @@ Piece = tuple[int, int, int, int]  # a `phi_split` piece (P, Q, S, R)
 _LEAF_TERMS = 16
 
 
-def phi_coeffs(gp: GParams, j: int, lo: int, hi: int) -> Grid:
-    """The grid of phi_j's coefficients of orders lo..hi (0 <= lo <= hi).
+def phi_coeffs(gp: GParams, j: int, hi: int) -> Grid:
+    """The grid of phi_j's coefficients of orders 0..hi (hi >= 0).
 
     With alpha_j = a/b, alpha_0 + alpha_j = c/d and g = gcd(b, d), the term ratio
     is p(k)/q(k) = (d/g)(a + kb) / ((b/g)(c + kd)).  Over q(0)...q(hi-1), order t
     is p(0)...p(t-1) times q(t)...q(hi-1): one forward, one backward product.
     """
-    if not (1 <= j <= gp.m and 0 <= lo <= hi):
-        raise ValueError("series index or window out of range")
+    if not (1 <= j <= gp.m and hi >= 0):
+        raise ValueError("series index or order out of range")
     aj, a0j = gp.alpha[j], gp.alpha[j] + gp.alpha[0]
     a, b, c, d = aj.numerator, aj.denominator, a0j.numerator, a0j.denominator
     bg, dg = b // gcd(b, d), d // gcd(b, d)
     nums, fwd, den = [], 1, 1
     for k in range(hi + 1):
-        if k >= lo:
-            nums.append(fwd)
+        nums.append(fwd)
         fwd *= dg * (a + k * b)
     for k in range(hi - 1, -1, -1):
         den *= bg * (c + k * d)
-        if k >= lo:
-            nums[k - lo] *= den
+        nums[k] *= den
     return Grid.of(den, nums)
 
 
@@ -308,21 +306,18 @@ def build_q(gp: GParams, shape: ApproxShape, i: int) -> Grid:
     return build_q_generic(gp, shape.n, shape.Nij_row(i))
 
 
-def series_product_coeffs(
-    gp: GParams, qs: tuple[Grid, ...], j: int, windows: list[tuple[int, int]]
-) -> tuple[Grid, ...]:
-    """The grids of the coefficients lo..hi of Q * phi_j, one for each grid
-    of a denominator Q in `qs` and its window (lo, hi) in `windows`.
-
-    Coefficient mu reads phi_j at the orders mu - deg Q .. mu, so a window
-    needs phi_j only from order max(0, lo - deg Q) on.  The union of the
-    windows' needs is cleared once, and each convolution of numerators lies
-    on the grid Dq Dr of its Q and of that window, normalized once.
+def series_product_coeffs(phi: Grid, qs: tuple[Grid, ...], windows: list[tuple[int, int]]) -> tuple[Grid, ...]:
+    """The grids of the coefficients lo..hi of Q * phi, one for each grid of
+    a denominator Q in `qs` and its window (lo, hi) in `windows`, from the
+    grid `phi` of a series' coefficients of orders 0..T (`phi_coeffs`).  A
+    window past order T raises ValueError.  Each convolution of numerators
+    lies on the grid Dq Dr of its Q and of phi, normalized once.
     """
-    start = min(max(0, lo - (len(q_int) - 1)) for (_, q_int), (lo, _) in zip(qs, windows))
-    end = max(hi for _, hi in windows)
-    Dr, r_int = phi_coeffs(gp, j, start, end)
-    r_rev = r_int[::-1]  # r_rev[end - mu + k] = phi_j's coefficient mu - k
+    Dr, r_int = phi
+    end = len(r_int) - 1
+    if any(hi > end for _, hi in windows):
+        raise ValueError("a window reaches past the series' last order")
+    r_rev = r_int[::-1]  # r_rev[end - mu + k] = the series' coefficient mu - k
     return tuple(
         Grid.of(Dq * Dr, [sum(map(mul, q_int, r_rev[end - mu :])) for mu in range(lo, hi + 1)])
         for (Dq, q_int), (lo, hi) in zip(qs, windows)
@@ -382,19 +377,20 @@ def build_family(gp: GParams, shape: ApproxShape) -> PadeFamily:
         raise ValueError("shape and parameters disagree on m")
     rows = range(gp.m + 1)
     qrows = tuple(build_q(gp, shape, i) for i in rows)
-    cols = [series_product_coeffs(gp, qrows, j, [(0, shape.Nij(i, j)) for i in rows]) for j in range(1, gp.m + 1)]
+    phis = [phi_coeffs(gp, j, shape.Nij(j, j)) for j in range(1, gp.m + 1)]
+    cols = [series_product_coeffs(phi, qrows, [(0, shape.Nij(i, j)) for i in rows]) for j, phi in enumerate(phis, 1)]
     return PadeFamily(gp=gp, shape=shape, q=qrows, p=tuple(zip(*cols)))
 
 
-def verify_order(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...]) -> dict[tuple[int, int], Grid]:
-    """The grid of the coefficients N_ij + 1 .. N_ij + n_j of Q_i*phi_j for
-    every row's denominator grid qs[i] and series j, which the order
-    conditions force to zero: row i meets them on series j exactly when that
-    window's numerators are all 0."""
+def verify_order(shape: ApproxShape, qs: tuple[Grid, ...], phis: tuple[Grid, ...]) -> dict[tuple[int, int], Grid]:
+    """The grid of the coefficients N_ij + 1 .. N_ij + n_j <= Ntilde + 1 of
+    Q_i*phi_j for the grids qs[i] of Q_i and phis[j - 1] of phi_j through
+    order Ntilde + 1, which the order conditions force to zero: row i meets
+    them on series j exactly when that window's numerators are all 0."""
     out = {}
-    for j, nj in enumerate(shape.n, 1):
-        windows = [(shape.Nij(i, j) + 1, shape.Nij(i, j) + nj) for i in range(gp.m + 1)]
-        out.update(((i, j), w) for i, w in enumerate(series_product_coeffs(gp, qs, j, windows)))
+    for j, (nj, phi) in enumerate(zip(shape.n, phis), 1):
+        windows = [(shape.Nij(i, j) + 1, shape.Nij(i, j) + nj) for i in range(shape.m + 1)]
+        out.update(((i, j), w) for i, w in enumerate(series_product_coeffs(phi, qs, windows)))
     return out
 
 
@@ -403,10 +399,10 @@ def verify_order(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...]) -> dict[
 # ---------------------------------------------------------------------------
 
 
-def oracle_solve(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...], zeros: dict) -> tuple[bool, ...]:
+def oracle_solve(shape: ApproxShape, qs: tuple[Grid, ...], phis: tuple[Grid, ...], zeros: dict) -> tuple[bool, ...]:
     """Whether each grid qs[i] holds the denominator of row i, certified from
-    the order conditions; zeros[i, j] are the orders N_ij+1..N_ij+n_j of
-    Q_i * phi_j for the grids qs (`verify_order`).
+    the order conditions; phis are phi_j's grids through order Ntilde + 1 and
+    zeros = `verify_order(shape, qs, phis)`, the forced zeros of Q_i * phi_j.
 
     Row i's conditions on series j are the orders N_ij+1..N_ij+n_j, and
     N_ij = N_j + [i = j].  So the orders N_j+2..N_j+n_j of every series
@@ -422,17 +418,14 @@ def oracle_solve(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...], zeros: d
     N_ij+1..N_ij+n_j of Q_i * phi_j, so every window zeros[i, j] is all 0.
     """
     N, m = shape.N, shape.m
-    seqs, shared, low, high = [], [], [], []
-    for s, (nj, Nj) in enumerate(zip(shape.n, shape.Nj)):
-        # phi_j's orders Nj+1-N..Nj+nj+1 on one grid, last first, so that the
-        # window at offset t is the equation of order Nj+nj+1-t (a positive
-        # factor on a row does not move the rank)
-        seqs.append(phi_coeffs(gp, s + 1, Nj + 1 - N, Nj + nj + 1).nums[::-1])
-        low.append((s, nj))
-        shared += [(s, t) for t in range(nj - 1, 0, -1)]
-        high.append((s, 0))
+    # phi_j's orders Nj+2-N..Nj+nj+1, last first, so that the window at offset
+    # t is the equation of order Nj+nj+1-t (a positive factor on a row does
+    # not move the rank); `others` hold orders Nj+1, then Nj+nj+1, per series
+    seqs = [phi.nums[Nj + 2 - N : Nj + nj + 2][::-1] for nj, Nj, phi in zip(shape.n, shape.Nj, phis)]
+    shared = [(s, t) for s, nj in enumerate(shape.n) for t in range(nj - 1, 0, -1)]
+    others = [*enumerate(shape.n), *((s, 0) for s in range(m))]
     systems = [[m + j if j == i - 1 else j for j in range(m)] for i in range(m + 1)]
-    certify_nonsingular(seqs, shared, low + high, systems)
+    certify_nonsingular(seqs, shared, others, systems)
     return tuple(
         len(c) == N + 1 and c[N] == L and not any(any(zeros[i, j].nums) for j in range(1, m + 1))
         for i, (L, c) in enumerate(qs)
@@ -444,13 +437,13 @@ def oracle_solve(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...], zeros: d
 # ---------------------------------------------------------------------------
 
 
-def family_det(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...], zeros: dict) -> tuple[int, Fraction]:
+def family_det(shape: ApproxShape, qs: tuple[Grid, ...], phis: tuple[Grid, ...], zeros: dict) -> tuple[int, Fraction]:
     """Certify that det(Q_i, P_i1, ..., P_im) = omega * z^e for the grids qs
     of Q_i, with P_ij *defined* as Q_i * phi_j through order N_ij: deg P_ij
-    <= N_ij by definition, and no P_ij is formed.  zeros[i, j] are the orders
-    N_ij + 1 .. N_ij + n_j of Q_i * phi_j (`verify_order`).  Returns (e, omega),
-    e = `ApproxShape.det_exponent` and omega the product of the leading P_ii
-    coefficients, in four steps:
+    <= N_ij by definition, and no P_ij is formed.  phis are phi_j's grids
+    through order N_jj or further, zeros = `verify_order(shape, qs, phis)`.
+    Returns (e, omega), e = `ApproxShape.det_exponent` and omega the product
+    of the leading P_ii coefficients, in four steps:
     1. deg Q_i <= N by the grids' lengths: deg det <= e;
     2. the orders N_ij + 1 .. Ntilde of Q_i * phi_j, zeros[i, j] but the
        diagonal's order Ntilde + 1, are 0;
@@ -463,7 +456,6 @@ def family_det(gp: GParams, shape: ApproxShape, qs: tuple[Grid, ...], zeros: dic
     times P_ii's leading coefficient that of c_k f_(N_ii - k).  A failed step,
     or omega = 0, raises NonMonomialDeterminant.
     """
-    phis = [phi_coeffs(gp, j, 0, shape.Nij(j, j)) for j in range(1, gp.m + 1)]
     sums = [list(accumulate(f)) for _, f in phis]
     # rows at t = 1 times L_i, columns times D_j: det(1) prod(L_i) prod(D_j)
     rows, target, omega = [], prod(D for D, _ in phis), Fraction(1)

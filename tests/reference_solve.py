@@ -1,7 +1,7 @@
 """The exact oracle solve of the order conditions, kept as a test reference.
 
 `verify` certifies each closed-form denominator against its order conditions
-(`pade.oracle_solve`: an exact residual and a nonsingular matrix) instead of
+(`pade.oracle_solve`: exact forced zeros and a nonsingular matrix) instead of
 solving them.  The solver here is the former route, which solves every row's
 N x N system exactly by one shared primitive-row elimination, so the tests
 can compare the closed form with an independent solution.

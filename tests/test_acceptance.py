@@ -17,7 +17,7 @@ from gpade.denom import (
     make_cert,
     verify_integrality,
 )
-from gpade.pade import ApproxShape, build_family, build_q, family_det, oracle_solve, verify_order
+from gpade.pade import ApproxShape, build_family, build_q, family_det, oracle_solve, phi_coeffs, verify_order
 from gpade.padic import (
     LinearFormInstance,
     audit_linear_form,
@@ -42,9 +42,17 @@ def _line(num, label, ok, t0):
     return ok, dt
 
 
+def verify_phis(gp, sh):
+    """phi_j's grids through order Ntilde + 1, one per series, as `verify`
+    forms them."""
+    return tuple(phi_coeffs(gp, j, sh.Ntilde + 1) for j in range(1, gp.m + 1))
+
+
 def test_criterion_01_order_of_vanishing(acc_families):
     t0 = time.time()
-    ok = all(not any(w.nums) for gp, sh, fam in acc_families for w in verify_order(gp, sh, fam.q).values())
+    ok = all(
+        not any(w.nums) for gp, sh, fam in acc_families for w in verify_order(sh, fam.q, verify_phis(gp, sh)).values()
+    )
     ok, dt = _line(1, "order of vanishing on 200 random configs", ok, t0)
     assert ok and dt < 60
 
@@ -56,7 +64,8 @@ def test_criterion_02_oracle_equivalence(acc_families):
         # the reference solves the order conditions exactly; the certificate
         # must accept every closed-form row
         ok = ok and reference_oracle_solve(gp, sh) == fam.q
-        ok = ok and oracle_solve(gp, sh, fam.q, verify_order(gp, sh, fam.q)) == (True,) * (gp.m + 1)
+        phis = verify_phis(gp, sh)
+        ok = ok and oracle_solve(sh, fam.q, phis, verify_order(sh, fam.q, phis)) == (True,) * (gp.m + 1)
     ok, dt = _line(2, "closed form equals exact solve on 200 configs", ok, t0)
     assert ok and dt < 60
 
@@ -65,11 +74,13 @@ def test_criterion_03_determinant_monomial(acc_families):
     t0 = time.time()
     ok = True
     for gp, sh, fam in acc_families:
-        exponent, omega = family_det(gp, sh, fam.q, verify_order(gp, sh, fam.q))
+        phis = verify_phis(gp, sh)
+        exponent, omega = family_det(sh, fam.q, phis, verify_order(sh, fam.q, phis))
         ok = ok and exponent == sh.N + sum(sh.Nj) + gp.m and omega != 0
     gp, sh = derive_params([F(1), F(1, 2)]), ApproxShape(n=(1,), n0=1)
     qs = (build_q(gp, sh, 0), build_q(gp, sh, 1))
-    ok = ok and family_det(gp, sh, qs, verify_order(gp, sh, qs)) == (3, F(4, 75))
+    phis = verify_phis(gp, sh)
+    ok = ok and family_det(sh, qs, phis, verify_order(sh, qs, phis)) == (3, F(4, 75))
     ok, dt = _line(3, "determinant is the predicted monomial", ok, t0)
     assert ok and dt < 30
 

@@ -63,7 +63,7 @@ def test_series_specialization_is_harmonic():
     gp = derive_params([F(1), F(1)])
     assert reference_phi_coeffs(gp, 1, 8) == [F(1, n + 1) for n in range(9)]
     L = lcm(*range(1, 10))
-    assert phi_coeffs(gp, 1, 0, 8) == Grid(L, tuple(L // (n + 1) for n in range(9)))
+    assert phi_coeffs(gp, 1, 8) == Grid(L, tuple(L // (n + 1) for n in range(9)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -71,24 +71,28 @@ def test_series_specialization_is_harmonic():
     alpha0=st.sampled_from([F(1), F(2), F(3, 2), *ALPHA_POOL]),
     alphaj=st.one_of(st.sampled_from(ALPHA_POOL), st.integers(1, 6).map(F)),
     j=st.integers(0, 2),
-    lo=st.integers(-1, 40),
-    hi=st.integers(0, 60),
+    lo=st.integers(0, 40),
+    hi=st.integers(-1, 60),
 )
 @example(alpha0=F(1), alphaj=F(1, 2), j=1, lo=0, hi=30)  # telescoping: phi's coefficients are 1/(1 + 2n)
 @example(alpha0=F(1), alphaj=F(1), j=1, lo=5, hi=12)  # harmonic, lo > 0
 @example(alpha0=F(2), alphaj=F(3), j=1, lo=0, hi=0)  # integer parameters, one coefficient
 @example(alpha0=F(3, 2), alphaj=F(1, 2), j=1, lo=7, hi=7)
 @example(alpha0=F(1), alphaj=F(1), j=2, lo=0, hi=3)  # no series 2
-@example(alpha0=F(1), alphaj=F(1), j=1, lo=4, hi=3)  # lo > hi
+@example(alpha0=F(1), alphaj=F(1), j=1, lo=0, hi=-1)  # hi < 0
 def test_phi_window_matches_fraction_recurrence(alpha0, alphaj, j, lo, hi):
-    # the running products' window, normalized once, is the window of the
-    # Fraction recurrence cleared by its lcm
+    # the running products' grid of orders 0..hi, normalized once, is the
+    # Fraction recurrence's prefix cleared by its lcm, and its window lo..hi,
+    # sliced as the oracle slices it, holds the recurrence's values there
     gp = derive_params([alpha0, alphaj])
-    if j != 1 or not 0 <= lo <= hi:
-        with pytest.raises(ValueError, match="series index or window out of range"):
-            phi_coeffs(gp, j, lo, hi)
+    if j != 1 or hi < 0:
+        with pytest.raises(ValueError, match="series index or order out of range"):
+            phi_coeffs(gp, j, hi)
         return
-    assert phi_coeffs(gp, j, lo, hi) == cleared(reference_phi_coeffs(gp, j, hi)[lo:])
+    reference = reference_phi_coeffs(gp, j, hi)
+    grid = phi_coeffs(gp, j, hi)
+    assert grid == cleared(reference)
+    assert grid.values()[lo:] == tuple(reference[lo:])
 
 
 def test_hand_instance_denominators(half):
@@ -101,25 +105,38 @@ def test_hand_instance_denominators(half):
 
 def product_window(gp, q, j, lo, hi):
     """The kernel's grid of the coefficients lo..hi of Q * phi_j, for one Q."""
-    return series_product_coeffs(gp, (q,), j, [(lo, hi)])[0]
+    return series_product_coeffs(phi_coeffs(gp, j, hi), (q,), [(lo, hi)])[0]
+
+
+def verify_phis(gp, shape):
+    """phi_j's grids through order Ntilde + 1, one per series, as `verify`
+    forms them."""
+    return tuple(phi_coeffs(gp, j, shape.Ntilde + 1) for j in range(1, gp.m + 1))
+
+
+def forced_zeros(gp, shape, qs):
+    """`verify_order` on the grids qs, as `verify` calls it."""
+    return verify_order(shape, qs, verify_phis(gp, shape))
 
 
 def order_holds(fam):
     """verify's order_of_vanishing verdicts on the family's denominators:
     which forced-zero windows are 0."""
-    return {key: not any(window.nums) for key, window in verify_order(fam.gp, fam.shape, fam.q).items()}
+    return {key: not any(window.nums) for key, window in forced_zeros(fam.gp, fam.shape, fam.q).items()}
 
 
 def judged(gp, shape, qs):
     """`oracle_solve` on the grids qs and their forced zeros, as `verify`
     calls it."""
-    return oracle_solve(gp, shape, qs, verify_order(gp, shape, qs))
+    phis = verify_phis(gp, shape)
+    return oracle_solve(shape, qs, phis, verify_order(shape, qs, phis))
 
 
 def certified_det(fam):
     """`family_det` on the family's denominators and their forced zeros, as
     `verify` calls it; it reads no P_ij of the family."""
-    return family_det(fam.gp, fam.shape, fam.q, verify_order(fam.gp, fam.shape, fam.q))
+    phis = verify_phis(fam.gp, fam.shape)
+    return family_det(fam.shape, fam.q, phis, verify_order(fam.shape, fam.q, phis))
 
 
 def p_leading(fam, i):
@@ -140,7 +157,7 @@ def test_hand_instance_numerators(half):
 
 def test_hand_instance_remainder(half):
     gp, shape, fam = half
-    assert verify_order(gp, shape, fam.q)[0, 1].values() == (F(0),)
+    assert forced_zeros(gp, shape, fam.q)[0, 1].values() == (F(0),)
     # the first possibly nonzero order is N_01 + n_1 + 1 = 3
     assert product_window(gp, fam.q[0], 1, 3, 3).values() == (F(-4, 105),)
     assert order_holds(fam) == {(0, 1): True, (1, 1): True}
@@ -159,12 +176,12 @@ def test_remainder_terms_match_full_convolution(alphas, n, n0, z):
     gp = derive_params(alphas)
     shape = ApproxShape(n=n, n0=n0)
     fam = build_family(gp, shape)
-    zeros = verify_order(gp, shape, fam.q)
+    zeros = forced_zeros(gp, shape, fam.q)
     for T in (shape.remainder_truncation, shape.remainder_truncation + 9):
         for j, nj in enumerate(shape.n, 1):
             # the remainder terms c_mu z^mu, mu = N_ij + n_j + 1 .. T, of every row at once
             starts = [shape.Nij(i, j) + nj + 1 for i in range(gp.m + 1)]
-            windows = series_product_coeffs(gp, fam.q, j, [(lo, T) for lo in starts])
+            windows = series_product_coeffs(phi_coeffs(gp, j, T), fam.q, [(lo, T) for lo in starts])
             for i, (start, window) in enumerate(zip(starts, windows)):
                 full = reference_product_coeffs(gp, fam.q[i].values(), j, T)
                 Nij = shape.Nij(i, j)
@@ -260,13 +277,38 @@ def test_oracle_reads_the_forced_zeros():
     # in zeros[i, j] turns only row i's verdict False
     for gp, shape in make_configs(91, 4, n_max=3, n0_max=4):
         qs = tuple(build_q(gp, shape, i) for i in range(gp.m + 1))
-        zeros = verify_order(gp, shape, qs)
+        phis = verify_phis(gp, shape)
+        zeros = verify_order(shape, qs, phis)
         for (i, j), window in zeros.items():
             for k in range(len(window.nums)):
                 nums = list(window.nums)
                 nums[k] = 1
                 corrupted = {**zeros, (i, j): Grid(window.den, tuple(nums))}
-                assert oracle_solve(gp, shape, qs, corrupted) == tuple(r != i for r in range(gp.m + 1))
+                assert oracle_solve(shape, qs, phis, corrupted) == tuple(r != i for r in range(gp.m + 1))
+
+
+def test_oracle_certifies_the_order_conditions(monkeypatch):
+    # each system the oracle proves nonsingular is row i's order conditions
+    # in a_0..a_(N-1), each row up to a positive factor: a window read one
+    # order off would certify another matrix, most likely nonsingular too
+    def primitive(row):
+        g = gcd(*row)
+        return tuple(x // g for x in row)
+
+    seen = []
+    monkeypatch.setattr(gpade.pade, "certify_nonsingular", lambda *args: seen.append(args))
+    for gp, shape in make_configs(91, 4, n_max=3, n0_max=4):
+        N = shape.N
+        judged(gp, shape, tuple(build_q(gp, shape, i) for i in range(gp.m + 1)))
+        seqs, shared, others, systems = seen.pop()
+        for i, system in enumerate(systems):
+            rows = [primitive(seqs[s][t : t + N]) for s, t in shared + [others[o] for o in system]]
+            expected = []
+            for j, nj in enumerate(shape.n, 1):
+                phi = reference_phi_coeffs(gp, j, shape.Ntilde + 1)
+                for mu in range(shape.Nij(i, j) + 1, shape.Nij(i, j) + nj + 1):
+                    expected.append(primitive(cleared([phi[mu - k] for k in range(N)]).nums))
+            assert sorted(rows) == sorted(expected), (i, shape)
 
 
 def test_generic_degrees_agree_with_oracle():
@@ -535,9 +577,24 @@ def test_series_product_matches_fraction_convolution(instance, q, upto, data):
         naive = tuple(reference_product_coeffs(gp, q, j, upto))
         assert product_window(gp, cleared(q), j, 0, upto).values() == naive
         windows = [(lo, upto), tuple(bounds), (0, upto)]
-        full, part, whole = series_product_coeffs(gp, (cleared(q), cleared(other), cleared(q)), j, windows)
+        phi = phi_coeffs(gp, j, max(upto, bounds[1]))
+        full, part, whole = series_product_coeffs(phi, (cleared(q), cleared(other), cleared(q)), windows)
         assert full.values() == naive[lo:] and whole.values() == naive
         assert part.values() == tuple(reference_product_coeffs(gp, other, j, bounds[1])[bounds[0] :])
+
+
+def test_series_product_refuses_a_window_past_the_series():
+    # a window may end at the grid's last order T and not past it: order
+    # mu > T would slice the reversed grid from a negative start and read
+    # coefficients from its far end instead
+    gp = derive_params([F(1), F(1, 2)])
+    q = Grid(3, (-5, 3))
+    phi = phi_coeffs(gp, 1, 4)
+    reference = reference_product_coeffs(gp, q.values(), 1, 4)
+    assert series_product_coeffs(phi, (q,), [(2, 4)])[0].values() == tuple(reference[2:])
+    for window in [(0, 5), (4, 6), (6, 6), (0, 9)]:
+        with pytest.raises(ValueError, match="a window reaches past the series' last order"):
+            series_product_coeffs(phi, (q, q), [(0, 4), window])
 
 
 def normalized_values(grid):
@@ -566,10 +623,10 @@ def test_grids_are_normalized_and_match_fraction_references(instance, extra, lo)
     for i, row in enumerate(qs):
         assert normalized_values(row) == reference_oracle_solve_generic(gp, shape.n, shape.Nij_row(i))
     # the rows' P_ij and forced zeros, through order Ntilde + 1 on the diagonal
-    for j, nj in enumerate(shape.n, 1):
+    for j, (nj, phi) in enumerate(zip(shape.n, verify_phis(gp, shape)), 1):
         Nij = [shape.Nij(i, j) for i in range(gp.m + 1)]
         for windows in ([(0, N) for N in Nij], [(N + 1, N + nj) for N in Nij]):
-            for row, (a, b), grid in zip(qs, windows, series_product_coeffs(gp, qs, j, windows)):
+            for row, (a, b), grid in zip(qs, windows, series_product_coeffs(phi, qs, windows)):
                 assert normalized_values(grid) == tuple(reference_product_coeffs(gp, row.values(), j, b)[a:])
 
 
@@ -874,13 +931,14 @@ def test_determinant_rejects_corruption():
             else:
                 with pytest.raises(NonMonomialDeterminant):
                     certified_det(perturbed)
-        zeros = verify_order(gp, shape, fam.q)
+        phis = verify_phis(gp, shape)
+        zeros = verify_order(shape, fam.q, phis)
         read = [(i, j) for i, j in zeros if shape.Nij(i, j) < shape.Ntilde]
         assert len(read) == (m + 1) * m - sum(nj == 1 for nj in n)
         for i, j in read:
             corrupted = {**zeros, (i, j): plus_one(zeros[i, j], shape.Ntilde - shape.Nij(i, j) - 1)}
             with pytest.raises(NonMonomialDeterminant, match=f"phi_j is not 0 .* at i={i}, j={j}"):
-                family_det(gp, shape, fam.q, corrupted)
+                family_det(shape, fam.q, phis, corrupted)
 
         if n == (1,):
             # deg Q_i <= N alone: Q_1 + c1 z^(N+1) + c2 z^(N+2) and P_11 its
@@ -935,56 +993,65 @@ def test_family_det_evaluates_one_point(monkeypatch):
 
 @pytest.mark.parametrize("params, n, n0", [("half", (2,), 3), ("trio", (2, 1), 2), ("quad", (1, 2, 1), 2)])
 def test_verify_forms_no_numerator(monkeypatch, capsys, params, n, n0):
-    # `verify` builds no family: the kernel forms only the forced zeros
-    # N_ij+1..N_ij+n_j of each Q_i*phi_j, each once, from one phi_j window
-    # per call, and family_det reads P_ij(1) from phi_j's partial sums; the
-    # oracle reads those forced zeros, forming no product and, on this
-    # nonsingular family, no exact determinant
-    kernel, phi, oracle = gpade.pade.series_product_coeffs, gpade.pade.phi_coeffs, gpade.cli.oracle_solve
-    formed, phi_windows, per_call, in_oracle = {}, [], [], []
+    # `verify` builds no family.  It forms each phi_j once, through order
+    # Ntilde + 1, and hands that grid on: the kernel forms only the forced
+    # zeros N_ij+1..N_ij+n_j of each Q_i*phi_j, each once, in one call per
+    # series; family_det reads P_ij(1) from the grid's partial sums, and the
+    # oracle reads the grid and the forced zeros.  Neither forms a phi_j
+    # grid or a product, and the oracle, on this nonsingular family, forms no
+    # exact determinant
+    kernel, phi = gpade.pade.series_product_coeffs, gpade.pade.phi_coeffs
+    formed, grids, kernel_series, inside = {}, [], [], []
 
     def refuse(*args):
         raise AssertionError("verify built the family")
 
-    def counting_phi(*args):
-        phi_windows.append(args[1:])
-        return phi(*args)
+    def refuse_inside(*args):
+        raise AssertionError(f"{inside[-1]} formed a phi_j grid, a product or an exact determinant")
 
-    def watched_oracle(*args):
-        in_oracle.append(True)
-        try:
-            return oracle(*args)
-        finally:
-            in_oracle.pop()
+    def counting_phi(gp, j, hi):
+        if inside:
+            refuse_inside()
+        grids.append((j, hi, phi(gp, j, hi)))
+        return grids[-1][2]
 
-    def refused_in_oracle(*args):
-        raise AssertionError("oracle_solve formed a product or an exact determinant")
+    def watched(name, reader):
+        def run(*args):
+            inside.append(name)
+            try:
+                return reader(*args)
+            finally:
+                inside.pop()
 
-    def recording_kernel(gp, qs, j, windows):
-        if in_oracle:
-            refused_in_oracle()
+        return run
+
+    def recording_kernel(grid, qs, windows):
+        if inside:
+            refuse_inside()
+        # the grid verify formed for series j, not a copy
+        j = next(j for j, _, made in grids if made is grid)
+        kernel_series.append(j)
         for i, (lo, hi) in enumerate(windows):
             formed.setdefault((i, j), []).extend(range(lo, hi + 1))
-        before = len(phi_windows)
-        out = kernel(gp, qs, j, windows)
-        per_call.append(len(phi_windows) - before)
-        return out
+        return kernel(grid, qs, windows)
 
     for module in (gpade.cli, gpade.pade):
         monkeypatch.setattr(module, "build_family", refuse)
-    monkeypatch.setattr(gpade.pade, "phi_coeffs", counting_phi)
+        monkeypatch.setattr(module, "phi_coeffs", counting_phi)
     monkeypatch.setattr(gpade.pade, "series_product_coeffs", recording_kernel)
-    monkeypatch.setattr(gpade.cli, "oracle_solve", watched_oracle)
-    monkeypatch.setattr(gpade.arith, "bareiss_eliminate", refused_in_oracle)
+    monkeypatch.setattr(gpade.cli, "oracle_solve", watched("oracle_solve", gpade.cli.oracle_solve))
+    monkeypatch.setattr(gpade.cli, "family_det", watched("family_det", gpade.cli.family_det))
+    monkeypatch.setattr(gpade.arith, "bareiss_eliminate", refuse_inside)
     path = str(Path(__file__).parent / "golden" / "params" / f"{params}.params")
     argv = ["verify", "--params", path, "--n", ",".join(map(str, n)), "--n0", str(n0)]
     assert gpade.cli.main(argv) == 0 and "PASS" in capsys.readouterr().out
     shape, m = ApproxShape(n=n, n0=n0), len(n)
+    assert [(j, hi) for j, hi, _ in grids] == [(j, shape.Ntilde + 1) for j in range(1, m + 1)]
+    assert kernel_series == list(range(1, m + 1))
     assert sorted(formed) == [(i, j) for i in range(m + 1) for j in range(1, m + 1)]
     for (i, j), orders in formed.items():
         Nij = shape.Nij(i, j)
         assert orders == list(range(Nij + 1, Nij + n[j - 1] + 1)), (i, j)
-    assert per_call == [1] * m
 
 
 def test_numerator_degrees():
@@ -1006,14 +1073,15 @@ def test_numerator_degrees():
 def test_small_random_sweep():
     for gp, sh in make_configs(4242, 20, n_max=4, n0_max=5):
         qs = tuple(build_q(gp, sh, i) for i in range(gp.m + 1))
-        zeros = verify_order(gp, sh, qs)
+        phis = verify_phis(gp, sh)
+        zeros = verify_order(sh, qs, phis)
         assert not any(any(window.nums) for window in zeros.values())
-        assert oracle_solve(gp, sh, qs, zeros) == (True,) * (gp.m + 1)
+        assert oracle_solve(sh, qs, phis, zeros) == (True,) * (gp.m + 1)
         solved = reference_oracle_solve(gp, sh)
         for i in range(gp.m + 1):
             assert solved[i] == qs[i]
             assert qs[i].values()[-1] == 1  # normalized leading coefficient
-        e, om = family_det(gp, sh, qs, zeros)
+        e, om = family_det(sh, qs, phis, zeros)
         assert e == sh.N + sum(sh.Nj) + gp.m and om != 0
 
 
