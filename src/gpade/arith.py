@@ -12,7 +12,8 @@ too: `certify_nonsingular` proves determinants nonzero by their residues
 modulo a prime and falls back to `bareiss_eliminate` only on a zero
 residue.  Its rows are windows of a few integer sequences, each packed once
 into one integer of 8-byte residue columns (`_Packed` proves that no column
-carries).  No floating point is used anywhere in the computation paths.
+carries).  `power_le` decides c x^e <= y^f from `BoundedPower` bounds.  A
+float only seeds `padic.select_block_degrees`' search, never a claim.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ __all__ = [
     "digits10",
     "floor_log10_ratio",
     "product_le",
+    "BoundedPower",
+    "power_le",
     "cleared_eval",
     "RANK_PRIME",
     "RANK_COLUMNS",
@@ -335,7 +338,7 @@ class FactoredInteger(_FactoredFields):
 
 
 # ---------------------------------------------------------------------------
-# Decimal size, product comparison and the epsilon constants
+# Decimal size, product and power comparisons, and the epsilon constants
 # ---------------------------------------------------------------------------
 
 
@@ -377,6 +380,56 @@ def product_le(a: int, b: int, c: int, d: int) -> bool:
     if a and b and c and d and abs(left - right) >= 2:
         return left < right
     return a * b <= c * d
+
+
+_POWER_BITS = 256  # the leading bits a BoundedPower keeps of its bounds
+
+
+class BoundedPower:
+    """The power n^e (n >= 1, e >= 0) of a size not worth forming on every use.
+
+    Square-and-multiply, each step rounded to _POWER_BITS leading bits, down
+    for `lo` and up for `hi`, gives lo * 2^s <= n^e <= hi * 2^s; n^0 is 1 * 2^0.
+    """
+
+    def __init__(self, n: int, e: int):
+        self.n, self.e = n, e
+        (lo, s_lo), (hi, s_hi) = _rounded_power(n, e, False), _rounded_power(n, e, True)
+        self.s = min(s_lo, s_hi)
+        self.lo, self.hi = lo << (s_lo - self.s), hi << (s_hi - self.s)
+
+    def settle(self, reader):
+        """reader(p, s) at p * 2^s = n^e, for a reader monotone in p * 2^s:
+        its answer at both bounds when they agree, else at the exact power."""
+        answer = reader(self.lo, self.s)
+        if answer == reader(self.hi, self.s):
+            return answer
+        return reader(self.n**self.e, 0)
+
+
+def _rounded_power(n: int, e: int, up: bool) -> tuple[int, int]:
+    """(p, s) with p * 2^s <= n^e (>= when up) and p of at most _POWER_BITS bits."""
+    p, s = 1, 0
+    for bit in bin(e)[2:]:
+        p, s = p * p, 2 * s
+        if bit == "1":
+            p *= n
+        t = p.bit_length() - _POWER_BITS
+        if t > 0:
+            p, s = (-(-p >> t) if up else p >> t), s + t
+    return p, s
+
+
+def power_le(x: int, e: int, y: int, f: int, c: int = 1) -> bool:
+    """c * x^e <= y^f for integers c, x, y >= 1 and e, f >= 0: directly when
+    both powers have at most _POWER_BITS bits, else by a settle over y^f nested
+    in one over x^e (`BoundedPower`; each reader is monotone), exact on a near-tie."""
+    if e < 0 or f < 0:
+        raise InvariantViolation(f"power_le needs exponents >= 0, got {e} and {f}")
+    if e * x.bit_length() <= _POWER_BITS and f * y.bit_length() <= _POWER_BITS:
+        return c * x**e <= y**f
+    X, Y = BoundedPower(x, e), BoundedPower(y, f)
+    return X.settle(lambda p, s: Y.settle(lambda q, t: c * p << s - min(s, t) <= q << t - min(s, t)))
 
 
 @lru_cache(maxsize=None)

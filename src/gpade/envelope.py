@@ -4,10 +4,10 @@ The restricted audit certifies |phi(a/b) - n/(B b^M)| >= 1/(B b^M (a1^18
 |a|^17)^M).  At an end x = n / 2^k of a1 that envelope is 2^(18Mk) divided by
 B b^M |a|^(17M) n^(18M), and n^(18M) is by far its longest part: at
 beta = 10^-40 (M = 136) a 328000-bit integer, for a value that needs about
-32000.  `BoundedPower` keeps 256-bit bounds on such a power instead.  Every
-question the audit asks of the envelope (a comparison, a rendering, the
-series truncation it implies) is answered at both bounds, and the power is
-formed in full only when the two answers differ.
+32000.  An `arith.BoundedPower` keeps 256-bit bounds on such a power
+instead.  Every question the audit asks of the envelope (a comparison, a
+rendering, the series truncation it implies) is answered at both bounds, and
+the power is formed in full only when the two answers differ.
 """
 
 from __future__ import annotations
@@ -15,49 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import floor_log, product_le
+from .arith import BoundedPower, floor_log, product_le
 from .errors import InvariantViolation, PrecisionInsufficient
 from .report import fmt_ratio
 
-__all__ = ["BoundedPower", "Envelope", "series_terms"]
+__all__ = ["Envelope", "series_terms"]
 
-_POWER_BITS = 256  # the leading bits a BoundedPower keeps of its bounds
 _TRUNCATION_CAP = 200_000  # the largest series truncation order a target may ask for
-
-
-class BoundedPower:
-    """The power n^e (n, e >= 1) of a size not worth forming on every use.
-
-    Square-and-multiply, each step rounded to _POWER_BITS leading bits, down
-    for `lo` and up for `hi`, gives lo * 2^s <= n^e <= hi * 2^s.
-    """
-
-    def __init__(self, n: int, e: int):
-        self.n, self.e = n, e
-        (lo, s_lo), (hi, s_hi) = _rounded_power(n, e, False), _rounded_power(n, e, True)
-        self.s = min(s_lo, s_hi)
-        self.lo, self.hi = lo << (s_lo - self.s), hi << (s_hi - self.s)
-
-    def settle(self, reader):
-        """reader(p, s) at p * 2^s = n^e, for a reader monotone in p * 2^s:
-        its answer at both bounds when they agree, else at the exact power."""
-        answer = reader(self.lo, self.s)
-        if answer == reader(self.hi, self.s):
-            return answer
-        return reader(self.n**self.e, 0)
-
-
-def _rounded_power(n: int, e: int, up: bool) -> tuple[int, int]:
-    """(p, s) with p * 2^s <= n^e (>= when up) and p of at most _POWER_BITS bits."""
-    p, s = 1, 0
-    for bit in bin(e)[2:]:
-        p, s = p * p, 2 * s
-        if bit == "1":
-            p *= n
-        t = p.bit_length() - _POWER_BITS
-        if t > 0:
-            p, s = (-(-p >> t) if up else p >> t), s + t
-    return p, s
 
 
 class Envelope:

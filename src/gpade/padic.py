@@ -19,6 +19,7 @@ from .arith import (
     log_interval,
     log_iv,
     p_valuation,
+    power_le,
     prime_divisors,
 )
 from .denom import ThetaMode, bound_constants, make_cert, ntilde1_interval, scaled_integers
@@ -227,7 +228,7 @@ class BlockDegreeSelection(NamedTuple):
 def select_block_degrees(inst: LinearFormInstance, a: int) -> BlockDegreeSelection:
     """Degrees n_j = floor(log(h_j * Htilde^tau) / log |a|), clamped to >= 1.
 
-    The floor is decided by exact integer power comparison (tau is rational).
+    A float estimate only seeds each floor; `arith.power_le` decides it.
     When nothing was clamped, the two shape inequalities tying Ntilde and n0
     to log Htilde / log |a| are verified exactly and reported.
     """
@@ -242,9 +243,9 @@ def select_block_degrees(inst: LinearFormInstance, a: int) -> BlockDegreeSelecti
         # the largest t with A^(t td) <= rhs, from a float estimate that the
         # exact comparisons then correct by a step or two
         t = max(0, int(log(rhs) / (td * log(A))) - 1)
-        while A ** ((t + 1) * td) <= rhs:
+        while power_le(A, (t + 1) * td, rhs, 1):
             t += 1
-        while A ** (t * td) > rhs:
+        while not power_le(A, t * td, rhs, 1):
             t -= 1
         degrees.append(t)
     clamped = tuple(dg < 1 for dg in degrees)
@@ -254,8 +255,8 @@ def select_block_degrees(inst: LinearFormInstance, a: int) -> BlockDegreeSelecti
     checks: dict = {"clamped_any": any(clamped)}
     if not any(clamped):
         mm = inst.m
-        checks["ntilde_within_budget"] = A ** (shape.Ntilde * td) <= Ht ** (td + (mm + 1) * tn)
-        checks["n0_within_budget"] = A ** (shape.n0 * td) <= Ht ** (td + tn)
+        checks["ntilde_within_budget"] = power_le(A, shape.Ntilde * td, Ht, td + (mm + 1) * tn)
+        checks["n0_within_budget"] = power_le(A, shape.n0 * td, Ht, td + tn)
     return BlockDegreeSelection(shape=shape, clamped=clamped, checks=checks)
 
 
@@ -315,7 +316,7 @@ def audit_linear_form(
     small_nonstrict = v_a >= v_s + chk.delta_2p
     one_minus = 1 - inst.delta
     dn, dd = one_minus.numerator, one_minus.denominator
-    small_power = Fraction(p) ** (v_a * dd) >= Fraction(abs(a)) ** dn
+    small_power = dn < 0 or power_le(abs(a), dn, p, v_a * dd)
 
     cns = bound_constants(gp, mode, prec)
     log_a = log_interval(Fraction(abs(a)), prec)
@@ -448,7 +449,7 @@ def audit_linear_form(
     if lf.exact:
         c = 1 + (m + 1) * inst.tau
         cn, cd = c.numerator, c.denominator
-        holds = Fraction(inst.htilde) ** cn > Fraction(p) ** (lf.valuation * cd)
+        holds = lf.valuation < 0 or not power_le(inst.htilde, cn, p, lf.valuation * cd)
     report["final_bound"] = {"applicable": bool(applicable), "holds_numerically": holds}
 
     # specialization tau = eps/(m+1), delta = eps/(8(m+1))

@@ -22,6 +22,7 @@ from .arith import (
     log_interval,
     log_iv,
     nth_root_iv,
+    power_le,
     prime_divisors,
     primes_upto,
     product_le,
@@ -65,9 +66,6 @@ def eval_phi_real(gp: GParams, z: Fraction, T: int) -> Interval:
 
 
 _SCAN_LIMIT = 200000  # the largest n that c_of_vartheta searches for the crossover
-# Up to this size of num^n, c_of_vartheta compares exact powers: that is
-# cheaper than the two certified logs a probe costs otherwise (about 0.1 ms)
-_EXACT_POWER_BITS = 1 << 14
 
 
 def _first_from(holds, n: int) -> int | None:
@@ -96,26 +94,16 @@ def c_of_vartheta(vartheta: Fraction) -> int:
     squared-ratio factor only shrinks, so it holds for every larger n and
     induction carries the power inequality onward.  Both conditions are thus
     monotone where they are searched, and each first n is found by galloping
-    and bisection.  A probe of the power condition compares the exact powers
-    (n+1)^2 * den^n <= num^n when num^n has at most _EXACT_POWER_BITS bits;
-    above that it compares certified enclosures of n log(vartheta) and
-    2 log(n+1), and forms the powers only when the enclosures overlap.
+    and bisection.  A probe of the power condition is `arith.power_le` on
+    (n+1)^2 * den^n <= num^n, which forms the powers only on a near-tie.
     """
     vartheta = Fraction(vartheta)
     if vartheta <= 1:
         raise ValueError("need vartheta > 1")
     num, den = vartheta.numerator, vartheta.denominator
-
-    def power_holds(k: int) -> bool:
-        if k * num.bit_length() > _EXACT_POWER_BITS:
-            gap = k * log_interval(vartheta) - 2 * log_interval(Fraction(k + 1))
-            if gap.lo >= 0 or gap.hi < 0:
-                return gap.lo >= 0
-        return (k + 1) ** 2 * den**k <= num**k
-
     n = _first_from(lambda k: (k + 2) ** 2 * den < (k + 1) ** 2 * num, 0)
     if n is not None:
-        n = _first_from(power_holds, n)
+        n = _first_from(lambda k: power_le(den, k, num, k, (k + 1) ** 2), n)
     if n is None:
         raise ValueError("crossover not found below the scan limit")
     return n
@@ -199,7 +187,7 @@ def restricted_threshold(
     if a == 0 or b < 1 or B < 1 or t < 0:
         raise HypothesisFailure("need a != 0, b >= 1, B >= 1, t >= 0")
     hyp_b = b >= _b_size_bound(rc, a)
-    hyp_B = B ** t.denominator <= b**t.numerator
+    hyp_B = power_le(B, t.denominator, b, t.numerator)
     if not hyp_b:
         raise HypothesisFailure(f"b = {b} is not certified >= (a1*|a|)^6")
     if not hyp_B:
@@ -348,7 +336,7 @@ def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
     # hypotheses (certified): b-size, B-size, and M >= M0
     b_bound = _b_size_bound(rc, a)
     hyp_b = b >= b_bound
-    hyp_B = B ** inst.t.denominator <= b**inst.t.numerator
+    hyp_B = power_le(B, inst.t.denominator, b, inst.t.numerator)
     if not (hyp_b and hyp_B):
         raise HypothesisFailure("size hypotheses on (b, B) fail")
     if Fraction(M) < inst.m0.hi:

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 from pathlib import Path
 from struct import Struct
 from typing import NamedTuple
+from unittest import mock
 
 import mpmath
 import pytest
@@ -40,6 +41,7 @@ from gpade.arith import (
     nth_root_iv,
     p_valuation,
     pochhammer,
+    power_le,
     primes_upto,
     product_le,
 )
@@ -487,6 +489,75 @@ def test_product_le_matches_products(xs, nudge):
     # near-ties: c * d within 2 of a * b
     if a * b + nudge >= 0:
         assert product_le(a, b, a * b + nudge, 1) == (nudge >= 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.one_of(st.integers(1, 40), st.integers(1, 2**70)),
+    e=st.integers(0, 60),
+    c=st.one_of(st.just(1), st.integers(1, 2**40)),
+    nudge=st.integers(-1, 1),
+    bits=st.sampled_from([2, 6, 256]),
+)
+@example(x=3, e=60, c=1, nudge=0, bits=256)  # a tie past 256 bits: settled exactly
+def test_power_le_matches_powers_near_ties(x, e, c, nudge, bits):
+    # y^f - c x^e in {-1, 0, 1}, in both directions, with f = 1
+    y = c * x**e + nudge
+    with mock.patch.object(arith, "_POWER_BITS", bits):
+        if y >= 1:
+            assert power_le(x, e, y, 1, c) == (nudge >= 0)
+            assert power_le(y, 1, x, e, c) == (c * y <= x**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.integers(2, 2**40),
+    k=st.integers(1, 4),
+    f=st.integers(0, 40),
+    de=st.integers(-1, 1),
+    dc=st.sampled_from([None, -1, 0, 1]),
+    bits=st.sampled_from([2, 6, 256]),
+)
+def test_power_le_matches_powers_of_one_base(x, k, f, de, dc, bits):
+    # y = x^k: c x^e against x^(k f) with e = k f + de, or c = x + dc and one
+    # factor x fewer, every pair within a factor x of a tie
+    c, e = (1, k * f + de) if dc is None else (x + dc, k * f + de - 1)
+    if e >= 0:
+        with mock.patch.object(arith, "_POWER_BITS", bits):
+            assert power_le(x, e, x**k, f, c) == (c * x**e <= x ** (k * f))
+
+
+def test_power_le_settles_a_near_tie_exactly(monkeypatch):
+    # 3^1000 against (3^10)^100 and 3^1000 -+ 1: the 256-bit bounds overlap,
+    # so the outer settle reads the exact power; a factor 3 apart they decide
+    fallbacks = []
+    settle = arith.BoundedPower.settle
+
+    def counting(self, reader):
+        calls = []
+        answer = settle(self, lambda p, s: calls.append(s) or reader(p, s))
+        fallbacks.append(len(calls) == 3)
+        return answer
+
+    monkeypatch.setattr(arith.BoundedPower, "settle", counting)
+    for x, e, y, f, expected in [
+        (3, 1000, 3**10, 100, True),
+        (3, 1000, 3**1000 - 1, 1, False),
+        (3**1000 + 1, 1, 3, 1000, False),
+    ]:
+        fallbacks.clear()
+        assert power_le(x, e, y, f) is expected
+        assert fallbacks[-1]  # the outer settle, the last to finish
+    fallbacks.clear()
+    assert power_le(3, 1000, 3**10, 101) and power_le(3, 1001, 3**10, 100, 2) is False
+    assert not any(fallbacks)
+
+
+def test_power_le_refuses_a_negative_exponent():
+    # bin(-3)[2:] is "b11": a negative exponent would read as a wrong bound
+    for e, f in ((-1, 1), (1, -1), (-3, -3)):
+        with pytest.raises(InvariantViolation):
+            power_le(2, e, 3, f)
 
 
 @settings(max_examples=150, deadline=None)

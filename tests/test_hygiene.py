@@ -3,6 +3,8 @@
 - no module imports another module's `_`-prefixed name;
 - no `assert` statement (invariants raise `InvariantViolation`, which
   `python -O` cannot strip);
+- outside `arith` and `interval`, no comparison holds a power x ** e with
+  neither base nor exponent a literal: `arith.power_le` decides those;
 - no module imports `dataclasses`, and `import gpade.cli` does not load it:
   records are `NamedTuple`s, which generate no code at import, and each
   record stays immutable, equal and hashable by value, and keeps its
@@ -72,6 +74,24 @@ def test_no_private_cross_module_import(path):
 def test_no_assert_statement(path):
     lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+POWER_MODULES = [p for p in MODULES if p.stem not in ("arith", "interval")]
+
+
+@pytest.mark.parametrize("path", POWER_MODULES, ids=[p.stem for p in POWER_MODULES])
+def test_no_inline_power_comparison(path):
+    powers = [
+        f"{sub.lineno}: {ast.unparse(sub)}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Compare)
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.BinOp)
+        and isinstance(sub.op, ast.Pow)
+        and not isinstance(sub.left, ast.Constant)
+        and not isinstance(sub.right, ast.Constant)
+    ]
+    assert powers == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

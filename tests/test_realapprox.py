@@ -9,9 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import gpade.envelope
+import gpade.arith
 import gpade.realapprox
 from gpade.arith import (
+    BoundedPower,
     FactoredInteger,
     Interval,
     cleared_eval,
@@ -22,7 +23,7 @@ from gpade.arith import (
     log_iv,
 )
 from gpade.denom import ThetaMode
-from gpade.envelope import BoundedPower, Envelope, series_terms
+from gpade.envelope import Envelope, series_terms
 from gpade.errors import (
     CertificationError,
     DomainViolation,
@@ -104,9 +105,9 @@ def test_enclosure_target_guard():
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 2**300), e=st.integers(1, 3000), bits=st.sampled_from([2, 6, 64, 256]))
+@given(n=st.integers(1, 2**300), e=st.integers(0, 3000), bits=st.sampled_from([2, 6, 64, 256]))
 def test_bounded_power_brackets_the_power(n, e, bits):
-    with mock.patch.object(gpade.envelope, "_POWER_BITS", bits):
+    with mock.patch.object(gpade.arith, "_POWER_BITS", bits):
         pw = BoundedPower(n, e)
     assert pw.lo << pw.s <= n**e <= pw.hi << pw.s
     if bits == 256:  # squaring doubles the relative gap: about e * 2^-255 in the end
@@ -123,16 +124,16 @@ def test_vartheta_threshold():
         assert (n + 1) ** 2 <= 2**n
     assert 6**2 > 2**5
     assert c_of_vartheta(F(3)) == 2
-    # with every probe sent through the log enclosures: (n+1)^2 = 3^n at
+    # with every probe sent through 2-bit power bounds: (n+1)^2 = 3^n at
     # n = 2, where they overlap and the exact powers decide
-    with mock.patch.object(gpade.realapprox, "_EXACT_POWER_BITS", 0):
+    with mock.patch.object(gpade.arith, "_POWER_BITS", 2):
         assert c_of_vartheta(F(3)) == 2
     with pytest.raises(ValueError):
         c_of_vartheta(F(1))
 
 
 def test_vartheta_threshold_near_one_is_fast():
-    # the log enclosures bracket the crossover: no power of 5001/5000 near
+    # the bounded powers bracket the crossover: no power of 5001/5000 near
     # n = 116684 (about 1.4 million bits) is formed
     t0 = time.perf_counter()
     assert c_of_vartheta(F(5001, 5000)) == 116684
@@ -154,16 +155,16 @@ def reference_c_of_vartheta(vartheta, limit):
 @given(
     vartheta=st.fractions(min_value=1, max_value=9, max_denominator=60).filter(lambda x: x > 1),
     limit=st.sampled_from([0, 1, 5, 6, 7, 40, 300, 2000]),
-    exact_bits=st.sampled_from([0, gpade.realapprox._EXACT_POWER_BITS]),
+    power_bits=st.sampled_from([2, gpade.arith._POWER_BITS]),
 )
-def test_vartheta_threshold_matches_scan(vartheta, limit, exact_bits):
+def test_vartheta_threshold_matches_scan(vartheta, limit, power_bits):
     # the galloping search finds the scan's crossover, and raises exactly
-    # when the scan runs past its limit, also when every probe of the power
-    # condition goes through the log enclosures (exact_bits = 0)
+    # when the scan runs past its limit, also when nearly every probe of the
+    # power condition goes through bounds on the powers (power_bits = 2)
     expected = reference_c_of_vartheta(vartheta, limit)
     with (
         mock.patch.object(gpade.realapprox, "_SCAN_LIMIT", limit),
-        mock.patch.object(gpade.realapprox, "_EXACT_POWER_BITS", exact_bits),
+        mock.patch.object(gpade.arith, "_POWER_BITS", power_bits),
     ):
         if expected is None:
             with pytest.raises(ValueError, match="scan limit"):
