@@ -284,7 +284,7 @@ def _cmd_construct(args, gp):
 
 def _cmd_verify(args, gp):
     shape = ApproxShape(n=args.n, n0=args.n0)
-    qs = tuple(build_q(gp, shape, i) for i in range(gp.m + 1))
+    qs = build_q(gp, shape, range(gp.m + 1))
     phis = tuple(phi_coeffs(gp, j, shape.Ntilde + 1) for j in range(1, gp.m + 1))
     zeros = verify_order(shape, qs, phis)
     order = {key: not any(window.nums) for key, window in zeros.items()}

@@ -6,12 +6,17 @@ polynomial Q_i of degree N and numerators P_ij such that Q_i * phi_j - P_ij
 vanishes to order N_ij + n_j + 1 at the origin.  Row i uses the shifted
 degrees N_ij = N_j + delta_ij.
 
-The denominators come from their closed-form coefficients (`build_q`).
-`oracle_solve` certifies them against the order conditions: each Q_i meets
-its N equations exactly, since their left sides are the forced zeros of
-Q_i * phi_j, and their matrix, whose rows are windows of phi_j's
-coefficients, is nonsingular (`arith.certify_nonsingular`), so Q_i is the
-unique monic solution.  No second construction is formed.
+The denominators come from their closed-form coefficients, every row of a
+shape in one pass (`build_q`).  When alpha_0 = 1 each coefficient is one
+hypergeometric term, a binomial times a ratio of window products, as for a
+reversed Jacobi-Pineiro polynomial (Van Assche & Coussement, J. Comput.
+Appl. Math. 127, 2001); otherwise it is an integer correlation of two
+sequences, one of them shared by all rows.  `oracle_solve` certifies them
+against the order conditions: each Q_i meets its N equations exactly, since
+their left sides are the forced zeros of Q_i * phi_j, and their matrix,
+whose rows are windows of phi_j's coefficients, is nonsingular
+(`arith.certify_nonsingular`), so Q_i is the unique monic solution.  No
+second construction is formed.
 
 The family (`build_family`) holds Q_i and P_ij, for the reports that print
 or check every coefficient.  `verify` forms no P_ij.  The forced zeros of
@@ -26,17 +31,18 @@ Every polynomial is built once as an integer grid (`arith.Grid`): a positive
 common denominator and a tuple of integer numerators with no factor common
 to all of them, so equal polynomials are equal tuples.  phi_j's grid comes
 from integer running products of its term ratio, the closed form ends in
-integer correlations over one denominator, and the product series convolves
-numerators on the grid of Q times that of phi_j; each normalizes once.  A
-reduced Fraction is formed only where a report prints one.
+integer products (alpha_0 = 1) or correlations over one denominator, and the
+product series convolves numerators on the grid of Q times that of phi_j;
+each normalizes once.  A reduced Fraction is formed only where a report
+prints one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, prod
+from math import comb, gcd, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -108,7 +114,7 @@ class ApproxShape(_ShapeFields):
 
     def Nij(self, i: int, j: int) -> int:
         """Shifted degree for row i, series j (1-based j)."""
-        return self.Nj[j - 1] + (1 if i == j else 0)
+        return self.Ntilde - self.n[j - 1] + (i == j)
 
     def Nij_row(self, i: int) -> tuple[int, ...]:
         return tuple(self.Nij(i, j) for j in range(1, self.m + 1))
@@ -212,10 +218,10 @@ def phi_merge(x: Piece, y: Piece) -> Piece:
 # ---------------------------------------------------------------------------
 
 
-def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...]) -> Grid:
-    """The grid of the closed-form coefficients a_0..a_N of the common
-    denominator Q for arbitrary degrees N_j >= N - 1 (N = sum of the n_j).
-    a_N = 1.
+def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_rows: Iterable[tuple[int, ...]]) -> tuple[Grid, ...]:
+    """The grids of the closed-form coefficients a_0..a_N of the common
+    denominator Q, one for each tuple of target degrees N_j >= N - 1 in
+    `N_rows` (N = sum of the n_j).  a_N = 1.
 
     The summand of a_{N-k-1} factors as g(l-k) * h(l), summed over k <= l < N
     and divided by prod_j (alpha_j + N_j - N + 1)_{n_j}, with
@@ -224,36 +230,82 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...
         h(l) = (-1)^(l+1) (alpha_0 + l + 1)_{N-l-1} / (N-l-1)! * prod_j (c_j + l)_{n_j},
         c_j  = alpha_j + alpha_0 + N_j - N + 1.
 
-    With alpha_0 = u/v and c_j = s_j/t_j in lowest terms, G = v^(N-1) (N-1)!
-    and H = G prod_j t_j^(n_j) clear the two sequences into integer running
+    With alpha_j + alpha_0 = u_j/v_j in lowest terms, c_j = s_j/t_j for
+    s_j = u_j + e_j v_j, t_j = v_j and the shift e_j = N_j - N + 1 >= 0, and
+
+        W_l = prod_j prod_{i<n_j} (s_j + (l+i) t_j) = prod_j t_j^(n_j) (c_j + l)_{n_j}.
+
+    A tuple's W_l differs from another's only by integer shifts of the s_j,
+    so series j reads every tuple's factors from one window product,
+    prod_{i<n_j} (u_j + (x+i) v_j) over the union of the tuples' x = e_j + l,
+    which slides from x to x + 1 by one small multiplication and one exact
+    division.  Every factor is positive: x >= -1, and x >= 0 unless
+    alpha_0 = 1, so u_j/v_j + x >= alpha_j > 0.
+
+    alpha_0 = 1: g(d) = (0)_d / d! vanishes for d >= 1, so a_{N-k-1} is the
+    one term h(k) over the Pochhammer product.  There (k+2)_{N-k-1} / (N-k-1)!
+    = C(N, k+1), and (alpha_j + e_j)_{n_j} = (c_j - 1)_{n_j} is the window at
+    l = -1 over t_j^(n_j), so the powers of t_j cancel:
+
+        a_{N-1-k} = (-1)^(k+1) C(N, k+1) W_k / W_{-1},
+
+    which at k = -1 is a_N = 1.  Each grid is these N + 1 products over
+    W_{-1}, normalized once, with no correlation.
+
+    Otherwise, with alpha_0 = u/v in lowest terms, G = v^(N-1) (N-1)! and
+    H = G prod_j t_j^(n_j) clear the two sequences into integer running
     products:
 
         G g(d) = A_d B_d,     A_d = prod_{k<d} (u - v + k v),  B_d = prod_{d<k<N} k v,
         H h(l) = (-1)^(l+1) C_l E_l W_l,
                               C_l = prod_{l<k<N} (u + k v),    E_l = v^l (N-1)! / (N-1-l)!,
-                              W_l = prod_j prod_{i<n_j} (s_j + (l+i) t_j),
 
-    so that E_0 = 1, E_(l+1) = E_l v (N-1-l), and G = A_0 B_0; each factor
-    of W_(l+1) is that of W_l times s_j + (l+n_j) t_j over s_j + l t_j.  The
-    denominator's Pochhammer product is dn/dd.  After each sequence is divided
-    by its content, every coefficient is one integer correlation over one
-    common denominator, and the grid is normalized once:
+    so that E_0 = 1, E_(l+1) = E_l v (N-1-l), and G = A_0 B_0.  G g(d) over
+    its content, G, H and (-1)^(l+1) C_l E_l are formed once for all
+    tuples.  Per tuple, the denominator's Pochhammer product is dn/dd, and
+    after H h(l) is divided by its content every coefficient is one integer
+    correlation over one common denominator; the grid is normalized once:
 
         a_{N-k-1} = sum_{k<=l<N} (G g(l-k)) (H h(l)) dd / (dn G H).
     """
     m = gp.m
-    if len(n_list) != m or len(N_list) != m:
+    N_rows = [tuple(Ns) for Ns in N_rows]
+    if len(n_list) != m or any(len(Ns) != m for Ns in N_rows):
         raise ValueError("need one block degree and one target degree per series")
     N = sum(n_list)
-    if any(Nj < N - 1 for Nj in N_list):
+    if any(Nj < N - 1 for Ns in N_rows for Nj in Ns):
         raise ValueError("closed form requires N_j >= N - 1")
+    if not N_rows:
+        return ()
+    unit = gp.r0 == gp.s0  # alpha_0 = 1
+    first = -1 if unit else 0  # the first l whose W_l a tuple reads
+    shifts = [[Nj - N + 1 for Nj in Ns] for Ns in N_rows]
+    slices = []  # slices[j][r] = series j's factor of W_first..W_(N-1) for tuple r
+    for j, (u, v, nj) in enumerate(zip(gp.u, gp.v, n_list)):
+        es = [row[j] for row in shifts]
+        lo = min(es)
+        f = [u + x * v for x in range(first + lo, N + max(es) + nj - 1)]
+        win = [prod(f[:nj])]  # win[k] = the window at x = first + lo + k
+        for k in range(len(f) - nj):
+            win.append(win[-1] * f[k + nj] // f[k])
+        slices.append([win[e - lo : e - lo + N - first] for e in es])
+
+    def window_products(r: int) -> list[int]:
+        W = slices[0][r]
+        for cols in slices[1:]:
+            W = list(map(mul, W, cols[r]))
+        return W
+
+    if unit:
+        # (-1)^(N-d) C(N, d) for d = 0..N: a_d = that times W_(N-1-d), over W_(-1)
+        signed = [(-1) ** (N - d) * comb(N, d) for d in range(N + 1)]
+        out = []
+        for r in range(len(N_rows)):
+            W = window_products(r)
+            out.append(Grid.of(W[0], list(map(mul, signed, reversed(W)))))
+        return tuple(out)
+
     u, v = gp.r0, gp.s0
-    # the product's denominator dn/dd does not involve the summation index
-    dn = dd = 1
-    for j in range(1, m + 1):
-        pj = pochhammer(gp.alpha[j] + (N_list[j - 1] - N + 1), n_list[j - 1])
-        dn *= pj.numerator
-        dd *= pj.denominator
     g_int = [1]
     for k in range(N - 1):
         g_int.append(g_int[-1] * (u - v + k * v))
@@ -261,49 +313,48 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_list: tuple[int, ...
     for d in range(N - 1, -1, -1):
         g_int[d] *= B
         B *= d * v
-    G = H = g_int[0]
-    # c_j = (u_j + (N_j - N + 1) v_j) / v_j, already in lowest terms
-    windows = []
-    for j in range(1, m + 1):
-        s, t, nj = gp.u[j - 1] + (N_list[j - 1] - N + 1) * gp.v[j - 1], gp.v[j - 1], n_list[j - 1]
-        f = [s + k * t for k in range(N + nj - 1)]
-        # the window slides by one exact division per step: every factor is
-        # positive, since s / t = c_j > 0
-        win = [prod(f[:nj])]
-        for ell in range(N - 1):
-            win.append(win[-1] * f[ell + nj] // f[ell])
-        windows.append(win)
-        H *= t**nj
-    h_int = [0] * N
-    C = 1
-    for ell in range(N - 1, -1, -1):
-        h_int[ell] = C
-        C *= u + ell * v
-    E = 1
-    for ell in range(N):
-        w = E if ell % 2 else -E
-        for win in windows:
-            w *= win[ell]
-        h_int[ell] *= w
-        E *= v * (N - 1 - ell)
+    G = g_int[0]
+    H = G * prod(t**nj for t, nj in zip(gp.v, n_list))
     # G and H exceed the lcm of the denominators by up to thousands of bits at
     # large N; dividing out each sequence's content keeps the correlation's
     # operands no longer than lcm-cleared ones
-    cg, ch = gcd(*g_int), gcd(*h_int)
+    cg = gcd(*g_int)
     g_int = [x // cg for x in g_int]
-    h_int = [x // ch for x in h_int]
-    num, den = dd * cg * ch, dn * G * H
-    c = gcd(num, den)
-    num, den = num // c, den // c
-    sums = [sum(map(mul, g_int, h_int[k:])) * num for k in range(N - 1, -1, -1)]
-    return Grid.of(den, [*sums, den])
+    ce = [0] * N  # (-1)^(l+1) C_l E_l
+    C = 1
+    for ell in range(N - 1, -1, -1):
+        ce[ell] = C
+        C *= u + ell * v
+    E = 1
+    for ell in range(N):
+        ce[ell] *= E if ell % 2 else -E
+        E *= v * (N - 1 - ell)
+    out = []
+    for r, Ns in enumerate(N_rows):
+        # the denominator's product dn/dd does not involve the summation index
+        dn = dd = 1
+        for aj, nj, Nj in zip(gp.alpha[1:], n_list, Ns):
+            pj = pochhammer(aj + (Nj - N + 1), nj)
+            dn *= pj.numerator
+            dd *= pj.denominator
+        h_int = list(map(mul, ce, window_products(r)))
+        ch = gcd(*h_int)
+        h_int = [x // ch for x in h_int]
+        num, den = dd * cg * ch, dn * G * H
+        c = gcd(num, den)
+        num, den = num // c, den // c
+        sums = [sum(map(mul, g_int, h_int[k:])) * num for k in range(N - 1, -1, -1)]
+        out.append(Grid.of(den, [*sums, den]))
+    return tuple(out)
 
 
-def build_q(gp: GParams, shape: ApproxShape, i: int) -> Grid:
-    """The grid of the denominator coefficients of row i (0 <= i <= m)."""
-    if not 0 <= i <= gp.m:
+def build_q(gp: GParams, shape: ApproxShape, rows: Iterable[int]) -> tuple[Grid, ...]:
+    """The grids of the denominator coefficients of the rows i in `rows`
+    (0 <= i <= m), in one pass (`build_q_generic`)."""
+    rows = tuple(rows)
+    if not all(0 <= i <= gp.m for i in rows):
         raise ValueError("row index out of range")
-    return build_q_generic(gp, shape.n, shape.Nij_row(i))
+    return build_q_generic(gp, shape.n, [shape.Nij_row(i) for i in rows])
 
 
 def series_product_coeffs(phi: Grid, qs: tuple[Grid, ...], windows: list[tuple[int, int]]) -> tuple[Grid, ...]:
@@ -376,7 +427,7 @@ def build_family(gp: GParams, shape: ApproxShape) -> PadeFamily:
     if gp.m != shape.m:
         raise ValueError("shape and parameters disagree on m")
     rows = range(gp.m + 1)
-    qrows = tuple(build_q(gp, shape, i) for i in rows)
+    qrows = build_q(gp, shape, rows)
     phis = [phi_coeffs(gp, j, shape.Nij(j, j)) for j in range(1, gp.m + 1)]
     cols = [series_product_coeffs(phi, qrows, [(0, shape.Nij(i, j)) for i in rows]) for j, phi in enumerate(phis, 1)]
     return PadeFamily(gp=gp, shape=shape, q=qrows, p=tuple(zip(*cols)))

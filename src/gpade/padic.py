@@ -267,10 +267,10 @@ def select_block_degrees(inst: LinearFormInstance, a: int) -> BlockDegreeSelecti
 
 _EVAL_DIGITS = 48  # p-adic digits certified for the series values in the audit's linear form
 # The largest Ntilde the linear-form audit accepts.  Its m + 1 denominators
-# Q_i (`build_q`) dominate its cost: at m = 1 (half.params, Python 3.11 on a
-# 2-core machine, in-process) the audit takes 0.08 s at Ntilde = 800, 0.56 s
-# at 1598 and 1.97 s at 2394, of which the two build_q calls take 0.06, 0.46
-# and 1.61 s.
+# Q_i (`build_q`) are still most of its cost: at m = 1 (half.params, Python
+# 3.11 on a 2-core machine, in-process, best of 3) the audit takes 0.03 s at
+# Ntilde = 800, 0.21 s at 1598 and 0.65 s at 2394, of which build_q takes
+# 0.016, 0.13 and 0.43 s.
 _NTILDE_CAP = 2000
 
 
@@ -362,7 +362,7 @@ def audit_linear_form(
         )
     # the rows at beta from Q_i's grid and one split of each phi_j
     # (`realseries`): no coefficient of any P_ij is formed
-    qs = [build_q(gp, shape, i) for i in range(m + 1)]
+    qs = build_q(gp, shape, range(m + 1))
     T = shape.remainder_truncation
     heads = phi_heads(gp, shape, beta, T)
     cert = make_cert(gp, shape, mode, prec)

@@ -364,7 +364,7 @@ def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
 
     # the denominators Q_0, Q_1 and the specialized clearing integers
     shape = ApproxShape(n=(n1,), n0=n0)
-    qs = [build_q(gp, shape, i) for i in (0, 1)]
+    qs = build_q(gp, shape, (0, 1))
     d1 = restricted_d1(gp, n1, n0)
     d2 = restricted_d2(gp, n0)
 

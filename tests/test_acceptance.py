@@ -78,7 +78,7 @@ def test_criterion_03_determinant_monomial(acc_families):
         exponent, omega = family_det(sh, fam.q, phis, verify_order(sh, fam.q, phis))
         ok = ok and exponent == sh.N + sum(sh.Nj) + gp.m and omega != 0
     gp, sh = derive_params([F(1), F(1, 2)]), ApproxShape(n=(1,), n0=1)
-    qs = (build_q(gp, sh, 0), build_q(gp, sh, 1))
+    qs = build_q(gp, sh, (0, 1))
     phis = verify_phis(gp, sh)
     ok = ok and family_det(sh, qs, phis, verify_order(sh, qs, phis)) == (3, F(4, 75))
     ok, dt = _line(3, "determinant is the predicted monomial", ok, t0)

@@ -97,9 +97,14 @@ def test_phi_window_matches_fraction_recurrence(alpha0, alphaj, j, lo, hi):
 
 def test_hand_instance_denominators(half):
     gp, shape, fam = half
-    assert build_q(gp, shape, 0) == Grid(3, (-5, 3))
-    assert build_q(gp, shape, 0).values() == (F(-5, 3), F(1))
-    assert build_q(gp, shape, 1).values() == (F(-7, 5), F(1))
+    q0, q1 = build_q(gp, shape, (0, 1))
+    assert q0 == Grid(3, (-5, 3))
+    assert q0.values() == (F(-5, 3), F(1))
+    assert q1.values() == (F(-7, 5), F(1))
+    assert build_q(gp, shape, ()) == () and build_q(gp, shape, (1, 0)) == (q1, q0)
+    for bad in ((2,), (0, -1)):
+        with pytest.raises(ValueError):
+            build_q(gp, shape, bad)
     assert fam.q[0].values()[-1] == 1 and fam.q[1].values()[-1] == 1
 
 
@@ -276,7 +281,7 @@ def test_oracle_reads_the_forced_zeros():
     # the oracle's residual is verify_order's window: one nonzero coefficient
     # in zeros[i, j] turns only row i's verdict False
     for gp, shape in make_configs(91, 4, n_max=3, n0_max=4):
-        qs = tuple(build_q(gp, shape, i) for i in range(gp.m + 1))
+        qs = build_q(gp, shape, range(gp.m + 1))
         phis = verify_phis(gp, shape)
         zeros = verify_order(shape, qs, phis)
         for (i, j), window in zeros.items():
@@ -299,7 +304,7 @@ def test_oracle_certifies_the_order_conditions(monkeypatch):
     monkeypatch.setattr(gpade.pade, "certify_nonsingular", lambda *args: seen.append(args))
     for gp, shape in make_configs(91, 4, n_max=3, n0_max=4):
         N = shape.N
-        judged(gp, shape, tuple(build_q(gp, shape, i) for i in range(gp.m + 1)))
+        judged(gp, shape, build_q(gp, shape, range(gp.m + 1)))
         seqs, shared, others, systems = seen.pop()
         for i, system in enumerate(systems):
             rows = [primitive(seqs[s][t : t + N]) for s, t in shared + [others[o] for o in system]]
@@ -320,7 +325,7 @@ def test_generic_degrees_agree_with_oracle():
         n = tuple(rng.randint(1, 3) for _ in range(m))
         N = sum(n)
         Nlist = tuple(N - 1 + rng.randint(0, 3) for _ in range(m))
-        q1 = build_q_generic(gp, n, Nlist)
+        (q1,) = build_q_generic(gp, n, [Nlist])
         q2 = reference_oracle_solve_generic(gp, n, Nlist)
         assert q1.values() == q2
         coeffs_ok = True
@@ -408,7 +413,8 @@ def test_closed_form_matches_termwise_reference(instance):
     alphas, n, slack = instance
     gp = derive_params(alphas)
     N_list = tuple(sum(n) - 1 + s for s in slack)
-    assert build_q_generic(gp, n, N_list).values() == reference_build_q_generic(gp, n, N_list)
+    (q,) = build_q_generic(gp, n, [N_list])
+    assert q.values() == reference_build_q_generic(gp, n, N_list)
 
 
 @settings(max_examples=80, deadline=None)
@@ -428,7 +434,68 @@ def test_closed_form_matches_ratio_recurrence(instance):
     alphas, n, slack = instance
     gp = derive_params(alphas)
     N_list = tuple(sum(n) - 1 + s for s in slack)
-    assert build_q_generic(gp, n, N_list).values() == reference_ratio_build_q_generic(gp, n, N_list)
+    (q,) = build_q_generic(gp, n, [N_list])
+    assert q.values() == reference_ratio_build_q_generic(gp, n, N_list)
+
+
+@st.composite
+def multi_row_instances(draw, n_max=6):
+    """(alphas, block degrees, target-degree tuples): like
+    `closed_form_instances`, with alpha_0 = 1 half of the time, and either
+    the rows 0..m of a shape or one to four tuples of N_j = N - 1 + slack_j,
+    slack_j in 0..3."""
+    alphas, n, _ = draw(closed_form_instances(n_max))
+    if draw(st.booleans()):
+        alphas[0] = F(1)
+    if draw(st.booleans()):
+        shape = ApproxShape(n=n, n0=max(n) + draw(st.integers(0, 3)))
+        return alphas, n, [shape.Nij_row(i) for i in range(len(n) + 1)]
+    slack = st.tuples(*(st.integers(0, 3) for _ in n))
+    N_rows = [tuple(sum(n) - 1 + e for e in es) for es in draw(st.lists(slack, min_size=1, max_size=4))]
+    return alphas, n, N_rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(multi_row_instances())
+@example(([F(1), F(1, 2)], (6,), [(5,), (6,), (9,)]))  # m = 1, N_j = N - 1, N, N + 3
+@example(([F(1), F(1, 2), F(1, 3)], (9, 4), [(15, 20), (16, 20), (15, 21)]))  # trio's rows at (9, 4), n0 = 11
+@example(([F(1), F(2, 3), F(1, 4), F(7, 4)], (3, 1, 2), [(5, 5, 5), (9, 8, 5)]))  # m = 3
+@example(([F(5, 3), F(1, 3), F(5, 2)], (2, 3), [(4, 4), (5, 4), (4, 5), (4, 4)]))  # alpha_0 != 1, a repeated tuple
+def test_multi_row_closed_form_matches_references(instance):
+    # one call builds every tuple's grid; each equals the Fraction references
+    # and the one-tuple call, on either route (alpha_0 = 1 or not)
+    alphas, n, N_rows = instance
+    gp = derive_params(alphas)
+    grids = build_q_generic(gp, n, N_rows)
+    assert len(grids) == len(N_rows)
+    for grid, N_list in zip(grids, N_rows):
+        assert normalized_values(grid) == reference_ratio_build_q_generic(gp, n, N_list)
+        assert grid == build_q_generic(gp, n, [N_list])[0]
+        if sum(n) <= 8:
+            assert grid.values() == reference_build_q_generic(gp, n, N_list)
+
+
+def test_unit_alpha0_takes_the_one_term_route(monkeypatch):
+    # alpha_0 = 1 needs no Pochhammer product and no correlation: with
+    # pochhammer unavailable, the rows still come out, equal to the reference
+    def refused(*args):
+        raise AssertionError("pochhammer called on the alpha_0 = 1 route")
+
+    gp = derive_params([F(1), F(1, 2), F(1, 3)])
+    shape = ApproxShape(n=(5, 3), n0=6)
+    expected = [reference_ratio_build_q_generic(gp, shape.n, shape.Nij_row(i)) for i in range(3)]
+    monkeypatch.setattr(gpade.pade, "pochhammer", refused)
+    assert [q.values() for q in build_q(gp, shape, range(3))] == expected
+    with pytest.raises(AssertionError):
+        build_q(derive_params([F(3, 2), F(1, 2)]), ApproxShape(n=(2,), n0=2), (0,))
+
+
+def test_closed_form_refuses_bad_target_degrees():
+    gp = derive_params([F(1), F(1, 2), F(1, 3)])
+    assert build_q_generic(gp, (2, 2), []) == ()
+    for N_rows in ([(3,)], [(3, 3), (3, 3, 3)], [(3, 3), (2, 3)]):
+        with pytest.raises(ValueError):
+            build_q_generic(gp, (2, 2), N_rows)
 
 
 def reference_oracle_solve_generic(gp, n_list, N_list):
@@ -469,7 +536,7 @@ def test_shared_oracle_matches_per_row_solve(instance, extra):
     assert len(rows) == gp.m + 1
     for i, q in enumerate(rows):
         assert q.values() == reference_oracle_solve_generic(gp, shape.n, shape.Nij_row(i))
-        assert q == build_q(gp, shape, i)
+    assert rows == build_q(gp, shape, range(gp.m + 1))
     assert judged(gp, shape, rows) == (True,) * (gp.m + 1)
 
 
@@ -612,7 +679,7 @@ def test_grids_are_normalized_and_match_fraction_references(instance, extra, lo)
     alphas, n, slack = instance
     gp = derive_params(alphas)
     N_list = tuple(sum(n) - 1 + s for s in slack)
-    q = build_q_generic(gp, n, N_list)
+    (q,) = build_q_generic(gp, n, [N_list])
     assert normalized_values(q) == reference_ratio_build_q_generic(gp, n, N_list)
     for j in range(1, gp.m + 1):
         hi = lo + sum(n) + 3
@@ -1072,7 +1139,7 @@ def test_numerator_degrees():
 
 def test_small_random_sweep():
     for gp, sh in make_configs(4242, 20, n_max=4, n0_max=5):
-        qs = tuple(build_q(gp, sh, i) for i in range(gp.m + 1))
+        qs = build_q(gp, sh, range(gp.m + 1))
         phis = verify_phis(gp, sh)
         zeros = verify_order(sh, qs, phis)
         assert not any(any(window.nums) for window in zeros.values())
