@@ -12,8 +12,9 @@ too: `certify_nonsingular` proves determinants nonzero by their residues
 modulo a prime and falls back to `bareiss_eliminate` only on a zero
 residue.  Its rows are windows of a few integer sequences, each packed once
 into one integer of 8-byte residue columns (`_Packed` proves that no column
-carries).  `power_le` decides c x^e <= y^f from `BoundedPower` bounds.  A
-float only seeds `padic.select_block_degrees`' search, never a claim.
+carries).  `power_le` decides c x^e <= y^f from `BoundedPower` bounds.  The
+package's one float seeds `floor_log`, the largest t with p^t <= n/d, which
+`power_le` then decides: it never reaches a claim.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, log
 from struct import Struct
 from typing import NamedTuple
 
@@ -52,7 +53,6 @@ __all__ = [
     "nth_root_iv",
     "integer_nth_root",
     "digits10",
-    "floor_log10_ratio",
     "product_le",
     "BoundedPower",
     "power_le",
@@ -233,20 +233,20 @@ def legendre_nu(p: int, n: int) -> int:
     return total
 
 
-def floor_log(p: int, x: Fraction | int) -> int:
-    """Largest t >= 0 with p^t <= x, decided by exact comparison.
+def floor_log(p: int, n: int, d: int = 1) -> int:
+    """The largest t with p^t <= n/d, for integers p >= 2 and n >= d >= 1;
+    the pair need not be reduced.
 
-    Only defined for x >= 1; callers never need the negative branch.
+    A float estimate of log(n/d) / log(p) seeds t, and `power_le` decides
+    it: t steps down until p^t <= n/d, then up while p^(t+1) <= n/d.
     """
-    x = Fraction(x)
-    if x < 1:
-        raise ValueError("floor_log requires x >= 1")
-    n = x.numerator // x.denominator  # p^t <= x exactly when p^t <= floor(x)
-    t = 0
-    power = p
-    while power <= n:
+    if not (type(p) is type(n) is type(d) is int and p >= 2 and 1 <= d <= n):
+        raise ValueError(f"floor_log needs integers p >= 2 and n >= d >= 1, got {p}, {n}, {d}")
+    t = int((log(n) - log(d)) / log(p))
+    while t and not power_le(p, t, n, 1, d):
+        t -= 1
+    while power_le(p, t + 1, n, 1, d):
         t += 1
-        power *= p
     return t
 
 
@@ -342,31 +342,25 @@ class FactoredInteger(_FactoredFields):
 # ---------------------------------------------------------------------------
 
 
-def floor_log10_ratio(n: int, d: int) -> int:
-    """floor(log10(n/d)) for positive integers n, d.
-
-    The bit lengths put log10(n/d) within log10(2) of the estimate, so one
-    power of ten and a few multiplications by 10 settle it: num/den stays
-    (n/d) / 10^e and ends in [1, 10).  The pair need not be reduced.
-    """
-    if n <= 0 or d <= 0:
-        raise ValueError("floor_log10_ratio requires n, d > 0")
-    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
-    p = 10 ** abs(e)
-    num, den = (n, d * p) if e >= 0 else (n * p, d)
-    while num < den:
-        num *= 10
-        e -= 1
-    den *= 10
-    while num >= den:
-        den *= 10
-        e += 1
-    return e
-
-
 def digits10(n: int) -> int:
-    """Number of decimal digits of |n|, without converting n to a string."""
-    return floor_log10_ratio(abs(n), 1) + 1 if n else 1
+    """Number of decimal digits of |n|, without converting n to a string.
+
+    The bit length puts log10 |n| within log10(2) of the estimate e, so one
+    power of ten and a few multiplications by 10 settle floor(log10 |n|).
+    """
+    n = abs(n)
+    if n == 0:
+        return 1
+    e = (n.bit_length() - 1) * 30103 // 100000
+    p = 10**e
+    while n < p:
+        n *= 10
+        e -= 1
+    p *= 10
+    while n >= p:
+        p *= 10
+        e += 1
+    return e + 1
 
 
 def product_le(a: int, b: int, c: int, d: int) -> bool:

@@ -344,7 +344,7 @@ def _cmd_constants(args, gp):
         }
         if args.beta is not None:
             a, b = args.beta.numerator, args.beta.denominator
-            m0, _ = restricted_threshold(gp, rc, a, b, args.B, args.t)
+            m0, _ = restricted_threshold(rc, a, b, args.B, args.t)
             result["restricted"]["M0"] = m0
     return 0, emit_report(result, args.format, args.exact)
 

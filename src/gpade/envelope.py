@@ -72,7 +72,7 @@ def series_terms(z: Fraction, target: Envelope) -> int:
     an, zd = abs(z.numerator), z.denominator
     if not 0 < 2 * an <= zd:
         raise InvariantViolation(f"the series target needs 0 < |z| <= 1/2, got {z}")
-    L = floor_log(2, Fraction(zd, an))
+    L = floor_log(2, zd, an)
     # goal = (2^shift / g1) ((zd - an) / g2) over (c n^e / g2) (zd / g1), with
     # g1 = gcd(2^shift, zd) and g2 = gcd(zd - an, c n^e), read off n^e mod (zd - an)
     pw, m = target.power, zd - an

@@ -231,14 +231,12 @@ def log_interval(x: Fraction, prec: int = 128) -> Interval:
         return Interval.point(0)
     if x < 1:
         return -log_interval(1 / x, prec)
-    # write x = 2^e * m with m in [1, 2); here x > 1 so e >= 0
-    e = max(x.numerator.bit_length() - x.denominator.bit_length(), 0)
-    if (1 << e) > x:
-        e -= 1
+    # write x = 2^e * m with m in [1, 2): with k = bl(n) - bl(d) >= 0, x = n/d
+    # lies in (2^(k-1), 2^(k+1)), so e = k or k - 1, settled by one comparison
+    n, d = x.numerator, x.denominator
+    k = n.bit_length() - d.bit_length()
+    e = k - (n < d << k)
     m = x / (1 << e)
-    if m >= 2:
-        e += 1
-        m /= 2
     if not 1 <= m < 2:
         raise InvariantViolation(f"log reduction left mantissa {m} outside [1, 2)")
     wp = prec + max(16, e.bit_length() + 8)

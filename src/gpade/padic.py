@@ -9,7 +9,7 @@ be zero, so zero is never claimed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, log, prod
+from math import gcd, prod
 from typing import NamedTuple
 
 from .arith import (
@@ -75,7 +75,7 @@ def _tail_rate(gp: GParams, p: int, beta: Fraction, delta_p: int) -> Fraction:
 def _tail_floor(gp: GParams, p: int, q: Fraction, n: int) -> Fraction:
     """A floor for the valuation of every series term of index >= n, for
     n >= 3 and q >= 1/2, where it increases in n."""
-    return n * q - (floor_log(p, Fraction(gp.U + gp.V * n)) + 1)
+    return n * q - (floor_log(p, gp.U + gp.V * n) + 1)
 
 
 def _truncation_order(gp: GParams, p: int, q: Fraction, target: int) -> int:
@@ -228,7 +228,9 @@ class BlockDegreeSelection(NamedTuple):
 def select_block_degrees(inst: LinearFormInstance, a: int) -> BlockDegreeSelection:
     """Degrees n_j = floor(log(h_j * Htilde^tau) / log |a|), clamped to >= 1.
 
-    A float estimate only seeds each floor; `arith.power_le` decides it.
+    With tau = tn/td, n_j is floor_log(|a|, h_j^td Htilde^tn) // td:
+    `arith.floor_log` holds the package's one float seed, which never
+    decides a floor.
     When nothing was clamped, the two shape inequalities tying Ntilde and n0
     to log Htilde / log |a| are verified exactly and reported.
     """
@@ -237,17 +239,7 @@ def select_block_degrees(inst: LinearFormInstance, a: int) -> BlockDegreeSelecti
     A = abs(a)
     tn, td = inst.tau.numerator, inst.tau.denominator
     Ht = inst.htilde
-    degrees = []
-    for hj in inst.h:
-        rhs = hj**td * Ht**tn
-        # the largest t with A^(t td) <= rhs, from a float estimate that the
-        # exact comparisons then correct by a step or two
-        t = max(0, int(log(rhs) / (td * log(A))) - 1)
-        while power_le(A, (t + 1) * td, rhs, 1):
-            t += 1
-        while not power_le(A, t * td, rhs, 1):
-            t -= 1
-        degrees.append(t)
+    degrees = [floor_log(A, hj**td * Ht**tn) // td for hj in inst.h]
     clamped = tuple(dg < 1 for dg in degrees)
     n0 = max(1, degrees[0])
     n = tuple(max(1, dg) for dg in degrees[1:])
@@ -525,7 +517,7 @@ def check_global_point(gp: GParams, a: int) -> None:
         raise DomainViolation("the point must be coprime to the parameter denominators")
 
 
-def probe_global_relation(gp: GParams, a: int, ell: tuple[int, ...], k: int = 64, prec: int = 128) -> dict:
+def probe_global_relation(gp: GParams, a: int, ell: tuple[int, ...], k: int = 64) -> dict:
     """Try to certify, prime by prime over p | a, that the integer form does
     not vanish at the point a.  A single certified-nonzero prime rules out a
     global relation for this form; truncation alone can never confirm one."""

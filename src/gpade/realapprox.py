@@ -172,9 +172,7 @@ def smallest_admissible_b(gp: GParams, a: int, mode: ThetaMode, vartheta: Fracti
     return -((-bound.numerator) // bound.denominator)  # ceil
 
 
-def restricted_threshold(
-    gp: GParams, rc: RestrictedConstants, a: int, b: int, B: int, t: Fraction
-) -> tuple[Interval, dict]:
+def restricted_threshold(rc: RestrictedConstants, a: int, b: int, B: int, t: Fraction) -> tuple[Interval, dict]:
     """The explicit starting exponent M0, as an enclosure, plus its pieces.
 
     M0 = (log b / log(a1|a|)) * max{ 6 log(a2|a|)/log b + 1/2, (4t+1)/2,
@@ -246,7 +244,7 @@ def make_restricted_instance(
     sizes n1 = h = floor(M/(x-2)) and n0 = floor(x*h) from the certified lower
     end of x, and default M to the least certified admissible exponent."""
     rc = restricted_constants(gp, mode, vartheta, prec)
-    m0, _ = restricted_threshold(gp, rc, a, b, B, t)
+    m0, _ = restricted_threshold(rc, a, b, B, t)
     if M is None:
         M = -(-m0.hi_num // m0.den)  # ceil of the upper bound
     log_b = log_interval(Fraction(b), prec)
@@ -275,7 +273,7 @@ def restricted_d2(gp: GParams, n0: int) -> FactoredInteger:
     pairs = [(p, e * (n0 + 1)) for p, e in FactoredInteger.of(gp.dtilde).factors]
     pairs += [(p, legendre_nu(p, n0 + 1)) for p in prime_divisors(gp.s_lcm)]
     xval = gp.u[0] + gp.v[0] * n0
-    pairs += [(p, floor_log(p, Fraction(xval))) for p in primes_upto(xval) if gp.v[0] % p != 0]
+    pairs += [(p, floor_log(p, xval)) for p in primes_upto(xval) if gp.v[0] % p != 0]
     return FactoredInteger.from_exponents(pairs)
 
 

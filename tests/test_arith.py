@@ -13,7 +13,7 @@ from unittest import mock
 import mpmath
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gpade import arith
@@ -32,7 +32,6 @@ from gpade.arith import (
     exp_interval,
     factorize,
     floor_log,
-    floor_log10_ratio,
     integer_nth_root,
     is_prime,
     legendre_nu,
@@ -96,20 +95,89 @@ def test_legendre_examples_and_factorial_valuations():
             assert legendre_nu(p, n) == v
 
 
+def reference_floor_log(p: int, n: int, d: int = 1) -> int:
+    """The largest t with d p^t <= n: square p while d p^(2^k) <= n, then
+    multiply the squares back in, largest first, while they fit."""
+    squares = [p]
+    while d * squares[-1] <= n:
+        squares.append(squares[-1] ** 2)
+    t, acc = 0, d
+    for k in range(len(squares) - 2, -1, -1):
+        if acc * squares[k] <= n:
+            acc, t = acc * squares[k], t + (1 << k)
+    return t
+
+
 def test_floor_log():
-    assert floor_log(2, F(9)) == 3
-    assert floor_log(3, F(1)) == 0
-    assert floor_log(5, F(24)) == 1
-    with pytest.raises(ValueError):
-        floor_log(2, F(1, 2))
+    assert floor_log(2, 9) == 3
+    assert floor_log(3, 1) == 0
+    assert floor_log(5, 24) == 1
+    assert floor_log(2, 9, 2) == 2
     rng = random.Random(5)
     for _ in range(60):
         p = rng.choice([2, 3, 5, 7, 11])
-        x = F(rng.randint(1, 10**6), rng.randint(1, 100))
-        if x < 1:
-            x = 1 / x
-        t = floor_log(p, x)
-        assert p**t <= x < p ** (t + 1)
+        n, d = rng.randint(1, 10**6), rng.randint(1, 100)
+        if n < d:
+            n, d = d, n
+        t = floor_log(p, n, d)
+        assert d * p**t <= n < d * p ** (t + 1)
+        assert t == reference_floor_log(p, n, d)
+
+
+def test_floor_log_refuses_arguments_outside_its_domain():
+    for args in [(2, 1, 2), (2, 0), (2, 5, 0), (2, 5, -1), (1, 8), (0, 8), (-2, 8), (2, F(9)), (2, 9.0), (F(2), 9)]:
+        with pytest.raises(ValueError):
+            floor_log(*args)
+
+
+_FLOOR_LOG_BASES = [2, 3, 5, 10, 2**61 - 1, 5**879]
+
+
+@st.composite
+def floor_log_args(draw):
+    """(p, n, d) with n/d random, or d p^t and its neighbours, up to 10^5
+    bits, with d small or large and the pair sharing a factor or not."""
+    p = draw(st.sampled_from(_FLOOR_LOG_BASES))
+    d = draw(st.one_of(st.just(1), st.integers(1, 10**6), st.integers(1, 2**40000)))
+    if draw(st.booleans()):
+        n = draw(st.one_of(st.integers(d, 100 * d), st.integers(d, 2**100000)))
+    else:
+        t = draw(st.integers(0, 60000 // p.bit_length()))
+        n = max(d, d * p**t + draw(st.sampled_from([-1, 0, 1])))
+    g = draw(st.one_of(st.just(1), st.integers(2, 10**6), st.integers(2, 2**1000)))
+    return p, n * g, d * g
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=floor_log_args(), bits=st.sampled_from([2, 256]))
+@example(args=(2, 1, 1), bits=256)
+@example(args=(10, 10**100, 1), bits=2)
+@example(args=(10, 10**100 - 1, 1), bits=2)
+@example(args=(5**879, 5 ** (879 * 100), 3), bits=256)  # n/d just below p^100
+@example(args=(2**61 - 1, (2**61 - 1) ** 40 * 7 + 1, 7), bits=2)
+def test_floor_log_matches_loop_reference(args, bits):
+    p, n, d = args
+    with mock.patch.object(arith, "_POWER_BITS", bits):
+        assert floor_log(p, n, d) == reference_floor_log(p, n, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from(_FLOOR_LOG_BASES),
+    t=st.integers(0, 200),
+    nudge=st.sampled_from([-1, 0, 1]),
+    d=st.integers(2, 10**30),
+    off=st.sampled_from([-7, 0, 7]),
+)
+def test_floor_log_corrects_any_seed(p, t, nudge, d, off):
+    # a seed off by up to 7 either way (clamped at 0) gives the same t: the
+    # patched log makes (log n - log d) / log p the wrong t plus one half
+    n = max(d + 1, d * p**t + nudge)
+    assume(p not in (n, d))
+    true_t = reference_floor_log(p, n, d)
+    fake = {n: max(0, true_t + off) + 0.5, d: 0.0, p: 1.0}
+    with mock.patch.object(arith, "log", fake.__getitem__):
+        assert floor_log(p, n, d) == true_t
 
 
 def reference_p_valuation(q: F, p: int) -> int:
@@ -310,8 +378,8 @@ def test_formatting():
     assert fmt_real(F(1, 3), 6) == "0.333333"
     assert fmt_real(F(-22, 7), 6) == "-3.142857"
     big = F(17) ** 5000
-    assert fmt_real(big, 8).endswith(f"e+{floor_log10_ratio(big.numerator, big.denominator)}")
-    assert fmt_real(1 / big, 8).endswith(f"e{floor_log10_ratio(big.denominator, big.numerator):+d}")
+    assert fmt_real(big, 8).endswith(f"e+{reference_floor_log10(big)}")
+    assert fmt_real(1 / big, 8).endswith(f"e{reference_floor_log10(1 / big):+d}")
     assert digits10(10**100) == 101
     assert digits10(10**100 - 1) == 100
     assert digits10(0) == 1
@@ -387,7 +455,14 @@ def powers_of_ten(draw):
 def test_fmt_real_matches_fraction_reference(q, sig):
     assert fmt_real(q, sig) == reference_fmt_real(q, sig)
     if q:
-        assert floor_log10_ratio(abs(q.numerator), q.denominator) == reference_floor_log10(abs(q))
+        # floor(log10 |q|) by floor_log: for |q| < 1 it is -ceil(log10(d/n))
+        n, d = abs(q.numerator), q.denominator
+        if n >= d:
+            e = floor_log(10, n, d)
+        else:
+            u = floor_log(10, d, n)
+            e = -u - (n * 10**u != d)
+        assert e == reference_floor_log10(abs(q))
 
 
 @settings(max_examples=150, deadline=None)
@@ -412,7 +487,7 @@ def exact_fmt_ratio(n: int, d: int, sig: int) -> str:
         return "0"
     sign = "-" if n < 0 else ""
     n = abs(n)
-    e = floor_log10_ratio(n, d)
+    e = reference_floor_log10(F(n, d))
     if -6 <= e <= 24:
         whole, frac = divmod(n * 10**sig // d, 10**sig)
         return f"{sign}{whole}.{str(frac).zfill(sig)}"
@@ -891,7 +966,7 @@ def reference_exp_interval(x: F, prec: int) -> ReferenceInterval:
     x = F(x)
     if x < 0:
         iv = reference_exp_interval(-x, prec).inv()
-        shift = max(0, floor_log(2, 1 / iv.lo)) if iv.lo < 1 else 0
+        shift = max(0, reference_floor_log(2, iv.lo.denominator, iv.lo.numerator)) if iv.lo < 1 else 0
         return iv.rounded(prec + shift + 8)
     if x == 0:
         return ReferenceInterval(F(1), F(1))

@@ -5,6 +5,8 @@
   `python -O` cannot strip);
 - outside `arith` and `interval`, no comparison holds a power x ** e with
   neither base nor exponent a literal: `arith.power_le` decides those;
+- no float constant and no `float` name, and `math.log` only in
+  `arith.floor_log`, whose seed is the package's one float;
 - no module imports `dataclasses`, and `import gpade.cli` does not load it:
   records are `NamedTuple`s, which generate no code at import, and each
   record stays immutable, equal and hashable by value, and keeps its
@@ -92,6 +94,34 @@ def test_no_inline_power_comparison(path):
         and not isinstance(sub.right, ast.Constant)
     ]
     assert powers == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_one_float_seeds_floor_log(path):
+    tree = _tree(path)
+    floats = [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+        or (isinstance(node, ast.Name) and node.id == "float")
+        or (isinstance(node, ast.Attribute) and ast.unparse(node) == "math.log")
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "math"
+            and path.stem != "arith"
+            and any(alias.name == "log" for alias in node.names)
+        )
+    ]
+    assert floats == []
+    if path.stem == "arith":
+        users = {
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id == "log"
+        }
+        assert users == {"floor_log"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

@@ -205,7 +205,7 @@ def test_threshold_and_instance(gp11):
     rc = restricted_constants(gp11, mode, F(2))
     b = smallest_admissible_b(gp11, 1, mode, F(2))
     assert 2 * 10**10 < b < 2.1 * 10**10
-    m0, detail = restricted_threshold(gp11, rc, 1, b, 1, F(0))
+    m0, detail = restricted_threshold(rc, 1, b, 1, F(0))
     assert 21 <= float(m0.hi) < 21.001
     # the binding entry is the start-size one: (1 + max{c, c', 4})/2 = 3.5
     entries = [float(e.hi) for e in detail["entries"]]
@@ -217,20 +217,20 @@ def test_threshold_hypothesis_failures(gp11):
     mode = ThetaMode.sharp()
     rc = restricted_constants(gp11, mode, F(2))
     with pytest.raises(HypothesisFailure):
-        restricted_threshold(gp11, rc, 1, 100, 1, F(0))
+        restricted_threshold(rc, 1, 100, 1, F(0))
     b = smallest_admissible_b(gp11, 1, mode, F(2))
     with pytest.raises(HypothesisFailure):
-        restricted_threshold(gp11, rc, 1, b, b + 1, F(1))  # B > b^t
+        restricted_threshold(rc, 1, b, b + 1, F(1))  # B > b^t
     with pytest.raises(HypothesisFailure):
-        restricted_threshold(gp11, rc, 0, b, 1, F(0))
+        restricted_threshold(rc, 0, b, 1, F(0))
 
 
 def test_large_t_dominates(gp11):
     mode = ThetaMode.sharp()
     rc = restricted_constants(gp11, mode, F(2))
     b = smallest_admissible_b(gp11, 1, mode, F(2))
-    m0_small, _ = restricted_threshold(gp11, rc, 1, b, 1, F(0))
-    m0_large, detail = restricted_threshold(gp11, rc, 1, b, 1, F(40))
+    m0_small, _ = restricted_threshold(rc, 1, b, 1, F(0))
+    m0_large, detail = restricted_threshold(rc, 1, b, 1, F(40))
     assert m0_large.lo > m0_small.hi
     # the (4t+1)/2 entry carries the maximum for large t
     assert detail["entries"][1].lo == F(4 * 40 + 1, 2)
