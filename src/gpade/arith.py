@@ -32,34 +32,10 @@ from .errors import FactorizationLimit, InvariantViolation, SingularSystem
 from .interval import Interval, exp_interval, exp_iv, integer_nth_root, log_interval, log_iv, nth_root_iv
 
 __all__ = [
-    "Fraction",
-    "FactoredInteger",
-    "Interval",
-    "Grid",
-    "primes_upto",
-    "MR_LIMIT",
-    "is_prime",
-    "factorize",
-    "prime_divisors",
-    "pochhammer",
-    "legendre_nu",
-    "floor_log",
-    "p_valuation",
-    "epsilon_interval",
-    "log_interval",
-    "log_iv",
-    "exp_interval",
-    "exp_iv",
-    "nth_root_iv",
-    "integer_nth_root",
-    "digits10",
-    "product_le",
-    "BoundedPower",
-    "power_le",
-    "cleared_eval",
-    "RANK_PRIME",
-    "RANK_COLUMNS",
-    "bareiss_eliminate",
+    "Fraction", "FactoredInteger", "Interval", "Grid", "primes_upto", "MR_LIMIT", "is_prime", "factorize",
+    "prime_divisors", "pochhammer", "legendre_nu", "floor_log", "lcm_exponents", "p_valuation", "epsilon_interval",
+    "log_interval", "log_iv", "exp_interval", "exp_iv", "nth_root_iv", "integer_nth_root", "digits10", "product_le",
+    "BoundedPower", "power_le", "cleared_eval", "RANK_PRIME", "RANK_COLUMNS", "bareiss_eliminate",
     "certify_nonsingular",
 ]
 
@@ -186,7 +162,7 @@ class Grid(NamedTuple):
     """Rationals nums[k] / den over one common denominator den > 0, normalized
     so that gcd(den, *nums) = 1.  Then den is the lcm of the reduced
     denominators, so two grids hold the same rationals exactly when they are
-    equal as tuples.  `values` is the one way back to reduced Fractions."""
+    equal as tuples."""
 
     den: int
     nums: tuple[int, ...]
@@ -196,9 +172,6 @@ class Grid(NamedTuple):
         """The grid of the rationals nums[k] / den, for den > 0."""
         g = gcd(den, *nums)
         return cls(den, tuple(nums)) if g == 1 else cls(den // g, tuple(x // g for x in nums))
-
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.nums)
 
 
 def cleared_eval(grid: Grid, a: int, b: int) -> tuple[int, int]:
@@ -248,6 +221,13 @@ def floor_log(p: int, n: int, d: int = 1) -> int:
     while power_le(p, t + 1, n, 1, d):
         t += 1
     return t
+
+
+def lcm_exponents(x: int, coprime_to: int = 1) -> list[tuple[int, int]]:
+    """The pairs (p, floor_log(p, x)) over the primes p <= x that do not
+    divide coprime_to: lcm(1..x) factored, without those primes.  A prime
+    p > sqrt(x) has exponent 1, so `floor_log` is called only for p*p <= x."""
+    return [(p, floor_log(p, x) if p * p <= x else 1) for p in primes_upto(x) if coprime_to % p]
 
 
 def p_valuation(q: Fraction, p: int) -> int:

@@ -44,6 +44,7 @@ from .errors import (
     SingularSystem,
 )
 from .pade import (
+    FAMILY_FIELDS,
     ApproxShape,
     build_family,
     build_q,
@@ -279,7 +280,8 @@ def _cmd_construct(args, gp):
     if args.format == "tsv":
         header = "".join(f"# {k} = {v}\n" for k, v in note.items())
         return 0, header + family_tsv(family, scale)
-    return 0, emit_report({"coefficients": list(family_rows(family, scale)), **note}, "json", args.exact)
+    rows = [dict(zip(FAMILY_FIELDS, row)) for row in family_rows(family, scale)]
+    return 0, emit_report({"coefficients": rows, **note}, "json", args.exact)
 
 
 def _cmd_verify(args, gp):

@@ -27,13 +27,12 @@ from .arith import (
     epsilon_interval,
     exp_interval,
     exp_iv,
-    floor_log,
+    lcm_exponents,
     legendre_nu,
     log_interval,
     log_iv,
     p_valuation,
     prime_divisors,
-    primes_upto,
     product_le,
 )
 from .errors import DomainViolation, IntegralityViolation, SingularSystem
@@ -130,7 +129,7 @@ def compute_d1(gp: GParams, shape: ApproxShape) -> FactoredInteger:
     for j in range(1, gp.m + 1):
         pairs += [(p, legendre_nu(p, shape.n[j - 1])) for p in prime_divisors(gp.v[j - 1])]
         x = gp.r[j] + (n0 + 1) * gp.s[j]
-        pairs += [(p, floor_log(p, x)) for p in primes_upto(x) if gp.s[j] % p != 0]
+        pairs += lcm_exponents(x, gp.s[j])
     return FactoredInteger.from_exponents(pairs)
 
 
@@ -142,7 +141,7 @@ def compute_d2(gp: GParams, shape: ApproxShape) -> FactoredInteger:
     pairs = [(p, e * Nt) for p, e in FactoredInteger.of(base).factors]
     pairs += [(p, legendre_nu(p, Nt)) for p in prime_divisors(gp.s_lcm)]
     x = gp.U + gp.V * Nt
-    pairs += [(p, floor_log(p, x)) for p in primes_upto(x)]
+    pairs += lcm_exponents(x)
     return FactoredInteger.from_exponents(pairs)
 
 
@@ -456,7 +455,7 @@ def check_remainder_padic(family: PadeFamily, cert: DenominatorCert, beta: Fract
 def cert_tsv(cert: DenominatorCert, checks: list[Check]) -> str:
     cns = cert.constants
     clearing = (("D1", cert.d1), ("D2", cert.d2), ("D", cert.d))
-    rows = [(label, full_digits(fi.value), fi.format_factors(), "-") for label, fi in clearing]
-    rows += [(f"c{k}", fmt_real(cns.upper(k), 24), f"upper@{cns.precision}b", "-") for k in range(1, 9)]
-    rows += [(e.name, e.lhs, e.rhs, e.status) for e in checks]
-    return tsv(("quantity", "value", "detail", "status"), rows)
+    lines = [f"{label}\t{full_digits(fi.value)}\t{fi.format_factors()}\t-" for label, fi in clearing]
+    lines += [f"c{k}\t{fmt_real(cns.upper(k), 24)}\tupper@{cns.precision}b\t-" for k in range(1, 9)]
+    lines += [f"{e.name}\t{e.lhs}\t{e.rhs}\t{e.status}" for e in checks]
+    return tsv(("quantity", "value", "detail", "status"), lines)

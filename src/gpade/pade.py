@@ -536,26 +536,31 @@ def family_det(shape: ApproxShape, qs: tuple[Grid, ...], phis: tuple[Grid, ...],
 # ---------------------------------------------------------------------------
 
 
-def family_rows(family: PadeFamily, scale: int | None = None) -> Iterator[dict]:
-    """One dict per coefficient: i, poly, degree, numerator, denominator.
+def family_rows(family: PadeFamily, scale: int | None = None) -> Iterator[tuple]:
+    """One row per coefficient: i, poly, degree, numerator, denominator.
 
     `poly` is "Q" for the common denominator and the series index otherwise;
-    numerator and denominator are digit strings.  With `scale` given,
-    coefficients are multiplied by it first; they must then be integers, and
-    a `scale` that leaves one non-integral raises `IntegralityViolation`.
+    numerator and denominator are digit strings, read off each grid (L, c)
+    in int: c_k/g over L/g with g = gcd(c_k, L).  With `scale` given, each
+    coefficient is c_k scale / L, which must be an integer: a `scale` that
+    leaves one non-integral raises `IntegralityViolation`.
     """
     for i in range(family.gp.m + 1):
-        polys = [("Q", family.q[i])] + [(str(j), family.p_coeffs(i, j)) for j in range(1, family.gp.m + 1)]
-        for label, grid in polys:
-            for deg, cf in enumerate(grid.values()):
-                val = cf * scale if scale is not None else cf
-                if scale is not None and val.denominator != 1:
-                    raise IntegralityViolation(f"scale {scale} does not clear coefficient {cf}")
-                num, den = full_digits(val.numerator), full_digits(val.denominator)
-                yield {"i": i, "poly": label, "degree": deg, "numerator": num, "denominator": den}
+        for label, (L, c) in (("Q", family.q[i]), *((str(j), g) for j, g in enumerate(family.p[i], 1))):
+            for deg, ck in enumerate(c):
+                if scale is None:
+                    g = gcd(ck, L)
+                    yield i, label, deg, full_digits(ck // g), full_digits(L // g)
+                    continue
+                num, rem = divmod(ck * scale, L)
+                if rem:
+                    raise IntegralityViolation(f"scale {scale} does not clear coefficient {Fraction(ck, L)}")
+                yield i, label, deg, full_digits(num), "1"
+
+
+FAMILY_FIELDS = ("i", "poly", "degree", "numerator", "denominator")
 
 
 def family_tsv(family: PadeFamily, scale: int | None = None) -> str:
     """The rows of `family_rows` as TSV under a header line."""
-    header = ("i", "poly", "degree", "numerator", "denominator")
-    return tsv(header, (row.values() for row in family_rows(family, scale)))
+    return tsv(FAMILY_FIELDS, (f"{i}\t{p}\t{k}\t{n}\t{d}" for i, p, k, n, d in family_rows(family, scale)))

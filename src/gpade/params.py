@@ -4,7 +4,10 @@ The toolkit works with m+1 positive rationals alpha_0, ..., alpha_m where the
 upper parameters alpha_1, ..., alpha_m must be pairwise non-congruent mod 1.
 All the integers the downstream modules need (reduced numerators and
 denominators, the pairing integers d_j with s0*s_j = d_j*v_j, their lcms and
-maxima) are derived once here and frozen.
+maxima) are derived once here and frozen.  `load_params` reads its file on
+every call and parses each distinct (text, path) once per process: a bounded
+memo shares the immutable `GParams`, so reports on one file in one process
+parse it once, and an edited file is parsed again.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
@@ -216,5 +220,10 @@ def parse_params(text: str, source: str = "<params>") -> GParams:
 
 
 def load_params(path: str) -> GParams:
+    """The parameters in the file at path: read on every call, parsed once
+    per process for each distinct (text, path)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_params(fh.read(), source=path)
+        return _parse_file(fh.read(), path)
+
+
+_parse_file = lru_cache(maxsize=64)(parse_params)

@@ -17,14 +17,13 @@ from .arith import (
     digits10,
     epsilon_interval,
     exp_iv,
-    floor_log,
+    lcm_exponents,
     legendre_nu,
     log_interval,
     log_iv,
     nth_root_iv,
     power_le,
     prime_divisors,
-    primes_upto,
     product_le,
 )
 from .denom import ThetaMode, compute_d1
@@ -273,7 +272,7 @@ def restricted_d2(gp: GParams, n0: int) -> FactoredInteger:
     pairs = [(p, e * (n0 + 1)) for p, e in FactoredInteger.of(gp.dtilde).factors]
     pairs += [(p, legendre_nu(p, n0 + 1)) for p in prime_divisors(gp.s_lcm)]
     xval = gp.u[0] + gp.v[0] * n0
-    pairs += [(p, floor_log(p, xval)) for p in primes_upto(xval) if gp.v[0] % p != 0]
+    pairs += lcm_exponents(xval, gp.v[0])
     return FactoredInteger.from_exponents(pairs)
 
 

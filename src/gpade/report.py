@@ -4,6 +4,10 @@ Every report the CLI prints is rendered here, so a rendering rule is
 decided once.  Integers printed in full go through `full_digits`, which does not
 depend on the interpreter's int-to-str digit limit; reports abbreviate
 integers above 40 digits unless exact output was requested.
+
+`emit_report` renders a result tree in one walk that dispatches on each
+node's type (`_node`): TSV lines come straight out of the walk, and JSON is
+`json.dumps` of the same leaves.  `tsv` joins the lines of every TSV report.
 """
 
 from __future__ import annotations
@@ -16,21 +20,8 @@ from typing import NamedTuple
 from .arith import Interval, digits10
 
 __all__ = [
-    "full_digits",
-    "fmt_real",
-    "fmt_ratio",
-    "int_str",
-    "rational",
-    "abbrev",
-    "dec_iv",
-    "fmt_value",
-    "Check",
-    "entry",
-    "tagged_bound",
-    "canonical",
-    "flatten",
-    "tsv",
-    "emit_report",
+    "full_digits", "fmt_real", "fmt_ratio", "int_str", "rational", "abbrev", "dec_iv", "fmt_value", "Check", "entry",
+    "tagged_bound", "tsv", "emit_report",
 ]
 
 
@@ -178,52 +169,66 @@ def tagged_bound(value: Fraction, digits: int, direction: str, precision: int) -
 
 
 _TEN_40 = 10**40  # above 128 bits, so not folded into a constant at compile time
+# The classes a node is dispatched on, in the order of precedence: a node of
+# any other type is read as the first of them it is an instance of.
+_KINDS = dict.fromkeys((Check, Interval, Fraction, bool, type(None), int, str, dict, list, tuple))
 
 
-def canonical(obj, exact: bool = False):
-    """Convert a result object into deterministic JSON-ready primitives."""
-    if isinstance(obj, Check):
-        obj = obj._asdict()
-    if isinstance(obj, Interval):
+def _node(obj, exact: bool):
+    """A node of a result tree as both formats print it: a dict with str keys
+    or a list of children still to walk, or a leaf's JSON value.  A Check
+    becomes the dict of its fields, an Interval that of its outward 24-digit
+    ends; a Fraction prints by `rational`, an int of 41 or more digits by
+    `int_str`, a str by `abbrev`, any other leaf but bool and None by `str`."""
+    t = type(obj)
+    if t not in _KINDS:
+        t = next((k for k in _KINDS if isinstance(obj, k)), object)
+    if t is str:
+        return obj if exact or len(obj) <= 40 else abbrev(obj, exact)
+    if t is int:
+        return obj if -_TEN_40 < obj < _TEN_40 else int_str(obj, exact)
+    if t is bool or obj is None:
+        return obj
+    if t is dict:
+        return dict(zip(map(str, obj), obj.values()))
+    if t is list or t is tuple:
+        return list(obj)
+    if t is Check:
+        return obj._asdict()
+    if t is Interval:
         lo, hi, den = obj
         return {"lo": fmt_ratio(lo, den, 24), "hi": fmt_ratio(hi, den, 24), "direction": "outward"}
-    if isinstance(obj, Fraction):
-        return rational(obj, exact)
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return int_str(obj, exact) if abs(obj) >= _TEN_40 else obj
-    if isinstance(obj, str):
-        return abbrev(obj, exact)
-    if isinstance(obj, dict):
-        return {str(k): canonical(v, exact) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [canonical(v, exact) for v in obj]
-    return str(obj)
+    return rational(obj, exact) if t is Fraction else str(obj)
 
 
-def flatten(obj, prefix="") -> list[tuple[str, str]]:
-    rows = []
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            rows.extend(flatten(obj[k], f"{prefix}{k}."))
-    elif isinstance(obj, list):
-        for idx, v in enumerate(obj):
-            rows.extend(flatten(v, f"{prefix}{idx}."))
-    else:
-        rows.append((prefix.rstrip("."), "" if obj is None else str(obj)))
-    return rows
+def _json(obj, exact: bool):
+    node = _node(obj, exact)
+    if type(node) is dict:
+        return {k: _json(v, exact) for k, v in node.items()}
+    return [_json(v, exact) for v in node] if type(node) is list else node
 
 
-def tsv(header, rows) -> str:
-    """Tab-separated lines: the header's fields, then each row's fields."""
-    lines = ["\t".join(header)] + ["\t".join(map(str, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+def _rows(node, exact: bool, prefix: str, lines: list[str]) -> None:
+    """Append a "key<TAB>value" line per leaf under a dict or list node: keys
+    in sorted order and list positions joined by ".", None printed empty."""
+    for k, v in sorted(node.items()) if type(node) is dict else enumerate(node):
+        v = _node(v, exact)
+        if type(v) is dict or type(v) is list:
+            _rows(v, exact, f"{prefix}{k}.", lines)
+        else:
+            lines.append(f"{prefix}{k}".rstrip(".") + "\t" + ("" if v is None else str(v)))
+
+
+def tsv(header, lines) -> str:
+    """Tab-separated text: the header's fields, then each line."""
+    return "\n".join(["\t".join(header), *lines]) + "\n"
 
 
 def emit_report(result: dict, fmt: str, exact: bool = False) -> str:
-    """Deterministic, byte-stable rendering of a result tree."""
-    canon = canonical(result, exact)
+    """Deterministic, byte-stable rendering of a result tree (a dict), in one
+    walk."""
     if fmt == "json":
-        return json.dumps(canon, sort_keys=True, indent=2) + "\n"
-    return tsv(("key", "value"), flatten(canon))
+        return json.dumps(_json(result, exact), sort_keys=True, indent=2) + "\n"
+    lines: list[str] = []
+    _rows(_node(result, exact), exact, "", lines)
+    return tsv(("key", "value"), lines)

@@ -5,7 +5,7 @@ grid built from running products of the term ratio.  The reference here is
 the former route: each coefficient is the previous one times the ratio
 (alpha_j + n) / (alpha_0 + alpha_j + n), reduced as a `Fraction`, and
 `cleared` puts a list of Fractions on one grid by the lcm of their
-denominators.
+denominators, and `grid_values` reads a grid back as reduced Fractions.
 """
 
 from fractions import Fraction
@@ -28,3 +28,8 @@ def cleared(xs) -> Grid:
     integers L*x, which have no common factor with L."""
     L = lcm(*(x.denominator for x in xs))
     return Grid(L, tuple(x.numerator * (L // x.denominator) for x in xs))
+
+
+def grid_values(grid: Grid) -> tuple[Fraction, ...]:
+    """The rationals on a grid (den, nums), each a reduced Fraction."""
+    return tuple(Fraction(x, grid.den) for x in grid.nums)

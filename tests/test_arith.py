@@ -34,6 +34,7 @@ from gpade.arith import (
     floor_log,
     integer_nth_root,
     is_prime,
+    lcm_exponents,
     legendre_nu,
     log_interval,
     log_iv,
@@ -48,7 +49,7 @@ from gpade.interval import _atanh_series, _exp_core, _log2_interval
 from gpade.errors import CertificationError, FactorizationLimit, InvariantViolation, SingularSystem
 from gpade.report import fmt_ratio, fmt_real
 
-from reference_series import cleared
+from reference_series import cleared, grid_values
 
 LOG2_LO = F("0.6931471805599453094172321214581")
 LOG2_HI = F("0.6931471805599453094172321214582")
@@ -122,6 +123,25 @@ def test_floor_log():
         t = floor_log(p, n, d)
         assert d * p**t <= n < d * p ** (t + 1)
         assert t == reference_floor_log(p, n, d)
+
+
+# x around every prime square up to 10^4, where lcm_exponents switches from
+# floor_log to exponent 1, plus every x up to 300 and 10^4 itself
+LCM_XS = sorted({*range(1, 301), *(p * p + k for p in primes_upto(100) for k in (-1, 0, 1)), 10**4})
+
+
+@pytest.mark.parametrize("coprime_to", [1, 6, 35, 30030, 9973])
+def test_lcm_exponents_match_floor_log_per_prime(coprime_to):
+    for x in LCM_XS:
+        expected = [(p, floor_log(p, x)) for p in primes_upto(x) if coprime_to % p != 0]
+        assert lcm_exponents(x, coprime_to) == expected, x
+    assert lcm_exponents(10**4) == [(p, floor_log(p, 10**4)) for p in primes_upto(10**4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(1, 10**4), coprime_to=st.integers(1, 10**6))
+def test_lcm_exponents_at_random_points(x, coprime_to):
+    assert lcm_exponents(x, coprime_to) == [(p, floor_log(p, x)) for p in primes_upto(x) if coprime_to % p != 0]
 
 
 def test_floor_log_refuses_arguments_outside_its_domain():
@@ -671,7 +691,7 @@ def test_grid_is_normalized_and_tuple_equal(nums, den, g):
     values = tuple(F(x, den) for x in nums)
     grid = Grid.of(den * g, [x * g for x in nums])
     assert grid.den > 0 and math.gcd(grid.den, *grid.nums) == 1
-    assert grid.values() == values
+    assert grid_values(grid) == values
     assert grid == Grid.of(den, nums) == cleared(values)
 
 

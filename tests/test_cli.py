@@ -6,13 +6,16 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpade.arith import MR_LIMIT, FactoredInteger, digits10
+import gpade.cli
+from gpade.arith import MR_LIMIT, FactoredInteger, Grid, Interval, digits10
 from gpade.cli import (
     _OPTIONS,
     _build_parser,
@@ -28,8 +31,9 @@ from gpade.cli import (
     main,
 )
 from gpade.denom import make_cert
-from gpade.report import abbrev, int_str
+from gpade.report import Check, abbrev, int_str
 
+from reference_report import reference_emit_report
 from test_golden import CASES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -504,6 +508,63 @@ def test_emit_report_formats():
     assert lines[1].startswith("a.0\tTrue")
     # empty results still produce the header row
     assert emit_report({}, "tsv") == "key\tvalue\n"
+
+
+# Leaves of every kind a report holds: ints of every size (around +-10^40,
+# where the renderer starts abbreviating), Fractions with parts above 40
+# digits, bools, None, digit strings (signed or not) and other strings
+# around 40 characters, Checks, Intervals, and objects of other types (a
+# Grid, a NamedTuple the renderer reads as a list, and a Decimal it prints by
+# str).  Keys mix ints and strings, so "1" and 1 can collide.
+_BIG = st.integers(-(10**45), 10**45)
+_NEAR_TEN_40 = st.builds(lambda s, k: s * (10**40 + k), st.sampled_from([1, -1]), st.integers(-3, 3))
+_INTS = st.one_of(st.integers(-100, 100), _BIG, _NEAR_TEN_40)
+_DIGITS = st.builds(lambda sign, n: sign + str(n), st.sampled_from(["", "-", "+"]), st.integers(0, 10**50))
+_TEXTS = st.one_of(st.text(max_size=50), _DIGITS, st.text(alphabet="0123456789-.ab", min_size=38, max_size=44))
+_LEAVES = st.one_of(
+    _INTS,
+    st.builds(F, _BIG, st.integers(1, 10**45)),
+    st.booleans(),
+    st.none(),
+    _TEXTS,
+    st.builds(Check, _TEXTS, st.booleans(), st.booleans(), _TEXTS, _TEXTS),
+    st.builds(lambda lo, w, den: Interval.of(lo, lo + w, den), _BIG, st.integers(0, 10**30), st.integers(1, 10**40)),
+    st.builds(Grid.of, st.integers(1, 10**6), st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=3)),
+    st.builds(Decimal, st.integers(-(10**50), 10**50)),
+)
+_KEYS = st.one_of(st.text(alphabet="ab.1_", max_size=4), st.integers(-3, 12))
+_TREES = st.dictionaries(
+    _KEYS,
+    st.recursive(
+        _LEAVES,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple), st.dictionaries(_KEYS, kids, max_size=4)
+        ),
+        max_leaves=20,
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_TREES)
+def test_emit_report_matches_three_walk_reference(tree):
+    for fmt in ("tsv", "json"):
+        for exact in (False, True):
+            assert emit_report(tree, fmt, exact) == reference_emit_report(tree, fmt, exact)
+
+
+def test_construct_scaled_by_a_scale_that_leaves_a_fraction(params_file, capsys, monkeypatch):
+    # construct --scaled dumps c_k D / L in int; a D that does not clear a
+    # coefficient is an IntegralityViolation, worded as with Fractions
+    def weak_cert(*args):
+        return make_cert(*args)._replace(d=FactoredInteger.of(2))
+
+    monkeypatch.setattr(gpade.cli, "make_cert", weak_cert)
+    path = params_file(HALF)
+    for fmt in ("tsv", "json"):
+        argv = ["construct", "--params", path, "--n", "1", "--n0", "1", "--scaled", "--format", fmt]
+        assert run(capsys, argv) == (1, "", "check failed: scale 2 does not clear coefficient -5/3\n")
 
 
 def test_parser_reuse_keeps_appended_option_empty(params_file, capsys):

@@ -25,6 +25,7 @@ from gpade.realseries import phi_heads, rows_at_point
 from gpade.report import entry, rational
 
 from conftest import make_configs
+from reference_series import grid_values
 
 
 @pytest.fixture(scope="module")
@@ -130,12 +131,12 @@ def reference_verify_integrality(family, cert):
     m = family.gp.m
     violations = []
     for i in range(m + 1):
-        for k, a in enumerate(family.q[i].values()):
+        for k, a in enumerate(grid_values(family.q[i])):
             if (a * cert.d1.value).denominator != 1:
                 violations.append(("q", i, k, rational(a)))
     for i in range(m + 1):
         for j in range(1, m + 1):
-            for mu, cf in enumerate(family.p_coeffs(i, j).values()):
+            for mu, cf in enumerate(grid_values(family.p_coeffs(i, j))):
                 if (cf * cert.d.value).denominator != 1:
                     violations.append(("p", i, j, mu, rational(cf)))
     return {"passed": not violations, "violations": violations}
@@ -148,7 +149,7 @@ def reference_check_size_bounds(family, cert, zs=(F(2), F(8, 3), F(3))):
 
     def value_at(grid, z):
         acc = F(0)
-        for c in reversed(grid.values()):
+        for c in reversed(grid_values(grid)):
             acc = acc * z + c
         return acc
 
@@ -157,7 +158,7 @@ def reference_check_size_bounds(family, cert, zs=(F(2), F(8, 3), F(3))):
     rhs_d = exp_interval(cns.exponent_13(shape).hi, cns.precision).hi
     out = [entry("log_size_D", min(shape.n0, N) >= c, F(cert.d.value) <= rhs_d, cert.d.value, rhs_d)]
     growth = exp_interval(cns.exponent_14(shape).hi, cns.precision).hi
-    amax = max(abs(a) for grid in family.q for a in grid.values())
+    amax = max(abs(a) for grid in family.q for a in grid_values(grid))
     out.append(entry("coeff_magnitude", N >= c, amax <= N * growth, amax, N * growth))
     for z in zs:
         app_z = N >= c and abs(z) >= 2
@@ -285,8 +286,8 @@ def test_scaled_integers_match_fraction_horner():
     rows = point_rows(fam, beta)
     sc = scaled_integers(gp, shape, rows, cert, beta)
     for i in range(gp.m + 1):
-        assert F(sc.qi[i]) == scaled(fam.q[i].values())
-        assert tuple(map(F, sc.pij[i])) == tuple(scaled(fam.p_coeffs(i, j).values()) for j in (1, 2))
+        assert F(sc.qi[i]) == scaled(grid_values(fam.q[i]))
+        assert tuple(map(F, sc.pij[i])) == tuple(scaled(grid_values(fam.p_coeffs(i, j))) for j in (1, 2))
     with pytest.raises(IntegralityViolation, match=r"scaled Q_0\(-7/3\) is not an integer"):
         scaled_integers(gp, shape, rows, cert._replace(d=FactoredInteger.one()), beta)
 

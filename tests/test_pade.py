@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import gpade.cli
 import gpade.pade
 from gpade.arith import Grid, bareiss_eliminate, cleared_eval, pochhammer
-
+from gpade.denom import ThetaMode, make_cert
 from gpade.errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
 from gpade.pade import (
     ApproxShape,
@@ -21,6 +21,7 @@ from gpade.pade import (
     build_q,
     build_q_generic,
     family_det,
+    family_rows,
     family_tsv,
     numerator_at,
     oracle_solve,
@@ -34,7 +35,7 @@ from gpade.params import derive_params
 from gpade.realseries import phi_heads, rows_at_point, window_at
 
 from conftest import ALPHA_POOL, make_configs, pick_alphas
-from reference_series import cleared, reference_phi_coeffs
+from reference_series import cleared, grid_values, reference_phi_coeffs
 from reference_solve import reference_oracle_solve, solve_sharing
 
 
@@ -92,20 +93,20 @@ def test_phi_window_matches_fraction_recurrence(alpha0, alphaj, j, lo, hi):
     reference = reference_phi_coeffs(gp, j, hi)
     grid = phi_coeffs(gp, j, hi)
     assert grid == cleared(reference)
-    assert grid.values()[lo:] == tuple(reference[lo:])
+    assert grid_values(grid)[lo:] == tuple(reference[lo:])
 
 
 def test_hand_instance_denominators(half):
     gp, shape, fam = half
     q0, q1 = build_q(gp, shape, (0, 1))
     assert q0 == Grid(3, (-5, 3))
-    assert q0.values() == (F(-5, 3), F(1))
-    assert q1.values() == (F(-7, 5), F(1))
+    assert grid_values(q0) == (F(-5, 3), F(1))
+    assert grid_values(q1) == (F(-7, 5), F(1))
     assert build_q(gp, shape, ()) == () and build_q(gp, shape, (1, 0)) == (q1, q0)
     for bad in ((2,), (0, -1)):
         with pytest.raises(ValueError):
             build_q(gp, shape, bad)
-    assert fam.q[0].values()[-1] == 1 and fam.q[1].values()[-1] == 1
+    assert grid_values(fam.q[0])[-1] == 1 and grid_values(fam.q[1])[-1] == 1
 
 
 def product_window(gp, q, j, lo, hi):
@@ -146,25 +147,25 @@ def certified_det(fam):
 
 def p_leading(fam, i):
     """The leading coefficient of the family's P_ii (order N_i + 1)."""
-    return fam.p[i][i - 1].values()[-1]
+    return grid_values(fam.p[i][i - 1])[-1]
 
 
 def test_hand_instance_numerators(half):
     gp, shape, fam = half
-    assert fam.p_coeffs(0, 1).values() == (F(-5, 3), F(4, 9))
-    assert fam.p_coeffs(1, 1).values() == (F(-7, 5), F(8, 15), F(4, 75))
+    assert grid_values(fam.p_coeffs(0, 1)) == (F(-5, 3), F(4, 9))
+    assert grid_values(fam.p_coeffs(1, 1)) == (F(-7, 5), F(8, 15), F(4, 75))
     # order-0 coefficient always equals the constant denominator coefficient
     for i in (0, 1):
-        assert fam.p_coeffs(i, 1).values()[0] == fam.q[i].values()[0]
+        assert grid_values(fam.p_coeffs(i, 1))[0] == grid_values(fam.q[i])[0]
     p01 = product_window(gp, fam.q[0], 1, 0, shape.Nij(0, 1))
     assert p01 == fam.p_coeffs(0, 1)
 
 
 def test_hand_instance_remainder(half):
     gp, shape, fam = half
-    assert forced_zeros(gp, shape, fam.q)[0, 1].values() == (F(0),)
+    assert grid_values(forced_zeros(gp, shape, fam.q)[0, 1]) == (F(0),)
     # the first possibly nonzero order is N_01 + n_1 + 1 = 3
-    assert product_window(gp, fam.q[0], 1, 3, 3).values() == (F(-4, 105),)
+    assert grid_values(product_window(gp, fam.q[0], 1, 3, 3)) == (F(-4, 105),)
     assert order_holds(fam) == {(0, 1): True, (1, 1): True}
 
 
@@ -188,12 +189,12 @@ def test_remainder_terms_match_full_convolution(alphas, n, n0, z):
             starts = [shape.Nij(i, j) + nj + 1 for i in range(gp.m + 1)]
             windows = series_product_coeffs(phi_coeffs(gp, j, T), fam.q, [(lo, T) for lo in starts])
             for i, (start, window) in enumerate(zip(starts, windows)):
-                full = reference_product_coeffs(gp, fam.q[i].values(), j, T)
+                full = reference_product_coeffs(gp, grid_values(fam.q[i]), j, T)
                 Nij = shape.Nij(i, j)
-                assert tuple(full[: Nij + 1]) == fam.p_coeffs(i, j).values()
+                assert tuple(full[: Nij + 1]) == grid_values(fam.p_coeffs(i, j))
                 # the forced zeros, through order Ntilde + 1 on the diagonal
-                assert tuple(full[Nij + 1 : start]) == zeros[i, j].values() == (0,) * nj
-                terms = [cf * z**mu for mu, cf in enumerate(window.values(), start=start)]
+                assert tuple(full[Nij + 1 : start]) == grid_values(zeros[i, j]) == (0,) * nj
+                terms = [cf * z**mu for mu, cf in enumerate(grid_values(window), start=start)]
                 assert terms == [cf * z**mu for mu, cf in enumerate(full) if mu >= start]
                 assert any(terms)
 
@@ -221,9 +222,9 @@ def test_point_values_match_product_series(m, seed, n, extra, a, b, deeper):
     heads = phi_heads(gp, shape, z, T)
     rows = rows_at_point(gp, list(fam.q), shape, z.numerator, z.denominator, heads)
     for i in range(gp.m + 1):
-        assert F(*rows[i][0]) == sum(c * z**k for k, c in enumerate(fam.q[i].values()))
+        assert F(*rows[i][0]) == sum(c * z**k for k, c in enumerate(grid_values(fam.q[i])))
         for j in range(1, gp.m + 1):
-            full = reference_product_coeffs(gp, fam.q[i].values(), j, T)
+            full = reference_product_coeffs(gp, grid_values(fam.q[i]), j, T)
             Nij, nj = shape.Nij(i, j), shape.n[j - 1]
             assert F(*rows[i][j]) == sum(c * z**mu for mu, c in enumerate(full[: Nij + 1]))
             window = window_at(gp, fam.q[i], shape, i, j, z.numerator, z.denominator, T, heads[j - 1])
@@ -257,7 +258,7 @@ def test_oracle_matches_closed_form(half):
     assert judged(gp, shape, fam.q) == (True, True)
     solved = reference_oracle_solve(gp, shape)
     assert solved == tuple(fam.q)
-    assert solved[1].values() == (F(-7, 5), F(1))
+    assert grid_values(solved[1]) == (F(-7, 5), F(1))
 
 
 def test_oracle_rejects_a_perturbed_denominator():
@@ -327,11 +328,11 @@ def test_generic_degrees_agree_with_oracle():
         Nlist = tuple(N - 1 + rng.randint(0, 3) for _ in range(m))
         (q1,) = build_q_generic(gp, n, [Nlist])
         q2 = reference_oracle_solve_generic(gp, n, Nlist)
-        assert q1.values() == q2
+        assert grid_values(q1) == q2
         coeffs_ok = True
         for j in range(1, m + 1):
             window = product_window(gp, q1, j, Nlist[j - 1] + 1, Nlist[j - 1] + n[j - 1])
-            coeffs_ok = coeffs_ok and all(c == 0 for c in window.values())
+            coeffs_ok = coeffs_ok and all(c == 0 for c in grid_values(window))
         assert coeffs_ok
 
 
@@ -414,7 +415,7 @@ def test_closed_form_matches_termwise_reference(instance):
     gp = derive_params(alphas)
     N_list = tuple(sum(n) - 1 + s for s in slack)
     (q,) = build_q_generic(gp, n, [N_list])
-    assert q.values() == reference_build_q_generic(gp, n, N_list)
+    assert grid_values(q) == reference_build_q_generic(gp, n, N_list)
 
 
 @settings(max_examples=80, deadline=None)
@@ -435,7 +436,7 @@ def test_closed_form_matches_ratio_recurrence(instance):
     gp = derive_params(alphas)
     N_list = tuple(sum(n) - 1 + s for s in slack)
     (q,) = build_q_generic(gp, n, [N_list])
-    assert q.values() == reference_ratio_build_q_generic(gp, n, N_list)
+    assert grid_values(q) == reference_ratio_build_q_generic(gp, n, N_list)
 
 
 @st.composite
@@ -472,7 +473,7 @@ def test_multi_row_closed_form_matches_references(instance):
         assert normalized_values(grid) == reference_ratio_build_q_generic(gp, n, N_list)
         assert grid == build_q_generic(gp, n, [N_list])[0]
         if sum(n) <= 8:
-            assert grid.values() == reference_build_q_generic(gp, n, N_list)
+            assert grid_values(grid) == reference_build_q_generic(gp, n, N_list)
 
 
 def test_unit_alpha0_takes_the_one_term_route(monkeypatch):
@@ -485,7 +486,7 @@ def test_unit_alpha0_takes_the_one_term_route(monkeypatch):
     shape = ApproxShape(n=(5, 3), n0=6)
     expected = [reference_ratio_build_q_generic(gp, shape.n, shape.Nij_row(i)) for i in range(3)]
     monkeypatch.setattr(gpade.pade, "pochhammer", refused)
-    assert [q.values() for q in build_q(gp, shape, range(3))] == expected
+    assert [grid_values(q) for q in build_q(gp, shape, range(3))] == expected
     with pytest.raises(AssertionError):
         build_q(derive_params([F(3, 2), F(1, 2)]), ApproxShape(n=(2,), n0=2), (0,))
 
@@ -535,7 +536,7 @@ def test_shared_oracle_matches_per_row_solve(instance, extra):
     rows = reference_oracle_solve(gp, shape)
     assert len(rows) == gp.m + 1
     for i, q in enumerate(rows):
-        assert q.values() == reference_oracle_solve_generic(gp, shape.n, shape.Nij_row(i))
+        assert grid_values(q) == reference_oracle_solve_generic(gp, shape.n, shape.Nij_row(i))
     assert rows == build_q(gp, shape, range(gp.m + 1))
     assert judged(gp, shape, rows) == (True,) * (gp.m + 1)
 
@@ -550,7 +551,7 @@ def test_shared_solve_needs_a_swap_in_the_tail():
     others = [[4, 2, 5, 1], [0, 1, 1, 1]]
     for system in ([0, 1], [1, 0]):
         (x,) = solve_sharing(shared, others, [system])
-        assert _satisfies(shared + [others[o] for o in system], x.values())
+        assert _satisfies(shared + [others[o] for o in system], grid_values(x))
 
 
 def test_shared_solve_without_shared_pivot_solves_each_system_whole():
@@ -559,7 +560,7 @@ def test_shared_solve_without_shared_pivot_solves_each_system_whole():
     systems = [[0], [1], [2]]
     solved = solve_sharing(shared, others, systems)
     for system, x in zip(systems, solved):
-        assert _satisfies(shared + [others[o] for o in system], x.values())
+        assert _satisfies(shared + [others[o] for o in system], grid_values(x))
     assert solved[0] == Grid(7, (7, 11, -1))
 
 
@@ -622,7 +623,7 @@ def test_sharing_solve_matches_fraction_gauss(instance):
         with pytest.raises(SingularSystem):
             solve_sharing(shared, others, systems)
     else:
-        assert [x.values() for x in solve_sharing(shared, others, systems)] == expected
+        assert [grid_values(x) for x in solve_sharing(shared, others, systems)] == expected
     assert instance == before  # the inputs are left as they were
 
 
@@ -642,12 +643,12 @@ def test_series_product_matches_fraction_convolution(instance, q, upto, data):
     bounds = data.draw(st.tuples(st.integers(0, 30), st.integers(0, 30)).map(sorted), label="other window")
     for j in range(1, gp.m + 1):
         naive = tuple(reference_product_coeffs(gp, q, j, upto))
-        assert product_window(gp, cleared(q), j, 0, upto).values() == naive
+        assert grid_values(product_window(gp, cleared(q), j, 0, upto)) == naive
         windows = [(lo, upto), tuple(bounds), (0, upto)]
         phi = phi_coeffs(gp, j, max(upto, bounds[1]))
         full, part, whole = series_product_coeffs(phi, (cleared(q), cleared(other), cleared(q)), windows)
-        assert full.values() == naive[lo:] and whole.values() == naive
-        assert part.values() == tuple(reference_product_coeffs(gp, other, j, bounds[1])[bounds[0] :])
+        assert grid_values(full) == naive[lo:] and grid_values(whole) == naive
+        assert grid_values(part) == tuple(reference_product_coeffs(gp, other, j, bounds[1])[bounds[0] :])
 
 
 def test_series_product_refuses_a_window_past_the_series():
@@ -657,8 +658,8 @@ def test_series_product_refuses_a_window_past_the_series():
     gp = derive_params([F(1), F(1, 2)])
     q = Grid(3, (-5, 3))
     phi = phi_coeffs(gp, 1, 4)
-    reference = reference_product_coeffs(gp, q.values(), 1, 4)
-    assert series_product_coeffs(phi, (q,), [(2, 4)])[0].values() == tuple(reference[2:])
+    reference = reference_product_coeffs(gp, grid_values(q), 1, 4)
+    assert grid_values(series_product_coeffs(phi, (q,), [(2, 4)])[0]) == tuple(reference[2:])
     for window in [(0, 5), (4, 6), (6, 6), (0, 9)]:
         with pytest.raises(ValueError, match="a window reaches past the series' last order"):
             series_product_coeffs(phi, (q, q), [(0, 4), window])
@@ -667,7 +668,7 @@ def test_series_product_refuses_a_window_past_the_series():
 def normalized_values(grid):
     """The values on a grid, once its normalization is checked."""
     assert grid.den > 0 and gcd(grid.den, *grid.nums) == 1
-    return grid.values()
+    return grid_values(grid)
 
 
 @settings(max_examples=60, deadline=None)
@@ -684,7 +685,7 @@ def test_grids_are_normalized_and_match_fraction_references(instance, extra, lo)
     for j in range(1, gp.m + 1):
         hi = lo + sum(n) + 3
         window = product_window(gp, q, j, lo, hi)
-        assert normalized_values(window) == tuple(reference_product_coeffs(gp, q.values(), j, hi)[lo:])
+        assert normalized_values(window) == tuple(reference_product_coeffs(gp, grid_values(q), j, hi)[lo:])
     shape = ApproxShape(n=n, n0=max(n) + extra)
     qs = reference_oracle_solve(gp, shape)
     for i, row in enumerate(qs):
@@ -694,7 +695,7 @@ def test_grids_are_normalized_and_match_fraction_references(instance, extra, lo)
         Nij = [shape.Nij(i, j) for i in range(gp.m + 1)]
         for windows in ([(0, N) for N in Nij], [(N + 1, N + nj) for N in Nij]):
             for row, (a, b), grid in zip(qs, windows, series_product_coeffs(phi, qs, windows)):
-                assert normalized_values(grid) == tuple(reference_product_coeffs(gp, row.values(), j, b)[a:])
+                assert normalized_values(grid) == tuple(reference_product_coeffs(gp, grid_values(row), j, b)[a:])
 
 
 def reference_phi_partial_sum(gp, j, z, T):
@@ -924,7 +925,7 @@ class Poly(tuple):
 
 def family_det_poly(family):
     """The coefficients of det(Q_i, P_i1, ..., P_im), trailing zeros dropped."""
-    matrix = [[Poly(g.values()) for g in (family.q[i], *family.p[i])] for i in range(family.gp.m + 1)]
+    matrix = [[Poly(grid_values(g)) for g in (family.q[i], *family.p[i])] for i in range(family.gp.m + 1)]
     det = list(leibniz_det(matrix, lambda a, b: Poly(poly_mul(a, b)), Poly([F(1)])))
     while det and det[-1] == 0:
         det.pop()
@@ -954,7 +955,7 @@ def with_row(fam, i, q):
 
 def det_at_one(fam):
     """The determinant at t = 1, by the permutation expansion."""
-    return leibniz_det([[sum(g.values()) for g in (fam.q[i], *fam.p[i])] for i in range(fam.gp.m + 1)], mul, F(1))
+    return leibniz_det([[sum(grid_values(g)) for g in (fam.q[i], *fam.p[i])] for i in range(fam.gp.m + 1)], mul, F(1))
 
 
 def det_gap(fam):
@@ -1011,14 +1012,14 @@ def test_determinant_rejects_corruption():
             # deg Q_i <= N alone: Q_1 + c1 z^(N+1) + c2 z^(N+2) and P_11 its
             # series through N_11 = Ntilde, no monomial (row 1's window is
             # order Ntilde + 1 alone, which the witness does not read)
-            corrupted = balanced_row(fam, 1, lambda c1, c2: cleared([*fam.q[1].values(), c1, c2]))
+            corrupted = balanced_row(fam, 1, lambda c1, c2: cleared([*grid_values(fam.q[1]), c1, c2]))
             assert det_gap(corrupted) == 0 and order_holds(corrupted)[0, 1]
             assert len(family_det_poly(corrupted)) > exponent + 1
             with pytest.raises(NonMonomialDeterminant, match="Q_1 exceeds its degree bound"):
                 certified_det(corrupted)
         # the forced zeros alone: Q_0 + c1 + c2 z, its own P_0j, no monomial
         corrupted = balanced_row(
-            fam, 0, lambda c1, c2: cleared([x + c for x, c in zip_longest(fam.q[0].values(), (c1, c2), fillvalue=0)])
+            fam, 0, lambda c1, c2: cleared([x + c for x, c in zip_longest(grid_values(fam.q[0]), (c1, c2), fillvalue=0)])
         )
         assert det_gap(corrupted) == 0 and not all(order_holds(corrupted).values())
         assert family_det_poly(corrupted) != [F(0)] * exponent + [det_at_one(corrupted)]
@@ -1147,7 +1148,7 @@ def test_small_random_sweep():
         solved = reference_oracle_solve(gp, sh)
         for i in range(gp.m + 1):
             assert solved[i] == qs[i]
-            assert qs[i].values()[-1] == 1  # normalized leading coefficient
+            assert grid_values(qs[i])[-1] == 1  # normalized leading coefficient
         e, om = family_det(sh, qs, phis, zeros)
         assert e == sh.N + sum(sh.Nj) + gp.m and om != 0
 
@@ -1161,6 +1162,22 @@ def test_family_tsv(half):
     assert "1\t1\t2\t4\t75" in lines
     scaled = family_tsv(fam, scale=12600)
     assert "1\t1\t2\t672\t1" in scaled.split("\n")
-    with pytest.raises(IntegralityViolation):
+    with pytest.raises(IntegralityViolation, match="^scale 2 does not clear coefficient -5/3$"):
         family_tsv(fam, scale=2)
+
+
+def test_family_rows_read_the_grids_as_reduced_fractions():
+    # the dump reads each grid (L, c) in int; the rows must be those of the
+    # reduced Fractions c_k / L, and with D as the scale those of c_k D / L
+    for gp, shape in make_configs(34, 12):
+        fam = build_family(gp, shape)
+        D = make_cert(gp, shape, ThetaMode.sharp()).d.value
+        for scale in (None, D):
+            expected = [
+                (i, label, k, str(v.numerator), str(v.denominator))
+                for i in range(gp.m + 1)
+                for label, grid in [("Q", fam.q[i]), *((str(j), g) for j, g in enumerate(fam.p[i], 1))]
+                for k, v in enumerate(x * (scale or 1) for x in grid_values(grid))
+            ]
+            assert list(family_rows(fam, scale)) == expected
 

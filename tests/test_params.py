@@ -78,6 +78,41 @@ def test_parse_and_load(params_file):
     assert load_params(path) == gp
 
 
+def test_load_params_memo_follows_the_file(params_file):
+    # the file is read on every call: the same text under the same path is
+    # parsed once, an edited file is parsed again, and equal texts under two
+    # paths give equal parameters
+    half, third = "m = 1\nalpha0 = 1\nalpha1 = 1/2\n", "m = 1\nalpha0 = 1\nalpha1 = 1/3\n"
+    path = params_file(half)
+    gp = load_params(path)
+    assert load_params(path) is gp
+    params_file(third)
+    assert load_params(path) == derive_params([F(1), F(1, 3)])
+    params_file(half)
+    assert load_params(path) == gp
+    assert load_params(params_file(half, "other.params")) == gp
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("m = 1\nalpha0 = 1\nalpha1 = x\n", "{path}:3: "),
+        ("m = 1\nalpha0 = 1\n", "{path}: missing 'alpha1"),
+        ("m = 1\nalpha0 = 1\nalpha1 = 0\n", "alpha = 0 must be positive"),
+    ],
+)
+def test_load_params_errors_repeat(params_file, text, message):
+    # a malformed file raises the same error on every call (a parse error
+    # names its path), and none of it is remembered once the file is mended
+    path = params_file(text)
+    for _ in range(2):
+        with pytest.raises((ValueError, NonPositiveAlpha)) as info:
+            load_params(path)
+        assert str(info.value).startswith(message.format(path=path))
+    params_file("m = 1\nalpha0 = 1\nalpha1 = 1/2\n")
+    assert load_params(path) == derive_params([F(1), F(1, 2)])
+
+
 def _outcome(parse, text):
     try:
         return parse(text)

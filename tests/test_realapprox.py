@@ -49,7 +49,7 @@ from gpade.realseries import rows_at
 from gpade.report import Check, abbrev, emit_report, entry, fmt_real, full_digits, int_str, rational, tagged_bound
 
 from conftest import ALPHA_POOL
-from reference_series import reference_phi_coeffs
+from reference_series import grid_values, reference_phi_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +292,7 @@ def test_audit_integrality_is_a_real_check(gp11, monkeypatch):
     fam = build_family(gp11, ApproxShape(n=(inst.n1,), n0=inst.n0))
     for i in (0, 1):
         value = F(0)
-        for c in reversed(fam.q[i].values()):
+        for c in reversed(grid_values(fam.q[i])):
             value = value * F(1, b) + c
         scaled = value * b**inst.n1
         assert scaled.denominator != 1
@@ -547,7 +547,7 @@ def reference_audit_restricted(inst):
         * exp_iv(th * (2 * gp.s0 * n1 + gp.v[0] * Nt), prec)
     )
     gate_n1 = n1 >= rc.mode.c_theta
-    amax = max(abs(cf) for i in (0, 1) for cf in family.q[i].values())
+    amax = max(abs(cf) for i in (0, 1) for cf in grid_values(family.q[i]))
     checks.append(entry("coeff_envelope", gate_n1, amax <= e1.hi, rational(amax), fmt_real(e1.hi, 6)))
     qbound = (e1 / (1 - abs(beta))).hi
     qmax = max(abs(q) for q in q_at)
