@@ -417,7 +417,6 @@ def epsilon_interval(n: int, prec: int = 128) -> Interval:
     return acc.rounded(prec)
 
 
-
 # ---------------------------------------------------------------------------
 # Exact elimination: fraction-free determinants, nonsingularity by residue
 # ---------------------------------------------------------------------------

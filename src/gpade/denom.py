@@ -86,7 +86,7 @@ class ThetaMode(NamedTuple):
 
     @classmethod
     def paper(cls, prec: int = 128) -> "ThetaMode":
-        return cls("paper", log_interval(Fraction(2), prec) * 8, 2, True)
+        return cls("paper", log_interval(2, prec) * 8, 2, True)
 
     @classmethod
     def sharp(cls) -> "ThetaMode":
@@ -375,9 +375,9 @@ def ntilde1_interval(gp: GParams, cns: SizeConstants, beta: Fraction, p: int) ->
     delta_p = 1 if gp.s_lcm % p == 0 else 0
     t1 = Interval.point((gp.m + 1) * cns.mode.c_theta)
     t2 = cns.iv[1] + cns.iv[5]
-    t3 = log_interval(Fraction(2 * gp.dtilde), cns.precision)
+    t3 = log_interval(2 * gp.dtilde, cns.precision)
     if delta_p:
-        t3 = t3 + 4 * log_interval(Fraction(a), cns.precision)
+        t3 = t3 + 4 * log_interval(a, cns.precision)
     return t1.max_with(t2).max_with(t3)
 
 

@@ -4,15 +4,16 @@ root kernels that produce them.
 An `Interval` [lo_num/den, hi_num/den] keeps its two ends over one positive
 denominator, normalized by one gcd as `arith.Grid` is, so equal enclosures
 are equal tuples.  Its arithmetic is integer arithmetic with outward
-rounding, and the kernels sum their series in fixed point on plain ints and
-hand the integers straight to the grid.  `arith` re-exports every public
-name.
+rounding.  The kernels sum their series in fixed point on plain ints and
+hand the integers straight to the grid; log and exp take a rational as an
+int pair, memoized on (n, d, prec) in lowest terms (an int is (n, 1), an
+enclosure's end is reduced by one gcd).  `arith` re-exports every name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -38,21 +39,14 @@ _new = tuple.__new__
 
 
 def _grid(lo: int, hi: int, den: int) -> "Interval":
-    # [lo/den, hi/den] for lo <= hi and den > 0, normalized by one gcd
-    g = gcd(lo, hi, den)
+    # [lo/den, hi/den] for lo <= hi and den > 0, normalized by one gcd, short den and hi - lo first
+    g = gcd(den, hi - lo, lo)
     return _new(Interval, (lo, hi, den) if g == 1 else (lo // g, hi // g, den // g))
 
 
 def _rounded(lo: int, hi: int, den: int, bits: int) -> "Interval":
     # [lo/den, hi/den] widened to the 2^-bits grid, lower end floored
     return _grid((lo << bits) // den, -((-hi << bits) // den), 1 << bits)
-
-
-def _span(x: "Interval", y: "Interval") -> "Interval":
-    # [x.lo, y.hi] for x.lo <= y.hi
-    if x[2] == y[2]:
-        return _grid(x[0], y[1], x[2])
-    return _grid(x[0] * y[2], y[1] * x[2], x[2] * y[2])
 
 
 class Interval(NamedTuple):
@@ -182,17 +176,15 @@ class Interval(NamedTuple):
 # _GUARD_BITS: a value v stands for v / 2^W.  The lower sum floors every
 # product and quotient and the upper sum ceils them, so each sum bounds the
 # exact series from its side; the upper sum adds a geometric tail bound.
+# A kernel's floors (n << W) // d depend only on n/d, reduced or not.
 _GUARD_BITS = 32
 
 
-def _atanh_series(t: Fraction, prec: int) -> Interval:
-    # 2*atanh(t) for 0 <= t < 1/2, with an explicit geometric tail bound.
-    if not 0 <= t < Fraction(1, 2):
-        raise InvariantViolation(f"atanh series needs 0 <= t < 1/2, got {t}")
-    if t == 0:
-        return Interval.point(0)
+def _atanh_series(n: int, d: int, prec: int) -> Interval:
+    # 2*atanh(n/d) for 0 <= n/d < 1/2, with an explicit geometric tail bound.
+    if not 0 <= 2 * n < d:
+        raise InvariantViolation(f"atanh series needs 0 <= t < 1/2, got {n}/{d}")
     w = prec + _GUARD_BITS
-    n, d = t.numerator, t.denominator
     lo = (n << w) // d  # lo / 2^W <= t
     hi = -((-n << w) // d)  # hi / 2^W >= t, and hi <= 2^(W-1)
     # lower: floored terms of the increasing series at lo / 2^W
@@ -218,36 +210,25 @@ def _atanh_series(t: Fraction, prec: int) -> Interval:
 @lru_cache(maxsize=None)
 def _log2_interval(prec: int) -> Interval:
     # log 2 = 2*atanh(1/3)
-    return _atanh_series(Fraction(1, 3), prec)
+    return _atanh_series(1, 3, prec)
 
 
 @lru_cache(maxsize=None)
-def log_interval(x: Fraction, prec: int = 128) -> Interval:
-    """Certified enclosure of the natural log of a positive rational."""
-    x = Fraction(x)
-    if x <= 0:
+def _log(n: int, d: int, prec: int) -> Interval:
+    # log(n/d), the memo of `log_interval` and `log_iv`, keyed on lowest terms
+    if n <= 0:
         raise ValueError("log of a nonpositive rational")
-    if x == 1:
-        return Interval.point(0)
-    if x < 1:
-        return -log_interval(1 / x, prec)
-    # write x = 2^e * m with m in [1, 2): with k = bl(n) - bl(d) >= 0, x = n/d
-    # lies in (2^(k-1), 2^(k+1)), so e = k or k - 1, settled by one comparison
-    n, d = x.numerator, x.denominator
+    if n < d:
+        return -_log(d, n, prec)
+    # write n/d = 2^e m with m in [1, 2): with k = bl(n) - bl(d) >= 0, n/d lies
+    # in (2^(k-1), 2^(k+1)), so e = k or k - 1, settled by one comparison; then
+    # t = (m - 1)/(m + 1) = (n - D)/(n + D) with D = d 2^e, and n = d gives 0
     k = n.bit_length() - d.bit_length()
     e = k - (n < d << k)
-    m = x / (1 << e)
-    if not 1 <= m < 2:
-        raise InvariantViolation(f"log reduction left mantissa {m} outside [1, 2)")
+    D = d << e
     wp = prec + max(16, e.bit_length() + 8)
-    t = (m - 1) / (m + 1)  # in [0, 1/3)
-    body = _atanh_series(t, wp)
-    total = body + _log2_interval(wp) * e
+    total = _atanh_series(n - D, n + D, wp) + _log2_interval(wp) * e
     return total.rounded(prec)
-
-
-def log_iv(iv: Interval, prec: int = 128) -> Interval:
-    return _span(log_interval(iv.lo, prec), log_interval(iv.hi, prec))
 
 
 def _exp_core(n: int, d: int, prec: int) -> tuple[int, int]:
@@ -260,19 +241,19 @@ def _exp_core(n: int, d: int, prec: int) -> tuple[int, int]:
     one = 1 << w
     lo = (n << w) // d
     hi = -((-n << w) // d)  # hi <= 2^(W-1)
-    # lower: floored terms a_k = a_(k-1) * lo / (k 2^W)
+    # lower: floored terms a_k = a_(k-1) * lo / (k 2^W), as floor(floor(x / 2^W) / k)
     s_lo, a, k = one, one, 1
     while True:
-        a = (a * lo) // (k << w)
+        a = ((a * lo) >> w) // k
         if not a:
             break
         s_lo += a
         k += 1
-    # upper: ceiled terms; for k >= 1 the term ratio hi / ((k+1) 2^W) is at
-    # most 1/4, so once b <= 1 the terms from k on sum to at most 4b/3 units
+    # upper: ceiled terms, likewise; for k >= 1 the term ratio hi / ((k+1) 2^W)
+    # is at most 1/4, so once b <= 1 the terms from k on sum to at most 4b/3 units
     s_hi, b, k = one, one, 1
     while True:
-        b = -((-b * hi) // (k << w))
+        b = -(((-b * hi) >> w) // k)
         if b <= 1:
             break
         s_hi += b
@@ -283,10 +264,9 @@ def _exp_core(n: int, d: int, prec: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def exp_interval(x: Fraction, prec: int = 128) -> Interval:
-    """Certified enclosure of exp(x) for rational x."""
-    x = Fraction(x)
-    n, d = abs(x.numerator), x.denominator
+def _exp(num: int, d: int, prec: int) -> Interval:
+    # exp(num/d), the memo of `exp_interval` and `exp_iv`, keyed on lowest terms
+    n = abs(num)
     if n == 0:
         return Interval.point(1)
     # exp|x| = exp(r)^(2^j) with r = n / (d 2^j) <= 1/2; the kernel's result
@@ -302,7 +282,7 @@ def exp_interval(x: Fraction, prec: int = 128) -> Interval:
         grid = wp
     s = grid - prec
     lo, hi = lo >> s, -((-hi) >> s)  # exp|x| in [lo, hi] / 2^prec
-    if x > 0:
+    if num > 0:
         return Interval.of(lo, hi, 1 << prec)
     # exp(x) = 1 / exp|x|; keep relative precision: small values need a
     # finer absolute grid, 2^-(prec + floor(log2 exp|x|.hi) + 8)
@@ -311,8 +291,29 @@ def exp_interval(x: Fraction, prec: int = 128) -> Interval:
     return Interval.of(one // hi, -(-one // lo), 1 << bits)
 
 
-def exp_iv(iv: Interval, prec: int = 128) -> Interval:
-    return _span(exp_interval(iv.lo, prec), exp_interval(iv.hi, prec))
+def _span(kernel, iv: Interval, prec: int = 128) -> Interval:
+    # [kernel(lo).lo, kernel(hi).hi] for an increasing kernel, each end of iv
+    # read as an int pair reduced by one gcd: `log_iv` and `exp_iv`
+    a, b, d = iv
+    g, h = gcd(a, d), gcd(b, d)
+    x, y = kernel(a // g, d // g, prec), kernel(b // h, d // h, prec)
+    if x[2] == y[2]:
+        return _grid(x[0], y[1], x[2])
+    return _grid(x[0] * y[2], y[1] * x[2], x[2] * y[2])
+
+
+log_iv = partial(_span, _log)
+exp_iv = partial(_span, _exp)
+
+
+def log_interval(x, prec: int = 128) -> Interval:
+    """Certified enclosure of the natural log of a positive int or Fraction."""
+    return _log(x.numerator, x.denominator, prec)
+
+
+def exp_interval(x, prec: int = 128) -> Interval:
+    """Certified enclosure of exp(x) for an int or Fraction x."""
+    return _exp(x.numerator, x.denominator, prec)
 
 
 def nth_root_iv(iv: Interval, k: int, prec: int = 128) -> Interval:

@@ -311,8 +311,8 @@ def audit_linear_form(
     small_power = dn < 0 or power_le(abs(a), dn, p, v_a * dd)
 
     cns = bound_constants(gp, mode, prec)
-    log_a = log_interval(Fraction(abs(a)), prec)
-    log_b = log_interval(Fraction(b), prec)
+    log_a = log_interval(abs(a), prec)
+    log_b = log_interval(b, prec)
     inv_tau = 1 / inst.tau
     rhs_large = 2 * (1 + inv_tau) * log_b + 2 * (
         cns.iv[2] * (1 + inv_tau) + (cns.iv[8] + 2) * (m + 1 + inv_tau)
@@ -331,7 +331,7 @@ def audit_linear_form(
     # height threshold
     nt1 = ntilde1_interval(gp, cns, beta, p)
     log_h0 = ((nt1 + (m + 1)) * log_a / (1 + (m + 1) * inst.tau)).max_with(8 * log_a / inst.tau)
-    log_ht = log_interval(Fraction(inst.htilde), prec)
+    log_ht = log_interval(inst.htilde, prec)
     ht_reaches = log_ht.lo >= log_h0.hi
     report["height_threshold"] = {
         "log_h0_upper": dec_iv(log_h0),
@@ -411,7 +411,7 @@ def audit_linear_form(
     report["dominance_holds"] = dominance
 
     # explicit lower bound for |Lambda|_p predicted by the chain
-    log_p_iv = log_interval(Fraction(p), prec)
+    log_p_iv = log_interval(p, prec)
     pred = (
         -(cns.iv[2] * shape.n0 + (cns.iv[8] + 1) * shape.Ntilde)
         - (shape.Ntilde + 2) * log_a

@@ -189,7 +189,7 @@ def restricted_threshold(rc: RestrictedConstants, a: int, b: int, B: int, t: Fra
         raise HypothesisFailure(f"b = {b} is not certified >= (a1*|a|)^6")
     if not hyp_B:
         raise HypothesisFailure(f"B = {B} exceeds b^t")
-    log_b = log_interval(Fraction(b), prec)
+    log_b = log_interval(b, prec)
     log_a1a = log_iv(rc.a1 * abs(a), prec)
     ratio = log_b / log_a1a
     log_a2a = log_iv(rc.a2 * abs(a), prec)
@@ -246,7 +246,7 @@ def make_restricted_instance(
     m0, _ = restricted_threshold(rc, a, b, B, t)
     if M is None:
         M = -(-m0.hi_num // m0.den)  # ceil of the upper bound
-    log_b = log_interval(Fraction(b), prec)
+    log_b = log_interval(b, prec)
     x = log_b / (2 * log_iv(rc.a1 * abs(a), prec))
     if x.lo <= 2:
         raise HypothesisFailure("x = log b / (2 log(a1|a|)) must exceed 2 (expect >= 3)")
@@ -347,7 +347,7 @@ def audit_restricted(inst: RestrictedInstance, exact: bool = False) -> dict:
     checks.append(entry("exponent_gap", True, n0 - n1 + 1 >= M, n0 - n1 + 1, M))
 
     # the block-size constraints behind the choice of h
-    log_b = log_interval(Fraction(b), prec)
+    log_b = log_interval(b, prec)
     log_a2a = log_iv(rc.a2 * abs(a), prec)
     h_req = 12 * log_a2a / log_b
     checks.append(entry("h_vs_12log", True, Fraction(inst.h) >= h_req.hi, inst.h, fmt_real(h_req.hi, 6)))
