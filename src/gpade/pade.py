@@ -7,11 +7,11 @@ vanishes to order N_ij + n_j + 1 at the origin.  Row i uses the shifted
 degrees N_ij = N_j + delta_ij.
 
 The denominators come from their closed-form coefficients, every row of a
-shape in one pass (`build_q`).  When alpha_0 = 1 each coefficient is one
-hypergeometric term, a binomial times a ratio of window products, as for a
-reversed Jacobi-Pineiro polynomial (Van Assche & Coussement, J. Comput.
-Appl. Math. 127, 2001); otherwise it is an integer correlation of two
-sequences, one of them shared by all rows.  `oracle_solve` certifies them
+shape in one pass (`build_q`).  When alpha_0 = 1 or m = 1 each coefficient
+is one hypergeometric term, as for a reversed Jacobi-Pineiro or Jacobi
+polynomial (Van Assche & Coussement, J. Comput. Appl. Math. 127, 2001;
+Szego, Orthogonal Polynomials, (4.21.2)); otherwise it is an integer
+correlation of two hypergeometric sequences.  `oracle_solve` certifies them
 against the order conditions: each Q_i meets its N equations exactly, since
 their left sides are the forced zeros of Q_i * phi_j, and their matrix,
 whose rows are windows of phi_j's coefficients, is nonsingular
@@ -29,12 +29,12 @@ of phi_j (`phi_split`, `numerator_at`, and `realseries`).
 
 Every polynomial is built once as an integer grid (`arith.Grid`): a positive
 common denominator and a tuple of integer numerators with no factor common
-to all of them, so equal polynomials are equal tuples.  phi_j's grid comes
-from integer running products of its term ratio, the closed form ends in
-integer products (alpha_0 = 1) or correlations over one denominator, and the
-product series convolves numerators on the grid of Q times that of phi_j;
-each normalizes once.  A reduced Fraction is formed only where a report
-prints one.
+to all of them, so equal polynomials are equal tuples.  One kernel,
+`_hyper_grid`, walks a sequence from its term ratio straight onto its grid,
+with no gcd over it: phi_j's coefficients, each one-term Q_i and both
+sequences of a correlation.  The correlations and the product series (which
+convolves numerators on the grid of Q times that of phi_j) normalize once.
+A reduced Fraction is formed only where a report prints one.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd, prod
+from math import factorial, gcd, prod
 from operator import mul
 from typing import NamedTuple
 
 from .arith import Grid, bareiss_eliminate, certify_nonsingular, pochhammer
-from .errors import IntegralityViolation, NonMonomialDeterminant
+from .errors import IntegralityViolation, InvariantViolation, NonMonomialDeterminant
 from .params import GParams
 from .report import full_digits, tsv
 
@@ -142,26 +142,50 @@ Piece = tuple[int, int, int, int]  # a `phi_split` piece (P, Q, S, R)
 _LEAF_TERMS = 16
 
 
+def _hyper_grid(ps: Iterable[int], qs: Iterable[int]) -> Grid:
+    """The grid of t_0 = 1, t_(k+1) = t_k p_k / q_k for integers p_k and
+    q_k > 0, read from `ps` and `qs` twice, with no gcd over the grid.
+
+    Pass 1 keeps b = t_k S, S the lcm of the reduced denominators of
+    t_0..t_k.  When b p_k = x q_k + r with r != 0, t_(k+1) S has the reduced
+    denominator q_k / gcd(r, q_k), so S grows by that factor and b becomes
+    b p_k / gcd(r, q_k).  The final S is L, the lcm of every reduced
+    denominator: the largest power of a prime in L is that of some t_k's
+    reduced denominator, so it does not divide t_k L, and gcd(L, *nums) = 1.
+    Pass 2 steps b_0 = L, b_(k+1) = b_k p_k / q_k by exact divisions; a
+    remainder there raises InvariantViolation.
+    """
+    S = b = 1
+    for p, q in zip(ps, qs):
+        b, r = divmod(b * p, q)
+        if r:  # b p / g = b f + r / g for the b = (b p) // q just formed
+            g = gcd(r, q)
+            f = q // g
+            S *= f
+            b = b * f + r // g
+    b = S
+    nums = [b]
+    append = nums.append
+    for p, q in zip(ps, qs):
+        b, r = divmod(b * p, q)
+        if r:
+            raise InvariantViolation(f"a term ratio {p}/{q} left a remainder on the grid over {S}")
+        append(b)
+    return Grid(S, tuple(nums))
+
+
 def phi_coeffs(gp: GParams, j: int, hi: int) -> Grid:
     """The grid of phi_j's coefficients of orders 0..hi (hi >= 0).
 
-    With alpha_j = a/b, alpha_0 + alpha_j = c/d and g = gcd(b, d), the term ratio
-    is p(k)/q(k) = (d/g)(a + kb) / ((b/g)(c + kd)).  Over q(0)...q(hi-1), order t
-    is p(0)...p(t-1) times q(t)...q(hi-1): one forward, one backward product.
+    With alpha_j = a/b, alpha_0 + alpha_j = c/d and g = gcd(b, d), the term
+    ratio is (d/g)(a + kb) / ((b/g)(c + kd)), walked by `_hyper_grid`.
     """
     if not (1 <= j <= gp.m and hi >= 0):
         raise ValueError("series index or order out of range")
     aj, a0j = gp.alpha[j], gp.alpha[j] + gp.alpha[0]
     a, b, c, d = aj.numerator, aj.denominator, a0j.numerator, a0j.denominator
-    bg, dg = b // gcd(b, d), d // gcd(b, d)
-    nums, fwd, den = [], 1, 1
-    for k in range(hi + 1):
-        nums.append(fwd)
-        fwd *= dg * (a + k * b)
-    for k in range(hi - 1, -1, -1):
-        den *= bg * (c + k * d)
-        nums[k] *= den
-    return Grid.of(den, nums)
+    g = gcd(b, d)
+    return _hyper_grid([d // g * (a + k * b) for k in range(hi)], [b // g * (c + k * d) for k in range(hi)])
 
 
 def phi_split(gp: GParams, j: int, z: Fraction, cuts: tuple[int, ...]) -> list[Piece]:
@@ -224,49 +248,45 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_rows: Iterable[tuple
     `N_rows` (N = sum of the n_j).  a_N = 1.
 
     The summand of a_{N-k-1} factors as g(l-k) * h(l), summed over k <= l < N
-    and divided by prod_j (alpha_j + N_j - N + 1)_{n_j}, with
+    and divided by prod_j (alpha_j + e_j)_{n_j}, with e_j = N_j - N + 1 >= 0,
 
         g(d) = (alpha_0 - 1)_d / d!,
         h(l) = (-1)^(l+1) (alpha_0 + l + 1)_{N-l-1} / (N-l-1)! * prod_j (c_j + l)_{n_j},
-        c_j  = alpha_j + alpha_0 + N_j - N + 1.
+        c_j  = alpha_j + alpha_0 + e_j.
 
-    With alpha_j + alpha_0 = u_j/v_j in lowest terms, c_j = s_j/t_j for
-    s_j = u_j + e_j v_j, t_j = v_j and the shift e_j = N_j - N + 1 >= 0, and
+    Each sequence is walked by its term ratio (`_hyper_grid`).  Series j's
+    factors there are a + x b, for a/b = alpha_j or alpha_j + alpha_0 in
+    lowest terms and x >= 0 the tuple's e_j plus an offset, so one list of
+    each kind serves every tuple, sliced at its e_j.
 
-        W_l = prod_j prod_{i<n_j} (s_j + (l+i) t_j) = prod_j t_j^(n_j) (c_j + l)_{n_j}.
+    One term (alpha_0 = 1, or m = 1): from a_N = 1, for l = -1..N-2,
 
-    A tuple's W_l differs from another's only by integer shifts of the s_j,
-    so series j reads every tuple's factors from one window product,
-    prod_{i<n_j} (u_j + (x+i) v_j) over the union of the tuples' x = e_j + l,
-    which slides from x to x + 1 by one small multiplication and one exact
-    division.  Every factor is positive: x >= -1, and x >= 0 unless
-    alpha_0 = 1, so u_j/v_j + x >= alpha_j > 0.
+        a_(N-l-2) / a_(N-l-1) = -(N-l-1)/(l+2) * prod_j (c_j + l + n_j) / (alpha_j + e_j + l + 1).
 
-    alpha_0 = 1: g(d) = (0)_d / d! vanishes for d >= 1, so a_{N-k-1} is the
-    one term h(k) over the Pochhammer product.  There (k+2)_{N-k-1} / (N-k-1)!
-    = C(N, k+1), and (alpha_j + e_j)_{n_j} = (c_j - 1)_{n_j} is the window at
-    l = -1 over t_j^(n_j), so the powers of t_j cancel:
+    At alpha_0 = 1, g(d) = 0 for d >= 1, so a_{N-k-1} is h(k) over the
+    Pochhammer product, which is h(-1); h(k+1)/h(k) is the ratio above, as
+    c_j + k = alpha_j + e_j + k + 1.  At m = 1 the closed form solves the
+    row's order conditions (`oracle_solve` certifies them): the orders
+    N_1 + 1..N_1 + N of Q phi_1 vanish.  phi_1's coefficient of order t is
+    int_0^1 x^t w(x) dx for w(x) = x^(alpha_1-1) (1-x)^(alpha_0-1) /
+    B(alpha_1, alpha_0), so q(x) = x^N Q(1/x) = sum_i a_(N-i) x^i is
+    orthogonal to x^i for i < N under the weight x^(e_1) w(x) > 0 on (0, 1).
+    Then q is unique up to a factor, of degree N and with its zeros in
+    (0, 1), so q(0) != 0: it is the shifted Jacobi polynomial
+    P_N^(alpha_1 + e_1 - 1, alpha_0 - 1)(1 - 2x), that is (Szego, Orthogonal
+    Polynomials, (4.21.2)) 2F1(-N, N + alpha_0 + alpha_1 + e_1 - 1;
+    alpha_1 + e_1; x), whose term ratio at x^(l+1) is the ratio above.
 
-        a_{N-1-k} = (-1)^(k+1) C(N, k+1) W_k / W_{-1},
+    Otherwise (m >= 2, alpha_0 != 1) g and h / h(0) are one walk each,
 
-    which at k = -1 is a_N = 1.  Each grid is these N + 1 products over
-    W_{-1}, normalized once, with no correlation.
+        g(d+1) / g(d) = (alpha_0 - 1 + d) / (d + 1),
+        h(l+1) / h(l) = -(N-l-1) / (alpha_0 + l + 1) * prod_j (c_j + l + n_j) / (c_j + l),
 
-    Otherwise, with alpha_0 = u/v in lowest terms, G = v^(N-1) (N-1)! and
-    H = G prod_j t_j^(n_j) clear the two sequences into integer running
-    products:
+    on grids (G, g_d) and (H, h_l); with the one integer fraction
+    sigma = h(0) / prod_j (alpha_j + e_j)_{n_j} per tuple, each coefficient
+    is one correlation over one common denominator, normalized once:
 
-        G g(d) = A_d B_d,     A_d = prod_{k<d} (u - v + k v),  B_d = prod_{d<k<N} k v,
-        H h(l) = (-1)^(l+1) C_l E_l W_l,
-                              C_l = prod_{l<k<N} (u + k v),    E_l = v^l (N-1)! / (N-1-l)!,
-
-    so that E_0 = 1, E_(l+1) = E_l v (N-1-l), and G = A_0 B_0.  G g(d) over
-    its content, G, H and (-1)^(l+1) C_l E_l are formed once for all
-    tuples.  Per tuple, the denominator's Pochhammer product is dn/dd, and
-    after H h(l) is divided by its content every coefficient is one integer
-    correlation over one common denominator; the grid is normalized once:
-
-        a_{N-k-1} = sum_{k<=l<N} (G g(l-k)) (H h(l)) dd / (dn G H).
+        a_{N-k-1} = sigma * sum_{k<=l<N} g_(l-k) h_l / (G H).
     """
     m = gp.m
     N_rows = [tuple(Ns) for Ns in N_rows]
@@ -275,76 +295,49 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_rows: Iterable[tuple
     N = sum(n_list)
     if any(Nj < N - 1 for Ns in N_rows for Nj in Ns):
         raise ValueError("closed form requires N_j >= N - 1")
-    if not N_rows:
-        return ()
-    unit = gp.r0 == gp.s0  # alpha_0 = 1
-    first = -1 if unit else 0  # the first l whose W_l a tuple reads
     shifts = [[Nj - N + 1 for Nj in Ns] for Ns in N_rows]
-    slices = []  # slices[j][r] = series j's factor of W_first..W_(N-1) for tuple r
-    for j, (u, v, nj) in enumerate(zip(gp.u, gp.v, n_list)):
-        es = [row[j] for row in shifts]
-        lo = min(es)
-        f = [u + x * v for x in range(first + lo, N + max(es) + nj - 1)]
-        win = [prod(f[:nj])]  # win[k] = the window at x = first + lo + k
-        for k in range(len(f) - nj):
-            win.append(win[-1] * f[k + nj] // f[k])
-        slices.append([win[e - lo : e - lo + N - first] for e in es])
 
-    def window_products(r: int) -> list[int]:
-        W = slices[0][r]
-        for cols in slices[1:]:
-            W = list(map(mul, W, cols[r]))
-        return W
+    def walks(ps: list[int], qs: list[int], tops, bottoms) -> list[Grid]:
+        # per tuple, the walk of ps[k] prod_j (a + (e_j + o + k) b) over the
+        # same for qs and `bottoms`, with (a, b, o) series j's entry of `tops`
+        def factors(spec) -> list[tuple[int, list[int]]]:
+            # series j's factors from its smallest shift lo on, for every tuple
+            return [
+                (min(es), [a + x * b for x in range(min(es) + o, max(es) + o + len(ps))])
+                for es, (a, b, o) in zip(zip(*shifts), spec)
+            ]
 
-    if unit:
-        # (-1)^(N-d) C(N, d) for d = 0..N: a_d = that times W_(N-1-d), over W_(-1)
-        signed = [(-1) ** (N - d) * comb(N, d) for d in range(N + 1)]
-        out = []
-        for r in range(len(N_rows)):
-            W = window_products(r)
-            out.append(Grid.of(W[0], list(map(mul, signed, reversed(W)))))
-        return tuple(out)
+        def times(base: list[int], cols, es) -> list[int]:
+            for e, (lo, xs) in zip(es, cols):
+                base = map(mul, base, xs[e - lo :])
+            return list(base)
 
-    u, v = gp.r0, gp.s0
-    g_int = [1]
-    for k in range(N - 1):
-        g_int.append(g_int[-1] * (u - v + k * v))
-    B = 1
-    for d in range(N - 1, -1, -1):
-        g_int[d] *= B
-        B *= d * v
-    G = g_int[0]
-    H = G * prod(t**nj for t, nj in zip(gp.v, n_list))
-    # G and H exceed the lcm of the denominators by up to thousands of bits at
-    # large N; dividing out each sequence's content keeps the correlation's
-    # operands no longer than lcm-cleared ones
-    cg = gcd(*g_int)
-    g_int = [x // cg for x in g_int]
-    ce = [0] * N  # (-1)^(l+1) C_l E_l
-    C = 1
-    for ell in range(N - 1, -1, -1):
-        ce[ell] = C
-        C *= u + ell * v
-    E = 1
-    for ell in range(N):
-        ce[ell] *= E if ell % 2 else -E
-        E *= v * (N - 1 - ell)
+        top, bottom = factors(tops), factors(bottoms)
+        return [_hyper_grid(times(ps, top, es), times(qs, bottom, es)) for es in shifts]
+
+    a0j = list(zip(gp.u, gp.v, n_list))  # alpha_j + alpha_0 = u_j/v_j
+    if m == 1 or gp.r0 == gp.s0:
+        bp, bq = prod(gp.s[1:]), prod(gp.v)
+        c = gcd(bp, bq)
+        ps = [-(N - k) * bp // c for k in range(N)]
+        qs = [(k + 1) * bq // c for k in range(N)]
+        tops = [(u, v, nj - 1) for u, v, nj in a0j]
+        return tuple(Grid(L, t[::-1]) for L, t in walks(ps, qs, tops, zip(gp.r[1:], gp.s[1:], [0] * m)))
+
+    u, v = gp.r0, gp.s0  # alpha_0 = u/v
+    G, g = _hyper_grid([u - v + d * v for d in range(N - 1)], [(d + 1) * v for d in range(N - 1)])
+    ps = [-(N - ell - 1) * v for ell in range(N - 1)]
+    qs = [u + (ell + 1) * v for ell in range(N - 1)]
+    h0 = pochhammer(gp.alpha[0] + 1, N - 1)  # h(0) = -h0 / (N-1)! * prod_j (c_j)_{n_j}
     out = []
-    for r, Ns in enumerate(N_rows):
-        # the denominator's product dn/dd does not involve the summation index
-        dn = dd = 1
-        for aj, nj, Nj in zip(gp.alpha[1:], n_list, Ns):
-            pj = pochhammer(aj + (Nj - N + 1), nj)
-            dn *= pj.numerator
-            dd *= pj.denominator
-        h_int = list(map(mul, ce, window_products(r)))
-        ch = gcd(*h_int)
-        h_int = [x // ch for x in h_int]
-        num, den = dd * cg * ch, dn * G * H
+    for (H, h), es in zip(walks(ps, qs, a0j, [(uj, vj, 0) for uj, vj, _ in a0j]), shifts):
+        num, den = -h0.numerator, h0.denominator * factorial(N - 1) * G * H
+        for rj, sj, (uj, vj, nj), e in zip(gp.r[1:], gp.s[1:], a0j, es):
+            top, bottom = pochhammer(Fraction(uj + e * vj, vj), nj), pochhammer(Fraction(rj + e * sj, sj), nj)
+            num, den = num * top.numerator * bottom.denominator, den * top.denominator * bottom.numerator
         c = gcd(num, den)
-        num, den = num // c, den // c
-        sums = [sum(map(mul, g_int, h_int[k:])) * num for k in range(N - 1, -1, -1)]
-        out.append(Grid.of(den, [*sums, den]))
+        sums = [sum(map(mul, g, h[k:])) * (num // c) for k in range(N - 1, -1, -1)]
+        out.append(Grid.of(den // c, [*sums, den // c]))
     return tuple(out)
 
 

@@ -258,11 +258,10 @@ def select_block_degrees(inst: LinearFormInstance, a: int) -> BlockDegreeSelecti
 
 
 _EVAL_DIGITS = 48  # p-adic digits certified for the series values in the audit's linear form
-# The largest Ntilde the linear-form audit accepts.  Its m + 1 denominators
-# Q_i (`build_q`) are still most of its cost: at m = 1 (half.params, Python
-# 3.11 on a 2-core machine, in-process, best of 3) the audit takes 0.03 s at
-# Ntilde = 800, 0.21 s at 1598 and 0.65 s at 2394, of which build_q takes
-# 0.016, 0.13 and 0.43 s.
+# The largest Ntilde the linear-form audit accepts.  At m = 1 (half.params,
+# Python 3.11 on a 2-core machine, in-process, best of 3) the audit takes
+# 0.018 s at Ntilde = 800, 0.086 s at 1598 and 0.22 s at 2394, of which its
+# m + 1 denominators Q_i (`build_q`) take 0.001, 0.003 and 0.007 s.
 _NTILDE_CAP = 2000
 
 

@@ -14,9 +14,10 @@ import gpade.cli
 import gpade.pade
 from gpade.arith import Grid, bareiss_eliminate, cleared_eval, pochhammer
 from gpade.denom import ThetaMode, make_cert
-from gpade.errors import IntegralityViolation, NonMonomialDeterminant, SingularSystem
+from gpade.errors import IntegralityViolation, InvariantViolation, NonMonomialDeterminant, SingularSystem
 from gpade.pade import (
     ApproxShape,
+    _hyper_grid,
     build_family,
     build_q,
     build_q_generic,
@@ -94,6 +95,45 @@ def test_phi_window_matches_fraction_recurrence(alpha0, alphaj, j, lo, hi):
     grid = phi_coeffs(gp, j, hi)
     assert grid == cleared(reference)
     assert grid_values(grid)[lo:] == tuple(reference[lo:])
+
+
+ratio_steps = st.lists(st.tuples(st.integers(-(10**12), 10**12), st.integers(1, 10**12)), max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ratio_steps, st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 30)), max_size=40)))
+@example([])  # no step: the grid of 1 alone
+@example([(3, 1), (0, 7), (5, 2)])  # a zero ratio: every later term is 0
+@example([(-(k + 1), 4) for k in range(12)])  # every step leaves a remainder
+@example([(6, 4), (2, 9), (9, 2)])  # unreduced ratios
+def test_hyper_grid_matches_fraction_walk(steps):
+    # the walk t_0 = 1, t_(k+1) = t_k p_k / q_k lands on the grid that the
+    # Fraction walk cleared by its lcm gives, normalized with no gcd taken
+    ps, qs = [p for p, _ in steps], [q for _, q in steps]
+    terms = [F(1)]
+    for p, q in steps:
+        terms.append(terms[-1] * F(p, q))
+    grid = _hyper_grid(ps, qs)
+    assert grid == cleared(terms)
+    assert normalized_values(grid) == tuple(terms)
+
+
+class ChangingIterable:
+    """An iterable whose passes yield the given lists in turn."""
+
+    def __init__(self, *passes):
+        self.passes = list(passes)
+
+    def __iter__(self):
+        return iter(self.passes.pop(0))
+
+
+def test_hyper_grid_guard_raises_on_a_remainder():
+    # pass 2 divides exactly by what pass 1 read; a ratio that changes
+    # between the passes leaves a remainder and raises, never a wrong grid
+    with pytest.raises(InvariantViolation, match="left a remainder"):
+        _hyper_grid(ChangingIterable([1, 1], [1, 1]), ChangingIterable([1, 2], [1, 3]))
+    assert _hyper_grid(ChangingIterable([1, 1], [1, 1]), ChangingIterable([1, 2], [1, 2])) == Grid(2, (2, 2, 1))
 
 
 def test_hand_instance_denominators(half):
@@ -476,19 +516,42 @@ def test_multi_row_closed_form_matches_references(instance):
             assert grid_values(grid) == reference_build_q_generic(gp, n, N_list)
 
 
-def test_unit_alpha0_takes_the_one_term_route(monkeypatch):
-    # alpha_0 = 1 needs no Pochhammer product and no correlation: with
-    # pochhammer unavailable, the rows still come out, equal to the reference
-    def refused(*args):
-        raise AssertionError("pochhammer called on the alpha_0 = 1 route")
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha0=st.sampled_from([F(1), F(2), F(3, 2), F(1, 20014), *ALPHA_POOL]),
+    alpha1=st.sampled_from([F(1), F(1, 20014), *ALPHA_POOL]),
+    N=st.integers(1, 9),
+)
+@example(alpha0=F(2), alpha1=F(1), N=9)  # int2.params
+@example(alpha0=F(1, 20014), alpha1=F(1, 2), N=6)  # a large denominator in alpha_0
+@example(alpha0=F(3, 2), alpha1=F(1, 20014), N=7)  # and in alpha_1
+@example(alpha0=F(5, 7), alpha1=F(2, 9), N=1)
+def test_m1_one_term_matches_termwise_reference(alpha0, alpha1, N):
+    # m = 1 at any alpha_0 walks the reversed Jacobi polynomial's term ratio;
+    # every row equals the closed form summed term by term
+    gp = derive_params([alpha0, alpha1])
+    N_rows = [(N + s,) for s in (-1, 0, 2, 7)]
+    for grid, N_list in zip(build_q_generic(gp, (N,), N_rows), N_rows):
+        assert normalized_values(grid) == reference_build_q_generic(gp, (N,), N_list)
 
-    gp = derive_params([F(1), F(1, 2), F(1, 3)])
-    shape = ApproxShape(n=(5, 3), n0=6)
-    expected = [reference_ratio_build_q_generic(gp, shape.n, shape.Nij_row(i)) for i in range(3)]
+
+def test_unit_alpha0_takes_the_one_term_route(monkeypatch):
+    # alpha_0 = 1 (any m) and m = 1 (any alpha_0) need no Pochhammer product
+    # and no correlation: with pochhammer unavailable, the rows still come
+    # out, equal to the reference; m >= 2 with alpha_0 != 1 still needs it
+    def refused(*args):
+        raise AssertionError("pochhammer called on the one-term route")
+
+    cases = [([F(1), F(1, 2), F(1, 3)], ApproxShape(n=(5, 3), n0=6)), ([F(3, 2), F(1, 2)], ApproxShape(n=(2,), n0=2))]
+    expected = [
+        [reference_ratio_build_q_generic(derive_params(alphas), shape.n, shape.Nij_row(i)) for i in range(shape.m + 1)]
+        for alphas, shape in cases
+    ]
     monkeypatch.setattr(gpade.pade, "pochhammer", refused)
-    assert [grid_values(q) for q in build_q(gp, shape, range(3))] == expected
+    for (alphas, shape), rows in zip(cases, expected):
+        assert [grid_values(q) for q in build_q(derive_params(alphas), shape, range(shape.m + 1))] == rows
     with pytest.raises(AssertionError):
-        build_q(derive_params([F(3, 2), F(1, 2)]), ApproxShape(n=(2,), n0=2), (0,))
+        build_q(derive_params([F(3, 2), F(1, 2), F(1, 3)]), ApproxShape(n=(2, 1), n0=2), (0,))
 
 
 def test_closed_form_refuses_bad_target_degrees():
