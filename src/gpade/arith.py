@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt, log
+from math import gcd, isqrt, log, prod
 from struct import Struct
 from typing import NamedTuple
 
@@ -152,10 +152,7 @@ def pochhammer(x: Fraction, n: int) -> Fraction:
     if n < 0:
         raise ValueError("pochhammer requires n >= 0")
     s, t = x.numerator, x.denominator
-    acc = 1
-    for k in range(n):
-        acc *= s + k * t
-    return Fraction(acc, t**n)
+    return Fraction(prod(range(s, s + n * t, t)), t**n)
 
 
 class Grid(NamedTuple):

@@ -177,15 +177,17 @@ def _hyper_grid(ps: Iterable[int], qs: Iterable[int]) -> Grid:
 def phi_coeffs(gp: GParams, j: int, hi: int) -> Grid:
     """The grid of phi_j's coefficients of orders 0..hi (hi >= 0).
 
-    With alpha_j = a/b, alpha_0 + alpha_j = c/d and g = gcd(b, d), the term
-    ratio is (d/g)(a + kb) / ((b/g)(c + kd)), walked by `_hyper_grid`.
+    With alpha_j = a/b and alpha_0 + alpha_j = c/d in lowest terms (`GParams`'
+    r_j/s_j and u_j/v_j) and g = gcd(b, d), the term ratio is
+    (d/g)(a + kb) / ((b/g)(c + kd)): two progressions with the one step
+    bd/g > 0, walked by `_hyper_grid`.
     """
     if not (1 <= j <= gp.m and hi >= 0):
         raise ValueError("series index or order out of range")
-    aj, a0j = gp.alpha[j], gp.alpha[j] + gp.alpha[0]
-    a, b, c, d = aj.numerator, aj.denominator, a0j.numerator, a0j.denominator
+    a, b, c, d = gp.r[j], gp.s[j], gp.u[j - 1], gp.v[j - 1]
     g = gcd(b, d)
-    return _hyper_grid([d // g * (a + k * b) for k in range(hi)], [b // g * (c + k * d) for k in range(hi)])
+    w, x, y = b // g * d, d // g * a, b // g * c
+    return _hyper_grid(range(x, x + hi * w, w), range(y, y + hi * w, w))
 
 
 def phi_split(gp: GParams, j: int, z: Fraction, cuts: tuple[int, ...]) -> list[Piece]:
@@ -207,12 +209,10 @@ def phi_split(gp: GParams, j: int, z: Fraction, cuts: tuple[int, ...]) -> list[P
     if not 1 <= j <= gp.m:
         raise ValueError("series index out of range")
     z = Fraction(z)
-    aj = gp.alpha[j]
-    a0j = aj + gp.alpha[0]
+    a, b, c, d = gp.r[j], gp.s[j], gp.u[j - 1], gp.v[j - 1]  # alpha_j = a/b, alpha_j + alpha_0 = c/d
     # p(n) = pn + n pd and r(n) = rn + n rd
-    pc = a0j.denominator * z.numerator
-    pn, pd = aj.numerator * pc, aj.denominator * pc
-    rn, rd = a0j.numerator * aj.denominator, a0j.denominator * aj.denominator
+    pn, pd = a * d * z.numerator, b * d * z.numerator
+    rn, rd = c * b, d * b
     zd = z.denominator
 
     def split(lo: int, hi: int) -> Piece:
@@ -255,9 +255,10 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_rows: Iterable[tuple
         c_j  = alpha_j + alpha_0 + e_j.
 
     Each sequence is walked by its term ratio (`_hyper_grid`).  Series j's
-    factors there are a + x b, for a/b = alpha_j or alpha_j + alpha_0 in
-    lowest terms and x >= 0 the tuple's e_j plus an offset, so one list of
-    each kind serves every tuple, sliced at its e_j.
+    factors there are a + x b for consecutive x >= 0 from the tuple's e_j
+    plus an offset, with a/b = alpha_j or alpha_j + alpha_0 in lowest terms
+    (`GParams`' r_j/s_j and u_j/v_j): each tuple takes them as one progression
+    `range(a + x b, ..., b)`, step b > 0, and so do the other factors.
 
     One term (alpha_0 = 1, or m = 1): from a_N = 1, for l = -1..N-2,
 
@@ -297,44 +298,39 @@ def build_q_generic(gp: GParams, n_list: tuple[int, ...], N_rows: Iterable[tuple
         raise ValueError("closed form requires N_j >= N - 1")
     shifts = [[Nj - N + 1 for Nj in Ns] for Ns in N_rows]
 
-    def walks(ps: list[int], qs: list[int], tops, bottoms) -> list[Grid]:
+    def walks(ps: range, qs: range, tops, bottoms: list) -> list[Grid]:
         # per tuple, the walk of ps[k] prod_j (a + (e_j + o + k) b) over the
         # same for qs and `bottoms`, with (a, b, o) series j's entry of `tops`
-        def factors(spec) -> list[tuple[int, list[int]]]:
-            # series j's factors from its smallest shift lo on, for every tuple
-            return [
-                (min(es), [a + x * b for x in range(min(es) + o, max(es) + o + len(ps))])
-                for es, (a, b, o) in zip(zip(*shifts), spec)
-            ]
-
-        def times(base: list[int], cols, es) -> list[int]:
-            for e, (lo, xs) in zip(es, cols):
-                base = map(mul, base, xs[e - lo :])
+        def times(base: range, spec, es) -> list[int]:
+            for e, (a, b, o) in zip(es, spec):
+                x = a + (e + o) * b
+                base = map(mul, base, range(x, x + len(ps) * b, b))
             return list(base)
 
-        top, bottom = factors(tops), factors(bottoms)
-        return [_hyper_grid(times(ps, top, es), times(qs, bottom, es)) for es in shifts]
+        return [_hyper_grid(times(ps, tops, es), times(qs, bottoms, es)) for es in shifts]
 
     a0j = list(zip(gp.u, gp.v, n_list))  # alpha_j + alpha_0 = u_j/v_j
     if m == 1 or gp.r0 == gp.s0:
         bp, bq = prod(gp.s[1:]), prod(gp.v)
         c = gcd(bp, bq)
-        ps = [-(N - k) * bp // c for k in range(N)]
-        qs = [(k + 1) * bq // c for k in range(N)]
+        bp, bq = bp // c, bq // c
         tops = [(u, v, nj - 1) for u, v, nj in a0j]
-        return tuple(Grid(L, t[::-1]) for L, t in walks(ps, qs, tops, zip(gp.r[1:], gp.s[1:], [0] * m)))
+        grids = walks(range(-N * bp, 0, bp), range(bq, (N + 1) * bq, bq), tops, list(zip(gp.r[1:], gp.s[1:], [0] * m)))
+        return tuple(Grid(L, t[::-1]) for L, t in grids)
 
     u, v = gp.r0, gp.s0  # alpha_0 = u/v
-    G, g = _hyper_grid([u - v + d * v for d in range(N - 1)], [(d + 1) * v for d in range(N - 1)])
-    ps = [-(N - ell - 1) * v for ell in range(N - 1)]
-    qs = [u + (ell + 1) * v for ell in range(N - 1)]
-    h0 = pochhammer(gp.alpha[0] + 1, N - 1)  # h(0) = -h0 / (N-1)! * prod_j (c_j)_{n_j}
+    G, g = _hyper_grid(range(u - v, u + (N - 2) * v, v), range(v, N * v, v))
+    h0 = pochhammer(Fraction(u + v, v), N - 1)  # alpha_0 + 1 = (u + v)/v; h(0) = -h0 / (N-1)! * prod_j (c_j)_{n_j}
+    # (x/b)_n = prod(range(x, x + n b, b)) / b^n: the powers are the same for every tuple
+    num0 = -h0.numerator * prod(sj**nj for sj, nj in zip(gp.s[1:], n_list))
+    den0 = h0.denominator * factorial(N - 1) * G * prod(vj**nj for vj, nj in zip(gp.v, n_list))
     out = []
+    ps, qs = range(-(N - 1) * v, 0, v), range(u + v, u + N * v, v)
     for (H, h), es in zip(walks(ps, qs, a0j, [(uj, vj, 0) for uj, vj, _ in a0j]), shifts):
-        num, den = -h0.numerator, h0.denominator * factorial(N - 1) * G * H
+        num, den = num0, den0 * H
         for rj, sj, (uj, vj, nj), e in zip(gp.r[1:], gp.s[1:], a0j, es):
-            top, bottom = pochhammer(Fraction(uj + e * vj, vj), nj), pochhammer(Fraction(rj + e * sj, sj), nj)
-            num, den = num * top.numerator * bottom.denominator, den * top.denominator * bottom.numerator
+            num *= prod(range(uj + e * vj, uj + (e + nj) * vj, vj))
+            den *= prod(range(rj + e * sj, rj + (e + nj) * sj, sj))
         c = gcd(num, den)
         sums = [sum(map(mul, g, h[k:])) * (num // c) for k in range(N - 1, -1, -1)]
         out.append(Grid.of(den // c, [*sums, den // c]))
@@ -391,11 +387,11 @@ def numerator_at(gp: GParams, q: Grid, j: int, a: int, b: int, T: int, head: Pie
         apow *= a
         H.append(H[-1] * b + ck * apow)
     p, sq, s, _ = head
-    aj, a0j = gp.alpha[j], gp.alpha[j] + gp.alpha[0]
+    rj, sj, uj, vj = gp.r[j], gp.s[j], gp.u[j - 1], gp.v[j - 1]  # alpha_j = rj/sj, alpha_j + alpha_0 = uj/vj
     acc, G = 0, 1
     for t in range(T - 1, T - n - 1, -1):
-        acc = (aj.numerator + t * aj.denominator) * a0j.denominator * a * (H[T - 1 - t] * G + acc)
-        G *= (a0j.numerator + t * a0j.denominator) * aj.denominator
+        acc = (rj + t * sj) * vj * a * (H[T - 1 - t] * G + acc)
+        G *= (uj + t * vj) * sj
     return H[n] * (sq + s) * G + p * acc, H[n], acc, G
 
 

@@ -82,6 +82,7 @@ def test_series_specialization_is_harmonic():
 @example(alpha0=F(3, 2), alphaj=F(1, 2), j=1, lo=7, hi=7)
 @example(alpha0=F(1), alphaj=F(1), j=2, lo=0, hi=3)  # no series 2
 @example(alpha0=F(1), alphaj=F(1), j=1, lo=0, hi=-1)  # hi < 0
+@example(alpha0=F(3, 2), alphaj=F(1, 20014), j=1, lo=3, hi=25)  # two progressions with step 20014
 def test_phi_window_matches_fraction_recurrence(alpha0, alphaj, j, lo, hi):
     # the running products' grid of orders 0..hi, normalized once, is the
     # Fraction recurrence's prefix cleared by its lcm, and its window lo..hi,
@@ -502,6 +503,10 @@ def multi_row_instances(draw, n_max=6):
 @example(([F(1), F(1, 2), F(1, 3)], (9, 4), [(15, 20), (16, 20), (15, 21)]))  # trio's rows at (9, 4), n0 = 11
 @example(([F(1), F(2, 3), F(1, 4), F(7, 4)], (3, 1, 2), [(5, 5, 5), (9, 8, 5)]))  # m = 3
 @example(([F(5, 3), F(1, 3), F(5, 2)], (2, 3), [(4, 4), (5, 4), (4, 5), (4, 4)]))  # alpha_0 != 1, a repeated tuple
+# a denominator of 20014 makes each factor progression step by 20014:
+# alpha_0 = 1/20014 on the correlation route, alpha_1 = 1/20014 on the one-term route
+@example(([F(1, 20014), F(1, 2), F(1, 3)], (3, 2), [(5, 6), (6, 6), (5, 7)]))
+@example(([F(1), F(1, 20014), F(1, 3)], (3, 2), [(5, 6), (6, 6), (5, 7)]))
 def test_multi_row_closed_form_matches_references(instance):
     # one call builds every tuple's grid; each equals the Fraction references
     # and the one-tuple call, on either route (alpha_0 = 1 or not)
@@ -537,21 +542,29 @@ def test_m1_one_term_matches_termwise_reference(alpha0, alpha1, N):
 
 def test_unit_alpha0_takes_the_one_term_route(monkeypatch):
     # alpha_0 = 1 (any m) and m = 1 (any alpha_0) need no Pochhammer product
-    # and no correlation: with pochhammer unavailable, the rows still come
-    # out, equal to the reference; m >= 2 with alpha_0 != 1 still needs it
-    def refused(*args):
-        raise AssertionError("pochhammer called on the one-term route")
+    # and no correlation: pochhammer is never called, and the rows equal the
+    # reference; m >= 2 with alpha_0 != 1 calls it once per build, for h(0)
+    # alone, whatever the number of rows
+    calls = []
 
-    cases = [([F(1), F(1, 2), F(1, 3)], ApproxShape(n=(5, 3), n0=6)), ([F(3, 2), F(1, 2)], ApproxShape(n=(2,), n0=2))]
+    def counted(x, n):
+        calls.append((x, n))
+        return pochhammer(x, n)
+
+    cases = [
+        ([F(1), F(1, 2), F(1, 3)], ApproxShape(n=(5, 3), n0=6)),
+        ([F(3, 2), F(1, 2)], ApproxShape(n=(2,), n0=2)),
+        ([F(5, 3), F(1, 3), F(5, 2), F(7, 4)], ApproxShape(n=(8, 8, 8), n0=8)),
+    ]
     expected = [
         [reference_ratio_build_q_generic(derive_params(alphas), shape.n, shape.Nij_row(i)) for i in range(shape.m + 1)]
         for alphas, shape in cases
     ]
-    monkeypatch.setattr(gpade.pade, "pochhammer", refused)
-    for (alphas, shape), rows in zip(cases, expected):
+    monkeypatch.setattr(gpade.pade, "pochhammer", counted)
+    for (alphas, shape), rows, count in zip(cases, expected, (0, 0, 1)):
+        calls.clear()
         assert [grid_values(q) for q in build_q(derive_params(alphas), shape, range(shape.m + 1))] == rows
-    with pytest.raises(AssertionError):
-        build_q(derive_params([F(3, 2), F(1, 2), F(1, 3)]), ApproxShape(n=(2, 1), n0=2), (0,))
+        assert len(calls) == count
 
 
 def test_closed_form_refuses_bad_target_degrees():
